@@ -2,49 +2,99 @@ package tenant
 
 import (
 	"bytes"
-	"reflect"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"mlless/internal/cost"
+	"mlless/internal/exchange"
+	"mlless/internal/faults"
 	"mlless/internal/trace"
 )
 
-// fleetArtifacts captures everything a fleet run leaves behind that the
-// host-parallel engine promises to keep byte- and bit-identical: the
-// control-plane log, the job records (IDs, milestones, losses, bills),
-// the report, the platform's billed function meter, the warm pool and
-// the service counters.
-type fleetArtifacts struct {
-	log      string
-	jobs     []JobRecord
-	tenants  []TenantReport
-	makespan time.Duration
-	jain     float64
-	funcTime time.Duration
-	funcUSD  float64
-	billed   time.Duration
-	warm     int
-	counters []trace.Metric
-	orphans  int
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the reference run")
+
+// fleetCase is one seeded fleet the engine is pinned on.
+type fleetCase struct {
+	name      string
+	seed      uint64
+	cap, jobs int
+	// strip clears every TemplateKey: nothing memoizes, every admission
+	// executes.
+	strip bool
+	// hostile makes every job traced, fault-injected and tree-exchanged —
+	// the three features that used to force the host-serial loop.
+	hostile bool
 }
 
-func runFleetArtifacts(t *testing.T, seed uint64, maxConcurrent, jobs, hostPar int, serial, stripTemplates bool) fleetArtifacts {
+// goldenCases have their reference artifacts committed under testdata/,
+// captured from the host-serial loop before it was deleted.
+var goldenCases = []fleetCase{
+	{name: "plain", seed: 42, cap: 8, jobs: 9},
+	// Cap 4 fits one job: the queue, fair-share and scale-in paths go
+	// through the pass/estimate machinery.
+	{name: "contended", seed: 11, cap: 4, jobs: 8},
+	{name: "stripped", seed: 11, cap: 6, jobs: 6, strip: true},
+	{name: "traced-faulted-tree", seed: 42, cap: 8, jobs: 9, hostile: true},
+}
+
+// hostileFaults fires every fault domain within the few virtual seconds
+// a test job lives.
+func hostileFaults(seed uint64) faults.Spec {
+	return faults.Spec{
+		Seed:           seed,
+		InvokeFailProb: 0.1, StragglerProb: 0.2,
+		ReclaimProb: 0.3, ReclaimMeanLife: 3 * time.Second,
+		KVFailProb: 0.05, KVSlowProb: 0.05,
+		MQFailProb: 0.05, MQSlowProb: 0.05,
+	}
+}
+
+// build stages the case on a fresh cluster. tracers holds one tracer per
+// arrival for hostile cases, nil otherwise.
+func (c fleetCase) build(t *testing.T) (cfg Config, tracers []*trace.Tracer) {
 	t.Helper()
-	cfg, arrivals := testFleet(t, seed, maxConcurrent, jobs)
-	if stripTemplates {
-		for i := range arrivals {
+	cfg, arrivals := testFleet(t, c.seed, c.cap, c.jobs)
+	for i := range arrivals {
+		if c.strip {
 			arrivals[i].TemplateKey = ""
+		}
+		if c.hostile {
+			tr := trace.New()
+			tracers = append(tracers, tr)
+			arrivals[i].Job.Trace = tr
+			arrivals[i].Job.Spec.Exchange = exchange.KindTree
+			arrivals[i].Job.Spec.Faults = hostileFaults(c.seed)
 		}
 	}
 	cfg.Arrivals = arrivals
-	cfg.HostPar = hostPar
-	cfg.forceSerial = serial
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return cfg, tracers
+}
+
+// fleetArtifacts is everything a fleet run leaves behind that the engine
+// promises to keep byte- and bit-identical at every HostPar: the
+// control-plane log, the report (job records, per-tenant bills, headline
+// metrics), the platform's billed function meter, the warm pool, the
+// service counters and each traced job's rendered trace.
+type fleetArtifacts struct {
+	Log            string `json:"-"`
+	Report         Report
+	PlatformBilled time.Duration
+	WarmPool       int
+	UnclaimedRuns  int
+	Counters       []trace.Metric
+	TraceSHA256    []string `json:",omitempty"`
+}
+
+func collectArtifacts(t *testing.T, cfg Config, rep *Report, tracers []*trace.Tracer) fleetArtifacts {
+	t.Helper()
 	var log bytes.Buffer
 	if err := rep.WriteEvents(&log); err != nil {
 		t.Fatal(err)
@@ -53,85 +103,111 @@ func runFleetArtifacts(t *testing.T, seed uint64, maxConcurrent, jobs, hostPar i
 	cfg.Cluster.Platform.BillTo(&orphans)
 	snap := cfg.Cluster.Metrics.Snapshot()
 	sort.Slice(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name })
-	return fleetArtifacts{
-		log:      log.String(),
-		jobs:     rep.Jobs,
-		tenants:  rep.Tenants,
-		makespan: rep.Makespan,
-		jain:     rep.Jain,
-		funcTime: rep.FunctionTime,
-		funcUSD:  rep.FunctionDollars,
-		billed:   cfg.Cluster.Platform.BilledFunctionSeconds(),
-		warm:     cfg.Cluster.Platform.WarmPool(),
-		counters: snap,
-		orphans:  len(orphans.Report().Components),
+	a := fleetArtifacts{
+		Log:            log.String(),
+		Report:         *rep,
+		PlatformBilled: cfg.Cluster.Platform.BilledFunctionSeconds(),
+		WarmPool:       cfg.Cluster.Platform.WarmPool(),
+		UnclaimedRuns:  len(orphans.Report().Components),
+		Counters:       snap,
 	}
+	a.Report.Events = nil // the log carries them
+	for _, tr := range tracers {
+		var buf bytes.Buffer
+		if err := trace.WriteChrome(&buf, tr.Events()); err != nil {
+			t.Fatal(err)
+		}
+		a.TraceSHA256 = append(a.TraceSHA256, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())))
+	}
+	return a
 }
 
-func diffArtifacts(t *testing.T, label string, want, got fleetArtifacts) {
+// golden renders the artifacts as the committed text form: the event
+// log, then the rest as indented JSON (durations in ns, floats in their
+// shortest round-trip form, so equal bytes mean equal bits).
+func (a fleetArtifacts) golden(t *testing.T) []byte {
 	t.Helper()
-	if want.log != got.log {
-		t.Fatalf("%s: event logs differ:\n--- baseline ---\n%s--- %s ---\n%s", label, want.log, label, got.log)
+	doc, err := json.MarshalIndent(a, "", " ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.jobs, got.jobs) {
-		t.Fatalf("%s: job records differ:\nbaseline: %+v\ngot:      %+v", label, want.jobs, got.jobs)
+	return []byte(a.Log + "---\n" + string(doc) + "\n")
+}
+
+// diffGolden fails with the first differing line.
+func diffGolden(t *testing.T, label string, want, got []byte) {
+	t.Helper()
+	if bytes.Equal(want, got) {
+		return
 	}
-	if !reflect.DeepEqual(want.tenants, got.tenants) {
-		t.Fatalf("%s: per-tenant bills differ:\nbaseline: %+v\ngot:      %+v", label, want.tenants, got.tenants)
-	}
-	if want.makespan != got.makespan || want.jain != got.jain ||
-		want.funcTime != got.funcTime || want.funcUSD != got.funcUSD {
-		t.Fatalf("%s: headline metrics differ: baseline {%v %v %v %v} got {%v %v %v %v}",
-			label, want.makespan, want.jain, want.funcTime, want.funcUSD,
-			got.makespan, got.jain, got.funcTime, got.funcUSD)
-	}
-	if want.billed != got.billed {
-		t.Fatalf("%s: platform billed %v, baseline %v", label, got.billed, want.billed)
-	}
-	if want.warm != got.warm {
-		t.Fatalf("%s: warm pool %d, baseline %d", label, got.warm, want.warm)
-	}
-	if !reflect.DeepEqual(want.counters, got.counters) {
-		t.Fatalf("%s: service counters differ:\nbaseline: %+v\ngot:      %+v", label, want.counters, got.counters)
-	}
-	if got.orphans != 0 {
-		t.Fatalf("%s: %d function runs never claimed by a job meter", label, got.orphans)
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			t.Fatalf("%s: artifacts differ at line %d:\nwant: %s\ngot:  %s", label, i+1, wl, gl)
+		}
 	}
 }
 
-func TestFleetParallelMatchesSerialBaseline(t *testing.T) {
-	// The tentpole's determinism contract: the host-parallel engine must
-	// reproduce the legacy host-serial loop bit-for-bit — event log, job
-	// records, per-tenant bills, platform meter, warm pool and every
-	// service counter — at every host-parallelism level. Width 2 and 8
-	// run under -race in CI, so the executor's sharing discipline is
-	// checked as well as its outputs.
-	baseline := runFleetArtifacts(t, 42, 8, 9, 1, true, false)
-	if baseline.orphans != 0 {
-		t.Fatalf("serial baseline left %d unclaimed runs", baseline.orphans)
+// runEngine runs the case through tenant.Run at the given pool width.
+func runEngine(t *testing.T, c fleetCase, hostPar int) fleetArtifacts {
+	t.Helper()
+	cfg, tracers := c.build(t)
+	cfg.HostPar = hostPar
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		got := runFleetArtifacts(t, 42, 8, 9, par, false, false)
-		diffArtifacts(t, "host-par "+string(rune('0'+par)), baseline, got)
-	}
+	return collectArtifacts(t, cfg, rep, tracers)
 }
 
-func TestFleetParallelMatchesSerialWithoutTemplates(t *testing.T) {
-	// Hand-built arrivals carry no TemplateKey, so nothing memoizes and
-	// executions happen one certain frontier at a time — the engine must
-	// still match the serial loop exactly.
-	baseline := runFleetArtifacts(t, 11, 6, 6, 1, true, true)
-	got := runFleetArtifacts(t, 11, 6, 6, 4, false, true)
-	diffArtifacts(t, "no-template host-par 4", baseline, got)
+// runReference runs the case through the reference the goldens are
+// captured from: the host-serial loop.
+func runReference(t *testing.T, c fleetCase) fleetArtifacts {
+	t.Helper()
+	cfg, tracers := c.build(t)
+	cfg.forceSerial = true
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return collectArtifacts(t, cfg, rep, tracers)
 }
 
-func TestFleetParallelContended(t *testing.T) {
-	// Heavy contention (cap 4 fits one job) drives the queue, fair-share
-	// and scale-in paths through the pass/estimate machinery; the
-	// parallel engine must still match the serial loop exactly.
-	baseline := runFleetArtifacts(t, 11, 4, 8, 1, true, false)
-	got := runFleetArtifacts(t, 11, 4, 8, 4, false, false)
-	diffArtifacts(t, "contended host-par 4", baseline, got)
+func TestFleetMatchesGolden(t *testing.T) {
+	// The determinism contract: at every host-parallelism level the
+	// engine reproduces, byte for byte, the artifacts the host-serial
+	// loop produced. Widths 2 and 8 run under -race in CI, so the
+	// executor's sharing discipline is checked as well as its outputs.
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "fleet-"+c.name+".golden")
+			ref := runReference(t, c)
+			if ref.UnclaimedRuns != 0 {
+				t.Fatalf("reference left %d unclaimed runs", ref.UnclaimedRuns)
+			}
+			if *update {
+				if err := os.WriteFile(path, ref.golden(t), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffGolden(t, "reference", want, ref.golden(t))
+			for _, par := range []int{1, 2, 4, 8} {
+				got := runEngine(t, c, par)
+				diffGolden(t, fmt.Sprintf("host-par %d", par), want, got.golden(t))
+			}
+		})
+	}
 }
 
 func TestReleaseOrderIsStateNotInsertion(t *testing.T) {
