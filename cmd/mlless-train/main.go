@@ -39,7 +39,6 @@ func run() error {
 		kvShards  = flag.Int("kv-shards", 1, "KV exchange tier shard count (1 = single Redis endpoint)")
 		exch      = flag.String("exchange", "ps", "gradient exchange: ps (parameter server) | scatter (scatter-reduce) | tree (tree-reduce)")
 		fanout    = flag.Int("tree-fanout", 0, "tree-reduce fan-out, >= 2 (0 = default; requires -exchange tree)")
-		driver    = flag.String("driver", "par", "simulation driver: par (goroutine pool) | seq (single-threaded); results are byte-identical")
 		dataTier  = flag.String("data", "batch", "dataset tier: batch (row-encoded objects) | shard (columnar shards, one ranged read per step); losses are bit-identical")
 		target    = flag.Float64("target", 0, "stop at this loss (0 = run max-steps)")
 		maxSteps  = flag.Int("max-steps", 500, "step cap")
@@ -131,7 +130,6 @@ func run() error {
 	job.Spec.MaxSteps = *maxSteps
 	job.Spec.AutoTune = *autotune
 	job.Spec.Staleness = *staleness
-	job.Spec.Driver = *driver
 	job.Spec.Exchange = *exch
 	job.Spec.TreeFanout = *fanout
 	switch *sync {

@@ -28,7 +28,7 @@ import (
 // then the write side (merge/fetch/compute/publish). Members of a
 // cohort provably cannot observe each other's current-step effects, so
 // the sub-phases may execute members in any order — one at a time or on
-// a goroutine pool (Spec.Driver) — and the run's traces, loss histories
+// a goroutine pool (driver.go) — and the run's traces, loss histories
 // and bills are byte-identical either way, faults included.
 type Async struct {
 	// Cap is the staleness bound K >= 1 (Spec.Staleness under async).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,21 +14,9 @@ import (
 // the driver is free to run them in any order — sequentially or on a
 // goroutine pool — and the run's traces, loss histories and bills come
 // out byte-identical either way. Determinism therefore never depends on
-// the driver; the sequential driver exists as an escape hatch and as
-// the baseline the differential tests compare against.
-
-// Driver names accepted by Spec.Driver.
-const (
-	// DriverSeq runs each group's workers one at a time on the calling
-	// goroutine, in the group's (clock, id) order.
-	DriverSeq = "seq"
-	// DriverPar (the default) runs each group's workers on a persistent
-	// goroutine pool sized min(GOMAXPROCS, len(group)).
-	DriverPar = "par"
-)
-
-// ErrUnknownDriver reports a Spec.Driver value that names no driver.
-var ErrUnknownDriver = errors.New(`core: unknown driver (want "seq" or "par")`)
+// the driver. The engine always runs the parallel driver; the
+// sequential one is the oracle the differential tests compare it
+// against (Job.drv).
 
 // driver executes one phase — fn applied to every worker of a lookahead
 // group. Implementations must run fn exactly once per worker, must not
@@ -40,8 +27,6 @@ var ErrUnknownDriver = errors.New(`core: unknown driver (want "seq" or "par")`)
 // called concurrently on one driver; Close releases pool resources
 // once the run is over.
 type driver interface {
-	// Name returns the Spec.Driver value that selects this driver.
-	Name() string
 	// Phase runs fn for every worker in group and joins their errors in
 	// group order.
 	Phase(group []*Worker, fn func(*Worker) error) error
@@ -49,23 +34,9 @@ type driver interface {
 	Close()
 }
 
-// driverFor resolves a Spec.Driver value. The empty string selects the
-// default (parallel) driver.
-func driverFor(name string) (driver, error) {
-	switch name {
-	case "", DriverPar:
-		return &parDriver{}, nil
-	case DriverSeq:
-		return seqDriver{}, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownDriver, name)
-}
-
-// seqDriver runs a group's workers one at a time in group order.
+// seqDriver runs a group's workers one at a time on the calling
+// goroutine, in the group's (clock, id) order.
 type seqDriver struct{}
-
-// Name implements driver.
-func (seqDriver) Name() string { return DriverSeq }
 
 // Phase implements driver.
 func (seqDriver) Phase(group []*Worker, fn func(*Worker) error) error {
@@ -116,9 +87,6 @@ func (j *phaseJob) run() {
 		j.errs[i] = j.fn(j.group[i])
 	}
 }
-
-// Name implements driver.
-func (*parDriver) Name() string { return DriverPar }
 
 // Phase implements driver. The executor count is min(GOMAXPROCS,
 // len(group)), but always at least two for a multi-worker group under

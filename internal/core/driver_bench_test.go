@@ -10,13 +10,14 @@ import (
 // under one driver. Dataset generation and staging happen outside the
 // timer; the measured region is the simulation itself, which is what
 // the seq/par comparison in BENCH_driver.json prices.
-func benchmarkDriver(b *testing.B, driver string, workers, steps int) {
+func benchmarkDriver(b *testing.B, drv driver, workers, steps int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cl, job := testPMFJob(b, workers,
-			Spec{MaxSteps: steps, Sync: consistency.Async, Staleness: 3, Driver: driver})
+			Spec{MaxSteps: steps, Sync: consistency.Async, Staleness: 3})
+		job.drv = drv
 		b.StartTimer()
 		if _, err := Run(cl, job); err != nil {
 			b.Fatal(err)
@@ -25,16 +26,16 @@ func benchmarkDriver(b *testing.B, driver string, workers, steps int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 }
 
-func BenchmarkDriver100WorkersSeq(b *testing.B) { benchmarkDriver(b, DriverSeq, 100, 30) }
-func BenchmarkDriver100WorkersPar(b *testing.B) { benchmarkDriver(b, DriverPar, 100, 30) }
+func BenchmarkDriver100WorkersSeq(b *testing.B) { benchmarkDriver(b, seqDriver{}, 100, 30) }
+func BenchmarkDriver100WorkersPar(b *testing.B) { benchmarkDriver(b, nil, 100, 30) }
 
 // The narrow-cohort pair pins the degenerate end of the spectrum: two
 // async workers yield lookahead groups of width at most 2, so the
 // parallel driver's pool — sized min(GOMAXPROCS, cohort width) — must
 // not pay for goroutines it can never feed. Par staying within noise of
 // Seq here is the regression guard for the pool-sizing rule.
-func BenchmarkDriverNarrowCohortSeq(b *testing.B) { benchmarkDriver(b, DriverSeq, 2, 200) }
-func BenchmarkDriverNarrowCohortPar(b *testing.B) { benchmarkDriver(b, DriverPar, 2, 200) }
+func BenchmarkDriverNarrowCohortSeq(b *testing.B) { benchmarkDriver(b, seqDriver{}, 2, 200) }
+func BenchmarkDriverNarrowCohortPar(b *testing.B) { benchmarkDriver(b, nil, 2, 200) }
 
 // TestAsyncCohortWidthAtScale records the lookahead-group widths of a
 // 100-worker async run: the mean width is the parallelism the driver

@@ -14,13 +14,13 @@ import (
 	"mlless/internal/trace"
 )
 
-// runWithDriver builds a fresh cluster+job, runs it under the named
-// driver with tracing on, and returns the result plus the rendered
-// trace bytes.
-func runWithDriver(t *testing.T, build func(t *testing.T) (*Cluster, Job), drv string) (*Result, []byte) {
+// runWithDriver builds a fresh cluster+job, runs it under drv (nil: the
+// engine's own parallel driver) with tracing on, and returns the result
+// plus the rendered trace bytes.
+func runWithDriver(t *testing.T, build func(t *testing.T) (*Cluster, Job), drv driver) (*Result, []byte) {
 	t.Helper()
 	cl, job := build(t)
-	job.Spec.Driver = drv
+	job.drv = drv
 	job.Trace = trace.New()
 	res, err := Run(cl, job)
 	if err != nil {
@@ -62,8 +62,8 @@ func TestDriverDifferential(t *testing.T) {
 						job.Spec.Faults = mix.faults(seed)
 						return cl, job
 					}
-					resSeq, traceSeq := runWithDriver(t, build, DriverSeq)
-					resPar, tracePar := runWithDriver(t, build, DriverPar)
+					resSeq, traceSeq := runWithDriver(t, build, seqDriver{})
+					resPar, tracePar := runWithDriver(t, build, nil)
 
 					if !bytes.Equal(traceSeq, tracePar) {
 						t.Error("trace files differ between seq and par drivers")
@@ -83,17 +83,6 @@ func TestDriverDifferential(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-func TestDriverForRejectsUnknown(t *testing.T) {
-	if _, err := driverFor("threads"); !errors.Is(err, ErrUnknownDriver) {
-		t.Fatalf("unknown driver name accepted: %v", err)
-	}
-	cl, job := testPMFJob(t, 2, Spec{MaxSteps: 2})
-	job.Spec.Driver = "threads"
-	if _, err := Run(cl, job); !errors.Is(err, ErrUnknownDriver) {
-		t.Fatalf("Run accepted an unknown driver: %v", err)
 	}
 }
 

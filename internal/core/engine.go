@@ -97,7 +97,12 @@ func run(cl *Cluster, job Job, id string) (*Result, error) {
 		id:       id,
 		smoother: fit.NewEWMA(job.Spec.LossAlpha),
 		tr:       job.Trace,
+		drv:      job.drv,
 	}
+	if e.drv == nil {
+		e.drv = &parDriver{}
+	}
+	defer e.drv.Close()
 	if e.tr.Enabled() {
 		// Install the tracer on every substrate for the duration of the
 		// run, mirroring the fault-injector lifecycle below. Operations
@@ -129,12 +134,8 @@ func run(cl *Cluster, job Job, id string) (*Result, error) {
 		}()
 	}
 	if err := e.setup(); err != nil {
-		if e.drv != nil {
-			e.drv.Close()
-		}
 		return nil, err
 	}
-	defer e.drv.Close()
 	return scheduleFor(job.Spec).Run(e)
 }
 
@@ -158,13 +159,7 @@ func (e *engine) traceBoot(inst *faas.Instance, track string) {
 func (e *engine) setup() error {
 	spec := e.job.Spec
 
-	drv, err := driverFor(spec.Driver)
-	if err != nil {
-		return err
-	}
-	e.drv = drv
-
-	e.xchg, err = exchange.New(spec.Exchange, exchange.Env{
+	xchg, err := exchange.New(spec.Exchange, exchange.Env{
 		KV:      e.cl.Redis,
 		Obj:     e.cl.COS,
 		Reg:     e.cl.Metrics,
@@ -180,6 +175,7 @@ func (e *engine) setup() error {
 	if err != nil {
 		return err
 	}
+	e.xchg = xchg
 
 	// Every instance boots at the job's launch instant: 0 standalone,
 	// the admission time under the fleet control plane. The first

@@ -118,8 +118,8 @@ func TestExchangeDriverDifferential(t *testing.T) {
 					job.Spec.Faults = mix.faults(3)
 					return cl, job
 				}
-				resSeq, traceSeq := runWithDriver(t, build, DriverSeq)
-				resPar, tracePar := runWithDriver(t, build, DriverPar)
+				resSeq, traceSeq := runWithDriver(t, build, seqDriver{})
+				resPar, tracePar := runWithDriver(t, build, nil)
 				if !bytes.Equal(traceSeq, tracePar) {
 					t.Error("trace files differ between seq and par drivers")
 				}

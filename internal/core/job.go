@@ -139,12 +139,6 @@ type Spec struct {
 	// zero-copy view. Both tiers produce bit-identical loss histories
 	// for the same staged samples.
 	Data string
-	// Driver selects the simulation execution core: DriverPar (the
-	// default) runs each lookahead group's workers on a goroutine pool;
-	// DriverSeq runs them one at a time. The two produce byte-identical
-	// traces, loss histories and bills — "seq" is the escape hatch and
-	// the baseline the differential determinism tests compare against.
-	Driver string
 	// Faults configures deterministic fault injection for the run (see
 	// internal/faults): transient invocation failures, cold-start
 	// stragglers, mid-run container reclamation and KV/broker fault
@@ -203,9 +197,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Staleness < 1 {
 		s.Staleness = 1
 	}
-	if s.Driver == "" {
-		s.Driver = DriverPar
-	}
 	if s.Exchange == "" {
 		s.Exchange = exchange.KindParamServer
 	}
@@ -237,6 +228,11 @@ type Job struct {
 	// every cluster service for the duration of the run and removes it at
 	// teardown. Nil (the default) disables tracing at zero cost.
 	Trace *trace.Tracer
+
+	// drv, when non-nil, replaces the parallel driver. In-package tests
+	// set it to seqDriver{}, the oracle the parallel driver is pinned
+	// against.
+	drv driver
 }
 
 func (j Job) validate(memoryMiB int) error {
@@ -281,9 +277,6 @@ func (j Job) validate(memoryMiB int) error {
 		if j.Spec.Staleness > 1 {
 			return ErrExchangeStale
 		}
-	}
-	if _, err := driverFor(j.Spec.Driver); err != nil {
-		return err
 	}
 	switch j.Spec.Data {
 	case DataBatch:

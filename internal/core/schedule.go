@@ -52,18 +52,6 @@ func (LockStep) Run(e *engine) (*Result, error) {
 	lastSync := 0
 	stopper := newStopCheck(spec)
 
-	// Supervisor-tail pipelining (pipeline.go): when the spec proves the
-	// tail of step r cannot interact with the front half of step r+1,
-	// the tail runs on a resident goroutine while the next step's
-	// recover/merge/fetch/compute states execute, joining before the
-	// publish half (which feeds the loss queue the tail drains).
-	var tail supTail
-	pipelined := e.tailEligible(spec)
-	if pipelined {
-		tail.start(e)
-	}
-	defer tail.close()
-
 	for step := 1; step <= spec.MaxSteps; step++ {
 		active := e.active()
 		pActive := len(active)
@@ -77,33 +65,7 @@ func (LockStep) Run(e *engine) (*Result, error) {
 		expireEvict := e.evictExpire
 		e.evictExpire = nil
 
-		if tail.pending() {
-			// Overlap window: the previous step's supervisor tail runs
-			// while this step's front half executes, fenced before the
-			// publish state below.
-			if err := e.drv.Phase(active, func(w *Worker) error {
-				c := &w.ctx // per-worker scratch; reset for this pass
-				*c = stepCtx{step: step, pActive: pActive, rejoinAt: e.prevBarrier, relaunch: true, active: active}
-				return e.runStates(w, c, stateRecover, stateMerge, stateFetch, stateCompute)
-			}); err != nil {
-				return nil, err
-			}
-			res := tail.join()
-			if res.err != nil {
-				return nil, res.err
-			}
-			if res.stop {
-				// Unreachable: tails only launch when tameLosses proved
-				// Decide cannot fire; kept for defense in depth.
-				converged, diverged = res.converged, res.diverged
-				break
-			}
-			if err := e.drv.Phase(active, func(w *Worker) error {
-				return e.runStates(w, &w.ctx, statePublish)
-			}); err != nil {
-				return nil, err
-			}
-		} else if err := e.drv.Phase(active, func(w *Worker) error {
+		if err := e.drv.Phase(active, func(w *Worker) error {
 			c := &w.ctx // per-worker scratch; reset for this pass
 			*c = stepCtx{step: step, pActive: pActive, rejoinAt: e.prevBarrier, relaunch: true, active: active}
 			return e.runStates(w, c, stateRecover, stateMerge, stateFetch, stateCompute, statePublish)
@@ -202,31 +164,7 @@ func (LockStep) Run(e *engine) (*Result, error) {
 			}
 		}
 
-		// Supervisor: aggregate the loss reports. On the pipelined path
-		// the tail either launches onto the resident goroutine (overlapping
-		// the next step's front half) or, when a dynamic guard fails or
-		// this is the final step, runs inline in exact serial order; the
-		// tuner is nil under the pipelining gates, so skipping the block
-		// below is exact.
-		if pipelined {
-			req := tailReq{barrier: barrier, step: step, pActive: pActive, stepDur: stepDur, stopper: stopper}
-			if step < spec.MaxSteps && tameLosses(active) && e.supFarFromLimit(barrier) {
-				if tailOverlapHook != nil {
-					tailOverlapHook()
-				}
-				tail.launch(req)
-				continue
-			}
-			res := e.runTail(req)
-			if res.err != nil {
-				return nil, res.err
-			}
-			if res.stop {
-				converged, diverged = res.converged, res.diverged
-				break
-			}
-			continue
-		}
+		// Supervisor: aggregate the loss reports.
 		if err := e.syncSupervisor(barrier, step); err != nil {
 			return nil, err
 		}

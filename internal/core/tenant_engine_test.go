@@ -149,7 +149,7 @@ func TestInvokeQuotaRetryBacksOffDeterministically(t *testing.T) {
 	// up after maxInvokeAttempts with the quota error intact.
 	cl := NewCluster()
 	cl.Platform.SetQuota("t1", 1)
-	if err := cl.Platform.Reserve("t1", 1); err != nil {
+	if _, err := cl.Platform.Invoke("t1/job0/squatter", 256, 0); err != nil {
 		t.Fatal(err)
 	}
 	e := &engine{cl: cl}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -42,6 +43,9 @@ func TestTraceDeterministicUnderFaults(t *testing.T) {
 	}
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
 		t.Fatal("trace files differ across identically-seeded runs")
+	}
+	if !reflect.DeepEqual(trA.Events(), trB.Events()) {
+		t.Fatal("Events() differ across identically-seeded runs with equal trace files")
 	}
 
 	// The faulted run's trace must tell the §4.2/fault story: worker

@@ -28,13 +28,13 @@ func TestPhaseJoinsAllErrors(t *testing.T) {
 			return nil
 		})
 		if err == nil {
-			t.Fatalf("%s: phase with two failing workers returned nil", drv.Name())
+			t.Fatalf("%T: phase with two failing workers returned nil", drv)
 		}
 		if !errors.Is(err, err0) || !errors.Is(err, err2) {
-			t.Fatalf("%s: joined error lost a worker failure: %v", drv.Name(), err)
+			t.Fatalf("%T: joined error lost a worker failure: %v", drv, err)
 		}
 		if err := drv.Phase(ws, func(*Worker) error { return nil }); err != nil {
-			t.Fatalf("%s: clean phase returned %v", drv.Name(), err)
+			t.Fatalf("%T: clean phase returned %v", drv, err)
 		}
 		drv.Close()
 	}

@@ -60,10 +60,6 @@ var ErrTerminated = errors.New("faas: instance already terminated")
 // (under shared quotas it is a steady-state event, not a failure).
 var ErrTooManyConcurrent = errors.New("faas: concurrent activation limit reached")
 
-// ErrOverRelease reports a Release of more reserved slots than the
-// namespace holds — a control-plane accounting bug.
-var ErrOverRelease = errors.New("faas: released more slots than reserved")
-
 // Config parameterizes the platform.
 type Config struct {
 	// ColdStart is the invocation latency with no warm container.
@@ -102,15 +98,10 @@ type Platform struct {
 	billed   []billedRun
 	warmPool int
 
-	// Multi-tenant accounting (see NamespaceOf): per-namespace quotas,
-	// live activation counts and control-plane reservations. A
-	// reservation models activations that exist in virtual time but are
-	// not host-resident (the fleet scheduler runs admitted jobs
-	// host-serially); both checks in invoke count it as used capacity.
-	quota         map[string]int
-	perNS         map[string]int
-	reserved      map[string]int
-	totalReserved int
+	// Multi-tenant accounting (see NamespaceOf): per-namespace quotas
+	// and live activation counts.
+	quota map[string]int
+	perNS map[string]int
 
 	reg *trace.Registry
 	// Counters live in the unified registry under "faas.*".
@@ -141,7 +132,6 @@ func NewPlatformWithRegistry(cfg Config, reg *trace.Registry) *Platform {
 		running:            make(map[int]*Instance),
 		quota:              make(map[string]int),
 		perNS:              make(map[string]int),
-		reserved:           make(map[string]int),
 		reg:                reg,
 		cInvocations:       reg.Counter("faas.invocations"),
 		cColdStarts:        reg.Counter("faas.cold_starts"),
@@ -247,15 +237,15 @@ func (p *Platform) invoke(name string, memoryMiB int, at time.Duration, forceCol
 		p.cFailedInvocations.Inc()
 		return nil, fmt.Errorf("invoke %s at %v: %w", name, at, faults.ErrInjected)
 	}
-	if p.cfg.MaxConcurrent > 0 && len(p.running)+p.totalReserved >= p.cfg.MaxConcurrent {
+	if p.cfg.MaxConcurrent > 0 && len(p.running) >= p.cfg.MaxConcurrent {
 		p.cQuotaRejections.Inc()
-		return nil, fmt.Errorf("invoke %s (%d running): %w", name, len(p.running)+p.totalReserved, ErrTooManyConcurrent)
+		return nil, fmt.Errorf("invoke %s (%d running): %w", name, len(p.running), ErrTooManyConcurrent)
 	}
 	ns := NamespaceOf(name)
-	if q := p.quota[ns]; q > 0 && p.perNS[ns]+p.reserved[ns] >= q {
+	if q := p.quota[ns]; q > 0 && p.perNS[ns] >= q {
 		p.cQuotaRejections.Inc()
 		return nil, fmt.Errorf("invoke %s (namespace %s: %d of %d activations used): %w",
-			name, ns, p.perNS[ns]+p.reserved[ns], q, ErrTooManyConcurrent)
+			name, ns, p.perNS[ns], q, ErrTooManyConcurrent)
 	}
 
 	start := p.cfg.ColdStart
@@ -291,7 +281,7 @@ func (p *Platform) invoke(name string, memoryMiB int, at time.Duration, forceCol
 }
 
 // SetQuota caps the namespace's simultaneously running activations at
-// max (counting reservations); max <= 0 removes the cap. Quotas compose
+// max; max <= 0 removes the cap. Quotas compose
 // with the platform-wide MaxConcurrent: an invocation must clear both.
 func (p *Platform) SetQuota(ns string, max int) {
 	p.mu.Lock()
@@ -308,69 +298,6 @@ func (p *Platform) Quota(ns string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.quota[ns]
-}
-
-// Reserve claims n activation slots in the namespace without running
-// anything: the fleet control plane executes admitted jobs one at a
-// time in host order, so a job that is live in *virtual* time holds its
-// capacity as a reservation while other jobs' invocations are checked
-// against it. Reserve fails atomically (no partial claim) when the
-// namespace quota or the platform-wide cap cannot cover the slots.
-func (p *Platform) Reserve(ns string, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cfg.MaxConcurrent > 0 && len(p.running)+p.totalReserved+n > p.cfg.MaxConcurrent {
-		p.cQuotaRejections.Inc()
-		return fmt.Errorf("reserve %d in %s (%d in use, cap %d): %w",
-			n, ns, len(p.running)+p.totalReserved, p.cfg.MaxConcurrent, ErrTooManyConcurrent)
-	}
-	if q := p.quota[ns]; q > 0 && p.perNS[ns]+p.reserved[ns]+n > q {
-		p.cQuotaRejections.Inc()
-		return fmt.Errorf("reserve %d in %s (%d of %d used): %w",
-			n, ns, p.perNS[ns]+p.reserved[ns], q, ErrTooManyConcurrent)
-	}
-	p.reserved[ns] += n
-	p.totalReserved += n
-	return nil
-}
-
-// Release returns n reserved slots to the namespace. Releasing more
-// than is reserved is an accounting bug and returns ErrOverRelease
-// without changing anything.
-func (p *Platform) Release(ns string, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.reserved[ns] < n {
-		return fmt.Errorf("release %d in %s (%d reserved): %w", n, ns, p.reserved[ns], ErrOverRelease)
-	}
-	p.reserved[ns] -= n
-	if p.reserved[ns] == 0 {
-		delete(p.reserved, ns)
-	}
-	p.totalReserved -= n
-	return nil
-}
-
-// InUse reports the namespace's consumed capacity: live activations
-// plus reservations.
-func (p *Platform) InUse(ns string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.perNS[ns] + p.reserved[ns]
-}
-
-// TotalInUse reports platform-wide consumed capacity (running plus all
-// reservations) — what invoke checks against Config.MaxConcurrent.
-func (p *Platform) TotalInUse() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.running) + p.totalReserved
 }
 
 // Terminate ends an invocation, records its elapsed time for BillTo, and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,53 +355,9 @@ func TestQuotaReleasedOnReclaim(t *testing.T) {
 	if err := p.Reclaim(inst, &m); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.InUse("t1"); got != 0 {
-		t.Fatalf("InUse after reclaim = %d, want 0", got)
-	}
+	// Quota 1: the relaunch is admitted only if the reclaim freed the slot.
 	if _, err := p.Invoke("t1/job1/worker-0-r1", 256, time.Second); err != nil {
 		t.Fatalf("post-reclaim invoke: %v", err)
-	}
-}
-
-func TestReserveCountsAgainstQuotaAndCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxConcurrent = 4
-	p := NewPlatform(cfg)
-	p.SetQuota("t1", 3)
-
-	if err := p.Reserve("t1", 2); err != nil {
-		t.Fatal(err)
-	}
-	// Quota 3, 2 reserved: one live activation fits, the next does not.
-	if _, err := p.Invoke("t1/job1/worker-0", 256, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Invoke("t1/job1/worker-1", 256, 0); !errors.Is(err, ErrTooManyConcurrent) {
-		t.Fatalf("err = %v", err)
-	}
-	// Platform-wide: 1 running + 2 reserved = 3 of 4; a second namespace
-	// gets exactly one slot.
-	if _, err := p.Invoke("t2/job2/worker-0", 256, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Invoke("t2/job2/worker-1", 256, 0); !errors.Is(err, ErrTooManyConcurrent) {
-		t.Fatalf("platform cap err = %v", err)
-	}
-	// Reservations beyond capacity fail atomically.
-	if err := p.Reserve("t2", 1); !errors.Is(err, ErrTooManyConcurrent) {
-		t.Fatalf("over-cap reserve err = %v", err)
-	}
-	if err := p.Release("t1", 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.InUse("t1"); got != 1 {
-		t.Fatalf("InUse after release = %d, want 1", got)
-	}
-	if err := p.Release("t1", 5); !errors.Is(err, ErrOverRelease) {
-		t.Fatalf("over-release err = %v", err)
-	}
-	if got, want := p.TotalInUse(), 2; got != want {
-		t.Fatalf("TotalInUse = %d, want %d", got, want)
 	}
 }
 
@@ -416,12 +373,15 @@ func TestQuotaAccountingAcrossTenants(t *testing.T) {
 		}
 		insts = append(insts, inst)
 	}
-	if got := p.InUse("t1"); got != 2 {
-		t.Fatalf("t1 in use = %d", got)
+	// t1 is full, t2 has one slot left.
+	if _, err := p.Invoke("t1/job1/worker-1", 256, 0); !errors.Is(err, ErrTooManyConcurrent) {
+		t.Fatalf("third t1 activation: err = %v", err)
 	}
-	if got := p.InUse("t2"); got != 1 {
-		t.Fatalf("t2 in use = %d", got)
+	inst, err := p.Invoke("t2/job2/supervisor", 256, 0)
+	if err != nil {
+		t.Fatalf("second t2 activation: %v", err)
 	}
+	insts = append(insts, inst)
 	if got := p.Quota("t1"); got != 2 {
 		t.Fatalf("Quota(t1) = %d", got)
 	}
@@ -430,9 +390,8 @@ func TestQuotaAccountingAcrossTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.InUse("t1") != 0 || p.InUse("t2") != 0 || p.TotalInUse() != 0 {
-		t.Fatalf("capacity not fully released: t1=%d t2=%d total=%d",
-			p.InUse("t1"), p.InUse("t2"), p.TotalInUse())
+	if got := p.Running(); got != 0 {
+		t.Fatalf("%d activations still running after terminating all", got)
 	}
 	// SetQuota(ns, 0) removes the cap.
 	p.SetQuota("t1", 0)
@@ -443,9 +402,9 @@ func TestQuotaAccountingAcrossTenants(t *testing.T) {
 	}
 }
 
-// TestConcurrentAdmitsRace drives concurrent invokes, reservations and
-// terminations against a tight quota under -race: the platform must
-// never exceed the caps and must end with clean accounting.
+// TestConcurrentAdmitsRace drives concurrent invokes and terminations
+// against a tight quota under -race: the platform must never exceed the
+// caps and must end with clean accounting.
 func TestConcurrentAdmitsRace(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxConcurrent = 16
@@ -453,6 +412,10 @@ func TestConcurrentAdmitsRace(t *testing.T) {
 	p.SetQuota("t1", 8)
 	p.SetQuota("t2", 8)
 
+	// held counts, per namespace, activations this test knows to be live:
+	// bumped after a successful invoke and dropped before the terminate,
+	// so it never exceeds the platform's own count.
+	held := map[string]*atomic.Int64{"t1": {}, "t2": {}}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		ns := "t1"
@@ -463,37 +426,25 @@ func TestConcurrentAdmitsRace(t *testing.T) {
 		go func(g int, ns string) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				switch i % 3 {
-				case 0, 1:
-					inst, err := p.Invoke(fmt.Sprintf("%s/job%d/worker-%d", ns, g, i), 256, 0)
-					if err != nil {
-						if !errors.Is(err, ErrTooManyConcurrent) {
-							t.Errorf("invoke: %v", err)
-						}
-						continue
+				inst, err := p.Invoke(fmt.Sprintf("%s/job%d/worker-%d", ns, g, i), 256, 0)
+				if err != nil {
+					if !errors.Is(err, ErrTooManyConcurrent) {
+						t.Errorf("invoke: %v", err)
 					}
-					if got := p.InUse(ns); got > 8 {
-						t.Errorf("namespace %s over quota: %d", ns, got)
-					}
-					if err := p.Terminate(inst); err != nil {
-						t.Errorf("terminate: %v", err)
-					}
-				default:
-					if err := p.Reserve(ns, 1); err != nil {
-						if !errors.Is(err, ErrTooManyConcurrent) {
-							t.Errorf("reserve: %v", err)
-						}
-						continue
-					}
-					if err := p.Release(ns, 1); err != nil {
-						t.Errorf("release: %v", err)
-					}
+					continue
+				}
+				if got := held[ns].Add(1); got > 8 {
+					t.Errorf("namespace %s over quota: %d", ns, got)
+				}
+				held[ns].Add(-1)
+				if err := p.Terminate(inst); err != nil {
+					t.Errorf("terminate: %v", err)
 				}
 			}
 		}(g, ns)
 	}
 	wg.Wait()
-	if p.TotalInUse() != 0 {
-		t.Fatalf("TotalInUse = %d after drain", p.TotalInUse())
+	if got := p.Running(); got != 0 {
+		t.Fatalf("%d activations running after drain", got)
 	}
 }

@@ -38,7 +38,7 @@ type Store struct {
 
 	// base, when non-nil, is a read-only lower layer: lookups that miss
 	// this store's own buckets fall through to base, while writes and
-	// deletes stay in this store (see ForkReadOnly).
+	// deletes stay in this store (see Fork).
 	base *Store
 
 	// Counters live in the unified registry under "obj.*".
@@ -75,7 +75,7 @@ func NewWithRegistry(link netmodel.Link, reg *trace.Registry) *Store {
 // Registry returns the metrics registry the store's counters live in.
 func (s *Store) Registry() *trace.Registry { return s.pipe.Registry() }
 
-// ForkReadOnly returns a new store layered over s: reads that miss the
+// Fork returns a new store layered over s: reads that miss the
 // fork's own buckets fall through to s, while every write and delete
 // lands in the fork, leaving s untouched. Counters and link charging go
 // to the fork's own pipeline under reg, so a forked execution meters
@@ -88,7 +88,7 @@ func (s *Store) Registry() *trace.Registry { return s.pipe.Registry() }
 // fork itself wrote; forked jobs never delete base objects (datasets
 // are read-only; scratch buckets are job-namespaced and live in the
 // fork).
-func (s *Store) ForkReadOnly(reg *trace.Registry) *Store {
+func (s *Store) Fork(reg *trace.Registry) *Store {
 	f := NewWithRegistry(s.pipe.Link(), reg)
 	f.base = s
 	return f

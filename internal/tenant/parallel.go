@@ -1,8 +1,6 @@
-// Host-parallel fleet execution (DESIGN.md §15). The legacy loop in
-// tenant.go executes admitted jobs host-serially: virtual concurrency —
-// jobs whose windows [admit, complete) overlap in virtual time — never
-// becomes wall-clock concurrency. The engine below converts one into
-// the other without perturbing a single byte of output.
+// The fleet engine (DESIGN.md §15). Virtual concurrency — jobs whose
+// windows [admit, complete) overlap in virtual time — becomes wall-clock
+// concurrency without perturbing a single byte of output.
 //
 // The design splits the fleet into a decision pass and an execution
 // pool:
@@ -22,10 +20,13 @@
 //     of HostPar goroutines. Each execution gets private copies of
 //     every mutable substrate — KV tier, broker, FaaS platform with the
 //     fleet's quotas and a warm pool preset from the ledger — plus a
-//     read-only fork of the shared object store (datasets are staged
-//     once and never change). The job runs under its reserved cluster
-//     job number (Cluster.ReserveJobIDs), so namespaces land exactly
-//     where the host-serial run would have put them.
+//     fork of the shared object store: reads fall through to the staged
+//     datasets, writes and deletes (a collective's xchg-<id> bucket)
+//     stay in the fork. The job runs under its reserved cluster job
+//     number (Cluster.ReserveJobIDs), so namespaces are a function of
+//     admission order alone. core.Run installs the job's tracer and
+//     fault injector on whatever substrates it is handed, so both land
+//     on the sandbox's, never the shared ones.
 //
 // The loop alternates: run a pass; if every admission resolved exactly,
 // fold and return; otherwise submit the pass's contexts to the pool and
@@ -33,31 +34,35 @@
 // least one admission, so the loop terminates after at most one pass
 // per arrival — far fewer with memoization, which resolves every
 // arrival of a workload template from one canonical execution,
-// translated to the admission's start time and namespace (translation
-// is exact because, with faults and tracing gated off, every virtual
-// duration in a run is independent of absolute start time, and key or
-// name lengths never enter link charging).
+// translated to the admission's start time and namespace. Translation
+// is exact for the jobs memoable admits: every virtual duration in such
+// a run is independent of absolute start time, and key or name lengths
+// never enter link charging. Fault decisions are pure functions of
+// (seed, operation, key, virtual time) and a tracer records absolute
+// times and names into the caller's buffer, so faulted and traced jobs
+// — and collectives, whose translation nobody has pinned — take exact
+// per-admission keys instead and execute once, when certain.
 //
-// Why the result is byte-identical to the serial loop, at every
-// HostPar value: the final pass replays the control loop purely from
-// cached outcomes, and each outcome is a deterministic function of its
-// execution context alone — the sandbox reproduces exactly the
-// substrate state the job would observe mid-fleet (quota rejections
-// cannot fire for an admission that passed the fits check, checkpoints
-// and update keys are job-namespaced and deleted by the run itself, and
-// the warm-pool ledger preset makes every warm/cold decision match).
-// Host scheduling can change which speculative executions run, never
-// what any execution returns, so the all-exact fixed point is unique:
-// it is the serial trajectory.
+// Why the result is the same at every HostPar value: the final pass
+// replays the control loop purely from cached outcomes, and each outcome
+// is a deterministic function of its execution context alone — the
+// sandbox reproduces exactly the substrate state the job would observe
+// mid-fleet (quota rejections cannot fire for an admission that passed
+// the fits check, checkpoints and update keys are job-namespaced and
+// deleted by the run itself, and the warm-pool ledger preset makes every
+// warm/cold decision match). Host scheduling can change which
+// speculative executions run, never what any execution returns, so the
+// all-exact fixed point is unique: it is the trajectory of executing
+// every admission inline, in order.
 //
 // What the fold writes back: the event log, job records and per-tenant
 // served time from the final pass; every execution's billed runs
 // (translated names, termination order, admission-ordered) absorbed
-// into the shared platform so BillTo and BilledFunctionSeconds agree
-// with a serial run; every execution's service counters summed into the
-// shared registry; the final warm-pool ledger. Sandbox-private broker
-// queue declarations and empty per-job substrate state are not
-// replicated — a completed serial run leaves none behind either.
+// into the shared platform so BillTo and BilledFunctionSeconds cover the
+// fleet; every execution's service counters summed into the shared
+// registry; the final warm-pool ledger. Sandbox-private broker queue
+// declarations and empty per-job substrate state are not replicated — a
+// completed job leaves none behind.
 package tenant
 
 import (
@@ -77,21 +82,6 @@ import (
 	"mlless/internal/msgqueue"
 	"mlless/internal/trace"
 )
-
-// sandboxable reports whether every arrival can execute in a private
-// sandbox. Tracing writes spans against shared trackers, fault draws
-// depend on absolute operation times, and the collective exchanges
-// route updates through the object store the sandbox only forks
-// read-only — any of those sends the whole fleet down the host-serial
-// path, which remains bit-exact for them.
-func sandboxable(arrivals []Arrival) bool {
-	for _, a := range arrivals {
-		if a.Job.Trace != nil || a.Job.Spec.Faults.Enabled() || exchange.IsCollective(a.Job.Spec.Exchange) {
-			return false
-		}
-	}
-	return true
-}
 
 // execCtx is the complete execution context of one admission: every
 // fleet-side input that can influence the job's simulated outcome.
@@ -113,13 +103,28 @@ type execCtx struct {
 // id is the namespace the job runs under.
 func (c execCtx) id() string { return core.JobNamespace(c.tenant, c.num) }
 
+// stamped returns the arrival's job with the control-plane spec fields
+// filled in for this admission.
+func (c execCtx) stamped() core.Job {
+	job := c.job
+	job.Spec.Tenant = c.tenant
+	job.Spec.StartAt = c.startAt
+	if c.give > 0 {
+		job.Spec.Shrink = []core.ShrinkDirective{{At: 0, Workers: c.give}}
+	}
+	return job
+}
+
 // memoable reports whether the outcome is a pure function of
 // (template, give, warm) alone — i.e. translation across start times,
 // tenants and job numbers is exact. The auto-tuner's epoch gate and the
-// wall-clock stop criterion compare absolute virtual times, so either
-// pins the outcome to its start time.
+// wall-clock stop criterion compare absolute virtual times, fault draws
+// are keyed on operation names and absolute times, and a tracer's events
+// carry both — any of those pins the outcome to its admission.
+// Collectives stay exact because no test pins their translation.
 func (c execCtx) memoable() bool {
-	return c.tmplKey != "" && !c.job.Spec.AutoTune && c.job.Spec.MaxWallClock == 0
+	return c.tmplKey != "" && !c.job.Spec.AutoTune && c.job.Spec.MaxWallClock == 0 &&
+		c.job.Trace == nil && !c.job.Spec.Faults.Enabled() && !exchange.IsCollective(c.job.Spec.Exchange)
 }
 
 // key identifies the execution's result cache slot: the memo key for
@@ -178,7 +183,10 @@ func (p *pass) release(at time.Duration, tenant, job string, n int) {
 	p.seq++
 }
 
-// applyReleases mirrors fleet.applyReleases over the pass ledger.
+// applyReleases returns every reservation due by now to the ledger,
+// oldest first; same-instant ties resolve by (tenant, job, seq), so
+// eviction releases of one job stay ordered and the instant's net
+// effect is a pure function of fleet state.
 func (p *pass) applyReleases() {
 	sort.SliceStable(p.releases, releaseLess(p.releases))
 	n := 0
@@ -194,7 +202,8 @@ func (p *pass) applyReleases() {
 	p.releases = p.releases[:n]
 }
 
-// nextInstant mirrors fleet.nextInstant.
+// nextInstant returns the earliest future virtual instant with work to
+// do: the next submission or the next reservation release.
 func (p *pass) nextInstant(arrivals []Arrival, ai int) (time.Duration, bool) {
 	next := time.Duration(-1)
 	if ai < len(arrivals) {
@@ -211,7 +220,8 @@ func (p *pass) nextInstant(arrivals []Arrival, ai int) (time.Duration, bool) {
 	return next, true
 }
 
-// fits mirrors fleet.fits over the reservation ledger.
+// fits reports whether demand slots for the tenant are free under both
+// the tenant quota and the platform cap, reservations included.
 func (p *pass) fits(f *fleet, w *waiting) bool {
 	if q := f.quota[w.arr.Tenant]; q > 0 && p.inUse[w.arr.Tenant]+w.demand > q {
 		return false
@@ -222,7 +232,10 @@ func (p *pass) fits(f *fleet, w *waiting) bool {
 	return true
 }
 
-// pickAdmissible mirrors fleet.pickAdmissible over the pass ledger.
+// pickAdmissible removes and returns the fair-share choice among queued
+// jobs that fit right now, or nil. Fairness is min served billed
+// function-time per tenant (the platform's own currency), FIFO within
+// and across equally-served tenants.
 func (p *pass) pickAdmissible(f *fleet) *waiting {
 	best := -1
 	for i, w := range p.waitq {
@@ -261,6 +274,9 @@ func (f *fleet) runPass(arrivals []Arrival, base, warm0 int, resolve resolver) *
 	}
 	ai := 0
 	for {
+		// Ingest every submission due by now, then apply due releases,
+		// then admit whatever fits — releases before admissions, so a
+		// slot freed at t is usable at t.
 		for ai < len(arrivals) && arrivals[ai].At <= p.now {
 			a := arrivals[ai]
 			w := &waiting{arr: a, seq: ai, demand: a.Job.Spec.Workers + 1}
@@ -281,6 +297,8 @@ func (f *fleet) runPass(arrivals []Arrival, base, warm0 int, resolve resolver) *
 		next, ok := p.nextInstant(arrivals, ai)
 		if !ok {
 			if len(p.waitq) > 0 {
+				// Cannot happen after the newFleet demand check, but
+				// guard against it rather than spin forever.
 				p.err = fmt.Errorf("%w: %d jobs stuck in queue at t=%v",
 					ErrNeverFits, len(p.waitq), p.now)
 			}
@@ -290,14 +308,18 @@ func (f *fleet) runPass(arrivals []Arrival, base, warm0 int, resolve resolver) *
 	}
 }
 
-// admitPass replays one admission, mirroring fleet.admit's event and
-// release sequence exactly. It reports false when the pass must abort.
+// admitPass replays one admission at the pass's current instant: its
+// events, its reservation and the releases that drain it. It reports
+// false when the pass must abort.
 func (f *fleet) admitPass(p *pass, w *waiting, base int, resolve resolver) bool {
 	spec := w.arr.Job.Spec
 
-	// Contention-triggered scale-in, same computation as the serial
-	// admit: floor at Sched.MinWorkers (or the engine's Workers/4
-	// default), give bounded by the queue depth.
+	// Contention-triggered scale-in: others are waiting, so ask this
+	// job to hand back workers once past its knee — the same guardrail
+	// the §4.2 auto-tuner uses, so convergence is not stalled. The
+	// request is due immediately (At: 0 is before any barrier) and
+	// bounded by the queue depth and the tuner's MinWorkers floor
+	// (Sched.MinWorkers, or the engine's own Workers/4 default).
 	give := 0
 	if !f.cfg.NoScaleIn && len(p.waitq) > 0 && spec.Sync != consistency.Async {
 		floor := spec.Sched.MinWorkers
@@ -342,6 +364,8 @@ func (f *fleet) admitPass(p *pass, w *waiting, base int, resolve resolver) bool 
 	if give > 0 {
 		p.event(p.now, "shrink-request", ctx.tenant, res.ID, fmt.Sprintf("give=%d", give))
 	}
+	// The job holds its demand over its virtual window [now, complete),
+	// drained early by its scale-in evictions.
 	p.inUse[ctx.tenant] += w.demand
 	p.totalInUse += w.demand
 	complete := p.now + res.ExecTime
@@ -378,21 +402,20 @@ func (f *fleet) hostPar() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runParallel is the fixed-point fleet loop: pass, execute, repeat
-// until a pass resolves every admission exactly, then fold.
-func (f *fleet) runParallel(arrivals []Arrival) (*Report, error) {
+// run is the fixed-point fleet loop: pass, execute, repeat until a pass
+// resolves every admission exactly, then fold.
+func (f *fleet) run() (*Report, error) {
+	arrivals := append([]Arrival(nil), f.cfg.Arrivals...)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
 	if f.cl.Redis.NumShards() > 1 {
 		// Job IDs prefix every Redis key and the sharded tier hashes the
 		// full key, so renaming a job re-routes its keys across shards —
 		// changing per-shard counters and MGet's max-over-shards charge.
 		// Memoized outcomes therefore only translate on single-shard
 		// fleets; multi-shard fleets keep exact per-admission keys.
-		stripped := make([]Arrival, len(arrivals))
-		copy(stripped, arrivals)
-		for i := range stripped {
-			stripped[i].TemplateKey = ""
+		for i := range arrivals {
+			arrivals[i].TemplateKey = ""
 		}
-		arrivals = stripped
 	}
 	base := f.cl.ReserveJobIDs(len(arrivals))
 	warm0 := f.cl.Platform.WarmPool()
@@ -442,19 +465,13 @@ func (f *fleet) sandboxRun(ctx execCtx) (*outcome, error) {
 	plat.SetWarmPool(ctx.warm)
 	scl := &core.Cluster{
 		Redis:    kvstore.NewShardedWithRegistry(f.cl.Redis.Link(), reg, f.cl.Redis.NumShards()),
-		COS:      f.cl.COS.ForkReadOnly(reg),
+		COS:      f.cl.COS.Fork(reg),
 		Broker:   msgqueue.NewWithRegistry(f.cl.Broker.Link(), reg),
 		Platform: plat,
 		Compute:  f.cl.Compute,
 		Metrics:  reg,
 	}
-	job := ctx.job
-	job.Spec.Tenant = ctx.tenant
-	job.Spec.StartAt = ctx.startAt
-	if ctx.give > 0 {
-		job.Spec.Shrink = []core.ShrinkDirective{{At: 0, Workers: ctx.give}}
-	}
-	res, err := core.RunNumbered(scl, job, ctx.num)
+	res, err := core.RunNumbered(scl, ctx.stamped(), ctx.num)
 	if err != nil {
 		return nil, err
 	}

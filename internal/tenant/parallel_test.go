@@ -8,15 +8,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"mlless/internal/core"
 	"mlless/internal/cost"
 	"mlless/internal/exchange"
 	"mlless/internal/faults"
 	"mlless/internal/trace"
+	"mlless/internal/vclock"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the reference run")
@@ -29,13 +32,19 @@ type fleetCase struct {
 	// strip clears every TemplateKey: nothing memoizes, every admission
 	// executes.
 	strip bool
-	// hostile makes every job traced, fault-injected and tree-exchanged —
-	// the three features that used to force the host-serial loop.
+	// traced gives every job its own tracer, which opts it out of the
+	// memo and changes nothing else.
+	traced bool
+	// hostile makes every job traced, fault-injected and tree-exchanged:
+	// all three memoable exclusions at once, with faults firing.
 	hostile bool
 }
 
-// goldenCases have their reference artifacts committed under testdata/,
-// captured from the host-serial loop before it was deleted.
+// goldenCases have their artifacts committed under testdata/. The files
+// were captured from the host-serial fleet loop (every job inline on the
+// shared substrates, capacity held as platform reservations) in the
+// commit before that loop was deleted, so they pin the engine to its
+// predecessor, not to itself.
 var goldenCases = []fleetCase{
 	{name: "plain", seed: 42, cap: 8, jobs: 9},
 	// Cap 4 fits one job: the queue, fair-share and scale-in paths go
@@ -58,7 +67,7 @@ func hostileFaults(seed uint64) faults.Spec {
 }
 
 // build stages the case on a fresh cluster. tracers holds one tracer per
-// arrival for hostile cases, nil otherwise.
+// arrival for traced and hostile cases, nil otherwise.
 func (c fleetCase) build(t *testing.T) (cfg Config, tracers []*trace.Tracer) {
 	t.Helper()
 	cfg, arrivals := testFleet(t, c.seed, c.cap, c.jobs)
@@ -66,10 +75,12 @@ func (c fleetCase) build(t *testing.T) (cfg Config, tracers []*trace.Tracer) {
 		if c.strip {
 			arrivals[i].TemplateKey = ""
 		}
-		if c.hostile {
+		if c.traced || c.hostile {
 			tr := trace.New()
 			tracers = append(tracers, tr)
 			arrivals[i].Job.Trace = tr
+		}
+		if c.hostile {
 			arrivals[i].Job.Spec.Exchange = exchange.KindTree
 			arrivals[i].Job.Spec.Faults = hostileFaults(c.seed)
 		}
@@ -167,24 +178,47 @@ func runEngine(t *testing.T, c fleetCase, hostPar int) fleetArtifacts {
 	return collectArtifacts(t, cfg, rep, tracers)
 }
 
-// runReference runs the case through the reference the goldens are
-// captured from: the host-serial loop.
+// runReference is the oracle the engine is pinned against and the
+// goldens are regenerated from: one decision pass whose resolver runs
+// every admission inline on the shared cluster, in admission order —
+// no sandbox, no memo, no translation, no speculation, no fold. The
+// shared platform's warm pool evolves on its own; the resolver reports
+// its movement so the pass's warm ledger is checked against it.
 func runReference(t *testing.T, c fleetCase) fleetArtifacts {
 	t.Helper()
 	cfg, tracers := c.build(t)
-	cfg.forceSerial = true
-	rep, err := Run(cfg)
+	f, err := newFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return collectArtifacts(t, cfg, rep, tracers)
+	arrivals := append([]Arrival(nil), cfg.Arrivals...)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
+	plat := f.cl.Platform
+	p := f.runPass(arrivals, f.cl.ReserveJobIDs(len(arrivals)), plat.WarmPool(),
+		func(ctx execCtx) (*outcome, bool, error) {
+			before := plat.WarmPool()
+			res, err := core.RunNumbered(f.cl, ctx.stamped(), ctx.num)
+			if err != nil {
+				return nil, false, err
+			}
+			return &outcome{res: res, finalWarm: ctx.warm + plat.WarmPool() - before}, true, nil
+		})
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	if p.warm != plat.WarmPool() {
+		t.Fatalf("warm ledger says %d, the platform holds %d", p.warm, plat.WarmPool())
+	}
+	f.events, f.jobs, f.served = p.events, p.jobs, p.served
+	return collectArtifacts(t, cfg, f.report(), tracers)
 }
 
 func TestFleetMatchesGolden(t *testing.T) {
 	// The determinism contract: at every host-parallelism level the
-	// engine reproduces, byte for byte, the artifacts the host-serial
-	// loop produced. Widths 2 and 8 run under -race in CI, so the
-	// executor's sharing discipline is checked as well as its outputs.
+	// engine reproduces the committed artifacts byte for byte, and so
+	// does the inline reference. Widths 2 and 8 run under -race in CI,
+	// so the executor's sharing discipline is checked as well as its
+	// outputs.
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "fleet-"+c.name+".golden")
@@ -207,6 +241,96 @@ func TestFleetMatchesGolden(t *testing.T) {
 				diffGolden(t, fmt.Sprintf("host-par %d", par), want, got.golden(t))
 			}
 		})
+	}
+}
+
+func TestFleetMatchesInlineReference(t *testing.T) {
+	// What the goldens cannot cover — other seeds, caps and mixes — the
+	// executable oracle does: sandbox, memo, translation, speculation and
+	// fold must together be indistinguishable from running every
+	// admission inline.
+	for _, c := range []fleetCase{
+		{name: "seed-7", seed: 7, cap: 8, jobs: 9},
+		{name: "seed-23-contended", seed: 23, cap: 5, jobs: 8},
+		{name: "seed-23-stripped", seed: 23, cap: 8, jobs: 6, strip: true},
+		{name: "seed-7-hostile", seed: 7, cap: 6, jobs: 7, hostile: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := runReference(t, c).golden(t)
+			for _, par := range []int{1, 4} {
+				diffGolden(t, fmt.Sprintf("host-par %d", par), want, runEngine(t, c, par).golden(t))
+			}
+		})
+	}
+}
+
+func TestFleetTracedMatchesUntraced(t *testing.T) {
+	// Observing a fleet must not change it: with a tracer on every job
+	// (so nothing memoizes and every admission executes) the plain fleet
+	// still reproduces the plain golden — event log, job records, bills,
+	// counters. The same comparison pins memo-on against memo-off.
+	want, err := os.ReadFile(filepath.Join("testdata", "fleet-plain.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := goldenCases[0]
+	c.traced = true
+	cfg, tracers := c.build(t)
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range tracers {
+		if tr.Len() == 0 {
+			t.Fatalf("arrival %d recorded no trace events", i)
+		}
+	}
+	got := collectArtifacts(t, cfg, rep, nil)
+	diffGolden(t, "traced", want, got.golden(t))
+}
+
+func TestFleetLeavesSharedSubstratesClean(t *testing.T) {
+	// Sandboxed jobs write only into their forks: after a fleet of
+	// traced, faulted, tree-exchanged jobs the shared cluster holds the
+	// staged dataset and nothing job-namespaced, and the fold accounts
+	// for every billed second.
+	c := goldenCases[3]
+	cfg, _ := c.build(t)
+	cl := cfg.Cluster
+	var clk vclock.Clock
+	staged := cl.COS.List(&clk, "ml", "")
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.COS.List(&clk, "ml", ""); !reflect.DeepEqual(staged, got) {
+		t.Fatalf("dataset bucket changed: %d objects before, %d after", len(staged), len(got))
+	}
+	if n := cl.Redis.Len(); n != 0 {
+		t.Fatalf("shared KV tier holds %d keys", n)
+	}
+	var perTenant time.Duration
+	for _, tr := range rep.Tenants {
+		perTenant += tr.FunctionTime
+	}
+	if billed := cl.Platform.BilledFunctionSeconds(); perTenant != billed {
+		t.Fatalf("tenant bills sum to %v, platform metered %v", perTenant, billed)
+	}
+	var orphans cost.Meter
+	cl.Platform.BillTo(&orphans)
+	if n := len(orphans.Report().Components); n != 0 {
+		t.Fatalf("%d function runs were never claimed by a job meter", n)
+	}
+	if cl.Platform.Running() != 0 {
+		t.Fatalf("%d activations still running", cl.Platform.Running())
+	}
+	for _, j := range rep.Jobs {
+		if objs := cl.COS.List(&clk, "xchg-"+j.ID, ""); len(objs) != 0 {
+			t.Fatalf("job %s left %d exchange objects in the shared store", j.ID, len(objs))
+		}
+		if n := cl.Broker.Len(j.ID+"/losses") + cl.Broker.Len(j.ID+"/ann/0"); n != 0 {
+			t.Fatalf("job %s left %d messages on the shared broker", j.ID, n)
+		}
 	}
 }
 

@@ -10,28 +10,26 @@
 // then execute with Spec.StartAt set to the admission instant —
 // barriers are absolute virtual times, so each job's trace is exactly
 // the trace it would produce alone, shifted. While a job occupies its
-// virtual window [admit, complete), its demand is held as a faas
-// reservation, which the platform counts against both caps for every
-// later admission decision; scale-in evictions release slots early, at
+// virtual window [admit, complete), its demand is held in the control
+// plane's reservation ledger, which every later admission decision
+// counts against both caps; scale-in evictions release slots early, at
 // the eviction's virtual time. Everything is a pure function of the
 // configuration, so fleets are byte-reproducible.
 //
 // Jobs whose virtual windows overlap train concurrently on host
 // goroutines (Config.HostPar): a fixed-point decision pass replays the
 // admission loop over pure ledgers while sandboxed executions fill in
-// outcomes, so the report, event log and bills stay byte-identical to
-// the legacy host-serial loop at every parallelism level (see
-// parallel.go). Fleets with traced jobs, fault injection or collective
-// exchanges keep the serial loop.
+// outcomes, so the report, event log and bills are byte-identical at
+// every parallelism level (see parallel.go). Traced, fault-injected and
+// collective-exchange jobs run in the same sandboxes; they only opt out
+// of memoization (execCtx.memoable).
 package tenant
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"mlless/internal/consistency"
 	"mlless/internal/core"
 )
 
@@ -110,12 +108,6 @@ type Config struct {
 	// byte-identical for every value. 0 (the default) uses
 	// runtime.GOMAXPROCS(0); 1 executes jobs one at a time.
 	HostPar int
-
-	// forceSerial routes the fleet through the legacy host-serial loop
-	// (every job executed inline on the shared substrates) regardless of
-	// sandboxability. In-package differential tests set it to pin the
-	// parallel engine against the pre-parallelism baseline.
-	forceSerial bool
 }
 
 // Event is one line of the fleet's control-plane log. The log is the
@@ -180,16 +172,12 @@ func Run(cfg Config) (*Report, error) {
 }
 
 type fleet struct {
-	cfg      Config
-	cl       *core.Cluster
-	quota    map[string]int
-	served   map[string]time.Duration // per-tenant billed function time
-	waitq    []*waiting
-	releases []release
-	events   []Event
-	jobs     []JobRecord
-	now      time.Duration
-	seq      int
+	cfg    Config
+	cl     *core.Cluster
+	quota  map[string]int
+	served map[string]time.Duration // per-tenant billed function time
+	events []Event
+	jobs   []JobRecord
 }
 
 func newFleet(cfg Config) (*fleet, error) {
@@ -238,211 +226,6 @@ func newFleet(cfg Config) (*fleet, error) {
 	return &fleet{cfg: cfg, cl: cfg.Cluster, quota: quota, served: served}, nil
 }
 
-func (f *fleet) run() (*Report, error) {
-	arrivals := append([]Arrival(nil), f.cfg.Arrivals...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
-	if !f.cfg.forceSerial && sandboxable(arrivals) {
-		return f.runParallel(arrivals)
-	}
-	return f.runSerial(arrivals)
-}
-
-// runSerial is the legacy host-serial loop: every admitted job executes
-// inline on the shared substrates at its admission instant. It remains
-// the path for fleets the sandboxed engine cannot take (parallel.go)
-// and the baseline the differential tests pin runParallel against.
-func (f *fleet) runSerial(arrivals []Arrival) (*Report, error) {
-	ai := 0
-	for {
-		// Ingest every submission due by now, then apply due releases,
-		// then admit whatever fits — releases before admissions, so a
-		// slot freed at t is usable at t.
-		for ai < len(arrivals) && arrivals[ai].At <= f.now {
-			a := arrivals[ai]
-			w := &waiting{arr: a, seq: ai, demand: a.Job.Spec.Workers + 1}
-			f.waitq = append(f.waitq, w)
-			f.event(a.At, "arrive", a.Tenant, a.Workload,
-				fmt.Sprintf("demand=%d", w.demand))
-			ai++
-		}
-		f.applyReleases()
-		for {
-			w := f.pickAdmissible()
-			if w == nil {
-				break
-			}
-			if err := f.admit(w); err != nil {
-				return nil, err
-			}
-		}
-
-		// Advance virtual time to the next arrival or release.
-		next, ok := f.nextInstant(arrivals, ai)
-		if !ok {
-			if len(f.waitq) > 0 {
-				// Cannot happen after the newFleet demand check, but
-				// guard against it rather than spin forever.
-				return nil, fmt.Errorf("%w: %d jobs stuck in queue at t=%v",
-					ErrNeverFits, len(f.waitq), f.now)
-			}
-			break
-		}
-		f.now = next
-	}
-	return f.report(), nil
-}
-
-// nextInstant returns the earliest future virtual instant with work to
-// do: the next submission or the next reservation release.
-func (f *fleet) nextInstant(arrivals []Arrival, ai int) (time.Duration, bool) {
-	next := time.Duration(-1)
-	if ai < len(arrivals) {
-		next = arrivals[ai].At
-	}
-	for _, r := range f.releases {
-		if next < 0 || r.at < next {
-			next = r.at
-		}
-	}
-	if next < 0 {
-		return 0, false
-	}
-	return next, true
-}
-
-// applyReleases returns every reservation due by now to the platform,
-// oldest first; same-instant ties resolve by (tenant, job, seq), so
-// eviction releases of one job stay ordered and the instant's net
-// effect is a pure function of fleet state.
-func (f *fleet) applyReleases() {
-	sort.SliceStable(f.releases, releaseLess(f.releases))
-	n := 0
-	for _, r := range f.releases {
-		if r.at > f.now {
-			f.releases[n] = r
-			n++
-			continue
-		}
-		// Release failures are programming errors (over-release); panic
-		// in tests via the error path would hide the bug site.
-		if err := f.cl.Platform.Release(r.tenant, r.n); err != nil {
-			panic(fmt.Sprintf("tenant: release %d of %q at %v: %v", r.n, r.tenant, r.at, err))
-		}
-	}
-	f.releases = f.releases[:n]
-}
-
-// pickAdmissible removes and returns the fair-share choice among queued
-// jobs that fit right now, or nil. Fairness is min served billed
-// function-time per tenant (the platform's own currency), FIFO within
-// and across equally-served tenants.
-func (f *fleet) pickAdmissible() *waiting {
-	best := -1
-	for i, w := range f.waitq {
-		if !f.fits(w) {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := f.waitq[best]
-		if f.served[w.arr.Tenant] < f.served[b.arr.Tenant] ||
-			(f.served[w.arr.Tenant] == f.served[b.arr.Tenant] && w.seq < b.seq) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	w := f.waitq[best]
-	f.waitq = append(f.waitq[:best], f.waitq[best+1:]...)
-	return w
-}
-
-// fits reports whether demand slots for the tenant are free under both
-// the tenant quota and the platform cap, reservations included.
-func (f *fleet) fits(w *waiting) bool {
-	p := f.cl.Platform
-	if q := f.quota[w.arr.Tenant]; q > 0 && p.InUse(w.arr.Tenant)+w.demand > q {
-		return false
-	}
-	if cap := p.Config().MaxConcurrent; cap > 0 && p.TotalInUse()+w.demand > cap {
-		return false
-	}
-	return true
-}
-
-// admit runs one job at the current virtual instant and installs its
-// reservation and future releases.
-func (f *fleet) admit(w *waiting) error {
-	job := w.arr.Job
-	job.Spec.Tenant = w.arr.Tenant
-	job.Spec.StartAt = f.now
-
-	// Contention-triggered scale-in: others are waiting, so ask this
-	// job to hand back workers once past its knee — the same guardrail
-	// the §4.2 auto-tuner uses, so convergence is not stalled. The
-	// request is due immediately (At: 0 is before any barrier) and
-	// bounded by the queue depth and the tuner's MinWorkers floor.
-	shrunk := 0
-	if !f.cfg.NoScaleIn && len(f.waitq) > 0 && job.Spec.Sync != consistency.Async {
-		floor := job.Spec.Sched.MinWorkers
-		if floor <= 0 {
-			floor = job.Spec.Workers / 4 // the engine's own default
-			if floor < 1 {
-				floor = 1
-			}
-		}
-		if give := job.Spec.Workers - floor; give > 0 {
-			if give > len(f.waitq) {
-				give = len(f.waitq)
-			}
-			job.Spec.Shrink = []core.ShrinkDirective{{At: 0, Workers: give}}
-			shrunk = give
-		}
-	}
-
-	wait := f.now - w.arr.At
-	res, err := core.Run(f.cl, job)
-	if err != nil {
-		return fmt.Errorf("tenant: job %q/%q admitted at %v: %w", w.arr.Tenant, w.arr.Workload, f.now, err)
-	}
-	f.event(f.now, "admit", w.arr.Tenant, res.ID,
-		fmt.Sprintf("workload=%s demand=%d waited=%.3fs", w.arr.Workload, w.demand, wait.Seconds()))
-	if shrunk > 0 {
-		f.event(f.now, "shrink-request", w.arr.Tenant, res.ID, fmt.Sprintf("give=%d", shrunk))
-	}
-
-	// The job's instances have terminated (core.Run is host-serial);
-	// re-occupy its virtual window [now, complete) with a reservation,
-	// drained early by its scale-in evictions.
-	if err := f.cl.Platform.Reserve(w.arr.Tenant, w.demand); err != nil {
-		return fmt.Errorf("tenant: reserve %d for %q at %v: %w", w.demand, w.arr.Tenant, f.now, err)
-	}
-	complete := f.now + res.ExecTime
-	for _, rm := range res.Removals {
-		f.release(rm.Time, w.arr.Tenant, res.ID, 1)
-		f.event(rm.Time, "scale-in", w.arr.Tenant, res.ID,
-			fmt.Sprintf("worker=%d left=%d", rm.Worker, rm.WorkersLeft))
-	}
-	f.release(complete, w.arr.Tenant, res.ID, w.demand-len(res.Removals))
-	f.event(complete, "complete", w.arr.Tenant, res.ID,
-		fmt.Sprintf("workload=%s steps=%d converged=%v loss=%.6f", w.arr.Workload, res.Steps, res.Converged, res.FinalLoss))
-
-	funcSecs := functionTime(res)
-	f.served[w.arr.Tenant] += funcSecs
-	f.jobs = append(f.jobs, JobRecord{
-		ID: res.ID, Tenant: w.arr.Tenant, Workload: w.arr.Workload,
-		ArriveAt: w.arr.At, AdmitAt: f.now, CompleteAt: complete,
-		Wait: wait, Exec: res.ExecTime,
-		Workers: job.Spec.Workers, Shrunk: len(res.Removals),
-		FunctionTime: funcSecs, FunctionDollars: functionDollars(res),
-		Converged: res.Converged, FinalLoss: res.FinalLoss, Steps: res.Steps,
-	})
-	return nil
-}
-
 // releaseLess orders releases by (at, tenant, job, seq) — the
 // documented commit order for reservation returns.
 func releaseLess(rs []release) func(i, j int) bool {
@@ -458,19 +241,6 @@ func releaseLess(rs []release) func(i, j int) bool {
 		}
 		return rs[i].seq < rs[j].seq
 	}
-}
-
-func (f *fleet) release(at time.Duration, tenant, job string, n int) {
-	if n <= 0 {
-		return
-	}
-	f.releases = append(f.releases, release{at: at, tenant: tenant, job: job, n: n, seq: f.seq})
-	f.seq++
-}
-
-func (f *fleet) event(at time.Duration, kind, tenant, job, detail string) {
-	f.events = append(f.events, Event{At: at, Kind: kind, Tenant: tenant, Job: job, Detail: detail, seq: f.seq})
-	f.seq++
 }
 
 // functionTime sums the billed duration of the job's function

@@ -302,6 +302,8 @@ func (t *Tracer) InstantAt(clk *vclock.Clock, cat, name string, at time.Duration
 
 // Events returns the recorded events in their deterministic total
 // order. The returned slice is a copy; the tracer can keep recording.
+// The copies carry no emission sequence — it is host scheduling, not
+// content — so two runs of one job return deeply equal slices.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -311,6 +313,9 @@ func (t *Tracer) Events() []Event {
 	copy(out, t.events)
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
+	for i := range out {
+		out[i].seq = 0
+	}
 	return out
 }
 

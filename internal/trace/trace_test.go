@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +76,9 @@ func TestEventOrderIsContentBasedNotEmissionBased(t *testing.T) {
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
 		t.Fatalf("emission order leaked into the export:\n%s\nvs\n%s", bufA.String(), bufB.String())
 	}
+	if !reflect.DeepEqual(a.Events(), b.Events()) {
+		t.Fatal("emission order leaked into Events()")
+	}
 }
 
 func TestConcurrentEmissionIsDeterministic(t *testing.T) {
@@ -121,6 +125,9 @@ func TestConcurrentEmissionIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(bufSeq.Bytes(), bufPar.Bytes()) {
 		t.Fatal("concurrent emission leaked into the export")
+	}
+	if !reflect.DeepEqual(seq.Events(), par.Events()) {
+		t.Fatal("concurrent emission leaked into Events()")
 	}
 }
 
