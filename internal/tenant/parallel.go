@@ -55,8 +55,8 @@
 // all-exact fixed point is unique: it is the trajectory of executing
 // every admission inline, in order.
 //
-// What the fold writes back: the event log, job records and per-tenant
-// served time from the final pass; every execution's billed runs
+// What the fold writes back: the event log and job records from the
+// final pass; every execution's billed runs
 // (translated names, termination order, admission-ordered) absorbed
 // into the shared platform so BillTo and BilledFunctionSeconds cover the
 // fleet; every execution's service counters summed into the shared
@@ -159,7 +159,7 @@ type pass struct {
 
 	events []Event
 	jobs   []JobRecord
-	served map[string]time.Duration
+	served map[string]time.Duration // per-tenant billed function time
 
 	inUse      map[string]int
 	totalInUse int
@@ -442,7 +442,6 @@ func (f *fleet) run() (*Report, error) {
 func (f *fleet) fold(p *pass) {
 	f.events = p.events
 	f.jobs = p.jobs
-	f.served = p.served
 	for _, out := range p.outs {
 		f.cl.Platform.AbsorbBilled(out.billed)
 		for _, m := range out.counters {

@@ -209,7 +209,7 @@ func runReference(t *testing.T, c fleetCase) fleetArtifacts {
 	if p.warm != plat.WarmPool() {
 		t.Fatalf("warm ledger says %d, the platform holds %d", p.warm, plat.WarmPool())
 	}
-	f.events, f.jobs, f.served = p.events, p.jobs, p.served
+	f.events, f.jobs = p.events, p.jobs
 	return collectArtifacts(t, cfg, f.report(), tracers)
 }
 

@@ -175,7 +175,6 @@ type fleet struct {
 	cfg    Config
 	cl     *core.Cluster
 	quota  map[string]int
-	served map[string]time.Duration // per-tenant billed function time
 	events []Event
 	jobs   []JobRecord
 }
@@ -219,11 +218,7 @@ func newFleet(cfg Config) (*fleet, error) {
 			cfg.Cluster.Platform.SetQuota(name, q)
 		}
 	}
-	served := make(map[string]time.Duration, len(quota))
-	for name := range quota {
-		served[name] = 0
-	}
-	return &fleet{cfg: cfg, cl: cfg.Cluster, quota: quota, served: served}, nil
+	return &fleet{cfg: cfg, cl: cfg.Cluster, quota: quota}, nil
 }
 
 // releaseLess orders releases by (at, tenant, job, seq) — the
