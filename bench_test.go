@@ -104,7 +104,7 @@ func BenchmarkTrainQuickPMF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cluster := NewCluster()
-		n := StageDataset(cluster, ds, "ml", 500, 3)
+		n := StageDatasetShards(cluster, ds, "ml", 500, 0, 3)
 		job := Job{
 			Spec:       Spec{Workers: 4, Sync: ISP, Significance: 0.7, MaxSteps: 50},
 			Model:      NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 3),

@@ -40,7 +40,7 @@ func run() error {
 		out    = flag.String("out", "./data", "output directory")
 		batch  = flag.Int("batch", 625, "mini-batch size")
 		seed   = flag.Uint64("seed", 1, "generator seed")
-		format = flag.String("format", "batch", "on-disk format: batch (one encoded object per mini-batch) | shard (streaming columnar shards)")
+		format = flag.String("format", "shard", "on-disk format: shard (streaming columnar shards) | batch (one encoded object per mini-batch)")
 		bps    = flag.Int("batches-per-shard", 0, "mini-batches per shard file (0 = default; requires -format shard)")
 		par    = flag.Int("parallelism", 0, "shard-encoding worker count (0 = GOMAXPROCS; output is byte-identical at any value)")
 	)

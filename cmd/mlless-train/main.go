@@ -6,7 +6,7 @@
 //	mlless-train -model pmf -dataset ml10m -workers 24 -sync isp -v 0.7 -autotune
 //	mlless-train -model lr -dataset criteo -workers 12 -target 0.58
 //	mlless-train -model pmf -dataset ml10m -system pytorch
-//	mlless-train -model lr -dataset criteo -data shard
+//	mlless-train -model lr -dataset criteo -data batch
 package main
 
 import (
@@ -39,7 +39,7 @@ func run() error {
 		kvShards  = flag.Int("kv-shards", 1, "KV exchange tier shard count (1 = single Redis endpoint)")
 		exch      = flag.String("exchange", "ps", "gradient exchange: ps (parameter server) | scatter (scatter-reduce) | tree (tree-reduce)")
 		fanout    = flag.Int("tree-fanout", 0, "tree-reduce fan-out, >= 2 (0 = default; requires -exchange tree)")
-		dataTier  = flag.String("data", "batch", "dataset tier: batch (row-encoded objects) | shard (columnar shards, one ranged read per step); losses are bit-identical")
+		dataTier  = flag.String("data", "shard", "dataset tier: shard (columnar shards, one ranged read per step) | batch (row-encoded objects); losses are bit-identical")
 		target    = flag.Float64("target", 0, "stop at this loss (0 = run max-steps)")
 		maxSteps  = flag.Int("max-steps", 500, "step cap")
 		lr        = flag.Float64("lr", 0, "learning rate (0 = model default)")
@@ -115,9 +115,6 @@ func run() error {
 
 	if *dataTier != mlless.DataBatch && *dataTier != mlless.DataShard {
 		return fmt.Errorf("-data must be %q or %q, got %q", mlless.DataBatch, mlless.DataShard, *dataTier)
-	}
-	if *dataTier == mlless.DataShard && *system != "mlless" {
-		return fmt.Errorf("-data shard is an MLLess engine tier; it cannot be combined with -system %s", *system)
 	}
 
 	cluster := mlless.NewClusterWithShards(*kvShards)

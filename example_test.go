@@ -16,7 +16,7 @@ func Example() {
 		Rank: 8, NoiseStd: 0.6, SignalStd: 0.8, Seed: 7,
 	}
 	ds := mlless.GenerateMovieLens(cfg)
-	n := mlless.StageDataset(cluster, ds, "ratings", 300, 7)
+	n := mlless.StageDatasetShards(cluster, ds, "ratings", 300, 0, 7)
 
 	job := mlless.Job{
 		Spec: mlless.Spec{

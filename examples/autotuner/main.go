@@ -20,7 +20,7 @@ func main() {
 
 	run := func(tune bool) *mlless.Result {
 		cluster := mlless.NewCluster()
-		n := mlless.StageDataset(cluster, ds, "ml", 500, 11)
+		n := mlless.StageDatasetShards(cluster, ds, "ml", 500, 0, 11)
 		job := mlless.Job{
 			Spec: mlless.Spec{
 				Workers:      16,

@@ -52,6 +52,38 @@ func (m *linReg) Gradient(batch []mlless.Sample) *mlless.Vector {
 	return g
 }
 
+// GradientView is Gradient straight off a staged columnar batch.
+func (m *linReg) GradientView(b mlless.BatchView) *mlless.Vector {
+	g := new(mlless.Vector)
+	n := b.Len()
+	if n == 0 {
+		return g
+	}
+	inv := 1 / float64(n)
+	for k := 0; k < n; k++ {
+		e := b.Dot(k, m.params) + m.params[m.dim] - b.Label(k)
+		b.ForEachPair(k, func(i uint32, val float64) {
+			g.Add(i, inv*(e*val+m.l2*m.params[i]))
+		})
+		g.Add(uint32(m.dim), inv*e)
+	}
+	return g
+}
+
+// LossView is Loss straight off a staged columnar batch.
+func (m *linReg) LossView(b mlless.BatchView) float64 {
+	n := b.Len()
+	if n == 0 {
+		return 0
+	}
+	sum := 0.0
+	for k := 0; k < n; k++ {
+		e := b.Dot(k, m.params) + m.params[m.dim] - b.Label(k)
+		sum += e * e
+	}
+	return sum / float64(n)
+}
+
 // Loss is root mean squared error.
 func (m *linReg) Loss(batch []mlless.Sample) float64 {
 	if len(batch) == 0 {
@@ -86,7 +118,7 @@ func main() {
 	ds := syntheticRegression(dim, 20_000)
 
 	cluster := mlless.NewCluster()
-	n := mlless.StageDataset(cluster, ds, "reg", 400, 3)
+	n := mlless.StageDatasetShards(cluster, ds, "reg", 400, 0, 3)
 
 	job := mlless.Job{
 		Spec: mlless.Spec{

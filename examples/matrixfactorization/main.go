@@ -23,7 +23,7 @@ func main() {
 
 	run := func(sync mlless.SyncMode, v float64) *mlless.Result {
 		cluster := mlless.NewCluster()
-		n := mlless.StageDataset(cluster, ds, "ml", 500, 7)
+		n := mlless.StageDatasetShards(cluster, ds, "ml", 500, 0, 7)
 		job := mlless.Job{
 			Spec: mlless.Spec{
 				Workers:      12,

@@ -16,16 +16,14 @@ func main() {
 	cluster := mlless.NewCluster()
 
 	// Generate a small Criteo-shaped dataset (13 numeric + 26 hashed
-	// categorical features) and stage it as mini-batches in object
-	// storage, min-max normalizing the numeric features.
+	// categorical features), min-max normalize the numeric features and
+	// stage it as columnar mini-batch shards in object storage.
 	cfg := mlless.DefaultCriteoConfig()
 	cfg.Samples = 20_000
 	cfg.HashDim = 20_000
 	ds := mlless.GenerateCriteo(cfg)
-	n := mlless.StageDataset(cluster, ds, "criteo", 500, 1)
-	if err := mlless.NormalizeDataset(cluster, "criteo", n, cfg.NumericFeatures); err != nil {
-		log.Fatal(err)
-	}
+	mlless.NormalizeInMemory(ds, cfg.NumericFeatures)
+	n := mlless.StageDatasetShards(cluster, ds, "criteo", 500, 0, 1)
 
 	job := mlless.Job{
 		Spec: mlless.Spec{

@@ -6,6 +6,13 @@
 package baseline
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mlless/internal/baseline/pywren"
@@ -17,18 +24,32 @@ import (
 	"mlless/internal/vclock"
 )
 
-// stage prepares one cluster + job pair per system over identical data.
+var update = flag.Bool("update", false, "rewrite testdata/parity-*.golden from the row-encoded batch tier")
+
+// stageJob prepares one cluster + job pair per system over identical
+// data, staged on the default (shard) tier.
 func stageJob(t *testing.T, pmf bool) (*core.Cluster, core.Job) {
+	return stageJobOn(t, pmf, core.DataShard)
+}
+
+// stageJobOn is stageJob on the given data tier.
+func stageJobOn(t *testing.T, pmf bool, data string) (*core.Cluster, core.Job) {
 	t.Helper()
 	cl := core.NewCluster()
 	var clk vclock.Clock
+	stage := func(ds *dataset.Dataset) int {
+		if data == core.DataBatch {
+			return dataset.Stage(ds, cl.COS, &clk, "data", 300, 13)
+		}
+		return dataset.StageShards(ds, cl.COS, &clk, "data", 300, dataset.DefaultBatchesPerShard, 13)
+	}
 	var job core.Job
 	if pmf {
 		cfg := dataset.MovieLensConfig{Users: 100, Items: 400, Ratings: 15000, Rank: 6, NoiseStd: 0.6, Seed: 41}
 		ds := dataset.GenerateMovieLens(cfg)
-		n := dataset.Stage(ds, cl.COS, &clk, "data", 300, 13)
+		n := stage(ds)
 		job = core.Job{
-			Spec:       core.Spec{Workers: 1, MaxSteps: 40},
+			Spec:       core.Spec{Workers: 1, MaxSteps: 40, Data: data},
 			Model:      model.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 43),
 			Optimizer:  optimizer.NewNesterov(optimizer.Constant(1.0), 0.9),
 			Bucket:     "data",
@@ -41,9 +62,9 @@ func stageJob(t *testing.T, pmf bool) (*core.Cluster, core.Job) {
 			HashDim: 1000, Cardinality: 100, Separation: 1.6, Seed: 47,
 		}
 		ds := dataset.GenerateCriteo(cfg)
-		n := dataset.Stage(ds, cl.COS, &clk, "data", 300, 13)
+		n := stage(ds)
 		job = core.Job{
-			Spec:       core.Spec{Workers: 1, MaxSteps: 40},
+			Spec:       core.Spec{Workers: 1, MaxSteps: 40, Data: data},
 			Model:      model.NewLogReg(cfg.HashDim+cfg.NumericFeatures, 0),
 			Optimizer:  optimizer.NewAdamDefaults(optimizer.Constant(0.05)),
 			Bucket:     "data",
@@ -54,15 +75,35 @@ func stageJob(t *testing.T, pmf bool) (*core.Cluster, core.Job) {
 	return cl, job
 }
 
-func rawLosses(res *core.Result) []float64 {
-	out := make([]float64, len(res.History))
-	for i, p := range res.History {
-		out[i] = p.RawLoss
+// lossGolden renders a loss history as the committed text form (same as
+// internal/core's): loss and raw loss as float64 bit patterns in hex.
+func lossGolden(res *core.Result) []byte {
+	var b bytes.Buffer
+	b.WriteString("# step loss raw_loss workers (float64 bits, hex)\n")
+	for _, p := range res.History {
+		fmt.Fprintf(&b, "%d %016x %016x %d\n", p.Step,
+			math.Float64bits(p.Loss), math.Float64bits(p.RawLoss), p.Workers)
 	}
-	return out
+	return b.Bytes()
 }
 
+// TestSanityCheckParity is the §6.1 check, pinned: every system's
+// single-worker loss history must equal testdata/parity-<model>.golden
+// bit for bit — hence each other's. The goldens were captured from the
+// row-encoded batch tier; both tiers must reproduce them.
 func TestSanityCheckParity(t *testing.T) {
+	systems := []struct {
+		name  string
+		train func(*core.Cluster, core.Job) (*core.Result, error)
+	}{
+		{"mlless", core.Run},
+		{"pytorch", func(cl *core.Cluster, job core.Job) (*core.Result, error) {
+			return serverful.Train(cl.COS, job, serverful.DefaultConfig())
+		}},
+		{"pywren", func(cl *core.Cluster, job core.Job) (*core.Result, error) {
+			return pywren.Train(cl.Platform, cl.COS, job, pywren.DefaultConfig())
+		}},
+	}
 	for _, tc := range []struct {
 		name string
 		pmf  bool
@@ -71,30 +112,30 @@ func TestSanityCheckParity(t *testing.T) {
 		{"PMF", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clA, jobA := stageJob(t, tc.pmf)
-			mlless, err := core.Run(clA, jobA)
+			run := func(sys int, data string) []byte {
+				cl, job := stageJobOn(t, tc.pmf, data)
+				res, err := systems[sys].train(cl, job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return lossGolden(res)
+			}
+			path := filepath.Join("testdata", "parity-"+strings.ToLower(tc.name)+".golden")
+			if *update {
+				if err := os.WriteFile(path, run(0, core.DataBatch), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			clB, jobB := stageJob(t, tc.pmf)
-			pt, err := serverful.Train(clB.COS, jobB, serverful.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			clC, jobC := stageJob(t, tc.pmf)
-			pw, err := pywren.Train(clC.Platform, clC.COS, jobC, pywren.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			a, b, c := rawLosses(mlless), rawLosses(pt), rawLosses(pw)
-			if len(a) != len(b) || len(a) != len(c) {
-				t.Fatalf("step counts differ: mlless=%d pytorch=%d pywren=%d", len(a), len(b), len(c))
-			}
-			for i := range a {
-				if a[i] != b[i] || a[i] != c[i] {
-					t.Fatalf("step %d losses diverge: mlless=%v pytorch=%v pywren=%v",
-						i+1, a[i], b[i], c[i])
+			for i, sys := range systems {
+				for _, data := range []string{core.DataBatch, core.DataShard} {
+					if got := run(i, data); !bytes.Equal(want, got) {
+						t.Fatalf("%s on the %s tier diverges from %s:\nwant:\n%s\ngot:\n%s",
+							sys.name, data, path, want, got)
+					}
 				}
 			}
 		})

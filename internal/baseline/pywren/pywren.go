@@ -31,6 +31,7 @@ import (
 	"mlless/internal/dataset"
 	"mlless/internal/faas"
 	"mlless/internal/fit"
+	"mlless/internal/model"
 	"mlless/internal/objstore"
 	"mlless/internal/sparse"
 	"mlless/internal/trace"
@@ -105,7 +106,24 @@ func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Confi
 	mdl := job.Model.Clone()
 	opt := job.Optimizer.Clone()
 	plan := dataset.NewPlan(job.NumBatches, p)
-	batches := dataset.NewCache(cos, job.Bucket)
+	// Both tiers until the row-encoded one is deleted (next commit).
+	// The manifest read goes on a setup clock, not the round clock: the
+	// driver resolves the layout once and passes it in the payload.
+	var (
+		batches *dataset.Cache
+		shards  *dataset.ShardCache
+		vmdl    model.ViewModel
+	)
+	if spec.Data == core.DataBatch {
+		batches = dataset.NewCache(cos, job.Bucket)
+	} else {
+		var setup vclock.Clock
+		sc, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
+		if err != nil {
+			return nil, fmt.Errorf("pywren: %w", err)
+		}
+		shards, vmdl = sc, mdl.(model.ViewModel)
+	}
 	smoother := fit.NewEWMA(spec.LossAlpha)
 	faasCfg := platform.Config()
 
@@ -152,13 +170,25 @@ func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Confi
 			if _, err := cos.Get(&mclk, bucketState, stateKey); err != nil {
 				return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
 			}
-			batch, err := batches.Fetch(&mclk, plan.BatchFor(w, step))
-			if err != nil {
-				return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
+			var batchLen int
+			if shards != nil {
+				view, err := shards.Fetch(&mclk, plan.BatchFor(w, step))
+				if err != nil {
+					return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
+				}
+				lossSum += vmdl.LossView(view)
+				gradSum.AddVector(vmdl.GradientView(view))
+				batchLen = view.Len()
+			} else {
+				batch, err := batches.Fetch(&mclk, plan.BatchFor(w, step))
+				if err != nil {
+					return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
+				}
+				lossSum += mdl.Loss(batch)
+				gradSum.AddVector(mdl.Gradient(batch))
+				batchLen = len(batch)
 			}
-			lossSum += mdl.Loss(batch)
-			gradSum.AddVector(mdl.Gradient(batch))
-			mclk.Advance(computeTime(1.5 * mdl.GradientWork(len(batch))))
+			mclk.Advance(computeTime(1.5 * mdl.GradientWork(batchLen)))
 			// Write the local update back — densely.
 			cos.Put(&mclk, bucketState, fmt.Sprintf("%s-upd-%d", stateKey, w), make([]byte, denseBytes))
 			if mclk.Now() > slowestMap {

@@ -24,7 +24,7 @@ func stageLR(t *testing.T) (*faas.Platform, *objstore.Store, core.Job) {
 	}
 	ds := dataset.GenerateCriteo(cfg)
 	var clk vclock.Clock
-	n := dataset.Stage(ds, cos, &clk, "criteo", 200, 7)
+	n := dataset.StageShards(ds, cos, &clk, "criteo", 200, dataset.DefaultBatchesPerShard, 7)
 	return faas.NewPlatform(faas.DefaultConfig()), cos, core.Job{
 		Spec:       core.Spec{Workers: 4, TargetLoss: 0.64, MaxSteps: 500},
 		Model:      model.NewLogReg(cfg.HashDim+cfg.NumericFeatures, 0),

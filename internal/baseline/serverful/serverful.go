@@ -30,6 +30,7 @@ import (
 	"mlless/internal/cost"
 	"mlless/internal/dataset"
 	"mlless/internal/fit"
+	"mlless/internal/model"
 	"mlless/internal/netmodel"
 	"mlless/internal/objstore"
 	"mlless/internal/sparse"
@@ -121,7 +122,24 @@ func Train(cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) 
 	mdl := job.Model.Clone()
 	opt := job.Optimizer.Clone()
 	plan := dataset.NewPlan(job.NumBatches, p)
-	batches := dataset.NewCache(cos, job.Bucket)
+	// Both tiers until the row-encoded one is deleted (next commit).
+	// The manifest read goes on a setup clock, not the step clock: like
+	// VM boot, data layout discovery is outside every comparison.
+	var (
+		batches *dataset.Cache
+		shards  *dataset.ShardCache
+		vmdl    model.ViewModel
+	)
+	if spec.Data == core.DataBatch {
+		batches = dataset.NewCache(cos, job.Bucket)
+	} else {
+		var setup vclock.Clock
+		sc, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
+		if err != nil {
+			return nil, fmt.Errorf("serverful: %w", err)
+		}
+		shards, vmdl = sc, mdl.(model.ViewModel)
+	}
 	smoother := fit.NewEWMA(spec.LossAlpha)
 
 	denseBytes := sparse.DenseEncodedSize(mdl.NumParams())
@@ -143,16 +161,26 @@ func Train(cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) 
 		var batchLen int
 		for w := 0; w < p; w++ {
 			var fetch vclock.Clock
-			batch, err := batches.Fetch(&fetch, plan.BatchFor(w, step))
-			if err != nil {
-				return nil, fmt.Errorf("serverful: worker %d step %d: %w", w, step, err)
+			if shards != nil {
+				view, err := shards.Fetch(&fetch, plan.BatchFor(w, step))
+				if err != nil {
+					return nil, fmt.Errorf("serverful: worker %d step %d: %w", w, step, err)
+				}
+				lossSum += vmdl.LossView(view)
+				gradSum.AddVector(vmdl.GradientView(view))
+				batchLen = view.Len()
+			} else {
+				batch, err := batches.Fetch(&fetch, plan.BatchFor(w, step))
+				if err != nil {
+					return nil, fmt.Errorf("serverful: worker %d step %d: %w", w, step, err)
+				}
+				lossSum += mdl.Loss(batch)
+				gradSum.AddVector(mdl.Gradient(batch))
+				batchLen = len(batch)
 			}
 			if fetch.Now() > slowest {
 				slowest = fetch.Now()
 			}
-			lossSum += mdl.Loss(batch)
-			gradSum.AddVector(mdl.Gradient(batch))
-			batchLen = len(batch)
 		}
 		clk.Advance(slowest)
 		if tr.Enabled() {

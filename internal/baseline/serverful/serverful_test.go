@@ -20,7 +20,7 @@ func stagePMF(t *testing.T) (*objstore.Store, core.Job) {
 	cfg := dataset.MovieLensConfig{Users: 120, Items: 500, Ratings: 20000, Rank: 8, NoiseStd: 0.6, Seed: 5}
 	ds := dataset.GenerateMovieLens(cfg)
 	var clk vclock.Clock
-	n := dataset.Stage(ds, cos, &clk, "ml", 400, 3)
+	n := dataset.StageShards(ds, cos, &clk, "ml", 400, dataset.DefaultBatchesPerShard, 3)
 	return cos, core.Job{
 		Spec:       core.Spec{Workers: 4, TargetLoss: 0.80, MaxSteps: 1000},
 		Model:      model.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 9),

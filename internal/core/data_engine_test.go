@@ -1,28 +1,39 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"mlless/internal/consistency"
 	"mlless/internal/dataset"
+	"mlless/internal/exchange"
+	"mlless/internal/faults"
 	"mlless/internal/model"
 	"mlless/internal/optimizer"
 	"mlless/internal/vclock"
 )
 
-// testPMFJobShard is testPMFJob staged on the columnar shard tier:
-// identical samples (same generator config, same staging seed), but
-// laid out as shard blobs behind -data shard.
-func testPMFJobShard(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
+var update = flag.Bool("update", false, "rewrite testdata/loss-*.golden from the row-encoded batch tier")
+
+// testPMFJobBatch is testPMFJob staged on the row-encoded batch tier:
+// identical samples (same generator config, same staging seed), one
+// encoded object per mini-batch behind Spec.Data = DataBatch.
+func testPMFJobBatch(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	t.Helper()
 	cl := NewCluster()
 	cfg := dataset.MovieLensConfig{Users: 150, Items: 600, Ratings: 30000, Rank: 8, NoiseStd: 0.6, Seed: 21}
 	ds := dataset.GenerateMovieLens(cfg)
 	var clk vclock.Clock
-	n := dataset.StageShards(ds, cl.COS, &clk, "ml", 500, dataset.DefaultBatchesPerShard, 2)
+	n := dataset.Stage(ds, cl.COS, &clk, "ml", 500, 2)
 	spec.Workers = workers
-	spec.Data = DataShard
+	spec.Data = DataBatch
 	return cl, Job{
 		Spec:       spec,
 		Model:      model.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 31),
@@ -33,11 +44,11 @@ func testPMFJobShard(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	}
 }
 
-// testLRJobShard is testLRJob on the shard tier. The batch tier
-// normalizes after staging (NormalizeMinMax); the shard tier normalizes
-// in place and stages the result — TestNormalizeMatchesInPlace in
-// internal/dataset pins the two orderings byte-equal.
-func testLRJobShard(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
+// testLRJobBatch is testLRJob on the batch tier, which normalizes after
+// staging (NormalizeMinMax) where the shard tier normalizes in place and
+// stages the result — TestNormalizeMatchesInPlace in internal/dataset
+// pins the two orderings byte-equal.
+func testLRJobBatch(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	t.Helper()
 	cl := NewCluster()
 	cfg := dataset.CriteoConfig{
@@ -45,11 +56,13 @@ func testLRJobShard(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 		HashDim: 2000, Cardinality: 100, Separation: 1.6, Seed: 11,
 	}
 	ds := dataset.GenerateCriteo(cfg)
-	dataset.NormalizeInPlace(ds, cfg.NumericFeatures)
 	var clk vclock.Clock
-	n := dataset.StageShards(ds, cl.COS, &clk, "criteo", 250, dataset.DefaultBatchesPerShard, 1)
+	n := dataset.Stage(ds, cl.COS, &clk, "criteo", 250, 1)
+	if err := dataset.NormalizeMinMax(cl.COS, &clk, "criteo", n, cfg.NumericFeatures); err != nil {
+		t.Fatal(err)
+	}
 	spec.Workers = workers
-	spec.Data = DataShard
+	spec.Data = DataBatch
 	return cl, Job{
 		Spec:       spec,
 		Model:      model.NewLogReg(cfg.HashDim+cfg.NumericFeatures, 0),
@@ -60,38 +73,64 @@ func testLRJobShard(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	}
 }
 
-// assertLossParity runs both jobs and requires bitwise-equal loss
-// histories. Fetch charges legitimately differ between the tiers (a
-// ranged block read is not the same byte count as an encoded batch
-// object), so times and bills are NOT compared — only the numerics.
-func assertLossParity(t *testing.T, clB *Cluster, jobB Job, clS *Cluster, jobS Job) {
+// lossGolden renders a loss history as the committed text form: one
+// line per step holding the smoothed loss, the raw loss (float64 bit
+// patterns in hex, so equal bytes mean equal bits) and the pool size.
+// Times and bills are left out on purpose: the two tiers charge
+// different fetch extents.
+func lossGolden(res *Result) []byte {
+	var b bytes.Buffer
+	b.WriteString("# step loss raw_loss workers (float64 bits, hex)\n")
+	for _, p := range res.History {
+		fmt.Fprintf(&b, "%d %016x %016x %d\n", p.Step,
+			math.Float64bits(p.Loss), math.Float64bits(p.RawLoss), p.Workers)
+	}
+	return b.Bytes()
+}
+
+// stager is the shape of the test job builders.
+type stager func(testing.TB, int, Spec) (*Cluster, Job)
+
+// assertLossGolden pins the numerics of the data path on
+// testdata/loss-<name>.golden: the file was captured from the
+// row-encoded batch tier and both tiers must reproduce it bit for bit —
+// per-step loss, raw loss and pool size, which covers the
+// per-coordinate gradient accumulation order, the normalization
+// ordering (LR) and, under async and faults, that the tiers' different
+// fetch charges reorder no update.
+func assertLossGolden(t *testing.T, name string, batch, shard stager, spec Spec) {
 	t.Helper()
-	resB, err := Run(clB, jobB)
+	run := func(stage stager) []byte {
+		cl, job := stage(t, 4, spec)
+		res, err := Run(cl, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lossGolden(res)
+	}
+	path := filepath.Join("testdata", "loss-"+name+".golden")
+	if *update {
+		if err := os.WriteFile(path, run(batch), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resS, err := Run(clS, jobS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB.Steps != resS.Steps {
-		t.Fatalf("steps diverge: batch %d, shard %d", resB.Steps, resS.Steps)
-	}
-	if resB.Converged != resS.Converged {
-		t.Fatalf("convergence diverges: batch %v, shard %v", resB.Converged, resS.Converged)
-	}
-	for i := range resB.History {
-		b, s := resB.History[i], resS.History[i]
-		if b.Loss != s.Loss || b.RawLoss != s.RawLoss {
-			t.Fatalf("step %d: batch loss (%v raw %v) vs shard loss (%v raw %v) — must be bitwise equal",
-				b.Step, b.Loss, b.RawLoss, s.Loss, s.RawLoss)
+	for _, tier := range []struct {
+		name  string
+		stage stager
+	}{{DataBatch, batch}, {DataShard, shard}} {
+		if got := run(tier.stage); !bytes.Equal(want, got) {
+			t.Fatalf("%s tier diverges from %s:\nwant:\n%s\ngot:\n%s", tier.name, path, want, got)
 		}
 	}
 }
 
 // TestDataShardLossMatchesBatchPMF pins the tentpole contract: the
-// shard tier trains the exact same model as the batch tier — loss
-// histories bitwise equal under BSP and ISP.
+// shard tier trains the exact same model as the batch tier the goldens
+// were captured from, under every schedule, exchange and a faulted run.
 func TestDataShardLossMatchesBatchPMF(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -100,11 +139,13 @@ func TestDataShardLossMatchesBatchPMF(t *testing.T) {
 		{"bsp", Spec{MaxSteps: 60}},
 		{"isp", Spec{MaxSteps: 60, Sync: consistency.ISP, Significance: 0.01}},
 		{"ssp", Spec{MaxSteps: 60, Staleness: 3}},
+		{"async", Spec{MaxSteps: 60, Sync: consistency.Async, Staleness: 2}},
+		{"tree", Spec{MaxSteps: 60, Exchange: exchange.KindTree, TreeFanout: 4}},
+		{"reclaim", Spec{MaxSteps: 60,
+			Faults: faults.Spec{Seed: 3, ReclaimProb: 0.3, ReclaimMeanLife: 2 * time.Second}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clB, jobB := testPMFJob(t, 4, tc.spec)
-			clS, jobS := testPMFJobShard(t, 4, tc.spec)
-			assertLossParity(t, clB, jobB, clS, jobS)
+			assertLossGolden(t, "pmf-"+tc.name, testPMFJobBatch, testPMFJob, tc.spec)
 		})
 	}
 }
@@ -113,9 +154,7 @@ func TestDataShardLossMatchesBatchPMF(t *testing.T) {
 // min-max normalization that the two tiers apply at different points
 // (post-staging streaming pass vs pre-staging in-place pass).
 func TestDataShardLossMatchesBatchLR(t *testing.T) {
-	clB, jobB := testLRJob(t, 4, Spec{MaxSteps: 40})
-	clS, jobS := testLRJobShard(t, 4, Spec{MaxSteps: 40})
-	assertLossParity(t, clB, jobB, clS, jobS)
+	assertLossGolden(t, "lr-bsp", testLRJobBatch, testLRJob, Spec{MaxSteps: 40})
 }
 
 // noViewModel wraps a real model but hides its view interface.
@@ -130,7 +169,7 @@ func TestDataValidation(t *testing.T) {
 		t.Fatalf("unknown data tier: got %v, want ErrUnknownData", err)
 	}
 
-	cl2, job2 := testPMFJobShard(t, 2, Spec{MaxSteps: 1})
+	cl2, job2 := testPMFJob(t, 2, Spec{MaxSteps: 1})
 	job2.Model = noViewModel{job2.Model}
 	if _, err := Run(cl2, job2); !errors.Is(err, ErrModelNoView) {
 		t.Fatalf("non-view model on shard tier: got %v, want ErrModelNoView", err)
@@ -140,7 +179,7 @@ func TestDataValidation(t *testing.T) {
 // TestDataShardMissingManifest: a shard job against a bucket staged
 // only with batch objects fails fast at setup.
 func TestDataShardMissingManifest(t *testing.T) {
-	cl, job := testPMFJob(t, 2, Spec{MaxSteps: 1})
+	cl, job := testPMFJobBatch(t, 2, Spec{MaxSteps: 1})
 	job.Spec.Data = DataShard
 	if _, err := Run(cl, job); err == nil {
 		t.Fatal("shard job without a staged manifest must fail")
@@ -150,7 +189,7 @@ func TestDataShardMissingManifest(t *testing.T) {
 // TestDataShardManifestMismatch: a stale NumBatches in the job spec is
 // rejected against the staged manifest.
 func TestDataShardManifestMismatch(t *testing.T) {
-	cl, job := testPMFJobShard(t, 2, Spec{MaxSteps: 1})
+	cl, job := testPMFJob(t, 2, Spec{MaxSteps: 1})
 	job.NumBatches--
 	if _, err := Run(cl, job); err == nil {
 		t.Fatal("manifest/job batch-count mismatch must fail")
@@ -161,7 +200,7 @@ func TestDataShardManifestMismatch(t *testing.T) {
 // byte-identical in steps, times and losses (mirrors TestDeterminism).
 func TestDataShardDeterminism(t *testing.T) {
 	run := func() *Result {
-		cl, job := testPMFJobShard(t, 4, Spec{TargetLoss: 0.85, MaxSteps: 300})
+		cl, job := testPMFJob(t, 4, Spec{TargetLoss: 0.85, MaxSteps: 300})
 		res, err := Run(cl, job)
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +225,7 @@ func TestDataShardDeterminism(t *testing.T) {
 // the batch cache amortized, so the same bound applies).
 func TestDataShardStepAllocsBounded(t *testing.T) {
 	mallocs := func(steps int) float64 {
-		cl, job := testPMFJobShard(t, 4, Spec{MaxSteps: steps})
+		cl, job := testPMFJob(t, 4, Spec{MaxSteps: steps})
 		return runMallocs(t, cl, job)
 	}
 	mallocs(10) // warm pools, caches and lazy scratch

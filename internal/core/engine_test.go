@@ -16,8 +16,9 @@ import (
 	"mlless/internal/vclock"
 )
 
-// testLRJob stages a small Criteo-shaped dataset and returns a cluster
-// and an LR job over it.
+// testLRJob stages a small Criteo-shaped dataset (min-max normalized,
+// then shuffled into columnar shards) and returns a cluster and an LR
+// job over it.
 func testLRJob(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	t.Helper()
 	cl := NewCluster()
@@ -26,11 +27,9 @@ func testLRJob(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 		HashDim: 2000, Cardinality: 100, Separation: 1.6, Seed: 11,
 	}
 	ds := dataset.GenerateCriteo(cfg)
+	dataset.NormalizeInPlace(ds, cfg.NumericFeatures)
 	var clk vclock.Clock
-	n := dataset.Stage(ds, cl.COS, &clk, "criteo", 250, 1)
-	if err := dataset.NormalizeMinMax(cl.COS, &clk, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
+	n := dataset.StageShards(ds, cl.COS, &clk, "criteo", 250, dataset.DefaultBatchesPerShard, 1)
 	spec.Workers = workers
 	return cl, Job{
 		Spec:       spec,
@@ -46,20 +45,7 @@ func testLRJob(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 // cluster and PMF job.
 func testPMFJob(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	t.Helper()
-	cl := NewCluster()
-	cfg := dataset.MovieLensConfig{Users: 150, Items: 600, Ratings: 30000, Rank: 8, NoiseStd: 0.6, Seed: 21}
-	ds := dataset.GenerateMovieLens(cfg)
-	var clk vclock.Clock
-	n := dataset.Stage(ds, cl.COS, &clk, "ml", 500, 2)
-	spec.Workers = workers
-	return cl, Job{
-		Spec:       spec,
-		Model:      model.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 31),
-		Optimizer:  optimizer.NewNesterov(optimizer.Constant(1.0), 0.9),
-		Bucket:     "ml",
-		NumBatches: n,
-		BatchSize:  500,
-	}
+	return testShardedPMFJob(t, workers, 1, spec)
 }
 
 func TestLRConverges(t *testing.T) {

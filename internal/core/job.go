@@ -64,11 +64,11 @@ var (
 const (
 	// DataBatch is the row-encoded tier: every fetch GETs a full
 	// encoded mini-batch object and decodes it into []dataset.Sample.
-	// The default; traces are byte-identical to pre-shard builds.
 	DataBatch = "batch"
 	// DataShard is the streaming columnar tier: batches live as
 	// contiguous blocks inside shard blobs, each fetch is one ranged
 	// GET, and models evaluate straight off the zero-copy BatchView.
+	// The default.
 	DataShard = "shard"
 )
 
@@ -132,12 +132,12 @@ type Spec struct {
 	// TreeFanout is the tree exchange's fan-in degree (0 selects the
 	// default of 4; meaningful only with Exchange == "tree").
 	TreeFanout int
-	// Data selects the dataset tier the workers fetch from: DataBatch
-	// (the default) reads and decodes whole mini-batch objects;
-	// DataShard issues one ranged GET per step against the staged
+	// Data selects the dataset tier the workers fetch from: DataShard
+	// (the default) issues one ranged GET per step against the staged
 	// columnar shards (see internal/shard) and computes on the
-	// zero-copy view. Both tiers produce bit-identical loss histories
-	// for the same staged samples.
+	// zero-copy view; DataBatch reads and decodes whole mini-batch
+	// objects. Both tiers produce bit-identical loss histories for the
+	// same staged samples.
 	Data string
 	// Faults configures deterministic fault injection for the run (see
 	// internal/faults): transient invocation failures, cold-start
@@ -201,7 +201,7 @@ func (s Spec) withDefaults() Spec {
 		s.Exchange = exchange.KindParamServer
 	}
 	if s.Data == "" {
-		s.Data = DataBatch
+		s.Data = DataShard
 	}
 	return s
 }

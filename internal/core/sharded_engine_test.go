@@ -15,14 +15,14 @@ import (
 )
 
 // testShardedPMFJob is testPMFJob on a cluster whose KV tier has the
-// given shard count.
+// given shard count (one shard is NewCluster exactly).
 func testShardedPMFJob(t testing.TB, workers, shards int, spec Spec) (*Cluster, Job) {
 	t.Helper()
 	cl := NewClusterWithShards(shards)
 	cfg := dataset.MovieLensConfig{Users: 150, Items: 600, Ratings: 30000, Rank: 8, NoiseStd: 0.6, Seed: 21}
 	ds := dataset.GenerateMovieLens(cfg)
 	var clk vclock.Clock
-	n := dataset.Stage(ds, cl.COS, &clk, "ml", 500, 2)
+	n := dataset.StageShards(ds, cl.COS, &clk, "ml", 500, dataset.DefaultBatchesPerShard, 2)
 	spec.Workers = workers
 	return cl, Job{
 		Spec:       spec,

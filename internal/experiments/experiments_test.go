@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mlless/internal/core"
+	"mlless/internal/dataset"
+	"mlless/internal/sparse"
+	"mlless/internal/vclock"
 )
 
 // TestRegistryComplete pins the experiment inventory to the paper's
@@ -156,6 +161,41 @@ func TestWorkloadMakeIsolated(t *testing.T) {
 	}
 	if jobA.NumBatches != jobB.NumBatches || jobA.NumBatches == 0 {
 		t.Fatalf("staging inconsistent: %d vs %d", jobA.NumBatches, jobB.NumBatches)
+	}
+}
+
+// TestMakeWithBatchKeepsSampleStream pins what Table 3 relies on: the
+// staging shuffle does not depend on the batch size, so re-staging at
+// another B cuts the very sample stream Make trains on.
+func TestMakeWithBatchKeepsSampleStream(t *testing.T) {
+	wl := LRCriteo(true)
+	stream := func(cl *core.Cluster, job core.Job) (labels []float64, feats []*sparse.Vector) {
+		var clk vclock.Clock
+		sc, err := dataset.OpenShardCache(cl.COS, &clk, job.Bucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < job.NumBatches; i++ {
+			v, err := sc.Fetch(&clk, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < v.Len(); k++ {
+				labels = append(labels, v.Label(k))
+				feats = append(feats, v.Features(k))
+			}
+		}
+		return labels, feats
+	}
+	la, fa := stream(wl.Make(4))
+	lb, fb := stream(makeWithBatch(wl, 4, wl.BatchSize/2+1))
+	if len(la) != len(lb) || len(la) == 0 {
+		t.Fatalf("stream lengths %d vs %d", len(la), len(lb))
+	}
+	for i := range la {
+		if la[i] != lb[i] || !fa[i].Equal(fb[i]) {
+			t.Fatalf("sample %d differs between batch sizes", i)
+		}
 	}
 }
 

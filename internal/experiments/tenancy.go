@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"mlless/internal/core"
-	"mlless/internal/dataset"
 	"mlless/internal/faas"
 	"mlless/internal/tenant"
-	"mlless/internal/vclock"
 )
 
 // AblTenancy exercises the multi-tenant control plane (DESIGN.md §14):
@@ -139,27 +137,19 @@ func AblTenancy(opts Options) (Table, error) {
 // the given step bound. Shared by abl-tenancy and mlless-fleet.
 func ZooTemplates(cl *core.Cluster, maxSteps int) []tenant.Template {
 	zoo := []*Workload{LRCriteo(true), SVMCriteo(true), PMF1M(true)}
-	var clk vclock.Clock
 	mix := make([]tenant.Template, len(zoo))
 	for i, w := range zoo {
 		w := w
 		w.stage()
-		for j, buf := range w.staged {
-			cl.COS.Put(&clk, w.Name, dataset.BatchKey(j), buf)
-		}
+		w.restage(cl, w.staged)
 		workers := 2 + i
 		mix[i] = tenant.Template{
 			Name:   w.Name,
 			Weight: 1,
 			New: func() core.Job {
-				return core.Job{
-					Spec:       core.Spec{Workers: workers, MaxSteps: maxSteps, TargetLoss: w.TargetLoss},
-					Model:      w.newModel(),
-					Optimizer:  w.newOpt(),
-					Bucket:     w.Name,
-					NumBatches: w.numBatch,
-					BatchSize:  w.BatchSize,
-				}
+				job := w.job(workers, w.numBatch, w.BatchSize)
+				job.Spec.MaxSteps = maxSteps
+				return job
 			},
 		}
 	}

@@ -6,8 +6,9 @@ import (
 	"mlless/internal/core"
 	"mlless/internal/dataset"
 	"mlless/internal/model"
+	"mlless/internal/netmodel"
+	"mlless/internal/objstore"
 	"mlless/internal/optimizer"
-	"mlless/internal/shard"
 	"mlless/internal/vclock"
 )
 
@@ -36,10 +37,21 @@ type Workload struct {
 	newOpt     func() optimizer.Optimizer
 	generate   func() *dataset.Dataset
 	stageOnce  sync.Once
-	staged     [][]byte
+	staged     []stagedObject
 	numBatch   int
 	ratingMean float64
 }
+
+// stagedObject is one staged shard blob (or the manifest) under its
+// object key, kept so every Make re-Puts bytes instead of re-encoding.
+type stagedObject struct {
+	key  string
+	blob []byte
+}
+
+// stageSeed fixes the staging shuffle: identical across every system
+// and run (part of the §6.1 sanity-check conditions).
+const stageSeed = 97
 
 // workload caches are package-level so repeated experiment runs reuse
 // the (deterministic) generated datasets.
@@ -59,29 +71,49 @@ func cached(key string, build func() *Workload) *Workload {
 	return w
 }
 
-// stage encodes the shuffled mini-batches once.
+// stage shuffles and encodes the workload's shards once, into a scratch
+// store, and keeps the staged objects for fast re-staging.
 func (w *Workload) stage() {
 	w.stageOnce.Do(func() {
 		ds := w.generate()
 		w.ratingMean = ds.RatingMean
-		// Deterministic shuffle, identical across every system and run
-		// (part of the §6.1 sanity-check conditions).
-		tmp := &dataset.Dataset{Samples: ds.Samples}
-		var clk vclock.Clock
-		// Stage into a scratch store to obtain the canonical encoded
-		// batches, then keep the raw bytes for fast re-staging.
-		scratch := core.NewCluster()
-		n := dataset.Stage(tmp, scratch.COS, &clk, "scratch", w.BatchSize, 97)
-		w.numBatch = n
-		w.staged = make([][]byte, n)
-		for i := 0; i < n; i++ {
-			batch, err := dataset.FetchBatch(scratch.COS, &clk, "scratch", i)
-			if err != nil {
-				panic("experiments: staging: " + err.Error())
-			}
-			w.staged[i] = dataset.EncodeBatch(batch)
-		}
+		w.numBatch, w.staged = stageObjects(ds, w.BatchSize)
 	})
+}
+
+// stageObjects stages ds at the given batch size into a scratch store
+// and returns the batch count and the staged objects.
+func stageObjects(ds *dataset.Dataset, batch int) (int, []stagedObject) {
+	scratch := objstore.New(netmodel.Link{})
+	var clk vclock.Clock
+	n := dataset.StageShards(ds, scratch, &clk, "scratch", batch, 0, stageSeed)
+	var objs []stagedObject
+	for _, key := range scratch.List(&clk, "scratch", "") {
+		blob, _ := scratch.PeekView("scratch", key)
+		objs = append(objs, stagedObject{key, blob})
+	}
+	return n, objs
+}
+
+// restage uploads the staged objects into the workload's bucket on cl.
+func (w *Workload) restage(cl *core.Cluster, objs []stagedObject) {
+	var clk vclock.Clock
+	for _, o := range objs {
+		cl.COS.Put(&clk, w.Name, o.key, o.blob)
+	}
+}
+
+// job returns the workload's job over numBatch staged batches of the
+// given size.
+func (w *Workload) job(workers, numBatch, batch int) core.Job {
+	return core.Job{
+		Spec:       core.Spec{Workers: workers, TargetLoss: w.TargetLoss},
+		Model:      w.newModel(),
+		Optimizer:  w.newOpt(),
+		Bucket:     w.Name,
+		NumBatches: numBatch,
+		BatchSize:  batch,
+	}
 }
 
 // Make returns a fresh cluster with the workload staged plus the job
@@ -96,91 +128,38 @@ func (w *Workload) Make(workers int) (*core.Cluster, core.Job) {
 func (w *Workload) MakeShards(workers, shards int) (*core.Cluster, core.Job) {
 	w.stage()
 	cl := core.NewClusterWithShards(shards)
-	var clk vclock.Clock
-	for i, buf := range w.staged {
-		cl.COS.Put(&clk, w.Name, dataset.BatchKey(i), buf)
-	}
-	job := core.Job{
-		Spec:       core.Spec{Workers: workers, TargetLoss: w.TargetLoss},
-		Model:      w.newModel(),
-		Optimizer:  w.newOpt(),
-		Bucket:     w.Name,
-		NumBatches: w.numBatch,
-		BatchSize:  w.BatchSize,
-	}
-	return cl, job
+	w.restage(cl, w.staged)
+	return cl, w.job(workers, w.numBatch, w.BatchSize)
 }
 
 // MakeData is Make with the dataset staged on the given tier
 // (core.DataBatch or core.DataShard). Both tiers hold the same samples
 // in the same batch order, so the two jobs train bit-identically.
 func (w *Workload) MakeData(workers int, data string) (*core.Cluster, core.Job) {
-	cl, job := w.Make(workers)
-	if data != core.DataShard {
-		return cl, job
+	if data != core.DataBatch {
+		return w.Make(workers)
 	}
-	job.Spec.Data = core.DataShard
+	w.stage()
+	cl := core.NewCluster()
 	var clk vclock.Clock
-	b := shard.NewBuilder()
-	si := 0
-	flush := func() {
-		cl.COS.Put(&clk, w.Name, dataset.ShardKey(si), b.Finish())
-		b.Reset()
-		si++
-	}
-	for i, buf := range w.staged {
-		batch, err := dataset.DecodeBatch(buf)
-		if err != nil {
-			panic("experiments: shard restage: " + err.Error())
-		}
-		for _, s := range batch {
-			if s.IsRating() {
-				b.AddRating(s.User, s.Item, s.Label)
-			} else {
-				b.AddFeature(s.Label, s.Features)
-			}
-		}
-		b.EndBatch()
-		if (i+1)%dataset.DefaultBatchesPerShard == 0 {
-			flush()
-		}
-	}
-	if w.numBatch%dataset.DefaultBatchesPerShard != 0 {
-		flush()
-	}
-	dataset.WriteShardManifest(cl.COS, &clk, w.Name, w.numBatch, w.BatchSize, dataset.DefaultBatchesPerShard)
+	n := dataset.Stage(w.generate(), cl.COS, &clk, w.Name, w.BatchSize, stageSeed)
+	job := w.job(workers, n, w.BatchSize)
+	job.Spec.Data = core.DataBatch
 	return cl, job
 }
 
-// makeWithBatch re-stages the workload's (already shuffled) sample
-// stream at a different per-worker batch size — Table 3's
-// constant-global-batch sweep requires B to shrink as P grows.
+// makeWithBatch stages the workload at a different per-worker batch
+// size — Table 3's constant-global-batch sweep requires B to shrink as
+// P grows. The staging shuffle is Perm(n, seed), independent of B, so
+// the sample stream is the one Make trains on, only cut differently.
+// The dataset is regenerated (the generators are deterministic) rather
+// than retained: only this sweep needs it after staging.
 func makeWithBatch(w *Workload, workers, batch int) (*core.Cluster, core.Job) {
-	w.stage()
-	var samples []dataset.Sample
-	for _, buf := range w.staged {
-		b, err := dataset.DecodeBatch(buf)
-		if err != nil {
-			panic("experiments: restage: " + err.Error())
-		}
-		samples = append(samples, b...)
-	}
-	ds := &dataset.Dataset{Samples: samples}
+	w.stage() // records ratingMean for the model prototype
+	n, objs := stageObjects(w.generate(), batch)
 	cl := core.NewCluster()
-	var clk vclock.Clock
-	batches := ds.Split(batch)
-	for i, bb := range batches {
-		cl.COS.Put(&clk, w.Name, dataset.BatchKey(i), dataset.EncodeBatch(bb))
-	}
-	job := core.Job{
-		Spec:       core.Spec{Workers: workers, TargetLoss: w.TargetLoss},
-		Model:      w.newModel(),
-		Optimizer:  w.newOpt(),
-		Bucket:     w.Name,
-		NumBatches: len(batches),
-		BatchSize:  batch,
-	}
-	return cl, job
+	w.restage(cl, objs)
+	return cl, w.job(workers, n, batch)
 }
 
 // LRCriteo is the sparse logistic regression job of Table 1:
@@ -214,8 +193,7 @@ func LRCriteo(quick bool) *Workload {
 			generate: func() *dataset.Dataset {
 				ds := dataset.GenerateCriteo(cfg)
 				// Min-max normalize in place (the staged form the paper
-				// prepares with PyWren-IBM map-reduce; the dataset tests
-				// pin this against the map-reduce path byte for byte).
+				// prepares with PyWren-IBM map-reduce, §3.2).
 				dataset.NormalizeInPlace(ds, cfg.NumericFeatures)
 				return ds
 			},

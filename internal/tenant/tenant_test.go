@@ -29,7 +29,7 @@ func testCluster(t testing.TB, maxConcurrent int) (*core.Cluster, int) {
 	cfg := dataset.MovieLensConfig{Users: 120, Items: 400, Ratings: 15000, Rank: 6, NoiseStd: 0.6, Seed: 7}
 	ds := dataset.GenerateMovieLens(cfg)
 	var clk vclock.Clock
-	n := dataset.Stage(ds, cl.COS, &clk, "ml", 500, 3)
+	n := dataset.StageShards(ds, cl.COS, &clk, "ml", 500, dataset.DefaultBatchesPerShard, 3)
 	return cl, n
 }
 

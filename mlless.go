@@ -54,6 +54,7 @@ import (
 	"mlless/internal/model"
 	"mlless/internal/optimizer"
 	"mlless/internal/sched"
+	"mlless/internal/shard"
 	"mlless/internal/sparse"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
@@ -161,6 +162,9 @@ type (
 	// MovieLensConfig parameterizes the synthetic MovieLens-like
 	// generator.
 	MovieLensConfig = dataset.MovieLensConfig
+	// BatchView is a zero-copy view of one staged mini-batch, the
+	// argument of Model.LossView and Model.GradientView.
+	BatchView = shard.BatchView
 )
 
 // Baseline types.
@@ -326,12 +330,12 @@ func NormalizeDataset(cl *Cluster, bucket string, numBatches, numericFeatures in
 }
 
 // Streaming columnar dataset tier (see internal/shard and DESIGN.md
-// §13). Jobs opt in with Spec.Data = DataShard; the default DataBatch
-// keeps the row-encoded tier and its byte-identical traces.
+// §13): the default. Spec.Data = DataBatch selects the row-encoded
+// tier instead.
 const (
-	// DataBatch selects the row-encoded mini-batch tier (default).
+	// DataBatch selects the row-encoded mini-batch tier.
 	DataBatch = core.DataBatch
-	// DataShard selects the zero-copy columnar shard tier.
+	// DataShard selects the zero-copy columnar shard tier (default).
 	DataShard = core.DataShard
 )
 

@@ -10,7 +10,7 @@ func stageSmallPMF(t *testing.T, workers int) (*Cluster, Job) {
 	cfg := MovieLensConfig{Users: 150, Items: 600, Ratings: 20_000, Rank: 8, NoiseStd: 0.6, SignalStd: 0.8, Seed: 9}
 	ds := GenerateMovieLens(cfg)
 	cluster := NewCluster()
-	n := StageDataset(cluster, ds, "ml", 400, 9)
+	n := StageDatasetShards(cluster, ds, "ml", 400, 0, 9)
 	return cluster, Job{
 		Spec:       Spec{Workers: workers, MaxSteps: 60},
 		Model:      NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 9),
@@ -74,10 +74,8 @@ func TestPublicAPILogReg(t *testing.T) {
 	cfg.HashDim = 2000
 	ds := GenerateCriteo(cfg)
 	cluster := NewCluster()
-	n := StageDataset(cluster, ds, "criteo", 250, 1)
-	if err := NormalizeDataset(cluster, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
+	NormalizeInMemory(ds, cfg.NumericFeatures)
+	n := StageDatasetShards(cluster, ds, "criteo", 250, 0, 1)
 	job := Job{
 		Spec:       Spec{Workers: 4, MaxSteps: 80},
 		Model:      NewLogReg(ds.FeatureDim, 1e-4),
