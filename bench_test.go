@@ -92,8 +92,8 @@ func BenchmarkAblAsync(b *testing.B) { benchExperiment(b, "abl-async") }
 // BenchmarkAblTenancy runs the multi-tenant control plane trace.
 func BenchmarkAblTenancy(b *testing.B) { benchExperiment(b, "abl-tenancy") }
 
-// BenchmarkAblDataset compares the batch and shard dataset tiers and
-// measures streaming shard generation (ISSUE 8).
+// BenchmarkAblDataset measures the data tier's per-step fetch and
+// streaming shard generation.
 func BenchmarkAblDataset(b *testing.B) { benchExperiment(b, "abl-dataset") }
 
 // BenchmarkTrainQuickPMF measures one end-to-end MLLess training run

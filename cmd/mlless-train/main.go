@@ -6,7 +6,6 @@
 //	mlless-train -model pmf -dataset ml10m -workers 24 -sync isp -v 0.7 -autotune
 //	mlless-train -model lr -dataset criteo -workers 12 -target 0.58
 //	mlless-train -model pmf -dataset ml10m -system pytorch
-//	mlless-train -model lr -dataset criteo -data batch
 package main
 
 import (
@@ -39,7 +38,6 @@ func run() error {
 		kvShards  = flag.Int("kv-shards", 1, "KV exchange tier shard count (1 = single Redis endpoint)")
 		exch      = flag.String("exchange", "ps", "gradient exchange: ps (parameter server) | scatter (scatter-reduce) | tree (tree-reduce)")
 		fanout    = flag.Int("tree-fanout", 0, "tree-reduce fan-out, >= 2 (0 = default; requires -exchange tree)")
-		dataTier  = flag.String("data", "shard", "dataset tier: shard (columnar shards, one ranged read per step) | batch (row-encoded objects); losses are bit-identical")
 		target    = flag.Float64("target", 0, "stop at this loss (0 = run max-steps)")
 		maxSteps  = flag.Int("max-steps", 500, "step cap")
 		lr        = flag.Float64("lr", 0, "learning rate (0 = model default)")
@@ -113,12 +111,8 @@ func run() error {
 		}
 	}
 
-	if *dataTier != mlless.DataBatch && *dataTier != mlless.DataShard {
-		return fmt.Errorf("-data must be %q or %q, got %q", mlless.DataBatch, mlless.DataShard, *dataTier)
-	}
-
 	cluster := mlless.NewClusterWithShards(*kvShards)
-	job, err := buildJob(cluster, *modelName, *data, *dataTier, *batch, *lr, *seed)
+	job, err := buildJob(cluster, *modelName, *data, *batch, *lr, *seed)
 	if err != nil {
 		return err
 	}
@@ -238,29 +232,18 @@ func run() error {
 	return nil
 }
 
-func buildJob(cluster *mlless.Cluster, modelName, data, dataTier string, batch int, lr float64, seed uint64) (mlless.Job, error) {
+func buildJob(cluster *mlless.Cluster, modelName, data string, batch int, lr float64, seed uint64) (mlless.Job, error) {
 	switch {
 	case modelName == "lr" && data == "criteo":
 		cfg := mlless.DefaultCriteoConfig()
 		cfg.Seed = seed
 		ds := mlless.GenerateCriteo(cfg)
-		var n int
-		if dataTier == mlless.DataShard {
-			// The shard tier normalizes before staging; the batch tier
-			// after. The two orderings produce bit-identical samples.
-			mlless.NormalizeInMemory(ds, cfg.NumericFeatures)
-			n = mlless.StageDatasetShards(cluster, ds, "criteo", batch, 0, seed)
-		} else {
-			n = mlless.StageDataset(cluster, ds, "criteo", batch, seed)
-			if err := mlless.NormalizeDataset(cluster, "criteo", n, cfg.NumericFeatures); err != nil {
-				return mlless.Job{}, err
-			}
-		}
+		mlless.NormalizeInMemory(ds, cfg.NumericFeatures)
+		n := mlless.StageDatasetShards(cluster, ds, "criteo", batch, 0, seed)
 		if lr == 0 {
 			lr = 0.01
 		}
 		return mlless.Job{
-			Spec:      mlless.Spec{Data: dataTier},
 			Model:     mlless.NewLogReg(ds.FeatureDim, 1e-4),
 			Optimizer: mlless.NewAdam(mlless.Constant(lr)),
 			Bucket:    "criteo", NumBatches: n, BatchSize: batch,
@@ -279,17 +262,11 @@ func buildJob(cluster *mlless.Cluster, modelName, data, dataTier string, batch i
 		}
 		cfg.Seed = seed
 		ds := mlless.GenerateMovieLens(cfg)
-		var n int
-		if dataTier == mlless.DataShard {
-			n = mlless.StageDatasetShards(cluster, ds, "ml", batch, 0, seed)
-		} else {
-			n = mlless.StageDataset(cluster, ds, "ml", batch, seed)
-		}
+		n := mlless.StageDatasetShards(cluster, ds, "ml", batch, 0, seed)
 		if lr == 0 {
 			lr = 20
 		}
 		return mlless.Job{
-			Spec:      mlless.Spec{Data: dataTier},
 			Model:     mlless.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, seed),
 			Optimizer: mlless.NewNesterov(mlless.Constant(lr), 0.9),
 			Bucket:    "ml", NumBatches: n, BatchSize: batch,

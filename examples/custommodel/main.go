@@ -30,29 +30,13 @@ func (m *linReg) Name() string         { return "linreg" }
 func (m *linReg) NumParams() int       { return len(m.params) }
 func (m *linReg) Params() mlless.Dense { return m.params }
 
-func (m *linReg) predict(x *mlless.Vector) float64 {
-	return x.Dot(m.params) + m.params[m.dim]
+// residual is the prediction error on sample k of a staged batch.
+func (m *linReg) residual(b mlless.BatchView, k int) float64 {
+	return b.Dot(k, m.params) + m.params[m.dim] - b.Label(k)
 }
 
-// Gradient returns the averaged squared-error gradient (e·x per sample)
-// with active-coordinate L2.
-func (m *linReg) Gradient(batch []mlless.Sample) *mlless.Vector {
-	g := new(mlless.Vector)
-	if len(batch) == 0 {
-		return g
-	}
-	inv := 1 / float64(len(batch))
-	for _, s := range batch {
-		e := m.predict(s.Features) - s.Label
-		s.Features.ForEach(func(i uint32, val float64) {
-			g.Add(i, inv*(e*val+m.l2*m.params[i]))
-		})
-		g.Add(uint32(m.dim), inv*e)
-	}
-	return g
-}
-
-// GradientView is Gradient straight off a staged columnar batch.
+// GradientView returns the averaged squared-error gradient (e·x per
+// sample) with active-coordinate L2, straight off the staged batch.
 func (m *linReg) GradientView(b mlless.BatchView) *mlless.Vector {
 	g := new(mlless.Vector)
 	n := b.Len()
@@ -61,7 +45,7 @@ func (m *linReg) GradientView(b mlless.BatchView) *mlless.Vector {
 	}
 	inv := 1 / float64(n)
 	for k := 0; k < n; k++ {
-		e := b.Dot(k, m.params) + m.params[m.dim] - b.Label(k)
+		e := m.residual(b, k)
 		b.ForEachPair(k, func(i uint32, val float64) {
 			g.Add(i, inv*(e*val+m.l2*m.params[i]))
 		})
@@ -70,7 +54,7 @@ func (m *linReg) GradientView(b mlless.BatchView) *mlless.Vector {
 	return g
 }
 
-// LossView is Loss straight off a staged columnar batch.
+// LossView is mean squared error.
 func (m *linReg) LossView(b mlless.BatchView) float64 {
 	n := b.Len()
 	if n == 0 {
@@ -78,23 +62,10 @@ func (m *linReg) LossView(b mlless.BatchView) float64 {
 	}
 	sum := 0.0
 	for k := 0; k < n; k++ {
-		e := b.Dot(k, m.params) + m.params[m.dim] - b.Label(k)
+		e := m.residual(b, k)
 		sum += e * e
 	}
 	return sum / float64(n)
-}
-
-// Loss is root mean squared error.
-func (m *linReg) Loss(batch []mlless.Sample) float64 {
-	if len(batch) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range batch {
-		e := m.predict(s.Features) - s.Label
-		sum += e * e
-	}
-	return sum / float64(len(batch))
 }
 
 func (m *linReg) ApplyUpdate(u *mlless.Vector) { m.params.AddSparse(u) }

@@ -24,32 +24,21 @@ import (
 	"mlless/internal/vclock"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/parity-*.golden from the row-encoded batch tier")
+var update = flag.Bool("update", false, "rewrite testdata/parity-*.golden from the current MLLess run")
 
 // stageJob prepares one cluster + job pair per system over identical
-// data, staged on the default (shard) tier.
+// data.
 func stageJob(t *testing.T, pmf bool) (*core.Cluster, core.Job) {
-	return stageJobOn(t, pmf, core.DataShard)
-}
-
-// stageJobOn is stageJob on the given data tier.
-func stageJobOn(t *testing.T, pmf bool, data string) (*core.Cluster, core.Job) {
 	t.Helper()
 	cl := core.NewCluster()
 	var clk vclock.Clock
-	stage := func(ds *dataset.Dataset) int {
-		if data == core.DataBatch {
-			return dataset.Stage(ds, cl.COS, &clk, "data", 300, 13)
-		}
-		return dataset.StageShards(ds, cl.COS, &clk, "data", 300, dataset.DefaultBatchesPerShard, 13)
-	}
 	var job core.Job
 	if pmf {
 		cfg := dataset.MovieLensConfig{Users: 100, Items: 400, Ratings: 15000, Rank: 6, NoiseStd: 0.6, Seed: 41}
 		ds := dataset.GenerateMovieLens(cfg)
-		n := stage(ds)
+		n := dataset.StageShards(ds, cl.COS, &clk, "data", 300, dataset.DefaultBatchesPerShard, 13)
 		job = core.Job{
-			Spec:       core.Spec{Workers: 1, MaxSteps: 40, Data: data},
+			Spec:       core.Spec{Workers: 1, MaxSteps: 40},
 			Model:      model.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 43),
 			Optimizer:  optimizer.NewNesterov(optimizer.Constant(1.0), 0.9),
 			Bucket:     "data",
@@ -62,9 +51,9 @@ func stageJobOn(t *testing.T, pmf bool, data string) (*core.Cluster, core.Job) {
 			HashDim: 1000, Cardinality: 100, Separation: 1.6, Seed: 47,
 		}
 		ds := dataset.GenerateCriteo(cfg)
-		n := stage(ds)
+		n := dataset.StageShards(ds, cl.COS, &clk, "data", 300, dataset.DefaultBatchesPerShard, 13)
 		job = core.Job{
-			Spec:       core.Spec{Workers: 1, MaxSteps: 40, Data: data},
+			Spec:       core.Spec{Workers: 1, MaxSteps: 40},
 			Model:      model.NewLogReg(cfg.HashDim+cfg.NumericFeatures, 0),
 			Optimizer:  optimizer.NewAdamDefaults(optimizer.Constant(0.05)),
 			Bucket:     "data",
@@ -90,7 +79,8 @@ func lossGolden(res *core.Result) []byte {
 // TestSanityCheckParity is the §6.1 check, pinned: every system's
 // single-worker loss history must equal testdata/parity-<model>.golden
 // bit for bit — hence each other's. The goldens were captured from the
-// row-encoded batch tier; both tiers must reproduce them.
+// row-encoded batch tier in the commit before it was deleted, so they
+// also pin each baseline's data path to its predecessor.
 func TestSanityCheckParity(t *testing.T) {
 	systems := []struct {
 		name  string
@@ -112,8 +102,8 @@ func TestSanityCheckParity(t *testing.T) {
 		{"PMF", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(sys int, data string) []byte {
-				cl, job := stageJobOn(t, tc.pmf, data)
+			run := func(sys int) []byte {
+				cl, job := stageJob(t, tc.pmf)
 				res, err := systems[sys].train(cl, job)
 				if err != nil {
 					t.Fatal(err)
@@ -122,7 +112,7 @@ func TestSanityCheckParity(t *testing.T) {
 			}
 			path := filepath.Join("testdata", "parity-"+strings.ToLower(tc.name)+".golden")
 			if *update {
-				if err := os.WriteFile(path, run(0, core.DataBatch), 0o644); err != nil {
+				if err := os.WriteFile(path, run(0), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -131,11 +121,8 @@ func TestSanityCheckParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, sys := range systems {
-				for _, data := range []string{core.DataBatch, core.DataShard} {
-					if got := run(i, data); !bytes.Equal(want, got) {
-						t.Fatalf("%s on the %s tier diverges from %s:\nwant:\n%s\ngot:\n%s",
-							sys.name, data, path, want, got)
-					}
+				if got := run(i); !bytes.Equal(want, got) {
+					t.Fatalf("%s diverges from %s:\nwant:\n%s\ngot:\n%s", sys.name, path, want, got)
 				}
 			}
 		})

@@ -31,7 +31,6 @@ import (
 	"mlless/internal/dataset"
 	"mlless/internal/faas"
 	"mlless/internal/fit"
-	"mlless/internal/model"
 	"mlless/internal/objstore"
 	"mlless/internal/sparse"
 	"mlless/internal/trace"
@@ -94,6 +93,9 @@ func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Confi
 	if job.Model == nil || job.Optimizer == nil {
 		return nil, fmt.Errorf("pywren: job needs a model and an optimizer")
 	}
+	if spec.Data != "" && spec.Data != core.DataShard {
+		return nil, fmt.Errorf("%w: got %q", core.ErrUnknownData, spec.Data)
+	}
 	cfg = cfg.withDefaults()
 	if spec.MaxSteps <= 0 {
 		spec.MaxSteps = 5000
@@ -106,23 +108,12 @@ func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Confi
 	mdl := job.Model.Clone()
 	opt := job.Optimizer.Clone()
 	plan := dataset.NewPlan(job.NumBatches, p)
-	// Both tiers until the row-encoded one is deleted (next commit).
 	// The manifest read goes on a setup clock, not the round clock: the
 	// driver resolves the layout once and passes it in the payload.
-	var (
-		batches *dataset.Cache
-		shards  *dataset.ShardCache
-		vmdl    model.ViewModel
-	)
-	if spec.Data == core.DataBatch {
-		batches = dataset.NewCache(cos, job.Bucket)
-	} else {
-		var setup vclock.Clock
-		sc, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
-		if err != nil {
-			return nil, fmt.Errorf("pywren: %w", err)
-		}
-		shards, vmdl = sc, mdl.(model.ViewModel)
+	var setup vclock.Clock
+	shards, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
+	if err != nil {
+		return nil, fmt.Errorf("pywren: %w", err)
 	}
 	smoother := fit.NewEWMA(spec.LossAlpha)
 	faasCfg := platform.Config()
@@ -170,25 +161,13 @@ func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Confi
 			if _, err := cos.Get(&mclk, bucketState, stateKey); err != nil {
 				return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
 			}
-			var batchLen int
-			if shards != nil {
-				view, err := shards.Fetch(&mclk, plan.BatchFor(w, step))
-				if err != nil {
-					return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
-				}
-				lossSum += vmdl.LossView(view)
-				gradSum.AddVector(vmdl.GradientView(view))
-				batchLen = view.Len()
-			} else {
-				batch, err := batches.Fetch(&mclk, plan.BatchFor(w, step))
-				if err != nil {
-					return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
-				}
-				lossSum += mdl.Loss(batch)
-				gradSum.AddVector(mdl.Gradient(batch))
-				batchLen = len(batch)
+			view, err := shards.Fetch(&mclk, plan.BatchFor(w, step))
+			if err != nil {
+				return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
 			}
-			mclk.Advance(computeTime(1.5 * mdl.GradientWork(batchLen)))
+			lossSum += mdl.LossView(view)
+			gradSum.AddVector(mdl.GradientView(view))
+			mclk.Advance(computeTime(1.5 * mdl.GradientWork(view.Len())))
 			// Write the local update back — densely.
 			cos.Put(&mclk, bucketState, fmt.Sprintf("%s-upd-%d", stateKey, w), make([]byte, denseBytes))
 			if mclk.Now() > slowestMap {

@@ -1,6 +1,7 @@
 package pywren
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,11 @@ func TestValidation(t *testing.T) {
 	bad.Optimizer = nil
 	if _, err := Train(platform, cos, bad, DefaultConfig()); err == nil {
 		t.Fatal("nil optimizer accepted")
+	}
+	bad = job
+	bad.Spec.Data = "batch"
+	if _, err := Train(platform, cos, bad, DefaultConfig()); !errors.Is(err, core.ErrUnknownData) {
+		t.Fatalf("removed data tier: got %v, want ErrUnknownData", err)
 	}
 }
 

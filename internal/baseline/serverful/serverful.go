@@ -30,7 +30,6 @@ import (
 	"mlless/internal/cost"
 	"mlless/internal/dataset"
 	"mlless/internal/fit"
-	"mlless/internal/model"
 	"mlless/internal/netmodel"
 	"mlless/internal/objstore"
 	"mlless/internal/sparse"
@@ -110,6 +109,9 @@ func Train(cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) 
 	if job.Model == nil || job.Optimizer == nil {
 		return nil, fmt.Errorf("serverful: job needs a model and an optimizer")
 	}
+	if spec.Data != "" && spec.Data != core.DataShard {
+		return nil, fmt.Errorf("%w: got %q", core.ErrUnknownData, spec.Data)
+	}
 	cfg = cfg.withDefaults()
 	if spec.MaxSteps <= 0 {
 		spec.MaxSteps = 5000
@@ -122,23 +124,12 @@ func Train(cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) 
 	mdl := job.Model.Clone()
 	opt := job.Optimizer.Clone()
 	plan := dataset.NewPlan(job.NumBatches, p)
-	// Both tiers until the row-encoded one is deleted (next commit).
 	// The manifest read goes on a setup clock, not the step clock: like
 	// VM boot, data layout discovery is outside every comparison.
-	var (
-		batches *dataset.Cache
-		shards  *dataset.ShardCache
-		vmdl    model.ViewModel
-	)
-	if spec.Data == core.DataBatch {
-		batches = dataset.NewCache(cos, job.Bucket)
-	} else {
-		var setup vclock.Clock
-		sc, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
-		if err != nil {
-			return nil, fmt.Errorf("serverful: %w", err)
-		}
-		shards, vmdl = sc, mdl.(model.ViewModel)
+	var setup vclock.Clock
+	shards, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
+	if err != nil {
+		return nil, fmt.Errorf("serverful: %w", err)
 	}
 	smoother := fit.NewEWMA(spec.LossAlpha)
 
@@ -161,26 +152,16 @@ func Train(cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) 
 		var batchLen int
 		for w := 0; w < p; w++ {
 			var fetch vclock.Clock
-			if shards != nil {
-				view, err := shards.Fetch(&fetch, plan.BatchFor(w, step))
-				if err != nil {
-					return nil, fmt.Errorf("serverful: worker %d step %d: %w", w, step, err)
-				}
-				lossSum += vmdl.LossView(view)
-				gradSum.AddVector(vmdl.GradientView(view))
-				batchLen = view.Len()
-			} else {
-				batch, err := batches.Fetch(&fetch, plan.BatchFor(w, step))
-				if err != nil {
-					return nil, fmt.Errorf("serverful: worker %d step %d: %w", w, step, err)
-				}
-				lossSum += mdl.Loss(batch)
-				gradSum.AddVector(mdl.Gradient(batch))
-				batchLen = len(batch)
+			view, err := shards.Fetch(&fetch, plan.BatchFor(w, step))
+			if err != nil {
+				return nil, fmt.Errorf("serverful: worker %d step %d: %w", w, step, err)
 			}
 			if fetch.Now() > slowest {
 				slowest = fetch.Now()
 			}
+			lossSum += mdl.LossView(view)
+			gradSum.AddVector(mdl.GradientView(view))
+			batchLen = view.Len()
 		}
 		clk.Advance(slowest)
 		if tr.Enabled() {

@@ -1,6 +1,7 @@
 package serverful
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -147,6 +148,11 @@ func TestValidation(t *testing.T) {
 	bad.Model = nil
 	if _, err := Train(cos, bad, DefaultConfig()); err == nil {
 		t.Fatal("nil model accepted")
+	}
+	bad = job
+	bad.Spec.Data = "batch"
+	if _, err := Train(cos, bad, DefaultConfig()); !errors.Is(err, core.ErrUnknownData) {
+		t.Fatalf("removed data tier: got %v, want ErrUnknownData", err)
 	}
 }
 

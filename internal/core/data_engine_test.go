@@ -8,76 +8,23 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"mlless/internal/consistency"
-	"mlless/internal/dataset"
 	"mlless/internal/exchange"
 	"mlless/internal/faults"
-	"mlless/internal/model"
-	"mlless/internal/optimizer"
-	"mlless/internal/vclock"
+	"mlless/internal/objstore"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/loss-*.golden from the row-encoded batch tier")
-
-// testPMFJobBatch is testPMFJob staged on the row-encoded batch tier:
-// identical samples (same generator config, same staging seed), one
-// encoded object per mini-batch behind Spec.Data = DataBatch.
-func testPMFJobBatch(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
-	t.Helper()
-	cl := NewCluster()
-	cfg := dataset.MovieLensConfig{Users: 150, Items: 600, Ratings: 30000, Rank: 8, NoiseStd: 0.6, Seed: 21}
-	ds := dataset.GenerateMovieLens(cfg)
-	var clk vclock.Clock
-	n := dataset.Stage(ds, cl.COS, &clk, "ml", 500, 2)
-	spec.Workers = workers
-	spec.Data = DataBatch
-	return cl, Job{
-		Spec:       spec,
-		Model:      model.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 31),
-		Optimizer:  optimizer.NewNesterov(optimizer.Constant(1.0), 0.9),
-		Bucket:     "ml",
-		NumBatches: n,
-		BatchSize:  500,
-	}
-}
-
-// testLRJobBatch is testLRJob on the batch tier, which normalizes after
-// staging (NormalizeMinMax) where the shard tier normalizes in place and
-// stages the result — TestNormalizeMatchesInPlace in internal/dataset
-// pins the two orderings byte-equal.
-func testLRJobBatch(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
-	t.Helper()
-	cl := NewCluster()
-	cfg := dataset.CriteoConfig{
-		Samples: 6000, NumericFeatures: 5, CategoricalFeatures: 8,
-		HashDim: 2000, Cardinality: 100, Separation: 1.6, Seed: 11,
-	}
-	ds := dataset.GenerateCriteo(cfg)
-	var clk vclock.Clock
-	n := dataset.Stage(ds, cl.COS, &clk, "criteo", 250, 1)
-	if err := dataset.NormalizeMinMax(cl.COS, &clk, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
-	spec.Workers = workers
-	spec.Data = DataBatch
-	return cl, Job{
-		Spec:       spec,
-		Model:      model.NewLogReg(cfg.HashDim+cfg.NumericFeatures, 0),
-		Optimizer:  optimizer.NewAdamDefaults(optimizer.Constant(0.05)),
-		Bucket:     "criteo",
-		NumBatches: n,
-		BatchSize:  250,
-	}
-}
+var update = flag.Bool("update", false, "rewrite testdata/loss-*.golden from the current run")
 
 // lossGolden renders a loss history as the committed text form: one
 // line per step holding the smoothed loss, the raw loss (float64 bit
 // patterns in hex, so equal bytes mean equal bits) and the pool size.
-// Times and bills are left out on purpose: the two tiers charge
-// different fetch extents.
+// Times and bills are left out on purpose: the goldens pin the
+// numerics, and were captured on a tier with other fetch extents.
 func lossGolden(res *Result) []byte {
 	var b bytes.Buffer
 	b.WriteString("# step loss raw_loss workers (float64 bits, hex)\n")
@@ -88,29 +35,26 @@ func lossGolden(res *Result) []byte {
 	return b.Bytes()
 }
 
-// stager is the shape of the test job builders.
-type stager func(testing.TB, int, Spec) (*Cluster, Job)
-
 // assertLossGolden pins the numerics of the data path on
-// testdata/loss-<name>.golden: the file was captured from the
-// row-encoded batch tier and both tiers must reproduce it bit for bit —
-// per-step loss, raw loss and pool size, which covers the
-// per-coordinate gradient accumulation order, the normalization
-// ordering (LR) and, under async and faults, that the tiers' different
-// fetch charges reorder no update.
-func assertLossGolden(t *testing.T, name string, batch, shard stager, spec Spec) {
+// testdata/loss-<name>.golden. The files were captured from the
+// row-encoded batch tier ([]Sample models, whole-object fetches) in the
+// commit before that tier was deleted, so they pin the surviving path
+// to its predecessor, not to itself: per-step loss, raw loss and pool
+// size, bit for bit — which covers the per-coordinate gradient
+// accumulation order, the normalize-then-shuffle ordering (LR) and,
+// under async and faults, that fetch charges reorder no update. Only a
+// deliberate change to the numerics justifies -update.
+func assertLossGolden(t *testing.T, name string, stage func(testing.TB, int, Spec) (*Cluster, Job), spec Spec) {
 	t.Helper()
-	run := func(stage stager) []byte {
-		cl, job := stage(t, 4, spec)
-		res, err := Run(cl, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lossGolden(res)
+	cl, job := stage(t, 4, spec)
+	res, err := Run(cl, job)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := lossGolden(res)
 	path := filepath.Join("testdata", "loss-"+name+".golden")
 	if *update {
-		if err := os.WriteFile(path, run(batch), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,19 +62,14 @@ func assertLossGolden(t *testing.T, name string, batch, shard stager, spec Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tier := range []struct {
-		name  string
-		stage stager
-	}{{DataBatch, batch}, {DataShard, shard}} {
-		if got := run(tier.stage); !bytes.Equal(want, got) {
-			t.Fatalf("%s tier diverges from %s:\nwant:\n%s\ngot:\n%s", tier.name, path, want, got)
-		}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("loss history diverges from %s:\nwant:\n%s\ngot:\n%s", path, want, got)
 	}
 }
 
-// TestDataShardLossMatchesBatchPMF pins the tentpole contract: the
-// shard tier trains the exact same model as the batch tier the goldens
-// were captured from, under every schedule, exchange and a faulted run.
+// TestDataShardLossMatchesBatchPMF: the shard tier trains the exact
+// same model as the batch tier the goldens were captured from, under
+// every schedule, the tree exchange and a reclaim-faulted run.
 func TestDataShardLossMatchesBatchPMF(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,44 +84,44 @@ func TestDataShardLossMatchesBatchPMF(t *testing.T) {
 			Faults: faults.Spec{Seed: 3, ReclaimProb: 0.3, ReclaimMeanLife: 2 * time.Second}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			assertLossGolden(t, "pmf-"+tc.name, testPMFJobBatch, testPMFJob, tc.spec)
+			assertLossGolden(t, "pmf-"+tc.name, testPMFJob, tc.spec)
 		})
 	}
 }
 
 // TestDataShardLossMatchesBatchLR covers the Criteo path, including the
-// min-max normalization that the two tiers apply at different points
-// (post-staging streaming pass vs pre-staging in-place pass).
+// min-max normalization, which the batch tier applied after the shuffle
+// (a staged map-reduce pass) and the shard tier applies before it.
 func TestDataShardLossMatchesBatchLR(t *testing.T) {
-	assertLossGolden(t, "lr-bsp", testLRJobBatch, testLRJob, Spec{MaxSteps: 40})
+	assertLossGolden(t, "lr-bsp", testLRJob, Spec{MaxSteps: 40})
 }
 
-// noViewModel wraps a real model but hides its view interface.
-type noViewModel struct{ model.Model }
-
-func (m noViewModel) Clone() model.Model { return noViewModel{m.Model.Clone()} }
-
-func TestDataValidation(t *testing.T) {
-	cl, job := testPMFJob(t, 2, Spec{MaxSteps: 1})
-	job.Spec.Data = "columnar"
-	if _, err := Run(cl, job); !errors.Is(err, ErrUnknownData) {
-		t.Fatalf("unknown data tier: got %v, want ErrUnknownData", err)
+// TestSpecDataRejectsRemovedTier: asking for the deleted row-encoded
+// tier (or anything unknown) is a typed error, never a silent run on
+// shards; the two spellings of the one tier are accepted.
+func TestSpecDataRejectsRemovedTier(t *testing.T) {
+	for _, data := range []string{"batch", "columnar"} {
+		cl, job := testPMFJob(t, 2, Spec{MaxSteps: 1, Data: data})
+		_, err := Run(cl, job)
+		if !errors.Is(err, ErrUnknownData) || !strings.Contains(err.Error(), "removed") {
+			t.Fatalf("Data=%q: got %v, want ErrUnknownData naming the removal", data, err)
+		}
 	}
-
-	cl2, job2 := testPMFJob(t, 2, Spec{MaxSteps: 1})
-	job2.Model = noViewModel{job2.Model}
-	if _, err := Run(cl2, job2); !errors.Is(err, ErrModelNoView) {
-		t.Fatalf("non-view model on shard tier: got %v, want ErrModelNoView", err)
+	for _, data := range []string{"", DataShard} {
+		cl, job := testPMFJob(t, 2, Spec{MaxSteps: 1, Data: data})
+		if _, err := Run(cl, job); err != nil {
+			t.Fatalf("Data=%q: %v", data, err)
+		}
 	}
 }
 
-// TestDataShardMissingManifest: a shard job against a bucket staged
-// only with batch objects fails fast at setup.
+// TestDataShardMissingManifest: a job against a bucket with no staged
+// manifest fails fast at setup.
 func TestDataShardMissingManifest(t *testing.T) {
-	cl, job := testPMFJobBatch(t, 2, Spec{MaxSteps: 1})
-	job.Spec.Data = DataShard
-	if _, err := Run(cl, job); err == nil {
-		t.Fatal("shard job without a staged manifest must fail")
+	cl, job := testPMFJob(t, 2, Spec{MaxSteps: 1})
+	job.Bucket = "unstaged"
+	if _, err := Run(cl, job); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("unstaged bucket: got %v, want ErrNotFound", err)
 	}
 }
 
@@ -196,11 +135,12 @@ func TestDataShardManifestMismatch(t *testing.T) {
 	}
 }
 
-// TestDataShardDeterminism: two identical shard-tier runs are
-// byte-identical in steps, times and losses (mirrors TestDeterminism).
+// TestDataShardDeterminism is TestDeterminism on feature data: two
+// identical LR runs over CSR blocks are byte-identical in steps, times
+// and losses (TestDeterminism covers the rating blocks).
 func TestDataShardDeterminism(t *testing.T) {
 	run := func() *Result {
-		cl, job := testPMFJob(t, 4, Spec{TargetLoss: 0.85, MaxSteps: 300})
+		cl, job := testLRJob(t, 4, Spec{TargetLoss: 0.62, MaxSteps: 150})
 		res, err := Run(cl, job)
 		if err != nil {
 			t.Fatal(err)
@@ -219,21 +159,20 @@ func TestDataShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestDataShardStepAllocsBounded extends the PR 5 allocation guard to
-// the shard tier: the zero-copy fetch path must not regress the
-// steady-state step budget (the view path removes the per-fetch decode
-// the batch cache amortized, so the same bound applies).
+// TestDataShardStepAllocsBounded is TestSteadyStateStepAllocsBounded on
+// feature data: walking a CSR block (Dot, ForEachPair) must stay inside
+// the same steady-state step budget as the rating blocks.
 func TestDataShardStepAllocsBounded(t *testing.T) {
 	mallocs := func(steps int) float64 {
-		cl, job := testPMFJob(t, 4, Spec{MaxSteps: steps})
+		cl, job := testLRJob(t, 4, Spec{MaxSteps: steps})
 		return runMallocs(t, cl, job)
 	}
 	mallocs(10) // warm pools, caches and lazy scratch
 	short := mallocs(40)
 	long := mallocs(120)
 	marginal := (long - short) / 80
-	t.Logf("marginal allocations per step (shard tier): %.1f", marginal)
+	t.Logf("marginal allocations per step (feature data): %.1f", marginal)
 	if marginal > 250 {
-		t.Fatalf("shard-tier steady-state step allocates %.1f per step, want <= 250", marginal)
+		t.Fatalf("steady-state LR step allocates %.1f per step, want <= 250", marginal)
 	}
 }

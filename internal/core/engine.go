@@ -13,7 +13,6 @@ import (
 	"mlless/internal/faas"
 	"mlless/internal/faults"
 	"mlless/internal/fit"
-	"mlless/internal/model"
 	"mlless/internal/sched"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
@@ -35,8 +34,7 @@ type engine struct {
 	sup     *faas.Instance
 	supGen  int
 	plan    dataset.Plan
-	batches *dataset.Cache
-	shards  *dataset.ShardCache // nil unless Spec.Data == DataShard
+	shards  *dataset.ShardCache
 
 	smoother *fit.EWMA
 	tuner    *sched.Tuner
@@ -207,7 +205,7 @@ func (e *engine) setup() error {
 		if err := e.cl.Broker.Bind(e.annExchange(), e.annQueue(i)); err != nil {
 			return fmt.Errorf("core: bind worker %d: %w", i, err)
 		}
-		w := &Worker{
+		e.workers[i] = &Worker{
 			id:     i,
 			inst:   inst,
 			model:  e.job.Model.Clone(),
@@ -215,30 +213,19 @@ func (e *engine) setup() error {
 			filter: consistency.NewFilterVariant(v, spec.FilterVariant),
 			alive:  true,
 		}
-		if spec.Data == DataShard {
-			// validate() guaranteed the prototype implements ViewModel;
-			// clones share the concrete type.
-			w.vmodel = w.model.(model.ViewModel)
-		}
-		e.workers[i] = w
 	}
 
+	// The manifest read is charged to the supervisor: it resolves the
+	// shard geometry once and the workers inherit it, mirroring the real
+	// deployment where the driver passes the layout in the invocation
+	// payload.
 	e.plan = dataset.NewPlan(e.job.NumBatches, spec.Workers)
-	e.batches = dataset.NewCache(e.cl.COS, e.job.Bucket)
-	if spec.Data == DataShard {
-		// The manifest read is charged to the supervisor: it resolves the
-		// shard geometry once and the workers inherit it, mirroring the
-		// real deployment where the driver passes the layout in the
-		// invocation payload.
-		sc, err := dataset.OpenShardCache(e.cl.COS, &e.sup.Clock, e.job.Bucket)
-		if err != nil {
-			return fmt.Errorf("core: open shard tier: %w", err)
-		}
-		if sc.NumBatches() != e.job.NumBatches {
-			return fmt.Errorf("core: shard manifest stages %d batches, job declares %d",
-				sc.NumBatches(), e.job.NumBatches)
-		}
-		e.shards = sc
+	e.shards, err = dataset.OpenShardCache(e.cl.COS, &e.sup.Clock, e.job.Bucket)
+	if err != nil {
+		return fmt.Errorf("core: open staged dataset: %w", err)
+	}
+	if n := e.shards.NumBatches(); n != e.job.NumBatches {
+		return fmt.Errorf("core: shard manifest stages %d batches, job declares %d", n, e.job.NumBatches)
 	}
 
 	// The tuner serves two masters: the scale-in auto-tuner (§4.2) and

@@ -38,12 +38,9 @@ var (
 	// sharded KV tier: the collectives move updates through object
 	// storage, so extra KV shards would only add idle rented VMs.
 	ErrExchangeShards = errors.New("core: the scatter/tree exchange strategies bypass the KV tier; run them with a single shard")
-	// ErrUnknownData reports an unrecognized Spec.Data value.
-	ErrUnknownData = errors.New("core: unknown data tier")
-	// ErrModelNoView reports a shard-tier job whose model does not
-	// implement model.ViewModel, the zero-copy evaluation interface the
-	// shard data path requires.
-	ErrModelNoView = errors.New("core: the shard data tier requires a model implementing model.ViewModel")
+	// ErrUnknownData reports a Spec.Data value other than "" or
+	// DataShard.
+	ErrUnknownData = errors.New("core: unknown data tier (the row-encoded \"batch\" tier was removed; columnar shards are the only tier)")
 	// ErrBadTenant reports a tenant name containing '/', which would
 	// break the collision-free namespace construction (the namespace is
 	// the name's first '/'-separated segment; see faas.NamespaceOf).
@@ -60,17 +57,10 @@ var (
 	ErrBadShrink = errors.New("core: shrink directives need Workers >= 1 and At >= 0")
 )
 
-// Data tiers selectable via Spec.Data.
-const (
-	// DataBatch is the row-encoded tier: every fetch GETs a full
-	// encoded mini-batch object and decodes it into []dataset.Sample.
-	DataBatch = "batch"
-	// DataShard is the streaming columnar tier: batches live as
-	// contiguous blocks inside shard blobs, each fetch is one ranged
-	// GET, and models evaluate straight off the zero-copy BatchView.
-	// The default.
-	DataShard = "shard"
-)
+// DataShard names the one data tier, for Spec.Data: batches live as
+// contiguous blocks inside columnar shard blobs, each fetch is one
+// ranged GET, and models evaluate straight off the zero-copy BatchView.
+const DataShard = "shard"
 
 // Spec is the tunable configuration of a training job.
 type Spec struct {
@@ -132,12 +122,9 @@ type Spec struct {
 	// TreeFanout is the tree exchange's fan-in degree (0 selects the
 	// default of 4; meaningful only with Exchange == "tree").
 	TreeFanout int
-	// Data selects the dataset tier the workers fetch from: DataShard
-	// (the default) issues one ranged GET per step against the staged
-	// columnar shards (see internal/shard) and computes on the
-	// zero-copy view; DataBatch reads and decodes whole mini-batch
-	// objects. Both tiers produce bit-identical loss histories for the
-	// same staged samples.
+	// Data is a leftover of the two-tier era that benchmark/ still
+	// sets: it must be "" or DataShard, anything else is rejected with
+	// ErrUnknownData. The next benchmark-archetype PR removes the field.
 	Data string
 	// Faults configures deterministic fault injection for the run (see
 	// internal/faults): transient invocation failures, cold-start
@@ -200,9 +187,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Exchange == "" {
 		s.Exchange = exchange.KindParamServer
 	}
-	if s.Data == "" {
-		s.Data = DataShard
-	}
 	return s
 }
 
@@ -215,9 +199,11 @@ type Job struct {
 	Model model.Model
 	// Optimizer is the prototype optimizer (cloned per worker).
 	Optimizer optimizer.Optimizer
-	// Bucket is the object-store bucket holding the staged mini-batches.
+	// Bucket is the object-store bucket holding the staged shards and
+	// their manifest (dataset.StageShards).
 	Bucket string
-	// NumBatches is the staged mini-batch count.
+	// NumBatches is the staged mini-batch count; it must match the
+	// bucket's manifest.
 	NumBatches int
 	// BatchSize is the per-worker mini-batch size B (metadata for
 	// reporting; the staged batches define the actual sizes).
@@ -278,14 +264,8 @@ func (j Job) validate(memoryMiB int) error {
 			return ErrExchangeStale
 		}
 	}
-	switch j.Spec.Data {
-	case DataBatch:
-	case DataShard:
-		if _, ok := j.Model.(model.ViewModel); !ok {
-			return fmt.Errorf("%w (model %q)", ErrModelNoView, j.Model.Name())
-		}
-	default:
-		return fmt.Errorf("%w %q (want %q or %q)", ErrUnknownData, j.Spec.Data, DataBatch, DataShard)
+	if j.Spec.Data != "" && j.Spec.Data != DataShard {
+		return fmt.Errorf("%w: got %q", ErrUnknownData, j.Spec.Data)
 	}
 	// A replica must fit beside optimizer state and a mini-batch in
 	// function memory: ~8 bytes/param for the model plus ~16 for

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mlless/internal/consistency"
-	"mlless/internal/dataset"
 	"mlless/internal/exchange"
 	"mlless/internal/faas"
 	"mlless/internal/model"
@@ -21,7 +20,6 @@ type Worker struct {
 	id     int
 	inst   *faas.Instance
 	model  model.Model
-	vmodel model.ViewModel // model's view interface; nil in batch mode
 	opt    optimizer.Optimizer
 	filter *consistency.Filter
 
@@ -84,8 +82,7 @@ type stepCtx struct {
 	readyAt          time.Duration
 
 	segStart     time.Duration
-	batch        []dataset.Sample
-	view         shard.BatchView // shard-tier batch; zero value in batch mode
+	view         shard.BatchView
 	loss         float64
 	upd          *sparse.Vector
 	computeStart time.Duration
@@ -167,19 +164,11 @@ func (e *engine) stepFetch(w *Worker, c *stepCtx) error {
 	clk := &w.inst.Clock
 	fetchStart := clk.Now()
 	batchIdx := e.plan.BatchFor(w.id, c.step)
-	if e.shards != nil {
-		view, err := e.shards.Fetch(clk, batchIdx)
-		if err != nil {
-			return fmt.Errorf("core: worker %d step %d: %w", w.id, c.step, err)
-		}
-		c.view = view
-	} else {
-		batch, err := e.batches.Fetch(clk, batchIdx)
-		if err != nil {
-			return fmt.Errorf("core: worker %d step %d: %w", w.id, c.step, err)
-		}
-		c.batch = batch
+	view, err := e.shards.Fetch(clk, batchIdx)
+	if err != nil {
+		return fmt.Errorf("core: worker %d step %d: %w", w.id, c.step, err)
 	}
+	c.view = view
 	if e.tr.Enabled() {
 		e.tr.SpanOn(workerTrack(w.id), trace.CatEngine, "fetch",
 			fetchStart, clk.Now(), trace.Int("step", c.step), trace.Int("batch", batchIdx))
@@ -193,16 +182,9 @@ func (e *engine) stepFetch(w *Worker, c *stepCtx) error {
 func (e *engine) stepCompute(w *Worker, c *stepCtx) error {
 	clk := &w.inst.Clock
 	c.computeStart = clk.Now()
-	var grad *sparse.Vector
-	if e.shards != nil {
-		c.loss = w.vmodel.LossView(c.view)
-		grad = w.vmodel.GradientView(c.view)
-		e.chargeCompute(w, 1.5*w.model.GradientWork(c.view.Len()))
-	} else {
-		c.loss = w.model.Loss(c.batch)
-		grad = w.model.Gradient(c.batch)
-		e.chargeCompute(w, 1.5*w.model.GradientWork(len(c.batch)))
-	}
+	c.loss = w.model.LossView(c.view)
+	grad := w.model.GradientView(c.view)
+	e.chargeCompute(w, 1.5*w.model.GradientWork(c.view.Len()))
 
 	// The provider may have reclaimed the container mid-segment: the
 	// work charged past the reclaim point died with it and is redone on

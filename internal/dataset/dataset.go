@@ -1,10 +1,10 @@
 // Package dataset provides the training data substrate of the
-// reproduction: sample and mini-batch types, synthetic generators shaped
-// like the paper's datasets (Criteo display ads for sparse logistic
-// regression, MovieLens for matrix factorization, §6.1), min-max
-// normalization implemented as two chained map-reduce passes over the
-// object store (mirroring the PyWren-IBM preprocessing of §3.2), and
-// staging/fetching of mini-batches in object storage.
+// reproduction: the sample type, synthetic generators shaped like the
+// paper's datasets (Criteo display ads for sparse logistic regression,
+// MovieLens for matrix factorization, §6.1), in-memory and streaming,
+// min-max normalization, and the one data tier: staging mini-batches as
+// columnar shards in object storage (internal/shard) and fetching them
+// back as zero-copy views, one ranged read per worker step (§3.2).
 //
 // The real Criteo and MovieLens files are not redistributable and not
 // reachable offline, so the generators draw from ground-truth models with
@@ -14,13 +14,7 @@
 // on those shape parameters, not on the identity of the movies.
 package dataset
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"mlless/internal/sparse"
-)
+import "mlless/internal/sparse"
 
 // Sample is one training example. Two kinds exist:
 //
@@ -44,7 +38,7 @@ func (s Sample) IsRating() bool { return s.User >= 0 }
 
 // Dataset is an in-memory dataset plus its shape metadata.
 type Dataset struct {
-	// Samples holds the examples in generation order; mini-batch staging
+	// Samples holds the examples in generation order; StageShards
 	// shuffles deterministically.
 	Samples []Sample
 	// FeatureDim is the width of feature samples (0 for rating data).
@@ -73,110 +67,4 @@ func (d *Dataset) Split(b int) [][]Sample {
 		out = append(out, d.Samples[i:end])
 	}
 	return out
-}
-
-// Binary batch encoding. Rating samples are 20 bytes each; feature
-// samples carry their sparse vectors. Layout:
-//
-//	uint32 sampleCount
-//	per sample:
-//	  uint8 kind (0 = feature, 1 = rating)
-//	  kind 0: float64 label, sparse.Vector encoding
-//	  kind 1: uint32 user, uint32 item, float64 rating
-
-const (
-	kindFeature = 0
-	kindRating  = 1
-)
-
-// EncodeBatch serializes a mini-batch for object storage. The encoded
-// size is what the simulated COS link charges per fetch.
-func EncodeBatch(batch []Sample) []byte {
-	size := 4
-	for _, s := range batch {
-		if s.IsRating() {
-			size += 1 + 4 + 4 + 8
-		} else {
-			size += 1 + 8 + s.Features.EncodedSize()
-		}
-	}
-	buf := make([]byte, 0, size)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(batch)))
-	buf = append(buf, scratch[:4]...)
-	for _, s := range batch {
-		if s.IsRating() {
-			buf = append(buf, kindRating)
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(s.User))
-			buf = append(buf, scratch[:4]...)
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(s.Item))
-			buf = append(buf, scratch[:4]...)
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(s.Label))
-			buf = append(buf, scratch[:]...)
-		} else {
-			buf = append(buf, kindFeature)
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(s.Label))
-			buf = append(buf, scratch[:]...)
-			buf = s.Features.EncodeTo(buf)
-		}
-	}
-	return buf
-}
-
-// DecodeBatch parses a mini-batch produced by EncodeBatch.
-func DecodeBatch(buf []byte) ([]Sample, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("dataset: decode batch: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	// The smallest sample is 13 bytes (kind + label + empty sparse
-	// vector): a count exceeding what the buffer could hold is corrupt,
-	// and bounding it here keeps the pre-sized allocation honest.
-	if n > (len(buf)-4)/13 {
-		return nil, fmt.Errorf("dataset: decode batch: count %d exceeds %d-byte buffer", n, len(buf))
-	}
-	off := 4
-	out := make([]Sample, 0, n)
-	for k := 0; k < n; k++ {
-		if off >= len(buf) {
-			return nil, fmt.Errorf("dataset: decode batch: truncated at sample %d", k)
-		}
-		kind := buf[off]
-		off++
-		switch kind {
-		case kindRating:
-			if off+16 > len(buf) {
-				return nil, fmt.Errorf("dataset: decode batch: truncated rating at sample %d", k)
-			}
-			user := int(binary.LittleEndian.Uint32(buf[off:]))
-			item := int(binary.LittleEndian.Uint32(buf[off+4:]))
-			rating := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:]))
-			off += 16
-			out = append(out, Sample{User: user, Item: item, Label: rating})
-		case kindFeature:
-			if off+12 > len(buf) {
-				return nil, fmt.Errorf("dataset: decode batch: truncated feature sample %d", k)
-			}
-			label := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-			// Peek the sparse-vector entry count to find its extent.
-			nnz := int(binary.LittleEndian.Uint32(buf[off:]))
-			extent := sparse.EncodedSizeFor(nnz)
-			if off+extent > len(buf) {
-				return nil, fmt.Errorf("dataset: decode batch: truncated features at sample %d", k)
-			}
-			vec, err := sparse.Decode(buf[off : off+extent])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: decode batch sample %d: %w", k, err)
-			}
-			off += extent
-			out = append(out, Sample{Features: vec, Label: label, User: -1, Item: -1})
-		default:
-			return nil, fmt.Errorf("dataset: decode batch: unknown sample kind %d", kind)
-		}
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("dataset: decode batch: %d trailing bytes", len(buf)-off)
-	}
-	return out, nil
 }

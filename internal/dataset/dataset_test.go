@@ -1,16 +1,13 @@
 package dataset
 
 import (
+	"errors"
 	"math"
 	"testing"
-	"testing/quick"
-	"time"
 
 	"mlless/internal/netmodel"
 	"mlless/internal/objstore"
-	"mlless/internal/sparse"
 	"mlless/internal/vclock"
-	"mlless/internal/xrand"
 )
 
 func smallCriteo() CriteoConfig {
@@ -35,98 +32,6 @@ func TestSplit(t *testing.T) {
 	whole := ds.Split(0)
 	if len(whole) != 1 || len(whole[0]) != 10 {
 		t.Fatal("Split(0) must return one full batch")
-	}
-}
-
-func TestEncodeDecodeRatingBatch(t *testing.T) {
-	batch := []Sample{
-		{User: 1, Item: 2, Label: 4.5},
-		{User: 99, Item: 100000, Label: 1},
-	}
-	got, err := DecodeBatch(EncodeBatch(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].User != 1 || got[1].Item != 100000 || got[0].Label != 4.5 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if !got[0].IsRating() {
-		t.Fatal("decoded rating sample lost its kind")
-	}
-}
-
-func TestEncodeDecodeFeatureBatch(t *testing.T) {
-	v := sparse.New()
-	v.Set(7, 1.25)
-	v.Set(100012, -3)
-	batch := []Sample{{Features: v, Label: 1, User: -1, Item: -1}}
-	got, err := DecodeBatch(EncodeBatch(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].IsRating() {
-		t.Fatal("feature sample decoded as rating")
-	}
-	if got[0].Label != 1 || got[0].Features.Get(7) != 1.25 || got[0].Features.Get(100012) != -3 {
-		t.Fatalf("round trip = %+v", got[0])
-	}
-}
-
-func TestEncodeDecodeMixedBatchProperty(t *testing.T) {
-	rng := xrand.New(5)
-	if err := quick.Check(func(seed uint64) bool {
-		r := xrand.New(seed ^ rng.Uint64())
-		n := r.Intn(20)
-		batch := make([]Sample, n)
-		for i := range batch {
-			if r.Bernoulli(0.5) {
-				batch[i] = Sample{User: r.Intn(1000), Item: r.Intn(1000), Label: r.Float64() * 5}
-			} else {
-				v := sparse.New()
-				for j := 0; j < r.Intn(10); j++ {
-					v.Set(uint32(r.Intn(1000)), r.NormFloat64())
-				}
-				batch[i] = Sample{Features: v, Label: float64(r.Intn(2)), User: -1, Item: -1}
-			}
-		}
-		got, err := DecodeBatch(EncodeBatch(batch))
-		if err != nil || len(got) != n {
-			return false
-		}
-		for i := range batch {
-			if got[i].Label != batch[i].Label || got[i].IsRating() != batch[i].IsRating() {
-				return false
-			}
-			if batch[i].IsRating() {
-				if got[i].User != batch[i].User || got[i].Item != batch[i].Item {
-					return false
-				}
-			} else if !got[i].Features.Equal(batch[i].Features) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeBatchErrors(t *testing.T) {
-	if _, err := DecodeBatch(nil); err == nil {
-		t.Fatal("nil buffer accepted")
-	}
-	batch := []Sample{{User: 1, Item: 2, Label: 3}}
-	buf := EncodeBatch(batch)
-	if _, err := DecodeBatch(buf[:len(buf)-1]); err == nil {
-		t.Fatal("truncated buffer accepted")
-	}
-	if _, err := DecodeBatch(append(buf, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	bad := append([]byte(nil), buf...)
-	bad[4] = 9 // unknown kind
-	if _, err := DecodeBatch(bad); err == nil {
-		t.Fatal("unknown kind accepted")
 	}
 }
 
@@ -204,21 +109,25 @@ func TestStageAndFetch(t *testing.T) {
 	store := objstore.New(netmodel.Link{})
 	var clk vclock.Clock
 	ds := GenerateMovieLens(smallMovieLens())
-	n := Stage(ds, store, &clk, "ml", 512, 7)
+	n := StageShards(ds, store, &clk, "ml", 512, 0, 7)
 	want := (ds.Len() + 511) / 512
 	if n != want {
-		t.Fatalf("Stage = %d batches, want %d", n, want)
+		t.Fatalf("StageShards = %d batches, want %d", n, want)
+	}
+	sc, err := OpenShardCache(store, &clk, "ml")
+	if err != nil {
+		t.Fatal(err)
 	}
 	total := 0
 	seen := make(map[[2]int]int)
 	for i := 0; i < n; i++ {
-		batch, err := FetchBatch(store, &clk, "ml", i)
+		bv, err := sc.Fetch(&clk, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(batch)
-		for _, s := range batch {
-			seen[[2]int{s.User, s.Item}]++
+		total += bv.Len()
+		for k := 0; k < bv.Len(); k++ {
+			seen[[2]int{bv.User(k), bv.Item(k)}]++
 		}
 	}
 	if total != ds.Len() {
@@ -233,14 +142,6 @@ func TestStageAndFetch(t *testing.T) {
 		if seen[k] != v {
 			t.Fatalf("sample multiset changed at %v", k)
 		}
-	}
-}
-
-func TestFetchBatchMissing(t *testing.T) {
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	if _, err := FetchBatch(store, &clk, "none", 0); err == nil {
-		t.Fatal("missing batch fetched")
 	}
 }
 
@@ -268,34 +169,23 @@ func TestPlanZeroBatches(t *testing.T) {
 	}
 }
 
-func TestNormalizeMinMax(t *testing.T) {
+func TestNormalizeInPlace(t *testing.T) {
 	cfg := smallCriteo()
 	cfg.Samples = 500
 	ds := GenerateCriteo(cfg)
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	n := Stage(ds, store, &clk, "criteo", 100, 9)
-	if err := NormalizeMinMax(store, &clk, "criteo", n, cfg.NumericFeatures); err != nil {
-		t.Fatal(err)
-	}
+	NormalizeInPlace(ds, cfg.NumericFeatures)
 	sawLow, sawHigh := false, false
-	for i := 0; i < n; i++ {
-		batch, err := FetchBatch(store, &clk, "criteo", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range batch {
-			for f := 0; f < cfg.NumericFeatures; f++ {
-				v := s.Features.Get(uint32(f))
-				if v < 0 || v > 1 {
-					t.Fatalf("normalized feature %d = %v outside [0,1]", f, v)
-				}
-				if v < 0.01 {
-					sawLow = true
-				}
-				if v > 0.5 {
-					sawHigh = true
-				}
+	for _, s := range ds.Samples {
+		for f := 0; f < cfg.NumericFeatures; f++ {
+			v := s.Features.Get(uint32(f))
+			if v < 0 || v > 1 {
+				t.Fatalf("normalized feature %d = %v outside [0,1]", f, v)
+			}
+			if v < 0.01 {
+				sawLow = true
+			}
+			if v > 0.5 {
+				sawHigh = true
 			}
 		}
 	}
@@ -304,21 +194,15 @@ func TestNormalizeMinMax(t *testing.T) {
 	}
 }
 
-func TestNormalizeMinMaxNoNumeric(t *testing.T) {
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	if err := NormalizeMinMax(store, &clk, "none", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNormalizeRejectsRatingBatches(t *testing.T) {
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	ds := GenerateMovieLens(smallMovieLens())
-	n := Stage(ds, store, &clk, "ml", 100, 1)
-	if err := NormalizeMinMax(store, &clk, "ml", n, 13); err == nil {
-		t.Fatal("rating batches accepted by feature normalization")
+func TestNormalizeInPlaceNoNumeric(t *testing.T) {
+	cfg := smallCriteo()
+	cfg.Samples = 50
+	ds, want := GenerateCriteo(cfg), GenerateCriteo(cfg)
+	NormalizeInPlace(ds, 0)
+	for i := range ds.Samples {
+		if !ds.Samples[i].Features.Equal(want.Samples[i].Features) {
+			t.Fatalf("sample %d changed with no numeric features to scale", i)
+		}
 	}
 }
 
@@ -349,55 +233,37 @@ func TestCriteoAttainableLoss(t *testing.T) {
 	}
 }
 
-func TestCacheChargesEveryFetch(t *testing.T) {
-	link := netmodel.Link{Latency: 10 * time.Millisecond, BandwidthBps: 1e6}
-	store := objstore.New(link)
-	var stage vclock.Clock
-	ds := GenerateMovieLens(smallMovieLens())
-	n := Stage(ds, store, &stage, "ml", 1000, 5)
-	if n < 2 {
-		t.Fatal("need at least 2 batches")
-	}
-	cache := NewCache(store, "ml")
-	var clk vclock.Clock
-	if _, err := cache.Fetch(&clk, 0); err != nil {
-		t.Fatal(err)
-	}
-	first := clk.Now()
-	if _, err := cache.Fetch(&clk, 0); err != nil {
-		t.Fatal(err)
-	}
-	second := clk.Now() - first
-	// The cached fetch must charge the same transfer time: workers
-	// re-download each iteration even though the decode is cached.
-	if second != first {
-		t.Fatalf("cached fetch charged %v, first charged %v", second, first)
-	}
-}
-
 func TestCacheReturnsSameDecode(t *testing.T) {
 	store := objstore.New(netmodel.Link{})
 	var clk vclock.Clock
 	ds := GenerateMovieLens(smallMovieLens())
-	Stage(ds, store, &clk, "ml", 1000, 5)
-	cache := NewCache(store, "ml")
-	a, err := cache.Fetch(&clk, 1)
+	StageShards(ds, store, &clk, "ml", 1000, 0, 5)
+	sc, err := OpenShardCache(store, &clk, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.Fetch(&clk, 1)
-	if err != nil {
+	if _, err := sc.Fetch(&clk, 1); err != nil {
 		t.Fatal(err)
 	}
-	if &a[0] != &b[0] {
-		t.Fatal("cache re-decoded the batch")
+	a, _ := sc.shard(0)
+	if _, err := sc.Fetch(&clk, 1); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := sc.shard(0); a != b {
+		t.Fatal("cache re-parsed the shard")
 	}
 }
 
 func TestCacheMissingBatch(t *testing.T) {
-	cache := NewCache(objstore.New(netmodel.Link{}), "none")
+	store := objstore.New(netmodel.Link{})
 	var clk vclock.Clock
-	if _, err := cache.Fetch(&clk, 3); err == nil {
-		t.Fatal("missing batch fetched")
+	StageShards(GenerateMovieLens(smallMovieLens()), store, &clk, "ml", 1000, 0, 5)
+	sc, err := OpenShardCache(store, &clk, "ml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Delete(&clk, "ml", ShardKey(0))
+	if _, err := sc.Fetch(&clk, 3); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("fetch from a deleted shard: err = %v, want ErrNotFound", err)
 	}
 }

@@ -64,8 +64,8 @@ func hashCat(field, value, hashDim int) uint32 {
 // are drawn from a ground-truth logistic model over the hashed features,
 // so a trained sparse LR can genuinely converge. Numerical features are
 // log-normal (as raw ad-traffic counters are) and are NOT normalized
-// here — NormalizeMinMax performs the paper's two-pass map-reduce
-// min-max scaling afterwards.
+// here — NormalizeInPlace applies the paper's min-max scaling
+// afterwards.
 func GenerateCriteo(cfg CriteoConfig) *Dataset {
 	rng := xrand.New(cfg.Seed)
 	dim := cfg.HashDim + cfg.NumericFeatures

@@ -1,134 +1,6 @@
 package dataset
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"mlless/internal/objstore"
-	"mlless/internal/sparse"
-	"mlless/internal/vclock"
-)
-
-// NormalizeMinMax rescales the numeric features (coordinates
-// [0, numericFeatures)) of every staged mini-batch in bucket to [0, 1]
-// using min-max scaling. Following §3.2, it is implemented as two chained
-// map-reduce jobs over the object store, exactly how the paper prepares
-// the Criteo dataset with PyWren-IBM:
-//
-//	job 1: map over batches extracting per-feature (min, max),
-//	       reduce by combining extrema;
-//	job 2: map over batches applying the scaling, writing each scaled
-//	       batch back.
-//
-// All intermediate I/O is charged to clk via the object store's link, as
-// a serverless map-reduce would pay it — one charged read per pass per
-// batch, plus job 2's writes. Job 1 scans extrema straight off the
-// encoded bytes (no decode); job 2 decodes each batch exactly once,
-// through the shared Cache path.
-func NormalizeMinMax(store *objstore.Store, clk *vclock.Clock, bucket string, numBatches, numericFeatures int) error {
-	if numericFeatures <= 0 {
-		return nil
-	}
-	mins := make([]float64, numericFeatures)
-	maxs := make([]float64, numericFeatures)
-	for f := range mins {
-		mins[f] = math.Inf(1)
-		maxs[f] = math.Inf(-1)
-	}
-
-	// Job 1 (map + reduce): per-feature extrema, streamed off the wire
-	// encoding without materializing samples.
-	present := make([]bool, numericFeatures)
-	for i := 0; i < numBatches; i++ {
-		buf, err := store.Get(clk, bucket, BatchKey(i))
-		if err != nil {
-			return fmt.Errorf("dataset: normalize pass 1: %w", err)
-		}
-		if err := scanEncodedExtrema(buf, present, mins, maxs); err != nil {
-			return fmt.Errorf("dataset: normalize: batch %d %w", i, err)
-		}
-	}
-
-	// Job 2 (map): apply the scaling and rewrite each batch. Reads go
-	// through a Cache: the transfer is charged per read as always, the
-	// decode happens once.
-	cache := NewCache(store, bucket)
-	for i := 0; i < numBatches; i++ {
-		batch, err := cache.Fetch(clk, i)
-		if err != nil {
-			return fmt.Errorf("dataset: normalize pass 2: %w", err)
-		}
-		for _, s := range batch {
-			scaleSample(s, mins, maxs)
-		}
-		store.Put(clk, bucket, BatchKey(i), EncodeBatch(batch))
-	}
-	return nil
-}
-
-// scanEncodedExtrema folds one encoded batch into the per-feature
-// extrema. A numeric coordinate absent from a sample's sparse vector is
-// the value 0, so after each sample the features it did not mention
-// extend the extrema with 0 — exactly what Get-per-feature over the
-// decoded sample observes. Rating samples are a caller error; corrupt
-// buffers return errors.
-func scanEncodedExtrema(buf []byte, present []bool, mins, maxs []float64) error {
-	if len(buf) < 4 {
-		return fmt.Errorf("holds short batch (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	off := 4
-	numeric := uint32(len(present))
-	for k := 0; k < n; k++ {
-		if off >= len(buf) {
-			return fmt.Errorf("truncated at sample %d", k)
-		}
-		if kind := buf[off]; kind != kindFeature {
-			return fmt.Errorf("holds non-feature samples")
-		}
-		off++ // kind
-		if off+12 > len(buf) {
-			return fmt.Errorf("truncated at sample %d", k)
-		}
-		off += 8 // label
-		nnz := int(binary.LittleEndian.Uint32(buf[off:]))
-		extent := sparse.EncodedSizeFor(nnz)
-		if off+extent > len(buf) {
-			return fmt.Errorf("truncated at sample %d", k)
-		}
-		for f := range present {
-			present[f] = false
-		}
-		for j := 0; j < nnz; j++ {
-			entry := buf[off+4+j*12:]
-			idx := binary.LittleEndian.Uint32(entry)
-			if idx >= numeric {
-				continue
-			}
-			present[idx] = true
-			v := math.Float64frombits(binary.LittleEndian.Uint64(entry[4:]))
-			if v < mins[idx] {
-				mins[idx] = v
-			}
-			if v > maxs[idx] {
-				maxs[idx] = v
-			}
-		}
-		for f := range present {
-			if !present[f] {
-				if 0 < mins[f] {
-					mins[f] = 0
-				}
-				if 0 > maxs[f] {
-					maxs[f] = 0
-				}
-			}
-		}
-		off += extent
-	}
-	return nil
-}
+import "math"
 
 // scaleSample applies min-max scaling to one feature sample in place.
 func scaleSample(s Sample, mins, maxs []float64) {
@@ -143,11 +15,12 @@ func scaleSample(s Sample, mins, maxs []float64) {
 	}
 }
 
-// NormalizeInPlace min-max scales the numeric features of an in-memory
-// dataset — the same arithmetic as NormalizeMinMax without the staged
-// round trips. The shard staging path normalizes here before building
-// shard blobs (min/max are order-independent, so the result is bitwise
-// identical to staging raw batches and running NormalizeMinMax).
+// NormalizeInPlace min-max scales the numeric features (coordinates
+// [0, numericFeatures)) of an in-memory dataset to [0, 1], before
+// staging. The paper prepares Criteo with two chained PyWren-IBM
+// map-reduce jobs over the object store (§3.2); that preprocessing's
+// time and cost are not modelled (DESIGN.md §5) — the arithmetic, and
+// so every staged sample, is the same.
 func NormalizeInPlace(ds *Dataset, numericFeatures int) {
 	if numericFeatures <= 0 {
 		return

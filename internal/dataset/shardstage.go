@@ -62,13 +62,15 @@ func DecodeShardManifest(buf []byte) (numBatches, batchSize, batchesPerShard int
 	return numBatches, batchSize, batchesPerShard, nil
 }
 
-// StageShards stages the dataset as columnar shard blobs plus a
-// manifest, charging the uploads to clk. It applies the same seeded
-// shuffle and batch split as Stage, so staged batch i holds exactly the
-// samples Stage's batch i holds — only the wire format differs: batches
-// are packed batchesPerShard to a shard, each batch one contiguous
-// block a worker fetches with a single ranged read. It returns the
-// number of staged batches.
+// StageShards shuffles the dataset deterministically (Perm(n, seed),
+// independent of batchSize), cuts it into mini-batches of batchSize
+// (the last may be short) and stages them as columnar shard blobs plus
+// a manifest, charging the uploads to clk: batches are packed
+// batchesPerShard to a shard (0 selects DefaultBatchesPerShard), each
+// batch one contiguous block a worker fetches with a single ranged
+// read. This is the role PyWren-IBM plays in §3.2: putting the dataset
+// into COS in "the appropriate format". It returns the number of staged
+// batches.
 func StageShards(ds *Dataset, store *objstore.Store, clk *vclock.Clock, bucket string, batchSize, batchesPerShard int, seed uint64) int {
 	if batchesPerShard <= 0 {
 		batchesPerShard = DefaultBatchesPerShard
@@ -109,13 +111,14 @@ func StageShards(ds *Dataset, store *objstore.Store, clk *vclock.Clock, bucket s
 	return len(batches)
 }
 
-// ShardCache is the shard tier's counterpart of Cache: every Fetch
-// still performs (and charges) an object-store transfer — one ranged
-// read of the batch's block inside its shard — while the CPU-side
-// parse, simulator overhead rather than modeled time, happens once per
-// shard via an uncharged peek. Views alias the store's immutable
-// snapshots (Put copies on write), so they stay valid across later
-// writes.
+// ShardCache reads staged mini-batches back: every Fetch performs (and
+// charges) an object-store transfer — one ranged read of the batch's
+// block inside its shard, workers re-download batches each iteration
+// exactly as in the paper — while the CPU-side parse, simulator
+// overhead rather than modeled time, happens once per shard via an
+// uncharged peek. Views alias the store's immutable snapshots (Put
+// copies on write), so they stay valid across later writes; callers
+// must treat them as read-only.
 //
 // ShardCache is safe for concurrent use.
 type ShardCache struct {
@@ -198,4 +201,31 @@ func (c *ShardCache) shard(si int) (*shard.Shard, error) {
 	c.shards[si] = sh
 	c.mu.Unlock()
 	return sh, nil
+}
+
+// Plan deterministically assigns staged batch indices to (worker, step)
+// pairs. Each worker walks its own arithmetic progression through the
+// shuffled batches, wrapping around — an epoch-free infinite stream, as
+// serverless workers fetch "a mini-batch from IBM COS" each iteration
+// (§3.2).
+type Plan struct {
+	numBatches int
+	numWorkers int
+}
+
+// NewPlan builds a batch plan over numBatches staged batches for
+// numWorkers workers.
+func NewPlan(numBatches, numWorkers int) Plan {
+	return Plan{numBatches: numBatches, numWorkers: numWorkers}
+}
+
+// BatchFor returns the staged batch index worker w consumes at step t.
+// Workers at the same step always consume distinct batches (as long as
+// there are at least numWorkers batches), which is what makes the global
+// batch size P·B (§3.2, weak scaling).
+func (p Plan) BatchFor(worker, step int) int {
+	if p.numBatches == 0 {
+		return 0
+	}
+	return (step*p.numWorkers + worker) % p.numBatches
 }

@@ -9,6 +9,7 @@ import (
 	"mlless/internal/objstore"
 	"mlless/internal/shard"
 	"mlless/internal/vclock"
+	"mlless/internal/xrand"
 )
 
 func TestShardManifestRoundTrip(t *testing.T) {
@@ -50,10 +51,12 @@ func sampleEqual(t *testing.T, s Sample, bv shard.BatchView, k int) {
 	}
 }
 
-// TestStageShardsMatchesStage pins the shard tier's core contract:
-// with the same seed, staged batch i holds exactly the samples Stage's
-// batch i holds, in the same order — only the wire format differs.
-func TestStageShardsMatchesStage(t *testing.T) {
+// TestStageShardsShuffleAndSplit pins the staging contract: staged
+// batch i holds exactly samples i·B… of the seeded permutation
+// Perm(n, seed) of the dataset, in that order — the shuffle every
+// compared system reads (§6.1) and the one Table 3 re-cuts at other
+// batch sizes.
+func TestStageShardsShuffleAndSplit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		ds   func() *Dataset
@@ -66,36 +69,33 @@ func TestStageShardsMatchesStage(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batchStore := objstore.New(netmodel.Link{})
-			shardStore := objstore.New(netmodel.Link{})
+			store := objstore.New(netmodel.Link{})
 			var clk vclock.Clock
 			const batchSize, seed = 64, 17
-			n := Stage(tc.ds(), batchStore, &clk, "b", batchSize, seed)
-			ns := StageShards(tc.ds(), shardStore, &clk, "s", batchSize, 3, seed)
-			if n != ns {
-				t.Fatalf("Stage staged %d batches, StageShards %d", n, ns)
+			ds := tc.ds()
+			n := StageShards(ds, store, &clk, "s", batchSize, 3, seed)
+			if want := (ds.Len() + batchSize - 1) / batchSize; n != want {
+				t.Fatalf("StageShards staged %d batches, want %d", n, want)
 			}
-			sc, err := OpenShardCache(shardStore, &clk, "s")
+			sc, err := OpenShardCache(store, &clk, "s")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sc.NumBatches() != n || sc.BatchSize() != batchSize {
 				t.Fatalf("manifest = (%d,%d), want (%d,%d)", sc.NumBatches(), sc.BatchSize(), n, batchSize)
 			}
+			order := xrand.New(seed).Perm(ds.Len())
 			for i := 0; i < n; i++ {
-				want, err := FetchBatch(batchStore, &clk, "b", i)
-				if err != nil {
-					t.Fatal(err)
-				}
 				bv, err := sc.Fetch(&clk, i)
 				if err != nil {
 					t.Fatal(err)
 				}
+				want := order[i*batchSize : min(ds.Len(), (i+1)*batchSize)]
 				if bv.Len() != len(want) {
 					t.Fatalf("batch %d len %d, want %d", i, bv.Len(), len(want))
 				}
-				for k, s := range want {
-					sampleEqual(t, s, bv, k)
+				for k, j := range want {
+					sampleEqual(t, ds.Samples[j], bv, k)
 				}
 			}
 		})
@@ -105,7 +105,7 @@ func TestStageShardsMatchesStage(t *testing.T) {
 // TestShardCacheChargesRangePerFetch pins the shard tier's billing: a
 // fetch costs one ranged read of the batch's block — first-byte latency
 // plus the block's transfer — and repeated fetches of a cached-parse
-// batch still pay it in full, mirroring dataset.Cache.
+// batch still pay it in full: workers re-download each iteration.
 func TestShardCacheChargesRangePerFetch(t *testing.T) {
 	link := netmodel.Link{Latency: 10 * time.Millisecond, BandwidthBps: 1e6}
 	store := objstore.New(link)

@@ -114,7 +114,7 @@ func (c *CountSink) WriteShard(_ int, blob []byte) error {
 // (hashing trick, ground-truth score, label, columnar encode — all
 // draw-free). Shards carry samples in generation order — the draws are
 // i.i.d., so no materialized shuffle is needed — and numeric features
-// stay raw, like GenerateCriteo's output before NormalizeMinMax.
+// stay raw, like GenerateCriteo's output before NormalizeInPlace.
 func StreamCriteo(cfg CriteoConfig, sc StreamConfig, sink ShardSink) (StreamStats, error) {
 	sc = sc.withDefaults()
 	rng := xrand.New(cfg.Seed)

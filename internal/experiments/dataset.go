@@ -12,13 +12,11 @@ import (
 	"mlless/internal/trace"
 )
 
-// AblDataset benchmarks the streaming columnar dataset tier (ISSUE 8,
-// DESIGN.md §13) on two axes:
+// AblDataset benchmarks the columnar data tier (DESIGN.md §13) on two
+// axes:
 //
-//   - training: the same workload on the batch tier vs the shard tier,
-//     comparing the traced per-step fetch time (a shard fetch is one
-//     ranged read of a columnar block; a batch fetch transfers the
-//     row-encoded object) and confirming the loss trajectories agree.
+//   - training: the traced per-step fetch time of a worker's one ranged
+//     read of its batch block.
 //   - generation: StreamCriteo throughput at increasing scale, pinning
 //     the tier's core claim — peak memory tracks the shard chunk, not
 //     the dataset. The full run streams paper-scale Criteo (47M
@@ -28,49 +26,41 @@ import (
 func AblDataset(opts Options) (Table, error) {
 	t := Table{
 		ID:    "abl-dataset",
-		Title: "Streaming columnar dataset tier: fetch cost and generation scale",
+		Title: "Columnar data tier: fetch cost and generation scale",
 		Header: []string{"phase", "config", "samples", "dim", "par", "wall-time",
 			"size-MB", "batches", "fetch/step", "peak-heap-MiB", "final-loss"},
 		Notes: []string{
-			"train rows: fetch/step is the traced per-step mean; both tiers hold identical samples and final-loss must match bitwise",
+			"train row: fetch/step is the traced per-step mean of the workers' ranged block reads",
 			"stream rows: wall-time is host time to generate+encode; fetch/step is the COS-link transfer time of the mean batch block",
 			"peak-heap-MiB samples runtime.HeapAlloc during streaming: bounded by parallelism x shard chunk, not dataset size",
 		},
 	}
 
-	// Training: batch vs shard tier on the same staged samples.
+	// Training: the per-step fetch of a traced LR job.
 	wl := LRCriteo(true)
-	steps := 60
+	cl, job := wl.Make(4)
+	job.Spec.MaxSteps = 60
 	if opts.Quick {
-		steps = 30
+		job.Spec.MaxSteps = 30
 	}
-	var lastLoss [2]float64
-	for i, tier := range []string{core.DataBatch, core.DataShard} {
-		cl, job := wl.MakeData(4, tier)
-		job.Spec.MaxSteps = steps
-		job.Spec.TargetLoss = 0
-		job.Trace = trace.New()
-		label := fmt.Sprintf("abl-dataset-%s-%s", wl.Name, tier)
-		res, err := runJob(opts, cl, job, label)
-		if err != nil {
-			return Table{}, fmt.Errorf("abl-dataset (%s): %w", label, err)
-		}
-		lastLoss[i] = res.FinalLoss
-		t.Rows = append(t.Rows, []string{
-			"train", wl.Name + "/" + tier,
-			fmt.Sprintf("%d", wl.numBatch*wl.BatchSize),
-			"-", "-",
-			res.ExecTime.Round(time.Millisecond).String(),
-			"-",
-			fmt.Sprintf("%d", res.Steps),
-			meanFetch(res.StepPhases).Round(time.Microsecond).String(),
-			"-",
-			fmt.Sprintf("%.6f", res.FinalLoss),
-		})
+	job.Spec.TargetLoss = 0
+	job.Trace = trace.New()
+	label := "abl-dataset-" + wl.Name
+	res, err := runJob(opts, cl, job, label)
+	if err != nil {
+		return Table{}, fmt.Errorf("abl-dataset (%s): %w", label, err)
 	}
-	if lastLoss[0] != lastLoss[1] {
-		return Table{}, fmt.Errorf("abl-dataset: tier losses diverge: batch %v vs shard %v", lastLoss[0], lastLoss[1])
-	}
+	t.Rows = append(t.Rows, []string{
+		"train", wl.Name,
+		fmt.Sprintf("%d", wl.numBatch*wl.BatchSize),
+		"-", "-",
+		res.ExecTime.Round(time.Millisecond).String(),
+		"-",
+		fmt.Sprintf("%d", res.Steps),
+		meanFetch(res.StepPhases).Round(time.Microsecond).String(),
+		"-",
+		fmt.Sprintf("%.6f", res.FinalLoss),
+	})
 
 	// Generation: stream Criteo at increasing scale into a counting
 	// sink. Quick keeps CI fast; the full sweep ends at paper scale.

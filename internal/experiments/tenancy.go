@@ -141,7 +141,7 @@ func ZooTemplates(cl *core.Cluster, maxSteps int) []tenant.Template {
 	for i, w := range zoo {
 		w := w
 		w.stage()
-		w.restage(cl, w.staged)
+		w.restage(cl)
 		workers := 2 + i
 		mix[i] = tenant.Template{
 			Name:   w.Name,

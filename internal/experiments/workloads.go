@@ -77,28 +77,20 @@ func (w *Workload) stage() {
 	w.stageOnce.Do(func() {
 		ds := w.generate()
 		w.ratingMean = ds.RatingMean
-		w.numBatch, w.staged = stageObjects(ds, w.BatchSize)
+		scratch := objstore.New(netmodel.Link{})
+		var clk vclock.Clock
+		w.numBatch = dataset.StageShards(ds, scratch, &clk, "scratch", w.BatchSize, 0, stageSeed)
+		for _, key := range scratch.List(&clk, "scratch", "") {
+			blob, _ := scratch.PeekView("scratch", key)
+			w.staged = append(w.staged, stagedObject{key, blob})
+		}
 	})
 }
 
-// stageObjects stages ds at the given batch size into a scratch store
-// and returns the batch count and the staged objects.
-func stageObjects(ds *dataset.Dataset, batch int) (int, []stagedObject) {
-	scratch := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	n := dataset.StageShards(ds, scratch, &clk, "scratch", batch, 0, stageSeed)
-	var objs []stagedObject
-	for _, key := range scratch.List(&clk, "scratch", "") {
-		blob, _ := scratch.PeekView("scratch", key)
-		objs = append(objs, stagedObject{key, blob})
-	}
-	return n, objs
-}
-
 // restage uploads the staged objects into the workload's bucket on cl.
-func (w *Workload) restage(cl *core.Cluster, objs []stagedObject) {
+func (w *Workload) restage(cl *core.Cluster) {
 	var clk vclock.Clock
-	for _, o := range objs {
+	for _, o := range w.staged {
 		cl.COS.Put(&clk, w.Name, o.key, o.blob)
 	}
 }
@@ -128,24 +120,8 @@ func (w *Workload) Make(workers int) (*core.Cluster, core.Job) {
 func (w *Workload) MakeShards(workers, shards int) (*core.Cluster, core.Job) {
 	w.stage()
 	cl := core.NewClusterWithShards(shards)
-	w.restage(cl, w.staged)
+	w.restage(cl)
 	return cl, w.job(workers, w.numBatch, w.BatchSize)
-}
-
-// MakeData is Make with the dataset staged on the given tier
-// (core.DataBatch or core.DataShard). Both tiers hold the same samples
-// in the same batch order, so the two jobs train bit-identically.
-func (w *Workload) MakeData(workers int, data string) (*core.Cluster, core.Job) {
-	if data != core.DataBatch {
-		return w.Make(workers)
-	}
-	w.stage()
-	cl := core.NewCluster()
-	var clk vclock.Clock
-	n := dataset.Stage(w.generate(), cl.COS, &clk, w.Name, w.BatchSize, stageSeed)
-	job := w.job(workers, n, w.BatchSize)
-	job.Spec.Data = core.DataBatch
-	return cl, job
 }
 
 // makeWithBatch stages the workload at a different per-worker batch
@@ -156,9 +132,9 @@ func (w *Workload) MakeData(workers int, data string) (*core.Cluster, core.Job) 
 // than retained: only this sweep needs it after staging.
 func makeWithBatch(w *Workload, workers, batch int) (*core.Cluster, core.Job) {
 	w.stage() // records ratingMean for the model prototype
-	n, objs := stageObjects(w.generate(), batch)
 	cl := core.NewCluster()
-	w.restage(cl, objs)
+	var clk vclock.Clock
+	n := dataset.StageShards(w.generate(), cl.COS, &clk, w.Name, batch, 0, stageSeed)
 	return cl, w.job(workers, n, batch)
 }
 

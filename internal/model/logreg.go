@@ -1,7 +1,7 @@
 package model
 
 import (
-	"mlless/internal/dataset"
+	"mlless/internal/shard"
 	"mlless/internal/sparse"
 )
 
@@ -15,7 +15,7 @@ type LogReg struct {
 	dim    int
 	l2     float64
 	params sparse.Dense
-	grad   *sparse.Vector // scratch reused across Gradient calls
+	grad   *sparse.Vector // scratch reused across GradientView calls
 	reg    *sparse.Vector // regularization scratch, same lifetime as grad
 }
 
@@ -39,29 +39,30 @@ func (m *LogReg) Params() sparse.Dense { return m.params }
 // Dim returns the input feature dimension (excluding the bias).
 func (m *LogReg) Dim() int { return m.dim }
 
-// score computes wᵀx + b.
-func (m *LogReg) score(x *sparse.Vector) float64 {
-	return x.Dot(m.params) + m.params[m.dim]
+// score computes wᵀx + b for sample k of the view.
+func (m *LogReg) score(b shard.BatchView, k int) float64 {
+	return b.Dot(k, m.params) + m.params[m.dim]
 }
 
-// Gradient implements Model: the averaged BCE gradient
+// GradientView implements Model: the averaged BCE gradient
 // (σ(wᵀx+b) − y)·x plus active-coordinate L2.
-func (m *LogReg) Gradient(batch []dataset.Sample) *sparse.Vector {
+func (m *LogReg) GradientView(b shard.BatchView) *sparse.Vector {
 	if m.grad == nil {
 		m.grad = sparse.New()
 	}
 	g := m.grad
 	g.Clear()
-	if len(batch) == 0 {
+	n := b.Len()
+	if n == 0 {
 		return g
 	}
-	inv := 1 / float64(len(batch))
-	for _, s := range batch {
-		err := sigmoid(m.score(s.Features)) - s.Label
-		s.Features.ForEach(func(i uint32, val float64) {
-			g.Add(i, inv*err*val)
-		})
-		g.Add(uint32(m.dim), inv*err) // bias
+	inv := 1 / float64(n)
+	var sampleErr float64
+	add := func(i uint32, val float64) { g.Add(i, inv*sampleErr*val) }
+	for k := 0; k < n; k++ {
+		sampleErr = sigmoid(m.score(b, k)) - b.Label(k)
+		b.ForEachPair(k, add)
+		g.Add(uint32(m.dim), inv*sampleErr) // bias
 	}
 	m.regularize(g)
 	return g
@@ -70,7 +71,7 @@ func (m *LogReg) Gradient(batch []dataset.Sample) *sparse.Vector {
 // regularize folds active-coordinate L2 into a gradient: only
 // coordinates the batch touched are regularized. The terms are staged
 // in a reused scratch (mutating g mid-iteration is not allowed) and
-// folded in afterwards. Shared by the []Sample and BatchView paths.
+// folded in afterwards.
 func (m *LogReg) regularize(g *sparse.Vector) {
 	if m.l2 <= 0 {
 		return
@@ -88,21 +89,22 @@ func (m *LogReg) regularize(g *sparse.Vector) {
 	g.AddVector(reg)
 }
 
-// Loss implements Model: mean binary cross-entropy over the batch.
-func (m *LogReg) Loss(batch []dataset.Sample) float64 {
-	if len(batch) == 0 {
+// LossView implements Model: mean binary cross-entropy over the batch.
+func (m *LogReg) LossView(b shard.BatchView) float64 {
+	n := b.Len()
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, s := range batch {
-		p := sigmoid(m.score(s.Features))
-		if s.Label >= 0.5 {
+	for k := 0; k < n; k++ {
+		p := sigmoid(m.score(b, k))
+		if b.Label(k) >= 0.5 {
 			sum -= clampLog(p)
 		} else {
 			sum -= clampLog(1 - p)
 		}
 	}
-	return sum / float64(len(batch))
+	return sum / float64(n)
 }
 
 // ApplyUpdate implements Model.

@@ -15,7 +15,7 @@ package model
 import (
 	"math"
 
-	"mlless/internal/dataset"
+	"mlless/internal/shard"
 	"mlless/internal/sparse"
 )
 
@@ -32,25 +32,29 @@ type Model interface {
 	// Params exposes the parameter vector. Callers must treat it as
 	// owned by the model; ApplyUpdate is the mutation path.
 	Params() sparse.Dense
-	// Gradient returns the mini-batch loss gradient, averaged over the
-	// batch, as a sparse vector over the flat parameter space.
+	// GradientView returns the mini-batch loss gradient, averaged over
+	// the batch, as a sparse vector over the flat parameter space,
+	// evaluated straight off the staged columnar view — no per-step
+	// decode. Per-sample contributions accumulate in sample order and,
+	// within a sample, in ascending coordinate order; the committed
+	// loss-history goldens pin that order bit for bit.
 	//
 	// The returned vector is owned by the model and remains valid only
-	// until the next Gradient call on the same instance (implementations
-	// reuse a scratch buffer — gradient accumulation is the simulator's
-	// hottest allocation site). Callers that retain it across calls must
-	// Clone it.
-	Gradient(batch []dataset.Sample) *sparse.Vector
-	// Loss evaluates the model's training loss on a batch (BCE for
-	// logistic regression, RMSE for matrix factorization).
-	Loss(batch []dataset.Sample) float64
+	// until the next GradientView call on the same instance
+	// (implementations reuse a scratch buffer — gradient accumulation is
+	// the simulator's hottest allocation site). Callers that retain it
+	// across calls must Clone it.
+	GradientView(b shard.BatchView) *sparse.Vector
+	// LossView evaluates the model's training loss on a batch view (BCE
+	// for logistic regression, RMSE for matrix factorization).
+	LossView(b shard.BatchView) float64
 	// ApplyUpdate adds a (already learning-rate-scaled) update to the
 	// parameters: x ← x + u.
 	ApplyUpdate(u *sparse.Vector)
 	// Clone returns an independent deep copy of the model.
 	Clone() Model
 	// GradientWork estimates the floating-point operations of one
-	// Gradient evaluation over a batch of the given size, using the
+	// GradientView evaluation over a batch of the given size, using the
 	// model's sparse representation.
 	GradientWork(batchSize int) float64
 	// DenseGradientWork estimates the flops of the same evaluation in a
@@ -59,6 +63,11 @@ type Model interface {
 	// the datasets").
 	DenseGradientWork(batchSize int) float64
 }
+
+// ViewModel is the name Model's view methods had while a []Sample twin
+// existed; benchmark/ still spells it. The next benchmark-archetype PR
+// removes the alias.
+type ViewModel = Model
 
 // sigmoid with guard against overflow in exp.
 func sigmoid(z float64) float64 {

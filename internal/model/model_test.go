@@ -5,16 +5,36 @@ import (
 	"testing"
 
 	"mlless/internal/dataset"
+	"mlless/internal/shard"
 	"mlless/internal/sparse"
 	"mlless/internal/xrand"
 )
 
+// viewOf packs a batch into a one-batch shard and returns its view.
+func viewOf(t *testing.T, batch []dataset.Sample) shard.BatchView {
+	t.Helper()
+	b := shard.NewBuilder()
+	for _, s := range batch {
+		if s.IsRating() {
+			b.AddRating(s.User, s.Item, s.Label)
+		} else {
+			b.AddFeature(s.Label, s.Features)
+		}
+	}
+	b.EndBatch()
+	sh, err := shard.Parse(b.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh.Batch(0)
+}
+
 // numericalGradCheck verifies the analytic gradient of m against central
 // finite differences of the *objective the gradient differentiates*
 // (mean BCE for LR, mean squared error halves for PMF — see callers).
-func numericalGradCheck(t *testing.T, m Model, batch []dataset.Sample, objective func() float64, tol float64) {
+func numericalGradCheck(t *testing.T, m Model, bv shard.BatchView, objective func() float64, tol float64) {
 	t.Helper()
-	g := m.Gradient(batch)
+	g := m.GradientView(bv)
 	if g.Len() == 0 {
 		t.Fatal("empty gradient")
 	}
@@ -54,16 +74,18 @@ func mlBatch(n int, seed uint64) ([]dataset.Sample, dataset.MovieLensConfig) {
 
 func TestLogRegGradientMatchesFiniteDifference(t *testing.T) {
 	batch := lrBatch(16, 1)
+	bv := viewOf(t, batch)
 	m := NewLogReg(53, 0) // no reg: Loss is exactly the differentiated objective
 	r := xrand.New(2)
 	for i := range m.Params() {
 		m.Params()[i] = r.NormFloat64() * 0.1
 	}
-	numericalGradCheck(t, m, batch, func() float64 { return m.Loss(batch) }, 1e-4)
+	numericalGradCheck(t, m, bv, func() float64 { return m.LossView(bv) }, 1e-4)
 }
 
 func TestLogRegRegularizationAddsToGradient(t *testing.T) {
 	batch := lrBatch(8, 3)
+	bv := viewOf(t, batch)
 	plain := NewLogReg(53, 0)
 	reg := NewLogReg(53, 0.5)
 	r := xrand.New(4)
@@ -72,8 +94,8 @@ func TestLogRegRegularizationAddsToGradient(t *testing.T) {
 		plain.Params()[i] = v
 		reg.Params()[i] = v
 	}
-	gp := plain.Gradient(batch)
-	gr := reg.Gradient(batch)
+	gp := plain.GradientView(bv)
+	gr := reg.GradientView(bv)
 	diff := gr.Clone()
 	diff.AddScaledVector(gp, -1)
 	// diff must equal 0.5*w on the touched non-bias coords.
@@ -94,22 +116,24 @@ func TestLogRegRegularizationAddsToGradient(t *testing.T) {
 
 func TestLogRegLossAtZeroIsLn2(t *testing.T) {
 	batch := lrBatch(64, 5)
+	bv := viewOf(t, batch)
 	m := NewLogReg(53, 0)
-	if got := m.Loss(batch); math.Abs(got-math.Ln2) > 1e-9 {
+	if got := m.LossView(bv); math.Abs(got-math.Ln2) > 1e-9 {
 		t.Fatalf("zero-model BCE = %v, want ln 2", got)
 	}
 }
 
 func TestLogRegSGDConverges(t *testing.T) {
 	batch := lrBatch(512, 6)
+	bv := viewOf(t, batch)
 	m := NewLogReg(53, 0)
-	initial := m.Loss(batch)
+	initial := m.LossView(bv)
 	for step := 0; step < 300; step++ {
-		g := m.Gradient(batch)
+		g := m.GradientView(bv)
 		g.Scale(-0.5)
 		m.ApplyUpdate(g)
 	}
-	final := m.Loss(batch)
+	final := m.LossView(bv)
 	if final >= initial*0.85 {
 		t.Fatalf("full-batch GD did not reduce BCE: %v -> %v", initial, final)
 	}
@@ -117,16 +141,18 @@ func TestLogRegSGDConverges(t *testing.T) {
 
 func TestLogRegEmptyBatch(t *testing.T) {
 	m := NewLogReg(10, 0.1)
-	if m.Gradient(nil).Len() != 0 {
+	bv := viewOf(t, nil)
+	if m.GradientView(bv).Len() != 0 {
 		t.Fatal("empty batch produced a gradient")
 	}
-	if m.Loss(nil) != 0 {
+	if m.LossView(bv) != 0 {
 		t.Fatal("empty batch produced loss")
 	}
 }
 
 func TestPMFGradientMatchesFiniteDifference(t *testing.T) {
 	batch, cfg := mlBatch(16, 7)
+	bv := viewOf(t, batch)
 	m := NewPMF(cfg.Users, cfg.Items, cfg.Rank, 3.5, 0, 11)
 	// The PMF gradient differentiates mean 0.5*squared error, not RMSE.
 	mse := func() float64 {
@@ -137,13 +163,14 @@ func TestPMFGradientMatchesFiniteDifference(t *testing.T) {
 		}
 		return sum / float64(len(batch))
 	}
-	numericalGradCheck(t, m, batch, mse, 1e-4)
+	numericalGradCheck(t, m, bv, mse, 1e-4)
 }
 
 func TestPMFGradientTouchesOnlyBatchRows(t *testing.T) {
 	batch, cfg := mlBatch(5, 8)
+	bv := viewOf(t, batch)
 	m := NewPMF(cfg.Users, cfg.Items, cfg.Rank, 3.5, 0.01, 12)
-	g := m.Gradient(batch)
+	g := m.GradientView(bv)
 	allowed := make(map[uint32]bool)
 	for _, s := range batch {
 		for k := 0; k < cfg.Rank; k++ {
@@ -165,16 +192,20 @@ func TestPMFSGDConvergesTowardNoiseFloor(t *testing.T) {
 	cfg := dataset.MovieLensConfig{Users: 60, Items: 120, Ratings: 8000, Rank: 6, NoiseStd: 0.5, Seed: 9}
 	ds := dataset.GenerateMovieLens(cfg)
 	m := NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 13)
-	batches := ds.Split(500)
-	initial := m.Loss(ds.Samples)
+	var batches []shard.BatchView
+	for _, b := range ds.Split(500) {
+		batches = append(batches, viewOf(t, b))
+	}
+	all := viewOf(t, ds.Samples)
+	initial := m.LossView(all)
 	for epoch := 0; epoch < 30; epoch++ {
 		for _, b := range batches {
-			g := m.Gradient(b)
+			g := m.GradientView(b)
 			g.Scale(-2.0)
 			m.ApplyUpdate(g)
 		}
 	}
-	final := m.Loss(ds.Samples)
+	final := m.LossView(all)
 	if final >= initial {
 		t.Fatalf("SGD did not reduce RMSE: %v -> %v", initial, final)
 	}
@@ -204,9 +235,10 @@ func TestPMFInitDeterministicBySeed(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	batch := lrBatch(8, 10)
+	bv := viewOf(t, batch)
 	m := NewLogReg(53, 0)
 	c := m.Clone()
-	g := m.Gradient(batch)
+	g := m.GradientView(bv)
 	g.Scale(-1)
 	c.ApplyUpdate(g)
 	// Original must be untouched.
@@ -215,16 +247,17 @@ func TestCloneIndependence(t *testing.T) {
 			t.Fatalf("clone mutation leaked into original at %d: %v", i, v)
 		}
 	}
-	if c.Loss(batch) == m.Loss(batch) {
+	if c.LossView(bv) == m.LossView(bv) {
 		t.Fatal("clone unchanged after update")
 	}
 }
 
 func TestPMFCloneIndependence(t *testing.T) {
 	batch, cfg := mlBatch(8, 11)
+	bv := viewOf(t, batch)
 	m := NewPMF(cfg.Users, cfg.Items, cfg.Rank, 3.5, 0, 14)
 	c := m.Clone()
-	g := c.Gradient(batch)
+	g := c.GradientView(bv)
 	g.Scale(-0.1)
 	c.ApplyUpdate(g)
 	same := true
@@ -237,7 +270,7 @@ func TestPMFCloneIndependence(t *testing.T) {
 	if same {
 		t.Fatal("clone parameters did not diverge after update")
 	}
-	if m.Loss(batch) == c.Loss(batch) {
+	if m.LossView(bv) == c.LossView(bv) {
 		t.Fatal("clone update did not diverge")
 	}
 }
@@ -284,6 +317,7 @@ func TestPMFParamLayout(t *testing.T) {
 
 func TestSVMGradientMatchesFiniteDifference(t *testing.T) {
 	batch := lrBatch(16, 31)
+	bv := viewOf(t, batch)
 	m := NewSVM(53, 0)
 	r := xrand.New(32)
 	for i := range m.Params() {
@@ -292,27 +326,29 @@ func TestSVMGradientMatchesFiniteDifference(t *testing.T) {
 	// The hinge is non-differentiable exactly at margin 1; with random
 	// continuous weights that event has measure zero, so the
 	// finite-difference check is valid almost surely.
-	numericalGradCheck(t, m, batch, func() float64 { return m.Loss(batch) }, 1e-4)
+	numericalGradCheck(t, m, bv, func() float64 { return m.LossView(bv) }, 1e-4)
 }
 
 func TestSVMLossAtZeroIsOne(t *testing.T) {
 	batch := lrBatch(64, 33)
+	bv := viewOf(t, batch)
 	m := NewSVM(53, 0)
-	if got := m.Loss(batch); math.Abs(got-1) > 1e-9 {
+	if got := m.LossView(bv); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("zero-model hinge = %v, want 1", got)
 	}
 }
 
 func TestSVMSubgradientDescentConverges(t *testing.T) {
 	batch := lrBatch(512, 34)
+	bv := viewOf(t, batch)
 	m := NewSVM(53, 1e-4)
-	initial := m.Loss(batch)
+	initial := m.LossView(bv)
 	for step := 0; step < 300; step++ {
-		g := m.Gradient(batch)
+		g := m.GradientView(bv)
 		g.Scale(-0.5)
 		m.ApplyUpdate(g)
 	}
-	final := m.Loss(batch)
+	final := m.LossView(bv)
 	if final >= initial*0.85 {
 		t.Fatalf("SVM did not reduce hinge loss: %v -> %v", initial, final)
 	}
@@ -324,20 +360,21 @@ func TestSVMMarginedSamplesContributeNothing(t *testing.T) {
 	m.Params()[0] = 5
 	v := sparse.New()
 	v.Set(0, 1)
-	batch := []dataset.Sample{{Features: v, Label: 1, User: -1, Item: -1}}
-	if g := m.Gradient(batch); g.Len() != 0 {
+	bv := viewOf(t, []dataset.Sample{{Features: v, Label: 1, User: -1, Item: -1}})
+	if g := m.GradientView(bv); g.Len() != 0 {
 		t.Fatalf("correctly-margined sample produced gradient %v", g)
 	}
-	if m.Loss(batch) != 0 {
+	if m.LossView(bv) != 0 {
 		t.Fatal("correctly-margined sample produced loss")
 	}
 }
 
 func TestSVMCloneIndependence(t *testing.T) {
 	batch := lrBatch(8, 35)
+	bv := viewOf(t, batch)
 	m := NewSVM(53, 0)
 	c := m.Clone()
-	g := c.Gradient(batch)
+	g := c.GradientView(bv)
 	g.Scale(-1)
 	c.ApplyUpdate(g)
 	for _, v := range m.Params() {

@@ -3,7 +3,7 @@ package model
 import (
 	"math"
 
-	"mlless/internal/dataset"
+	"mlless/internal/shard"
 	"mlless/internal/sparse"
 	"mlless/internal/xrand"
 )
@@ -21,7 +21,7 @@ type PMF struct {
 	mean               float64
 	l2                 float64
 	params             sparse.Dense
-	grad               *sparse.Vector // scratch reused across Gradient calls
+	grad               *sparse.Vector // scratch reused across GradientView calls
 }
 
 var _ Model = (*PMF)(nil)
@@ -69,23 +69,25 @@ func (m *PMF) predict(u, i int) float64 {
 	return m.mean + dot
 }
 
-// Gradient implements Model: averaged squared-error gradient with factor
-// L2. Only the factor rows of users/items present in the batch appear in
-// the sparse gradient — this is what makes PMF updates sparse and the
-// significance filter effective (§6.2).
-func (m *PMF) Gradient(batch []dataset.Sample) *sparse.Vector {
+// GradientView implements Model: averaged squared-error gradient with
+// factor L2. Only the factor rows of users/items present in the batch
+// appear in the sparse gradient — this is what makes PMF updates sparse
+// and the significance filter effective (§6.2).
+func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
+	n := b.Len()
 	if m.grad == nil {
-		m.grad = sparse.NewWithCapacity(2 * m.rank * len(batch))
+		m.grad = sparse.NewWithCapacity(2 * m.rank * n)
 	}
 	g := m.grad
 	g.Clear()
-	if len(batch) == 0 {
+	if n == 0 {
 		return g
 	}
-	inv := 1 / float64(len(batch))
-	for _, s := range batch {
-		uo, io := m.userOff(s.User), m.itemOff(s.Item)
-		e := m.predict(s.User, s.Item) - s.Label
+	inv := 1 / float64(n)
+	for s := 0; s < n; s++ {
+		u, i := b.User(s), b.Item(s)
+		uo, io := m.userOff(u), m.itemOff(i)
+		e := m.predict(u, i) - b.Rating(s)
 		for k := 0; k < m.rank; k++ {
 			uk, ik := m.params[uo+k], m.params[io+k]
 			g.Add(uint32(uo+k), inv*(e*ik+m.l2*uk))
@@ -95,17 +97,18 @@ func (m *PMF) Gradient(batch []dataset.Sample) *sparse.Vector {
 	return g
 }
 
-// Loss implements Model: RMSE over the batch (the paper's PMF metric).
-func (m *PMF) Loss(batch []dataset.Sample) float64 {
-	if len(batch) == 0 {
+// LossView implements Model: RMSE over the batch (the paper's PMF metric).
+func (m *PMF) LossView(b shard.BatchView) float64 {
+	n := b.Len()
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, s := range batch {
-		e := m.predict(s.User, s.Item) - s.Label
+	for s := 0; s < n; s++ {
+		e := m.predict(b.User(s), b.Item(s)) - b.Rating(s)
 		sum += e * e
 	}
-	return math.Sqrt(sum / float64(len(batch)))
+	return math.Sqrt(sum / float64(n))
 }
 
 // ApplyUpdate implements Model.

@@ -176,9 +176,9 @@ func (s *Store) GetRangeView(clk *vclock.Clock, bucket, key string, off, length 
 
 // PeekView returns a zero-copy view of bucket/key without charging any
 // virtual time: simulator-side access for caches that parse an object
-// once while billing every read through Get/GetRangeView — the shard
-// tier's analogue of dataset.Cache's decode-once bookkeeping. The view
-// follows the same immutable-snapshot contract as GetRangeView.
+// once while billing every read through Get/GetRangeView
+// (dataset.ShardCache's parse-once bookkeeping). The view follows the
+// same immutable-snapshot contract as GetRangeView.
 func (s *Store) PeekView(bucket, key string) ([]byte, bool) {
 	return s.lookup(bucket, key)
 }

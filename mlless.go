@@ -8,7 +8,8 @@
 // cloud: a FaaS platform with cold starts, memory-proportional CPU and
 // per-GB-second billing; a Redis-like key-value store carrying model
 // updates; a broker carrying control messages; and an object store
-// holding mini-batches. Wall-clock time and dollar costs are produced by
+// holding mini-batches as columnar shards. Wall-clock time and dollar
+// costs are produced by
 // a calibrated analytical model driven by the real byte counts and
 // floating-point work of the algorithms.
 //
@@ -24,8 +25,10 @@
 // Quickstart:
 //
 //	cluster := mlless.NewCluster()
-//	ds := mlless.GenerateCriteo(mlless.DefaultCriteoConfig())
-//	n := mlless.StageDataset(cluster, ds, "train", 1250, 1)
+//	cfg := mlless.DefaultCriteoConfig()
+//	ds := mlless.GenerateCriteo(cfg)
+//	mlless.NormalizeInMemory(ds, cfg.NumericFeatures)
+//	n := mlless.StageDatasetShards(cluster, ds, "train", 1250, 0, 1)
 //	job := mlless.Job{
 //		Spec:       mlless.Spec{Workers: 12, Sync: mlless.ISP, Significance: 0.7, TargetLoss: 0.58},
 //		Model:      mlless.NewLogReg(ds.FeatureDim, 1e-4),
@@ -131,7 +134,8 @@ func WriteStepTimeline(w io.Writer, tr *Tracer) error {
 // ML types.
 type (
 	// Model is a trainable ML model over a flat parameter vector;
-	// implement it to train custom models on MLLess.
+	// implement it (loss and gradient over a BatchView) to train custom
+	// models on MLLess.
 	Model = model.Model
 	// Optimizer turns mini-batch gradients into parameter updates.
 	Optimizer = optimizer.Optimizer
@@ -163,7 +167,9 @@ type (
 	// generator.
 	MovieLensConfig = dataset.MovieLensConfig
 	// BatchView is a zero-copy view of one staged mini-batch, the
-	// argument of Model.LossView and Model.GradientView.
+	// argument of Model.LossView and Model.GradientView: Len samples,
+	// each either a rating (User, Item, Rating) or a label plus sorted
+	// sparse features (Label, Dot, ForEachPair).
 	BatchView = shard.BatchView
 )
 
@@ -313,46 +319,23 @@ func GenerateMovieLens(cfg MovieLensConfig) *Dataset {
 	return dataset.GenerateMovieLens(cfg)
 }
 
-// StageDataset shuffles ds deterministically into mini-batches of size
-// batchSize and uploads them to the cluster's object store under bucket,
-// returning the staged batch count. For Criteo-shaped data, run
-// NormalizeDataset first.
-func StageDataset(cl *Cluster, ds *Dataset, bucket string, batchSize int, seed uint64) int {
-	var clk vclock.Clock
-	return dataset.Stage(ds, cl.COS, &clk, bucket, batchSize, seed)
-}
+// DataShard is the only value Spec.Data accepts besides "": the one
+// data tier (see internal/shard and DESIGN.md §13). benchmark/ still
+// sets it; the next benchmark-archetype PR removes it with Spec.Data.
+const DataShard = core.DataShard
 
-// NormalizeDataset min-max scales the numeric features of staged
-// mini-batches via the two-pass map-reduce of §3.2.
-func NormalizeDataset(cl *Cluster, bucket string, numBatches, numericFeatures int) error {
-	var clk vclock.Clock
-	return dataset.NormalizeMinMax(cl.COS, &clk, bucket, numBatches, numericFeatures)
-}
-
-// Streaming columnar dataset tier (see internal/shard and DESIGN.md
-// §13): the default. Spec.Data = DataBatch selects the row-encoded
-// tier instead.
-const (
-	// DataBatch selects the row-encoded mini-batch tier.
-	DataBatch = core.DataBatch
-	// DataShard selects the zero-copy columnar shard tier (default).
-	DataShard = core.DataShard
-)
-
-// StageDatasetShards stages ds on the columnar shard tier: the same
-// deterministic shuffle as StageDataset, packed batchesPerShard batches
-// per shard blob (0 selects the default of 8) plus a manifest. Jobs
-// over the bucket must set Spec.Data = DataShard. For Criteo-shaped
-// data, run NormalizeInMemory before staging; the two tiers then train
-// bit-identically.
+// StageDatasetShards shuffles ds deterministically into mini-batches of
+// size batchSize and uploads them to the cluster's object store under
+// bucket as columnar shards — batchesPerShard batches per shard blob (0
+// selects the default of 8) plus a manifest — returning the staged
+// batch count. For Criteo-shaped data, run NormalizeInMemory first.
 func StageDatasetShards(cl *Cluster, ds *Dataset, bucket string, batchSize, batchesPerShard int, seed uint64) int {
 	var clk vclock.Clock
 	return dataset.StageShards(ds, cl.COS, &clk, bucket, batchSize, batchesPerShard, seed)
 }
 
-// NormalizeInMemory min-max scales the numeric features of an
-// in-memory dataset — the pre-staging counterpart of NormalizeDataset,
-// producing bit-identical samples.
+// NormalizeInMemory min-max scales the first numericFeatures
+// coordinates of an in-memory dataset to [0, 1], before staging.
 func NormalizeInMemory(ds *Dataset, numericFeatures int) {
 	dataset.NormalizeInPlace(ds, numericFeatures)
 }
