@@ -87,19 +87,28 @@ func (v Variant) String() string {
 // accumulated residual δ of not-yet-broadcast updates. The zero value is
 // unusable; construct with NewFilter. Filter is not safe for concurrent
 // use: each worker owns one.
+//
+// The residual is state as wide as the model, so it is indexed by
+// coordinate: res is a dense array sized to the parameter vector on the
+// first Add under a non-zero threshold, and live lists the coordinates
+// it holds. Invariant, between Adds: live names exactly the coordinates
+// with res[i] != 0, each once, in no particular order. It holds because
+// an update's keys are unique (a coordinate joins live only when its
+// residual leaves zero) and because Add's single pass over live drops
+// whatever it zeroes. There is no sparse fallback for very wide models:
+// every model already keeps its parameters as a dense vector of the same
+// width, so the residual at most doubles a worker's model memory.
 type Filter struct {
 	v       float64
 	variant Variant
 
-	residual *sparse.Vector
+	res  []float64
+	live []uint32
 
-	// Scratch reused across Add calls.
-	out   *sparse.Vector
-	flush []uint32
+	// out is the scratch Add returns, reused across calls.
+	out *sparse.Vector
 
-	// Stats.
-	flushed     int64
-	accumulated int64
+	flushed int64
 }
 
 // NewFilter returns the paper's filter with base significance threshold
@@ -114,7 +123,7 @@ func NewFilterVariant(v float64, variant Variant) *Filter {
 	if v < 0 {
 		v = 0
 	}
-	return &Filter{v: v, variant: variant, residual: sparse.New()}
+	return &Filter{v: v, variant: variant, out: sparse.New()}
 }
 
 // Threshold returns v_t = v/√t for 1-based step t (constant v for the
@@ -133,92 +142,117 @@ func (f *Filter) Threshold(t int) float64 {
 // significant portion to broadcast, removing it from the residual.
 // params is the worker's current (noisy) parameter vector x̃_t against
 // which relative significance is measured. A parameter whose current
-// value is zero is treated as maximally significant whenever its residual
-// is non-zero (the relative change is unbounded).
+// value is zero — or whose coordinate lies outside params — is treated
+// as maximally significant whenever its residual is non-zero (the
+// relative change is unbounded).
 //
 // The returned vector is scratch owned by the filter and valid only
 // until the next Add; callers that retain it must Clone.
 func (f *Filter) Add(t int, u *sparse.Vector, params sparse.Dense) *sparse.Vector {
-	f.residual.AddVector(u)
-	vt := f.Threshold(t)
-
-	if f.out == nil {
-		f.out = sparse.NewWithCapacity(f.residual.Len())
-	} else {
-		f.out.Clear()
-	}
 	out := f.out
-	if vt == 0 {
-		// BSP fast path: flush everything.
-		f.residual.ForEach(func(i uint32, delta float64) {
-			out.Set(i, delta)
-		})
+	vt := f.Threshold(t)
+	if vt == 0 && len(f.live) == 0 {
+		// BSP: everything is significant and nothing is withheld, so the
+		// update passes through and no residual is ever allocated.
+		out.CopyFrom(u)
 		f.flushed += int64(out.Len())
-		f.residual.Clear()
 		return out
 	}
 
-	if f.variant == Drop {
-		// Naive filtering: significant coordinates pass through, the
-		// rest are lost forever.
-		f.residual.ForEach(func(i uint32, delta float64) {
-			x := 0.0
-			if int(i) < len(params) {
-				x = params[i]
-			}
-			if (x == 0 && delta != 0) || (x != 0 && math.Abs(delta/x) > vt) {
-				out.Set(i, delta)
-			}
-		})
-		f.flushed += int64(out.Len())
-		f.residual.Clear()
-		return out
+	if len(f.res) < len(params) {
+		f.widen(len(params))
 	}
+	u.ForEach(func(i uint32, val float64) {
+		if int(i) >= len(f.res) {
+			f.widen(int(i) + 1)
+		}
+		if f.res[i] == 0 {
+			f.live = append(f.live, i)
+		}
+		f.res[i] += val
+	})
 
-	flush := f.flush[:0]
-	f.residual.ForEach(func(i uint32, delta float64) {
+	// One compacting pass: flush what is significant, keep the rest.
+	out.Clear()
+	keep := f.live[:0]
+	for _, i := range f.live {
+		delta := f.res[i]
+		if delta == 0 {
+			continue // cancelled exactly: no longer withheld
+		}
 		x := 0.0
 		if int(i) < len(params) {
 			x = params[i]
 		}
-		significant := false
-		if x == 0 {
-			significant = delta != 0
-		} else {
-			significant = math.Abs(delta/x) > vt
-		}
-		if significant {
+		switch {
+		case x == 0 || math.Abs(delta/x) > vt:
 			out.Set(i, delta)
-			flush = append(flush, i)
+			f.res[i] = 0
+		case f.variant == Drop:
+			// Naive filtering: the insignificant part is lost forever.
+			f.res[i] = 0
+		default:
+			keep = append(keep, i)
 		}
-	})
-	for _, i := range flush {
-		f.residual.Remove(i)
 	}
-	f.flush = flush[:0]
+	f.live = keep
 	f.flushed += int64(out.Len())
-	f.accumulated += int64(f.residual.Len())
 	return out
+}
+
+// widen grows the residual to cover n coordinates.
+func (f *Filter) widen(n int) {
+	f.res = append(f.res, make([]float64, n-len(f.res))...)
+}
+
+// ResidualView is a read-only view of a filter's residual.
+type ResidualView struct{ f *Filter }
+
+// Len reports the number of withheld coordinates.
+func (r ResidualView) Len() int { return len(r.f.live) }
+
+// Get returns the withheld update at coordinate i (0 when none).
+func (r ResidualView) Get(i uint32) float64 {
+	if int(i) < len(r.f.res) {
+		return r.f.res[i]
+	}
+	return 0
+}
+
+// ForEach calls fn for every withheld coordinate, in unspecified order.
+func (r ResidualView) ForEach(fn func(i uint32, delta float64)) {
+	for _, i := range r.f.live {
+		fn(i, r.f.res[i])
+	}
 }
 
 // Residual exposes the accumulated non-significant updates δ. The
 // scale-in eviction protocol needs it: a leaving worker's local replica
 // already contains these updates, which is why its model is stored and
 // averaged into the survivors (§4.2, eviction policy).
-func (f *Filter) Residual() *sparse.Vector { return f.residual }
+func (f *Filter) Residual() ResidualView { return ResidualView{f} }
 
 // PendingL1 returns the taxicab mass of the residual, a measure of how
-// much state the filter is currently withholding.
-func (f *Filter) PendingL1() float64 { return f.residual.NormL1() }
+// much state the filter is currently withholding (summed in ascending
+// coordinate order, so it is deterministic).
+func (f *Filter) PendingL1() float64 {
+	sum := 0.0
+	for _, delta := range f.res {
+		sum += math.Abs(delta)
+	}
+	return sum
+}
 
 // FlushedEntries returns the cumulative count of broadcast coordinates.
 func (f *Filter) FlushedEntries() int64 { return f.flushed }
 
-// Reset clears the residual and statistics.
+// Reset clears the residual and statistics, keeping the storage.
 func (f *Filter) Reset() {
-	f.residual = sparse.New()
+	for _, i := range f.live {
+		f.res[i] = 0
+	}
+	f.live = f.live[:0]
 	f.flushed = 0
-	f.accumulated = 0
 }
 
 // BaseThreshold returns the configured v.

@@ -208,7 +208,7 @@ func TestFlushedPlusResidualEqualsTotal(t *testing.T) {
 			flushed.AddVector(f.Add(step, u, params))
 		}
 		recon := flushed.Clone()
-		recon.AddVector(f.Residual())
+		f.Residual().ForEach(recon.Add)
 		diff := recon.Clone()
 		diff.AddScaledVector(total, -1)
 		return diff.NormL1() < 1e-9
@@ -311,4 +311,201 @@ func TestDropVariantPassesSignificant(t *testing.T) {
 	if out.Get(1) != 3 {
 		t.Fatal("zero-param coordinate must be significant under Drop too")
 	}
+}
+
+// refFilter is the algorithm Filter replaced, kept as the oracle: a map
+// residual that every Add folds the update into and then walks whole.
+type refFilter struct {
+	variant   Variant
+	residual  map[uint32]float64
+	flushed   int64
+	cancelled int
+}
+
+func (r *refFilter) add(vt float64, u *sparse.Vector, params sparse.Dense) *sparse.Vector {
+	u.ForEach(func(i uint32, val float64) {
+		if s := r.residual[i] + val; s == 0 {
+			delete(r.residual, i)
+			r.cancelled++
+		} else {
+			r.residual[i] = s
+		}
+	})
+	out := sparse.New()
+	for i, delta := range r.residual {
+		x := 0.0
+		if int(i) < len(params) {
+			x = params[i]
+		}
+		significant := vt == 0 || x == 0 || math.Abs(delta/x) > vt
+		if significant {
+			out.Set(i, delta)
+		}
+		if significant || r.variant == Drop {
+			delete(r.residual, i)
+		}
+	}
+	r.flushed += int64(out.Len())
+	return out
+}
+
+// checkLive asserts the invariant Add relies on: live names exactly the
+// coordinates whose residual is non-zero, each once.
+func checkLive(t *testing.T, f *Filter) {
+	t.Helper()
+	seen := map[uint32]bool{}
+	for _, i := range f.live {
+		if seen[i] || f.res[i] == 0 {
+			t.Fatalf("live coordinate %d: listed twice %v, residual %v", i, seen[i], f.res[i])
+		}
+		seen[i] = true
+	}
+	for i, delta := range f.res {
+		if delta != 0 && !seen[uint32(i)] {
+			t.Fatalf("coordinate %d holds %v but is not live", i, delta)
+		}
+	}
+}
+
+func TestFilterMatchesMapReference(t *testing.T) {
+	const dim, beyond = 60, 5 // updates also name 5 coordinates outside params
+	for _, variant := range []Variant{Accumulate, Drop, NoDecay} {
+		for vi, v := range []float64{0, 0.01, 0.7} {
+			r := xrand.New(uint64(10*int(variant) + vi + 1))
+			f := NewFilterVariant(v, variant)
+			ref := &refFilter{variant: variant, residual: map[uint32]float64{}}
+			params := sparse.NewDense(dim)
+			for i := range params {
+				// Mixed magnitudes, so that at every v some updates flush at
+				// once and others wait long enough to cancel.
+				params[i] = []float64{1, 50, 5000}[i%3] * r.NormFloat64()
+			}
+			params[3], params[17] = 0, 0 // zero parameters: significant whenever non-zero
+			allZero := sparse.NewDense(dim)
+			emptied, refilled := false, false
+			for step := 1; step <= 400; step++ {
+				u := sparse.New()
+				for k := 0; k < 8; k++ {
+					i := uint32(r.Intn(dim + beyond))
+					if r.Intn(2) == 0 {
+						u.Set(i, float64(r.Intn(5)-2)) // integers: residuals cancel exactly
+					} else {
+						u.Set(i, 0.05*r.NormFloat64())
+					}
+				}
+				p, flushAll := params, step%100 == 0
+				if flushAll {
+					p = allZero // everything is significant: the residual empties, then refills
+				}
+				got, want := f.Add(step, u, p), ref.add(f.Threshold(step), u, p)
+				if string(got.Encode()) != string(want.Encode()) {
+					t.Fatalf("%v v=%v step %d: flushed %v, reference %v", variant, v, step, got, want)
+				}
+				if f.FlushedEntries() != ref.flushed {
+					t.Fatalf("%v v=%v step %d: FlushedEntries %d, reference %d", variant, v, step, f.FlushedEntries(), ref.flushed)
+				}
+				res := f.Residual()
+				if res.Len() != len(ref.residual) {
+					t.Fatalf("%v v=%v step %d: residual holds %d, reference %d", variant, v, step, res.Len(), len(ref.residual))
+				}
+				visited := 0
+				res.ForEach(func(i uint32, delta float64) {
+					visited++
+					if want, ok := ref.residual[i]; !ok || math.Float64bits(delta) != math.Float64bits(want) {
+						t.Fatalf("%v v=%v step %d: residual[%d] = %v, reference %v (present %v)", variant, v, step, i, delta, want, ok)
+					}
+				})
+				if visited != res.Len() {
+					t.Fatalf("%v v=%v step %d: ForEach visited %d of %d", variant, v, step, visited, res.Len())
+				}
+				for i := uint32(0); i < dim+beyond+1; i++ {
+					if res.Get(i) != ref.residual[i] {
+						t.Fatalf("%v v=%v step %d: Get(%d) = %v, reference %v", variant, v, step, i, res.Get(i), ref.residual[i])
+					}
+				}
+				checkLive(t, f)
+				emptied = emptied || flushAll && res.Len() == 0
+				refilled = refilled || emptied && res.Len() > 0
+				params.AddSparse(got)
+			}
+			if withholds := v > 0 && variant != Drop; withholds && !(emptied && refilled && ref.cancelled > 0) {
+				t.Fatalf("%v v=%v: sequence too tame: emptied %v, refilled %v, %d exact cancellations",
+					variant, v, emptied, refilled, ref.cancelled)
+			}
+		}
+	}
+}
+
+// filterWorkload builds a parameter vector and a cycle of updates shaped
+// like the headline PMF run, scaled by dim: each update touches a fifth
+// of the coordinates, all among the 62 % that are ever touched (cold
+// factor rows are not), which at v = 0.7, t = 100 leaves about half the
+// coordinates in the residual and flushes about 15 % of each update.
+func filterWorkload(dim int) (sparse.Dense, []*sparse.Vector) {
+	r := xrand.New(41)
+	params := sparse.NewDense(dim)
+	for i := range params {
+		params[i] = r.NormFloat64()
+	}
+	updates := make([]*sparse.Vector, 16)
+	for k := range updates {
+		u := sparse.New()
+		for u.Len() < dim/5 {
+			u.Set(uint32(r.Intn(dim*62/100)), 0.01*r.NormFloat64())
+		}
+		updates[k] = u
+	}
+	return params, updates
+}
+
+func TestFilterAddSteadyStateDoesNotAllocate(t *testing.T) {
+	params, updates := filterWorkload(5000)
+	for _, v := range []float64{0.7, 0} { // ISP, BSP
+		f := NewFilter(v)
+		step := 0
+		add := func() {
+			f.Add(100, updates[step%len(updates)], params)
+			step++
+		}
+		for step < 200 { // residual, live list and out reach their steady sizes
+			add()
+		}
+		if n := testing.AllocsPerRun(50, add); n != 0 {
+			t.Fatalf("v=%v: steady-state Add allocated %v per run", v, n)
+		}
+	}
+}
+
+func TestBSPFilterAllocatesNoResidual(t *testing.T) {
+	params, updates := filterWorkload(5000)
+	f := NewFilter(0)
+	for step, u := range updates {
+		if out := f.Add(step+1, u, params); !out.Equal(u) {
+			t.Fatalf("step %d: v=0 filter altered the update", step+1)
+		}
+	}
+	if f.res != nil || f.live != nil {
+		t.Fatalf("BSP filter allocated a residual: %d coordinates, %d live", len(f.res), cap(f.live))
+	}
+}
+
+// BenchmarkFilterAdd measures Add at the shape of pmf-isp-autotune: 72 k
+// parameters, 15 k-entry updates, v = 0.7, residual at its steady state.
+func BenchmarkFilterAdd(b *testing.B) {
+	params, updates := filterWorkload(72000)
+	f := NewFilter(0.7)
+	for step := 1; step <= 100; step++ {
+		f.Add(step, updates[step%len(updates)], params)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	offered, before, residual := 0, f.FlushedEntries(), 0
+	for i := 0; i < b.N; i++ {
+		u := updates[i%len(updates)]
+		f.Add(100, u, params)
+		offered += u.Len()
+		residual += f.Residual().Len()
+	}
+	b.ReportMetric(float64(f.FlushedEntries()-before)/float64(offered), "flush_ratio")
+	b.ReportMetric(float64(residual)/float64(b.N), "residual_nnz")
 }

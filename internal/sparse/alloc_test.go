@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"mlless/internal/xrand"
@@ -210,6 +211,33 @@ func TestCopyFromDoesNotAllocateWhenSized(t *testing.T) {
 		dst.CopyFrom(src)
 	}); n != 0 {
 		t.Fatalf("CopyFrom (sized) allocated %v per run", n)
+	}
+}
+
+// TestVectorGrowthAllocatesLikeTheTable pins the one growth rule: the
+// entry arrays are allocated in lock-step with the table, at ¾ of its
+// size — 4 + ¾·12 = 13 bytes per slot — never by append's own policy,
+// which would let the simulator's allocation volume drift with the
+// runtime's.
+func TestVectorGrowthAllocatesLikeTheTable(t *testing.T) {
+	const entries = 40000
+	slots := 0 // Σ table sizes a vector passes through on its way to 40 k entries
+	for size := minCapacity; ; size *= 2 {
+		slots += size
+		if size/4*3 >= entries {
+			break
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v := New()
+	for i := uint32(0); i < entries; i++ {
+		v.Set(i*7, 1)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(13*slots) * 105 / 100; got > limit { // 5 %: size-class rounding
+		t.Fatalf("growing to %d entries allocated %d bytes, want ≤ %d (13 B × %d slots)", v.Len(), got, limit, slots)
 	}
 }
 

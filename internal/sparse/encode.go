@@ -54,8 +54,8 @@ func (v *Vector) EncodeTo(buf []byte) []byte {
 	buf = ensureCap(buf, need)
 	start := len(buf)
 	buf = buf[:start+need]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(v.n))
-	if v.n == 0 {
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(v.idx)))
+	if len(v.idx) == 0 {
 		return buf
 	}
 	off := start + sparseHeaderSize

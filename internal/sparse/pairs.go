@@ -1,16 +1,17 @@
 package sparse
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// Sorted-pair extraction: the shared fast path behind ForEachSorted,
-// Dot, the norms and Encode. The older implementation materialized a
-// fresh Indices() slice and then re-probed the hash table once per entry
-// (findSlot per index) to recover the values; on the simulator's hottest
-// loops that cost one allocation plus n extra probe chains per
-// reduction. Instead we copy the occupied (index, value) pairs into a
-// reusable scratch and radix-sort the pairs in one go, moving values
-// alongside their indices, so a sorted pass costs zero allocations and
-// zero re-probes in the steady state.
+// Sorted-pair extraction: the shared path behind ForEachSorted, Dot,
+// the norms and Encode. A vector's entries are already two compact
+// arrays, so extraction copies them into a reusable scratch and — unless
+// they already ascend, as they do when the vector was decoded or filled
+// by an ascending producer — radix-sorts the pairs in one go, moving
+// values alongside their indices: a sorted pass costs zero allocations
+// and zero table probes in the steady state.
 //
 // The scratch (including the radix sort's swap buffers) is pooled
 // rather than hung off the Vector: mini-batch feature vectors are shared
@@ -25,32 +26,28 @@ type pairScratch struct {
 
 var pairPool = sync.Pool{New: func() any { return new(pairScratch) }}
 
-// extract fills the scratch with v's occupied pairs sorted by ascending
-// index and returns the index/value slices (views into the scratch,
-// valid until the scratch is released).
+// extract fills the scratch with v's pairs sorted by ascending index and
+// returns the index/value slices (views into the scratch, valid until
+// the scratch is released).
 func (ps *pairScratch) extract(v *Vector) ([]uint32, []float64) {
-	n := v.n
+	n := len(v.idx)
 	if cap(ps.idx) < n {
 		ps.idx = make([]uint32, n)
 		ps.val = make([]float64, n)
 	}
 	idx, val := ps.idx[:n], ps.val[:n]
-	k := 0
-	for s, occ := range v.occ {
-		if occ {
-			idx[k] = v.keys[s]
-			val[k] = v.vals[s]
-			k++
-		}
+	copy(idx, v.idx)
+	copy(val, v.val)
+	if !slices.IsSorted(idx) {
+		ps.sortPairs(idx, val)
 	}
-	ps.sortPairs(idx, val)
 	return idx, val
 }
 
 // sortPairs sorts idx ascending, moving val along. Small inputs use
 // insertion sort; larger ones an LSD byte-wise radix sort over the
 // scratch's reusable swap buffers, skipping passes whose byte is
-// constant zero (the same pass-skipping as radixSortUint32).
+// constant zero.
 func (ps *pairScratch) sortPairs(idx []uint32, val []float64) {
 	n := len(idx)
 	if n < 64 {

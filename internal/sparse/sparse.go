@@ -5,11 +5,14 @@
 // exactly as serialized update size determined Redis traffic in the
 // paper's prototype.
 //
-// Vector is backed by a purpose-built open-addressing hash table
-// (uint32 keys, linear probing, backward-shift deletion) rather than a
-// Go map: sparse-update accumulation is the simulator's hottest loop,
-// and the specialized table roughly halves its cost. Sorted extraction
-// uses an LSD radix sort.
+// Vector keeps its entries compactly, in the order they were inserted,
+// and finds them through a purpose-built open-addressing index (uint32
+// keys, Fibonacci hashing, linear probing, backward-shift deletion)
+// rather than a Go map: sparse-update accumulation is the simulator's
+// hottest loop, and every whole-vector operation (ForEach, Scale, copy,
+// extraction) is a branch-free walk over exactly Len entries. Sorted
+// extraction uses an LSD radix sort, skipped when the entries already
+// ascend.
 package sparse
 
 import (
@@ -24,11 +27,18 @@ import (
 // Indices must fit in uint32 (the binary encoding uses 4-byte indices);
 // the largest model in the repository (PMF on the MovieLens-20M-scale
 // dataset) has well under 2^32 parameters.
+//
+// Entry k is (idx[k], val[k]); entries sit in insertion order, except
+// that Remove moves the last entry into the position it frees. tab is a
+// power-of-two table mapping a slot to entry position + 1 (0 = empty).
+// idx and val are always allocated at exactly ¾ of len(tab) — the load
+// factor — so a full entry array is the signal to grow and append never
+// reallocates: memory is 4 + ¾·12 = 13 bytes per slot, whatever the
+// runtime's slice growth policy.
 type Vector struct {
-	keys []uint32
-	vals []float64
-	occ  []bool
-	n    int
+	idx []uint32
+	val []float64
+	tab []uint32
 }
 
 // minCapacity is the initial table size (power of two).
@@ -41,18 +51,26 @@ func New() *Vector { return &Vector{} }
 // before the first grow.
 func NewWithCapacity(n int) *Vector {
 	v := &Vector{}
-	v.init(n)
+	v.alloc(tableSize(n))
 	return v
 }
 
-func (v *Vector) init(entries int) {
+// tableSize returns the smallest table that holds entries under the ¾
+// load factor.
+func tableSize(entries int) int {
 	capacity := minCapacity
-	for capacity*3 < entries*4 { // keep load factor under 3/4
+	for capacity*3 < entries*4 {
 		capacity *= 2
 	}
-	v.keys = make([]uint32, capacity)
-	v.vals = make([]float64, capacity)
-	v.occ = make([]bool, capacity)
+	return capacity
+}
+
+// alloc replaces the storage with an empty table of the given size and
+// entry arrays of ¾ that capacity.
+func (v *Vector) alloc(capacity int) {
+	v.tab = make([]uint32, capacity)
+	v.idx = make([]uint32, 0, capacity/4*3)
+	v.val = make([]float64, 0, capacity/4*3)
 }
 
 // hash spreads a key over the table (Fibonacci hashing).
@@ -60,54 +78,70 @@ func hashKey(k uint32, mask uint32) uint32 {
 	return (k * 2654435761) & mask
 }
 
-// findSlot returns the slot of key i or, if absent, the slot where it
-// would be inserted. ok reports presence.
-func (v *Vector) findSlot(i uint32) (slot uint32, ok bool) {
-	mask := uint32(len(v.keys) - 1)
+// find returns the slot of key i and its entry position + 1 or, if
+// absent, the empty slot where it would be inserted and 0.
+func (v *Vector) find(i uint32) (slot, e uint32) {
+	mask := uint32(len(v.tab) - 1)
 	slot = hashKey(i, mask)
-	for v.occ[slot] {
-		if v.keys[slot] == i {
-			return slot, true
+	for {
+		e = v.tab[slot]
+		if e == 0 || v.idx[e-1] == i {
+			return slot, e
 		}
 		slot = (slot + 1) & mask
 	}
-	return slot, false
 }
 
+// grow doubles the table, keeping the entries and their order.
 func (v *Vector) grow() {
-	oldKeys, oldVals, oldOcc := v.keys, v.vals, v.occ
-	capacity := len(oldKeys) * 2
-	v.keys = make([]uint32, capacity)
-	v.vals = make([]float64, capacity)
-	v.occ = make([]bool, capacity)
-	v.n = 0
-	for s := range oldKeys {
-		if oldOcc[s] {
-			v.insert(oldKeys[s], oldVals[s])
-		}
+	idx, val := v.idx, v.val
+	v.alloc(len(v.tab) * 2)
+	v.idx = append(v.idx, idx...)
+	v.val = append(v.val, val...)
+	for k, i := range v.idx {
+		v.tab[v.emptySlot(i)] = uint32(k + 1)
 	}
 }
 
-// insert places a (key, val) pair known to be absent; val must be
-// non-zero.
+// emptySlot returns the slot where key i, known to be absent, belongs.
+func (v *Vector) emptySlot(i uint32) uint32 {
+	mask := uint32(len(v.tab) - 1)
+	slot := hashKey(i, mask)
+	for v.tab[slot] != 0 {
+		slot = (slot + 1) & mask
+	}
+	return slot
+}
+
+// insert appends a (key, val) pair known to be absent; val must be
+// non-zero and the table must have room.
 func (v *Vector) insert(i uint32, val float64) {
-	slot, _ := v.findSlot(i)
-	v.keys[slot] = i
-	v.vals[slot] = val
-	v.occ[slot] = true
-	v.n++
+	v.insertAt(v.emptySlot(i), i, val)
+}
+
+// insertAt appends an absent (key, val) pair whose empty slot find
+// already located, growing first when the entry arrays are full (the
+// table is at its load factor).
+func (v *Vector) insertAt(slot, i uint32, val float64) {
+	if len(v.idx) == cap(v.idx) {
+		v.grow()
+		slot = v.emptySlot(i)
+	}
+	v.idx = append(v.idx, i)
+	v.val = append(v.val, val)
+	v.tab[slot] = uint32(len(v.idx))
 }
 
 // Len reports the number of non-zero entries.
-func (v *Vector) Len() int { return v.n }
+func (v *Vector) Len() int { return len(v.idx) }
 
 // Get returns the value at index i (0 when absent).
 func (v *Vector) Get(i uint32) float64 {
-	if v.n == 0 {
+	if len(v.idx) == 0 {
 		return 0
 	}
-	if slot, ok := v.findSlot(i); ok {
-		return v.vals[slot]
+	if _, e := v.find(i); e != 0 {
+		return v.val[e-1]
 	}
 	return 0
 }
@@ -119,87 +153,96 @@ func (v *Vector) Set(i uint32, val float64) {
 		v.Remove(i)
 		return
 	}
-	if v.keys == nil {
-		v.init(0)
+	if v.tab == nil {
+		v.alloc(minCapacity)
 	}
-	if slot, ok := v.findSlot(i); ok {
-		v.vals[slot] = val
+	slot, e := v.find(i)
+	if e != 0 {
+		v.val[e-1] = val
 		return
 	}
-	if (v.n+1)*4 > len(v.keys)*3 {
-		v.grow()
-	}
-	v.insert(i, val)
+	v.insertAt(slot, i, val)
 }
 
 // Add accumulates val into index i, removing the entry if the sum
 // cancels to exactly zero.
 func (v *Vector) Add(i uint32, val float64) {
-	if v.keys == nil {
+	if v.tab == nil {
 		if val == 0 {
 			return
 		}
-		v.init(0)
+		v.alloc(minCapacity)
 	}
-	slot, ok := v.findSlot(i)
-	if ok {
-		s := v.vals[slot] + val
+	slot, e := v.find(i)
+	if e != 0 {
+		s := v.val[e-1] + val
 		if s == 0 {
-			v.removeSlot(slot)
+			v.removeAt(slot)
 			return
 		}
-		v.vals[slot] = s
+		v.val[e-1] = s
 		return
 	}
 	if val == 0 {
 		return
 	}
-	if (v.n+1)*4 > len(v.keys)*3 {
-		v.grow()
-	}
-	v.insert(i, val)
+	v.insertAt(slot, i, val)
 }
 
 // Remove deletes the entry at index i and returns its previous value.
 func (v *Vector) Remove(i uint32) float64 {
-	if v.n == 0 {
+	if len(v.idx) == 0 {
 		return 0
 	}
-	slot, ok := v.findSlot(i)
-	if !ok {
+	slot, e := v.find(i)
+	if e == 0 {
 		return 0
 	}
-	val := v.vals[slot]
-	v.removeSlot(slot)
+	val := v.val[e-1]
+	v.removeAt(slot)
 	return val
 }
 
-// removeSlot deletes an occupied slot using backward-shift deletion
-// (Knuth, TAOCP 6.4 algorithm R), preserving probe chains without
-// tombstones: scan forward to the next empty slot, moving back every
-// entry whose probe path crosses the hole.
-func (v *Vector) removeSlot(slot uint32) {
-	mask := uint32(len(v.keys) - 1)
+// removeAt deletes the entry an occupied slot points at. The last entry
+// moves into the freed position (and its slot is repointed) so the entry
+// arrays stay compact; the table hole is then closed by backward-shift
+// deletion (Knuth, TAOCP 6.4 algorithm R), preserving probe chains
+// without tombstones: scan forward to the next empty slot, moving back
+// every slot whose key's probe path crosses the hole.
+func (v *Vector) removeAt(slot uint32) {
+	mask := uint32(len(v.tab) - 1)
+	p, last := v.tab[slot]-1, uint32(len(v.idx)-1)
+	if p != last {
+		// Repoint before touching the table: the probe chain that leads
+		// to the last entry's slot may run through the one being freed.
+		s := hashKey(v.idx[last], mask)
+		for v.tab[s] != last+1 {
+			s = (s + 1) & mask
+		}
+		v.tab[s] = p + 1
+		v.idx[p], v.val[p] = v.idx[last], v.val[last]
+	}
+	v.idx, v.val = v.idx[:last], v.val[:last]
+
 	hole := slot
 	j := hole
 	for {
 		j = (j + 1) & mask
-		if !v.occ[j] {
+		e := v.tab[j]
+		if e == 0 {
 			break
 		}
-		home := hashKey(v.keys[j], mask)
-		// The entry at j may fill the hole unless its home lies
+		home := hashKey(v.idx[e-1], mask)
+		// The slot at j may fill the hole unless its key's home lies
 		// cyclically within (hole, j] — then the hole is not on its
 		// probe path.
 		if cyclicIn(hole, home, j) {
 			continue
 		}
-		v.keys[hole] = v.keys[j]
-		v.vals[hole] = v.vals[j]
+		v.tab[hole] = e
 		hole = j
 	}
-	v.occ[hole] = false
-	v.n--
+	v.tab[hole] = 0
 }
 
 // cyclicIn reports whether k lies in the half-open cyclic interval
@@ -213,10 +256,8 @@ func cyclicIn(i, k, j uint32) bool {
 
 // AddVector accumulates other into v (v += other).
 func (v *Vector) AddVector(other *Vector) {
-	for s := range other.keys {
-		if other.occ[s] {
-			v.Add(other.keys[s], other.vals[s])
-		}
+	for k, i := range other.idx {
+		v.Add(i, other.val[k])
 	}
 }
 
@@ -225,10 +266,8 @@ func (v *Vector) AddScaledVector(other *Vector, s float64) {
 	if s == 0 {
 		return
 	}
-	for slot := range other.keys {
-		if other.occ[slot] {
-			v.Add(other.keys[slot], s*other.vals[slot])
-		}
+	for k, i := range other.idx {
+		v.Add(i, s*other.val[k])
 	}
 }
 
@@ -238,77 +277,60 @@ func (v *Vector) Scale(s float64) {
 		v.Clear()
 		return
 	}
-	for slot := range v.vals {
-		if v.occ[slot] {
-			v.vals[slot] *= s
-		}
+	for k := range v.val {
+		v.val[k] *= s
 	}
 }
 
 // Clear removes all entries, retaining the allocation.
 func (v *Vector) Clear() {
-	for i := range v.occ {
-		v.occ[i] = false
-	}
-	v.n = 0
+	clear(v.tab)
+	v.idx, v.val = v.idx[:0], v.val[:0]
 }
 
 // reset empties the vector and guarantees room for entries inserts
 // without an incremental grow, reusing the existing table when it is
 // already large enough.
 func (v *Vector) reset(entries int) {
-	capacity := minCapacity
-	for capacity*3 < entries*4 { // same load-factor rule as init
-		capacity *= 2
-	}
-	if len(v.keys) >= capacity {
-		v.Clear()
+	if capacity := tableSize(entries); len(v.tab) < capacity {
+		v.alloc(capacity)
 		return
 	}
-	v.init(entries)
-	v.n = 0
+	v.Clear()
 }
 
-// CopyFrom replaces v's contents with an exact copy of src — same table
-// layout, bit-identical values — reusing v's storage when the
-// capacities already match: the zero-allocation counterpart of Clone
+// CopyFrom replaces v's contents with a copy of src — same entries in
+// the same order, bit-identical values — reusing v's storage when the
+// table sizes already match: the zero-allocation counterpart of Clone
 // for scratch vectors reused across steps.
 func (v *Vector) CopyFrom(src *Vector) {
-	if src.keys == nil {
+	if src.tab == nil {
 		v.Clear()
 		return
 	}
-	if len(v.keys) != len(src.keys) {
-		v.keys = make([]uint32, len(src.keys))
-		v.vals = make([]float64, len(src.vals))
-		v.occ = make([]bool, len(src.occ))
+	if len(v.tab) != len(src.tab) {
+		v.alloc(len(src.tab))
 	}
-	copy(v.keys, src.keys)
-	copy(v.vals, src.vals)
-	copy(v.occ, src.occ)
-	v.n = src.n
+	copy(v.tab, src.tab)
+	v.idx = append(v.idx[:0], src.idx...)
+	v.val = append(v.val[:0], src.val...)
 }
 
 // Clone returns a deep copy.
 func (v *Vector) Clone() *Vector {
-	c := &Vector{n: v.n}
-	if v.keys != nil {
-		c.keys = append([]uint32(nil), v.keys...)
-		c.vals = append([]float64(nil), v.vals...)
-		c.occ = append([]bool(nil), v.occ...)
-	}
+	c := &Vector{}
+	c.CopyFrom(v)
 	return c
 }
 
-// ForEach calls fn for every non-zero entry in unspecified order. Use it
-// only where the computation is per-coordinate independent; reductions
-// that accumulate across coordinates must use ForEachSorted, because
-// float addition is not associative and table order is arbitrary.
+// ForEach calls fn for every non-zero entry in insertion order (which
+// Remove perturbs), so the order depends on how the vector was built.
+// Use it only where the computation is per-coordinate independent;
+// reductions that accumulate across coordinates must use ForEachSorted,
+// because float addition is not associative.
 func (v *Vector) ForEach(fn func(i uint32, val float64)) {
-	for s := range v.keys {
-		if v.occ[s] {
-			fn(v.keys[s], v.vals[s])
-		}
+	for k, i := range v.idx {
+		fn(i, v.val[k])
 	}
 }
 
@@ -316,7 +338,7 @@ func (v *Vector) ForEach(fn func(i uint32, val float64)) {
 // order: deterministic, at the cost of a pair sort over pooled scratch
 // (zero steady-state allocations; see pairs.go).
 func (v *Vector) ForEachSorted(fn func(i uint32, val float64)) {
-	if v.n == 0 {
+	if len(v.idx) == 0 {
 		return
 	}
 	ps := pairPool.Get().(*pairScratch)
@@ -327,24 +349,12 @@ func (v *Vector) ForEachSorted(fn func(i uint32, val float64)) {
 	pairPool.Put(ps)
 }
 
-// Indices returns the non-zero indices in ascending order.
-func (v *Vector) Indices() []uint32 {
-	idx := make([]uint32, 0, v.n)
-	for s := range v.keys {
-		if v.occ[s] {
-			idx = append(idx, v.keys[s])
-		}
-	}
-	radixSortUint32(idx)
-	return idx
-}
-
 // Dot returns the inner product with a dense vector, accumulated in
 // ascending index order so results are run-to-run deterministic (the
 // §6.1 sanity check depends on bit-identical losses across systems).
 // Entries of v whose index falls outside d are ignored.
 func (v *Vector) Dot(d Dense) float64 {
-	if v.n == 0 {
+	if len(v.idx) == 0 {
 		return 0
 	}
 	ps := pairPool.Get().(*pairScratch)
@@ -361,7 +371,7 @@ func (v *Vector) Dot(d Dense) float64 {
 
 // NormL2 returns the Euclidean norm of the vector (deterministic order).
 func (v *Vector) NormL2() float64 {
-	if v.n == 0 {
+	if len(v.idx) == 0 {
 		return 0
 	}
 	ps := pairPool.Get().(*pairScratch)
@@ -376,7 +386,7 @@ func (v *Vector) NormL2() float64 {
 
 // NormL1 returns the taxicab norm of the vector (deterministic order).
 func (v *Vector) NormL1() float64 {
-	if v.n == 0 {
+	if len(v.idx) == 0 {
 		return 0
 	}
 	ps := pairPool.Get().(*pairScratch)
@@ -392,76 +402,35 @@ func (v *Vector) NormL1() float64 {
 // Equal reports whether two sparse vectors hold identical entries. It
 // short-circuits on the first mismatch.
 func (v *Vector) Equal(other *Vector) bool {
-	if v.n != other.n {
+	if len(v.idx) != len(other.idx) {
 		return false
 	}
-	for s := range v.keys {
-		if v.occ[s] && other.Get(v.keys[s]) != v.vals[s] {
+	for k, i := range v.idx {
+		if other.Get(i) != v.val[k] {
 			return false
 		}
 	}
 	return true
 }
 
-// String renders up to eight entries for debugging.
+// String renders up to eight entries, in ascending index order, for
+// debugging.
 func (v *Vector) String() string {
-	idx := v.Indices()
 	s := "sparse{"
-	for k, i := range idx {
-		if k == 8 {
-			s += fmt.Sprintf(" …(+%d)", len(idx)-8)
-			break
+	k := 0
+	v.ForEachSorted(func(i uint32, val float64) {
+		if k < 8 {
+			if k > 0 {
+				s += " "
+			}
+			s += fmt.Sprintf("%d:%.4g", i, val)
 		}
-		if k > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%d:%.4g", i, v.Get(i))
+		k++
+	})
+	if k > 8 {
+		s += fmt.Sprintf(" …(+%d)", k-8)
 	}
 	return s + "}"
-}
-
-// radixSortUint32 sorts in place with an LSD byte-wise radix sort,
-// skipping passes whose byte is constant zero.
-func radixSortUint32(a []uint32) {
-	if len(a) < 64 {
-		// Insertion sort beats radix setup on tiny inputs.
-		for i := 1; i < len(a); i++ {
-			x := a[i]
-			j := i - 1
-			for j >= 0 && a[j] > x {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = x
-		}
-		return
-	}
-	var max uint32
-	for _, x := range a {
-		if x > max {
-			max = x
-		}
-	}
-	buf := make([]uint32, len(a))
-	src, dst := a, buf
-	for shift := uint(0); shift < 32 && max>>shift > 0; shift += 8 {
-		var counts [257]int
-		for _, x := range src {
-			counts[((x>>shift)&0xFF)+1]++
-		}
-		for i := 1; i < 257; i++ {
-			counts[i] += counts[i-1]
-		}
-		for _, x := range src {
-			b := (x >> shift) & 0xFF
-			dst[counts[b]] = x
-			counts[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
 }
 
 // Dense is a dense float64 vector.

@@ -117,14 +117,20 @@ func TestCloneIndependence(t *testing.T) {
 func TestIndicesSorted(t *testing.T) {
 	r := xrand.New(2)
 	v := randomVector(r, 1000, 100)
-	idx := v.Indices()
+	var idx []uint32
+	v.ForEachSorted(func(i uint32, val float64) {
+		if v.Get(i) != val {
+			t.Fatalf("ForEachSorted paired %d with %v, Get says %v", i, val, v.Get(i))
+		}
+		idx = append(idx, i)
+	})
 	for i := 1; i < len(idx); i++ {
 		if idx[i-1] >= idx[i] {
-			t.Fatalf("Indices not strictly ascending at %d: %v >= %v", i, idx[i-1], idx[i])
+			t.Fatalf("ForEachSorted not strictly ascending at %d: %v >= %v", i, idx[i-1], idx[i])
 		}
 	}
 	if len(idx) != v.Len() {
-		t.Fatalf("Indices length %d != Len %d", len(idx), v.Len())
+		t.Fatalf("ForEachSorted visited %d entries, Len %d", len(idx), v.Len())
 	}
 }
 
@@ -373,17 +379,20 @@ func TestHashTableAgainstReferenceModel(t *testing.T) {
 
 func TestRadixSortMatchesSort(t *testing.T) {
 	r := xrand.New(101)
+	var ps pairScratch
 	for trial := 0; trial < 50; trial++ {
 		n := r.Intn(3000)
 		a := make([]uint32, n)
+		val := make([]float64, n)
 		for i := range a {
 			a[i] = uint32(r.Uint64())
+			val[i] = float64(a[i]) // the value must travel with its index
 		}
 		b := append([]uint32(nil), a...)
-		radixSortUint32(a)
+		ps.sortPairs(a, val)
 		sort.Slice(b, func(x, y int) bool { return b[x] < b[y] })
 		for i := range a {
-			if a[i] != b[i] {
+			if a[i] != b[i] || val[i] != float64(a[i]) {
 				t.Fatalf("trial %d: mismatch at %d", trial, i)
 			}
 		}
