@@ -144,7 +144,9 @@ func (f *Filter) Threshold(t int) float64 {
 // which relative significance is measured. A parameter whose current
 // value is zero — or whose coordinate lies outside params — is treated
 // as maximally significant whenever its residual is non-zero (the
-// relative change is unbounded).
+// relative change is unbounded). Updates are expected to stay within
+// params: a coordinate beyond it is flushed in the same Add, but first
+// widens the dense residual to reach it, memory proportional to its index.
 //
 // The returned vector is scratch owned by the filter and valid only
 // until the next Add; callers that retain it must Clone.

@@ -1,17 +1,13 @@
 package sparse
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // Sorted-pair extraction: the shared path behind ForEachSorted, Dot,
 // the norms and Encode. A vector's entries are already two compact
-// arrays, so extraction copies them into a reusable scratch and — unless
-// they already ascend, as they do when the vector was decoded or filled
-// by an ascending producer — radix-sorts the pairs in one go, moving
-// values alongside their indices: a sorted pass costs zero allocations
-// and zero table probes in the steady state.
+// arrays, so extraction copies them into a reusable scratch and
+// radix-sorts the pairs in one go, moving values alongside their
+// indices: a sorted pass costs zero allocations and zero table probes in
+// the steady state.
 //
 // The scratch (including the radix sort's swap buffers) is pooled
 // rather than hung off the Vector: mini-batch feature vectors are shared
@@ -38,9 +34,7 @@ func (ps *pairScratch) extract(v *Vector) ([]uint32, []float64) {
 	idx, val := ps.idx[:n], ps.val[:n]
 	copy(idx, v.idx)
 	copy(val, v.val)
-	if !slices.IsSorted(idx) {
-		ps.sortPairs(idx, val)
-	}
+	ps.sortPairs(idx, val)
 	return idx, val
 }
 

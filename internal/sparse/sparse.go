@@ -11,8 +11,7 @@
 // rather than a Go map: sparse-update accumulation is the simulator's
 // hottest loop, and every whole-vector operation (ForEach, Scale, copy,
 // extraction) is a branch-free walk over exactly Len entries. Sorted
-// extraction uses an LSD radix sort, skipped when the entries already
-// ascend.
+// extraction uses an LSD radix sort.
 package sparse
 
 import (
@@ -254,14 +253,15 @@ func cyclicIn(i, k, j uint32) bool {
 	return k > i || k <= j
 }
 
-// AddVector accumulates other into v (v += other).
+// AddVector accumulates other into v (v += other). other must not be v.
 func (v *Vector) AddVector(other *Vector) {
 	for k, i := range other.idx {
 		v.Add(i, other.val[k])
 	}
 }
 
-// AddScaledVector accumulates s*other into v (v += s*other).
+// AddScaledVector accumulates s*other into v (v += s*other). other must
+// not be v.
 func (v *Vector) AddScaledVector(other *Vector, s float64) {
 	if s == 0 {
 		return
