@@ -233,9 +233,6 @@ func (e *engine) setup() error {
 	// same knee detection and MinWorkers floor.
 	if spec.AutoTune || len(spec.Shrink) > 0 {
 		cfg := spec.Sched
-		// The supervisor smooths the global loss once; feed the tuner the
-		// already-smoothed stream.
-		cfg.LossAlpha = 1
 		// Unless the caller says otherwise, never scale below a quarter
 		// of the original pool: weak scaling shrinks the global batch
 		// with p (§3.2), and a near-empty pool can destabilize deep

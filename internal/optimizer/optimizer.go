@@ -1,10 +1,11 @@
 // Package optimizer implements the first-order optimizers of the paper's
 // prototype (§5): SGD, SGD with (heavy-ball) momentum, SGD with Nesterov
 // momentum (used for PMF, Table 1) and Adam (used for LR, Table 1). All
-// of them operate directly on sparse gradients and keep sparse
-// per-coordinate state, the specialization that lets MLLess "save
-// significant time on serializing and deserializing data" compared to
-// dense frameworks (§6.2).
+// of them turn sparse gradients into sparse updates, the specialization
+// that lets MLLess "save significant time on serializing and
+// deserializing data" compared to dense frameworks (§6.2). Their state is
+// dense, indexed by coordinate, so a step probes no table; it is at most
+// twice the model's memory (Adam), plus up to 25 % growth headroom.
 //
 // Optimizers transform a mini-batch gradient g_t into a model update
 // u_t = x_t − x_{t−1} (already negated and learning-rate scaled), the

@@ -1,11 +1,15 @@
 package optimizer
 
-import "mlless/internal/sparse"
+import (
+	"slices"
+
+	"mlless/internal/sparse"
+)
 
 // SGD is plain stochastic gradient descent: u_t = −η_t·g_t.
 type SGD struct {
 	lr Schedule
-	u  *sparse.Vector // update scratch, valid until the next Step
+	u  sparse.Vector // update scratch, valid until the next Step
 }
 
 var _ Optimizer = (*SGD)(nil)
@@ -18,12 +22,9 @@ func (o *SGD) Name() string { return "sgd" }
 
 // Step implements Optimizer.
 func (o *SGD) Step(t int, grad *sparse.Vector) *sparse.Vector {
-	if o.u == nil {
-		o.u = sparse.New()
-	}
 	o.u.CopyFrom(grad)
 	o.u.Scale(-o.lr.Rate(t))
-	return o.u
+	return &o.u
 }
 
 // Clone implements Optimizer.
@@ -36,21 +37,21 @@ func (o *SGD) Reset() {}
 //
 //	v ← μ·v + g;  u = −η_t·v
 //
-// The velocity buffer is sparse and "lazy": coordinates absent from a
-// gradient keep their velocity undecayed until next touched, the
-// standard sparse-training treatment.
+// The velocity buffer is dense, indexed by coordinate, and "lazy":
+// coordinates absent from a gradient keep their velocity undecayed until
+// next touched, the standard sparse-training treatment.
 type Momentum struct {
 	lr  Schedule
 	mu  float64
-	vel *sparse.Vector
-	u   *sparse.Vector // update scratch, valid until the next Step
+	vel []float64
+	u   sparse.Vector // update scratch, valid until the next Step
 }
 
 var _ Optimizer = (*Momentum)(nil)
 
 // NewMomentum returns a heavy-ball momentum optimizer.
 func NewMomentum(lr Schedule, mu float64) *Momentum {
-	return &Momentum{lr: lr, mu: mu, vel: sparse.New()}
+	return &Momentum{lr: lr, mu: mu}
 }
 
 // Name implements Optimizer.
@@ -58,28 +59,25 @@ func (o *Momentum) Name() string { return "momentum" }
 
 // Step implements Optimizer.
 func (o *Momentum) Step(t int, grad *sparse.Vector) *sparse.Vector {
-	rate := o.lr.Rate(t)
-	if o.u == nil {
-		o.u = sparse.NewWithCapacity(grad.Len())
-	} else {
-		o.u.Clear()
-	}
-	u := o.u
-	grad.ForEach(func(i uint32, g float64) {
-		v := o.mu*o.vel.Get(i) + g
-		o.vel.Set(i, v)
-		u.Set(i, -rate*v)
+	rate, mu := o.lr.Rate(t), o.mu
+	vel := cover(o.vel, grad)
+	o.vel = vel
+	o.u.CopyFrom(grad)
+	o.u.Transform(func(i uint32, g float64) float64 {
+		v := mu*vel[i] + g
+		vel[i] = v
+		return -rate * v
 	})
-	return u
+	return &o.u
 }
 
 // Clone implements Optimizer.
 func (o *Momentum) Clone() Optimizer {
-	return &Momentum{lr: o.lr, mu: o.mu, vel: o.vel.Clone()}
+	return &Momentum{lr: o.lr, mu: o.mu, vel: slices.Clone(o.vel)}
 }
 
 // Reset implements Optimizer.
-func (o *Momentum) Reset() { o.vel = sparse.New() }
+func (o *Momentum) Reset() { clear(o.vel) }
 
 // Nesterov is SGD with Nesterov momentum (the PMF optimizer of Table 1):
 //
@@ -87,15 +85,15 @@ func (o *Momentum) Reset() { o.vel = sparse.New() }
 type Nesterov struct {
 	lr  Schedule
 	mu  float64
-	vel *sparse.Vector
-	u   *sparse.Vector // update scratch, valid until the next Step
+	vel []float64
+	u   sparse.Vector // update scratch, valid until the next Step
 }
 
 var _ Optimizer = (*Nesterov)(nil)
 
 // NewNesterov returns a Nesterov-momentum optimizer.
 func NewNesterov(lr Schedule, mu float64) *Nesterov {
-	return &Nesterov{lr: lr, mu: mu, vel: sparse.New()}
+	return &Nesterov{lr: lr, mu: mu}
 }
 
 // Name implements Optimizer.
@@ -103,25 +101,22 @@ func (o *Nesterov) Name() string { return "nesterov" }
 
 // Step implements Optimizer.
 func (o *Nesterov) Step(t int, grad *sparse.Vector) *sparse.Vector {
-	rate := o.lr.Rate(t)
-	if o.u == nil {
-		o.u = sparse.NewWithCapacity(grad.Len())
-	} else {
-		o.u.Clear()
-	}
-	u := o.u
-	grad.ForEach(func(i uint32, g float64) {
-		v := o.mu*o.vel.Get(i) + g
-		o.vel.Set(i, v)
-		u.Set(i, -rate*(g+o.mu*v))
+	rate, mu := o.lr.Rate(t), o.mu
+	vel := cover(o.vel, grad)
+	o.vel = vel
+	o.u.CopyFrom(grad)
+	o.u.Transform(func(i uint32, g float64) float64 {
+		v := mu*vel[i] + g
+		vel[i] = v
+		return -rate * (g + mu*v)
 	})
-	return u
+	return &o.u
 }
 
 // Clone implements Optimizer.
 func (o *Nesterov) Clone() Optimizer {
-	return &Nesterov{lr: o.lr, mu: o.mu, vel: o.vel.Clone()}
+	return &Nesterov{lr: o.lr, mu: o.mu, vel: slices.Clone(o.vel)}
 }
 
 // Reset implements Optimizer.
-func (o *Nesterov) Reset() { o.vel = sparse.New() }
+func (o *Nesterov) Reset() { clear(o.vel) }

@@ -5,7 +5,8 @@
 //
 // Protocol, exactly as the paper describes it:
 //
-//  1. Observe the per-step loss (EWMA-smoothed) and step durations.
+//  1. Observe the per-step loss (EWMA-smoothed by the caller) and step
+//     durations.
 //
 //  2. Detect the "knee" of the learning curve; never act before it.
 //
@@ -51,8 +52,6 @@ type Config struct {
 	Horizon time.Duration
 	// S is the scale-down threshold on s_Δ(t) in [0, 1].
 	S float64
-	// LossAlpha is the EWMA smoothing factor applied to raw losses.
-	LossAlpha float64
 	// Knee selects the knee detector (default: the paper's
 	// slope-threshold heuristic).
 	Knee knee.Detector
@@ -73,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.S <= 0 {
 		c.S = 0.05
-	}
-	if c.LossAlpha <= 0 {
-		c.LossAlpha = 0.25
 	}
 	if c.Knee == nil {
 		c.Knee = knee.SlopeThreshold{}
@@ -110,8 +106,7 @@ type Tuner struct {
 	tracer *trace.Tracer
 	track  string
 
-	smoother *fit.EWMA
-	losses   []float64 // smoothed loss per step (index = step-1)
+	losses []float64 // observed loss per step (index = step-1)
 
 	kneeFound bool
 	kneeStep  int
@@ -135,8 +130,7 @@ type Tuner struct {
 
 // New returns a tuner for a job that starts with initialWorkers workers.
 func New(cfg Config) *Tuner {
-	cfg = cfg.withDefaults()
-	return &Tuner{cfg: cfg, smoother: fit.NewEWMA(cfg.LossAlpha)}
+	return &Tuner{cfg: cfg.withDefaults()}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -150,20 +144,19 @@ func (t *Tuner) SetTracer(tr *trace.Tracer, track string) {
 	t.track = track
 }
 
-// Observe records the global loss and duration of step (1-based). It
-// returns the smoothed loss.
-func (t *Tuner) Observe(step int, loss float64, stepDur time.Duration) float64 {
-	s := t.smoother.Update(loss)
-	t.losses = append(t.losses, s)
+// Observe records the global loss and duration of step (1-based). The
+// loss is stored as given: the engine feeds the stream it has already
+// smoothed for its stop criteria.
+func (t *Tuner) Observe(step int, loss float64, stepDur time.Duration) {
+	t.losses = append(t.losses, loss)
 	t.totalDur += stepDur
 	t.totalSteps++
 	t.durSinceSum += stepDur
 	t.durSinceCount++
-	return s
 }
 
-// SmoothedLosses exposes the smoothed loss history (shared slice; do not
-// mutate).
+// SmoothedLosses exposes the observed (caller-smoothed) loss history
+// (shared slice; do not mutate).
 func (t *Tuner) SmoothedLosses() []float64 { return t.losses }
 
 // KneeStep returns the detected knee step (0, false before detection).

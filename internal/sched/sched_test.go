@@ -5,21 +5,33 @@ import (
 	"testing"
 	"time"
 
+	"mlless/internal/fit"
 	"mlless/internal/xrand"
 )
+
+// observer returns an Observe for tuner that first smooths each raw loss
+// with the engine's default EWMA (α = 0.25). The tuner stores the stream
+// it is given, and these tests' thresholds were set on smoothed curves.
+func observer(tuner *Tuner) func(step int, loss float64, dur time.Duration) {
+	e := fit.NewEWMA(0.25)
+	return func(step int, loss float64, dur time.Duration) {
+		tuner.Observe(step, e.Update(loss), dur)
+	}
+}
 
 // feed drives a tuner with a synthetic loss curve: exponential decay to
 // a floor, with per-step duration dur, and runs the epoch clock. It
 // returns the removal steps.
 func feed(t *Tuner, steps int, dur time.Duration, floor float64, noise float64, seed uint64) []int {
 	r := xrand.New(seed)
+	observe := observer(t)
 	var removals []int
 	now := time.Duration(0)
 	workers := 24
 	for step := 1; step <= steps; step++ {
 		now += dur
 		loss := floor + 1.2*math.Exp(-4*float64(step)/float64(steps/3)) + r.NormFloat64()*noise
-		t.Observe(step, loss, dur)
+		observe(step, loss, dur)
 		d := t.Decide(now, step, workers)
 		if d.Remove {
 			removals = append(removals, step)
@@ -33,12 +45,13 @@ func feed(t *Tuner, steps int, dur time.Duration, floor float64, noise float64, 
 func TestNoRemovalBeforeKnee(t *testing.T) {
 	tuner := New(Config{Epoch: time.Second})
 	r := xrand.New(1)
+	observe := observer(tuner)
 	now := time.Duration(0)
 	// Feed only the steep region: loss still dropping fast.
 	for step := 1; step <= 30; step++ {
 		now += time.Second
 		loss := 2 * math.Exp(-0.01*float64(step))
-		tuner.Observe(step, loss+r.NormFloat64()*1e-4, time.Second)
+		observe(step, loss+r.NormFloat64()*1e-4, time.Second)
 		if d := tuner.Decide(now, step, 24); d.Remove {
 			t.Fatalf("removed a worker at step %d, before any knee", step)
 		}
@@ -93,13 +106,14 @@ func TestEpochGating(t *testing.T) {
 func TestMinWorkersFloor(t *testing.T) {
 	tuner := New(Config{Epoch: time.Second, MinWorkers: 23})
 	r := xrand.New(4)
+	observe := observer(tuner)
 	now := time.Duration(0)
 	workers := 24
 	removed := 0
 	for step := 1; step <= 500; step++ {
 		now += time.Second
 		loss := 0.5 + 1.2*math.Exp(-4*float64(step)/100) + r.NormFloat64()*1e-5
-		tuner.Observe(step, loss, time.Second)
+		observe(step, loss, time.Second)
 		if d := tuner.Decide(now, step, workers); d.Remove {
 			workers--
 			removed++
@@ -120,6 +134,7 @@ func TestNoRemovalWhenDegradationHigh(t *testing.T) {
 	// further removals.
 	tuner := New(Config{Epoch: time.Second, S: 0.02})
 	r := xrand.New(5)
+	observe := observer(tuner)
 	now := time.Duration(0)
 	workers := 24
 	var removals []int
@@ -133,7 +148,7 @@ func TestNoRemovalWhenDegradationHigh(t *testing.T) {
 			// and stays high.
 			loss = 1.4 + 0.05*math.Exp(-float64(step)/600)
 		}
-		tuner.Observe(step, loss+r.NormFloat64()*1e-5, time.Second)
+		observe(step, loss+r.NormFloat64()*1e-5, time.Second)
 		if d := tuner.Decide(now, step, workers); d.Remove {
 			removals = append(removals, step)
 			workers--
@@ -160,15 +175,14 @@ func TestDecisionLogPopulated(t *testing.T) {
 	}
 }
 
-func TestObserveSmoothing(t *testing.T) {
-	tuner := New(Config{LossAlpha: 0.5})
-	first := tuner.Observe(1, 10, time.Second)
-	second := tuner.Observe(2, 0, time.Second)
-	if first != 10 || second != 5 {
-		t.Fatalf("smoothing: %v, %v", first, second)
-	}
-	if len(tuner.SmoothedLosses()) != 2 {
-		t.Fatal("loss history length")
+// TestObservePassesLossThrough pins that the tuner stores the loss it is
+// given: smoothing is the engine's, done once.
+func TestObservePassesLossThrough(t *testing.T) {
+	tuner := New(Config{})
+	tuner.Observe(1, 10, time.Second)
+	tuner.Observe(2, 0, time.Second)
+	if got := tuner.SmoothedLosses(); len(got) != 2 || got[0] != 10 || got[1] != 0 {
+		t.Fatalf("loss history = %v, want [10 0]", got)
 	}
 }
 
@@ -191,6 +205,7 @@ func TestFasterStepsExtendHorizonSteps(t *testing.T) {
 	// but with faster steps yields s_Δ ≤ 0 (throughput strictly better).
 	tuner := New(Config{Epoch: time.Second, S: 0.05})
 	r := xrand.New(7)
+	observe := observer(tuner)
 	now := time.Duration(0)
 	workers := 24
 	removed := false
@@ -202,7 +217,7 @@ func TestFasterStepsExtendHorizonSteps(t *testing.T) {
 		}
 		now += dur
 		loss := 0.5 + 1.2*math.Exp(-4*float64(step)/100) + r.NormFloat64()*1e-6
-		tuner.Observe(step, loss, dur)
+		observe(step, loss, dur)
 		d := tuner.Decide(now, step, workers)
 		if d.Remove {
 			workers--
@@ -236,11 +251,12 @@ func TestFasterStepsExtendHorizonSteps(t *testing.T) {
 // decision reasons seen, pinning the admission-path behavior.
 func feedShrink(t *Tuner, n, steps int, dur time.Duration, workers int) (removals []int, reasons []string) {
 	t.RequestShrink(n)
+	observe := observer(t)
 	now := time.Duration(0)
 	for step := 1; step <= steps; step++ {
 		now += dur
 		loss := 0.5 + 1.2*math.Exp(-4*float64(step)/float64(steps/3))
-		t.Observe(step, loss, dur)
+		observe(step, loss, dur)
 		for t.PendingShrink() > 0 {
 			d := t.DecideShrink(now, step, workers)
 			reasons = append(reasons, d.Reason)

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -16,7 +17,9 @@ import (
 // of op swaps which vector is the target. Keys are one byte, so at the
 // minimum table size sixteen of them share every home slot: collisions,
 // long probe chains and chains that wrap around the end of the table
-// come for free.
+// come for free. Transform reads the key byte as a mask instead: it
+// zeroes the entries whose index mod 8 is a set bit and rescales the
+// rest, so a drop compacts the entry arrays and re-indexes the table.
 
 var fuzzVals = [...]float64{
 	0, math.Copysign(0, -1), // ±0: Set removes, Add is a no-op
@@ -36,6 +39,7 @@ const (
 	fuzzAddVector
 	fuzzBurst // Set a run of keys: forces growth past ¾
 	fuzzDecodeInto
+	fuzzTransform
 	fuzzOps
 )
 
@@ -91,6 +95,8 @@ func FuzzVectorOps(f *testing.F) {
 	f.Add(seq([]byte{fuzzBurst, 0, 200}, []byte{fuzzScale, 0, 1}, []byte{fuzzBurst, 100, 255})) // growth
 	f.Add(seq([]byte{fuzzBurst, 3, 40}, []byte{fuzzCopyFrom | 0x80, 0, 0}, []byte{fuzzAddVector, 0, 0},
 		[]byte{fuzzDecodeInto | 0x80, 0, 0}, []byte{fuzzClear, 0, 0}, []byte{fuzzCopyFrom, 0, 0}))
+	f.Add(seq(set(1), set(2), set(3), []byte{fuzzTransform, 0xff, 1}))   // every entry zeroed
+	f.Add(seq(set(1), set(2), set(3), []byte{fuzzTransform, 1 << 3, 1})) // only the last entry zeroed
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := New(), New()
@@ -150,11 +156,46 @@ func FuzzVectorOps(f *testing.F) {
 				for i, x := range mw {
 					m.set(i, x) // a value scaled down to zero does not survive the wire
 				}
+			case fuzzTransform:
+				s := fuzzScales[int(sel)%len(fuzzScales)]
+				fn := func(i uint32, x float64) float64 {
+					if k>>(i%8)&1 != 0 {
+						return 0
+					}
+					return x * s
+				}
+				var order, survivors, calls []uint32
+				v.ForEach(func(i uint32, x float64) {
+					order = append(order, i)
+					if fn(i, x) != 0 {
+						survivors = append(survivors, i)
+					}
+				})
+				v.Transform(func(i uint32, x float64) float64 {
+					calls = append(calls, i)
+					return fn(i, x)
+				})
+				for i, x := range m {
+					m.set(i, fn(i, x))
+				}
+				checkOrder(t, "Transform calls", calls, order)
+				var after []uint32
+				v.ForEach(func(i uint32, _ float64) { after = append(after, i) })
+				checkOrder(t, "Transform survivors", after, survivors)
 			}
 			checkAgainstModel(t, v, m)
 			checkAgainstModel(t, w, mw)
 		}
 	})
+}
+
+// checkOrder fails unless got lists exactly the indices of want, in
+// want's order.
+func checkOrder(t *testing.T, what string, got, want []uint32) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: order %v, want %v", what, got, want)
+	}
 }
 
 // checkAgainstModel compares v with its reference through Len, Get,

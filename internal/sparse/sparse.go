@@ -97,6 +97,11 @@ func (v *Vector) grow() {
 	v.alloc(len(v.tab) * 2)
 	v.idx = append(v.idx, idx...)
 	v.val = append(v.val, val...)
+	v.index()
+}
+
+// index points an empty table at every entry.
+func (v *Vector) index() {
 	for k, i := range v.idx {
 		v.tab[v.emptySlot(i)] = uint32(k + 1)
 	}
@@ -280,6 +285,25 @@ func (v *Vector) Scale(s float64) {
 	for k := range v.val {
 		v.val[k] *= s
 	}
+}
+
+// Transform replaces each entry's value x at index i with fn(i, x), in
+// insertion order, then drops exact zeros; the survivors keep their
+// order. fn must not modify v. No table is probed unless an entry drops.
+func (v *Vector) Transform(fn func(i uint32, x float64) float64) {
+	n := 0
+	for k, i := range v.idx {
+		if x := fn(i, v.val[k]); x != 0 {
+			v.idx[n], v.val[n] = i, x
+			n++
+		}
+	}
+	if n == len(v.idx) {
+		return
+	}
+	v.idx, v.val = v.idx[:n], v.val[:n]
+	clear(v.tab)
+	v.index()
 }
 
 // Clear removes all entries, retaining the allocation.
