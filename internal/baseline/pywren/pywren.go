@@ -16,28 +16,26 @@
 // objects shuttled around, fresh function activations per map phase, and
 // non-compiled update computation.
 //
-// The ML math is still real and identical to the other systems (the
-// §6.1 sanity check).
+// The ML math is still real and MLLess's: Train is a charge over the
+// shared loop in package baseline (the §6.1 sanity check).
 package pywren
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
+	"mlless/internal/baseline"
 	"mlless/internal/core"
 	"mlless/internal/cost"
-	"mlless/internal/dataset"
 	"mlless/internal/faas"
-	"mlless/internal/fit"
 	"mlless/internal/objstore"
-	"mlless/internal/sparse"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
 )
 
-// Config parameterizes the map-reduce trainer.
+// Config parameterizes the map-reduce trainer. Unset fields take
+// DefaultConfig's values.
 type Config struct {
 	// PythonSlowdown multiplies compute time relative to the compiled
 	// MLLess kernels: the paper re-implemented PyWren-IBM's runtime in
@@ -60,192 +58,90 @@ func DefaultConfig() Config {
 	}
 }
 
-var jobCounter int64
+// bucketState holds the model and update objects of every run, each
+// under a key prefix of its own so concurrent runs never collide.
+const bucketState = "pywren-state"
 
-// nextJobID allocates a unique state-object suffix per Train call so
-// concurrent jobs on one object store never collide.
-func nextJobID() int64 { return atomic.AddInt64(&jobCounter, 1) }
-
-func (c Config) withDefaults() Config {
-	if c.PythonSlowdown <= 0 {
-		c.PythonSlowdown = 25
-	}
-	if c.BaseFlopsPerSecond <= 0 {
-		c.BaseFlopsPerSecond = core.DefaultComputeModel().FlopsPerSecond
-	}
-	if c.MemoryMiB <= 0 {
-		c.MemoryMiB = 2048
-	}
-	return c
-}
+var jobCounter atomic.Int64
 
 // Train runs the job as iterated map-reduce over the object store and
-// the FaaS platform. Sync/Significance/AutoTune in the spec are ignored
-// (PyWren-IBM has no such specializations).
+// the FaaS platform (see baseline.Run). It deletes the run's objects
+// before it returns, on a clock of their own, so neither ExecTime nor
+// the bill moves.
 func Train(platform *faas.Platform, cos *objstore.Store, job core.Job, cfg Config) (*core.Result, error) {
-	spec := job.Spec
-	if spec.Workers <= 0 {
-		return nil, core.ErrNoWorkers
-	}
-	if job.NumBatches <= 0 {
-		return nil, core.ErrNoData
-	}
-	if job.Model == nil || job.Optimizer == nil {
-		return nil, fmt.Errorf("pywren: job needs a model and an optimizer")
-	}
-	if spec.Data != "" && spec.Data != core.DataShard {
-		return nil, fmt.Errorf("%w: got %q", core.ErrUnknownData, spec.Data)
-	}
-	cfg = cfg.withDefaults()
-	if spec.MaxSteps <= 0 {
-		spec.MaxSteps = 5000
-	}
-	if spec.LossAlpha <= 0 {
-		spec.LossAlpha = 0.25
-	}
+	c := &mapReduce{cfg: baseline.Defaults(cfg, DefaultConfig()), faas: platform.Config(), cos: cos,
+		prefix: fmt.Sprintf("%d/", jobCounter.Add(1))}
+	defer func() {
+		var clk vclock.Clock
+		for _, key := range cos.List(&clk, bucketState, c.prefix) {
+			cos.Delete(&clk, bucketState, key)
+		}
+	}()
+	return baseline.Run(cos, job, c)
+}
 
-	p := spec.Workers
-	mdl := job.Model.Clone()
-	opt := job.Optimizer.Clone()
-	plan := dataset.NewPlan(job.NumBatches, p)
-	// The manifest read goes on a setup clock, not the round clock: the
-	// driver resolves the layout once and passes it in the payload.
-	var setup vclock.Clock
-	shards, err := dataset.OpenShardCache(cos, &setup, job.Bucket)
-	if err != nil {
-		return nil, fmt.Errorf("pywren: %w", err)
-	}
-	smoother := fit.NewEWMA(spec.LossAlpha)
-	faasCfg := platform.Config()
+// mapReduce charges a step as one map-reduce round: a map span and a
+// reduce span on one "mapreduce" trace track.
+type mapReduce struct {
+	baseline.Env
+	cfg                     Config
+	faas                    faas.Config
+	cos                     *objstore.Store
+	prefix                  string
+	mapBilled, reduceBilled time.Duration
+}
 
-	// The model travels as a dense object (non-specialized framework).
-	denseBytes := sparse.DenseEncodedSize(mdl.NumParams())
-	const bucketState = "pywren-state"
-	stateKey := fmt.Sprintf("model-%d", nextJobID())
+func (c *mapReduce) compute(flops float64) time.Duration {
+	secs := flops * c.cfg.PythonSlowdown / c.cfg.BaseFlopsPerSecond
+	return time.Duration(secs * float64(time.Second))
+}
+
+func (c *mapReduce) Start(e baseline.Env) {
+	c.Env = e
 	var seed vclock.Clock
-	cos.Put(&seed, bucketState, stateKey, make([]byte, denseBytes))
+	c.cos.Put(&seed, bucketState, c.prefix+"model", make([]byte, c.DenseBytes))
+}
 
-	var clk vclock.Clock // round clock
+// Map is one function activation (cold in the first round): it loads the
+// model, computes at Python speed and writes its dense update back.
+func (c *mapReduce) Map(wclk *vclock.Clock, step, w int, flops float64) error {
+	start := c.faas.WarmStart
+	if step == 1 {
+		start = c.faas.ColdStart
+	}
+	wclk.Advance(start)
+	if _, err := c.cos.Get(wclk, bucketState, c.prefix+"model"); err != nil {
+		return err
+	}
+	wclk.Advance(c.compute(flops))
+	c.cos.Put(wclk, bucketState, fmt.Sprintf("%supd-%d", c.prefix, w), make([]byte, c.DenseBytes))
+	c.mapBilled += wclk.Now()
+	return nil
+}
+
+// Reduce waits for the slowest map, then one function reads the P
+// updates, aggregates them densely and writes the new model.
+func (c *mapReduce) Reduce(clk *vclock.Clock, step int, slowest time.Duration, _ float64) (int64, error) {
+	baseline.Phase(c.Trace, "mapreduce", clk, "map", slowest, trace.Int("step", step), trace.Int("maps", c.P))
+	var rclk vclock.Clock
+	rclk.Advance(c.faas.WarmStart)
+	for w := 0; w < c.P; w++ {
+		if _, err := c.cos.Get(&rclk, bucketState, fmt.Sprintf("%supd-%d", c.prefix, w)); err != nil {
+			return 0, fmt.Errorf("pywren: reduce step %d: %w", step, err)
+		}
+	}
+	rclk.Advance(c.compute(float64(c.P) * float64(c.Params)))
+	c.cos.Put(&rclk, bucketState, c.prefix+"model", make([]byte, c.DenseBytes))
+	c.reduceBilled += rclk.Now()
+	baseline.Phase(c.Trace, "mapreduce", clk, "reduce", rclk.Now(), trace.Int("step", step))
+	return int64(c.DenseBytes) * int64(c.P+1), nil
+}
+
+// Bill pays each function for the time it ran.
+func (c *mapReduce) Bill(time.Duration) cost.Report {
 	var meter cost.Meter
-	var history []core.LossPoint
-	var mapBilledTotal, reduceBilledTotal time.Duration
-	gradSum := sparse.New() // models reuse a scratch gradient buffer
-	converged := false
-	diverged := false
-	prev := time.Duration(0)
-	warm := false
-
-	computeTime := func(flops float64) time.Duration {
-		secs := flops * cfg.PythonSlowdown / cfg.BaseFlopsPerSecond
-		return time.Duration(secs * float64(time.Second))
-	}
-
-	tr := job.Trace
-	for step := 1; step <= spec.MaxSteps; step++ {
-		stepStart := clk.Now()
-		// ---- Map phase: P fresh function activations.
-		start := faasCfg.ColdStart
-		if warm {
-			start = faasCfg.WarmStart
-		}
-		warm = true
-
-		gradSum.Clear()
-		lossSum := 0.0
-		var slowestMap time.Duration
-		var mapBilled time.Duration
-		for w := 0; w < p; w++ {
-			var mclk vclock.Clock
-			mclk.Advance(start)
-			// Load the current model from object storage.
-			if _, err := cos.Get(&mclk, bucketState, stateKey); err != nil {
-				return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
-			}
-			view, err := shards.Fetch(&mclk, plan.BatchFor(w, step))
-			if err != nil {
-				return nil, fmt.Errorf("pywren: map %d step %d: %w", w, step, err)
-			}
-			lossSum += mdl.LossView(view)
-			gradSum.AddVector(mdl.GradientView(view))
-			mclk.Advance(computeTime(1.5 * mdl.GradientWork(view.Len())))
-			// Write the local update back — densely.
-			cos.Put(&mclk, bucketState, fmt.Sprintf("%s-upd-%d", stateKey, w), make([]byte, denseBytes))
-			if mclk.Now() > slowestMap {
-				slowestMap = mclk.Now()
-			}
-			mapBilled += mclk.Now()
-		}
-		clk.Advance(slowestMap)
-		mapBilledTotal += mapBilled
-		if tr.Enabled() {
-			// One "mapreduce" track: rounds are sequential, so the span
-			// pair map→reduce per step is the whole story.
-			tr.SpanOn("mapreduce", trace.CatEngine, "map", stepStart, clk.Now(),
-				trace.Int("step", step), trace.Int("maps", p))
-		}
-		reduceStart := clk.Now()
-
-		// ---- Reduce phase: one function aggregates and updates.
-		var rclk vclock.Clock
-		rclk.Advance(faasCfg.WarmStart)
-		for w := 0; w < p; w++ {
-			if _, err := cos.Get(&rclk, bucketState, fmt.Sprintf("%s-upd-%d", stateKey, w)); err != nil {
-				return nil, fmt.Errorf("pywren: reduce step %d: %w", step, err)
-			}
-		}
-		gradSum.Scale(1 / float64(p))
-		u := opt.Step(step, gradSum)
-		mdl.ApplyUpdate(u)
-		rclk.Advance(computeTime(float64(p) * float64(mdl.NumParams()))) // dense aggregation
-		cos.Put(&rclk, bucketState, stateKey, make([]byte, denseBytes))  // new model
-		clk.Advance(rclk.Now())
-		reduceBilledTotal += rclk.Now()
-		if tr.Enabled() {
-			tr.SpanOn("mapreduce", trace.CatEngine, "reduce", reduceStart, clk.Now(),
-				trace.Int("step", step))
-		}
-
-		raw := lossSum / float64(p)
-		smoothed := smoother.Update(raw)
-		now := clk.Now()
-		history = append(history, core.LossPoint{
-			Step: step, Time: now, Loss: smoothed, RawLoss: raw,
-			Workers: p, UpdateBytes: int64(denseBytes) * int64(p+1), Duration: now - prev,
-		})
-		prev = now
-
-		if math.IsNaN(raw) || math.IsInf(raw, 0) {
-			diverged = true
-			break
-		}
-		if spec.TargetLoss > 0 && smoothed <= spec.TargetLoss {
-			converged = true
-			break
-		}
-		if spec.MaxWallClock > 0 && now >= spec.MaxWallClock {
-			break
-		}
-	}
-
-	meter.AddFunction(fmt.Sprintf("map-functions-x%d", p), mapBilledTotal, float64(cfg.MemoryMiB)/1024)
-	meter.AddFunction("reduce-function", reduceBilledTotal, float64(cfg.MemoryMiB)/1024)
-
-	finalLoss := 0.0
-	if len(history) > 0 {
-		finalLoss = history[len(history)-1].Loss
-	}
-	var totalBytes int64
-	for _, pnt := range history {
-		totalBytes += pnt.UpdateBytes
-	}
-	return &core.Result{
-		Converged:        converged,
-		Diverged:         diverged,
-		ExecTime:         clk.Now(),
-		Steps:            len(history),
-		FinalLoss:        finalLoss,
-		History:          history,
-		Cost:             meter.Report(),
-		TotalUpdateBytes: totalBytes,
-	}, nil
+	gib := float64(c.cfg.MemoryMiB) / 1024
+	meter.AddFunction(fmt.Sprintf("map-functions-x%d", c.P), c.mapBilled, gib)
+	meter.AddFunction("reduce-function", c.reduceBilled, gib)
+	return meter.Report()
 }

@@ -134,6 +134,26 @@ func TestConcurrentJobsDoNotCollide(t *testing.T) {
 	}
 }
 
+// TestLeavesNoObjects pins that Train deletes its model and update
+// objects, after a run and after a run that fails mid-way.
+func TestLeavesNoObjects(t *testing.T) {
+	platform, cos, job := stageLR(t)
+	job.Spec.TargetLoss = 0
+	job.Spec.MaxSteps = 5
+	if _, err := Train(platform, cos, job, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	bad := job
+	bad.NumBatches *= 10 // the plan reaches past the staged batches
+	if _, err := Train(platform, cos, bad, DefaultConfig()); err == nil {
+		t.Fatal("plan past the staged batches accepted")
+	}
+	var clk vclock.Clock
+	if keys := cos.List(&clk, bucketState, ""); len(keys) != 0 {
+		t.Fatalf("objects left behind: %v", keys)
+	}
+}
+
 func TestValidation(t *testing.T) {
 	platform, cos, job := stageLR(t)
 	bad := job

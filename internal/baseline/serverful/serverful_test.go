@@ -2,6 +2,7 @@ package serverful
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,27 @@ func TestDenseParamThroughputSlowsSteps(t *testing.T) {
 	// Identical math regardless of the systems model.
 	if sr.FinalLoss != fr.FinalLoss {
 		t.Fatal("systems knobs changed the mathematics")
+	}
+}
+
+// TestPartialConfigTakesDefaults pins that every unset Config field,
+// Link included, takes DefaultConfig's value: a zero link would make the
+// all-reduce free.
+func TestPartialConfigTakesDefaults(t *testing.T) {
+	cos, job := stagePMF(t)
+	job.Spec.TargetLoss = 0
+	job.Spec.MaxSteps = 10
+	want, err := Train(cos, job, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Train(cos, job, Config{ProcsPerVM: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ExecTime != want.ExecTime || !reflect.DeepEqual(got.Cost, want.Cost) {
+		t.Fatalf("Config{ProcsPerVM: 4} ran %v for $%g, DefaultConfig %v for $%g",
+			got.ExecTime, got.Cost.Total, want.ExecTime, want.Cost.Total)
 	}
 }
 

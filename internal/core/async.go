@@ -73,7 +73,7 @@ func (a Async) Run(e *engine) (*Result, error) {
 		}
 	}
 	reportBuf := make(map[int][]lossReport)
-	stopper := newStopCheck(spec)
+	stopper := NewStopCheck(spec)
 	converged := false
 	diverged := false
 	aggregated := 0     // highest step the supervisor has reconciled

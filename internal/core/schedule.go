@@ -50,7 +50,7 @@ func (LockStep) Run(e *engine) (*Result, error) {
 	converged := false
 	diverged := false
 	lastSync := 0
-	stopper := newStopCheck(spec)
+	stopper := NewStopCheck(spec)
 
 	for step := 1; step <= spec.MaxSteps; step++ {
 		active := e.active()

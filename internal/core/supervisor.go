@@ -97,20 +97,24 @@ func (e *engine) advanceStep(at time.Duration) time.Duration {
 	return stepDur
 }
 
-// stopCheck evaluates the engine's stop criteria step by step.
-type stopCheck struct {
+// StopCheck evaluates the engine's stop criteria step by step: a
+// non-finite raw loss, Spec.TargetLoss, Spec.MaxWallClock and
+// Spec.Patience. The baseline trainers share it, so every system stops
+// where MLLess would.
+type StopCheck struct {
 	spec          Spec
 	bestLoss      float64
 	sinceImproved int
 }
 
-func newStopCheck(spec Spec) *stopCheck {
-	return &stopCheck{spec: spec, bestLoss: math.Inf(1)}
+// NewStopCheck returns the stop rule for spec.
+func NewStopCheck(spec Spec) *StopCheck {
+	return &StopCheck{spec: spec, bestLoss: math.Inf(1)}
 }
 
 // Decide returns whether the run must stop after this step, and whether
 // it stops as converged or diverged.
-func (s *stopCheck) Decide(raw, smoothed float64, at time.Duration) (stop, converged, diverged bool) {
+func (s *StopCheck) Decide(raw, smoothed float64, at time.Duration) (stop, converged, diverged bool) {
 	if math.IsNaN(raw) || math.IsInf(raw, 0) {
 		return true, false, true
 	}
