@@ -35,7 +35,6 @@ func run() error {
 		sig       = flag.Float64("v", 0.7, "ISP significance threshold v")
 		autotune  = flag.Bool("autotune", false, "enable the scale-in auto-tuner")
 		staleness = flag.Int("staleness", 1, "SSP staleness bound; async staleness cap K (1 = per-step sync)")
-		kvShards  = flag.Int("kv-shards", 1, "KV exchange tier shard count (1 = single Redis endpoint)")
 		exch      = flag.String("exchange", "ps", "gradient exchange: ps (parameter server) | scatter (scatter-reduce) | tree (tree-reduce)")
 		fanout    = flag.Int("tree-fanout", 0, "tree-reduce fan-out, >= 2 (0 = default; requires -exchange tree)")
 		target    = flag.Float64("target", 0, "stop at this loss (0 = run max-steps)")
@@ -65,7 +64,6 @@ func run() error {
 		name string
 		val  int
 	}{
-		{"kv-shards", *kvShards},
 		{"workers", *workers},
 		{"batch", *batch},
 		{"max-steps", *maxSteps},
@@ -98,11 +96,7 @@ func run() error {
 		return fmt.Errorf("-tree-fanout only applies to -exchange tree, got -exchange %s", *exch)
 	}
 	if *exch != mlless.ExchangeParamServer {
-		// The collective strategies reduce through the object store, not
-		// the KV tier, and need every worker on the same step.
-		if *kvShards > 1 {
-			return fmt.Errorf("-exchange %s bypasses the KV tier; it cannot be combined with -kv-shards %d", *exch, *kvShards)
-		}
+		// The collective strategies need every worker on the same step.
 		if *sync == "async" {
 			return fmt.Errorf("-exchange %s needs a lock-step schedule; it cannot be combined with -sync async", *exch)
 		}
@@ -111,7 +105,7 @@ func run() error {
 		}
 	}
 
-	cluster := mlless.NewClusterWithShards(*kvShards)
+	cluster := mlless.NewCluster()
 	job, err := buildJob(cluster, *modelName, *data, *batch, *lr, *seed)
 	if err != nil {
 		return err

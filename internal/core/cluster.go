@@ -39,10 +39,9 @@ func DefaultComputeModel() ComputeModel {
 // FaaS platform. One Cluster can run many jobs sequentially; services
 // accumulate traffic metrics across them.
 type Cluster struct {
-	// Redis is the low-latency KV tier workers exchange updates through:
-	// one endpoint by default, N hash-sharded endpoints when built with
-	// NewClusterWithShards.
-	Redis *kvstore.Sharded
+	// Redis is the low-latency KV store workers exchange updates
+	// through: one endpoint on one M1.2x16 VM.
+	Redis *kvstore.Store
 	// COS is the object store holding dataset mini-batches.
 	COS *objstore.Store
 	// Broker is the control-plane messaging service.
@@ -60,21 +59,13 @@ type Cluster struct {
 	jobID int
 }
 
-// NewCluster builds a cluster with the default link parameters, FaaS
-// configuration and a single-endpoint KV tier. All services share one
-// metrics registry (Metrics).
+// NewCluster builds a cluster with the default link parameters and
+// FaaS configuration. All services share one metrics registry
+// (Metrics).
 func NewCluster() *Cluster {
-	return NewClusterWithShards(1)
-}
-
-// NewClusterWithShards builds a cluster whose KV exchange tier is split
-// over shards hash-partitioned endpoints (each modelled as its own
-// M1.2x16 VM with its own link; see kvstore.Sharded). shards < 1 is
-// treated as 1, which reproduces NewCluster exactly.
-func NewClusterWithShards(shards int) *Cluster {
 	reg := trace.NewRegistry()
 	return &Cluster{
-		Redis:    kvstore.NewShardedWithRegistry(netmodel.RedisLink(), reg, shards),
+		Redis:    kvstore.NewWithRegistry(netmodel.RedisLink(), reg),
 		COS:      objstore.NewWithRegistry(netmodel.COSLink(), reg),
 		Broker:   msgqueue.NewWithRegistry(netmodel.BrokerLink(), reg),
 		Platform: faas.NewPlatformWithRegistry(faas.DefaultConfig(), reg),

@@ -83,9 +83,6 @@ func run(cl *Cluster, job Job, id string) (*Result, error) {
 	if err := job.validate(job.Spec.MemoryMiB); err != nil {
 		return nil, err
 	}
-	if exchange.IsCollective(job.Spec.Exchange) && cl.Redis.NumShards() > 1 {
-		return nil, ErrExchangeShards
-	}
 	if id == "" {
 		id = cl.nextJobID(job.Spec.Tenant)
 	}
@@ -336,16 +333,8 @@ func (e *engine) teardown(converged, diverged bool, lastSync int) (*Result, erro
 
 	// The always-on VMs of the MLLess deployment (§6.1): messaging
 	// (C1.4x4) and Redis (M1.2x16), prorated per second over the job.
-	// A sharded KV tier rents one M1.2x16 per shard — the $ side of the
-	// shard-count sweep's time/cost trade-off.
 	e.meter.AddVM("messaging-vm-c1.4x4", cost.PriceC14x4PerHour, execTime)
-	if n := e.cl.Redis.NumShards(); n > 1 {
-		for i := 0; i < n; i++ {
-			e.meter.AddVM(fmt.Sprintf("redis-vm-m1.2x16-s%d", i), cost.PriceM12x16PerHour, execTime)
-		}
-	} else {
-		e.meter.AddVM("redis-vm-m1.2x16", cost.PriceM12x16PerHour, execTime)
-	}
+	e.meter.AddVM("redis-vm-m1.2x16", cost.PriceM12x16PerHour, execTime)
 
 	// Surface the fault-recovery overhead on the bill. The line is a
 	// memo: its function-seconds are already billed inside the worker

@@ -45,7 +45,20 @@ func testLRJob(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 // cluster and PMF job.
 func testPMFJob(t testing.TB, workers int, spec Spec) (*Cluster, Job) {
 	t.Helper()
-	return testShardedPMFJob(t, workers, 1, spec)
+	cl := NewCluster()
+	cfg := dataset.MovieLensConfig{Users: 150, Items: 600, Ratings: 30000, Rank: 8, NoiseStd: 0.6, Seed: 21}
+	ds := dataset.GenerateMovieLens(cfg)
+	var clk vclock.Clock
+	n := dataset.StageShards(ds, cl.COS, &clk, "ml", 500, dataset.DefaultBatchesPerShard, 2)
+	spec.Workers = workers
+	return cl, Job{
+		Spec:       spec,
+		Model:      model.NewPMF(cfg.Users, cfg.Items, cfg.Rank, ds.RatingMean, 0.02, 31),
+		Optimizer:  optimizer.NewNesterov(optimizer.Constant(1.0), 0.9),
+		Bucket:     "ml",
+		NumBatches: n,
+		BatchSize:  500,
+	}
 }
 
 func TestLRConverges(t *testing.T) {
@@ -214,7 +227,8 @@ func TestBillingComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var haveWorker, haveSup, haveRedis, haveBroker bool
+	var haveWorker, haveSup, haveBroker bool
+	var redis []string
 	for _, c := range res.Cost.Components {
 		switch {
 		case strings.Contains(c.Name, "worker"):
@@ -222,7 +236,7 @@ func TestBillingComponents(t *testing.T) {
 		case strings.Contains(c.Name, "supervisor"):
 			haveSup = true
 		case strings.Contains(c.Name, "redis"):
-			haveRedis = true
+			redis = append(redis, c.Kind+" "+c.Name)
 		case strings.Contains(c.Name, "messaging"):
 			haveBroker = true
 		}
@@ -230,8 +244,12 @@ func TestBillingComponents(t *testing.T) {
 			t.Fatalf("negative cost component: %+v", c)
 		}
 	}
-	if !haveWorker || !haveSup || !haveRedis || !haveBroker {
+	if !haveWorker || !haveSup || !haveBroker {
 		t.Fatalf("missing bill components: %+v", res.Cost.Components)
+	}
+	// The KV store is the paper's single always-on M1.2x16.
+	if len(redis) != 1 || redis[0] != "vm redis-vm-m1.2x16" {
+		t.Fatalf("redis bill lines %v, want the single vm redis-vm-m1.2x16", redis)
 	}
 	if res.Cost.Total <= 0 {
 		t.Fatal("zero total cost")

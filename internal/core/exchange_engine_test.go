@@ -228,11 +228,4 @@ func TestExchangeValidationErrors(t *testing.T) {
 			}
 		})
 	}
-	t.Run("sharded kv", func(t *testing.T) {
-		cl := NewClusterWithShards(2)
-		_, job := build(func(s *Spec) { s.Exchange = exchange.KindScatter })
-		if _, err := Run(cl, job); !errors.Is(err, ErrExchangeShards) {
-			t.Fatalf("got %v, want ErrExchangeShards", err)
-		}
-	})
 }

@@ -34,10 +34,6 @@ var (
 	// with SSP: a reduced total folds exactly one step's updates, so the
 	// pull window must be a single step.
 	ErrExchangeStale = errors.New("core: the scatter/tree exchange strategies require per-step synchronization (staleness 1)")
-	// ErrExchangeShards reports a collective exchange strategy on a
-	// sharded KV tier: the collectives move updates through object
-	// storage, so extra KV shards would only add idle rented VMs.
-	ErrExchangeShards = errors.New("core: the scatter/tree exchange strategies bypass the KV tier; run them with a single shard")
 	// ErrUnknownData reports a Spec.Data value other than "" or
 	// DataShard.
 	ErrUnknownData = errors.New("core: unknown data tier (the row-encoded \"batch\" tier was removed; columnar shards are the only tier)")
@@ -116,8 +112,7 @@ type Spec struct {
 	// internal/exchange): "ps" (the default) is the paper's KV-mediated
 	// parameter server; "scatter" and "tree" are storage collectives
 	// that reduce updates through the object store. The collectives
-	// require the lock-step schedule with per-step synchronization and a
-	// single KV shard.
+	// require the lock-step schedule with per-step synchronization.
 	Exchange string
 	// TreeFanout is the tree exchange's fan-in degree (0 selects the
 	// default of 4; meaningful only with Exchange == "tree").

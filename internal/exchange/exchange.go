@@ -9,7 +9,7 @@
 // term in serverless training cost. This package abstracts the exchange
 // behind one interface with three deterministic implementations:
 //
-//   - ParamServer: the paper's sharded-KV path, extracted from the core
+//   - ParamServer: the paper's KV path, extracted from the core
 //     engine verbatim. Byte-identical traces and bit-identical loss
 //     histories to the pre-extraction engine are a pinned invariant.
 //   - ScatterReduce: workers write per-chunk update contributions to
@@ -108,7 +108,7 @@ func IsCollective(kind string) bool {
 // hook. The engine builds one Env per job during setup.
 type Env struct {
 	// KV is the low-latency exchange tier (the parameter-server medium).
-	KV *kvstore.Sharded
+	KV *kvstore.Store
 	// Obj is the object store the collectives move payloads through.
 	Obj *objstore.Store
 	// Reg is the unified metrics registry ("xchg.*" counters).

@@ -20,7 +20,7 @@ import (
 func testEnv(workers, dim, fanout int) Env {
 	reg := trace.NewRegistry()
 	return Env{
-		KV:      kvstore.NewShardedWithRegistry(netmodel.Link{}, reg, 1),
+		KV:      kvstore.NewWithRegistry(netmodel.Link{}, reg),
 		Obj:     objstore.NewWithRegistry(netmodel.Link{}, reg),
 		Reg:     reg,
 		NS:      "job0",

@@ -171,7 +171,6 @@ func Registry() []struct {
 		{"abl-startup", AblStartup},
 		{"abl-ssp", AblSSP},
 		{"abl-faults", AblFaults},
-		{"abl-shards", AblShards},
 		{"abl-async", AblAsync},
 		{"abl-exchange", AblExchange},
 		{"abl-dataset", AblDataset},

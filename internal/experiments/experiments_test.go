@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"mlless/internal/core"
 	"mlless/internal/dataset"
@@ -19,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig2a", "fig2b", "fig2c", "fig2d", "fig3", "table1", "table2",
 		"fig4", "fig5", "table3", "fig6", "fig7",
 		"abl-filter", "abl-knee", "abl-merge", "abl-allreduce", "abl-startup", "abl-ssp",
-		"abl-faults", "abl-shards", "abl-async", "abl-exchange", "abl-dataset",
+		"abl-faults", "abl-async", "abl-exchange", "abl-dataset",
 		"abl-tenancy",
 	}
 	got := IDs()
@@ -226,47 +225,5 @@ func TestFig6Series(t *testing.T) {
 	}
 	if len(table.Header) != 1+len(systemNames) {
 		t.Fatalf("series header = %v", table.Header)
-	}
-}
-
-// TestAblShardsShape checks the sweep's headline claim: the mean pull
-// (exchange) time decreases as shards are added and flattens rather
-// than inverting, while the bill grows with the shard count.
-func TestAblShardsShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs training jobs")
-	}
-	table, err := AblShards(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pulls := make([]time.Duration, len(table.Rows))
-	costs := make([]float64, len(table.Rows))
-	for i, row := range table.Rows {
-		d, err := time.ParseDuration(row[2])
-		if err != nil {
-			t.Fatalf("row %d mean-pull %q: %v", i, row[2], err)
-		}
-		pulls[i] = d
-		if costs[i], err = strconv.ParseFloat(row[4], 64); err != nil {
-			t.Fatalf("row %d cost %q: %v", i, row[4], err)
-		}
-	}
-	if len(pulls) < 3 {
-		t.Fatalf("sweep has only %d points", len(pulls))
-	}
-	last := len(pulls) - 1
-	if pulls[last] >= pulls[0] {
-		t.Fatalf("pull did not decrease across the sweep: %v -> %v", pulls[0], pulls[last])
-	}
-	for i := 1; i < len(pulls); i++ {
-		// Flattening, not inverting: allow jitter but no step may undo
-		// more than 10% of the previous point.
-		if pulls[i] > pulls[i-1]+pulls[i-1]/10 {
-			t.Fatalf("pull inverted at row %d: %v", i, pulls)
-		}
-		if costs[i] <= costs[i-1] {
-			t.Fatalf("cost did not grow with shards: %v", costs)
-		}
 	}
 }

@@ -112,14 +112,8 @@ func (w *Workload) job(workers, numBatch, batch int) core.Job {
 // spec'd with the given worker count. Callers adjust Spec fields
 // (Sync, Significance, AutoTune, TargetLoss...) before core.Run.
 func (w *Workload) Make(workers int) (*core.Cluster, core.Job) {
-	return w.MakeShards(workers, 1)
-}
-
-// MakeShards is Make with the KV exchange tier hash-partitioned over
-// the given shard count (1 reproduces Make exactly).
-func (w *Workload) MakeShards(workers, shards int) (*core.Cluster, core.Job) {
 	w.stage()
-	cl := core.NewClusterWithShards(shards)
+	cl := core.NewCluster()
 	w.restage(cl)
 	return cl, w.job(workers, w.numBatch, w.BatchSize)
 }

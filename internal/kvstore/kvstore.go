@@ -8,11 +8,8 @@
 //
 // All charging, fault injection, tracing and counter plumbing delegates
 // to the shared substrate pipeline (package substrate); this package
-// only owns the data plane. Two tiers are provided: Store is a single
-// endpoint, and Sharded (see sharded.go) spreads the key space over N
-// independent Store shards — the scalability escape hatch the paper
-// points at when a single Redis endpoint becomes the exchange wall
-// (§3.2, §6).
+// only owns the data plane. Store is the one endpoint of the paper's
+// deployment: a single Redis VM.
 //
 // The store is safe for concurrent use. Values are copied at the API
 // boundary so callers can never alias internal storage.
@@ -39,8 +36,7 @@ type Store struct {
 	data map[string][]byte
 
 	// Semantic traffic counters; they live in the unified registry under
-	// "<prefix>.*" ("kv.*" for a single store, "kv.sN.*" per shard) and
-	// updates are lock-free atomic adds.
+	// "kv.*" and updates are lock-free atomic adds.
 	cGets, cSets, cDeletes, cMisses, cBytesRead, cBytesWritten *trace.Counter
 }
 
@@ -53,12 +49,6 @@ func New(link netmodel.Link) *Store {
 // NewWithRegistry returns an empty store whose counters live in the
 // given unified registry under "kv.*".
 func NewWithRegistry(link netmodel.Link, reg *trace.Registry) *Store {
-	return newPrefixed(link, reg, "kv")
-}
-
-// newPrefixed builds a store whose counters live under prefix; shards
-// of a Sharded tier each get their own namespace ("kv.s0", "kv.s1", …).
-func newPrefixed(link netmodel.Link, reg *trace.Registry, prefix string) *Store {
 	pipe := substrate.New(substrate.Config{
 		Link:     link,
 		Cat:      trace.CatKV,
@@ -68,12 +58,12 @@ func newPrefixed(link netmodel.Link, reg *trace.Registry, prefix string) *Store 
 	return &Store{
 		pipe:          pipe,
 		data:          make(map[string][]byte),
-		cGets:         pipe.Counter(prefix + ".gets"),
-		cSets:         pipe.Counter(prefix + ".sets"),
-		cDeletes:      pipe.Counter(prefix + ".deletes"),
-		cMisses:       pipe.Counter(prefix + ".misses"),
-		cBytesRead:    pipe.Counter(prefix + ".bytes_read"),
-		cBytesWritten: pipe.Counter(prefix + ".bytes_written"),
+		cGets:         pipe.Counter("kv.gets"),
+		cSets:         pipe.Counter("kv.sets"),
+		cDeletes:      pipe.Counter("kv.deletes"),
+		cMisses:       pipe.Counter("kv.misses"),
+		cBytesRead:    pipe.Counter("kv.bytes_read"),
+		cBytesWritten: pipe.Counter("kv.bytes_written"),
 	}
 }
 
@@ -128,21 +118,19 @@ func (s *Store) Get(clk *vclock.Clock, key string) ([]byte, bool) {
 	return cp, true
 }
 
-// collect reads the values of the selected keys into out, bumping the
-// get/miss/bytes counters, and returns the total bytes returned. idxs
-// selects which positions of keys to serve (nil means all); views skips
-// the defensive copies. It performs no charging — MGet charges one
-// pipelined transfer, the sharded tier the max over its shards.
-func (s *Store) collect(keys []string, idxs []int, out [][]byte, views bool) int {
+// collect reads the values of keys into out, bumping the get/miss/bytes
+// counters, and returns the total bytes returned; views skips the
+// defensive copies. It performs no charging: the caller charges one
+// pipelined transfer.
+func (s *Store) collect(keys []string, out [][]byte, views bool) int {
 	total := 0
 	s.mu.Lock()
-	serve := func(i int) {
-		key := keys[i]
+	for i, key := range keys {
 		val, ok := s.data[key]
 		s.cGets.Inc()
 		if !ok {
 			s.cMisses.Inc()
-			return
+			continue
 		}
 		if views {
 			out[i] = val
@@ -154,15 +142,6 @@ func (s *Store) collect(keys []string, idxs []int, out [][]byte, views bool) int
 		total += len(val)
 		s.cBytesRead.Add(int64(len(val)))
 	}
-	if idxs == nil {
-		for i := range keys {
-			serve(i)
-		}
-	} else {
-		for _, i := range idxs {
-			serve(i)
-		}
-	}
 	s.mu.Unlock()
 	return total
 }
@@ -172,7 +151,7 @@ func (s *Store) collect(keys []string, idxs []int, out [][]byte, views bool) int
 // yield nil entries.
 func (s *Store) MGet(clk *vclock.Clock, keys []string) [][]byte {
 	out := make([][]byte, len(keys))
-	total := s.collect(keys, nil, out, false)
+	total := s.collect(keys, out, false)
 	s.pipe.Charge(clk, "mget", firstKey(keys), total, s.pipe.TransferTime(total))
 	return out
 }
@@ -204,7 +183,7 @@ func (s *Store) MGetView(clk *vclock.Clock, keys []string) [][]byte {
 // next call to reuse its capacity.
 func (s *Store) MGetViewInto(clk *vclock.Clock, keys []string, out [][]byte) [][]byte {
 	out = resizeViews(out, len(keys))
-	total := s.collect(keys, nil, out, true)
+	total := s.collect(keys, out, true)
 	s.pipe.Charge(clk, "mget", firstKey(keys), total, s.pipe.TransferTime(total))
 	return out
 }

@@ -16,11 +16,12 @@
 // charging, fault injection, tracing and metrics by constructing a
 // Pipeline — nothing else.
 //
-// The pipeline also supports fan-out charging: a sharded service that
-// issues operations against several shards concurrently computes each
-// branch's full pipeline cost with Cost, emits the per-branch spans
-// with TraceRange, and advances the caller's clock by the maximum —
-// modelling parallel connections rather than a serial sum.
+// The pipeline also supports fan-out charging: a service that issues
+// several operations as concurrent streams (the object store's multi-
+// object reads and writes) computes each branch's full pipeline cost
+// with Cost, emits the per-branch spans with TraceRange, and advances
+// the caller's clock by the maximum — modelling parallel connections
+// rather than a serial sum.
 package substrate
 
 import (
@@ -181,16 +182,15 @@ func (p *Pipeline) span(clk *vclock.Clock, op, key string, start time.Duration, 
 
 // TraceRange records the span of one fan-out branch over [start, end]
 // on clk's registered track, without charging the clock (the caller
-// advances it by the maximum branch cost). extra args follow the key
-// and byte annotations; the charge multiplier is appended when the
-// branch ran past its nominal base. Call only when Enabled.
-func (p *Pipeline) TraceRange(clk *vclock.Clock, op, key string, start, end, base time.Duration, bytes int, extra ...trace.Arg) {
+// advances it by the maximum branch cost). The charge multiplier follows
+// the key and byte annotations when the branch ran past its nominal
+// base. Call only when Enabled.
+func (p *Pipeline) TraceRange(clk *vclock.Clock, op, key string, start, end, base time.Duration, bytes int) {
 	if !p.tracer.Enabled() {
 		return
 	}
-	args := make([]trace.Arg, 0, 3+len(extra))
+	args := make([]trace.Arg, 0, 3)
 	args = append(args, trace.Str(p.cfg.KeyLabel, key), trace.Int("bytes", bytes))
-	args = append(args, extra...)
 	if actual := end - start; actual > base && base > 0 {
 		args = append(args, trace.Float("fault_x", float64(actual)/float64(base)))
 	}

@@ -60,7 +60,7 @@ func TestChargeRetryGolden(t *testing.T) {
 
 // TestCostMatchesCharge pins the fan-out contract: Cost must price an
 // operation exactly as Charge would charge it, for the same start
-// instant — that equivalence is what makes the sharded tier's
+// instant — that equivalence is what makes the object store's
 // max-of-branches arithmetic consistent with the serial path.
 func TestCostMatchesCharge(t *testing.T) {
 	mk := func() *Pipeline {
@@ -185,7 +185,7 @@ func TestTraceRangeEmitsExplicitInterval(t *testing.T) {
 	tr.RegisterClock(&clk, "w0")
 
 	start, end := 3*time.Millisecond, 9*time.Millisecond
-	p.TraceRange(&clk, "mget", "k", start, end, 2*time.Millisecond, 64, trace.Int("shard", 2))
+	p.TraceRange(&clk, "mget", "k", start, end, 2*time.Millisecond, 64)
 
 	evs := tr.Events()
 	if len(evs) != 1 {
@@ -195,8 +195,8 @@ func TestTraceRangeEmitsExplicitInterval(t *testing.T) {
 	if ev.Start != start || ev.Dur != end-start {
 		t.Fatalf("interval [%v +%v], want [%v +%v]", ev.Start, ev.Dur, start, end-start)
 	}
-	if sh, ok := ev.ArgInt("shard"); !ok || sh != 2 {
-		t.Fatalf("shard arg = %v, %v", sh, ok)
+	if b, ok := ev.ArgInt("bytes"); !ok || b != 64 {
+		t.Fatalf("bytes = %v, %v", b, ok)
 	}
 	// end-start (6 ms) ran past base (2 ms): the multiplier is appended.
 	if fx, ok := ev.ArgFloat("fault_x"); !ok || fx != 3 {

@@ -40,8 +40,7 @@
 // never enter link charging. Fault decisions are pure functions of
 // (seed, operation, key, virtual time) and a tracer records absolute
 // times and names into the caller's buffer, so faulted and traced jobs
-// — and collectives, whose translation nobody has pinned — take exact
-// per-admission keys instead and execute once, when certain.
+// take exact per-admission keys instead and execute once, when certain.
 //
 // Why the result is the same at every HostPar value: the final pass
 // replays the control loop purely from cached outcomes, and each outcome
@@ -76,7 +75,6 @@ import (
 	"mlless/internal/consistency"
 	"mlless/internal/core"
 	"mlless/internal/cost"
-	"mlless/internal/exchange"
 	"mlless/internal/faas"
 	"mlless/internal/kvstore"
 	"mlless/internal/msgqueue"
@@ -121,10 +119,9 @@ func (c execCtx) stamped() core.Job {
 // wall-clock stop criterion compare absolute virtual times, fault draws
 // are keyed on operation names and absolute times, and a tracer's events
 // carry both — any of those pins the outcome to its admission.
-// Collectives stay exact because no test pins their translation.
 func (c execCtx) memoable() bool {
 	return c.tmplKey != "" && !c.job.Spec.AutoTune && c.job.Spec.MaxWallClock == 0 &&
-		c.job.Trace == nil && !c.job.Spec.Faults.Enabled() && !exchange.IsCollective(c.job.Spec.Exchange)
+		c.job.Trace == nil && !c.job.Spec.Faults.Enabled()
 }
 
 // key identifies the execution's result cache slot: the memo key for
@@ -407,16 +404,6 @@ func (f *fleet) hostPar() int {
 func (f *fleet) run() (*Report, error) {
 	arrivals := append([]Arrival(nil), f.cfg.Arrivals...)
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
-	if f.cl.Redis.NumShards() > 1 {
-		// Job IDs prefix every Redis key and the sharded tier hashes the
-		// full key, so renaming a job re-routes its keys across shards —
-		// changing per-shard counters and MGet's max-over-shards charge.
-		// Memoized outcomes therefore only translate on single-shard
-		// fleets; multi-shard fleets keep exact per-admission keys.
-		for i := range arrivals {
-			arrivals[i].TemplateKey = ""
-		}
-	}
 	base := f.cl.ReserveJobIDs(len(arrivals))
 	warm0 := f.cl.Platform.WarmPool()
 	ex := newExecutor(f, f.hostPar())
@@ -463,7 +450,7 @@ func (f *fleet) sandboxRun(ctx execCtx) (*outcome, error) {
 	}
 	plat.SetWarmPool(ctx.warm)
 	scl := &core.Cluster{
-		Redis:    kvstore.NewShardedWithRegistry(f.cl.Redis.Link(), reg, f.cl.Redis.NumShards()),
+		Redis:    kvstore.NewWithRegistry(f.cl.Redis.Link(), reg),
 		COS:      f.cl.COS.Fork(reg),
 		Broker:   msgqueue.NewWithRegistry(f.cl.Broker.Link(), reg),
 		Platform: plat,

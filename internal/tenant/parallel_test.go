@@ -35,8 +35,12 @@ type fleetCase struct {
 	// traced gives every job its own tracer, which opts it out of the
 	// memo and changes nothing else.
 	traced bool
+	// tree makes every job tree-exchanged, with no tracer and no faults:
+	// collective jobs that still memoize and translate.
+	tree bool
 	// hostile makes every job traced, fault-injected and tree-exchanged:
-	// all three memoable exclusions at once, with faults firing.
+	// two memoable exclusions and a collective at once, with faults
+	// firing.
 	hostile bool
 }
 
@@ -80,8 +84,10 @@ func (c fleetCase) build(t *testing.T) (cfg Config, tracers []*trace.Tracer) {
 			tracers = append(tracers, tr)
 			arrivals[i].Job.Trace = tr
 		}
-		if c.hostile {
+		if c.tree || c.hostile {
 			arrivals[i].Job.Spec.Exchange = exchange.KindTree
+		}
+		if c.hostile {
 			arrivals[i].Job.Spec.Faults = hostileFaults(c.seed)
 		}
 	}
@@ -254,6 +260,7 @@ func TestFleetMatchesInlineReference(t *testing.T) {
 		{name: "seed-23-contended", seed: 23, cap: 5, jobs: 8},
 		{name: "seed-23-stripped", seed: 23, cap: 8, jobs: 6, strip: true},
 		{name: "seed-7-hostile", seed: 7, cap: 6, jobs: 7, hostile: true},
+		treeCase,
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := runReference(t, c).golden(t)
@@ -262,6 +269,20 @@ func TestFleetMatchesInlineReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// treeCase is a templated fleet of tree-exchanged jobs: collective
+// outcomes memoize and translate like any other.
+var treeCase = fleetCase{name: "seed-7-tree", seed: 7, cap: 8, jobs: 12, tree: true}
+
+func TestFleetTreeMemoMatchesStripped(t *testing.T) {
+	// Translating a collective job's outcome must equal executing it:
+	// the templated tree fleet (memo on) and its stripped twin (memo off,
+	// every admission executes) leave identical artifacts.
+	stripped := treeCase
+	stripped.strip = true
+	want := runEngine(t, stripped, 4).golden(t)
+	diffGolden(t, "memo on", want, runEngine(t, treeCase, 4).golden(t))
 }
 
 func TestFleetTracedMatchesUntraced(t *testing.T) {

@@ -268,10 +268,10 @@ func (t *Tracer) SpanAt(clk *vclock.Clock, cat, name string, start time.Duration
 }
 
 // SpanRangeAt records a span over an explicit [start, end] interval on
-// the clock's registered track. Fan-out operations — a sharded KV fetch
-// that charges the caller the maximum of its parallel shard transfers —
-// use it to emit per-branch spans whose ends precede the clock's
-// post-fan-out time. Unregistered clocks drop the event.
+// the clock's registered track. Fan-out operations — a multi-object
+// read or write that charges the caller the maximum of its parallel
+// stream transfers — use it to emit per-branch spans whose ends precede
+// the clock's post-fan-out time. Unregistered clocks drop the event.
 func (t *Tracer) SpanRangeAt(clk *vclock.Clock, cat, name string, start, end time.Duration, args ...Arg) {
 	if t == nil {
 		return

@@ -235,12 +235,6 @@ func ValidateExchange(kind string, fanout int) error {
 // parameters and FaaS limits.
 func NewCluster() *Cluster { return core.NewCluster() }
 
-// NewClusterWithShards builds a deployment whose KV exchange tier is
-// hash-partitioned over the given number of shards; batched exchange
-// reads fan out per shard over concurrent connections and each shard
-// bills its own Redis VM. One shard reproduces NewCluster exactly.
-func NewClusterWithShards(shards int) *Cluster { return core.NewClusterWithShards(shards) }
-
 // Train runs a job on the cluster with the MLLess engine.
 func Train(cl *Cluster, job Job) (*Result, error) { return core.Run(cl, job) }
 
