@@ -260,6 +260,26 @@ func TestBillingComponents(t *testing.T) {
 	}
 }
 
+// TestShardedBillsOneVMPerShard pins the Redis VM bill line: the KV
+// tier is one shard, and a PMF run bills exactly one vm line for it,
+// the paper's single M1.2x16.
+func TestShardedBillsOneVMPerShard(t *testing.T) {
+	cl, job := testPMFJob(t, 4, Spec{MaxSteps: 10})
+	res, err := Run(cl, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vms []string
+	for _, c := range res.Cost.Components {
+		if c.Kind == "vm" && strings.HasPrefix(c.Name, "redis-vm") {
+			vms = append(vms, c.Name)
+		}
+	}
+	if len(vms) != 1 || vms[0] != "redis-vm-m1.2x16" {
+		t.Fatalf("run bills redis VMs %v, want the single redis-vm-m1.2x16", vms)
+	}
+}
+
 func TestMoreWorkersSlowerSteps(t *testing.T) {
 	// Fig 2a: training speed decreases (step duration increases) with
 	// the number of workers, because per-step communication is O(P).
