@@ -35,7 +35,8 @@ func stepMallocs(t testing.TB, steps int, spec Spec) float64 {
 // publish, bounded here so future PRs cannot silently reintroduce
 // per-step churn in the numeric hot path. (At the seed this marginal
 // cost was ~285 allocs/step; the zero-allocation pass brought it under
-// 200.)
+// 200, to 156.8. Formatting each pull window's keys once for the pool
+// and the announced set only on error took it to 108.4.)
 func TestSteadyStateStepAllocsBounded(t *testing.T) {
 	spec := Spec{}
 	stepMallocs(t, 10, spec) // warm pools, caches and lazy scratch

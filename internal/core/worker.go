@@ -38,7 +38,7 @@ type Worker struct {
 	pull      exchange.PullCtx
 	pullKeys  []string
 	pullVals  [][]byte
-	announced map[string]bool
+	announced []exchange.Announcement
 	// limitErr is the async commit phase's per-worker execution-cap
 	// verdict, evaluated in parallel and surfaced in (clock, id) order.
 	limitErr error
@@ -281,19 +281,16 @@ func (e *engine) stepPull(w *Worker, c *stepCtx) error {
 
 	// Drain availability announcements; they identify exactly which keys
 	// the peers have published this window.
-	if w.announced == nil {
-		w.announced = make(map[string]bool)
-	}
-	announced := w.announced
-	clear(announced)
+	announced := w.announced[:0]
 	msgs := e.cl.Broker.ConsumeAll(clk, e.annQueue(w.id))
 	for _, m := range msgs {
 		a, err := decodeAnnounce(m)
 		if err != nil {
 			return fmt.Errorf("core: worker %d: %w", w.id, err)
 		}
-		announced[e.updKey(int(a.Step), int(a.Worker))] = true
+		announced = append(announced, exchange.Announcement{Step: int(a.Step), Worker: int(a.Worker)})
 	}
+	w.announced = announced
 
 	// Hand the pull to the exchange strategy: the parameter server
 	// batch-reads the window's update keys and streams each encoded

@@ -46,6 +46,7 @@ package exchange
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -152,9 +153,9 @@ type PullCtx struct {
 	// ReadyAt is the instant every reduction-round write is visible;
 	// collectives wait for it before reading reduced data.
 	ReadyAt time.Duration
-	// Announced is the update-key set promised by drained announcements,
-	// for the missing-update diagnostic.
-	Announced map[string]bool
+	// Announced lists the drained announcements, for the missing-update
+	// diagnostic; AnnouncedSet formats their keys only when it fires.
+	Announced []Announcement
 	// Keys and Vals are per-worker scratch owned by the strategy.
 	Keys []string
 	Vals [][]byte
@@ -221,18 +222,23 @@ func New(kind string, env Env) (Exchange, error) {
 	}
 }
 
-// AnnouncedSet renders the announce-derived expected key set, sorted,
-// for the missing-update diagnostic.
-func AnnouncedSet(announced map[string]bool) string {
+// Announcement is one drained availability announcement: Worker has
+// published its Step update.
+type Announcement struct{ Step, Worker int }
+
+// AnnouncedSet renders the update keys (named by key) the drained
+// announcements promise, sorted and deduplicated, for the
+// missing-update diagnostic.
+func AnnouncedSet(key func(step, worker int) string, announced []Announcement) string {
 	if len(announced) == 0 {
 		return "none"
 	}
-	keys := make([]string, 0, len(announced))
-	for k := range announced {
-		keys = append(keys, k)
+	keys := make([]string, len(announced))
+	for i, a := range announced {
+		keys[i] = key(a.Step, a.Worker)
 	}
 	sort.Strings(keys)
-	return "[" + strings.Join(keys, " ") + "]"
+	return "[" + strings.Join(slices.Compact(keys), " ") + "]"
 }
 
 // posOf returns worker's collective rank: its position in the active-id

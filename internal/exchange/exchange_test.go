@@ -78,12 +78,13 @@ func TestUpdateKeyLayout(t *testing.T) {
 }
 
 func TestAnnouncedSet(t *testing.T) {
-	if got := AnnouncedSet(nil); got != "none" {
+	key := func(step, worker int) string { return fmt.Sprintf("%d/%d", step, worker) }
+	if got := AnnouncedSet(key, nil); got != "none" {
 		t.Fatalf("empty = %q", got)
 	}
-	got := AnnouncedSet(map[string]bool{"b": true, "a": true})
-	if got != "[a b]" {
-		t.Fatalf("sorted = %q", got)
+	got := AnnouncedSet(key, []Announcement{{Step: 2, Worker: 1}, {Step: 1, Worker: 3}, {Step: 2, Worker: 1}})
+	if got != "[1/3 2/1]" {
+		t.Fatalf("sorted and deduplicated = %q", got)
 	}
 }
 
@@ -318,7 +319,7 @@ func TestParamServerRoundTrip(t *testing.T) {
 	// diagnostic.
 	var janitor vclock.Clock
 	x.Expire(&janitor, 1, ids)
-	pc.Announced = map[string]bool{"job0/upd/1/1": true}
+	pc.Announced = []Announcement{{Step: 1, Worker: 1}}
 	if _, err := x.Pull(pc); err == nil ||
 		err.Error() != "missing peer update job0/upd/1/1 (announced: [job0/upd/1/1])" {
 		t.Fatalf("missing-update err = %v", err)

@@ -2,9 +2,12 @@ package exchange
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"mlless/internal/cost"
+	"mlless/internal/kvstore"
 	"mlless/internal/sparse"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
@@ -20,6 +23,14 @@ import (
 type ParamServer struct {
 	env                Env
 	cPublishes, cPulls *trace.Counter
+	minMerge           int // the crossover, mergeMinRuns outside tests
+
+	// mu guards win's identity and keys, runMu its run. Keying a new
+	// window takes both exclusively, mu first; building the run takes
+	// runMu alone, and replicas walk the run holding runMu shared, so a
+	// run never changes under a replica using it.
+	mu, runMu sync.RWMutex
+	win       pullWindow
 }
 
 func newParamServer(env Env) *ParamServer {
@@ -27,6 +38,7 @@ func newParamServer(env Env) *ParamServer {
 		env:        env,
 		cPublishes: env.Reg.Counter("xchg.publishes"),
 		cPulls:     env.Reg.Counter("xchg.pulls"),
+		minMerge:   mergeMinRuns,
 	}
 }
 
@@ -61,48 +73,117 @@ func (x *ParamServer) RunRound(*vclock.Clock, int, int, int, []int, time.Duratio
 	panic("exchange: RunRound on the parameter server")
 }
 
+// mergeMinRuns is the pull's run-count crossover: a replica applying
+// at least this many peer payloads walks the window's shared merged run
+// instead of applying each payload in turn. Below it the dense replica
+// stays cache-resident across the per-payload passes and the merge's
+// build is never amortised (BenchmarkParamServerPull, DESIGN.md §10).
+const mergeMinRuns = 16
+
 // Pull implements Exchange: batch-read the window's peer update keys in
-// pool order and stream each encoded update into the replica.
+// pool order, then apply them. Every replica pays its own charged read;
+// the host work of decoding is shared. Above the crossover the first
+// replica to get there merges the window's payloads into one
+// coordinate-sorted run and every replica walks it, skipping its own
+// entries; the run keeps each coordinate's payloads in key order, so
+// the sums are bit-identical to applying the payloads one by one.
 func (x *ParamServer) Pull(p *PullCtx) (int, error) {
-	keys := p.Keys[:0]
-	for _, id := range p.ActiveIDs {
-		if id != p.Worker {
-			for s := p.FromStep + 1; s <= p.Step; s++ {
-				keys = append(keys, x.UpdateKey(s, id))
-			}
-		}
-	}
-	p.Keys = keys
-	p.Vals = x.env.KV.MGetViewInto(p.Clock, keys, p.Vals)
-	applied := 0
+	x.peerKeys(p)
+	p.Vals = x.env.KV.MGetViewInto(p.Clock, p.Keys, p.Vals)
 	for i, buf := range p.Vals {
 		if buf == nil {
-			return 0, fmt.Errorf("missing peer update %s (announced: %s)", keys[i], AnnouncedSet(p.Announced))
+			return 0, fmt.Errorf("missing peer update %s (announced: %s)", p.Keys[i], AnnouncedSet(x.UpdateKey, p.Announced))
 		}
-		n, err := sparse.AddEncoded(p.Params, buf)
+	}
+	var applied int
+	if len(p.Vals) >= x.minMerge && x.rlockRun(p) {
+		applied = x.win.apply(p.Params, p.Worker)
+		x.runMu.RUnlock()
+	} else {
+		var err error
+		if applied, err = addEach(p.Params, p.Vals); err != nil {
+			return 0, err
+		}
+	}
+	x.cPulls.Inc()
+	return applied, nil
+}
+
+// addEach applies encoded payloads to d one after another: the pull
+// below the crossover and the async pull.
+func addEach(d sparse.Dense, bufs [][]byte) (int, error) {
+	applied := 0
+	for _, buf := range bufs {
+		n, err := sparse.AddEncoded(d, buf)
 		if err != nil {
 			return 0, err
 		}
 		applied += n
 	}
-	x.cPulls.Inc()
 	return applied, nil
+}
+
+// peerKeys fills p.Keys with the window's keys minus p's own, keying
+// the shared window first if p is the first to pull it.
+func (x *ParamServer) peerKeys(p *PullCtx) {
+	w := &x.win
+	x.mu.RLock()
+	if w.is(p) {
+		p.Keys = w.peerKeys(p.Keys[:0], p.Worker)
+		x.mu.RUnlock()
+		return
+	}
+	x.mu.RUnlock()
+	x.mu.Lock()
+	if !w.is(p) {
+		x.runMu.Lock()
+		w.rekey(x.UpdateKey, p)
+		x.runMu.Unlock()
+	}
+	p.Keys = w.peerKeys(p.Keys[:0], p.Worker)
+	x.mu.Unlock()
+}
+
+// rlockRun read-locks the run and reports whether it serves p: built
+// for p's window from exactly the payloads p.Vals holds. The first
+// caller builds it. A replica never waits for a build in progress: it
+// applies its own views meanwhile, so a build on one core does not idle
+// the others. On false the lock is not held and p applies its views.
+func (x *ParamServer) rlockRun(p *PullCtx) bool {
+	w := &x.win
+	if !x.runMu.TryRLock() {
+		return false
+	}
+	if !w.built && w.is(p) {
+		x.runMu.RUnlock()
+		if !x.runMu.TryLock() {
+			return false
+		}
+		if !w.built && w.is(p) {
+			w.build(x.env.KV)
+		}
+		x.runMu.Unlock()
+		x.runMu.RLock()
+	}
+	if w.built && w.is(p) && w.serves(p) {
+		return true
+	}
+	x.runMu.RUnlock()
+	return false
 }
 
 // PullKeys implements Exchange: the async schedule's pull, over an
 // announcement-resolved key list.
 func (x *ParamServer) PullKeys(clk *vclock.Clock, keys []string, vals [][]byte, params sparse.Dense) ([][]byte, int, error) {
 	vals = x.env.KV.MGetViewInto(clk, keys, vals)
-	applied := 0
 	for i, buf := range vals {
 		if buf == nil {
 			return vals, 0, fmt.Errorf("missing announced update %s", keys[i])
 		}
-		n, err := sparse.AddEncoded(params, buf)
-		if err != nil {
-			return vals, 0, err
-		}
-		applied += n
+	}
+	applied, err := addEach(params, vals)
+	if err != nil {
+		return vals, 0, err
 	}
 	x.cPulls.Inc()
 	return vals, applied, nil
@@ -116,10 +197,131 @@ func (x *ParamServer) Expire(clk *vclock.Clock, step int, ids []int) {
 	}
 }
 
-// Teardown implements Exchange; the KV tier is job-shared, expiry
-// already cleaned the namespace.
-func (x *ParamServer) Teardown() {}
+// Teardown implements Exchange: it releases the pull window. The KV
+// tier is job-shared, and expiry already cleaned the namespace.
+func (x *ParamServer) Teardown() {
+	x.mu.Lock()
+	x.runMu.Lock()
+	x.win = pullWindow{}
+	x.runMu.Unlock()
+	x.mu.Unlock()
+}
 
 // BillInto implements Exchange: KV traffic is covered by the Redis VM's
 // hourly price, which the engine already meters.
 func (x *ParamServer) BillInto(*cost.Meter) {}
+
+// pullWindow is the lock-step pull window (FromStep, Step] over
+// ActiveIDs that every replica of one sync point shares: its update
+// keys, formatted once, and above the crossover the merged run of its
+// payloads, built once. One window is live at a time; its buffers are
+// reused by the next. The zero window is the empty window (0, 0] over
+// no ids, which has no keys to format.
+type pullWindow struct {
+	from, step int
+	ids        []int
+	// keys holds the window's update keys peer-major, step-minor, the
+	// order of the charged reads and of the run's per-coordinate sums:
+	// ids[i]'s block is keys[i*span : (i+1)*span].
+	keys []string
+	span int
+
+	// built is set once the run exists; ok once every payload decoded
+	// into it. bufs are the payloads it was built from (nil for a key
+	// missing at the time, whose block contributes nothing), and
+	// counts[i] is ids[i]'s entry count, out-of-range indices included.
+	built, ok bool
+	bufs      [][]byte
+	counts    []int
+	total     int
+	run       sparse.MergedRun
+}
+
+// is reports whether the window is p's, comparing ids by value.
+func (w *pullWindow) is(p *PullCtx) bool {
+	return w.from == p.FromStep && w.step == p.Step && slices.Equal(w.ids, p.ActiveIDs)
+}
+
+// rekey makes the window p's and formats its keys; the run is rebuilt
+// on demand.
+func (w *pullWindow) rekey(updateKey func(step, worker int) string, p *PullCtx) {
+	w.built, w.ok = false, false
+	w.from, w.step = p.FromStep, p.Step
+	w.ids = append(w.ids[:0], p.ActiveIDs...)
+	w.span = max(p.Step-p.FromStep, 0)
+	w.keys = w.keys[:0]
+	for _, id := range w.ids {
+		for s := p.FromStep + 1; s <= p.Step; s++ {
+			w.keys = append(w.keys, updateKey(s, id))
+		}
+	}
+	clear(w.bufs) // do not pin expired payloads
+}
+
+// peerKeys appends every key outside worker's block to dst.
+func (w *pullWindow) peerKeys(dst []string, worker int) []string {
+	for i, id := range w.ids {
+		if id != worker {
+			dst = append(dst, w.keys[i*w.span:(i+1)*w.span]...)
+		}
+	}
+	return dst
+}
+
+// build peeks the window's payloads (uncharged: each replica pays for
+// its own read) and merges them into the run in key order.
+func (w *pullWindow) build(kv *kvstore.Store) {
+	w.built, w.ok = true, false
+	w.bufs = kv.PeekViewsInto(w.keys, w.bufs)
+	w.counts = slices.Grow(w.counts[:0], len(w.ids))[:len(w.ids)]
+	clear(w.counts)
+	w.total = 0
+	w.run.Reset(w.bufs)
+	for i, id := range w.ids {
+		for _, buf := range w.bufs[i*w.span : (i+1)*w.span] {
+			if buf == nil {
+				continue
+			}
+			n, err := w.run.Append(uint32(id), buf)
+			if err != nil {
+				return // a malformed payload: replicas apply their views and report it
+			}
+			w.counts[i] += n
+		}
+		w.total += w.counts[i]
+	}
+	w.run.Sort()
+	w.ok = true
+}
+
+// serves reports whether the run can stand in for p's views: it was
+// built without error, from the very payloads p read. Stored values are
+// immutable, so equal views mean equal bytes.
+func (w *pullWindow) serves(p *PullCtx) bool {
+	if !w.ok {
+		return false
+	}
+	j := 0
+	for i, id := range w.ids {
+		if id == p.Worker {
+			continue
+		}
+		for _, buf := range w.bufs[i*w.span : (i+1)*w.span] {
+			if v := p.Vals[j]; len(v) != len(buf) || len(v) > 0 && &v[0] != &buf[0] {
+				return false
+			}
+			j++
+		}
+	}
+	return true
+}
+
+// apply walks the run into d for worker and returns the entry count of
+// every payload but its own.
+func (w *pullWindow) apply(d sparse.Dense, worker int) int {
+	w.run.AddExcept(d, uint32(worker))
+	if i := posOf(w.ids, worker); i >= 0 {
+		return w.total - w.counts[i]
+	}
+	return w.total
+}

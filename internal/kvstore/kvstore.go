@@ -188,6 +188,23 @@ func (s *Store) MGetViewInto(clk *vclock.Clock, keys []string, out [][]byte) [][
 	return out
 }
 
+// PeekViewsInto is MGetViewInto without any of the request: no virtual
+// time, no counter, no fault draw, no span. It is simulator-side access
+// for host work shared between callers that each pay for their own
+// charged read (the parameter server decodes a lock-step pull window
+// once for all replicas; each replica still issues its MGetViewInto).
+// Missing keys yield nil; the views follow MGetView's read-only
+// contract.
+func (s *Store) PeekViewsInto(keys []string, out [][]byte) [][]byte {
+	out = resizeViews(out, len(keys))
+	s.mu.Lock()
+	for i, key := range keys {
+		out[i] = s.data[key]
+	}
+	s.mu.Unlock()
+	return out
+}
+
 // resizeViews returns out with length n and every entry nil, reusing
 // its backing array when large enough.
 func resizeViews(out [][]byte, n int) [][]byte {

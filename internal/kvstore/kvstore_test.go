@@ -332,3 +332,20 @@ func TestMGetViewIntoChargesLikeMGetView(t *testing.T) {
 		t.Fatalf("charging differs: MGetView %v, MGetViewInto %v", a.Now(), b.Now())
 	}
 }
+
+func TestPeekViewsIntoIsFree(t *testing.T) {
+	s := fastStore()
+	var clk vclock.Clock
+	s.Set(&clk, "a", []byte("abc"))
+	reg := s.Registry()
+	before := reg.Counter("kv.gets").Load() + reg.Counter("kv.misses").Load() + reg.Counter("kv.bytes_read").Load()
+	peek := s.PeekViewsInto([]string{"a", "missing"}, nil)
+	if after := reg.Counter("kv.gets").Load() + reg.Counter("kv.misses").Load() + reg.Counter("kv.bytes_read").Load(); after != before {
+		t.Fatalf("peek moved the read counters: %d -> %d", before, after)
+	}
+	// The peek returns the very buffers a charged view read returns.
+	view := s.MGetView(&clk, []string{"a", "missing"})
+	if &peek[0][0] != &view[0][0] || peek[1] != nil {
+		t.Fatalf("peek = %q, want the charged views %q", peek, view)
+	}
+}

@@ -80,6 +80,19 @@ func ensureCap(buf []byte, extra int) []byte {
 	return nb
 }
 
+// encodedLen validates buf as a sparse encoding and returns its entry
+// count; op names the caller in the error.
+func encodedLen(buf []byte, op string) (int, error) {
+	if len(buf) < sparseHeaderSize {
+		return 0, fmt.Errorf("sparse: %s: short buffer (%d bytes)", op, len(buf))
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if want := sparseHeaderSize + sparseEntrySize*n; len(buf) != want {
+		return 0, fmt.Errorf("sparse: %s: length %d, want %d for %d entries", op, len(buf), want, n)
+	}
+	return n, nil
+}
+
 // Decode parses a vector produced by Encode.
 func Decode(buf []byte) (*Vector, error) {
 	v := New()
@@ -97,13 +110,9 @@ func Decode(buf []byte) (*Vector, error) {
 // buffers violating that order fall back to Set, which remains
 // correct for any valid encoding.
 func DecodeInto(v *Vector, buf []byte) error {
-	if len(buf) < sparseHeaderSize {
-		return fmt.Errorf("sparse: decode: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	want := sparseHeaderSize + sparseEntrySize*n
-	if len(buf) != want {
-		return fmt.Errorf("sparse: decode: length %d, want %d for %d entries", len(buf), want, n)
+	n, err := encodedLen(buf, "decode")
+	if err != nil {
+		return err
 	}
 	v.reset(n)
 	off := sparseHeaderSize
@@ -129,13 +138,9 @@ func DecodeInto(v *Vector, buf []byte) error {
 // the hot path for applying peer updates. Indices outside d are ignored,
 // matching Dense.AddSparse. It returns the number of entries applied.
 func AddEncoded(d Dense, buf []byte) (int, error) {
-	if len(buf) < sparseHeaderSize {
-		return 0, fmt.Errorf("sparse: apply encoded: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	want := sparseHeaderSize + sparseEntrySize*n
-	if len(buf) != want {
-		return 0, fmt.Errorf("sparse: apply encoded: length %d, want %d for %d entries", len(buf), want, n)
+	n, err := encodedLen(buf, "apply encoded")
+	if err != nil {
+		return 0, err
 	}
 	off := sparseHeaderSize
 	for k := 0; k < n; k++ {
@@ -156,13 +161,9 @@ func AddEncoded(d Dense, buf []byte) (int, error) {
 // contributions accumulate in call order, so a fixed fold order yields
 // bit-deterministic sums. It returns the number of entries folded.
 func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
-	if len(buf) < sparseHeaderSize {
-		return 0, fmt.Errorf("sparse: fold encoded: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	want := sparseHeaderSize + sparseEntrySize*n
-	if len(buf) != want {
-		return 0, fmt.Errorf("sparse: fold encoded: length %d, want %d for %d entries", len(buf), want, n)
+	n, err := encodedLen(buf, "fold encoded")
+	if err != nil {
+		return 0, err
 	}
 	off := sparseHeaderSize
 	for k := 0; k < n; k++ {
@@ -181,13 +182,9 @@ func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
 // re-encoding. This is how the scatter exchange splits one encoded
 // update into per-chunk contributions.
 func AppendEncodedRange(dst, buf []byte, lo, hi uint32) ([]byte, error) {
-	if len(buf) < sparseHeaderSize {
-		return dst, fmt.Errorf("sparse: split encoded: short buffer (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	want := sparseHeaderSize + sparseEntrySize*n
-	if len(buf) != want {
-		return dst, fmt.Errorf("sparse: split encoded: length %d, want %d for %d entries", len(buf), want, n)
+	n, err := encodedLen(buf, "split encoded")
+	if err != nil {
+		return dst, err
 	}
 	entry := func(k int) uint32 {
 		return binary.LittleEndian.Uint32(buf[sparseHeaderSize+k*sparseEntrySize:])
