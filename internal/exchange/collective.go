@@ -29,12 +29,16 @@ type collectiveBase struct {
 // workerState is one worker's reduction scratch. It persists across
 // steps (and across the worker's container relaunches — the exchange
 // models durable per-rank state) so the steady-state collective path
-// stops allocating once buffers reach their high-water marks.
+// stops allocating once buffers reach their high-water marks. Scatter
+// folds its chunk into the Vector accumulator; the tree keeps its
+// partial sum encoded and folds runs through a dense scratch.
 type workerState struct {
-	acc   *sparse.Vector // partial-sum accumulator
-	own   []byte         // scatter: encoded own-chunk contribution
-	red   []byte         // encoded reduced data this worker republishes
-	split []byte         // scatter: chunk-split staging buffer
+	acc   *sparse.Vector     // scatter: own-chunk partial-sum accumulator
+	own   []byte             // scatter: encoded own-chunk contribution
+	red   []byte             // scatter: encoded reduced chunk; tree: fold output
+	split []byte             // scatter: chunk-split staging buffer
+	run   []byte             // tree: this rank's encoded partial sum
+	fold  sparse.FoldScratch // tree: dense fold scratch
 	keys  []string
 	vals  [][]byte
 }

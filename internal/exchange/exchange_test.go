@@ -1,8 +1,10 @@
 package exchange
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -160,32 +162,138 @@ func wantDelta(i, dim int, sigs []*sparse.Vector) sparse.Dense {
 	return want
 }
 
+// cancellingSigs builds overlapping updates over a small index range
+// whose values are drawn from a set that cancels to exact zero (±1,
+// ±0.5) and sums order-sensitively (0.1, 0.2, -0.3), with a normal draw
+// in between: every fold order difference changes bits somewhere.
+func cancellingSigs(p, dim, nnz int, seed int64) []*sparse.Vector {
+	vals := []float64{1, -1, 0.5, -0.5, 0.1, 0.2, -0.3}
+	rng := rand.New(rand.NewSource(seed))
+	sigs := make([]*sparse.Vector, p)
+	for w := range sigs {
+		v := sparse.New()
+		for k := 0; k < nnz; k++ {
+			val := rng.NormFloat64()
+			if rng.Intn(4) != 0 {
+				val = vals[rng.Intn(len(vals))]
+			}
+			v.Set(uint32(rng.Intn(dim)), val)
+		}
+		sigs[w] = v
+	}
+	return sigs
+}
+
+// vectorTreeFold is the tree's reference fold: a Vector accumulator per
+// rank seeded with the rank's update, each level's member uploads
+// encoded with EncodeTo and folded into their leader with
+// AddEncodedSparse in level and rank order, the root total encoded once
+// more. It returns every object the tree writes for step
+// 1 by key and each rank's replica delta after the pull.
+func vectorTreeFold(t *testing.T, sigs []*sparse.Vector, fanout, dim int) (map[string][]byte, []sparse.Dense) {
+	t.Helper()
+	p := len(sigs)
+	acc := make([]*sparse.Vector, p)
+	for i, sig := range sigs {
+		acc[i] = sig.Clone()
+	}
+	objs := make(map[string][]byte)
+	for lvl, stride := 0, 1; stride < p; lvl, stride = lvl+1, stride*fanout {
+		for pos := 0; pos < p; pos += stride * fanout {
+			for child := pos + stride; child < p && child < pos+stride*fanout; child += stride {
+				buf := acc[child].EncodeTo(nil)
+				objs[levelKey(1, lvl, child)] = buf
+				if _, err := sparse.AddEncodedSparse(acc[pos], buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	root := acc[0].EncodeTo(nil)
+	objs[rootKey(1)] = root
+	replicas := make([]sparse.Dense, p)
+	for i := range replicas {
+		d := make(sparse.Dense, dim)
+		if i == 0 {
+			d.AddSparse(acc[0])
+		} else if _, err := sparse.AddEncoded(d, root); err != nil {
+			t.Fatal(err)
+		}
+		d.AddScaledSparse(sigs[i], -1)
+		replicas[i] = d
+	}
+	return objs, replicas
+}
+
 func TestCollectivesReduceToPeerSum(t *testing.T) {
+	// Every case must land each replica within rounding of the peer sum.
+	// The tree cases over {2, 3, 5, 16, 17, 32} ranks, non-contiguous
+	// ids and fan-outs from 2 to the whole pool must also match the
+	// Vector fold bit for bit: every object the tree writes, byte for
+	// byte, and every replica after the pull.
 	const dim = 97
-	for _, tc := range []struct {
+	type collectiveCase struct {
 		kind   string
 		p      int
 		fanout int
-	}{
-		{KindScatter, 1, 0}, {KindScatter, 2, 0}, {KindScatter, 5, 0},
-		{KindTree, 2, 2}, {KindTree, 5, 2}, {KindTree, 7, 3}, {KindTree, 9, 0},
-	} {
-		name := fmt.Sprintf("%s-p%d-f%d", tc.kind, tc.p, tc.fanout)
-		x, err := New(tc.kind, testEnv(tc.p, dim, tc.fanout))
-		if err != nil {
-			t.Fatal(err)
+		pinned bool // ids 1, 3, 5, …, cancelling values, Vector-fold oracle
+	}
+	cases := []collectiveCase{
+		{KindScatter, 1, 0, false}, {KindScatter, 2, 0, false}, {KindScatter, 5, 0, false},
+		{KindTree, 2, 2, false}, {KindTree, 5, 2, false}, {KindTree, 7, 3, false}, {KindTree, 9, 0, false},
+	}
+	for _, p := range []int{2, 3, 5, 16, 17, 32} {
+		for _, fanout := range []int{2, 3, 4, p} {
+			cases = append(cases, collectiveCase{KindTree, p, fanout, true})
 		}
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("%s-p%d-f%d", tc.kind, tc.p, tc.fanout)
 		ids := make([]int, tc.p)
 		for i := range ids {
 			ids[i] = i
+			if tc.pinned {
+				ids[i] = 2*i + 1
+			}
+		}
+		env := testEnv(2*tc.p+1, dim, tc.fanout)
+		x, err := New(tc.kind, env)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sigs := randomSigs(tc.p, dim, 40, 42)
+		if tc.pinned {
+			sigs = cancellingSigs(tc.p, dim, 40, int64(tc.p*10+tc.fanout))
+		}
 		got := runCollectiveStep(t, x, ids, dim, sigs)
 		for i := range got {
 			want := wantDelta(i, dim, sigs)
 			for d := 0; d < dim; d++ {
 				if diff := got[i][d] - want[d]; diff > 1e-12 || diff < -1e-12 {
 					t.Fatalf("%s: worker %d coord %d = %g, want %g", name, i, d, got[i][d], want[d])
+				}
+			}
+		}
+		if !tc.pinned {
+			continue
+		}
+		wantObjs, wantReplicas := vectorTreeFold(t, sigs, tc.fanout, dim)
+		var clk vclock.Clock
+		keys := env.Obj.List(&clk, env.Bucket, "s1/")
+		if len(keys) != len(wantObjs) {
+			t.Fatalf("%s: tree wrote %d objects, Vector fold %d", name, len(keys), len(wantObjs))
+		}
+		for _, k := range keys {
+			buf, ok := env.Obj.PeekView(env.Bucket, k)
+			if want, found := wantObjs[k]; !ok || !found || !bytes.Equal(buf, want) {
+				t.Fatalf("%s: object %s (%d bytes) differs from the Vector fold's (%d bytes)", name, k, len(buf), len(want))
+			}
+		}
+		for i := range got {
+			for d := 0; d < dim; d++ {
+				if math.Float64bits(got[i][d]) != math.Float64bits(wantReplicas[i][d]) {
+					t.Fatalf("%s: worker %d coord %d = %x, Vector fold %x", name, ids[i], d,
+						math.Float64bits(got[i][d]), math.Float64bits(wantReplicas[i][d]))
 				}
 			}
 		}
@@ -238,6 +346,63 @@ func TestScatterMatchesWideTreeBitwise(t *testing.T) {
 				t.Fatalf("worker %d coord %d: scatter %x, tree %x", i, d, a[i][d], b[i][d])
 			}
 		}
+	}
+}
+
+func TestTreeStepAllocsBounded(t *testing.T) {
+	// A steady-state tree step at P = 16 (default fan-out 4: 12 level-0
+	// and 3 level-1 member uploads, 5 leader folds reading 15 uploads,
+	// the root put and 15 root reads) allocates only what the object
+	// store and the key layout cost. Each of the 16 Puts copies its value
+	// and joins bucket and key into its request label (2 each); each of
+	// the 30 object reads joins a label (1 each); every key is one
+	// formatted string (15 uploads, 15 leader reads, the root's put, 15
+	// root reads). Each step reuses step 1's keys, so the store's map
+	// only overwrites. 16·2 + 30 + 46 = 108; the Vector fold this
+	// replaced allocated 144, its accumulators regrowing every step.
+	const p, dim, want = 16, 500, 108
+	if raceEnabled {
+		t.Skip("race instrumentation makes Publish's pooled encode scratch drop puts; the pin holds only uninstrumented")
+	}
+	env := testEnv(p, dim, 0)
+	x, err := New(KindTree, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, p)
+	for i := range ids {
+		ids[i] = i
+	}
+	sigs := randomSigs(p, dim, 60, 17)
+	clocks := make([]vclock.Clock, p)
+	wire := make([][]byte, p)
+	pulls := make([]PullCtx, p)
+	for i := range pulls {
+		pulls[i] = PullCtx{Worker: i, Clock: &clocks[i], Step: 1, ActiveIDs: ids,
+			Params: make(sparse.Dense, dim), OwnSig: sigs[i]}
+	}
+	step := func() {
+		for i := range ids {
+			if wire[i], err = x.Publish(&clocks[i], i, 1, sigs[i], ids, wire[i][:0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; r < x.Rounds(p); r++ {
+			for i := range ids {
+				if err := x.RunRound(&clocks[i], i, 1, r, ids, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := range pulls {
+			if _, err := x.Pull(&pulls[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step() // grow every buffer and scratch to its high-water mark
+	if got := testing.AllocsPerRun(20, step); got != want {
+		t.Fatalf("steady-state tree step allocates %v, want %d", got, want)
 	}
 }
 

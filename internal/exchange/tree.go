@@ -33,11 +33,13 @@ func newTreeReduce(env Env) *TreeReduce {
 // Name implements Exchange.
 func (x *TreeReduce) Name() string { return KindTree }
 
-// Publish implements Exchange: no storage traffic yet — the update
-// seeds the worker's accumulator, which the fan-in rounds fold upward.
+// Publish implements Exchange: no storage traffic yet — the encoded
+// update seeds the worker's partial sum, which the fan-in rounds fold
+// upward.
 func (x *TreeReduce) Publish(clk *vclock.Clock, worker, step int, sig *sparse.Vector, ids []int, scratch []byte) ([]byte, error) {
 	payload := sig.EncodeTo(scratch)
-	x.state(worker).acc.CopyFrom(sig)
+	st := x.state(worker)
+	st.run = append(st.run[:0], payload...)
 	x.cPublishes.Inc()
 	return payload, nil
 }
@@ -63,10 +65,11 @@ func (x *TreeReduce) stride(lvl int) int {
 
 // RunRound implements Exchange. Even rounds are upload phases: the
 // members of level r/2 (ranks that participate there but do not lead)
-// publish their accumulators. Odd rounds are gather phases: each
-// level-r/2 leader waits for the uploads, folds its children's partial
-// sums in rank order (bit-deterministic) and — if it is rank 0
-// finishing the last level — republishes the total.
+// upload their partial sums as they stand. Odd rounds are gather
+// phases: each level-r/2 leader waits for the uploads, folds its own
+// run and its children's in rank order through its dense scratch
+// (bit-deterministic; see sparse.FoldScratch.FoldEncoded) and — if it
+// is rank 0 finishing the last level — republishes the total.
 func (x *TreeReduce) RunRound(clk *vclock.Clock, worker, step, round int, ids []int, readyAt time.Duration) error {
 	p := len(ids)
 	if p <= 1 {
@@ -85,8 +88,7 @@ func (x *TreeReduce) RunRound(clk *vclock.Clock, worker, step, round int, ids []
 		if pos%stride != 0 || pos%leaderStride == 0 {
 			return nil
 		}
-		st.red = st.acc.EncodeTo(st.red[:0])
-		x.env.Obj.Put(clk, x.env.Bucket, levelKey(step, lvl, pos), st.red)
+		x.env.Obj.Put(clk, x.env.Bucket, levelKey(step, lvl, pos), st.run)
 		x.classA.Add(1)
 		x.cRounds.Inc()
 		return nil
@@ -108,29 +110,27 @@ func (x *TreeReduce) RunRound(clk *vclock.Clock, worker, step, round int, ids []
 		clk.AdvanceTo(readyAt)
 		st.vals = x.env.Obj.GetMultiViewInto(clk, x.env.Bucket, keys, st.vals)
 		x.classB.Add(int64(len(keys)))
-		folded := 0
 		for i, buf := range st.vals {
 			if buf == nil {
 				return fmt.Errorf("missing partial sum %s", keys[i])
 			}
-			n, err := sparse.AddEncodedSparse(st.acc, buf)
-			if err != nil {
-				return err
-			}
-			folded += n
 		}
+		sum, folded, err := st.fold.FoldEncoded(st.red[:0], st.run, st.vals)
+		if err != nil {
+			return err
+		}
+		st.run, st.red = sum, st.run
 		x.env.Charge(clk, worker, 2*float64(folded))
 	}
 	if pos == 0 && round == x.Rounds(p)-1 {
-		st.red = st.acc.EncodeTo(st.red[:0])
-		x.env.Obj.Put(clk, x.env.Bucket, rootKey(step), st.red)
+		x.env.Obj.Put(clk, x.env.Bucket, rootKey(step), st.run)
 		x.classA.Add(1)
 	}
 	x.cRounds.Inc()
 	return nil
 }
 
-// Pull implements Exchange: rank 0 applies its accumulator locally;
+// Pull implements Exchange: rank 0 applies its folded total locally;
 // everyone else waits for the republished total and streams it in. Both
 // then subtract their own contribution.
 func (x *TreeReduce) Pull(p *PullCtx) (int, error) {
@@ -145,9 +145,10 @@ func (x *TreeReduce) Pull(p *PullCtx) (int, error) {
 	}
 	var applied int
 	if pos == 0 {
-		acc := x.state(p.Worker).acc
-		p.Params.AddSparse(acc)
-		applied = acc.Len()
+		var err error
+		if applied, err = sparse.AddEncoded(p.Params, x.state(p.Worker).run); err != nil {
+			return 0, err
+		}
 	} else {
 		p.Clock.AdvanceTo(p.ReadyAt)
 		keys := append(p.Keys[:0], rootKey(p.Step))

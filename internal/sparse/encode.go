@@ -155,11 +155,12 @@ func AddEncoded(d Dense, buf []byte) (int, error) {
 }
 
 // AddEncodedSparse streams an encoded sparse vector (the Encode layout)
-// into the sparse accumulator v — the reduction kernel of the storage
-// collectives, which fold many encoded contributions into one partial
-// sum without materializing intermediate maps. Each coordinate's
-// contributions accumulate in call order, so a fixed fold order yields
-// bit-deterministic sums. It returns the number of entries folded.
+// into the sparse accumulator v — the scatter exchange's chunk fold
+// and the kernel the benchmark's replay probe times; the tree folds
+// through FoldScratch.FoldEncoded instead, which matches it byte for
+// byte. Each coordinate's contributions accumulate in call order, so a
+// fixed fold order yields bit-deterministic sums. It returns the
+// number of entries folded.
 func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
 	n, err := encodedLen(buf, "fold encoded")
 	if err != nil {
