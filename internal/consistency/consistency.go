@@ -18,6 +18,7 @@ package consistency
 
 import (
 	"math"
+	"math/bits"
 
 	"mlless/internal/sparse"
 )
@@ -90,22 +91,23 @@ func (v Variant) String() string {
 //
 // The residual is state as wide as the model, so it is indexed by
 // coordinate: res is a dense array sized to the parameter vector on the
-// first Add under a non-zero threshold, and live lists the coordinates
-// it holds. Invariant, between Adds: live names exactly the coordinates
-// with res[i] != 0, each once, in no particular order. It holds because
-// an update's keys are unique (a coordinate joins live only when its
-// residual leaves zero) and because Add's single pass over live drops
-// whatever it zeroes. There is no sparse fallback for very wide models:
-// every model already keeps its parameters as a dense vector of the same
-// width, so the residual at most doubles a worker's model memory.
+// first Add under a non-zero threshold, live is a bitmap over it and
+// nlive its count. Invariant, between Adds: bit i of live is set exactly
+// when res[i] != 0, and nlive is the number of set bits. Add marks
+// every coordinate the update touches, then its single pass over the
+// set bits, in ascending order, clears whatever is zero or flushed. There
+// is no sparse fallback for very wide models: every model already keeps
+// its parameters as a dense vector of the same width, so the residual at
+// most doubles a worker's model memory.
 type Filter struct {
 	v       float64
 	variant Variant
 
-	res  []float64
-	live []uint32
+	res   []float64
+	live  []uint64
+	nlive int
 
-	// out is the scratch Add returns, reused across calls.
+	// out is the scratch run Add returns, reused across calls.
 	out *sparse.Vector
 
 	flushed int64
@@ -149,11 +151,13 @@ func (f *Filter) Threshold(t int) float64 {
 // widens the dense residual to reach it, memory proportional to its index.
 //
 // The returned vector is scratch owned by the filter and valid only
-// until the next Add; callers that retain it must Clone.
+// until the next Add; callers that retain it must Clone. Under a
+// non-zero threshold it is an ascending run (see package sparse); at
+// v = 0 it is a copy of u.
 func (f *Filter) Add(t int, u *sparse.Vector, params sparse.Dense) *sparse.Vector {
 	out := f.out
 	vt := f.Threshold(t)
-	if vt == 0 && len(f.live) == 0 {
+	if vt == 0 && f.nlive == 0 {
 		// BSP: everything is significant and nothing is withheld, so the
 		// update passes through and no residual is ever allocated.
 		out.CopyFrom(u)
@@ -168,50 +172,60 @@ func (f *Filter) Add(t int, u *sparse.Vector, params sparse.Dense) *sparse.Vecto
 		if int(i) >= len(f.res) {
 			f.widen(int(i) + 1)
 		}
-		if f.res[i] == 0 {
-			f.live = append(f.live, i)
-		}
 		f.res[i] += val
+		f.live[i>>6] |= 1 << (i & 63)
 	})
 
-	// One compacting pass: flush what is significant, keep the rest.
+	// One pass over the set bits, ascending: flush what is significant
+	// (appended in order, so out is a run), keep the rest.
 	out.Clear()
-	keep := f.live[:0]
-	for _, i := range f.live {
-		delta := f.res[i]
-		if delta == 0 {
-			continue // cancelled exactly: no longer withheld
+	kept := 0
+	for wi, w := range f.live {
+		for rest := w; rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros64(rest)
+			i := wi<<6 + b
+			delta := f.res[i]
+			if delta == 0 {
+				w &^= 1 << b // cancelled exactly: no longer withheld
+				continue
+			}
+			x := 0.0
+			if i < len(params) {
+				x = params[i]
+			}
+			switch {
+			case x == 0 || math.Abs(delta/x) > vt:
+				out.Append(uint32(i), delta)
+				f.res[i] = 0
+				w &^= 1 << b
+			case f.variant == Drop:
+				// Naive filtering: the insignificant part is lost forever.
+				f.res[i] = 0
+				w &^= 1 << b
+			default:
+				kept++
+			}
 		}
-		x := 0.0
-		if int(i) < len(params) {
-			x = params[i]
-		}
-		switch {
-		case x == 0 || math.Abs(delta/x) > vt:
-			out.Set(i, delta)
-			f.res[i] = 0
-		case f.variant == Drop:
-			// Naive filtering: the insignificant part is lost forever.
-			f.res[i] = 0
-		default:
-			keep = append(keep, i)
-		}
+		f.live[wi] = w
 	}
-	f.live = keep
+	f.nlive = kept
 	f.flushed += int64(out.Len())
 	return out
 }
 
-// widen grows the residual to cover n coordinates.
+// widen grows the residual, and its bitmap, to cover n coordinates.
 func (f *Filter) widen(n int) {
 	f.res = append(f.res, make([]float64, n-len(f.res))...)
+	if words := (n + 63) / 64; words > len(f.live) {
+		f.live = append(f.live, make([]uint64, words-len(f.live))...)
+	}
 }
 
 // ResidualView is a read-only view of a filter's residual.
 type ResidualView struct{ f *Filter }
 
 // Len reports the number of withheld coordinates.
-func (r ResidualView) Len() int { return len(r.f.live) }
+func (r ResidualView) Len() int { return r.f.nlive }
 
 // Get returns the withheld update at coordinate i (0 when none).
 func (r ResidualView) Get(i uint32) float64 {
@@ -221,10 +235,13 @@ func (r ResidualView) Get(i uint32) float64 {
 	return 0
 }
 
-// ForEach calls fn for every withheld coordinate, in unspecified order.
+// ForEach calls fn for every withheld coordinate, in ascending order.
 func (r ResidualView) ForEach(fn func(i uint32, delta float64)) {
-	for _, i := range r.f.live {
-		fn(i, r.f.res[i])
+	for wi, w := range r.f.live {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			fn(uint32(i), r.f.res[i])
+		}
 	}
 }
 
@@ -250,10 +267,9 @@ func (f *Filter) FlushedEntries() int64 { return f.flushed }
 
 // Reset clears the residual and statistics, keeping the storage.
 func (f *Filter) Reset() {
-	for _, i := range f.live {
-		f.res[i] = 0
-	}
-	f.live = f.live[:0]
+	clear(f.res)
+	clear(f.live)
+	f.nlive = 0
 	f.flushed = 0
 }
 

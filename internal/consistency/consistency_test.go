@@ -349,21 +349,45 @@ func (r *refFilter) add(vt float64, u *sparse.Vector, params sparse.Dense) *spar
 	return out
 }
 
-// checkLive asserts the invariant Add relies on: live names exactly the
-// coordinates whose residual is non-zero, each once.
+// checkLive asserts the invariant Add relies on: bit i of the live
+// bitmap is set exactly when res[i] is non-zero, the bitmap covers res
+// and no more, and nlive counts the set bits. Under a non-zero
+// threshold it also asserts that the last output is an ascending run.
 func checkLive(t *testing.T, f *Filter) {
 	t.Helper()
-	seen := map[uint32]bool{}
-	for _, i := range f.live {
-		if seen[i] || f.res[i] == 0 {
-			t.Fatalf("live coordinate %d: listed twice %v, residual %v", i, seen[i], f.res[i])
-		}
-		seen[i] = true
+	if want := (len(f.res) + 63) / 64; len(f.live) != want {
+		t.Fatalf("live bitmap has %d words for %d coordinates, want %d", len(f.live), len(f.res), want)
 	}
-	for i, delta := range f.res {
-		if delta != 0 && !seen[uint32(i)] {
-			t.Fatalf("coordinate %d holds %v but is not live", i, delta)
+	set := 0
+	for wi, w := range f.live {
+		for b := 0; b < 64; b++ {
+			i := wi*64 + b
+			bit := w>>b&1 != 0
+			if i >= len(f.res) {
+				if bit {
+					t.Fatalf("live bit %d set past the residual's %d coordinates", i, len(f.res))
+				}
+				continue
+			}
+			if bit != (f.res[i] != 0) {
+				t.Fatalf("coordinate %d: live bit %v, residual %v", i, bit, f.res[i])
+			}
+			if bit {
+				set++
+			}
 		}
+	}
+	if f.nlive != set {
+		t.Fatalf("nlive = %d, bitmap holds %d", f.nlive, set)
+	}
+	if f.v > 0 {
+		prev := int64(-1)
+		f.out.ForEach(func(i uint32, _ float64) {
+			if int64(i) <= prev {
+				t.Fatalf("Add's output is not ascending: %d after %d", i, prev)
+			}
+			prev = int64(i)
+		})
 	}
 }
 
@@ -467,7 +491,7 @@ func TestFilterAddSteadyStateDoesNotAllocate(t *testing.T) {
 			f.Add(100, updates[step%len(updates)], params)
 			step++
 		}
-		for step < 200 { // residual, live list and out reach their steady sizes
+		for step < 200 { // residual, live bitmap and out reach their steady sizes
 			add()
 		}
 		if n := testing.AllocsPerRun(50, add); n != 0 {

@@ -15,8 +15,7 @@ type LogReg struct {
 	dim    int
 	l2     float64
 	params sparse.Dense
-	grad   *sparse.Vector // scratch reused across GradientView calls
-	reg    *sparse.Vector // regularization scratch, same lifetime as grad
+	grad   *sparse.Vector // scratch run reused across GradientView calls
 }
 
 var _ Model = (*LogReg)(nil)
@@ -45,48 +44,46 @@ func (m *LogReg) score(b shard.BatchView, k int) float64 {
 }
 
 // GradientView implements Model: the averaged BCE gradient
-// (σ(wᵀx+b) − y)·x plus active-coordinate L2.
+// (σ(wᵀx+b) − y)·x plus active-coordinate L2: only coordinates whose
+// sample sum is non-zero are regularized, as the emission's last term.
 func (m *LogReg) GradientView(b shard.BatchView) *sparse.Vector {
 	if m.grad == nil {
 		m.grad = sparse.New()
 	}
 	g := m.grad
-	g.Clear()
 	n := b.Len()
 	if n == 0 {
+		g.Clear()
 		return g
 	}
+	acc := accPool.Get().(*sparse.FoldScratch)
 	inv := 1 / float64(n)
 	var sampleErr float64
-	add := func(i uint32, val float64) { g.Add(i, inv*sampleErr*val) }
+	add := func(i uint32, val float64) { acc.Add(i, inv*sampleErr*val) }
 	for k := 0; k < n; k++ {
 		sampleErr = sigmoid(m.score(b, k)) - b.Label(k)
 		b.ForEachPair(k, add)
-		g.Add(uint32(m.dim), inv*sampleErr) // bias
+		acc.Add(uint32(m.dim), inv*sampleErr) // bias
 	}
-	m.regularize(g)
+	acc.EmitTo(g, activeL2(m.l2, m.params, m.dim))
+	accPool.Put(acc)
 	return g
 }
 
-// regularize folds active-coordinate L2 into a gradient: only
-// coordinates the batch touched are regularized. The terms are staged
-// in a reused scratch (mutating g mid-iteration is not allowed) and
-// folded in afterwards.
-func (m *LogReg) regularize(g *sparse.Vector) {
-	if m.l2 <= 0 {
-		return
+// activeL2 returns the emission finisher that adds active-coordinate
+// L2 to a linear model's gradient: l2·w[i] on every weight whose sample
+// sum is non-zero, none on the bias at index dim (nor past it), and nil
+// when l2 ≤ 0.
+func activeL2(l2 float64, params sparse.Dense, dim int) func(i uint32, s float64) float64 {
+	if l2 <= 0 {
+		return nil
 	}
-	if m.reg == nil {
-		m.reg = sparse.New()
-	}
-	reg := m.reg
-	reg.Clear()
-	g.ForEach(func(i uint32, _ float64) {
-		if int(i) != m.dim { // bias is unregularized
-			reg.Add(i, m.l2*m.params[i])
+	return func(i uint32, s float64) float64 {
+		if int(i) < dim {
+			s += l2 * params[i]
 		}
-	})
-	g.AddVector(reg)
+		return s
+	}
 }
 
 // LossView implements Model: mean binary cross-entropy over the batch.

@@ -14,6 +14,7 @@ package model
 
 import (
 	"math"
+	"sync"
 
 	"mlless/internal/shard"
 	"mlless/internal/sparse"
@@ -39,11 +40,12 @@ type Model interface {
 	// within a sample, in ascending coordinate order; the committed
 	// loss-history goldens pin that order bit for bit.
 	//
-	// The returned vector is owned by the model and remains valid only
-	// until the next GradientView call on the same instance
-	// (implementations reuse a scratch buffer — gradient accumulation is
-	// the simulator's hottest allocation site). Callers that retain it
-	// across calls must Clone it.
+	// The returned vector is an ascending run with no table behind it
+	// (see package sparse), owned by the model and valid only until the
+	// next GradientView call on the same instance (implementations reuse
+	// a scratch buffer — gradient accumulation is the simulator's hottest
+	// allocation site). Callers that retain it across calls must Clone
+	// it.
 	GradientView(b shard.BatchView) *sparse.Vector
 	// LossView evaluates the model's training loss on a batch view (BCE
 	// for logistic regression, RMSE for matrix factorization).
@@ -68,6 +70,12 @@ type Model interface {
 // existed; benchmark/ still spells it. The next benchmark-archetype PR
 // removes the alias.
 type ViewModel = Model
+
+// accPool holds the dense accumulators gradients are summed into and
+// emitted from as runs. Pooling keeps one per concurrently running
+// gradient rather than one per model, so their memory follows the
+// number of cores, not the number of workers.
+var accPool = sync.Pool{New: func() any { return new(sparse.FoldScratch) }}
 
 // sigmoid with guard against overflow in exp.
 func sigmoid(z float64) float64 {

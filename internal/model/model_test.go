@@ -11,7 +11,7 @@ import (
 )
 
 // viewOf packs a batch into a one-batch shard and returns its view.
-func viewOf(t *testing.T, batch []dataset.Sample) shard.BatchView {
+func viewOf(t testing.TB, batch []dataset.Sample) shard.BatchView {
 	t.Helper()
 	b := shard.NewBuilder()
 	for _, s := range batch {

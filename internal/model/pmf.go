@@ -21,7 +21,7 @@ type PMF struct {
 	mean               float64
 	l2                 float64
 	params             sparse.Dense
-	grad               *sparse.Vector // scratch reused across GradientView calls
+	grad               *sparse.Vector // scratch run reused across GradientView calls
 }
 
 var _ Model = (*PMF)(nil)
@@ -74,15 +74,16 @@ func (m *PMF) predict(u, i int) float64 {
 // appear in the sparse gradient — this is what makes PMF updates sparse
 // and the significance filter effective (§6.2).
 func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
-	n := b.Len()
 	if m.grad == nil {
-		m.grad = sparse.NewWithCapacity(2 * m.rank * n)
+		m.grad = sparse.New()
 	}
 	g := m.grad
-	g.Clear()
+	n := b.Len()
 	if n == 0 {
+		g.Clear()
 		return g
 	}
+	acc := accPool.Get().(*sparse.FoldScratch)
 	inv := 1 / float64(n)
 	for s := 0; s < n; s++ {
 		u, i := b.User(s), b.Item(s)
@@ -90,10 +91,12 @@ func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
 		e := m.predict(u, i) - b.Rating(s)
 		for k := 0; k < m.rank; k++ {
 			uk, ik := m.params[uo+k], m.params[io+k]
-			g.Add(uint32(uo+k), inv*(e*ik+m.l2*uk))
-			g.Add(uint32(io+k), inv*(e*uk+m.l2*ik))
+			acc.Add(uint32(uo+k), inv*(e*ik+m.l2*uk))
+			acc.Add(uint32(io+k), inv*(e*uk+m.l2*ik))
 		}
 	}
+	acc.EmitTo(g, nil)
+	accPool.Put(acc)
 	return g
 }
 

@@ -17,8 +17,7 @@ type SVM struct {
 	dim    int
 	l2     float64
 	params sparse.Dense
-	grad   *sparse.Vector // scratch reused across GradientView calls
-	reg    *sparse.Vector // regularization scratch, same lifetime as grad
+	grad   *sparse.Vector // scratch run reused across GradientView calls
 }
 
 var _ Model = (*SVM)(nil)
@@ -51,20 +50,22 @@ func (m *SVM) margin(b shard.BatchView, k int) (y, wx float64) {
 }
 
 // GradientView implements Model: the averaged hinge subgradient
-// (−y·x when y·(wᵀx+b) < 1, else 0) plus active-coordinate L2.
+// (−y·x when y·(wᵀx+b) < 1, else 0) plus active-coordinate L2, applied
+// as LogReg.GradientView applies it.
 func (m *SVM) GradientView(b shard.BatchView) *sparse.Vector {
 	if m.grad == nil {
 		m.grad = sparse.New()
 	}
 	g := m.grad
-	g.Clear()
 	n := b.Len()
 	if n == 0 {
+		g.Clear()
 		return g
 	}
+	acc := accPool.Get().(*sparse.FoldScratch)
 	inv := 1 / float64(n)
 	var y float64
-	add := func(i uint32, val float64) { g.Add(i, -inv*y*val) }
+	add := func(i uint32, val float64) { acc.Add(i, -inv*y*val) }
 	for k := 0; k < n; k++ {
 		var wx float64
 		y, wx = m.margin(b, k)
@@ -72,29 +73,11 @@ func (m *SVM) GradientView(b shard.BatchView) *sparse.Vector {
 			continue // correctly classified with margin: zero subgradient
 		}
 		b.ForEachPair(k, add)
-		g.Add(uint32(m.dim), -inv*y)
+		acc.Add(uint32(m.dim), -inv*y)
 	}
-	m.regularize(g)
+	acc.EmitTo(g, activeL2(m.l2, m.params, m.dim))
+	accPool.Put(acc)
 	return g
-}
-
-// regularize folds active-coordinate L2 into a gradient; see
-// LogReg.regularize.
-func (m *SVM) regularize(g *sparse.Vector) {
-	if m.l2 <= 0 {
-		return
-	}
-	if m.reg == nil {
-		m.reg = sparse.New()
-	}
-	reg := m.reg
-	reg.Clear()
-	g.ForEach(func(i uint32, _ float64) {
-		if int(i) != m.dim {
-			reg.Add(i, m.l2*m.params[i])
-		}
-	})
-	g.AddVector(reg)
 }
 
 // LossView implements Model: mean hinge loss max(0, 1 − y·(wᵀx+b)).

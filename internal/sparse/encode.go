@@ -48,25 +48,22 @@ func (v *Vector) Encode() []byte {
 // extended slice, reallocating only when buf lacks capacity: the
 // zero-allocation publish path (callers keep one wire buffer per worker
 // or draw one from a pool). The appended bytes are identical to
-// Encode's.
+// Encode's. A run is written as it stands; an indexed vector is sorted
+// first.
 func (v *Vector) EncodeTo(buf []byte) []byte {
 	need := v.EncodedSize()
 	buf = ensureCap(buf, need)
 	start := len(buf)
 	buf = buf[:start+need]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(v.idx)))
-	if len(v.idx) == 0 {
-		return buf
-	}
 	off := start + sparseHeaderSize
-	ps := pairPool.Get().(*pairScratch)
-	idx, vals := ps.extract(v)
+	idx, vals, ps := v.sorted()
 	for k, i := range idx {
 		binary.LittleEndian.PutUint32(buf[off:], i)
 		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(vals[k]))
 		off += sparseEntrySize
 	}
-	pairPool.Put(ps)
+	release(ps)
 	return buf
 }
 
@@ -103,8 +100,9 @@ func Decode(buf []byte) (*Vector, error) {
 }
 
 // DecodeInto parses an encoded sparse vector into v, replacing its
-// contents but reusing its table when large enough — the
-// zero-allocation counterpart of Decode for steady-state loops. Encoded
+// contents with an indexed vector but reusing its table when large
+// enough — the zero-allocation counterpart of Decode for steady-state
+// loops. Encoded
 // entries are ascending and unique, so the fast path inserts each one
 // directly (a single probe, no duplicate check, no incremental grows);
 // buffers violating that order fall back to Set, which remains

@@ -6,14 +6,16 @@ import (
 	"math/bits"
 )
 
-// FoldScratch is the reusable state of FoldEncoded: a dense float64
-// sum per coordinate and a bitmap of the coordinates a fold touched.
-// Both grow to a high-water mark of 8 bytes plus 1 bit per coordinate
-// up to the largest index seen, and emission zeroes every touched slot,
-// so a reused scratch never needs clearing. The zero value is ready for
-// use. Memory follows the largest index, not the entry count, so the
-// kernel suits runs over a bounded coordinate space (a model's
-// parameters); it is not safe for concurrent use.
+// FoldScratch is a dense accumulator: a float64 sum per coordinate and
+// a bitmap of the coordinates touched since the last emission. It folds
+// encoded runs (FoldEncoded) and single entries (Add), and emits either
+// as an encoding or as a run in a Vector (EmitTo). Both arrays grow to a
+// high-water mark of 8 bytes plus 1 bit per coordinate up to the largest
+// index seen, and emission zeroes every touched slot, so a reused
+// scratch never needs clearing. The zero value is ready for use. Memory
+// follows the largest index, not the entry count, so the kernel suits a
+// bounded coordinate space (a model's parameters); it is not safe for
+// concurrent use.
 type FoldScratch struct {
 	sum     []float64
 	touched []uint64
@@ -77,24 +79,12 @@ func lastIndex(buf []byte, n int) int {
 	return int(binary.LittleEndian.Uint32(buf[sparseHeaderSize+(n-1)*sparseEntrySize:]))
 }
 
-// reserve sizes the scratch to hold coordinate i. Slots past the
-// current length were never written (emission re-zeroes touched ones),
-// so extending within capacity needs no clearing.
+// reserve sizes the scratch to hold coordinate i. The appended slots
+// and bitmap words are zero.
 func (s *FoldScratch) reserve(i int) {
-	if i < len(s.sum) {
-		return
-	}
-	if i < cap(s.sum) {
-		s.sum = s.sum[:i+1]
-	} else {
-		sum := make([]float64, i+1)
-		copy(sum, s.sum)
-		s.sum = sum
-	}
-	if words := i>>6 + 1; words > len(s.touched) {
-		touched := make([]uint64, words)
-		copy(touched, s.touched)
-		s.touched = touched
+	if n := i + 1 - len(s.sum); n > 0 {
+		s.sum = append(s.sum, make([]float64, n)...)
+		s.touched = append(s.touched, make([]uint64, (len(s.sum)+63)/64-len(s.touched))...)
 	}
 }
 
@@ -103,17 +93,70 @@ func (s *FoldScratch) reserve(i int) {
 func (s *FoldScratch) add(buf []byte, n int) {
 	off := sparseHeaderSize
 	for k := 0; k < n; k++ {
-		i := binary.LittleEndian.Uint32(buf[off:])
-		val := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-		if int(i) >= len(s.sum) {
-			// Only an unsorted input reaches past the up-front size;
-			// doubling keeps its growth amortised linear.
-			s.reserve(max(int(i), min(2*len(s.sum), math.MaxUint32)))
-		}
-		s.sum[i] += val
-		s.touched[i>>6] |= 1 << (i & 63)
+		s.Add(binary.LittleEndian.Uint32(buf[off:]), math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:])))
 		off += sparseEntrySize
 	}
+}
+
+// Add sums val into coordinate i and marks it touched, growing the
+// scratch when i lies past it: at least doubling it, so growth stays
+// amortised linear whatever order the indices come in. Per coordinate,
+// the emitted sum is exactly what Vector.Add would hold after the same
+// calls in the same order (see FoldEncoded for why the zero rules
+// agree). Add is small enough to inline into the callers' loops, which
+// is most of its speed; keep it so.
+func (s *FoldScratch) Add(i uint32, val float64) {
+	if int(i) >= len(s.sum) {
+		s.reserve(max(int(i), min(2*len(s.sum), math.MaxUint32)))
+	}
+	s.sum[i] += val
+	s.touched[i>>6] |= 1 << (i & 63)
+}
+
+// EmitTo replaces v's contents with a run of the scratch's non-zero
+// touched sums, in ascending coordinate order, and zeroes every touched
+// slot and bit on the way. When finish is non-nil, each non-zero sum
+// is replaced by finish(i, sum) before it is stored, and an exact zero
+// result is dropped; finish must not use s or v. v's table, if any, is
+// released, and its entry arrays are reused when large enough.
+func (s *FoldScratch) EmitTo(v *Vector, finish func(i uint32, sum float64) float64) {
+	distinct := 0
+	for _, w := range s.touched {
+		distinct += bits.OnesCount64(w)
+	}
+	if cap(v.idx) < distinct || cap(v.val) < distinct {
+		// Headroom, so that a gradient whose width creeps up over the
+		// first steps reallocates a logarithmic number of times.
+		v.idx = make([]uint32, 0, distinct+distinct/4)
+		v.val = make([]float64, 0, distinct+distinct/4)
+	}
+	v.tab = nil
+	idx, val := v.idx[:distinct], v.val[:distinct]
+	n := 0
+	for wi, w := range s.touched {
+		if w == 0 {
+			continue
+		}
+		s.touched[wi] = 0
+		base := wi << 6
+		for w != 0 {
+			i := base + bits.TrailingZeros64(w)
+			w &= w - 1
+			x := s.sum[i]
+			s.sum[i] = 0
+			if x == 0 {
+				continue
+			}
+			if finish != nil {
+				if x = finish(uint32(i), x); x == 0 {
+					continue
+				}
+			}
+			idx[n], val[n] = uint32(i), x
+			n++
+		}
+	}
+	v.idx, v.val = idx[:n], val[:n]
 }
 
 // emit appends the encoding of the scratch's non-zero touched slots to

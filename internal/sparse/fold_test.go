@@ -187,6 +187,8 @@ func FuzzFoldEncoded(f *testing.F) {
 			runs[k] = rawEncode(idx[k], vals[k])
 		}
 		var s FoldScratch
+		emitted := New()
+		emitted.Set(3, 1) // EmitTo must release the table and overwrite the entries
 		for pass := 0; pass < 2; pass++ {
 			want, wantN := vectorFold(t, runs[0], runs[1:])
 			got, n, err := s.FoldEncoded(nil, runs[0], runs[1:])
@@ -196,11 +198,48 @@ func FuzzFoldEncoded(f *testing.F) {
 			if !bytes.Equal(got, want) || n != wantN {
 				t.Fatalf("pass %d: fold = %x (%d folded), Vector fold = %x (%d)", pass, got, n, want, wantN)
 			}
+			// The same entries, in the same order, through Add and
+			// EmitTo; the second pass finishes each sum with an
+			// index-dependent term, which cancels some to zero. The
+			// oracle is the Vector fold with the finisher applied to its
+			// stored entries by Transform.
+			for _, run := range runs {
+				addEncodedEntries(&s, run)
+			}
+			var finish func(i uint32, x float64) float64
+			if pass == 1 {
+				finish = func(i uint32, x float64) float64 { return x + fuzzVals[i%uint32(len(fuzzVals))] }
+			}
+			s.EmitTo(emitted, finish)
+			oracle, err := Decode(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if finish != nil {
+				oracle.Transform(finish)
+			}
+			if emitted.tab != nil {
+				t.Fatalf("pass %d: EmitTo left an indexed vector", pass)
+			}
+			checkTable(t, emitted)
+			if g, w := emitted.Encode(), oracle.Encode(); !bytes.Equal(g, w) {
+				t.Fatalf("pass %d: EmitTo = %x, Vector fold = %x", pass, g, w)
+			}
 			for i, j := 0, len(runs)-1; i < j; i, j = i+1, j-1 {
 				runs[i], runs[j] = runs[j], runs[i]
 			}
 		}
 	})
+}
+
+// addEncodedEntries sums every entry of an encoded run into s with Add,
+// in encoding order.
+func addEncodedEntries(s *FoldScratch, run []byte) {
+	n := int(binary.LittleEndian.Uint32(run))
+	for k := 0; k < n; k++ {
+		e := run[sparseHeaderSize+k*sparseEntrySize:]
+		s.Add(binary.LittleEndian.Uint32(e), math.Float64frombits(binary.LittleEndian.Uint64(e[4:])))
+	}
 }
 
 // BenchmarkFoldEncoded times one tree fold at the shapes pmf-bsp-tree's

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -10,8 +11,11 @@ import (
 // vectors and runs it against map references. The compact table has two
 // structures that must agree — the entry arrays and the slot index — and
 // swap-remove touches both, so after every operation the contents are
-// compared through every read path and the structural invariant is
-// checked directly.
+// compared through every read path and the structural invariant of the
+// vector's state is checked directly: a run must be strictly ascending,
+// an indexed vector's table must index every entry at ¾ capacity. Every
+// Set, Add of a non-zero value or Remove of a non-empty vector must
+// leave it indexed, and no read path may change the state.
 //
 // Encoding: three bytes per operation — op, key, value selector. Bit 7
 // of op swaps which vector is the target. Keys are one byte, so at the
@@ -20,6 +24,9 @@ import (
 // come for free. Transform reads the key byte as a mask instead: it
 // zeroes the entries whose index mod 8 is a set bit and rescales the
 // rest, so a drop compacts the entry arrays and re-indexes the table.
+// Run empties the target and appends an ascending burst (starting a
+// run); Append appends one entry, which stays a run only when it lies
+// past the last.
 
 var fuzzVals = [...]float64{
 	0, math.Copysign(0, -1), // ±0: Set removes, Add is a no-op
@@ -40,6 +47,10 @@ const (
 	fuzzBurst // Set a run of keys: forces growth past ¾
 	fuzzDecodeInto
 	fuzzTransform
+	fuzzRun    // Clear, then Append an ascending burst: a fresh run
+	fuzzAppend // Append one entry, ascending or not
+	fuzzClone
+	fuzzEqual
 	fuzzOps
 )
 
@@ -97,6 +108,13 @@ func FuzzVectorOps(f *testing.F) {
 		[]byte{fuzzDecodeInto | 0x80, 0, 0}, []byte{fuzzClear, 0, 0}, []byte{fuzzCopyFrom, 0, 0}))
 	f.Add(seq(set(1), set(2), set(3), []byte{fuzzTransform, 0xff, 1}))   // every entry zeroed
 	f.Add(seq(set(1), set(2), set(3), []byte{fuzzTransform, 1 << 3, 1})) // only the last entry zeroed
+	// Runs: appended, copied, cloned, transformed with drops, decoded
+	// into, then probed by Set, Add and Remove.
+	f.Add(seq([]byte{fuzzRun, 5, 13}, []byte{fuzzAppend, 200, 3}, []byte{fuzzCopyFrom | 0x80, 0, 0},
+		[]byte{fuzzEqual, 0, 0}, []byte{fuzzTransform, 0x55, 1}, []byte{fuzzAdd, 7, 2}))
+	f.Add(seq([]byte{fuzzRun, 0, 40}, []byte{fuzzClone | 0x80, 0, 0}, []byte{fuzzTransform | 0x80, 0x0f, 2},
+		[]byte{fuzzDecodeInto, 0, 0}, []byte{fuzzRun | 0x80, 9, 7}, []byte{fuzzRemove | 0x80, 9, 0}))
+	f.Add(seq([]byte{fuzzRun, 10, 9}, []byte{fuzzAppend, 3, 4}, []byte{fuzzSet, 50, 0}, []byte{fuzzRun, 1, 0}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := New(), New()
@@ -110,16 +128,22 @@ func FuzzVectorOps(f *testing.F) {
 			val := fuzzVals[int(sel)%len(fuzzVals)]
 			switch op & 0x7f % fuzzOps {
 			case fuzzSet:
+				probes := val != 0 || v.Len() > 0
 				v.Set(k, val)
 				m.set(k, val)
+				checkIndexed(t, v, probes, "Set")
 			case fuzzAdd:
+				probes := val != 0
 				v.Add(k, val)
 				m.add(k, val)
+				checkIndexed(t, v, probes, "Add")
 			case fuzzRemove:
+				probes := v.Len() > 0
 				if got, want := v.Remove(k), m[k]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("Remove(%d) = %v, want %v", k, got, want)
 				}
 				delete(m, k)
+				checkIndexed(t, v, probes, "Remove")
 			case fuzzClear:
 				v.Clear()
 				clear(m)
@@ -156,6 +180,33 @@ func FuzzVectorOps(f *testing.F) {
 				for i, x := range mw {
 					m.set(i, x) // a value scaled down to zero does not survive the wire
 				}
+			case fuzzRun:
+				v.Clear()
+				clear(m)
+				fallthrough
+			case fuzzAppend:
+				// sel picks the count (bits 0–2, plus one for Run) and the
+				// stride (bits 3–4); values cycle through fuzzVals, zeros
+				// included, which Append drops as Set would.
+				count, stride := 1, uint32(sel>>3&3)+1
+				if op&0x7f%fuzzOps == fuzzRun {
+					count = int(sel&7) + 1
+				}
+				for n, i := 0, k; n < count; n, i = n+1, i+stride {
+					x := fuzzVals[(int(sel)+n)%len(fuzzVals)]
+					v.Append(i, x)
+					m.set(i, x)
+				}
+			case fuzzClone:
+				*v = *w.Clone()
+				clear(m)
+				for i, x := range mw {
+					m[i] = x
+				}
+			case fuzzEqual:
+				if got, want := v.Equal(w), maps.Equal(m, mw); got != want {
+					t.Fatalf("Equal = %v, reference %v", got, want)
+				}
 			case fuzzTransform:
 				s := fuzzScales[int(sel)%len(fuzzScales)]
 				fn := func(i uint32, x float64) float64 {
@@ -189,6 +240,15 @@ func FuzzVectorOps(f *testing.F) {
 	})
 }
 
+// checkIndexed fails unless an operation that probed the vector left it
+// indexed.
+func checkIndexed(t *testing.T, v *Vector, probed bool, op string) {
+	t.Helper()
+	if probed && v.tab == nil {
+		t.Fatalf("%s probed a run but left it unindexed", op)
+	}
+}
+
 // checkOrder fails unless got lists exactly the indices of want, in
 // want's order.
 func checkOrder(t *testing.T, what string, got, want []uint32) {
@@ -199,9 +259,16 @@ func checkOrder(t *testing.T, what string, got, want []uint32) {
 }
 
 // checkAgainstModel compares v with its reference through Len, Get,
-// ForEach and an encode/decode round trip, then checks the table.
+// ForEach, ForEachSorted, Equal and an encode/decode round trip, checks
+// that none of them changed v's state, then checks the structure.
 func checkAgainstModel(t *testing.T, v *Vector, m vecModel) {
 	t.Helper()
+	run := v.tab == nil
+	defer func() {
+		if (v.tab == nil) != run {
+			t.Fatalf("a read path changed the state: run %v, now %v", run, v.tab == nil)
+		}
+	}()
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	if v.Len() != len(m) {
 		t.Fatalf("Len = %d, want %d", v.Len(), len(m))
@@ -224,6 +291,17 @@ func checkAgainstModel(t *testing.T, v *Vector, m vecModel) {
 	if visited != len(m) {
 		t.Fatalf("ForEach visited %d entries, want %d", visited, len(m))
 	}
+	prev, sortedN := int64(-1), 0
+	v.ForEachSorted(func(i uint32, val float64) {
+		if int64(i) <= prev || !same(val, m[i]) {
+			t.Fatalf("ForEachSorted yielded (%d, %v) after index %d; reference has %v", i, val, prev, m[i])
+		}
+		prev = int64(i)
+		sortedN++
+	})
+	if sortedN != len(m) {
+		t.Fatalf("ForEachSorted visited %d entries, want %d", sortedN, len(m))
+	}
 	dec, err := Decode(v.EncodeTo(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -240,20 +318,32 @@ func checkAgainstModel(t *testing.T, v *Vector, m vecModel) {
 	if dec.Len() != nonzero {
 		t.Fatalf("round trip: %d entries, want %d", dec.Len(), nonzero)
 	}
+	if !v.Equal(dec) || !dec.Equal(v) {
+		t.Fatal("Equal: a vector differs from its own round trip")
+	}
 	checkTable(t, v)
 	checkTable(t, dec)
 }
 
-// checkTable asserts the structural invariant: the entry arrays are
-// sized in lock-step with the table; every non-zero slot points at an
-// entry whose key's probe path, from its home slot, reaches that slot
-// without crossing an empty one; and every entry is pointed at exactly
-// once.
+// checkTable asserts the structural invariant of v's state. A run's
+// entries are strictly ascending and non-zero. For an indexed vector,
+// the entry arrays are sized in lock-step with the table; every
+// non-zero slot points at an entry whose key's probe path, from its home
+// slot, reaches that slot without crossing an empty one; and every entry
+// is pointed at exactly once.
 func checkTable(t *testing.T, v *Vector) {
 	t.Helper()
+	if len(v.idx) != len(v.val) {
+		t.Fatalf("entry arrays of lengths %d and %d", len(v.idx), len(v.val))
+	}
 	if v.tab == nil {
-		if len(v.idx) != 0 || len(v.val) != 0 {
-			t.Fatalf("entries without a table: %d", len(v.idx))
+		for k, i := range v.idx {
+			if k > 0 && v.idx[k-1] >= i {
+				t.Fatalf("run not strictly ascending: %d after %d", i, v.idx[k-1])
+			}
+			if v.val[k] == 0 {
+				t.Fatalf("run stores a zero at %d", i)
+			}
 		}
 		return
 	}

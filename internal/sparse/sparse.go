@@ -5,18 +5,26 @@
 // exactly as serialized update size determined Redis traffic in the
 // paper's prototype.
 //
-// Vector keeps its entries compactly, in the order they were inserted,
-// and finds them through a purpose-built open-addressing index (uint32
-// keys, Fibonacci hashing, linear probing, backward-shift deletion)
-// rather than a Go map: sparse-update accumulation is the simulator's
-// hottest loop, and every whole-vector operation (ForEach, Scale, copy,
-// extraction) is a branch-free walk over exactly Len entries. Sorted
-// extraction uses an LSD radix sort.
+// A Vector keeps its entries as two compact arrays and is in one of two
+// states. An ascending run holds them in strictly ascending index order
+// with nothing else behind them: it is what the step path produces
+// (gradients are emitted from a FoldScratch, optimizer updates copy and
+// transform them, the ISP filter appends its flushes), and every
+// whole-vector operation, sorted ones and encoding included, is a
+// branch-free walk over exactly Len entries. An indexed vector keeps its
+// entries in insertion order and finds them through a purpose-built
+// open-addressing table (uint32 keys, Fibonacci hashing, linear probing,
+// backward-shift deletion) rather than a Go map, for callers that
+// accumulate into it; its sorted extraction uses an LSD radix sort. A run
+// becomes indexed the first time Set, Add or Remove probes it; an
+// indexed vector becomes a run again only when it is overwritten: by
+// Append once emptied, by CopyFrom of a run, or by FoldScratch.EmitTo.
 package sparse
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Vector is a sparse float64 vector keyed by coordinate index.
@@ -27,13 +35,29 @@ import (
 // the largest model in the repository (PMF on the MovieLens-20M-scale
 // dataset) has well under 2^32 parameters.
 //
-// Entry k is (idx[k], val[k]); entries sit in insertion order, except
-// that Remove moves the last entry into the position it frees. tab is a
-// power-of-two table mapping a slot to entry position + 1 (0 = empty).
-// idx and val are always allocated at exactly ¾ of len(tab) — the load
-// factor — so a full entry array is the signal to grow and append never
-// reallocates: memory is 4 + ¾·12 = 13 bytes per slot, whatever the
-// runtime's slice growth policy.
+// Entry k is (idx[k], val[k]); no entry holds an exact zero. tab tells
+// the two states apart:
+//
+//   - Run (tab == nil; the zero value is an empty run): idx is strictly
+//     ascending and the arrays may have any capacity. Get binary-searches,
+//     and the sorted walks (ForEachSorted, Dot, the norms, EncodeTo) read
+//     the entries in place.
+//   - Indexed (tab != nil): entries sit in insertion order, except that
+//     Remove moves the last entry into the position it frees. tab is a
+//     power-of-two table mapping a slot to entry position + 1 (0 =
+//     empty) that indexes every entry. idx and val are always allocated
+//     at exactly ¾ of len(tab) — the load factor — so a full entry array
+//     is the signal to grow and append never reallocates: memory is 4 +
+//     ¾·12 = 13 bytes per slot, whatever the runtime's slice growth
+//     policy.
+//
+// Read-only methods never change the state, so a vector may be shared
+// by concurrent readers (mini-batch vectors are). Set, Add of a non-zero
+// value and Remove index a run first. CopyFrom, Clone, Transform and
+// Scale keep the source's state and copy no table into a run; Clear
+// keeps the state (an indexed vector keeps its table for reuse);
+// DecodeInto and NewWithCapacity produce an indexed vector; Append on an
+// empty vector and FoldScratch.EmitTo produce a run.
 type Vector struct {
 	idx []uint32
 	val []float64
@@ -92,9 +116,17 @@ func (v *Vector) find(i uint32) (slot, e uint32) {
 }
 
 // grow doubles the table, keeping the entries and their order.
-func (v *Vector) grow() {
+func (v *Vector) grow() { v.rebuild(len(v.tab) * 2) }
+
+// buildIndex turns a run into an indexed vector, in a table just large
+// enough for its entries.
+func (v *Vector) buildIndex() { v.rebuild(tableSize(len(v.idx))) }
+
+// rebuild moves the entries, in order, into fresh storage with a table
+// of the given size and indexes them.
+func (v *Vector) rebuild(capacity int) {
 	idx, val := v.idx, v.val
-	v.alloc(len(v.tab) * 2)
+	v.alloc(capacity)
 	v.idx = append(v.idx, idx...)
 	v.val = append(v.val, val...)
 	v.index()
@@ -139,9 +171,13 @@ func (v *Vector) insertAt(slot, i uint32, val float64) {
 // Len reports the number of non-zero entries.
 func (v *Vector) Len() int { return len(v.idx) }
 
-// Get returns the value at index i (0 when absent).
+// Get returns the value at index i (0 when absent). On a run it
+// binary-searches, so it never builds the index.
 func (v *Vector) Get(i uint32) float64 {
-	if len(v.idx) == 0 {
+	if v.tab == nil {
+		if k, ok := slices.BinarySearch(v.idx, i); ok {
+			return v.val[k]
+		}
 		return 0
 	}
 	if _, e := v.find(i); e != 0 {
@@ -158,7 +194,7 @@ func (v *Vector) Set(i uint32, val float64) {
 		return
 	}
 	if v.tab == nil {
-		v.alloc(minCapacity)
+		v.buildIndex()
 	}
 	slot, e := v.find(i)
 	if e != 0 {
@@ -168,14 +204,33 @@ func (v *Vector) Set(i uint32, val float64) {
 	v.insertAt(slot, i, val)
 }
 
+// Append stores val at index i exactly as Set does, but appends without
+// a probe when v is a run whose indices all lie below i: the way to
+// build a run in ascending order. On an empty vector it starts a run,
+// releasing any table. Anything else falls back to Set, which indexes
+// the entries first.
+func (v *Vector) Append(i uint32, val float64) {
+	if len(v.idx) == 0 {
+		v.tab = nil
+	} else if v.tab != nil || v.idx[len(v.idx)-1] >= i {
+		v.Set(i, val)
+		return
+	}
+	if val != 0 {
+		v.idx = append(v.idx, i)
+		v.val = append(v.val, val)
+	}
+}
+
 // Add accumulates val into index i, removing the entry if the sum
-// cancels to exactly zero.
+// cancels to exactly zero. Adding ±0 changes nothing, so it does not
+// index a run either.
 func (v *Vector) Add(i uint32, val float64) {
+	if val == 0 {
+		return
+	}
 	if v.tab == nil {
-		if val == 0 {
-			return
-		}
-		v.alloc(minCapacity)
+		v.buildIndex()
 	}
 	slot, e := v.find(i)
 	if e != 0 {
@@ -187,9 +242,6 @@ func (v *Vector) Add(i uint32, val float64) {
 		v.val[e-1] = s
 		return
 	}
-	if val == 0 {
-		return
-	}
 	v.insertAt(slot, i, val)
 }
 
@@ -197,6 +249,9 @@ func (v *Vector) Add(i uint32, val float64) {
 func (v *Vector) Remove(i uint32) float64 {
 	if len(v.idx) == 0 {
 		return 0
+	}
+	if v.tab == nil {
+		v.buildIndex()
 	}
 	slot, e := v.find(i)
 	if e == 0 {
@@ -288,8 +343,9 @@ func (v *Vector) Scale(s float64) {
 }
 
 // Transform replaces each entry's value x at index i with fn(i, x), in
-// insertion order, then drops exact zeros; the survivors keep their
-// order. fn must not modify v. No table is probed unless an entry drops.
+// entry order, then drops exact zeros; the survivors keep their order,
+// so a run stays a run. fn must not modify v. An indexed vector's table
+// is rebuilt only if an entry drops.
 func (v *Vector) Transform(fn func(i uint32, x float64) float64) {
 	n := 0
 	for k, i := range v.idx {
@@ -302,11 +358,13 @@ func (v *Vector) Transform(fn func(i uint32, x float64) float64) {
 		return
 	}
 	v.idx, v.val = v.idx[:n], v.val[:n]
-	clear(v.tab)
-	v.index()
+	if v.tab != nil {
+		clear(v.tab)
+		v.index()
+	}
 }
 
-// Clear removes all entries, retaining the allocation.
+// Clear removes all entries, retaining the allocation and the state.
 func (v *Vector) Clear() {
 	clear(v.tab)
 	v.idx, v.val = v.idx[:0], v.val[:0]
@@ -323,13 +381,16 @@ func (v *Vector) reset(entries int) {
 	v.Clear()
 }
 
-// CopyFrom replaces v's contents with a copy of src — same entries in
-// the same order, bit-identical values — reusing v's storage when the
-// table sizes already match: the zero-allocation counterpart of Clone
-// for scratch vectors reused across steps.
+// CopyFrom replaces v's contents with a copy of src — same state, same
+// entries in the same order, bit-identical values — reusing v's storage
+// when it is large enough: the zero-allocation counterpart of Clone for
+// scratch vectors reused across steps. Copying a run copies the entry
+// arrays only; v's table, if any, is released.
 func (v *Vector) CopyFrom(src *Vector) {
 	if src.tab == nil {
-		v.Clear()
+		v.tab = nil
+		v.idx = append(v.idx[:0], src.idx...)
+		v.val = append(v.val[:0], src.val...)
 		return
 	}
 	if len(v.tab) != len(src.tab) {
@@ -347,8 +408,9 @@ func (v *Vector) Clone() *Vector {
 	return c
 }
 
-// ForEach calls fn for every non-zero entry in insertion order (which
-// Remove perturbs), so the order depends on how the vector was built.
+// ForEach calls fn for every non-zero entry in entry order: ascending
+// for a run, insertion order (which Remove perturbs) for an indexed
+// vector, so the order depends on how the vector was built.
 // Use it only where the computation is per-coordinate independent;
 // reductions that accumulate across coordinates must use ForEachSorted,
 // because float addition is not associative.
@@ -358,19 +420,35 @@ func (v *Vector) ForEach(fn func(i uint32, val float64)) {
 	}
 }
 
-// ForEachSorted calls fn for every non-zero entry in ascending index
-// order: deterministic, at the cost of a pair sort over pooled scratch
-// (zero steady-state allocations; see pairs.go).
-func (v *Vector) ForEachSorted(fn func(i uint32, val float64)) {
-	if len(v.idx) == 0 {
-		return
+// sorted returns v's entries in ascending index order: a run's own
+// arrays, or an indexed vector's pairs sorted into pooled scratch, which
+// the caller hands back to release once done with the slices.
+func (v *Vector) sorted() ([]uint32, []float64, *pairScratch) {
+	if v.tab == nil || len(v.idx) == 0 {
+		return v.idx, v.val, nil
 	}
 	ps := pairPool.Get().(*pairScratch)
-	idx, vals := ps.extract(v)
+	idx, val := ps.extract(v)
+	return idx, val, ps
+}
+
+// release returns scratch taken by sorted to the pool.
+func release(ps *pairScratch) {
+	if ps != nil {
+		pairPool.Put(ps)
+	}
+}
+
+// ForEachSorted calls fn for every non-zero entry in ascending index
+// order: deterministic, at the cost of a pair sort over pooled scratch
+// for an indexed vector (zero steady-state allocations; see pairs.go)
+// and of nothing for a run.
+func (v *Vector) ForEachSorted(fn func(i uint32, val float64)) {
+	idx, vals, ps := v.sorted()
 	for k, i := range idx {
 		fn(i, vals[k])
 	}
-	pairPool.Put(ps)
+	release(ps)
 }
 
 // Dot returns the inner product with a dense vector, accumulated in
@@ -378,48 +456,36 @@ func (v *Vector) ForEachSorted(fn func(i uint32, val float64)) {
 // §6.1 sanity check depends on bit-identical losses across systems).
 // Entries of v whose index falls outside d are ignored.
 func (v *Vector) Dot(d Dense) float64 {
-	if len(v.idx) == 0 {
-		return 0
-	}
-	ps := pairPool.Get().(*pairScratch)
-	idx, vals := ps.extract(v)
+	idx, vals, ps := v.sorted()
 	sum := 0.0
 	for k, i := range idx {
 		if int(i) < len(d) {
 			sum += vals[k] * d[i]
 		}
 	}
-	pairPool.Put(ps)
+	release(ps)
 	return sum
 }
 
 // NormL2 returns the Euclidean norm of the vector (deterministic order).
 func (v *Vector) NormL2() float64 {
-	if len(v.idx) == 0 {
-		return 0
-	}
-	ps := pairPool.Get().(*pairScratch)
-	_, vals := ps.extract(v)
+	_, vals, ps := v.sorted()
 	sum := 0.0
 	for _, val := range vals {
 		sum += val * val
 	}
-	pairPool.Put(ps)
+	release(ps)
 	return math.Sqrt(sum)
 }
 
 // NormL1 returns the taxicab norm of the vector (deterministic order).
 func (v *Vector) NormL1() float64 {
-	if len(v.idx) == 0 {
-		return 0
-	}
-	ps := pairPool.Get().(*pairScratch)
-	_, vals := ps.extract(v)
+	_, vals, ps := v.sorted()
 	sum := 0.0
 	for _, val := range vals {
 		sum += math.Abs(val)
 	}
-	pairPool.Put(ps)
+	release(ps)
 	return sum
 }
 

@@ -1,9 +1,12 @@
 package sparse
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -592,5 +595,67 @@ func TestEqualNegativeCases(t *testing.T) {
 	b.Set(1, 1)
 	if !a.Equal(b) {
 		t.Fatal("identical vectors unequal")
+	}
+}
+
+// TestRunReadersShareOneRun calls the read-only methods concurrently on
+// one shared run (mini-batch vectors are shared this way): under the
+// race detector this proves none of them writes to the vector — Get
+// binary-searches instead of building the index. The run must still be
+// unindexed afterwards.
+func TestRunReadersShareOneRun(t *testing.T) {
+	r := xrand.New(17)
+	d := NewDense(5000)
+	run, twin := New(), New()
+	for i := range d {
+		if r.Intn(3) == 0 {
+			d[i] = r.NormFloat64()
+			run.Append(uint32(i), d[i])
+			twin.Append(uint32(i), d[i])
+		}
+	}
+	if run.tab != nil {
+		t.Fatal("Append built an index")
+	}
+	want := run.Encode()
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 8; rep++ {
+				for i := uint32(g); i < 5000; i += 97 {
+					if run.Get(i) != d[i] {
+						errs <- fmt.Sprintf("Get(%d) = %v, want %v", i, run.Get(i), d[i])
+						return
+					}
+				}
+				if !run.Equal(twin) || !twin.Equal(run) {
+					errs <- "Equal: run differs from its twin"
+					return
+				}
+				if !bytes.Equal(run.EncodeTo(nil), want) {
+					errs <- "EncodeTo differs"
+					return
+				}
+				prev := int64(-1)
+				run.ForEachSorted(func(i uint32, _ float64) {
+					if int64(i) <= prev {
+						errs <- "ForEachSorted out of order"
+					}
+					prev = int64(i)
+				})
+				_ = run.Dot(d) + run.NormL2() + run.NormL1()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if run.tab != nil {
+		t.Fatal("a read-only method indexed the run")
 	}
 }
