@@ -29,18 +29,23 @@
 //     on the sandbox's, never the shared ones.
 //
 // The loop alternates: run a pass; if every admission resolved exactly,
-// fold and return; otherwise submit the pass's contexts to the pool and
-// block until the frontier's execution lands. Each wait retires at
-// least one admission, so the loop terminates after at most one pass
-// per arrival — far fewer with memoization, which resolves every
-// arrival of a workload template from one canonical execution,
-// translated to the admission's start time and namespace. Translation
-// is exact for the jobs memoable admits: every virtual duration in such
-// a run is independent of absolute start time, and key or name lengths
-// never enter link charging. Fault decisions are pure functions of
-// (seed, operation, key, virtual time) and a tracer records absolute
-// times and names into the caller's buffer, so faulted and traced jobs
-// take exact per-admission keys instead and execute once, when certain.
+// fold and return; otherwise replace the pool's unstarted work with the
+// pass's contexts and block until the frontier's execution lands. Each
+// wait retires at least one admission, so the loop terminates after at
+// most one pass per arrival.
+//
+// Every job memoable admits is keyed without its start time, job
+// number or tenant and translated to wherever the final pass admits it:
+// every virtual duration in such a run is independent of absolute start
+// time, and key or name lengths never enter link charging. So such a
+// job runs speculatively on an idle executor as soon as some pass
+// predicts its (shrink, warm) context, template or not. A template key
+// only adds sharing: every arrival of the template resolves from one
+// canonical execution per context. Fault decisions are pure functions
+// of (seed, operation, key, virtual time) and a tracer records absolute
+// times and names into the caller's buffer, so faulted, traced,
+// auto-tuned and wall-clock-bounded jobs take exact per-admission keys
+// instead and execute once, when certain.
 //
 // Why the result is the same at every HostPar value: the final pass
 // replays the control loop purely from cached outcomes, and each outcome
@@ -68,6 +73,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -114,21 +120,37 @@ func (c execCtx) stamped() core.Job {
 }
 
 // memoable reports whether the outcome is a pure function of
-// (template, give, warm) alone — i.e. translation across start times,
-// tenants and job numbers is exact. The auto-tuner's epoch gate and the
-// wall-clock stop criterion compare absolute virtual times, fault draws
-// are keyed on operation names and absolute times, and a tracer's events
-// carry both — any of those pins the outcome to its admission.
+// (memoID, give, warm) alone — i.e. translation across start times,
+// tenants and job numbers is exact. That is a property of the job, not
+// of its template: the auto-tuner's epoch gate and the wall-clock stop
+// criterion compare absolute virtual times, fault draws are keyed on
+// operation names and absolute times, and a tracer's events carry both —
+// any of those pins the outcome to its admission. Nothing else in a job
+// can, because newFleet rejects arrivals that set the control-plane
+// fields (Tenant, StartAt, Shrink).
 func (c execCtx) memoable() bool {
-	return c.tmplKey != "" && !c.job.Spec.AutoTune && c.job.Spec.MaxWallClock == 0 &&
+	return !c.job.Spec.AutoTune && c.job.Spec.MaxWallClock == 0 &&
 		c.job.Trace == nil && !c.job.Spec.Faults.Enabled()
 }
 
-// key identifies the execution's result cache slot: the memo key for
-// template-stamped jobs, the full exact context otherwise.
+// memoID names the job a memoable execution trains: its template when
+// the arrival carries one (shared by every arrival stamped from it),
+// otherwise the arrival itself. The two namespaces cannot collide — a
+// template ID starts with 't', an arrival ID with 'a'.
+func (c execCtx) memoID() string {
+	if c.tmplKey != "" {
+		return "t\x00" + c.tmplKey
+	}
+	return "a\x00" + strconv.Itoa(c.arrSeq)
+}
+
+// key identifies the execution's result cache slot: (memoID, give,
+// warm) for memoable jobs — no start time, job number or tenant, so one
+// execution serves the admission wherever the final pass places it —
+// and the full exact context otherwise.
 func (c execCtx) key() string {
 	if c.memoable() {
-		return fmt.Sprintf("m\x00%s\x00g%d w%d", c.tmplKey, c.give, c.warm)
+		return fmt.Sprintf("m\x00%s\x00g%d w%d", c.memoID(), c.give, c.warm)
 	}
 	return fmt.Sprintf("x\x00%d %d %s %d %d %d", c.arrSeq, c.num, c.tenant, c.startAt, c.give, c.warm)
 }
@@ -399,15 +421,22 @@ func (f *fleet) hostPar() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// run is the fixed-point fleet loop: pass, execute, repeat until a pass
-// resolves every admission exactly, then fold.
+// run is the fixed-point fleet loop on a pool of hostPar goroutines.
 func (f *fleet) run() (*Report, error) {
+	ex := newExecutor(f, f.hostPar())
+	defer ex.close()
+	return f.runOn(ex)
+}
+
+// runOn alternates pass and execution until a pass resolves every
+// admission exactly, then folds. Each pass's contexts replace the
+// previous pass's unstarted ones, so the queue only ever holds the
+// latest prediction of the trajectory, frontier first.
+func (f *fleet) runOn(ex *executor) (*Report, error) {
 	arrivals := append([]Arrival(nil), f.cfg.Arrivals...)
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
 	base := f.cl.ReserveJobIDs(len(arrivals))
 	warm0 := f.cl.Platform.WarmPool()
-	ex := newExecutor(f, f.hostPar())
-	defer ex.close()
 	for {
 		p := f.runPass(arrivals, base, warm0, ex.resolve)
 		if p.err != nil {
@@ -417,6 +446,7 @@ func (f *fleet) run() (*Report, error) {
 			f.fold(p)
 			return f.report(), nil
 		}
+		ex.trim()
 		for _, ctx := range p.ctxs {
 			ex.submit(ctx)
 		}
@@ -534,6 +564,7 @@ func translateOutcome(src *outcome, from, to execCtx) *outcome {
 
 // entry is one execution's result slot.
 type entry struct {
+	key  string
 	ctx  execCtx
 	done chan struct{}
 	out  *outcome
@@ -546,19 +577,26 @@ type executor struct {
 	f  *fleet
 	mu sync.Mutex
 	// cond signals queued work; guarded by mu.
-	cond    *sync.Cond
-	queue   []*entry
-	closed  bool
-	entries map[string]*entry
-	canon   map[string]*entry // template key -> a finished canonical
-	wg      sync.WaitGroup
+	cond       *sync.Cond
+	queue      []*entry
+	closed     bool
+	entries    map[string]*entry
+	canon      map[string]*entry // memoID -> a finished canonical
+	byWorkload map[string]*entry // Arrival.Workload -> first finished execution
+	started    int               // executions taken off the queue
+	wg         sync.WaitGroup
 }
 
+// newExecutor starts par pool goroutines. With par 0 nothing drains the
+// queue; in-package tests drive such an executor by hand with next and
+// finish.
 func newExecutor(f *fleet, par int) *executor {
-	if par < 1 {
-		par = 1
+	ex := &executor{
+		f:          f,
+		entries:    make(map[string]*entry),
+		canon:      make(map[string]*entry),
+		byWorkload: make(map[string]*entry),
 	}
-	ex := &executor{f: f, entries: make(map[string]*entry), canon: make(map[string]*entry)}
 	ex.cond = sync.NewCond(&ex.mu)
 	ex.wg.Add(par)
 	for i := 0; i < par; i++ {
@@ -569,38 +607,68 @@ func newExecutor(f *fleet, par int) *executor {
 
 func (ex *executor) work() {
 	defer ex.wg.Done()
-	for {
-		ex.mu.Lock()
-		for len(ex.queue) == 0 && !ex.closed {
-			ex.cond.Wait()
-		}
-		if ex.closed {
-			// Abandon queued-but-unstarted work: it was speculative and
-			// never touched shared state.
-			ex.mu.Unlock()
-			return
-		}
-		e := ex.queue[0]
-		ex.queue = ex.queue[1:]
-		ex.mu.Unlock()
-
+	for e := ex.next(); e != nil; e = ex.next() {
 		out, err := ex.f.sandboxRun(e.ctx)
-		ex.mu.Lock()
-		e.out, e.err = out, err
-		if err == nil && e.ctx.memoable() {
-			if _, ok := ex.canon[e.ctx.tmplKey]; !ok {
-				ex.canon[e.ctx.tmplKey] = e
-			}
-		}
-		ex.mu.Unlock()
-		close(e.done)
+		ex.finish(e, out, err)
 	}
 }
 
-// submit enqueues an execution unless its key is already cached or
-// running. Memoable contexts may run speculatively (their results are
-// reusable at any start time); exact-keyed contexts only run once
-// certain, so a misprediction can never waste a full training
+// next blocks until work is queued and takes the oldest entry, or
+// returns nil once the executor is closed. Queued-but-unstarted work is
+// abandoned then: it was speculative and never touched shared state.
+func (ex *executor) next() *entry {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	for len(ex.queue) == 0 && !ex.closed {
+		ex.cond.Wait()
+	}
+	if ex.closed {
+		return nil
+	}
+	e := ex.queue[0]
+	ex.queue = ex.queue[1:]
+	ex.started++
+	return e
+}
+
+// finish publishes an execution's result. The first successful
+// execution of each memoID becomes its canonical, and the first of each
+// workload label the fallback estimate for that label's arrivals.
+func (ex *executor) finish(e *entry, out *outcome, err error) {
+	ex.mu.Lock()
+	e.out, e.err = out, err
+	if err == nil {
+		if e.ctx.memoable() {
+			if id := e.ctx.memoID(); ex.canon[id] == nil {
+				ex.canon[id] = e
+			}
+		}
+		if ex.byWorkload[e.ctx.workload] == nil {
+			ex.byWorkload[e.ctx.workload] = e
+		}
+	}
+	ex.mu.Unlock()
+	close(e.done)
+}
+
+// trim drops every queued-but-unstarted execution and forgets its key,
+// so the next pass may submit it again. Running and finished executions
+// stay: a running one is never cancelled, however stale its prediction.
+func (ex *executor) trim() {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	for _, e := range ex.queue {
+		delete(ex.entries, e.key)
+	}
+	ex.queue = nil
+}
+
+// submit enqueues an execution unless its key is already queued,
+// running or cached. Memoable contexts run speculatively — their results
+// translate to any start time, job number and tenant, so an execution
+// from an estimated pass is exactly the one the final pass asks for
+// whenever its (give, warm) prediction held. Exact-keyed contexts only
+// run once certain, so a misprediction can never waste a full training
 // simulation on a key no final pass will ask for.
 func (ex *executor) submit(ctx execCtx) {
 	if !ctx.memoable() && !ctx.certain {
@@ -612,7 +680,7 @@ func (ex *executor) submit(ctx execCtx) {
 	if _, ok := ex.entries[key]; ok {
 		return
 	}
-	e := &entry{ctx: ctx, done: make(chan struct{})}
+	e := &entry{key: key, ctx: ctx, done: make(chan struct{})}
 	ex.entries[key] = e
 	ex.queue = append(ex.queue, e)
 	ex.cond.Signal()
@@ -652,20 +720,28 @@ func (ex *executor) resolve(ctx execCtx) (*outcome, bool, error) {
 }
 
 // estimate fabricates a plausible outcome for an unresolved admission,
-// so the pass can keep replaying past it. Any finished execution of the
-// same template (whatever its shrink/warm key) beats the zero outcome.
+// so the pass can keep replaying past it. In order of preference: the
+// canonical execution of the same memoID (the same job under another
+// shrink/warm key), the first finished execution of the same workload
+// label, both translated; else the zero outcome, which hands back one
+// warm container per activation of demand, as every finished job does.
 // Estimates only steer which executions run speculatively — the fleet
-// returns nothing until a pass resolves every admission exactly.
+// returns nothing until a pass resolves every admission exactly — but
+// the closer they are, the fewer speculative runs the final pass
+// discards.
 func (ex *executor) estimate(ctx execCtx) *outcome {
-	if ctx.tmplKey != "" {
-		ex.mu.Lock()
-		e := ex.canon[ctx.tmplKey]
-		ex.mu.Unlock()
-		if e != nil {
-			return translateOutcome(e.out, e.ctx, ctx)
+	ex.mu.Lock()
+	e := ex.byWorkload[ctx.workload]
+	if ctx.memoable() {
+		if c := ex.canon[ctx.memoID()]; c != nil {
+			e = c
 		}
 	}
-	return &outcome{res: &core.Result{ID: ctx.id()}, finalWarm: ctx.warm}
+	ex.mu.Unlock()
+	if e != nil {
+		return translateOutcome(e.out, e.ctx, ctx)
+	}
+	return &outcome{res: &core.Result{ID: ctx.id()}, finalWarm: ctx.demand}
 }
 
 // close abandons queued speculative work, waits for in-flight

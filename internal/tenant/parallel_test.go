@@ -72,7 +72,7 @@ func hostileFaults(seed uint64) faults.Spec {
 
 // build stages the case on a fresh cluster. tracers holds one tracer per
 // arrival for traced and hostile cases, nil otherwise.
-func (c fleetCase) build(t *testing.T) (cfg Config, tracers []*trace.Tracer) {
+func (c fleetCase) build(t testing.TB) (cfg Config, tracers []*trace.Tracer) {
 	t.Helper()
 	cfg, arrivals := testFleet(t, c.seed, c.cap, c.jobs)
 	for i := range arrivals {
@@ -254,17 +254,22 @@ func TestFleetMatchesInlineReference(t *testing.T) {
 	// What the goldens cannot cover — other seeds, caps and mixes — the
 	// executable oracle does: sandbox, memo, translation, speculation and
 	// fold must together be indistinguishable from running every
-	// admission inline.
+	// admission inline. The two stripped contended cases speculate
+	// per-arrival executions from estimates that mispredict: a cap that
+	// fits one job at a time gets the shrink requests wrong, a pool of 5
+	// under 3- and 4-activation demands gets the warm counts wrong.
 	for _, c := range []fleetCase{
 		{name: "seed-7", seed: 7, cap: 8, jobs: 9},
 		{name: "seed-23-contended", seed: 23, cap: 5, jobs: 8},
 		{name: "seed-23-stripped", seed: 23, cap: 8, jobs: 6, strip: true},
+		{name: "seed-11-stripped-contended", seed: 11, cap: 4, jobs: 8, strip: true},
+		{name: "seed-23-stripped-contended", seed: 23, cap: 5, jobs: 8, strip: true},
 		{name: "seed-7-hostile", seed: 7, cap: 6, jobs: 7, hostile: true},
 		treeCase,
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := runReference(t, c).golden(t)
-			for _, par := range []int{1, 4} {
+			for _, par := range []int{1, 2, 4, 8} {
 				diffGolden(t, fmt.Sprintf("host-par %d", par), want, runEngine(t, c, par).golden(t))
 			}
 		})
@@ -276,13 +281,15 @@ func TestFleetMatchesInlineReference(t *testing.T) {
 var treeCase = fleetCase{name: "seed-7-tree", seed: 7, cap: 8, jobs: 12, tree: true}
 
 func TestFleetTreeMemoMatchesStripped(t *testing.T) {
-	// Translating a collective job's outcome must equal executing it:
-	// the templated tree fleet (memo on) and its stripped twin (memo off,
-	// every admission executes) leave identical artifacts.
+	// Sharing a collective job's outcome across arrivals must equal
+	// executing each: the templated tree fleet (one execution per
+	// template, shrink and warm key) and its stripped twin (every
+	// admission executes, translated from its own per-arrival key, shared
+	// with none) leave identical artifacts.
 	stripped := treeCase
 	stripped.strip = true
 	want := runEngine(t, stripped, 4).golden(t)
-	diffGolden(t, "memo on", want, runEngine(t, treeCase, 4).golden(t))
+	diffGolden(t, "templated", want, runEngine(t, treeCase, 4).golden(t))
 }
 
 func TestFleetTracedMatchesUntraced(t *testing.T) {
@@ -394,4 +401,169 @@ func TestFleetParallelHandlesEmptyAndError(t *testing.T) {
 	if len(rep.Jobs) != 0 || len(rep.Events) != 0 {
 		t.Fatalf("empty fleet produced %d jobs, %d events", len(rep.Jobs), len(rep.Events))
 	}
+}
+
+// keyCtx is an untemplated, translation-invariant admission context.
+func keyCtx() execCtx {
+	return execCtx{
+		arrSeq: 3, num: 7, tenant: "t1", workload: "pmf-a",
+		startAt: 2 * time.Second, give: 1, warm: 2, demand: 3,
+		job: core.Job{Spec: core.Spec{Workers: 2, MaxSteps: 10}},
+	}
+}
+
+func TestUntemplatedKeyIsTranslationInvariant(t *testing.T) {
+	// An untemplated job that none of the four exclusions touch is keyed
+	// by its arrival, shrink and warm count alone: moving it in time, in
+	// the job numbering or to another tenant keeps its key, changing
+	// what it executes does not.
+	c := keyCtx()
+	if !c.memoable() {
+		t.Fatal("an untemplated plain job is not memoable")
+	}
+	moved := c
+	moved.startAt, moved.num, moved.tenant = 9*time.Second, 12, "t3"
+	if moved.key() != c.key() {
+		t.Fatalf("key moved with start, number or tenant: %q vs %q", moved.key(), c.key())
+	}
+	for name, mut := range map[string]func(*execCtx){
+		"arrSeq": func(x *execCtx) { x.arrSeq++ },
+		"give":   func(x *execCtx) { x.give++ },
+		"warm":   func(x *execCtx) { x.warm++ },
+	} {
+		d := c
+		mut(&d)
+		if d.key() == c.key() {
+			t.Fatalf("a different %s keeps the key %q", name, c.key())
+		}
+	}
+	// No template key, however chosen, names the arrival's slot.
+	for _, tk := range []string{"3", "a", "a\x003", "\x00a\x003", c.memoID(), c.key()} {
+		d := c
+		d.tmplKey = tk
+		if d.key() == c.key() || d.memoID() == c.memoID() {
+			t.Fatalf("template key %q collides with arrival %d's key %q", tk, c.arrSeq, c.key())
+		}
+	}
+}
+
+func TestExcludedJobsKeepExactKeys(t *testing.T) {
+	// Traced, faulted, auto-tuned and wall-clock-bounded jobs read
+	// absolute virtual time or names: they keep exact keys, templated or
+	// not, and submit refuses them until certain.
+	for name, mut := range map[string]func(*execCtx){
+		"traced":       func(x *execCtx) { x.job.Trace = trace.New() },
+		"faulted":      func(x *execCtx) { x.job.Spec.Faults = hostileFaults(1) },
+		"autotune":     func(x *execCtx) { x.job.Spec.AutoTune = true },
+		"maxwallclock": func(x *execCtx) { x.job.Spec.MaxWallClock = time.Minute },
+	} {
+		for _, tk := range []string{"", "pmf-a"} {
+			c := keyCtx()
+			c.tmplKey = tk
+			mut(&c)
+			if c.memoable() {
+				t.Fatalf("%s (template %q) is memoable", name, tk)
+			}
+			moved := c
+			moved.startAt += time.Second
+			if moved.key() == c.key() {
+				t.Fatalf("%s (template %q): exact key ignores the start time", name, tk)
+			}
+			ex := newExecutor(nil, 0)
+			ex.submit(c)
+			if len(ex.queue) != 0 || len(ex.entries) != 0 {
+				t.Fatalf("%s (template %q): uncertain context was submitted", name, tk)
+			}
+			c.certain = true
+			ex.submit(c)
+			if len(ex.queue) != 1 || ex.entries[c.key()] == nil {
+				t.Fatalf("%s (template %q): certain context was not submitted", name, tk)
+			}
+			ex.close()
+		}
+	}
+}
+
+func TestTrimKeepsOnlyTheLatestPass(t *testing.T) {
+	// Each pass replaces the backlog: after pass B only B's unstarted
+	// contexts are queued, in admission order; A's dropped keys can be
+	// submitted again; running and finished executions are never
+	// dropped. No pool goroutine drains the queue — the test plays the
+	// worker with next and finish.
+	ex := newExecutor(nil, 0)
+	defer ex.close()
+	ctx := func(idx, arrSeq, warm int, certain bool) execCtx {
+		c := keyCtx()
+		c.idx, c.arrSeq, c.warm, c.certain = idx, arrSeq, warm, certain
+		return c
+	}
+	passA := []execCtx{ctx(0, 0, 2, true), ctx(1, 1, 2, false), ctx(2, 2, 2, false), ctx(3, 3, 2, false)}
+	ex.trim()
+	for _, c := range passA {
+		ex.submit(c)
+	}
+	if len(ex.queue) != len(passA) {
+		t.Fatalf("%d of pass A's %d contexts queued", len(ex.queue), len(passA))
+	}
+	done := ex.next()
+	ex.finish(done, &outcome{res: &core.Result{ID: done.ctx.id()}, finalWarm: 3}, nil)
+	running := ex.next()
+	if done.key != passA[0].key() || running.key != passA[1].key() {
+		t.Fatalf("executions started out of admission order: %q, %q", done.key, running.key)
+	}
+	dropped := ex.entries[passA[3].key()]
+
+	// Pass B agrees on admissions 0, 1 and 3 and predicts another warm
+	// count for admission 2.
+	passB := []execCtx{passA[0], passA[1], ctx(2, 2, 1, false), passA[3]}
+	ex.trim()
+	if ex.entries[passA[2].key()] != nil || ex.entries[passA[3].key()] != nil {
+		t.Fatal("trim kept a queued-but-unstarted entry")
+	}
+	for _, c := range passB {
+		ex.submit(c)
+	}
+	var queued []string
+	for _, e := range ex.queue {
+		queued = append(queued, e.key)
+	}
+	if want := []string{passB[2].key(), passB[3].key()}; !reflect.DeepEqual(queued, want) {
+		t.Fatalf("queue holds %q, want pass B's unstarted contexts %q", queued, want)
+	}
+	if e := ex.entries[passA[3].key()]; e == nil || e == dropped {
+		t.Fatal("a dropped key was not resubmitted as a fresh entry")
+	}
+	if ex.entries[done.key] != done || ex.entries[running.key] != running {
+		t.Fatal("trim dropped a finished or running execution")
+	}
+	if ex.started != 2 {
+		t.Fatalf("%d executions started, want 2", ex.started)
+	}
+}
+
+// BenchmarkFleetStripped runs a template-stripped fleet — every
+// admission keyed by its own arrival — at the default HostPar and
+// reports how many executions each arrival cost, speculative runs the
+// final pass discarded included. 1 means no speculation was wasted.
+func BenchmarkFleetStripped(b *testing.B) {
+	c := fleetCase{seed: 23, cap: 8, jobs: 12, strip: true}
+	var runs, arrivals int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg, _ := c.build(b)
+		f, err := newFleet(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ex := newExecutor(f, f.hostPar())
+		_, err = f.runOn(ex)
+		ex.close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs += ex.started // close has joined the pool
+		arrivals += len(cfg.Arrivals)
+	}
+	b.ReportMetric(float64(runs)/float64(arrivals), "executions/arrival")
 }

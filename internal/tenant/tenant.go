@@ -20,9 +20,11 @@
 // goroutines (Config.HostPar): a fixed-point decision pass replays the
 // admission loop over pure ledgers while sandboxed executions fill in
 // outcomes, so the report, event log and bills are byte-identical at
-// every parallelism level (see parallel.go). Traced, fault-injected and
-// collective-exchange jobs run in the same sandboxes; they only opt out
-// of memoization (execCtx.memoable).
+// every parallelism level (see parallel.go). Every job whose outcome
+// translates across start times runs ahead speculatively, templated or
+// not; traced, fault-injected, auto-tuned and wall-clock-bounded jobs
+// run in the same sandboxes but only once their admission is certain
+// (execCtx.memoable).
 package tenant
 
 import (
@@ -79,11 +81,13 @@ type Arrival struct {
 	// fresh stamp of a shared workload template: any two arrivals with
 	// the same key train identical models on identical data with an
 	// identical spec. The host-parallel fleet engine relies on this to
-	// memoize executions — one simulated run per (template, shrink,
-	// warm-pool) combination, translated to each admission's start time
-	// and namespace. Leave it empty for hand-built arrivals; the fleet
-	// then executes each one individually. GenerateArrivals stamps it
-	// with the template's Name.
+	// share executions across arrivals — one simulated run per
+	// (template, shrink, warm-pool) combination, translated to each
+	// admission's start time and namespace. Leave it empty for hand-built
+	// arrivals; the fleet then executes each one on its own, still
+	// translated and still speculatively ahead of its admission, but
+	// shared with no other arrival. GenerateArrivals stamps it with the
+	// template's Name.
 	TemplateKey string
 }
 
