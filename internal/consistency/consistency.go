@@ -168,23 +168,29 @@ func (f *Filter) Add(t int, u *sparse.Vector, params sparse.Dense) *sparse.Vecto
 	if len(f.res) < len(params) {
 		f.widen(len(params))
 	}
-	u.ForEach(func(i uint32, val float64) {
-		if int(i) >= len(f.res) {
-			f.widen(int(i) + 1)
-		}
-		f.res[i] += val
-		f.live[i>>6] |= 1 << (i & 63)
-	})
+	u.Entries(f.mark)
 
 	// One pass over the set bits, ascending: flush what is significant
 	// (appended in order, so out is a run), keep the rest.
-	out.Clear()
+	out.WriteRun(func(idx []uint32, vals []float64) ([]uint32, []float64) {
+		return f.sweep(idx, vals, params, vt)
+	})
+	f.flushed += int64(out.Len())
+	return out
+}
+
+// sweep walks the residual's set bits in ascending order: it appends
+// each significant coordinate and its residual to idx and vals and
+// clears it, clears what cancelled exactly (and, under Drop, what is
+// insignificant), keeps the rest, and returns the extended arrays.
+func (f *Filter) sweep(idx []uint32, vals []float64, params sparse.Dense, vt float64) ([]uint32, []float64) {
+	res, drop := f.res, f.variant == Drop
 	kept := 0
 	for wi, w := range f.live {
 		for rest := w; rest != 0; rest &= rest - 1 {
 			b := bits.TrailingZeros64(rest)
 			i := wi<<6 + b
-			delta := f.res[i]
+			delta := res[i]
 			if delta == 0 {
 				w &^= 1 << b // cancelled exactly: no longer withheld
 				continue
@@ -194,13 +200,13 @@ func (f *Filter) Add(t int, u *sparse.Vector, params sparse.Dense) *sparse.Vecto
 				x = params[i]
 			}
 			switch {
-			case x == 0 || math.Abs(delta/x) > vt:
-				out.Append(uint32(i), delta)
-				f.res[i] = 0
+			case significant(delta, x, vt):
+				idx, vals = append(idx, uint32(i)), append(vals, delta)
+				res[i] = 0
 				w &^= 1 << b
-			case f.variant == Drop:
+			case drop:
 				// Naive filtering: the insignificant part is lost forever.
-				f.res[i] = 0
+				res[i] = 0
 				w &^= 1 << b
 			default:
 				kept++
@@ -209,8 +215,42 @@ func (f *Filter) Add(t int, u *sparse.Vector, params sparse.Dense) *sparse.Vecto
 		f.live[wi] = w
 	}
 	f.nlive = kept
-	f.flushed += int64(out.Len())
-	return out
+	return idx, vals
+}
+
+// mark adds an update's ascending entries into the residual and sets
+// their bits in live. Consecutive indices mostly share a bitmap word, so
+// the bits of each stretch of same-word indices are gathered in a
+// register and ORed into the word once, rather than each entry
+// read-modify-writing it through a store-to-load chain.
+func (f *Filter) mark(idx []uint32, vals []float64) {
+	if len(idx) == 0 {
+		return
+	}
+	if last := int(idx[len(idx)-1]); last >= len(f.res) {
+		f.widen(last + 1)
+	}
+	res, live := f.res, f.live
+	cur, bitsOf := idx[0]>>6, uint64(0)
+	for k, i := range idx {
+		res[i] += vals[k]
+		if wi := i >> 6; wi != cur {
+			live[cur] |= bitsOf
+			cur, bitsOf = wi, 0
+		}
+		bitsOf |= 1 << (i & 63)
+	}
+	live[cur] |= bitsOf
+}
+
+// significant reports x == 0 || |delta/x| > vt without math.Abs, which
+// on amd64 moves the quotient through an integer register and back:
+// |q| > vt holds exactly when q > vt or −q > vt, and negation is exact,
+// so the test below is the same decision for every input, NaN included
+// (no comparison with a NaN holds).
+func significant(delta, x, vt float64) bool {
+	q := delta / x
+	return x == 0 || q > vt || q < -vt
 }
 
 // widen grows the residual, and its bitmap, to cover n coordinates.

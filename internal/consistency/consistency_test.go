@@ -477,7 +477,10 @@ func filterWorkload(dim int) (sparse.Dense, []*sparse.Vector) {
 		for u.Len() < dim/5 {
 			u.Set(uint32(r.Intn(dim*62/100)), 0.01*r.NormFloat64())
 		}
-		updates[k] = u
+		// The step path hands the filter ascending runs.
+		run := sparse.New()
+		u.ForEachSorted(run.Append)
+		updates[k] = run
 	}
 	return params, updates
 }
@@ -532,4 +535,36 @@ func BenchmarkFilterAdd(b *testing.B) {
 	}
 	b.ReportMetric(float64(f.FlushedEntries()-before)/float64(offered), "flush_ratio")
 	b.ReportMetric(float64(residual)/float64(b.N), "residual_nnz")
+}
+
+// FuzzSignificant holds the filter's significance test to its
+// definition, x == 0 || |δ/x| > v_t, for arbitrary float64 bit patterns
+// of δ, x and v_t. The seeds cover ±0, subnormals, MaxFloat64, ±Inf,
+// NaN, and quotients one ulp either side of v_t.
+func FuzzSignificant(f *testing.F) {
+	b := math.Float64bits
+	vt := 0.7 / math.Sqrt(3)
+	x := 1.375
+	delta := vt * x // a representable δ whose quotient rounds to about v_t
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	for _, s := range special {
+		f.Add(b(s), b(x), b(vt))
+		f.Add(b(delta), b(s), b(vt))
+		f.Add(b(delta), b(x), b(s))
+		f.Add(b(s), b(s), b(s))
+	}
+	for _, d := range []float64{math.Nextafter(delta, 0), delta, math.Nextafter(delta, 2)} {
+		for _, t := range []float64{math.Nextafter(vt, 0), vt, math.Nextafter(vt, 1)} {
+			f.Add(b(d), b(x), b(t))
+			f.Add(b(-d), b(x), b(t))
+			f.Add(b(d), b(-x), b(t))
+		}
+	}
+	f.Fuzz(func(t *testing.T, db, xb, vb uint64) {
+		delta, x, vt := math.Float64frombits(db), math.Float64frombits(xb), math.Float64frombits(vb)
+		if got, want := significant(delta, x, vt), x == 0 || math.Abs(delta/x) > vt; got != want {
+			t.Fatalf("significant(%v, %v, %v) = %v, definition %v", delta, x, vt, got, want)
+		}
+	})
 }

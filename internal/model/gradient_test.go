@@ -189,6 +189,38 @@ func TestPMFGradientMatchesVectorReference(t *testing.T) {
 	}
 }
 
+// TestPMFGradientRowsMatchPerEntryFold holds GradientView's row-wise
+// fold to the per-entry FoldScratch.Add fold it replaced, byte for
+// byte: one Add per coordinate, user and item interleaved. User 1 rates
+// four items back to back, so its row is summed into the same slots on
+// consecutive samples; rank 37 makes rows straddle bitmap words.
+func TestPMFGradientRowsMatchPerEntryFold(t *testing.T) {
+	for _, l2 := range []float64{0, 0.02} {
+		m := NewPMF(5, 7, 37, 3, l2, 9)
+		bv := ratingView(t, [][3]float64{
+			{0, 2, 4}, {1, 0, 5}, {1, 3, 1}, {1, 6, 2}, {1, 3, 4}, {4, 6, 3}, {0, 2, 1},
+		})
+		n := bv.Len()
+		inv := 1 / float64(n)
+		var acc sparse.FoldScratch
+		for s := 0; s < n; s++ {
+			u, i := bv.User(s), bv.Item(s)
+			uo, io := m.userOff(u), m.itemOff(i)
+			e := m.predict(u, i) - bv.Rating(s)
+			for k := 0; k < m.rank; k++ {
+				uk, ik := m.params[uo+k], m.params[io+k]
+				acc.Add(uint32(uo+k), inv*(e*ik+m.l2*uk))
+				acc.Add(uint32(io+k), inv*(e*uk+m.l2*ik))
+			}
+		}
+		want := sparse.New()
+		acc.EmitTo(want, nil)
+		for pass := 0; pass < 2; pass++ { // the second pass reuses the scratch
+			sameGradient(t, "row fold", m.GradientView(bv), want)
+		}
+	}
+}
+
 // repeatedFeatures is a feature batch whose samples share features,
 // one repeating another exactly.
 func repeatedFeatures(t *testing.T) shard.BatchView {

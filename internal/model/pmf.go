@@ -22,6 +22,7 @@ type PMF struct {
 	l2                 float64
 	params             sparse.Dense
 	grad               *sparse.Vector // scratch run reused across GradientView calls
+	rows               []float64      // one sample's user and item gradient rows
 }
 
 var _ Model = (*PMF)(nil)
@@ -85,15 +86,25 @@ func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
 	}
 	acc := accPool.Get().(*sparse.FoldScratch)
 	inv := 1 / float64(n)
+	if len(m.rows) != 2*m.rank {
+		m.rows = make([]float64, 2*m.rank)
+	}
+	// Each sample's two rows are disjoint blocks of coordinates, and
+	// samples fold in order, so every coordinate receives its additions
+	// in the same order as one Add per entry would give it.
+	urow, irow := m.rows[:m.rank], m.rows[m.rank:]
 	for s := 0; s < n; s++ {
 		u, i := b.User(s), b.Item(s)
 		uo, io := m.userOff(u), m.itemOff(i)
 		e := m.predict(u, i) - b.Rating(s)
-		for k := 0; k < m.rank; k++ {
-			uk, ik := m.params[uo+k], m.params[io+k]
-			acc.Add(uint32(uo+k), inv*(e*ik+m.l2*uk))
-			acc.Add(uint32(io+k), inv*(e*uk+m.l2*ik))
+		up, ip := m.params[uo:uo+m.rank], m.params[io:io+m.rank]
+		for k := range urow {
+			uk, ik := up[k], ip[k]
+			urow[k] = inv * (e*ik + m.l2*uk)
+			irow[k] = inv * (e*uk + m.l2*ik)
 		}
+		acc.AddRow(uint32(uo), urow)
+		acc.AddRow(uint32(io), irow)
 	}
 	acc.EmitTo(g, nil)
 	accPool.Put(acc)

@@ -48,16 +48,28 @@ func (o *Adam) Step(t int, grad *sparse.Vector) *sparse.Vector {
 	c1 := 1 - math.Pow(o.beta1, float64(t))
 	c2 := 1 - math.Pow(o.beta2, float64(t))
 	beta1, beta2, eps := o.beta1, o.beta2, o.eps
-	st := cover(o.st, grad)
-	o.st = st
-	o.u.CopyFrom(grad)
-	o.u.Transform(func(i uint32, g float64) float64 {
-		m := beta1*st[i].m + (1-beta1)*g
-		v := beta2*st[i].v + (1-beta2)*g*g
-		st[i] = moments{m, v}
-		mHat := m / c1
-		vHat := v / c2
-		return -rate * mHat / (math.Sqrt(vHat) + eps)
+	grad.Entries(func(gi []uint32, gv []float64) {
+		st := cover(o.st, gi)
+		o.st = st
+		o.u.WriteRun(func(ui []uint32, uv []float64) ([]uint32, []float64) {
+			ui, uv = withIndices(ui, uv, gi)
+			gi, uv = gi[:len(gv)], uv[:len(gv)]
+			zeros := 0
+			for k, g := range gv {
+				i := gi[k]
+				m := beta1*st[i].m + (1-beta1)*g
+				v := beta2*st[i].v + (1-beta2)*g*g
+				st[i] = moments{m, v}
+				mHat := m / c1
+				vHat := v / c2
+				x := -rate * mHat / (math.Sqrt(vHat) + eps)
+				uv[k] = x
+				if x == 0 {
+					zeros++
+				}
+			}
+			return dropZeros(ui, uv, zeros)
+		})
 	})
 	return &o.u
 }

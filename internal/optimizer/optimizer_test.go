@@ -321,7 +321,7 @@ func (o *refAdam) Clone() Optimizer {
 func (o *refAdam) Reset() { o.moment1, o.moment2 = sparse.New(), sparse.New() }
 
 // stalls is a constant learning rate that is zero on every 13th step:
-// there every update value is an exact zero and Transform drops them all.
+// there every update value is an exact zero and the step drops them all.
 type stalls float64
 
 func (s stalls) Rate(t int) float64 {
@@ -364,22 +364,37 @@ type entry struct {
 	bits uint64
 }
 
-// entries lists u's ForEach sequence: index and value bits, in order.
+// entries lists u's entries in ascending index order: index and value
+// bits.
 func entries(u *sparse.Vector) []entry {
 	var out []entry
-	u.ForEach(func(i uint32, x float64) { out = append(out, entry{i, math.Float64bits(x)}) })
+	u.ForEachSorted(func(i uint32, x float64) { out = append(out, entry{i, math.Float64bits(x)}) })
 	return out
 }
 
+// asRun returns g's entries as an ascending run, the form the step path
+// hands an optimizer.
+func asRun(g *sparse.Vector) *sparse.Vector {
+	r := sparse.New()
+	g.ForEachSorted(r.Append)
+	return r
+}
+
 // oraclePair steps a dense optimizer and its sparse reference in lock
-// step and checks, after every step, that the updates hold the same
-// entries in the same order with the same bits and that the state agrees
-// at every coordinate either side holds.
+// step and checks, after every step, that the dense update is a run,
+// that the updates hold the same entries with the same bits and that the
+// state agrees at every coordinate either side holds.
 type oraclePair struct{ dense, ref Optimizer }
 
 func (p *oraclePair) step(t *testing.T, s int, g *sparse.Vector) []entry {
 	t.Helper()
-	got, want := entries(p.dense.Step(s, g)), entries(p.ref.Step(s, g))
+	u := p.dense.Step(s, g)
+	var order []uint32
+	u.ForEach(func(i uint32, _ float64) { order = append(order, i) })
+	if !slices.IsSorted(order) {
+		t.Fatalf("%s step %d: update in entry order %v, want an ascending run", p.dense.Name(), s, order)
+	}
+	got, want := entries(u), entries(p.ref.Step(s, g))
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s step %d: update %v, reference %v", p.dense.Name(), s, got, want)
 	}
@@ -437,11 +452,12 @@ func oracleGrad(r *xrand.RNG, s int, ref Optimizer, cancel func(Optimizer, uint3
 }
 
 // TestDenseStateMatchesSparseReference replays seeded gradient sequences
-// through each dense-state optimizer and its sparse-state reference. The
-// sequences widen past the state mid-run, bring back coordinates after a
-// long absence, cancel state or update to exact zero (the drop path of
-// Transform), clone mid-run and let the two copies diverge, and Reset and
-// replay.
+// through each dense-state optimizer and its sparse-state reference,
+// once as indexed vectors in random insertion order and once as the
+// ascending runs the step path produces. The sequences widen past the
+// state mid-run, bring back coordinates after a long absence, cancel
+// state or update to exact zero (the step's drop path), clone mid-run
+// and let the two copies diverge, and Reset and replay.
 func TestDenseStateMatchesSparseReference(t *testing.T) {
 	vel := func(o Optimizer, i uint32) float64 { return o.(*refMomentum).velocity.Get(i) }
 	cases := []struct {
@@ -481,38 +497,49 @@ func TestDenseStateMatchesSparseReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := xrand.New(7)
-			p := &oraclePair{dense: tc.dense(), ref: tc.ref()}
-			var grads []*sparse.Vector
-			var first [][]entry
-			var c *oraclePair
-			cr := xrand.New(8)
-			cancelled := 0 // update entries dropped on steps with a non-zero rate
-			for s := 1; s <= 60; s++ {
-				if s == 30 { // clone mid-run; the copies then see different gradients
-					c = &oraclePair{dense: p.dense.Clone(), ref: p.ref.Clone()}
-				}
-				g := oracleGrad(r, s, p.ref, tc.cancel)
-				grads = append(grads, g)
-				first = append(first, p.step(t, s, g))
-				if s%13 != 0 {
-					cancelled += g.Len() - len(first[s-1])
-				}
-				if c != nil {
-					c.step(t, s, oracleGrad(cr, s, c.ref, tc.cancel))
-				}
-			}
-			if tc.drops && cancelled == 0 {
-				t.Fatal("no update entry cancelled to zero: the drop path went unexercised")
-			}
-			// Reset, then replay the first 20 gradients: the run must
-			// repeat the original updates bit for bit.
-			p.dense.Reset()
-			p.ref.Reset()
-			for s := 1; s <= 20; s++ {
-				if got := p.step(t, s, grads[s-1]); !slices.Equal(got, first[s-1]) {
-					t.Fatalf("replay step %d: update %v, first run %v", s, got, first[s-1])
-				}
+			for _, form := range []string{"indexed", "run"} {
+				t.Run(form, func(t *testing.T) {
+					grad := func(r *xrand.RNG, s int, ref Optimizer) *sparse.Vector {
+						g := oracleGrad(r, s, ref, tc.cancel)
+						if form == "run" {
+							g = asRun(g)
+						}
+						return g
+					}
+					r := xrand.New(7)
+					p := &oraclePair{dense: tc.dense(), ref: tc.ref()}
+					var grads []*sparse.Vector
+					var first [][]entry
+					var c *oraclePair
+					cr := xrand.New(8)
+					cancelled := 0 // update entries dropped on steps with a non-zero rate
+					for s := 1; s <= 60; s++ {
+						if s == 30 { // clone mid-run; the copies then see different gradients
+							c = &oraclePair{dense: p.dense.Clone(), ref: p.ref.Clone()}
+						}
+						g := grad(r, s, p.ref)
+						grads = append(grads, g)
+						first = append(first, p.step(t, s, g))
+						if s%13 != 0 {
+							cancelled += g.Len() - len(first[s-1])
+						}
+						if c != nil {
+							c.step(t, s, grad(cr, s, c.ref))
+						}
+					}
+					if tc.drops && cancelled == 0 {
+						t.Fatal("no update entry cancelled to zero: the drop path went unexercised")
+					}
+					// Reset, then replay the first 20 gradients: the run must
+					// repeat the original updates bit for bit.
+					p.dense.Reset()
+					p.ref.Reset()
+					for s := 1; s <= 20; s++ {
+						if got := p.step(t, s, grads[s-1]); !slices.Equal(got, first[s-1]) {
+							t.Fatalf("replay step %d: update %v, first run %v", s, got, first[s-1])
+						}
+					}
+				})
 			}
 		})
 	}
@@ -520,9 +547,11 @@ func TestDenseStateMatchesSparseReference(t *testing.T) {
 
 // TestOptimizerStepSteadyStateDoesNotAllocate pins the step path at zero
 // allocations once the update scratch and the dense state have grown to
-// the gradient.
+// the gradient. The gradient is the ascending run the step path hands
+// an optimizer; an indexed one is read through the pooled pair sort,
+// whose sync.Pool the race detector deliberately drains.
 func TestOptimizerStepSteadyStateDoesNotAllocate(t *testing.T) {
-	g := pmfGrad(xrand.New(41), 1200, 2400, 20, 625)
+	g := asRun(pmfGrad(xrand.New(41), 1200, 2400, 20, 625))
 	for _, o := range []Optimizer{
 		NewSGD(Constant(0.1)),
 		NewMomentum(Constant(0.1), 0.9),
@@ -571,15 +600,15 @@ func lrGrad(r *xrand.RNG, dim, samples int) *sparse.Vector {
 // BenchmarkOptimizerStep measures one steady-state Step at the two
 // training workloads' shapes: PMF with Nesterov (72 k parameters, 625
 // ratings per batch) and LR with Adam (100 k hashed features, 50 samples
-// per batch).
+// per batch), on the ascending-run gradients the step path produces.
 func BenchmarkOptimizerStep(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		o    Optimizer
 		g    *sparse.Vector
 	}{
-		{"nesterov-pmf", NewNesterov(Constant(0.1), 0.9), pmfGrad(xrand.New(51), 1200, 2400, 20, 625)},
-		{"adam-lr", NewAdamDefaults(Constant(0.002)), lrGrad(xrand.New(52), 100_000, 50)},
+		{"nesterov-pmf", NewNesterov(Constant(0.1), 0.9), asRun(pmfGrad(xrand.New(51), 1200, 2400, 20, 625))},
+		{"adam-lr", NewAdamDefaults(Constant(0.002)), asRun(lrGrad(xrand.New(52), 100_000, 50))},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			bc.o.Step(1, bc.g)

@@ -20,10 +20,28 @@ func NewSGD(lr Schedule) *SGD { return &SGD{lr: lr} }
 // Name implements Optimizer.
 func (o *SGD) Name() string { return "sgd" }
 
-// Step implements Optimizer.
+// Step implements Optimizer. A zero rate yields an empty update, as
+// does any product that underflows to zero.
 func (o *SGD) Step(t int, grad *sparse.Vector) *sparse.Vector {
-	o.u.CopyFrom(grad)
-	o.u.Scale(-o.lr.Rate(t))
+	s := -o.lr.Rate(t)
+	grad.Entries(func(gi []uint32, gv []float64) {
+		if s == 0 {
+			gi, gv = nil, nil
+		}
+		o.u.WriteRun(func(ui []uint32, uv []float64) ([]uint32, []float64) {
+			ui, uv = withIndices(ui, uv, gi)
+			uv = uv[:len(gv)]
+			zeros := 0
+			for k, g := range gv {
+				x := g * s
+				uv[k] = x
+				if x == 0 {
+					zeros++
+				}
+			}
+			return dropZeros(ui, uv, zeros)
+		})
+	})
 	return &o.u
 }
 
@@ -60,13 +78,25 @@ func (o *Momentum) Name() string { return "momentum" }
 // Step implements Optimizer.
 func (o *Momentum) Step(t int, grad *sparse.Vector) *sparse.Vector {
 	rate, mu := o.lr.Rate(t), o.mu
-	vel := cover(o.vel, grad)
-	o.vel = vel
-	o.u.CopyFrom(grad)
-	o.u.Transform(func(i uint32, g float64) float64 {
-		v := mu*vel[i] + g
-		vel[i] = v
-		return -rate * v
+	grad.Entries(func(gi []uint32, gv []float64) {
+		vel := cover(o.vel, gi)
+		o.vel = vel
+		o.u.WriteRun(func(ui []uint32, uv []float64) ([]uint32, []float64) {
+			ui, uv = withIndices(ui, uv, gi)
+			gi, uv = gi[:len(gv)], uv[:len(gv)]
+			zeros := 0
+			for k, g := range gv {
+				i := gi[k]
+				v := mu*vel[i] + g
+				vel[i] = v
+				x := -rate * v
+				uv[k] = x
+				if x == 0 {
+					zeros++
+				}
+			}
+			return dropZeros(ui, uv, zeros)
+		})
 	})
 	return &o.u
 }
@@ -102,13 +132,25 @@ func (o *Nesterov) Name() string { return "nesterov" }
 // Step implements Optimizer.
 func (o *Nesterov) Step(t int, grad *sparse.Vector) *sparse.Vector {
 	rate, mu := o.lr.Rate(t), o.mu
-	vel := cover(o.vel, grad)
-	o.vel = vel
-	o.u.CopyFrom(grad)
-	o.u.Transform(func(i uint32, g float64) float64 {
-		v := mu*vel[i] + g
-		vel[i] = v
-		return -rate * (g + mu*v)
+	grad.Entries(func(gi []uint32, gv []float64) {
+		vel := cover(o.vel, gi)
+		o.vel = vel
+		o.u.WriteRun(func(ui []uint32, uv []float64) ([]uint32, []float64) {
+			ui, uv = withIndices(ui, uv, gi)
+			gi, uv = gi[:len(gv)], uv[:len(gv)]
+			zeros := 0
+			for k, g := range gv {
+				i := gi[k]
+				v := mu*vel[i] + g
+				vel[i] = v
+				x := -rate * (g + mu*v)
+				uv[k] = x
+				if x == 0 {
+					zeros++
+				}
+			}
+			return dropZeros(ui, uv, zeros)
+		})
 	})
 	return &o.u
 }

@@ -8,7 +8,8 @@ import (
 
 // FoldScratch is a dense accumulator: a float64 sum per coordinate and
 // a bitmap of the coordinates touched since the last emission. It folds
-// encoded runs (FoldEncoded) and single entries (Add), and emits either
+// encoded runs (FoldEncoded), single entries (Add) and rows of
+// consecutive coordinates (AddRow), and emits either
 // as an encoding or as a run in a Vector (EmitTo). Both arrays grow to a
 // high-water mark of 8 bytes plus 1 bit per coordinate up to the largest
 // index seen, and emission zeroes every touched slot, so a reused
@@ -111,6 +112,35 @@ func (s *FoldScratch) Add(i uint32, val float64) {
 	}
 	s.sum[i] += val
 	s.touched[i>>6] |= 1 << (i & 63)
+}
+
+// AddRow sums vals[k] into coordinate base+k for every k, in that
+// order, and marks the coordinates touched: per coordinate the same sum
+// as one Add per entry, but with one growth check for the row and one
+// bitmap write per word it spans, since per-entry writes of one word
+// would chain through memory.
+func (s *FoldScratch) AddRow(base uint32, vals []float64) {
+	if len(vals) == 0 {
+		return
+	}
+	lo, hi := int(base), int(base)+len(vals)-1
+	if hi >= len(s.sum) {
+		s.reserve(max(hi, min(2*len(s.sum), math.MaxUint32)))
+	}
+	sum := s.sum[lo : hi+1]
+	for k, x := range vals {
+		sum[k] += x
+	}
+	first, last := lo>>6, hi>>6
+	if first == last {
+		s.touched[first] |= ^uint64(0) << (lo & 63) & (^uint64(0) >> (63 - hi&63))
+		return
+	}
+	s.touched[first] |= ^uint64(0) << (lo & 63)
+	for w := first + 1; w < last; w++ {
+		s.touched[w] = ^uint64(0)
+	}
+	s.touched[last] |= ^uint64(0) >> (63 - hi&63)
 }
 
 // EmitTo replaces v's contents with a run of the scratch's non-zero

@@ -21,9 +21,10 @@ import (
 // of op swaps which vector is the target. Keys are one byte, so at the
 // minimum table size sixteen of them share every home slot: collisions,
 // long probe chains and chains that wrap around the end of the table
-// come for free. Transform reads the key byte as a mask instead: it
-// zeroes the entries whose index mod 8 is a set bit and rescales the
-// rest, so a drop compacts the entry arrays and re-indexes the table.
+// come for free. Rewrite reads the key byte as a mask instead: it
+// overwrites the target with a run of the other vector's entries, read
+// with Entries and written with WriteRun, zeroing those whose index
+// mod 8 is a set bit and rescaling the rest, so a drop shortens the run.
 // Run empties the target and appends an ascending burst (starting a
 // run); Append appends one entry, which stays a run only when it lies
 // past the last.
@@ -46,9 +47,9 @@ const (
 	fuzzAddVector
 	fuzzBurst // Set a run of keys: forces growth past ¾
 	fuzzDecodeInto
-	fuzzTransform
-	fuzzRun    // Clear, then Append an ascending burst: a fresh run
-	fuzzAppend // Append one entry, ascending or not
+	fuzzRewrite // WriteRun of the other vector's Entries, mapped
+	fuzzRun     // Clear, then Append an ascending burst: a fresh run
+	fuzzAppend  // Append one entry, ascending or not
 	fuzzClone
 	fuzzEqual
 	fuzzOps
@@ -106,13 +107,14 @@ func FuzzVectorOps(f *testing.F) {
 	f.Add(seq([]byte{fuzzBurst, 0, 200}, []byte{fuzzScale, 0, 1}, []byte{fuzzBurst, 100, 255})) // growth
 	f.Add(seq([]byte{fuzzBurst, 3, 40}, []byte{fuzzCopyFrom | 0x80, 0, 0}, []byte{fuzzAddVector, 0, 0},
 		[]byte{fuzzDecodeInto | 0x80, 0, 0}, []byte{fuzzClear, 0, 0}, []byte{fuzzCopyFrom, 0, 0}))
-	f.Add(seq(set(1), set(2), set(3), []byte{fuzzTransform, 0xff, 1}))   // every entry zeroed
-	f.Add(seq(set(1), set(2), set(3), []byte{fuzzTransform, 1 << 3, 1})) // only the last entry zeroed
-	// Runs: appended, copied, cloned, transformed with drops, decoded
+	f.Add(seq(set(1), set(2), set(3), []byte{fuzzRewrite | 0x80, 0xff, 1}))                // every entry zeroed
+	f.Add(seq(set(1), set(2), set(3), []byte{fuzzRewrite | 0x80, 1 << 3, 1}))              // only the last entry zeroed
+	f.Add(seq(set(1), set(9), []byte{fuzzBurst | 0x80, 2, 30}, []byte{fuzzRewrite, 0, 2})) // indexed onto indexed
+	// Runs: appended, copied, cloned, rewritten with drops, decoded
 	// into, then probed by Set, Add and Remove.
 	f.Add(seq([]byte{fuzzRun, 5, 13}, []byte{fuzzAppend, 200, 3}, []byte{fuzzCopyFrom | 0x80, 0, 0},
-		[]byte{fuzzEqual, 0, 0}, []byte{fuzzTransform, 0x55, 1}, []byte{fuzzAdd, 7, 2}))
-	f.Add(seq([]byte{fuzzRun, 0, 40}, []byte{fuzzClone | 0x80, 0, 0}, []byte{fuzzTransform | 0x80, 0x0f, 2},
+		[]byte{fuzzEqual, 0, 0}, []byte{fuzzRewrite, 0x55, 1}, []byte{fuzzAdd, 7, 2}))
+	f.Add(seq([]byte{fuzzRun, 0, 40}, []byte{fuzzClone | 0x80, 0, 0}, []byte{fuzzRewrite | 0x80, 0x0f, 2},
 		[]byte{fuzzDecodeInto, 0, 0}, []byte{fuzzRun | 0x80, 9, 7}, []byte{fuzzRemove | 0x80, 9, 0}))
 	f.Add(seq([]byte{fuzzRun, 10, 9}, []byte{fuzzAppend, 3, 4}, []byte{fuzzSet, 50, 0}, []byte{fuzzRun, 1, 0}))
 
@@ -207,7 +209,7 @@ func FuzzVectorOps(f *testing.F) {
 				if got, want := v.Equal(w), maps.Equal(m, mw); got != want {
 					t.Fatalf("Equal = %v, reference %v", got, want)
 				}
-			case fuzzTransform:
+			case fuzzRewrite:
 				s := fuzzScales[int(sel)%len(fuzzScales)]
 				fn := func(i uint32, x float64) float64 {
 					if k>>(i%8)&1 != 0 {
@@ -215,24 +217,26 @@ func FuzzVectorOps(f *testing.F) {
 					}
 					return x * s
 				}
-				var order, survivors, calls []uint32
-				v.ForEach(func(i uint32, x float64) {
-					order = append(order, i)
-					if fn(i, x) != 0 {
-						survivors = append(survivors, i)
+				w.Entries(func(idx []uint32, vals []float64) {
+					if !slices.IsSorted(idx) || len(idx) != len(mw) {
+						t.Fatalf("Entries: %d indices %v, reference has %d, sorted", len(idx), idx, len(mw))
 					}
+					v.WriteRun(func(out []uint32, outVals []float64) ([]uint32, []float64) {
+						for e, i := range idx {
+							if x := fn(i, vals[e]); x != 0 {
+								out, outVals = append(out, i), append(outVals, x)
+							}
+						}
+						return out, outVals
+					})
 				})
-				v.Transform(func(i uint32, x float64) float64 {
-					calls = append(calls, i)
-					return fn(i, x)
-				})
-				for i, x := range m {
+				clear(m)
+				for i, x := range mw {
 					m.set(i, fn(i, x))
 				}
-				checkOrder(t, "Transform calls", calls, order)
-				var after []uint32
-				v.ForEach(func(i uint32, _ float64) { after = append(after, i) })
-				checkOrder(t, "Transform survivors", after, survivors)
+				if v.tab != nil {
+					t.Fatal("WriteRun left an indexed vector")
+				}
 			}
 			checkAgainstModel(t, v, m)
 			checkAgainstModel(t, w, mw)
@@ -246,15 +250,6 @@ func checkIndexed(t *testing.T, v *Vector, probed bool, op string) {
 	t.Helper()
 	if probed && v.tab == nil {
 		t.Fatalf("%s probed a run but left it unindexed", op)
-	}
-}
-
-// checkOrder fails unless got lists exactly the indices of want, in
-// want's order.
-func checkOrder(t *testing.T, what string, got, want []uint32) {
-	t.Helper()
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: order %v, want %v", what, got, want)
 	}
 }
 

@@ -21,9 +21,20 @@ import (
 // own source therefore performs each coordinate's additions in the
 // same sequence as AddEncoded over the same vectors in append order,
 // and float addition sees identical operands in identical order.
+//
+// The walk runs in four lanes: Sort splits the sorted run at three
+// coordinate boundaries into quarters, and AddExcept walks the quarters
+// interleaved, one entry of each per turn. Every coordinate's entries
+// lie in one lane, in run order, so each coordinate still sees the same
+// additions in the same sequence; but a hot coordinate's back-to-back
+// d[i] += v chain, each addition waiting on the one before through
+// memory, now overlaps with three independent chains.
 type MergedRun struct {
 	ents, swap []runEntry
 	max        uint32
+	// cut[k] is the first entry of lane k+1: a quarter point moved
+	// forward to the next change of coordinate.
+	cut [3]int
 }
 
 type runEntry struct {
@@ -72,6 +83,19 @@ func (r *MergedRun) Append(src uint32, buf []byte) (int, error) {
 // run's reusable swap buffer, with as few passes of up to 11 bits as
 // the largest index needs (two for a 100k-coordinate model).
 func (r *MergedRun) Sort() {
+	r.radixSort()
+	prev := 0
+	for k := range r.cut {
+		c := max(prev, (k+1)*len(r.ents)/4)
+		for c > 0 && c < len(r.ents) && r.ents[c].idx == r.ents[c-1].idx {
+			c++
+		}
+		r.cut[k], prev = c, c
+	}
+}
+
+// radixSort is Sort's ordering step.
+func (r *MergedRun) radixSort() {
 	width := bits.Len32(r.max)
 	if width == 0 || len(r.ents) < 2 {
 		return
@@ -105,13 +129,34 @@ func (r *MergedRun) Sort() {
 }
 
 // AddExcept adds every entry of the sorted run whose source is not own
-// to d, in run order, and ignores indices outside d (as AddEncoded
-// does). Call it only after Sort.
+// to d, in run order per coordinate, and ignores indices outside d (as
+// AddEncoded does). Call it only after Sort.
 func (r *MergedRun) AddExcept(d Dense, own uint32) {
-	ents := r.ents[:sort.Search(len(r.ents), func(k int) bool { return int(r.ents[k].idx) >= len(d) })]
-	for _, e := range ents {
+	end := sort.Search(len(r.ents), func(k int) bool { return int(r.ents[k].idx) >= len(d) })
+	c0, c1, c2 := min(r.cut[0], end), min(r.cut[1], end), min(r.cut[2], end)
+	l0, l1, l2, l3 := r.ents[:c0], r.ents[c0:c1], r.ents[c1:c2], r.ents[c2:end]
+	n := min(len(l0), len(l1), len(l2), len(l3))
+	tails := [...][]runEntry{l0[n:], l1[n:], l2[n:], l3[n:]}
+	l0, l1, l2, l3 = l0[:n], l1[:n], l2[:n], l3[:n]
+	for k, e := range l0 {
 		if e.src != own {
 			d[e.idx] += e.val
+		}
+		if e := l1[k]; e.src != own {
+			d[e.idx] += e.val
+		}
+		if e := l2[k]; e.src != own {
+			d[e.idx] += e.val
+		}
+		if e := l3[k]; e.src != own {
+			d[e.idx] += e.val
+		}
+	}
+	for _, lane := range tails {
+		for _, e := range lane {
+			if e.src != own {
+				d[e.idx] += e.val
+			}
 		}
 	}
 }

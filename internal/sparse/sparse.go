@@ -8,8 +8,9 @@
 // A Vector keeps its entries as two compact arrays and is in one of two
 // states. An ascending run holds them in strictly ascending index order
 // with nothing else behind them: it is what the step path produces
-// (gradients are emitted from a FoldScratch, optimizer updates copy and
-// transform them, the ISP filter appends its flushes), and every
+// (gradients are emitted from a FoldScratch, optimizers and the ISP
+// filter read their input with Entries and write their output with
+// WriteRun), and every
 // whole-vector operation, sorted ones and encoding included, is a
 // branch-free walk over exactly Len entries. An indexed vector keeps its
 // entries in insertion order and finds them through a purpose-built
@@ -53,11 +54,11 @@ import (
 //
 // Read-only methods never change the state, so a vector may be shared
 // by concurrent readers (mini-batch vectors are). Set, Add of a non-zero
-// value and Remove index a run first. CopyFrom, Clone, Transform and
-// Scale keep the source's state and copy no table into a run; Clear
-// keeps the state (an indexed vector keeps its table for reuse);
-// DecodeInto and NewWithCapacity produce an indexed vector; Append on an
-// empty vector and FoldScratch.EmitTo produce a run.
+// value and Remove index a run first. CopyFrom, Clone and Scale keep the
+// source's state and copy no table into a run; Clear keeps the state (an
+// indexed vector keeps its table for reuse); DecodeInto and
+// NewWithCapacity produce an indexed vector; Append on an empty vector,
+// WriteRun and FoldScratch.EmitTo produce a run.
 type Vector struct {
 	idx []uint32
 	val []float64
@@ -342,26 +343,25 @@ func (v *Vector) Scale(s float64) {
 	}
 }
 
-// Transform replaces each entry's value x at index i with fn(i, x), in
-// entry order, then drops exact zeros; the survivors keep their order,
-// so a run stays a run. fn must not modify v. An indexed vector's table
-// is rebuilt only if an entry drops.
-func (v *Vector) Transform(fn func(i uint32, x float64) float64) {
-	n := 0
-	for k, i := range v.idx {
-		if x := fn(i, v.val[k]); x != 0 {
-			v.idx[n], v.val[n] = i, x
-			n++
-		}
-	}
-	if n == len(v.idx) {
-		return
-	}
-	v.idx, v.val = v.idx[:n], v.val[:n]
-	if v.tab != nil {
-		clear(v.tab)
-		v.index()
-	}
+// Entries calls fn once with v's entries in ascending index order, as
+// two parallel arrays: a run's own arrays, or an indexed vector's pairs
+// sorted into pooled scratch. fn must not modify v or retain the
+// slices. It is the bulk read of the step path: one call per vector,
+// none per entry.
+func (v *Vector) Entries(fn func(idx []uint32, val []float64)) {
+	idx, val, ps := v.sorted()
+	fn(idx, val)
+	release(ps)
+}
+
+// WriteRun replaces v's contents with a run built in place: fill gets
+// v's entry arrays emptied, with the capacity they have, appends a
+// strictly ascending, zero-free run to them and returns the extended
+// arrays, which v keeps. v's table, if any, is released. fill must not
+// use v.
+func (v *Vector) WriteRun(fill func(idx []uint32, val []float64) ([]uint32, []float64)) {
+	v.tab = nil
+	v.idx, v.val = fill(v.idx[:0], v.val[:0])
 }
 
 // Clear removes all entries, retaining the allocation and the state.
@@ -536,23 +536,23 @@ func (d Dense) Clone() Dense {
 	return c
 }
 
-// AddSparse accumulates a sparse vector into d (d += v). Indices outside
-// d are ignored, matching Vector.Dot.
+// AddSparse accumulates a sparse vector into d (d += v), in entry
+// order. Indices outside d are ignored, matching Vector.Dot.
 func (d Dense) AddSparse(v *Vector) {
-	v.ForEach(func(i uint32, val float64) {
+	for k, i := range v.idx {
 		if int(i) < len(d) {
-			d[i] += val
+			d[i] += v.val[k]
 		}
-	})
+	}
 }
 
 // AddScaledSparse accumulates s*v into d.
 func (d Dense) AddScaledSparse(v *Vector, s float64) {
-	v.ForEach(func(i uint32, val float64) {
+	for k, i := range v.idx {
 		if int(i) < len(d) {
-			d[i] += s * val
+			d[i] += s * v.val[k]
 		}
-	})
+	}
 }
 
 // Axpy computes d += s*x for dense x. The vectors must be equal length.

@@ -15,6 +15,10 @@ import (
 // cluster. The host-parallel fleet engine leans on that identity:
 // arrivals stamped from one template are interchangeable executions, so
 // their results memoize by template key (see Arrival.TemplateKey).
+// GenerateArrivals calls New once per template it draws and shares that
+// one job across the template's arrivals: the engine only clones its
+// model and optimizer, so the prototypes are never mutated; but a
+// tracer New installs on the job would be shared by every arrival.
 type Template struct {
 	// Name labels the workload in reports and events.
 	Name string
@@ -28,7 +32,8 @@ type Template struct {
 // jobs with exponential inter-arrival gaps of the given mean, each from
 // a tenant drawn uniformly and a workload drawn by mix weight. The
 // schedule is a pure function of (seed, tenants, mix, n, meanGap), so
-// two same-seed fleets replay byte-identically.
+// two same-seed fleets replay byte-identically. Each template's job is
+// built once, on its first draw, and shared by all its arrivals.
 func GenerateArrivals(seed uint64, tenants []string, mix []Template, n int, meanGap time.Duration) ([]Arrival, error) {
 	if len(tenants) == 0 || len(mix) == 0 {
 		return nil, fmt.Errorf("tenant: arrivals need at least one tenant and one template")
@@ -48,6 +53,7 @@ func GenerateArrivals(seed uint64, tenants []string, mix []Template, n int, mean
 	}
 
 	rng := xrand.New(seed)
+	jobs := make([]*core.Job, len(mix))
 	arrivals := make([]Arrival, 0, n)
 	var at time.Duration
 	for i := 0; i < n; i++ {
@@ -57,15 +63,20 @@ func GenerateArrivals(seed uint64, tenants []string, mix []Template, n int, mean
 		at += time.Duration(gap)
 		tenant := tenants[rng.Intn(len(tenants))]
 		pick := rng.Float64() * wsum
-		tpl := mix[len(mix)-1]
-		for _, m := range mix {
+		k := len(mix) - 1
+		for j, m := range mix {
 			if pick < m.Weight {
-				tpl = m
+				k = j
 				break
 			}
 			pick -= m.Weight
 		}
-		arrivals = append(arrivals, Arrival{At: at, Tenant: tenant, Workload: tpl.Name, Job: tpl.New(), TemplateKey: tpl.Name})
+		if jobs[k] == nil {
+			job := mix[k].New()
+			jobs[k] = &job
+		}
+		tpl := mix[k]
+		arrivals = append(arrivals, Arrival{At: at, Tenant: tenant, Workload: tpl.Name, Job: *jobs[k], TemplateKey: tpl.Name})
 	}
 	return arrivals, nil
 }

@@ -75,7 +75,9 @@ type Arrival struct {
 	Workload string
 	// Job is the training job to run. Model and Optimizer are prototypes
 	// (the engine clones them per worker), so the Job itself is never
-	// mutated and one arrival can be executed more than once.
+	// mutated and one arrival can be executed more than once; arrivals
+	// from GenerateArrivals share one template's prototypes, and so its
+	// Trace, if the template sets one.
 	Job core.Job
 	// TemplateKey, when non-empty, asserts that this arrival's Job is a
 	// fresh stamp of a shared workload template: any two arrivals with

@@ -3,6 +3,7 @@ package tenant
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -288,5 +289,38 @@ func TestGenerateArrivalsDeterministicAndValid(t *testing.T) {
 	}
 	if _, err := GenerateArrivals(1, []string{"t"}, []Template{{Name: "x", Weight: 0}}, 5, time.Second); err == nil {
 		t.Fatal("zero-weight template accepted")
+	}
+}
+
+func TestFleetLeavesSharedPrototypeUntouched(t *testing.T) {
+	// GenerateArrivals builds one job per template: every arrival of a
+	// template holds the same model and optimizer, and running the fleet
+	// must only ever clone them.
+	cfg, arrivals := testFleet(t, 11, 8, 8)
+	protos := map[string]core.Job{}
+	for _, a := range arrivals {
+		p, ok := protos[a.Workload]
+		if !ok {
+			protos[a.Workload] = a.Job
+			continue
+		}
+		if a.Job.Model != p.Model || a.Job.Optimizer != p.Optimizer {
+			t.Fatalf("template %s: arrivals hold distinct prototypes", a.Workload)
+		}
+	}
+	before := map[string][]float64{}
+	for name, p := range protos {
+		before[name] = append([]float64(nil), p.Model.Params()...)
+	}
+	cfg.Arrivals = arrivals
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range protos {
+		for i, x := range p.Model.Params() {
+			if math.Float64bits(x) != math.Float64bits(before[name][i]) {
+				t.Fatalf("template %s: prototype parameter %d changed from %v to %v", name, i, before[name][i], x)
+			}
+		}
 	}
 }
