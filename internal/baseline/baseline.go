@@ -87,17 +87,25 @@ func Run(cos *objstore.Store, job core.Job, c Charge) (*core.Result, error) {
 	stop := core.NewStopCheck(spec)
 
 	res := &core.Result{}
-	var clk vclock.Clock    // the run clock: steps are sequential rounds
-	gradSum := sparse.New() // models reuse a scratch gradient buffer
+	var clk vclock.Clock // the run clock: steps are sequential rounds
+
+	// Worker gradients are summed per coordinate, in worker order, in a
+	// dense scratch and emitted as the ascending run an optimizer step
+	// reads without sorting; the sums are those of Vector.AddVector.
+	var acc sparse.FoldScratch
+	gradSum := sparse.New()
 	for step := 1; step <= spec.MaxSteps; step++ {
-		gradSum.Clear()
 		lossSum, flops, slowest := 0.0, 0.0, time.Duration(0)
 		for w := 0; w < p; w++ {
 			var wclk vclock.Clock // workers run concurrently within a step
 			view, err := shards.Fetch(&wclk, plan.BatchFor(w, step))
 			if err == nil {
 				lossSum += mdl.LossView(view)
-				gradSum.AddVector(mdl.GradientView(view))
+				mdl.GradientView(view).Entries(func(idx []uint32, val []float64) {
+					for k, i := range idx {
+						acc.Add(i, val[k])
+					}
+				})
 				flops = 1.5 * mdl.GradientWork(view.Len())
 				err = c.Map(&wclk, step, w, flops)
 			}
@@ -111,6 +119,7 @@ func Run(cos *objstore.Store, job core.Job, c Charge) (*core.Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		acc.EmitTo(gradSum, nil)
 		gradSum.Scale(1 / float64(p))
 		mdl.ApplyUpdate(opt.Step(step, gradSum))
 

@@ -547,22 +547,35 @@ func TestDenseStateMatchesSparseReference(t *testing.T) {
 
 // TestOptimizerStepSteadyStateDoesNotAllocate pins the step path at zero
 // allocations once the update scratch and the dense state have grown to
-// the gradient. The gradient is the ascending run the step path hands
-// an optimizer; an indexed one is read through the pooled pair sort,
-// whose sync.Pool the race detector deliberately drains.
+// the gradient, on both gradient forms: the ascending run the worker
+// step hands an optimizer, and the indexed vector the baselines' step
+// sums with AddVector. The dense-state optimizers read an indexed
+// gradient through the pooled pair sort, a sort on every step; the race
+// detector drains that sync.Pool, so the indexed case runs only in
+// uninstrumented builds.
 func TestOptimizerStepSteadyStateDoesNotAllocate(t *testing.T) {
-	g := asRun(pmfGrad(xrand.New(41), 1200, 2400, 20, 625))
-	for _, o := range []Optimizer{
-		NewSGD(Constant(0.1)),
-		NewMomentum(Constant(0.1), 0.9),
-		NewNesterov(Constant(0.1), 0.9),
-		NewAdamDefaults(Constant(0.1)),
-	} {
-		o.Step(1, g)
-		step := 2
-		if n := testing.AllocsPerRun(10, func() { o.Step(step, g); step++ }); n != 0 {
-			t.Errorf("%s: Step allocated %v per run", o.Name(), n)
-		}
+	indexed := pmfGrad(xrand.New(41), 1200, 2400, 20, 625)
+	for _, form := range []struct {
+		name string
+		g    *sparse.Vector
+	}{{"indexed", indexed}, {"run", asRun(indexed)}} {
+		t.Run(form.name, func(t *testing.T) {
+			if form.name == "indexed" && raceEnabled {
+				t.Skip("the race detector drains the pair sort's sync.Pool")
+			}
+			for _, o := range []Optimizer{
+				NewSGD(Constant(0.1)),
+				NewMomentum(Constant(0.1), 0.9),
+				NewNesterov(Constant(0.1), 0.9),
+				NewAdamDefaults(Constant(0.1)),
+			} {
+				o.Step(1, form.g)
+				step := 2
+				if n := testing.AllocsPerRun(10, func() { o.Step(step, form.g); step++ }); n != 0 {
+					t.Errorf("%s: Step allocated %v per run", o.Name(), n)
+				}
+			}
+		})
 	}
 }
 
@@ -600,15 +613,21 @@ func lrGrad(r *xrand.RNG, dim, samples int) *sparse.Vector {
 // BenchmarkOptimizerStep measures one steady-state Step at the two
 // training workloads' shapes: PMF with Nesterov (72 k parameters, 625
 // ratings per batch) and LR with Adam (100 k hashed features, 50 samples
-// per batch), on the ascending-run gradients the step path produces.
+// per batch). The plain cases feed an indexed gradient, as the
+// baselines' step does; the "-run" cases feed the ascending run the
+// worker step produces.
 func BenchmarkOptimizerStep(b *testing.B) {
+	pmf := pmfGrad(xrand.New(51), 1200, 2400, 20, 625)
+	lr := lrGrad(xrand.New(52), 100_000, 50)
 	for _, bc := range []struct {
 		name string
 		o    Optimizer
 		g    *sparse.Vector
 	}{
-		{"nesterov-pmf", NewNesterov(Constant(0.1), 0.9), asRun(pmfGrad(xrand.New(51), 1200, 2400, 20, 625))},
-		{"adam-lr", NewAdamDefaults(Constant(0.002)), asRun(lrGrad(xrand.New(52), 100_000, 50))},
+		{"nesterov-pmf", NewNesterov(Constant(0.1), 0.9), pmf},
+		{"adam-lr", NewAdamDefaults(Constant(0.002)), lr},
+		{"nesterov-pmf-run", NewNesterov(Constant(0.1), 0.9), asRun(pmf)},
+		{"adam-lr-run", NewAdamDefaults(Constant(0.002)), asRun(lr)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			bc.o.Step(1, bc.g)

@@ -1,0 +1,9 @@
+//go:build race
+
+package optimizer
+
+// raceEnabled reports whether the race detector instruments this build.
+// Race instrumentation makes sync.Pool drop puts, so the zero-allocation
+// pin on an indexed gradient, which a step reads through the sparse
+// package's pooled pair sort, holds only in uninstrumented builds.
+const raceEnabled = true

@@ -20,28 +20,10 @@ func NewSGD(lr Schedule) *SGD { return &SGD{lr: lr} }
 // Name implements Optimizer.
 func (o *SGD) Name() string { return "sgd" }
 
-// Step implements Optimizer. A zero rate yields an empty update, as
-// does any product that underflows to zero.
+// Step implements Optimizer.
 func (o *SGD) Step(t int, grad *sparse.Vector) *sparse.Vector {
-	s := -o.lr.Rate(t)
-	grad.Entries(func(gi []uint32, gv []float64) {
-		if s == 0 {
-			gi, gv = nil, nil
-		}
-		o.u.WriteRun(func(ui []uint32, uv []float64) ([]uint32, []float64) {
-			ui, uv = withIndices(ui, uv, gi)
-			uv = uv[:len(gv)]
-			zeros := 0
-			for k, g := range gv {
-				x := g * s
-				uv[k] = x
-				if x == 0 {
-					zeros++
-				}
-			}
-			return dropZeros(ui, uv, zeros)
-		})
-	})
+	o.u.CopyFrom(grad)
+	o.u.Scale(-o.lr.Rate(t))
 	return &o.u
 }
 

@@ -8,10 +8,10 @@
 // A Vector keeps its entries as two compact arrays and is in one of two
 // states. An ascending run holds them in strictly ascending index order
 // with nothing else behind them: it is what the step path produces
-// (gradients are emitted from a FoldScratch, optimizers and the ISP
-// filter read their input with Entries and write their output with
-// WriteRun), and every
-// whole-vector operation, sorted ones and encoding included, is a
+// (gradients, and the baselines' gradient sums, are emitted from a
+// FoldScratch; the momentum optimizers, Adam and the ISP filter read
+// their input with Entries and write their output with WriteRun; SGD
+// copies and scales its run), and every whole-vector operation, sorted ones and encoding included, is a
 // branch-free walk over exactly Len entries. An indexed vector keeps its
 // entries in insertion order and finds them through a purpose-built
 // open-addressing table (uint32 keys, Fibonacci hashing, linear probing,
