@@ -114,10 +114,21 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // Zipf samples ranks in [0, n) with probability proportional to
 // 1/(rank+1)^s. It is used to give synthetic datasets the heavy-tailed
 // item popularity of real recommendation data (MovieLens).
+//
+// Next inverts the cdf exactly, through a guide table that narrows the
+// binary search to the ranks one 1/zipfGuide slice of [0, 1) can reach.
 type Zipf struct {
-	rng *RNG
-	cdf []float64
+	rng   *RNG
+	cdf   []float64
+	guide []int
 }
+
+// zipfGuide is the guide table's width: a power of two, so the slice a
+// uniform falls in is its top zipfGuideBits mantissa bits.
+const (
+	zipfGuideBits = 12
+	zipfGuide     = 1 << zipfGuideBits
+)
 
 // NewZipf builds a sampler over n ranks with exponent s > 0.
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
@@ -134,14 +145,29 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] *= inv
 	}
-	return &Zipf{rng: rng, cdf: cdf}
+	// guide[k] is the first rank whose cdf is ≥ k/zipfGuide, capped at
+	// n−1 (rounding can leave the last cdf entry just below 1).
+	guide := make([]int, zipfGuide+1)
+	r := 0
+	for k := range guide {
+		for r < n-1 && cdf[r] < float64(k)/zipfGuide {
+			r++
+		}
+		guide[k] = r
+	}
+	return &Zipf{rng: rng, cdf: cdf, guide: guide}
 }
 
-// Next returns the next Zipf-distributed rank in [0, n).
+// Next returns the next Zipf-distributed rank in [0, n): the first
+// rank whose cdf is ≥ u for u = Float64(), or n−1 if there is none. The
+// uniform u = m/2⁵³ lies in [k, k+1)/zipfGuide for k = m's top bits,
+// so the answer lies between guide[k] and guide[k+1]; the search there
+// is the full search's.
 func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
+	m := z.rng.Uint64() >> 11
+	u := float64(m) / (1 << 53)
+	k := m >> (53 - zipfGuideBits)
+	lo, hi := z.guide[k], z.guide[k+1]
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

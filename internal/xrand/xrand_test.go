@@ -174,6 +174,97 @@ func TestZipfPanicsOnNonPositive(t *testing.T) {
 	NewZipf(New(1), 0, 1)
 }
 
+// zipfFullSearch is Next's definition: the first rank whose cdf is
+// ≥ u, or the last rank if there is none.
+func zipfFullSearch(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// unxorshift inverts x ^= x >> s.
+func unxorshift(y uint64, s uint) uint64 {
+	x := y
+	for i := uint(0); i < 64; i += s {
+		x = y ^ (x >> s)
+	}
+	return x
+}
+
+// inverse returns c⁻¹ mod 2⁶⁴ for odd c (Newton's iteration).
+func inverse(c uint64) uint64 {
+	x := c
+	for i := 0; i < 6; i++ {
+		x *= 2 - c*x
+	}
+	return x
+}
+
+// seedDrawing returns the seed whose first Float64 is m/2⁵³, by
+// inverting splitmix64's output mix.
+func seedDrawing(m uint64) uint64 {
+	z := unxorshift(m<<11, 31)
+	z *= inverse(0x94d049bb133111eb)
+	z = unxorshift(z, 27)
+	z *= inverse(0xbf58476d1ce4e5b9)
+	z = unxorshift(z, 30)
+	return z - 0x9e3779b97f4a7c15
+}
+
+// FuzzZipfNext checks the guide-table search against the full binary
+// search over the same uniforms: every rank equal and the generator
+// advanced by the same draws, for n in [1, 20 000] and s in [0.5, 2].
+func FuzzZipfNext(f *testing.F) {
+	const slice = uint64(1) << (53 - zipfGuideBits)
+	drawing := func(m uint64) uint64 {
+		seed := seedDrawing(m)
+		if got := New(seed).Uint64() >> 11; got != m {
+			f.Fatalf("seedDrawing(%#x) draws %#x", m, got)
+		}
+		return seed
+	}
+	f.Add(uint64(1), 1, 1.1)
+	f.Add(uint64(7), 10_000, 1.1)
+	for _, k := range []uint64{1, 2, 17, 2048, zipfGuide - 1} {
+		f.Add(drawing(k*slice-1), 10_000, 1.1) // just below k/zipfGuide
+		f.Add(drawing(k*slice), 10_000, 1.1)   // at k/zipfGuide
+		f.Add(drawing(k*slice), 37, 2.0)
+	}
+	// n = 12 at s = 1.1 normalises to a last cdf entry below 1; the
+	// largest uniform lies above it.
+	if z := NewZipf(New(0), 12, 1.1); z.cdf[11] >= 1 {
+		f.Fatalf("last cdf entry %v, want < 1", z.cdf[11])
+	}
+	f.Add(drawing(1<<53-1), 12, 1.1)
+	f.Fuzz(func(t *testing.T, seed uint64, n int, s float64) {
+		if n < 0 {
+			n = -(n + 1)
+		}
+		n = 1 + n%20_000
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			s = 1
+		}
+		s = 0.5 + math.Mod(math.Abs(s), 1.5)
+		z, ref := NewZipf(New(seed), n, s), New(seed)
+		for i := 0; i < 32; i++ {
+			u := ref.Float64()
+			if got, want := z.Next(), zipfFullSearch(z.cdf, u); got != want {
+				t.Fatalf("n=%d s=%v draw %d: u=%v rank %d, want %d", n, s, i, u, got, want)
+			}
+		}
+		if z.rng.Uint64() != ref.Uint64() {
+			t.Fatal("Next consumed a different number of draws")
+		}
+	})
+}
+
 func TestBernoulliFrequency(t *testing.T) {
 	r := New(29)
 	const n = 100000
