@@ -1,9 +1,10 @@
 package dataset
 
 import (
-	"hash/fnv"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"mlless/internal/sparse"
 	"mlless/internal/xrand"
@@ -50,68 +51,240 @@ func DefaultCriteoConfig() CriteoConfig {
 }
 
 // hashCat maps (field, value) into the hashed categorical space,
-// implementing the "hashing trick" of §6.1.
+// implementing the "hashing trick" of §6.1: FNV-1a over "field:value"
+// in decimal, reduced modulo hashDim.
 func hashCat(field, value, hashDim int) uint32 {
-	h := fnv.New32a()
-	// Writes to fnv's hash never fail.
-	_, _ = h.Write([]byte(strconv.Itoa(field)))
-	_, _ = h.Write([]byte{':'})
-	_, _ = h.Write([]byte(strconv.Itoa(value)))
-	return h.Sum32() % uint32(hashDim)
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], int64(field), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(value), 10)
+	h := uint32(2166136261)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return h % uint32(hashDim)
+}
+
+// criteoChunkSamples is how many samples GenerateCriteo hands a row
+// worker at a time.
+const criteoChunkSamples = 4096
+
+// criteoGen is a Criteo generator's ground truth. It draws nothing
+// after construction: scanCriteo makes the draws on one goroutine, in
+// order, and row turns them into samples on any goroutine.
+type criteoGen struct {
+	cfg CriteoConfig
+	// truth holds the ground-truth weights over the feature space, bias
+	// last.
+	truth []float64
+}
+
+// newCriteoGen draws the ground truth and returns it with the RNG and
+// the categorical Zipf sampler the samples' draws continue from.
+func newCriteoGen(cfg CriteoConfig) (*criteoGen, *xrand.RNG, *xrand.Zipf) {
+	rng := xrand.New(cfg.Seed)
+	truth := make([]float64, cfg.HashDim+cfg.NumericFeatures+1)
+	for i := range truth {
+		truth[i] = rng.NormFloat64() * cfg.Separation
+	}
+	// Zipf-distributed categorical values: a few values dominate each
+	// field, as in real ad data.
+	zipf := xrand.NewZipf(rng, cfg.Cardinality, 1.1)
+	return &criteoGen{cfg: cfg, truth: truth}, rng, zipf
+}
+
+// criteoDraws holds the random draws of n consecutive samples.
+type criteoDraws struct {
+	n       int
+	normals []float64 // NumericFeatures per sample
+	cats    []int32   // CategoricalFeatures Zipf ranks per sample
+	u       []float64 // the label's uniform
+}
+
+// scanCriteo makes the random draws of the next n samples, per sample
+// in this order: the numeric normals, the categorical Zipf ranks, the
+// label uniform. Every generator path draws through it, so one seed
+// gives one sequence of samples.
+func scanCriteo(cfg CriteoConfig, rng *xrand.RNG, zipf *xrand.Zipf, n int) *criteoDraws {
+	d := &criteoDraws{
+		n:       n,
+		normals: make([]float64, n*cfg.NumericFeatures),
+		cats:    make([]int32, n*cfg.CategoricalFeatures),
+		u:       make([]float64, n),
+	}
+	normals, cats := d.normals, d.cats
+	for k := 0; k < n; k++ {
+		for f := 0; f < cfg.NumericFeatures; f++ {
+			normals[f] = rng.NormFloat64()
+		}
+		for f := 0; f < cfg.CategoricalFeatures; f++ {
+			cats[f] = int32(zipf.Next())
+		}
+		normals, cats = normals[cfg.NumericFeatures:], cats[cfg.CategoricalFeatures:]
+		d.u[k] = rng.Float64()
+	}
+	return d
+}
+
+// row appends sample k of d to idx and val as an ascending run and
+// returns the extended arrays with the sample's label. It is a pure
+// function of the draws.
+//
+// Numerical features are log-normal counters (as raw ad-traffic
+// counters are) in the first NumericFeatures coordinates, NOT
+// normalized here. Each categorical field sets one hashed coordinate
+// to 1; fields that collide set the same one. The label comes from the
+// ground-truth logistic model, its score summed in ascending
+// coordinate order; numeric features enter it through their normalized
+// value (min-max over a log-normal concentrates near 0) so the
+// generator's separability survives normalization.
+func (g *criteoGen) row(d *criteoDraws, k int, idx []uint32, val []float64) ([]uint32, []float64, float64) {
+	numeric, cat := g.cfg.NumericFeatures, g.cfg.CategoricalFeatures
+	score := g.truth[len(g.truth)-1]
+	for f, z := range d.normals[k*numeric : (k+1)*numeric] {
+		x := math.Exp(z)
+		idx = append(idx, uint32(f))
+		val = append(val, x)
+		score += g.truth[f] * math.Min(x/10, 1)
+	}
+	// Insertion sort (≤ 26 entries), dropping a coordinate already
+	// present.
+	first := len(idx)
+	for f, c := range d.cats[k*cat : (k+1)*cat] {
+		h := uint32(numeric) + hashCat(f, int(c), g.cfg.HashDim)
+		j := len(idx)
+		for j > first && idx[j-1] > h {
+			j--
+		}
+		if j > first && idx[j-1] == h {
+			continue
+		}
+		idx = append(idx, 0)
+		copy(idx[j+1:], idx[j:])
+		idx[j] = h
+	}
+	for _, h := range idx[first:] {
+		val = append(val, 1)
+		score += g.truth[h]
+	}
+	label := 0.0
+	if d.u[k] < 1/(1+math.Exp(-score)) {
+		label = 1
+	}
+	return idx, val, label
 }
 
 // GenerateCriteo produces a synthetic click-prediction dataset: labels
 // are drawn from a ground-truth logistic model over the hashed features,
 // so a trained sparse LR can genuinely converge. Numerical features are
-// log-normal (as raw ad-traffic counters are) and are NOT normalized
-// here — NormalizeInPlace applies the paper's min-max scaling
-// afterwards.
+// NOT normalized here — NormalizeInPlace applies the paper's min-max
+// scaling afterwards. The calling goroutine makes the draws; GOMAXPROCS
+// workers build the rows, each chunk's into one slab, and every
+// sample's features are an ascending run.
 func GenerateCriteo(cfg CriteoConfig) *Dataset {
-	rng := xrand.New(cfg.Seed)
-	dim := cfg.HashDim + cfg.NumericFeatures
-
-	// Ground-truth weights over the full feature space.
-	truth := make([]float64, dim+1) // +1 bias
-	for i := range truth {
-		truth[i] = rng.NormFloat64() * cfg.Separation
-	}
-
-	// Zipf-distributed categorical values: a few values dominate each
-	// field, as in real ad data.
-	zipf := xrand.NewZipf(rng, cfg.Cardinality, 1.1)
-
+	g, rng, zipf := newCriteoGen(cfg)
 	samples := make([]Sample, cfg.Samples)
-	for n := range samples {
-		v := sparse.NewWithCapacity(cfg.NumericFeatures + cfg.CategoricalFeatures)
-		// Numerical features: log-normal counters, stored in the first
-		// NumericFeatures coordinates.
-		for f := 0; f < cfg.NumericFeatures; f++ {
-			v.Set(uint32(f), math.Exp(rng.NormFloat64()))
-		}
-		// Categorical features: one active hashed coordinate per field.
-		for f := 0; f < cfg.CategoricalFeatures; f++ {
-			idx := uint32(cfg.NumericFeatures) + hashCat(f, zipf.Next(), cfg.HashDim)
-			v.Set(idx, 1)
-		}
-		// Label from the ground-truth logistic model. Numeric features
-		// enter the score through their normalized value (min-max over a
-		// log-normal concentrates near 0) so the generator's separability
-		// survives normalization.
-		score := truth[dim]
-		v.ForEachSorted(func(i uint32, val float64) {
-			x := val
-			if int(i) < cfg.NumericFeatures {
-				x = math.Min(x/10, 1)
-			}
-			score += truth[i] * x
-		})
-		label := 0.0
-		if rng.Bernoulli(1 / (1 + math.Exp(-score))) {
-			label = 1
-		}
-		samples[n] = Sample{Features: v, Label: label, User: -1, Item: -1}
+	chunks := (cfg.Samples + criteoChunkSamples - 1) / criteoChunkSamples
+	scan := func(c int) *criteoDraws {
+		return scanCriteo(cfg, rng, zipf, min(criteoChunkSamples, cfg.Samples-c*criteoChunkSamples))
 	}
-	return &Dataset{Samples: samples, FeatureDim: dim}
+	rows := func(c int, d *criteoDraws) struct{} {
+		g.fill(d, samples[c*criteoChunkSamples:][:d.n])
+		return struct{}{}
+	}
+	// Rows land in samples directly; there is nothing to emit.
+	_ = runPipeline(chunks, runtime.GOMAXPROCS(0), scan, rows, func(int, struct{}) error { return nil })
+	return &Dataset{Samples: samples, FeatureDim: cfg.HashDim + cfg.NumericFeatures}
+}
+
+// fill builds out's samples from d's draws. The rows share one slab;
+// each vector holds its own row, capped, so a later write to one never
+// reaches its neighbour.
+func (g *criteoGen) fill(d *criteoDraws, out []Sample) {
+	width := g.cfg.NumericFeatures + g.cfg.CategoricalFeatures
+	idx := make([]uint32, 0, d.n*width)
+	val := make([]float64, 0, d.n*width)
+	vecs := make([]sparse.Vector, d.n)
+	for k := range out {
+		lo := len(idx)
+		var label float64
+		idx, val, label = g.row(d, k, idx, val)
+		hi := len(idx)
+		// A fresh vector holds nothing to append to: the row is the run.
+		vecs[k].WriteRun(func([]uint32, []float64) ([]uint32, []float64) {
+			return idx[lo:hi:hi], val[lo:hi:hi]
+		})
+		out[k] = Sample{Features: &vecs[k], Label: label, User: -1, Item: -1}
+	}
+}
+
+// runPipeline is the generators' scan → work → emit harness: scan runs
+// strictly in index order on the calling goroutine (it owns the RNG),
+// par workers run work, and emit sees the results on one goroutine in
+// index order. In-flight work is bounded by par, so memory stays
+// O(par × chunk) whatever the total. The first emit error stops the
+// scan and is returned.
+func runPipeline[D, R any](n, par int, scan func(i int) D, work func(i int, d D) R, emit func(i int, r R) error) error {
+	type job struct {
+		i int
+		d D
+	}
+	type result struct {
+		i int
+		r R
+	}
+	jobs := make(chan job)
+	results := make(chan result, par)
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				results <- result{j.i, work(j.i, j.d)}
+			}
+		}()
+	}
+
+	var emitErr error
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pending := make(map[int]R)
+		next := 0
+		for r := range results {
+			pending[r.i] = r.r
+			for {
+				out, ok := pending[next]
+				if !ok {
+					break
+				}
+				delete(pending, next)
+				if emitErr == nil {
+					if emitErr = emit(next, out); emitErr != nil {
+						close(stop)
+					}
+				}
+				next++
+			}
+		}
+	}()
+
+	for i := 0; i < n; i++ {
+		j := job{i, scan(i)}
+		select {
+		case jobs <- j:
+		case <-stop:
+			i = n // abort: emit already failed
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	close(results)
+	<-done
+	return emitErr
 }
 
 // MovieLensConfig parameterizes the synthetic MovieLens-like generator.

@@ -14,7 +14,7 @@ import (
 // DefaultBatchesPerShard is how many mini-batches a staged shard packs
 // when callers have no reason to choose: large enough to amortize the
 // per-object overhead, small enough that a shard stays a convenient
-// transfer and mmap unit.
+// transfer unit.
 const DefaultBatchesPerShard = 8
 
 // ShardKey names staged shard object i. Zero-padded so List order

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"mlless/internal/netmodel"
-	"mlless/internal/objstore"
 	"mlless/internal/shard"
-	"mlless/internal/vclock"
 )
 
 // memSink retains shard blobs by index.
@@ -21,8 +18,8 @@ func (m *memSink) WriteShard(i int, blob []byte) error {
 	return nil
 }
 
-// flatten parses the sink's shards in order and returns every sample
-// as a decoded Sample.
+// flatten parses the sink's feature shards in order and returns every
+// sample as a decoded Sample.
 func (m *memSink) flatten(t *testing.T) []Sample {
 	t.Helper()
 	var out []Sample
@@ -38,11 +35,7 @@ func (m *memSink) flatten(t *testing.T) []Sample {
 		for b := 0; b < sh.NumBatches(); b++ {
 			bv := sh.Batch(b)
 			for k := 0; k < bv.Len(); k++ {
-				if bv.IsRating() {
-					out = append(out, Sample{User: bv.User(k), Item: bv.Item(k), Label: bv.Rating(k)})
-				} else {
-					out = append(out, Sample{Features: bv.Features(k), Label: bv.Label(k), User: -1, Item: -1})
-				}
+				out = append(out, Sample{Features: bv.Features(k), Label: bv.Label(k), User: -1, Item: -1})
 			}
 		}
 	}
@@ -77,31 +70,6 @@ func TestStreamCriteoMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestStreamMovieLensMatchesGenerate does the same for the rating
-// generator, including the bitwise RatingMean.
-func TestStreamMovieLensMatchesGenerate(t *testing.T) {
-	cfg := smallMovieLens()
-	sink := newMemSink()
-	stats, err := StreamMovieLens(cfg, StreamConfig{BatchSize: 128, BatchesPerShard: 4, Parallelism: 3}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := GenerateMovieLens(cfg)
-	if stats.RatingMean != ds.RatingMean {
-		t.Fatalf("RatingMean %v, want %v (bitwise)", stats.RatingMean, ds.RatingMean)
-	}
-	got := sink.flatten(t)
-	if len(got) != ds.Len() {
-		t.Fatalf("streamed %d samples, want %d", len(got), ds.Len())
-	}
-	for i, w := range ds.Samples {
-		g := got[i]
-		if g.User != w.User || g.Item != w.Item || g.Label != w.Label {
-			t.Fatalf("sample %d = (%d,%d,%v), want (%d,%d,%v)", i, g.User, g.Item, g.Label, w.User, w.Item, w.Label)
-		}
-	}
-}
-
 // TestStreamParallelismByteIdentical pins the determinism contract:
 // the emitted shard bytes do not depend on the worker count.
 func TestStreamParallelismByteIdentical(t *testing.T) {
@@ -129,35 +97,6 @@ func TestStreamParallelismByteIdentical(t *testing.T) {
 		if !bytes.Equal(one.blobs[i], eight.blobs[i]) {
 			t.Fatalf("shard %d bytes differ between parallelism 1 and 8", i)
 		}
-	}
-}
-
-// TestStreamToObjstore exercises the ObjstoreSink + manifest path: a
-// streamed bucket opens through OpenShardCache and serves every batch.
-func TestStreamToObjstore(t *testing.T) {
-	cfg := smallMovieLens()
-	store := objstore.New(netmodel.Link{})
-	var clk vclock.Clock
-	sc := StreamConfig{BatchSize: 200, BatchesPerShard: 4, Parallelism: 2}
-	stats, err := StreamMovieLens(cfg, sc, ObjstoreSink{Store: store, Clk: &clk, Bucket: "ml"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	WriteShardManifest(store, &clk, "ml", stats.Batches, sc.BatchSize, sc.BatchesPerShard)
-	cache, err := OpenShardCache(store, &clk, "ml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i := 0; i < cache.NumBatches(); i++ {
-		bv, err := cache.Fetch(&clk, i)
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		total += bv.Len()
-	}
-	if total != cfg.Ratings {
-		t.Fatalf("staged %d samples, want %d", total, cfg.Ratings)
 	}
 }
 

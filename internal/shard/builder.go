@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"mlless/internal/sparse"
 )
@@ -58,39 +59,29 @@ func (b *Builder) setKind(rating bool) {
 
 // AddFeature appends a feature sample (label + sparse features) to the
 // current batch. The vector's coordinates are emitted in ascending
-// index order via ForEachSorted, so the block bytes are deterministic
-// regardless of the vector's hash-table layout.
+// index order, so the block bytes are deterministic whatever the
+// vector's state.
 func (b *Builder) AddFeature(label float64, v *sparse.Vector) {
-	b.setKind(false)
-	b.beginFeatureRow(label)
-	v.ForEachSorted(b.appendPair)
+	v.Entries(func(idx []uint32, val []float64) { b.AddFeaturePairs(label, idx, val) })
 }
 
 // AddFeaturePairs appends a feature sample from pre-sorted columnar
-// pairs (ascending unique indices) — the streaming generators' path,
-// which never materializes sparse vectors.
+// pairs (ascending unique indices) — the generator's path, which never
+// materializes sparse vectors.
 func (b *Builder) AddFeaturePairs(label float64, idx []uint32, vals []float64) {
 	b.setKind(false)
-	b.beginFeatureRow(label)
-	for k, i := range idx {
-		b.appendPair(i, vals[k])
-	}
-}
-
-func (b *Builder) beginFeatureRow(label float64) {
 	if len(b.offs) == 0 {
 		b.offs = append(b.offs, 0)
 	}
 	b.labels = append(b.labels, label)
-	b.offs = append(b.offs, b.offs[len(b.offs)-1])
-}
-
-func (b *Builder) appendPair(i uint32, val float64) {
-	var buf [pairSize]byte
-	binary.LittleEndian.PutUint32(buf[:], i)
-	binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(val))
-	b.pairs = append(b.pairs, buf[:]...)
-	b.offs[len(b.offs)-1]++
+	b.offs = append(b.offs, b.offs[len(b.offs)-1]+uint32(len(idx)))
+	n := len(b.pairs)
+	b.pairs = slices.Grow(b.pairs, len(idx)*pairSize)[:n+len(idx)*pairSize]
+	for k, i := range idx {
+		p := b.pairs[n+k*pairSize:]
+		binary.LittleEndian.PutUint32(p, i)
+		binary.LittleEndian.PutUint64(p[4:], math.Float64bits(vals[k]))
+	}
 }
 
 // AddRating appends a rating sample to the current batch.

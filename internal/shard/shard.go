@@ -1,16 +1,16 @@
-// Package shard defines the on-disk columnar shard format of the
-// streaming dataset tier (DESIGN.md §13). A shard packs a run of
-// mini-batches into one blob; within a batch the samples are stored as
-// per-column contiguous arrays (labels, users, items) with CSR-style
-// row offsets over a single sorted (index, value) pair array that
-// reuses the 12-byte entry layout of package sparse's wire encoding.
+// Package shard defines the columnar shard format of the data tier
+// (DESIGN.md §13). A shard packs a run of mini-batches into one blob;
+// within a batch the samples are stored as per-column contiguous
+// arrays (labels, users, items) with CSR-style row offsets over a
+// single sorted (index, value) pair array that reuses the 12-byte
+// entry layout of package sparse's wire encoding.
 //
 // The format exists so the fetch→compute path can run zero-copy: a
 // parsed Shard hands out BatchView values that read labels, ratings
 // and feature pairs straight out of the blob's bytes — no []Sample
 // materialization, no per-fetch decoding, no per-step allocations.
 // Views are plain slices into the blob; whoever owns the blob (an
-// mmap'd file, an object-store view) owns the views' lifetime.
+// object-store snapshot) owns the views' lifetime.
 //
 // Layout (all little-endian):
 //
