@@ -94,12 +94,11 @@ func newCriteoGen(cfg CriteoConfig) (*criteoGen, *xrand.RNG, *xrand.Zipf) {
 	return &criteoGen{cfg: cfg, truth: truth}, rng, zipf
 }
 
-// criteoDraws holds the random draws of n consecutive samples.
+// criteoDraws holds the random draws of consecutive samples.
 type criteoDraws struct {
-	n       int
 	normals []float64 // NumericFeatures per sample
 	cats    []int32   // CategoricalFeatures Zipf ranks per sample
-	u       []float64 // the label's uniform
+	u       []float64 // the label's uniform, one per sample
 }
 
 // scanCriteo makes the random draws of the next n samples, per sample
@@ -108,7 +107,6 @@ type criteoDraws struct {
 // gives one sequence of samples.
 func scanCriteo(cfg CriteoConfig, rng *xrand.RNG, zipf *xrand.Zipf, n int) *criteoDraws {
 	d := &criteoDraws{
-		n:       n,
 		normals: make([]float64, n*cfg.NumericFeatures),
 		cats:    make([]int32, n*cfg.CategoricalFeatures),
 		u:       make([]float64, n),
@@ -190,7 +188,7 @@ func GenerateCriteo(cfg CriteoConfig) *Dataset {
 		return scanCriteo(cfg, rng, zipf, min(criteoChunkSamples, cfg.Samples-c*criteoChunkSamples))
 	}
 	rows := func(c int, d *criteoDraws) struct{} {
-		g.fill(d, samples[c*criteoChunkSamples:][:d.n])
+		g.fill(d, samples[c*criteoChunkSamples:][:len(d.u)])
 		return struct{}{}
 	}
 	// Rows land in samples directly; there is nothing to emit.
@@ -203,9 +201,9 @@ func GenerateCriteo(cfg CriteoConfig) *Dataset {
 // reaches its neighbour.
 func (g *criteoGen) fill(d *criteoDraws, out []Sample) {
 	width := g.cfg.NumericFeatures + g.cfg.CategoricalFeatures
-	idx := make([]uint32, 0, d.n*width)
-	val := make([]float64, 0, d.n*width)
-	vecs := make([]sparse.Vector, d.n)
+	idx := make([]uint32, 0, len(out)*width)
+	val := make([]float64, 0, len(out)*width)
+	vecs := make([]sparse.Vector, len(out))
 	for k := range out {
 		lo := len(idx)
 		var label float64

@@ -88,7 +88,7 @@ func StreamCriteo(cfg CriteoConfig, sc StreamConfig, sink ShardSink) (StreamStat
 		b := shard.NewBuilder()
 		var idx []uint32
 		var val []float64
-		for k := 0; k < d.n; k++ {
+		for k := range d.u {
 			var label float64
 			idx, val, label = g.row(d, k, idx[:0], val[:0])
 			b.AddFeaturePairs(label, idx, val)
