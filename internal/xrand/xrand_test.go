@@ -237,10 +237,10 @@ func FuzzZipfNext(f *testing.F) {
 		f.Add(drawing(k*slice), 10_000, 1.1)   // at k/zipfGuide
 		f.Add(drawing(k*slice), 37, 2.0)
 	}
-	// n = 12 at s = 1.1 normalises to a last cdf entry below 1; the
-	// largest uniform lies above it.
-	if z := NewZipf(New(0), 12, 1.1); z.cdf[11] >= 1 {
-		f.Fatalf("last cdf entry %v, want < 1", z.cdf[11])
+	// n = 12 at s = 1.1 normalises to a last cdf entry below 1: 1−2⁻⁵³,
+	// which the largest uniform equals.
+	if z := NewZipf(New(0), 12, 1.1); z.cdf[11] != 1-0x1p-53 {
+		f.Fatalf("last cdf entry %v, want 1−2⁻⁵³", z.cdf[11])
 	}
 	f.Add(drawing(1<<53-1), 12, 1.1)
 	f.Fuzz(func(t *testing.T, seed uint64, n int, s float64) {
