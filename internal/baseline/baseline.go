@@ -100,8 +100,9 @@ func Run(cos *objstore.Store, job core.Job, c Charge) (*core.Result, error) {
 			var wclk vclock.Clock // workers run concurrently within a step
 			view, err := shards.Fetch(&wclk, plan.BatchFor(w, step))
 			if err == nil {
-				lossSum += mdl.LossView(view)
-				mdl.GradientView(view).Entries(func(idx []uint32, val []float64) {
+				loss, g := mdl.LossGradientView(view)
+				lossSum += loss
+				g.Entries(func(idx []uint32, val []float64) {
 					for k, i := range idx {
 						acc.Add(i, val[k])
 					}

@@ -176,14 +176,15 @@ func (e *engine) stepFetch(w *Worker, c *stepCtx) error {
 	return nil
 }
 
-// stepCompute runs the local loss and gradient (real math, virtual
-// time), redoes the segment if the container died mid-compute, and
-// applies the pool-averaged optimizer update to the local replica.
+// stepCompute runs the local loss and gradient in one pass (real math,
+// virtual time; the charge is still the loss's plus the gradient's),
+// redoes the segment if the container died mid-compute, and applies the
+// pool-averaged optimizer update to the local replica.
 func (e *engine) stepCompute(w *Worker, c *stepCtx) error {
 	clk := &w.inst.Clock
 	c.computeStart = clk.Now()
-	c.loss = w.model.LossView(c.view)
-	grad := w.model.GradientView(c.view)
+	loss, grad := w.model.LossGradientView(c.view)
+	c.loss = loss
 	e.chargeCompute(w, 1.5*w.model.GradientWork(c.view.Len()))
 
 	// The provider may have reclaimed the container mid-segment: the

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"mlless/internal/dataset"
@@ -102,6 +103,27 @@ func sameGradient(t *testing.T, what string, got, want *sparse.Vector) {
 	})
 }
 
+// fused returns m's loss and gradient from LossGradientView and fails
+// unless the loss is LossView's, bit for bit. LossView runs while the
+// gradient is held, which its loss-only pass must allow.
+func fused(t *testing.T, what string, m Model, bv shard.BatchView) (float64, *sparse.Vector) {
+	t.Helper()
+	loss, g := m.LossGradientView(bv)
+	if want := m.LossView(bv); math.Float64bits(loss) != math.Float64bits(want) {
+		t.Fatalf("%s: fused loss %v, LossView %v", what, loss, want)
+	}
+	return loss, g
+}
+
+// emptyBatch checks that an empty batch, after a scratch gradient was
+// filled, gives a zero loss and a cleared gradient.
+func emptyBatch(t *testing.T, what string, m Model, bv shard.BatchView) {
+	t.Helper()
+	if loss, g := fused(t, what, m, bv); loss != 0 || g.Len() != 0 {
+		t.Fatalf("%s: empty batch gives loss %v, gradient %v", what, loss, g)
+	}
+}
+
 // ratingView builds a one-batch rating view.
 func ratingView(t testing.TB, ratings [][3]float64) shard.BatchView {
 	t.Helper()
@@ -167,7 +189,7 @@ func TestPMFGradientMatchesVectorReference(t *testing.T) {
 			{2, 3, p + 0.5}, {2, 3, p - 0.5},
 			{3, 4, m.predict(3, 4)},
 		})
-		g := m.GradientView(bv)
+		_, g := fused(t, what, m, bv)
 		sameGradient(t, what, g, refPMFGradient(m, bv))
 		if l2 == 0 {
 			for k := 0; k < m.rank; k++ {
@@ -184,8 +206,10 @@ func TestPMFGradientMatchesVectorReference(t *testing.T) {
 		big := NewPMF(cfg.Users, cfg.Items, cfg.Rank, 3.5, l2, 5)
 		for s := 0; s < 3; s++ {
 			bv := viewOf(t, batch[s*60:(s+1)*60])
-			sameGradient(t, what+" batch", big.GradientView(bv), refPMFGradient(big, bv))
+			_, g := fused(t, what+" batch", big, bv)
+			sameGradient(t, what+" batch", g, refPMFGradient(big, bv))
 		}
+		emptyBatch(t, what+" empty", big, ratingView(t, nil))
 	}
 }
 
@@ -244,7 +268,7 @@ func TestLogRegGradientMatchesVectorReference(t *testing.T) {
 		m := NewLogReg(53, l2)
 		check := func(what string, bv shard.BatchView) *sparse.Vector {
 			t.Helper()
-			g := m.GradientView(bv)
+			_, g := fused(t, what, m, bv)
 			sameGradient(t, what, g, refLogRegGradient(m, bv))
 			return g
 		}
@@ -266,6 +290,15 @@ func TestLogRegGradientMatchesVectorReference(t *testing.T) {
 		if g := check("zero error", featureView(t, []featureRow{row(0.5, 2, 1, 4, 1)})); g.Len() != 0 {
 			t.Fatalf("l2=%v: zero-error sample: gradient %v, want empty", l2, g)
 		}
+		// Scores of ±50 put σ within 1e-12 of the wrong label, one each
+		// way: clampLog clamps both logs, so the loss is −log 1e-12.
+		m.params[6] = 50
+		clamped := featureView(t, []featureRow{row(0, 6, 1), row(1, 6, -1)})
+		check("clamped", clamped)
+		if loss := m.LossView(clamped); loss != -math.Log(1e-12) {
+			t.Fatalf("l2=%v: clamped loss %v, want %v", l2, loss, -math.Log(1e-12))
+		}
+		emptyBatch(t, "empty", m, featureView(t, nil))
 	}
 }
 
@@ -274,7 +307,7 @@ func TestSVMGradientMatchesVectorReference(t *testing.T) {
 		m := NewSVM(53, l2)
 		check := func(what string, bv shard.BatchView) *sparse.Vector {
 			t.Helper()
-			g := m.GradientView(bv)
+			_, g := fused(t, what, m, bv)
 			sameGradient(t, what, g, refSVMGradient(m, bv))
 			return g
 		}
@@ -294,6 +327,7 @@ func TestSVMGradientMatchesVectorReference(t *testing.T) {
 		if g := check("zero error", featureView(t, []featureRow{row(1, 2, 4)})); g.Len() != 0 {
 			t.Fatalf("l2=%v: sample on the margin: gradient %v, want empty", l2, g)
 		}
+		emptyBatch(t, "empty", m, featureView(t, nil))
 	}
 }
 
@@ -351,9 +385,9 @@ func refGradientPastWidth(ref func() *sparse.Vector) (g *sparse.Vector) {
 	return ref()
 }
 
-// TestGradientViewWarmDoesNotAllocate pins a warm GradientView, all
-// three models, at zero allocations: the accumulator is pooled and the
-// run the model returns reuses its arrays.
+// TestGradientViewWarmDoesNotAllocate pins a warm GradientView and a
+// warm LossGradientView, all three models, at zero allocations: the
+// accumulator is pooled and the run the model returns reuses its arrays.
 func TestGradientViewWarmDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random")
@@ -373,19 +407,25 @@ func TestGradientViewWarmDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { c.m.GradientView(c.bv) }); n != 0 {
 			t.Errorf("%s: warm GradientView allocates %.1f times", c.m.Name(), n)
 		}
+		if n := testing.AllocsPerRun(20, func() { c.m.LossGradientView(c.bv) }); n != 0 {
+			t.Errorf("%s: warm LossGradientView allocates %.1f times", c.m.Name(), n)
+		}
 	}
 }
 
-// BenchmarkGradientView times GradientView at two training shapes: PMF
-// at pmf-isp-autotune's (B = 625 ratings, rank 20, 1200 × 2400, so 72 k
-// parameters) and LogReg at lr-bsp-wide's (B = 50 Criteo-shaped samples
-// over 100 013 features).
+// BenchmarkGradientView times LossGradientView, the one pass a training
+// step makes, at three training shapes: PMF at pmf-isp-autotune's
+// (B = 625 ratings, rank 20, 1200 × 2400, so 72 k parameters), LogReg at
+// lr-bsp-wide's (B = 50 Criteo-shaped samples over 100 013 features) and
+// the SVM at the fleet zoo's (B = 125 over 20 000 features).
 func BenchmarkGradientView(b *testing.B) {
 	pmfCfg := dataset.MovieLensConfig{Users: 1200, Items: 2400, Ratings: 625, Rank: 20, NoiseStd: 0.5, Seed: 1}
 	ml := dataset.GenerateMovieLens(pmfCfg)
 	crit := dataset.DefaultCriteoConfig()
 	crit.Samples = 50
 	cr := dataset.GenerateCriteo(crit)
+	crit.Samples, crit.HashDim = 125, 20_000
+	zoo := dataset.GenerateCriteo(crit)
 	for _, c := range []struct {
 		name string
 		m    Model
@@ -393,13 +433,15 @@ func BenchmarkGradientView(b *testing.B) {
 	}{
 		{"pmf", NewPMF(pmfCfg.Users, pmfCfg.Items, pmfCfg.Rank, ml.RatingMean, 0.02, 1), viewOf(b, ml.Samples)},
 		{"lr", NewLogReg(cr.FeatureDim, 1e-4), viewOf(b, cr.Samples)},
+		{"svm", NewSVM(zoo.FeatureDim, 1e-4), viewOf(b, zoo.Samples)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			nnz := c.m.GradientView(c.bv).Len()
+			_, g := c.m.LossGradientView(c.bv)
+			nnz := g.Len()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.m.GradientView(c.bv)
+				c.m.LossGradientView(c.bv)
 			}
 			b.ReportMetric(float64(nnz), "grad_nnz")
 		})

@@ -15,7 +15,7 @@ type LogReg struct {
 	dim    int
 	l2     float64
 	params sparse.Dense
-	grad   *sparse.Vector // scratch run reused across GradientView calls
+	grad   *sparse.Vector // scratch run reused across gradient calls
 }
 
 var _ Model = (*LogReg)(nil)
@@ -43,10 +43,11 @@ func (m *LogReg) score(b shard.BatchView, k int) float64 {
 	return b.Dot(k, m.params) + m.params[m.dim]
 }
 
-// GradientView implements Model: the averaged BCE gradient
-// (σ(wᵀx+b) − y)·x plus active-coordinate L2: only coordinates whose
-// sample sum is non-zero are regularized, as the emission's last term.
-func (m *LogReg) GradientView(b shard.BatchView) *sparse.Vector {
+// LossGradientView implements Model: the mean binary cross-entropy and
+// its averaged gradient (σ(wᵀx+b) − y)·x plus active-coordinate L2,
+// from one σ per sample. Only coordinates whose sample sum is non-zero
+// are regularized, as the emission's last term.
+func (m *LogReg) LossGradientView(b shard.BatchView) (float64, *sparse.Vector) {
 	if m.grad == nil {
 		m.grad = sparse.New()
 	}
@@ -54,19 +55,30 @@ func (m *LogReg) GradientView(b shard.BatchView) *sparse.Vector {
 	n := b.Len()
 	if n == 0 {
 		g.Clear()
-		return g
+		return 0, g
 	}
 	acc := accPool.Get().(*sparse.FoldScratch)
 	inv := 1 / float64(n)
-	var sampleErr float64
-	add := func(i uint32, val float64) { acc.Add(i, inv*sampleErr*val) }
+	sum := 0.0
 	for k := 0; k < n; k++ {
-		sampleErr = sigmoid(m.score(b, k)) - b.Label(k)
-		b.ForEachPair(k, add)
+		p, y := sigmoid(m.score(b, k)), b.Label(k)
+		if y >= 0.5 {
+			sum -= clampLog(p)
+		} else {
+			sum -= clampLog(1 - p)
+		}
+		sampleErr := p - y
+		b.FoldRow(k, inv*sampleErr, acc)
 		acc.Add(uint32(m.dim), inv*sampleErr) // bias
 	}
 	acc.EmitTo(g, activeL2(m.l2, m.params, m.dim))
 	accPool.Put(acc)
+	return sum / float64(n), g
+}
+
+// GradientView implements Model: LossGradientView's gradient.
+func (m *LogReg) GradientView(b shard.BatchView) *sparse.Vector {
+	_, g := m.LossGradientView(b)
 	return g
 }
 

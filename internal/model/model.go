@@ -33,22 +33,32 @@ type Model interface {
 	// Params exposes the parameter vector. Callers must treat it as
 	// owned by the model; ApplyUpdate is the mutation path.
 	Params() sparse.Dense
-	// GradientView returns the mini-batch loss gradient, averaged over
-	// the batch, as a sparse vector over the flat parameter space,
-	// evaluated straight off the staged columnar view — no per-step
-	// decode. Per-sample contributions accumulate in sample order and,
-	// within a sample, in ascending coordinate order; the committed
-	// loss-history goldens pin that order bit for bit.
+	// LossGradientView returns the model's training loss on a batch
+	// view (BCE for logistic regression, hinge for the SVM, RMSE for
+	// matrix factorization) and the gradient of the mini-batch loss,
+	// averaged over the batch, as a sparse vector over the flat
+	// parameter space, evaluated straight off the staged columnar view —
+	// no per-step decode. Both come out of one pass that scores each
+	// sample once; this is the method trainers call every step. Per-
+	// sample contributions accumulate in sample order and, within a
+	// sample, in ascending coordinate order; the committed loss-history
+	// goldens pin that order bit for bit. An empty batch gives a zero
+	// loss and an empty gradient.
 	//
 	// The returned vector is an ascending run with no table behind it
 	// (see package sparse), owned by the model and valid only until the
-	// next GradientView call on the same instance (implementations reuse
-	// a scratch buffer — gradient accumulation is the simulator's hottest
-	// allocation site). Callers that retain it across calls must Clone
-	// it.
+	// next LossGradientView or GradientView call on the same instance
+	// (implementations reuse a scratch buffer — gradient accumulation is
+	// the simulator's hottest allocation site). Callers that retain it
+	// across calls must Clone it.
+	LossGradientView(b shard.BatchView) (loss float64, g *sparse.Vector)
+	// GradientView returns LossGradientView's gradient alone, under the
+	// same ownership rule. It and LossView remain for callers that time
+	// the two halves apart (the benchmark's per-layer replay).
 	GradientView(b shard.BatchView) *sparse.Vector
-	// LossView evaluates the model's training loss on a batch view (BCE
-	// for logistic regression, RMSE for matrix factorization).
+	// LossView returns LossGradientView's loss, bit for bit, from a
+	// loss-only pass: it leaves the scratch gradient untouched, so a
+	// caller may evaluate losses while holding a gradient.
 	LossView(b shard.BatchView) float64
 	// ApplyUpdate adds a (already learning-rate-scaled) update to the
 	// parameters: x ← x + u.
@@ -56,8 +66,9 @@ type Model interface {
 	// Clone returns an independent deep copy of the model.
 	Clone() Model
 	// GradientWork estimates the floating-point operations of one
-	// GradientView evaluation over a batch of the given size, using the
-	// model's sparse representation.
+	// gradient evaluation over a batch of the given size, using the
+	// model's sparse representation. Trainers charge a loss-and-gradient
+	// step 1.5 times this, whether or not the host fuses the two.
 	GradientWork(batchSize int) float64
 	// DenseGradientWork estimates the flops of the same evaluation in a
 	// dense framework representation (how PyTorch treats these models on

@@ -21,7 +21,7 @@ type PMF struct {
 	mean               float64
 	l2                 float64
 	params             sparse.Dense
-	grad               *sparse.Vector // scratch run reused across GradientView calls
+	grad               *sparse.Vector // scratch run reused across gradient calls
 	rows               []float64      // one sample's user and item gradient rows
 }
 
@@ -70,11 +70,12 @@ func (m *PMF) predict(u, i int) float64 {
 	return m.mean + dot
 }
 
-// GradientView implements Model: averaged squared-error gradient with
-// factor L2. Only the factor rows of users/items present in the batch
+// LossGradientView implements Model: the RMSE over the batch and the
+// averaged squared-error gradient with factor L2, from one prediction
+// per sample. Only the factor rows of users/items present in the batch
 // appear in the sparse gradient — this is what makes PMF updates sparse
 // and the significance filter effective (§6.2).
-func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
+func (m *PMF) LossGradientView(b shard.BatchView) (float64, *sparse.Vector) {
 	if m.grad == nil {
 		m.grad = sparse.New()
 	}
@@ -82,7 +83,7 @@ func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
 	n := b.Len()
 	if n == 0 {
 		g.Clear()
-		return g
+		return 0, g
 	}
 	acc := accPool.Get().(*sparse.FoldScratch)
 	inv := 1 / float64(n)
@@ -93,10 +94,12 @@ func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
 	// samples fold in order, so every coordinate receives its additions
 	// in the same order as one Add per entry would give it.
 	urow, irow := m.rows[:m.rank], m.rows[m.rank:]
+	sum := 0.0
 	for s := 0; s < n; s++ {
 		u, i := b.User(s), b.Item(s)
 		uo, io := m.userOff(u), m.itemOff(i)
 		e := m.predict(u, i) - b.Rating(s)
+		sum += e * e
 		up, ip := m.params[uo:uo+m.rank], m.params[io:io+m.rank]
 		for k := range urow {
 			uk, ik := up[k], ip[k]
@@ -108,6 +111,12 @@ func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
 	}
 	acc.EmitTo(g, nil)
 	accPool.Put(acc)
+	return math.Sqrt(sum / float64(n)), g
+}
+
+// GradientView implements Model: LossGradientView's gradient.
+func (m *PMF) GradientView(b shard.BatchView) *sparse.Vector {
+	_, g := m.LossGradientView(b)
 	return g
 }
 

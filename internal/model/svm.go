@@ -17,7 +17,7 @@ type SVM struct {
 	dim    int
 	l2     float64
 	params sparse.Dense
-	grad   *sparse.Vector // scratch run reused across GradientView calls
+	grad   *sparse.Vector // scratch run reused across gradient calls
 }
 
 var _ Model = (*SVM)(nil)
@@ -49,10 +49,11 @@ func (m *SVM) margin(b shard.BatchView, k int) (y, wx float64) {
 	return y, b.Dot(k, m.params) + m.params[m.dim]
 }
 
-// GradientView implements Model: the averaged hinge subgradient
-// (−y·x when y·(wᵀx+b) < 1, else 0) plus active-coordinate L2, applied
-// as LogReg.GradientView applies it.
-func (m *SVM) GradientView(b shard.BatchView) *sparse.Vector {
+// LossGradientView implements Model: the mean hinge loss
+// max(0, 1 − y·(wᵀx+b)) and its averaged subgradient (−y·x when
+// y·(wᵀx+b) < 1, else 0) plus active-coordinate L2, applied as
+// LogReg's is, from one margin per sample.
+func (m *SVM) LossGradientView(b shard.BatchView) (float64, *sparse.Vector) {
 	if m.grad == nil {
 		m.grad = sparse.New()
 	}
@@ -60,23 +61,30 @@ func (m *SVM) GradientView(b shard.BatchView) *sparse.Vector {
 	n := b.Len()
 	if n == 0 {
 		g.Clear()
-		return g
+		return 0, g
 	}
 	acc := accPool.Get().(*sparse.FoldScratch)
 	inv := 1 / float64(n)
-	var y float64
-	add := func(i uint32, val float64) { acc.Add(i, -inv*y*val) }
+	sum := 0.0
 	for k := 0; k < n; k++ {
-		var wx float64
-		y, wx = m.margin(b, k)
+		y, wx := m.margin(b, k)
+		if h := 1 - y*wx; h > 0 {
+			sum += h
+		}
 		if y*wx >= 1 {
 			continue // correctly classified with margin: zero subgradient
 		}
-		b.ForEachPair(k, add)
+		b.FoldRow(k, -inv*y, acc)
 		acc.Add(uint32(m.dim), -inv*y)
 	}
 	acc.EmitTo(g, activeL2(m.l2, m.params, m.dim))
 	accPool.Put(acc)
+	return sum / float64(n), g
+}
+
+// GradientView implements Model: LossGradientView's subgradient.
+func (m *SVM) GradientView(b shard.BatchView) *sparse.Vector {
+	_, g := m.LossGradientView(b)
 	return g
 }
 

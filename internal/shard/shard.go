@@ -275,6 +275,17 @@ func (b BatchView) Dot(k int, d sparse.Dense) float64 {
 	return sum
 }
 
+// FoldRow adds scale·val into acc for every (index, value) pair of
+// feature sample k, in ascending index order: the sums of calling
+// acc.Add(i, scale*val) from ForEachPair, without a call per pair.
+func (b BatchView) FoldRow(k int, scale float64, acc *sparse.FoldScratch) {
+	lo, hi := b.row(k)
+	for j := lo; j < hi; j++ {
+		p := b.pairs[j*pairSize:]
+		acc.Add(binary.LittleEndian.Uint32(p), scale*math.Float64frombits(binary.LittleEndian.Uint64(p[4:])))
+	}
+}
+
 // ForEachPair calls fn for every (index, value) pair of feature
 // sample k, in ascending index order.
 func (b BatchView) ForEachPair(k int, fn func(i uint32, val float64)) {

@@ -69,6 +69,20 @@ func TestFeatureShardRoundTrip(t *testing.T) {
 				t.Fatalf("batch %d sample %d dot %v, want %v", i, k, got, exp)
 			}
 		}
+		// FoldRow must give the sums of one Add per pair from
+		// ForEachPair, bit for bit, across samples sharing coordinates.
+		var folded, added sparse.FoldScratch
+		for k := 0; k < bv.Len(); k++ {
+			scale := d[k]
+			bv.FoldRow(k, scale, &folded)
+			bv.ForEachPair(k, func(i uint32, val float64) { added.Add(i, scale*val) })
+		}
+		got, want := sparse.New(), sparse.New()
+		folded.EmitTo(got, nil)
+		added.EmitTo(want, nil)
+		if string(got.EncodeTo(nil)) != string(want.EncodeTo(nil)) {
+			t.Fatalf("batch %d: FoldRow sums %v, want %v", i, got, want)
+		}
 	}
 }
 
