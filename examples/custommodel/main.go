@@ -35,37 +35,41 @@ func (m *linReg) residual(b mlless.BatchView, k int) float64 {
 	return b.Dot(k, m.params) + m.params[m.dim] - b.Label(k)
 }
 
-// GradientView returns the averaged squared-error gradient (e·x per
-// sample) with active-coordinate L2, straight off the staged batch.
-func (m *linReg) GradientView(b mlless.BatchView) *mlless.Vector {
+// LossGradientView returns the mean squared error and, from the same
+// residual e of each sample, the averaged gradient of half the MSE (e·x
+// per sample, not 2e·x) with active-coordinate L2, straight off the
+// staged batch. Trainers call it once per step.
+func (m *linReg) LossGradientView(b mlless.BatchView) (float64, *mlless.Vector) {
 	g := new(mlless.Vector)
 	n := b.Len()
 	if n == 0 {
-		return g
+		return 0, g
 	}
 	inv := 1 / float64(n)
+	sum := 0.0
 	for k := 0; k < n; k++ {
 		e := m.residual(b, k)
+		sum += e * e
 		b.ForEachPair(k, func(i uint32, val float64) {
 			g.Add(i, inv*(e*val+m.l2*m.params[i]))
 		})
 		g.Add(uint32(m.dim), inv*e)
 	}
+	return sum / float64(n), g
+}
+
+// GradientView is LossGradientView's gradient.
+func (m *linReg) GradientView(b mlless.BatchView) *mlless.Vector {
+	_, g := m.LossGradientView(b)
 	return g
 }
 
-// LossView is mean squared error.
+// LossView is LossGradientView's mean squared error. Wrapping is safe
+// here because every call builds a fresh gradient: a model that reuses
+// a scratch gradient needs a loss-only pass instead.
 func (m *linReg) LossView(b mlless.BatchView) float64 {
-	n := b.Len()
-	if n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		e := m.residual(b, k)
-		sum += e * e
-	}
-	return sum / float64(n)
+	loss, _ := m.LossGradientView(b)
+	return loss
 }
 
 func (m *linReg) ApplyUpdate(u *mlless.Vector) { m.params.AddSparse(u) }

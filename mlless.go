@@ -134,8 +134,10 @@ func WriteStepTimeline(w io.Writer, tr *Tracer) error {
 // ML types.
 type (
 	// Model is a trainable ML model over a flat parameter vector;
-	// implement it (loss and gradient over a BatchView) to train custom
-	// models on MLLess.
+	// implement it to train custom models on MLLess. Trainers call
+	// LossGradientView, the loss and gradient of a BatchView from one
+	// pass; LossView and GradientView return each half alone, for
+	// callers that time the two apart.
 	Model = model.Model
 	// Optimizer turns mini-batch gradients into parameter updates.
 	Optimizer = optimizer.Optimizer
@@ -167,9 +169,10 @@ type (
 	// generator.
 	MovieLensConfig = dataset.MovieLensConfig
 	// BatchView is a zero-copy view of one staged mini-batch, the
-	// argument of Model.LossView and Model.GradientView: Len samples,
-	// each either a rating (User, Item, Rating) or a label plus sorted
-	// sparse features (Label, Dot, ForEachPair).
+	// argument of Model.LossGradientView (and of LossView and
+	// GradientView): Len samples, each either a rating (User, Item,
+	// Rating) or a label plus sorted sparse features (Label, Dot,
+	// ForEachPair).
 	BatchView = shard.BatchView
 )
 
