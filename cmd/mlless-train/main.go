@@ -35,7 +35,7 @@ func run() error {
 		sig       = flag.Float64("v", 0.7, "ISP significance threshold v")
 		autotune  = flag.Bool("autotune", false, "enable the scale-in auto-tuner")
 		staleness = flag.Int("staleness", 1, "SSP staleness bound; async staleness cap K (1 = per-step sync)")
-		exch      = flag.String("exchange", "ps", "gradient exchange: ps (parameter server) | scatter (scatter-reduce) | tree (tree-reduce)")
+		exch      = flag.String("exchange", "ps", "gradient exchange: ps (parameter server) | tree (tree-reduce over object storage)")
 		fanout    = flag.Int("tree-fanout", 0, "tree-reduce fan-out, >= 2 (0 = default; requires -exchange tree)")
 		target    = flag.Float64("target", 0, "stop at this loss (0 = run max-steps)")
 		maxSteps  = flag.Int("max-steps", 500, "step cap")
@@ -95,13 +95,13 @@ func run() error {
 	if *fanout != 0 && *exch != mlless.ExchangeTree {
 		return fmt.Errorf("-tree-fanout only applies to -exchange tree, got -exchange %s", *exch)
 	}
-	if *exch != mlless.ExchangeParamServer {
-		// The collective strategies need every worker on the same step.
+	if *exch == mlless.ExchangeTree {
+		// The tree needs every worker on the same step.
 		if *sync == "async" {
-			return fmt.Errorf("-exchange %s needs a lock-step schedule; it cannot be combined with -sync async", *exch)
+			return fmt.Errorf("-exchange tree needs a lock-step schedule; it cannot be combined with -sync async")
 		}
 		if *staleness > 1 {
-			return fmt.Errorf("-exchange %s needs per-step synchronization; it cannot be combined with -staleness %d", *exch, *staleness)
+			return fmt.Errorf("-exchange tree needs per-step synchronization; it cannot be combined with -staleness %d", *staleness)
 		}
 	}
 

@@ -102,17 +102,3 @@ func MeanDense(dst sparse.Dense, buffers []sparse.Dense) {
 		dst[i] = sum * inv
 	}
 }
-
-// MeanSparse returns the mean of sparse gradients as a sparse vector,
-// the aggregation the PyWren reducer performs.
-func MeanSparse(gradients []*sparse.Vector) *sparse.Vector {
-	out := sparse.New()
-	if len(gradients) == 0 {
-		return out
-	}
-	for _, g := range gradients {
-		out.AddVector(g)
-	}
-	out.Scale(1 / float64(len(gradients)))
-	return out
-}

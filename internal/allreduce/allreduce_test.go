@@ -125,18 +125,3 @@ func TestMeanDenseInPlace(t *testing.T) {
 		t.Fatalf("in-place MeanDense = %v", a)
 	}
 }
-
-func TestMeanSparse(t *testing.T) {
-	a := sparse.New()
-	a.Set(0, 2)
-	b := sparse.New()
-	b.Set(0, 4)
-	b.Set(5, 2)
-	m := MeanSparse([]*sparse.Vector{a, b})
-	if m.Get(0) != 3 || m.Get(5) != 1 {
-		t.Fatalf("MeanSparse = %v", m)
-	}
-	if MeanSparse(nil).Len() != 0 {
-		t.Fatal("empty MeanSparse non-empty")
-	}
-}

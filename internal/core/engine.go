@@ -160,7 +160,6 @@ func (e *engine) setup() error {
 		Reg:     e.cl.Metrics,
 		NS:      e.id,
 		Bucket:  "xchg-" + e.id,
-		Dim:     e.job.Model.NumParams(),
 		Workers: spec.Workers,
 		Fanout:  spec.TreeFanout,
 		Charge: func(_ *vclock.Clock, worker int, flops float64) {

@@ -21,10 +21,11 @@ func exchangeSpec(kind string, fanout, maxSteps int) Spec {
 }
 
 func TestExchangeDifferential(t *testing.T) {
-	// All three strategies move the same per-step updates, so under BSP
-	// with no faults they train the same model: the loss histories agree
-	// to floating-point reassociation (the collectives fold peer updates
-	// in a different order than the parameter server's per-peer streams).
+	// Both strategies move the same per-step updates, so under BSP with
+	// no faults they train the same model: the loss histories agree to
+	// floating-point reassociation (the tree folds peer updates in a
+	// different order than the parameter server's per-peer streams),
+	// for a two-level tree and for one gather spanning the pool.
 	const steps = 60
 	run := func(kind string, fanout int) *Result {
 		cl, job := testPMFJob(t, 5, exchangeSpec(kind, fanout, steps))
@@ -36,8 +37,8 @@ func TestExchangeDifferential(t *testing.T) {
 	}
 	ps := run(exchange.KindParamServer, 0)
 	dflt := run("", 0)
-	scatter := run(exchange.KindScatter, 0)
 	tree := run(exchange.KindTree, 2)
+	wide := run(exchange.KindTree, 5)
 
 	// The empty kind defaults to the parameter server, bit for bit.
 	if !reflect.DeepEqual(ps.History, dflt.History) {
@@ -46,7 +47,7 @@ func TestExchangeDifferential(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		res  *Result
-	}{{"scatter", scatter}, {"tree", tree}} {
+	}{{"tree-2", tree}, {"tree-5", wide}} {
 		if len(c.res.History) != len(ps.History) {
 			t.Fatalf("%s ran %d steps, ps ran %d", c.name, len(c.res.History), len(ps.History))
 		}
@@ -62,46 +63,17 @@ func TestExchangeDifferential(t *testing.T) {
 	}
 }
 
-func TestScatterMatchesWideTreeAtEngine(t *testing.T) {
-	// A tree whose fan-out covers the whole pool folds rank 0's update
-	// first and then ranks 1..P-1 in order — the same per-coordinate fold
-	// order as scatter-reduce — so the two runs are bit-identical in
-	// everything the model sees (timing differs: the patterns move
-	// different bytes).
-	const steps = 40
-	run := func(kind string, fanout int) *Result {
-		cl, job := testPMFJob(t, 5, exchangeSpec(kind, fanout, steps))
-		res, err := Run(cl, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	scatter := run(exchange.KindScatter, 0)
-	tree := run(exchange.KindTree, 5)
-	if len(scatter.History) != len(tree.History) {
-		t.Fatalf("step counts differ: %d vs %d", len(scatter.History), len(tree.History))
-	}
-	for i := range scatter.History {
-		s, w := scatter.History[i], tree.History[i]
-		if s.RawLoss != w.RawLoss || s.Loss != w.Loss || s.UpdateBytes != w.UpdateBytes {
-			t.Fatalf("scatter and wide tree diverge at step %d: (%v, %v, %d) vs (%v, %v, %d)",
-				i+1, s.RawLoss, s.Loss, s.UpdateBytes, w.RawLoss, w.Loss, w.UpdateBytes)
-		}
-	}
-}
-
 func TestExchangeDriverDifferential(t *testing.T) {
 	// The collective reduction rounds are driver phases like any other:
-	// for each strategy, fault mix and seed, the parallel driver must
-	// reproduce the sequential driver's traces, histories and bills byte
-	// for byte.
+	// for a two-level tree and a one-level gather spanning the pool of
+	// four, under each fault mix, the parallel driver must reproduce the
+	// sequential driver's traces, histories and bills byte for byte.
 	strategies := []struct {
 		name string
 		spec Spec
 	}{
-		{"scatter", exchangeSpec(exchange.KindScatter, 0, 40)},
 		{"tree-2", exchangeSpec(exchange.KindTree, 2, 40)},
+		{"tree-4", exchangeSpec(exchange.KindTree, 4, 40)},
 	}
 	mixes := []struct {
 		name   string
@@ -136,11 +108,15 @@ func TestExchangeDriverDifferential(t *testing.T) {
 
 func TestCollectiveSurvivesFaults(t *testing.T) {
 	// Containers die mid-reduction and the KV/broker layers fault; the
-	// strategies must recover deterministically and leave no stale state.
-	for _, kind := range []string{exchange.KindScatter, exchange.KindTree} {
-		t.Run(kind, func(t *testing.T) {
+	// tree must recover deterministically and leave no stale state, at
+	// the default fan-out (one gather at P = 4) and at fan-out 2.
+	for _, c := range []struct {
+		name   string
+		fanout int
+	}{{"tree", 0}, {"tree-2", 2}} {
+		t.Run(c.name, func(t *testing.T) {
 			run := func() (*Cluster, *Result) {
-				cl, job := testPMFJob(t, 4, exchangeSpec(kind, 0, 120))
+				cl, job := testPMFJob(t, 4, exchangeSpec(exchange.KindTree, c.fanout, 120))
 				job.Spec.Faults = chaosSpec(7)
 				job.Spec.Faults.ReclaimProb = 0.9
 				job.Spec.Faults.ReclaimMeanLife = 3 * time.Second
@@ -216,8 +192,9 @@ func TestExchangeValidationErrors(t *testing.T) {
 		want error
 	}{
 		{"unknown kind", func(s *Spec) { s.Exchange = "gossip" }, exchange.ErrUnknownKind},
+		{"scatter", func(s *Spec) { s.Exchange = "scatter" }, exchange.ErrUnknownKind},
 		{"bad fanout", func(s *Spec) { s.Exchange = exchange.KindTree; s.TreeFanout = 1 }, exchange.ErrBadFanout},
-		{"async", func(s *Spec) { s.Exchange = exchange.KindScatter; s.Sync = consistency.Async }, ErrExchangeAsync},
+		{"async", func(s *Spec) { s.Exchange = exchange.KindTree; s.Sync = consistency.Async }, ErrExchangeAsync},
 		{"stale", func(s *Spec) { s.Exchange = exchange.KindTree; s.Staleness = 3 }, ErrExchangeStale},
 	}
 	for _, c := range cases {

@@ -27,13 +27,13 @@ var (
 	// ErrAsyncAutoTune reports a job combining the async schedule with
 	// the scale-in auto-tuner, whose evictions assume sync points.
 	ErrAsyncAutoTune = errors.New("core: the scale-in auto-tuner requires a lock-step schedule")
-	// ErrExchangeAsync reports a collective exchange strategy combined
-	// with the async schedule; reduction rounds assume sync points.
-	ErrExchangeAsync = errors.New("core: the scatter/tree exchange strategies require a lock-step schedule")
-	// ErrExchangeStale reports a collective exchange strategy combined
-	// with SSP: a reduced total folds exactly one step's updates, so the
-	// pull window must be a single step.
-	ErrExchangeStale = errors.New("core: the scatter/tree exchange strategies require per-step synchronization (staleness 1)")
+	// ErrExchangeAsync reports the tree exchange combined with the
+	// async schedule; reduction rounds assume sync points.
+	ErrExchangeAsync = errors.New("core: the tree exchange strategy requires a lock-step schedule")
+	// ErrExchangeStale reports the tree exchange combined with SSP: a
+	// reduced total folds exactly one step's updates, so the pull window
+	// must be a single step.
+	ErrExchangeStale = errors.New("core: the tree exchange strategy requires per-step synchronization (staleness 1)")
 	// ErrUnknownData reports a Spec.Data value other than "" or
 	// DataShard.
 	ErrUnknownData = errors.New("core: unknown data tier (the row-encoded \"batch\" tier was removed; columnar shards are the only tier)")
@@ -110,9 +110,9 @@ type Spec struct {
 	Patience int
 	// Exchange selects the gradient-exchange strategy (see
 	// internal/exchange): "ps" (the default) is the paper's KV-mediated
-	// parameter server; "scatter" and "tree" are storage collectives
-	// that reduce updates through the object store. The collectives
-	// require the lock-step schedule with per-step synchronization.
+	// parameter server; "tree" is a storage collective that reduces
+	// updates through the object store. The tree requires the lock-step
+	// schedule with per-step synchronization.
 	Exchange string
 	// TreeFanout is the tree exchange's fan-in degree (0 selects the
 	// default of 4; meaningful only with Exchange == "tree").
@@ -251,7 +251,7 @@ func (j Job) validate(memoryMiB int) error {
 	if err := exchange.Validate(j.Spec.Exchange, j.Spec.TreeFanout); err != nil {
 		return err
 	}
-	if exchange.IsCollective(j.Spec.Exchange) {
+	if j.Spec.Exchange == exchange.KindTree {
 		if j.Spec.Sync == consistency.Async {
 			return ErrExchangeAsync
 		}

@@ -7,10 +7,10 @@
 //   - Cloud functions are billed per GB-second of execution; the paper's
 //     2 GB workers cost 3.4e-5 $/s.
 //   - Object storage cost for the mini-batch traffic is excluded because
-//     it is equivalent across all systems. Request traffic of the
-//     collective exchange strategies (internal/exchange) is the
-//     exception: it is what differs across strategies, so it is billed
-//     per request at COS class rates.
+//     it is equivalent across all systems. Request traffic of the tree
+//     exchange strategy (internal/exchange) is the exception: it is
+//     what differs across strategies, so it is billed per request at
+//     COS class rates.
 //
 // MLLess job cost = FaaS workers + supervisor function + the messaging VM
 // (C1.4x4) + the Redis VM (M1.2x16). PyTorch job cost = the rented B1.4x8

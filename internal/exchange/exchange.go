@@ -5,40 +5,35 @@
 // open connections to each other (§2, §3.2). That parameter-server
 // pattern is one point in a larger design space: "Towards Demystifying
 // Serverless ML Training" shows the exchange topology (parameter server
-// vs ScatterReduce vs AllReduce through shared storage) is the dominant
-// term in serverless training cost. This package abstracts the exchange
-// behind one interface with three deterministic implementations:
+// vs AllReduce through shared storage) is the dominant term in
+// serverless training cost. This package abstracts the exchange behind
+// one interface with two deterministic implementations:
 //
 //   - ParamServer: the paper's KV path, extracted from the core
 //     engine verbatim. Byte-identical traces and bit-identical loss
 //     histories to the pre-extraction engine are a pinned invariant.
-//   - ScatterReduce: workers write per-chunk update contributions to
-//     object storage, each worker reduces the chunk it owns and
-//     republishes the partial sum (one round, P² requests).
 //   - TreeReduce: hierarchical fan-in over object storage with a
 //     configurable fan-out (O(log P) rounds, O(P) requests).
 //
 // The engine (internal/core) drives whichever strategy a job selects
 // through the same per-step state machine: Publish after compute,
 // Rounds/RunRound reduction phases between the compute and pull halves,
-// Pull at sync points. All strategies compose with the ISP significance
+// Pull at sync points. Both strategies compose with the ISP significance
 // filter (they move whatever the filter emits) and with fault injection
 // (time lost to reclamation is recharged by the engine's recovery path).
 //
 // Key namespaces: ParamServer stores update payloads in the KV store
 // under <job>/upd/<step>/<worker> — exactly the engine's historical
-// protocol keys. The collectives keep that name as the update's protocol
-// identity (announcements, diagnostics) but move payload bytes through a
-// per-job object-store bucket: scatter contributions live at
-// s<step>/c<chunk>/w<position>, reduced chunks at s<step>/r<chunk>;
-// tree partial sums at s<step>/l<level>/<position> with the total at
-// s<step>/root.
+// protocol keys. The tree keeps that name as the update's protocol
+// identity (announcements, diagnostics) but moves payload bytes through
+// a per-job object-store bucket: partial sums at
+// s<step>/l<level>/<position>, the total at s<step>/root.
 //
 // Charging: KV and object-store traffic is charged through the shared
 // substrate pipelines (per-stream bandwidth, NIC sharing, max-of-
 // branches fan-out — see objstore.PutMulti). Reduction arithmetic is
 // charged through Env.Charge at 2 effective flops per folded
-// coordinate, mirroring the engine's apply-side constant. Collective
+// coordinate, mirroring the engine's apply-side constant. The tree's
 // request traffic is billed per object-store request class (BillInto),
 // because unlike the mini-batch traffic it differs across strategies.
 package exchange
@@ -64,8 +59,6 @@ const (
 	// KindParamServer is the paper's KV-mediated parameter-server
 	// exchange, the default.
 	KindParamServer = "ps"
-	// KindScatter is ScatterReduce through object storage.
-	KindScatter = "scatter"
 	// KindTree is hierarchical tree reduction through object storage.
 	KindTree = "tree"
 )
@@ -86,22 +79,15 @@ var (
 // The zero fanout selects DefaultTreeFanout.
 func Validate(kind string, fanout int) error {
 	switch kind {
-	case KindParamServer, KindScatter, KindTree:
+	case KindParamServer, KindTree:
 	default:
-		return fmt.Errorf("%w %q (want %s, %s or %s)",
-			ErrUnknownKind, kind, KindParamServer, KindScatter, KindTree)
+		return fmt.Errorf("%w %q (want %s or %s)",
+			ErrUnknownKind, kind, KindParamServer, KindTree)
 	}
 	if kind == KindTree && fanout != 0 && fanout < 2 {
 		return fmt.Errorf("%w, got %d", ErrBadFanout, fanout)
 	}
 	return nil
-}
-
-// IsCollective reports whether kind names a storage-collective strategy
-// (anything but the parameter server). Unknown kinds are not
-// collective; Validate rejects them separately.
-func IsCollective(kind string) bool {
-	return kind == KindScatter || kind == KindTree
 }
 
 // Env is everything a strategy needs from the engine: the substrates it
@@ -110,16 +96,17 @@ func IsCollective(kind string) bool {
 type Env struct {
 	// KV is the low-latency exchange tier (the parameter-server medium).
 	KV *kvstore.Store
-	// Obj is the object store the collectives move payloads through.
+	// Obj is the object store the tree moves payloads through.
 	Obj *objstore.Store
 	// Reg is the unified metrics registry ("xchg.*" counters).
 	Reg *trace.Registry
 	// NS is the job's key-namespace prefix (the job id).
 	NS string
-	// Bucket is the job-private object-store bucket for collective
+	// Bucket is the job-private object-store bucket for the tree's
 	// traffic; Teardown drops it.
 	Bucket string
-	// Dim is the model's parameter count (chunk-range arithmetic).
+	// Dim is the model's parameter count. No strategy reads it; only
+	// benchmark/replay.go still sets it.
 	Dim int
 	// Workers is the initial pool size (per-worker state allocation).
 	Workers int
@@ -212,14 +199,10 @@ func New(kind string, env Env) (Exchange, error) {
 	if err := Validate(kind, env.Fanout); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KindParamServer:
+	if kind == KindParamServer {
 		return newParamServer(env), nil
-	case KindScatter:
-		return newScatterReduce(env), nil
-	default:
-		return newTreeReduce(env), nil
 	}
+	return newTreeReduce(env), nil
 }
 
 // Announcement is one drained availability announcement: Worker has

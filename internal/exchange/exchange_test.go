@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -35,13 +36,15 @@ func testEnv(workers, dim, fanout int) Env {
 }
 
 func TestValidate(t *testing.T) {
-	for _, kind := range []string{KindParamServer, KindScatter, KindTree} {
+	for _, kind := range []string{KindParamServer, KindTree} {
 		if err := Validate(kind, 0); err != nil {
 			t.Fatalf("Validate(%q, 0) = %v", kind, err)
 		}
 	}
-	if err := Validate("ring", 0); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("unknown kind err = %v", err)
+	for _, kind := range []string{"ring", "scatter"} {
+		if err := Validate(kind, 0); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("Validate(%q, 0) = %v, want ErrUnknownKind", kind, err)
+		}
 	}
 	if err := Validate(KindTree, 1); !errors.Is(err, ErrBadFanout) {
 		t.Fatalf("fanout 1 err = %v", err)
@@ -52,23 +55,14 @@ func TestValidate(t *testing.T) {
 	if err := Validate(KindTree, 2); err != nil {
 		t.Fatalf("fanout 2 err = %v", err)
 	}
-	// Non-tree strategies ignore the fan-out entirely.
-	if err := Validate(KindScatter, 1); err != nil {
-		t.Fatalf("scatter with stray fanout err = %v", err)
-	}
-}
-
-func TestIsCollective(t *testing.T) {
-	if IsCollective(KindParamServer) || IsCollective("") || IsCollective("ring") {
-		t.Fatal("non-collective kind reported collective")
-	}
-	if !IsCollective(KindScatter) || !IsCollective(KindTree) {
-		t.Fatal("collective kind not reported")
+	// The parameter server ignores the fan-out entirely.
+	if err := Validate(KindParamServer, 1); err != nil {
+		t.Fatalf("ps with stray fanout err = %v", err)
 	}
 }
 
 func TestUpdateKeyLayout(t *testing.T) {
-	for _, kind := range []string{KindParamServer, KindScatter, KindTree} {
+	for _, kind := range []string{KindParamServer, KindTree} {
 		x, err := New(kind, testEnv(2, 10, 0))
 		if err != nil {
 			t.Fatal(err)
@@ -227,28 +221,24 @@ func vectorTreeFold(t *testing.T, sigs []*sparse.Vector, fanout, dim int) (map[s
 
 func TestCollectivesReduceToPeerSum(t *testing.T) {
 	// Every case must land each replica within rounding of the peer sum.
-	// The tree cases over {2, 3, 5, 16, 17, 32} ranks, non-contiguous
-	// ids and fan-outs from 2 to the whole pool must also match the
-	// Vector fold bit for bit: every object the tree writes, byte for
-	// byte, and every replica after the pull.
+	// The cases over {2, 3, 5, 16, 17, 32} ranks, non-contiguous ids and
+	// fan-outs from 2 to the whole pool must also match the Vector fold
+	// bit for bit: every object the tree writes, byte for byte, and
+	// every replica after the pull.
 	const dim = 97
 	type collectiveCase struct {
-		kind   string
 		p      int
 		fanout int
 		pinned bool // ids 1, 3, 5, …, cancelling values, Vector-fold oracle
 	}
-	cases := []collectiveCase{
-		{KindScatter, 1, 0, false}, {KindScatter, 2, 0, false}, {KindScatter, 5, 0, false},
-		{KindTree, 2, 2, false}, {KindTree, 5, 2, false}, {KindTree, 7, 3, false}, {KindTree, 9, 0, false},
-	}
+	cases := []collectiveCase{{1, 0, false}, {2, 2, false}, {5, 2, false}, {7, 3, false}, {9, 0, false}}
 	for _, p := range []int{2, 3, 5, 16, 17, 32} {
 		for _, fanout := range []int{2, 3, 4, p} {
-			cases = append(cases, collectiveCase{KindTree, p, fanout, true})
+			cases = append(cases, collectiveCase{p, fanout, true})
 		}
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%s-p%d-f%d", tc.kind, tc.p, tc.fanout)
+		name := fmt.Sprintf("tree-p%d-f%d", tc.p, tc.fanout)
 		ids := make([]int, tc.p)
 		for i := range ids {
 			ids[i] = i
@@ -257,7 +247,7 @@ func TestCollectivesReduceToPeerSum(t *testing.T) {
 			}
 		}
 		env := testEnv(2*tc.p+1, dim, tc.fanout)
-		x, err := New(tc.kind, env)
+		x, err := New(KindTree, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,44 +296,16 @@ func TestCollectivesHandleSparseActiveIDs(t *testing.T) {
 	const dim = 53
 	ids := []int{0, 2, 5}
 	sigs := randomSigs(len(ids), dim, 25, 7)
-	for _, kind := range []string{KindScatter, KindTree} {
-		x, err := New(kind, testEnv(6, dim, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := runCollectiveStep(t, x, ids, dim, sigs)
-		for i := range got {
-			want := wantDelta(i, dim, sigs)
-			for d := 0; d < dim; d++ {
-				if diff := got[i][d] - want[d]; diff > 1e-12 || diff < -1e-12 {
-					t.Fatalf("%s: worker %d coord %d = %g, want %g", kind, ids[i], d, got[i][d], want[d])
-				}
-			}
-		}
-	}
-}
-
-func TestScatterMatchesWideTreeBitwise(t *testing.T) {
-	// A tree whose fan-out covers the whole pool folds every update at
-	// the root in rank order — the same per-coordinate addition order as
-	// the scatter chunks. The two strategies must agree bit for bit.
-	const dim, p = 211, 6
-	ids := []int{0, 1, 2, 3, 4, 5}
-	sigs := randomSigs(p, dim, 90, 99)
-	sc, err := New(KindScatter, testEnv(p, dim, 0))
+	x, err := New(KindTree, testEnv(6, dim, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(KindTree, testEnv(p, dim, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := runCollectiveStep(t, sc, ids, dim, sigs)
-	b := runCollectiveStep(t, tr, ids, dim, sigs)
-	for i := range a {
+	got := runCollectiveStep(t, x, ids, dim, sigs)
+	for i := range got {
+		want := wantDelta(i, dim, sigs)
 		for d := 0; d < dim; d++ {
-			if a[i][d] != b[i][d] {
-				t.Fatalf("worker %d coord %d: scatter %x, tree %x", i, d, a[i][d], b[i][d])
+			if diff := got[i][d] - want[d]; diff > 1e-12 || diff < -1e-12 {
+				t.Fatalf("worker %d coord %d = %g, want %g", ids[i], d, got[i][d], want[d])
 			}
 		}
 	}
@@ -430,8 +392,8 @@ func TestTreeRoundStructure(t *testing.T) {
 }
 
 func TestExpireDropsStepObjects(t *testing.T) {
-	env := testEnv(4, 40, 0)
-	x, err := New(KindScatter, env)
+	env := testEnv(4, 40, 2)
+	x, err := New(KindTree, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,8 +454,8 @@ func TestParamServerRoundTrip(t *testing.T) {
 }
 
 func TestCollectiveBilling(t *testing.T) {
-	env := testEnv(4, 40, 0)
-	x, err := New(KindScatter, env)
+	env := testEnv(4, 40, 4)
+	x, err := New(KindTree, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,15 +465,14 @@ func TestCollectiveBilling(t *testing.T) {
 	var m cost.Meter
 	x.BillInto(&m)
 	rep := m.Report()
-	if len(rep.Components) != 2 {
-		t.Fatalf("bill = %+v", rep)
+	// One level at P = 4, fan-out 4: 3 member uploads + 1 root put = 4
+	// class A; the leader's 3 reads + 3 root reads = 6 class B.
+	want := []cost.Component{
+		{Name: "cos-class-a-requests", Kind: "requests", Dollars: 4 * cost.PriceCOSClassARequest},
+		{Name: "cos-class-b-requests", Kind: "requests", Dollars: 6 * cost.PriceCOSClassBRequest},
 	}
-	// Per step: 4 workers × 3 contribution puts + 4 reduced puts = 16
-	// class A; 4×3 contribution gets + 4×3 reduced gets = 24 class B.
-	wantA := 16 * cost.PriceCOSClassARequest
-	wantB := 24 * cost.PriceCOSClassBRequest
-	if got := rep.Total; got != wantA+wantB {
-		t.Fatalf("total = %g, want %g", got, wantA+wantB)
+	if !reflect.DeepEqual(rep.Components, want) {
+		t.Fatalf("bill = %+v, want %+v", rep.Components, want)
 	}
 
 	var psm cost.Meter

@@ -2,10 +2,13 @@ package exchange
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"mlless/internal/allreduce"
+	"mlless/internal/cost"
 	"mlless/internal/sparse"
+	"mlless/internal/trace"
 	"mlless/internal/vclock"
 )
 
@@ -13,13 +16,34 @@ import (
 // ranks are grouped by the fan-out, each group's members upload their
 // partial sums and the group leader folds them, level by level, until
 // rank 0 holds the total and republishes it once. Request traffic is
-// O(P) per step — the cheap end of the collective spectrum — at the
-// price of O(log P) serial storage round trips. The closed-form
-// counterpart of its charged path is allreduce.TreeTime, built from the
-// same ReduceTime kernel as the serverful baseline's models.
+// O(P) per step at the price of O(log P) serial storage round trips.
+// The closed-form counterpart of its charged path is
+// allreduce.TreeTime, built from the same ReduceTime kernel as the
+// serverful baseline's models. The KV tier stays out of the data path
+// entirely: updates move through the object store, whose requests are
+// billed per call rather than through a provisioned VM.
 type TreeReduce struct {
-	collectiveBase
+	env    Env
 	fanout int
+	ws     []*workerState
+
+	cPublishes, cPulls, cRounds *trace.Counter
+	// COS bills PUT/LIST (class A) an order of magnitude above
+	// GET (class B); DELETE is free. The counts feed BillInto.
+	classA, classB atomic.Int64
+}
+
+// workerState is one rank's reduction scratch. It persists across
+// steps (and across the worker's container relaunches — the exchange
+// models durable per-rank state) so the steady-state tree step stops
+// allocating once buffers reach their high-water marks. The partial
+// sum stays encoded and folds runs through a dense scratch.
+type workerState struct {
+	run  []byte             // this rank's encoded partial sum
+	red  []byte             // fold output, swapped with run
+	fold sparse.FoldScratch // dense fold scratch
+	keys []string
+	vals [][]byte
 }
 
 func newTreeReduce(env Env) *TreeReduce {
@@ -27,11 +51,40 @@ func newTreeReduce(env Env) *TreeReduce {
 	if fanout == 0 {
 		fanout = DefaultTreeFanout
 	}
-	return &TreeReduce{collectiveBase: newCollectiveBase(env), fanout: fanout}
+	ws := make([]*workerState, env.Workers)
+	for i := range ws {
+		ws[i] = &workerState{}
+	}
+	return &TreeReduce{
+		env:        env,
+		fanout:     fanout,
+		ws:         ws,
+		cPublishes: env.Reg.Counter("xchg.publishes"),
+		cPulls:     env.Reg.Counter("xchg.pulls"),
+		cRounds:    env.Reg.Counter("xchg.reduce_rounds"),
+	}
+}
+
+func (x *TreeReduce) state(worker int) *workerState {
+	for worker >= len(x.ws) {
+		x.ws = append(x.ws, &workerState{})
+	}
+	return x.ws[worker]
 }
 
 // Name implements Exchange.
 func (x *TreeReduce) Name() string { return KindTree }
+
+// Collective implements Exchange.
+func (x *TreeReduce) Collective() bool { return true }
+
+// UpdateKey implements Exchange. The tree keeps the engine's historical
+// key layout as the update's protocol identity — it is what
+// announcements and diagnostics name — even though payload bytes travel
+// through the object-store bucket instead.
+func (x *TreeReduce) UpdateKey(step, worker int) string {
+	return fmt.Sprintf("%s/upd/%d/%d", x.env.NS, step, worker)
+}
 
 // Publish implements Exchange: no storage traffic yet — the encoded
 // update seeds the worker's partial sum, which the fan-in rounds fold
@@ -132,7 +185,9 @@ func (x *TreeReduce) RunRound(clk *vclock.Clock, worker, step, round int, ids []
 
 // Pull implements Exchange: rank 0 applies its folded total locally;
 // everyone else waits for the republished total and streams it in. Both
-// then subtract their own contribution.
+// then subtract their own contribution: the worker already applied its
+// full local update at compute time, so leaving its significant part in
+// the total would double-count it.
 func (x *TreeReduce) Pull(p *PullCtx) (int, error) {
 	np := len(p.ActiveIDs)
 	if np <= 1 {
@@ -164,7 +219,45 @@ func (x *TreeReduce) Pull(p *PullCtx) (int, error) {
 			return 0, err
 		}
 	}
-	x.subtractOwn(p)
+	p.Params.AddScaledSparse(p.OwnSig, -1)
+	x.env.Charge(p.Clock, p.Worker, 2*float64(p.OwnSig.Len()))
 	x.cPulls.Inc()
 	return applied, nil
 }
+
+// PullKeys implements Exchange; job validation restricts the tree to
+// the lock-step schedule, which never calls it.
+func (x *TreeReduce) PullKeys(*vclock.Clock, []string, [][]byte, sparse.Dense) ([][]byte, int, error) {
+	panic("exchange: PullKeys on the tree strategy")
+}
+
+// Expire implements Exchange: list-and-delete the step's objects. One
+// LIST is class A; deletes are free.
+func (x *TreeReduce) Expire(clk *vclock.Clock, step int, _ []int) {
+	prefix := fmt.Sprintf("s%d/", step)
+	x.classA.Add(1)
+	for _, k := range x.env.Obj.List(clk, x.env.Bucket, prefix) {
+		x.env.Obj.Delete(clk, x.env.Bucket, k)
+	}
+}
+
+// Teardown implements Exchange: drop the job-private bucket.
+func (x *TreeReduce) Teardown() {
+	x.env.Obj.DeleteBucket(x.env.Bucket)
+}
+
+// BillInto implements Exchange: charge the tree's object-store request
+// traffic by class.
+func (x *TreeReduce) BillInto(m *cost.Meter) {
+	if a := x.classA.Load(); a > 0 {
+		m.AddRequests("cos-class-a-requests", a, cost.PriceCOSClassARequest)
+	}
+	if b := x.classB.Load(); b > 0 {
+		m.AddRequests("cos-class-b-requests", b, cost.PriceCOSClassBRequest)
+	}
+}
+
+// Object keys inside the job's bucket: per-level partial sums and the
+// root total, under the s<step>/ prefix Expire lists.
+func levelKey(step, level, pos int) string { return fmt.Sprintf("s%d/l%d/%d", step, level, pos) }
+func rootKey(step int) string              { return fmt.Sprintf("s%d/root", step) }

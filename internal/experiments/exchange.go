@@ -14,7 +14,7 @@ import (
 // exchangePoint is one cell of the sweep grid: pool size, sparsity
 // regime and step budget. Sparsity is the second axis: BSP moves every
 // coordinate, ISP at the workload's v moves only the significant ones,
-// which shrinks the payloads the collectives chunk and fold. The big
+// which shrinks the payloads the tree folds. The big
 // pools run fewer steps — the frontier compares strategies within a
 // point, where every strategy sees the same budget.
 type exchangePoint struct {
@@ -46,15 +46,14 @@ func exchangePoints(opts Options) []exchangePoint {
 	return grid
 }
 
-// AblExchange sweeps the three gradient-exchange strategies over pool
+// AblExchange sweeps the two gradient-exchange strategies over pool
 // size and update sparsity, emitting a time/cost frontier per point. The
 // paper's parameter server routes every update through the KV tier — P-1
 // serialized reads per worker per step, the §3.2 indirect-communication
-// tax — while the collectives reduce through the object store: scatter
-// pays O(P²) small requests per step at class-A/B COS fees, tree pays
-// O(P) requests but serializes log_f(P) sequential levels. Which corner
-// of the (time, $) plane wins depends on P and on how many bytes the ISP
-// filter lets through.
+// tax — while the tree reduces through the object store: O(P) requests
+// per step at class-A/B COS fees, but log_f(P) sequential levels. Which
+// corner of the (time, $) plane wins depends on P and on how many bytes
+// the ISP filter lets through.
 func AblExchange(opts Options) (Table, error) {
 	wl, _ := ablWorkload(opts)
 	t := Table{
@@ -64,14 +63,12 @@ func AblExchange(opts Options) (Table, error) {
 			"steps", "cost-$", "perf-per-$", "converged"},
 		Notes: []string{
 			"mean-xchg is the traced per-step mean of publish + reduce + pull (the full exchange path)",
-			"scatter/tree bill COS class A/B request fees (cos-*-requests components); the parameter server bills none",
-			"ISP rows run the significance filter at the workload's v, shrinking the payloads the collectives move",
+			"tree bills COS class A/B request fees (cos-*-requests components); the parameter server bills none",
+			"ISP rows run the significance filter at the workload's v, shrinking the payloads the tree moves",
 		},
 	}
 	for _, pt := range exchangePoints(opts) {
-		for _, kind := range []string{
-			exchange.KindParamServer, exchange.KindScatter, exchange.KindTree,
-		} {
+		for _, kind := range []string{exchange.KindParamServer, exchange.KindTree} {
 			cl, job := wl.Make(pt.workers)
 			job.Spec.Sync = pt.sync
 			if pt.sync == consistency.ISP {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Binary layout of an encoded sparse vector:
@@ -153,12 +152,13 @@ func AddEncoded(d Dense, buf []byte) (int, error) {
 }
 
 // AddEncodedSparse streams an encoded sparse vector (the Encode layout)
-// into the sparse accumulator v — the scatter exchange's chunk fold
-// and the kernel the benchmark's replay probe times; the tree folds
-// through FoldScratch.FoldEncoded instead, which matches it byte for
-// byte. Each coordinate's contributions accumulate in call order, so a
-// fixed fold order yields bit-deterministic sums. It returns the
-// number of entries folded.
+// into the sparse accumulator v. No exchange calls it: its callers are
+// the benchmark replay's add_encoded_sparse probe and the fold oracles
+// of the tests (vectorFold here, vectorTreeFold in internal/exchange),
+// which FoldScratch.FoldEncoded matches byte for byte. Each
+// coordinate's contributions accumulate in call order, so a fixed fold
+// order yields bit-deterministic sums. It returns the number of entries
+// folded.
 func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
 	n, err := encodedLen(buf, "fold encoded")
 	if err != nil {
@@ -172,30 +172,6 @@ func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
 		off += sparseEntrySize
 	}
 	return n, nil
-}
-
-// AppendEncodedRange appends to dst the encoding of the sub-vector of
-// buf whose indices lie in [lo, hi), and returns the extended slice.
-// Because encoded entries are ascending, the range is one contiguous
-// run: the result is a patched header plus a single copy, no
-// re-encoding. This is how the scatter exchange splits one encoded
-// update into per-chunk contributions.
-func AppendEncodedRange(dst, buf []byte, lo, hi uint32) ([]byte, error) {
-	n, err := encodedLen(buf, "split encoded")
-	if err != nil {
-		return dst, err
-	}
-	entry := func(k int) uint32 {
-		return binary.LittleEndian.Uint32(buf[sparseHeaderSize+k*sparseEntrySize:])
-	}
-	start := sort.Search(n, func(k int) bool { return entry(k) >= lo })
-	end := start + sort.Search(n-start, func(k int) bool { return entry(start+k) >= hi })
-	m := end - start
-	dst = ensureCap(dst, sparseHeaderSize+m*sparseEntrySize)
-	off := len(dst)
-	dst = dst[:off+sparseHeaderSize]
-	binary.LittleEndian.PutUint32(dst[off:], uint32(m))
-	return append(dst, buf[sparseHeaderSize+start*sparseEntrySize:sparseHeaderSize+end*sparseEntrySize]...), nil
 }
 
 // DenseEncodedSize returns the encoded size of a dense vector of length n.

@@ -504,58 +504,6 @@ func TestAddEncodedSparseErrors(t *testing.T) {
 	}
 }
 
-func TestAppendEncodedRangePartitions(t *testing.T) {
-	r := xrand.New(31)
-	if err := quick.Check(func(seed uint64) bool {
-		rr := xrand.New(seed ^ r.Uint64())
-		v := randomVector(rr, 200, 1+rr.Intn(60))
-		buf := v.Encode()
-
-		// Splitting along arbitrary cut points and folding the pieces
-		// back must reproduce the vector exactly: the ranges partition
-		// the entries.
-		cuts := []uint32{0, uint32(rr.Intn(100)), uint32(100 + rr.Intn(100)), 200}
-		back := New()
-		total := 0
-		for c := 0; c+1 < len(cuts); c++ {
-			piece, err := AppendEncodedRange(nil, buf, cuts[c], cuts[c+1])
-			if err != nil {
-				return false
-			}
-			n, err := AddEncodedSparse(back, piece)
-			if err != nil {
-				return false
-			}
-			total += n
-		}
-		return total == v.Len() && back.Equal(v)
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAppendEncodedRangeAppendsAndErrors(t *testing.T) {
-	v := New()
-	v.Set(3, 1)
-	v.Set(9, 2)
-	buf := v.Encode()
-	dst := []byte{0xFF}
-	dst, err := AppendEncodedRange(dst, buf, 0, 5)
-	if err != nil || dst[0] != 0xFF {
-		t.Fatalf("append clobbered prefix: %v %v", dst, err)
-	}
-	got := New()
-	if _, err := AddEncodedSparse(got, dst[1:]); err != nil || got.Len() != 1 || got.Get(3) != 1 {
-		t.Fatalf("range piece = %v, %v", got, err)
-	}
-	if _, err := AppendEncodedRange(nil, buf[:len(buf)-1], 0, 10); err == nil {
-		t.Fatal("truncated buffer accepted")
-	}
-	if _, err := AppendEncodedRange(nil, nil, 0, 10); err == nil {
-		t.Fatal("nil buffer accepted")
-	}
-}
-
 func TestVectorString(t *testing.T) {
 	v := New()
 	for i := 0; i < 12; i++ {

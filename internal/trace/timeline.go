@@ -13,7 +13,7 @@ import (
 // publishing the significant update, collective reduction rounds,
 // pulling and merging peer updates, and the BSP barrier wait. "merge"
 // is the one-shot reintegration of an evicted peer's replica; "reduce"
-// occurs only under the scatter/tree exchange strategies.
+// occurs only under the tree exchange strategy.
 var PhaseNames = []string{"merge", "fetch", "compute", "publish", "reduce", "pull", "barrier"}
 
 // PhaseStat aggregates one phase's durations across workers.

@@ -219,10 +219,6 @@ const (
 	// parks its update in the KV tier and every peer reads all P-1 of
 	// them. The default; reproduces the seed traces byte-for-byte.
 	ExchangeParamServer = exchange.KindParamServer
-	// ExchangeScatter is scatter-reduce over the object store: each
-	// worker reduces one chunk of the coordinate space and republishes
-	// the reduced chunk.
-	ExchangeScatter = exchange.KindScatter
 	// ExchangeTree is hierarchical tree-reduce over the object store
 	// with configurable fan-out (Spec.TreeFanout).
 	ExchangeTree = exchange.KindTree
