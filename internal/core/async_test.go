@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,5 +245,62 @@ func TestScheduleFor(t *testing.T) {
 	}
 	if a, ok := s.(Async); !ok || a.Cap != 4 {
 		t.Fatalf("async schedule did not carry the staleness cap: %+v", s)
+	}
+}
+
+// historyDigest is the SHA-256 of every field of every history point,
+// float64s as bit patterns, so equal digests mean bit-equal histories.
+func historyDigest(h []LossPoint) string {
+	s := sha256.New()
+	for _, p := range h {
+		fmt.Fprintf(s, "%d %d %016x %016x %d %d %d\n", p.Step, p.Time,
+			math.Float64bits(p.Loss), math.Float64bits(p.RawLoss), p.Workers, p.UpdateBytes, p.Duration)
+	}
+	return hex.EncodeToString(s.Sum(nil))
+}
+
+func TestAsyncSupervisorRelaunchGolden(t *testing.T) {
+	// Compute slow enough that workers and the supervisor approach the
+	// execution cap and re-launch under async, where the supervisor's
+	// relaunch horizon reads the step durations its reconciliation
+	// folds in. The values were captured from the engine before its two
+	// schedules shared one supervisor tail.
+	for _, tc := range []struct {
+		cap        int
+		relaunches int
+		execTime   time.Duration
+		costBits   uint64
+		history    string
+	}{
+		{1, 44, 5096456271988, 0x3ff2568f9e826813, "ec4cae6a6e3517e6fa45a2c460b1e446bd7b9c235683a5cdd07d566fd6497eeb"},
+		{3, 44, 5096456271988, 0x3ff2568fc4d78c3e, "ec4cae6a6e3517e6fa45a2c460b1e446bd7b9c235683a5cdd07d566fd6497eeb"},
+	} {
+		t.Run(fmt.Sprintf("K=%d", tc.cap), func(t *testing.T) {
+			cl, job := testLRJob(t, 3, asyncSpec(Spec{MaxSteps: 80}, tc.cap))
+			cl.Compute = ComputeModel{FlopsPerSecond: 1000}
+			res, err := Run(cl, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			supRelaunched := false
+			for _, c := range res.Cost.Components {
+				supRelaunched = supRelaunched || strings.Contains(c.Name, "/supervisor-r")
+			}
+			if !supRelaunched {
+				t.Fatal("the supervisor never re-launched; the test exercises nothing")
+			}
+			if res.Relaunches != tc.relaunches {
+				t.Errorf("relaunches = %d, want %d", res.Relaunches, tc.relaunches)
+			}
+			if res.ExecTime != tc.execTime {
+				t.Errorf("exec time = %v, want %v", res.ExecTime, tc.execTime)
+			}
+			if got := math.Float64bits(res.Cost.Total); got != tc.costBits {
+				t.Errorf("cost = %v (%#x), want %v", res.Cost.Total, got, math.Float64frombits(tc.costBits))
+			}
+			if got := historyDigest(res.History); got != tc.history {
+				t.Errorf("history digest = %s, want %s", got, tc.history)
+			}
+		})
 	}
 }
