@@ -7,14 +7,14 @@ import (
 	"mlless/internal/trace"
 )
 
-// Async is the event-driven schedule of the journal version of MLLess
+// The event-driven schedule of the journal version of MLLess
 // (arXiv 2206.05786): no global barrier exists. Each worker advances on
 // its own virtual clock, publishing its update and immediately starting
 // the next step; at the head of every step it pulls whichever peer
 // updates its announcement queue says are available, waiting only for
 // their publish instants. Progress is bounded by the staleness cap: a
-// worker may start step s only while s <= min(completed)+Cap, so
-// replicas never drift more than Cap steps apart. With Cap = 1 every
+// worker may start step s only while s <= min(completed)+K, so
+// replicas never drift more than K steps apart. With K = 1 every
 // worker sees exactly the peer updates of step s-1 before computing
 // step s — the same update sequence as BSP, applied in the same order,
 // so the loss history is identical (pinned by TestAsyncCapOneMatchesBSP)
@@ -29,14 +29,9 @@ import (
 // cohort provably cannot observe each other's current-step effects, so
 // the sub-phases may execute members in any order — one at a time or on
 // a goroutine pool (driver.go) — and the run's traces, loss histories
-// and bills are byte-identical either way, faults included.
-type Async struct {
-	// Cap is the staleness bound K >= 1 (Spec.Staleness under async).
-	Cap int
-}
-
-// Name implements Schedule.
-func (Async) Name() string { return "async" }
+// and bills are byte-identical either way, faults included. Whenever the
+// whole pool has completed a step, the supervisor reconciles it exactly
+// as lock-step does at a barrier (supervisor.go).
 
 // asyncState is the driver's bookkeeping for one worker.
 type asyncState struct {
@@ -53,13 +48,11 @@ type asyncState struct {
 	pulledThrough []int
 }
 
-// Run implements Schedule.
-func (a Async) Run(e *engine) (*Result, error) {
+// runAsync drives the workers barrier-free under the staleness cap
+// K = Spec.Staleness.
+func runAsync(e *engine) (*Result, error) {
 	spec := e.job.Spec
-	k := a.Cap
-	if k < 1 {
-		k = 1
-	}
+	k := spec.Staleness
 	n := len(e.workers)
 	states := make([]*asyncState, n)
 	for i := range states {
@@ -72,13 +65,9 @@ func (a Async) Run(e *engine) (*Result, error) {
 			states[i].avail[j] = make(map[int]asyncAnnounce)
 		}
 	}
-	reportBuf := make(map[int][]lossReport)
 	stopper := NewStopCheck(spec)
-	converged := false
-	diverged := false
 	aggregated := 0     // highest step the supervisor has reconciled
 	expiredThrough := 0 // highest step whose update keys have been expired
-	cfg := e.cl.Platform.Config()
 	var group []*Worker // reused across rounds
 
 	for {
@@ -119,26 +108,14 @@ func (a Async) Run(e *engine) (*Result, error) {
 		}
 
 		// Commit the round in (clock, id) order — the same total order
-		// the partitioner anchors on, now over the post-step clocks. The
-		// per-worker limit checks are independent reads, so they run as
-		// one more driver phase; only the scan below, which surfaces the
-		// first failure in the committed order and performs the actual
-		// state commit, is serial.
+		// the partitioner anchors on, now over the post-step clocks — so
+		// the first execution-cap failure surfaces in that order.
 		sortByClockID(group)
-		if err := e.drv.Phase(group, func(w *Worker) error {
-			w.limitErr = nil
-			if !dead(w.inst) {
-				w.limitErr = w.inst.CheckLimit(cfg)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
 		for _, w := range group {
 			st := states[w.id]
 			step := st.done + 1
-			if err := w.limitErr; err != nil {
-				return nil, fmt.Errorf("core: step %d: %w", step, err)
+			if err := e.checkLimit(w, step); err != nil {
+				return nil, err
 			}
 			st.done = step
 			st.pubAt[step] = w.inst.Clock.Now()
@@ -166,31 +143,20 @@ func (a Async) Run(e *engine) (*Result, error) {
 				}
 				delete(ws.pubAt, s)
 			}
-			if err := e.syncSupervisor(at, s); err != nil {
+			var err error
+			if _, stop, err = e.reconcile(s, at, n, stopper); err != nil {
 				return nil, err
 			}
-			raw, updateBytes, err := e.aggregateAsync(s, n, reportBuf)
-			if err != nil {
-				return nil, err
-			}
-			if e.tr.Enabled() {
-				e.tr.SpanOn(supTrack, trace.CatEngine, "aggregate",
-					at, e.sup.Clock.Now(), trace.Int("step", s))
-			}
-			stepDur := e.advanceStep(at)
-			smoothed := e.recordStep(s, at, raw, updateBytes, n, stepDur)
 			aggregated = s
 
 			// Once every worker has completed step s, all of them have
-			// pulled the pool's updates through s-Cap (the staleness
+			// pulled the pool's updates through s-K (the staleness
 			// bound guarantees no later pull reaches that far back), so
 			// those keys expire.
 			for expiredThrough < s-k {
 				expiredThrough++
 				e.expireStep(expiredThrough, e.workers)
 			}
-
-			stop, converged, diverged = stopper.Decide(raw, smoothed, at)
 		}
 		if stop {
 			break
@@ -215,11 +181,9 @@ func (a Async) Run(e *engine) (*Result, error) {
 		}
 	}
 
-	lastStep := 0
-	if len(e.history) > 0 {
-		lastStep = e.history[len(e.history)-1].Step
-	}
-	return e.teardown(converged, diverged, lastStep)
+	// Every reconciled step's keys are expired above, so teardown has
+	// none left to expire.
+	return e.teardown(aggregated)
 }
 
 // asyncGroupHook, when non-nil, observes each lookahead group's width.
@@ -284,51 +248,4 @@ func (e *engine) asyncPull(w *Worker, st *asyncState, c *stepCtx) error {
 			segStart, w.inst.Clock.Now(), trace.Int("step", c.step))
 	}
 	return e.redoSegmentOnDeath(w, segStart, fmt.Sprintf("async pull at step %d", c.step))
-}
-
-// aggregateAsync drains the loss queue into buf (run-ahead workers may
-// have reported later steps already) and averages step's reports in
-// worker-id order (deterministic float summation). Every worker must
-// report exactly once per step: out-of-range ids and duplicate reports
-// are protocol violations surfaced as errors, never silently folded
-// into the average.
-func (e *engine) aggregateAsync(step, expect int, buf map[int][]lossReport) (avgLoss float64, updateBytes int64, err error) {
-	for _, m := range e.cl.Broker.ConsumeAll(&e.sup.Clock, e.lossQueue()) {
-		r, err := decodeLossReport(m)
-		if err != nil {
-			return 0, 0, err
-		}
-		buf[int(r.Step)] = append(buf[int(r.Step)], r)
-	}
-	reports := buf[step]
-	delete(buf, step)
-	if len(reports) != expect {
-		return 0, 0, fmt.Errorf("core: supervisor got %d loss reports for step %d, want %d",
-			len(reports), step, expect)
-	}
-	// Fan-out queues preserve publish order per sender but the drain
-	// interleaves senders; fix the summation order by worker id. The
-	// count check above plus in-range and no-duplicate below guarantee
-	// every slot is filled exactly once.
-	byWorker := make([]lossReport, expect)
-	seen := make([]bool, expect)
-	for _, r := range reports {
-		id := int(r.Worker)
-		if id >= expect {
-			return 0, 0, fmt.Errorf("core: supervisor: loss report for step %d from out-of-range worker %d (pool size %d)",
-				step, id, expect)
-		}
-		if seen[id] {
-			return 0, 0, fmt.Errorf("core: supervisor: duplicate loss report for step %d from worker %d",
-				step, id)
-		}
-		seen[id] = true
-		byWorker[id] = r
-	}
-	sum := 0.0
-	for _, r := range byWorker {
-		sum += r.Loss
-		updateBytes += int64(r.UpdateBytes)
-	}
-	return sum / float64(expect), updateBytes, nil
 }

@@ -136,9 +136,18 @@ func TestAsyncLeavesNoStaleKeys(t *testing.T) {
 	// post-loop janitor can reach. The store must still end empty.
 	cl, job := testPMFJob(t, 4, asyncSpec(Spec{TargetLoss: 0.9, MaxSteps: 2000}, 4))
 	job.Trace = trace.New()
+	// The staleness cap K = 4 reaches the async loop: a step's update
+	// keys expire K steps after it is reconciled, so the live store peaks
+	// at K steps' worth of the 4 workers' updates.
+	peakKeys := 0
+	asyncGroupHook = func(int) { peakKeys = max(peakKeys, cl.Redis.Len()) }
+	defer func() { asyncGroupHook = nil }()
 	res, err := Run(cl, job)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if peakKeys != 4*4 {
+		t.Fatalf("live store peaked at %d keys, want 16 (cap 4 x 4 workers)", peakKeys)
 	}
 	if !res.Converged {
 		t.Fatalf("run did not stop on target loss (final %v after %d steps)", res.FinalLoss, res.Steps)
@@ -229,22 +238,6 @@ func TestAsyncRejectsAutoTune(t *testing.T) {
 	job.Spec.Sched = sched.Config{Epoch: 300 * time.Millisecond, S: 0.1}
 	if _, err := Run(cl, job); !errors.Is(err, ErrAsyncAutoTune) {
 		t.Fatalf("async + auto-tune returned %v, want ErrAsyncAutoTune", err)
-	}
-}
-
-func TestScheduleFor(t *testing.T) {
-	if s := scheduleFor(Spec{Sync: consistency.BSP}.withDefaults()); s.Name() != "lockstep" {
-		t.Fatalf("BSP spec got schedule %q", s.Name())
-	}
-	if s := scheduleFor(Spec{Sync: consistency.ISP, Staleness: 3}.withDefaults()); s.Name() != "lockstep" {
-		t.Fatalf("SSP spec got schedule %q", s.Name())
-	}
-	s := scheduleFor(Spec{Sync: consistency.Async, Staleness: 4}.withDefaults())
-	if s.Name() != "async" {
-		t.Fatalf("async spec got schedule %q", s.Name())
-	}
-	if a, ok := s.(Async); !ok || a.Cap != 4 {
-		t.Fatalf("async schedule did not carry the staleness cap: %+v", s)
 	}
 }
 

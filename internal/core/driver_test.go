@@ -191,59 +191,69 @@ func TestClockIDBefore(t *testing.T) {
 	}
 }
 
-func TestAggregateAsyncRejectsBadReports(t *testing.T) {
-	pub := func(e *engine, cl *Cluster, worker, step uint32) {
-		t.Helper()
-		r := lossReport{Worker: worker, Step: step, Loss: 0.5, UpdateBytes: 8}
-		if err := cl.Broker.Publish(&e.sup.Clock, e.lossQueue(), r.encode()); err != nil {
-			t.Fatal(err)
-		}
+func TestAggregate(t *testing.T) {
+	// Each round publishes loss reports, then aggregates one step. The
+	// supervisor averages exactly the expected reports in worker-id
+	// order, keeps reports for later steps until their turn, and rejects
+	// every protocol violation instead of averaging it in.
+	type round struct {
+		publish      []lossReport
+		step, expect int
+		want         float64 // average loss when err is empty
+		err          string
 	}
-
-	t.Run("duplicate", func(t *testing.T) {
+	rep := func(worker, step uint32, loss float64) lossReport {
+		return lossReport{Worker: worker, Step: step, Loss: loss, UpdateBytes: 8}
+	}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		rounds  []round
+	}{
 		// A duplicate report used to pass the count check while silently
 		// overwriting a slot and averaging in a zero-valued lossReport.
-		cl, e := pullTestEngine(t, 2)
-		pub(e, cl, 0, 1)
-		pub(e, cl, 0, 1)
-		_, _, err := e.aggregateAsync(1, 2, make(map[int][]lossReport))
-		if err == nil || !strings.Contains(err.Error(), "duplicate loss report for step 1 from worker 0") {
-			t.Fatalf("duplicate report not rejected: %v", err)
-		}
-	})
-
-	t.Run("out-of-range", func(t *testing.T) {
-		// An id >= expect used to panic on the slot index.
-		cl, e := pullTestEngine(t, 2)
-		pub(e, cl, 0, 1)
-		pub(e, cl, 7, 1)
-		_, _, err := e.aggregateAsync(1, 2, make(map[int][]lossReport))
-		if err == nil || !strings.Contains(err.Error(), "out-of-range worker 7 (pool size 2)") {
-			t.Fatalf("out-of-range report not rejected: %v", err)
-		}
-	})
-
-	t.Run("count", func(t *testing.T) {
-		cl, e := pullTestEngine(t, 2)
-		pub(e, cl, 0, 1)
-		_, _, err := e.aggregateAsync(1, 2, make(map[int][]lossReport))
-		if err == nil || !strings.Contains(err.Error(), "got 1 loss reports for step 1, want 2") {
-			t.Fatalf("short report set not rejected: %v", err)
-		}
-	})
-}
-
-func TestAggregateReportsRejectsDuplicate(t *testing.T) {
-	cl, e := pullTestEngine(t, 3)
-	for _, worker := range []uint32{0, 1, 1} {
-		r := lossReport{Worker: worker, Step: 1, Loss: 0.5, UpdateBytes: 8}
-		if err := cl.Broker.Publish(&e.sup.Clock, e.lossQueue(), r.encode()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, _, err := e.aggregateReports(3)
-	if err == nil || !strings.Contains(err.Error(), "duplicate loss report from worker 1") {
-		t.Fatalf("duplicate report not rejected: %v", err)
+		{"duplicate", 2, []round{{publish: []lossReport{rep(0, 1, 0.5), rep(0, 1, 0.5)}, step: 1, expect: 2,
+			err: "duplicate loss report for step 1 from worker 0"}}},
+		// An id past the pool used to panic on the slot index.
+		{"out-of-range", 2, []round{{publish: []lossReport{rep(0, 1, 0.5), rep(7, 1, 0.5)}, step: 1, expect: 2,
+			err: "out-of-range worker 7 (pool size 2)"}}},
+		{"short", 2, []round{{publish: []lossReport{rep(0, 1, 0.5)}, step: 1, expect: 2,
+			err: "got 1 loss reports for step 1, want 2"}}},
+		// After an eviction the live ids have gaps: slots are indexed by
+		// pool size, so id 2 of a 3-worker pool counts when 2 report.
+		{"gap after eviction", 3, []round{{publish: []lossReport{rep(2, 1, 0.75), rep(0, 1, 0.25)}, step: 1, expect: 2,
+			want: 0.5}}},
+		// A run-ahead worker's step-2 report, drained while aggregating
+		// step 1, waits and counts at step 2.
+		{"run-ahead report", 2, []round{
+			{publish: []lossReport{rep(0, 1, 0.5), rep(0, 2, 1), rep(1, 1, 0.25)}, step: 1, expect: 2, want: 0.375},
+			{publish: []lossReport{rep(1, 2, 2)}, step: 2, expect: 2, want: 1.5},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, e := pullTestEngine(t, tc.workers)
+			for _, r := range tc.rounds {
+				for _, m := range r.publish {
+					if err := cl.Broker.Publish(&e.sup.Clock, e.lossQueue(), m.encode()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				avg, updateBytes, err := e.aggregate(r.step, r.expect)
+				if r.err != "" {
+					if err == nil || !strings.Contains(err.Error(), r.err) {
+						t.Fatalf("step %d: err = %v, want %q", r.step, err, r.err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", r.step, err)
+				}
+				if avg != r.want || updateBytes != int64(8*r.expect) {
+					t.Fatalf("step %d: average %v over %d update bytes, want %v over %d",
+						r.step, avg, updateBytes, r.want, 8*r.expect)
+				}
+			}
+		})
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 // machine each worker executes; supervisor.go the loss aggregation, stop
 // criteria and evictions; recovery.go the death/relaunch paths;
 // protocol.go the key namespace and wire messages; and schedule.go /
-// async.go the step-driving policies behind the Schedule interface.
+// async.go the lock-step and async loops, which share supervisor.go's
+// reconcile as their one step tail.
 
 type engine struct {
 	cl  *Cluster
@@ -46,6 +47,8 @@ type engine struct {
 	xchgIDs  []int // active-id scratch for exchange calls
 
 	history     []LossPoint
+	converged   bool // the stop verdict, set by reconcile
+	diverged    bool
 	removals    []Removal
 	evictExpire []string // consumed eviction-replica keys awaiting TTL expiry
 
@@ -58,6 +61,12 @@ type engine struct {
 	totalUpdateBytes int64
 	prevBarrier      time.Duration
 	lastStepDur      time.Duration
+
+	// Loss reports drained but not yet aggregated (async workers report
+	// ahead), and aggregate's per-worker scratch.
+	reports  []lossReport
+	byWorker []lossReport
+	reported []bool
 
 	// Control-plane shrink directives (Spec.Shrink sorted by At) not yet
 	// handed to the tuner; shrinkIdx is the next due entry.
@@ -131,7 +140,10 @@ func run(cl *Cluster, job Job, id string) (*Result, error) {
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
-	return scheduleFor(job.Spec).Run(e)
+	if job.Spec.Sync == consistency.Async {
+		return runAsync(e)
+	}
+	return runLockStep(e)
 }
 
 // traceBoot registers a freshly invoked instance's clock under track and
@@ -294,7 +306,7 @@ func (e *engine) endInstance(inst *faas.Instance) error {
 	return e.cl.Platform.TerminateInto(inst, &e.meter)
 }
 
-func (e *engine) teardown(converged, diverged bool, lastSync int) (*Result, error) {
+func (e *engine) teardown(lastSync int) (*Result, error) {
 	// ExecTime is the job's own duration: barriers are absolute virtual
 	// times, so a fleet job admitted at StartAt > 0 measures from there.
 	execTime := e.prevBarrier - e.job.Spec.StartAt
@@ -371,8 +383,8 @@ func (e *engine) teardown(converged, diverged bool, lastSync int) (*Result, erro
 	}
 	return &Result{
 		ID:               e.id,
-		Converged:        converged,
-		Diverged:         diverged,
+		Converged:        e.converged,
+		Diverged:         e.diverged,
 		ExecTime:         execTime,
 		Steps:            len(e.history),
 		FinalLoss:        finalLoss,

@@ -179,6 +179,22 @@ func (e *engine) redoSegmentOnDeath(w *Worker, segStart time.Duration, what stri
 	return nil
 }
 
+// checkLimit enforces the platform execution cap (§2) on a worker that
+// has finished step. Relaunching normally keeps instances clear of it; a
+// single step too long to fit the remaining budget cannot be split, so
+// it surfaces as faas.ErrOverLimit instead of silently overrunning. A
+// dead instance is skipped: it is replaced with a fresh one at its next
+// pass.
+func (e *engine) checkLimit(w *Worker, step int) error {
+	if dead(w.inst) {
+		return nil
+	}
+	if err := w.inst.CheckLimit(e.cl.Platform.Config()); err != nil {
+		return fmt.Errorf("core: step %d: %w", step, err)
+	}
+	return nil
+}
+
 // maybeRelaunch checkpoints and re-launches a worker approaching the
 // platform's execution limit, charging the checkpoint transfer, the
 // start latency and the state download.

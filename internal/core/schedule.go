@@ -4,51 +4,23 @@ import (
 	"fmt"
 	"time"
 
-	"mlless/internal/consistency"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
 )
 
-// Schedule is the step-driving policy: it decides when each worker runs
-// the states of its per-step machine and when the supervisor reconciles.
-// LockStep keeps the paper's barrier semantics (BSP/ISP/SSP); Async lets
-// every worker free-run on its own virtual clock under a staleness cap.
-type Schedule interface {
-	// Name identifies the schedule in diagnostics.
-	Name() string
-	// Run drives the engine's workers to completion and assembles the
-	// result. The engine is set up (instances launched, queues declared)
-	// before Run and torn down by Run via engine.teardown.
-	Run(e *engine) (*Result, error)
-}
-
-// scheduleFor picks the schedule a spec asks for.
-func scheduleFor(spec Spec) Schedule {
-	if spec.Sync == consistency.Async {
-		return Async{Cap: spec.Staleness}
-	}
-	return LockStep{}
-}
-
-// LockStep is the paper's barrier-driven schedule (§3.1): every step,
+// runLockStep is the paper's barrier-driven schedule (§3.1): every step,
 // all workers run the compute half of their state machine concurrently,
-// then (at sync points) the pull half, then reconcile at a global
-// barrier the slowest worker paces. With Staleness > 1 it degrades the
-// barrier to every Staleness steps (SSP).
-type LockStep struct{}
-
-// Name implements Schedule.
-func (LockStep) Name() string { return "lockstep" }
-
-// Run implements Schedule. Each phase hands the whole active set to the
-// engine's driver as one lookahead group: between barriers every worker
-// runs the same step and reads only state committed before the phase,
-// so the phase boundary itself is the lookahead window (lookahead.go)
-// and no partitioning is needed.
-func (LockStep) Run(e *engine) (*Result, error) {
+// then (at sync points) the pull half, then the supervisor reconciles at
+// a global barrier the slowest worker paces. With Staleness > 1 it
+// degrades the barrier to every Staleness steps (SSP).
+//
+// Each phase hands the whole active set to the engine's driver as one
+// lookahead group: between barriers every worker runs the same step and
+// reads only state committed before the phase, so the phase boundary
+// itself is the lookahead window (lookahead.go) and no partitioning is
+// needed.
+func runLockStep(e *engine) (*Result, error) {
 	spec := e.job.Spec
-	converged := false
-	diverged := false
 	lastSync := 0
 	stopper := NewStopCheck(spec)
 
@@ -148,38 +120,16 @@ func (LockStep) Run(e *engine) (*Result, error) {
 		} else {
 			barrier = vclock.Max(clocks)
 		}
-		stepDur := e.advanceStep(barrier)
-
-		// Enforce the platform execution cap (§2). Relaunching normally
-		// keeps instances clear of it; a single step too long to fit the
-		// remaining budget cannot be split, so it surfaces as
-		// faas.ErrOverLimit instead of silently overrunning.
-		cfg := e.cl.Platform.Config()
 		for _, w := range active {
-			if dead(w.inst) {
-				continue // replaced with a fresh instance at the next phase
-			}
-			if err := w.inst.CheckLimit(cfg); err != nil {
-				return nil, fmt.Errorf("core: step %d: %w", step, err)
+			if err := e.checkLimit(w, step); err != nil {
+				return nil, err
 			}
 		}
-
-		// Supervisor: aggregate the loss reports.
-		if err := e.syncSupervisor(barrier, step); err != nil {
-			return nil, err
-		}
-		raw, updateBytes, err := e.aggregateReports(pActive)
+		smoothed, stop, err := e.reconcile(step, barrier, pActive, stopper)
 		if err != nil {
 			return nil, err
 		}
-		if e.tr.Enabled() {
-			e.tr.SpanOn(supTrack, trace.CatEngine, "aggregate",
-				barrier, e.sup.Clock.Now(), trace.Int("step", step))
-		}
-		smoothed := e.recordStep(step, barrier, raw, updateBytes, pActive, stepDur)
-
-		var stop bool
-		if stop, converged, diverged = stopper.Decide(raw, smoothed, barrier); stop {
+		if stop {
 			break
 		}
 
@@ -187,7 +137,7 @@ func (LockStep) Run(e *engine) (*Result, error) {
 		// both run by the supervisor. Evictions only happen at sync
 		// points so no published-but-unpulled update is lost under SSP.
 		if e.tuner != nil {
-			e.tuner.Observe(step, smoothed, stepDur)
+			e.tuner.Observe(step, smoothed, e.lastStepDur)
 			if syncStep {
 				// Shrink directives due by this barrier become pending
 				// requests; the tuner honors them under the same guards
@@ -221,7 +171,7 @@ func (LockStep) Run(e *engine) (*Result, error) {
 		}
 	}
 
-	return e.teardown(converged, diverged, lastSync)
+	return e.teardown(lastSync)
 }
 
 // maxClock returns the latest instance-clock instant across workers —

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"mlless/internal/faults"
@@ -40,34 +39,85 @@ func (e *engine) syncSupervisor(at time.Duration, step int) error {
 	return nil
 }
 
-// aggregateReports drains the loss queue and averages worker losses in
-// worker-id order (deterministic float summation).
-func (e *engine) aggregateReports(expect int) (avgLoss float64, updateBytes int64, err error) {
-	msgs := e.cl.Broker.ConsumeAll(&e.sup.Clock, e.lossQueue())
-	reports := make([]lossReport, 0, len(msgs))
-	for _, m := range msgs {
+// reconcile is the supervisor's step tail under both schedules. It
+// folds step's reconciliation instant at (the barrier under lock-step,
+// the step's last publish under async) into the step-duration estimate,
+// advances the supervisor there, averages the pActive workers' loss
+// reports, records the step and applies the stop criteria. It returns
+// the smoothed loss and whether the run stops; the stop's verdict lands
+// in e.converged and e.diverged.
+func (e *engine) reconcile(step int, at time.Duration, pActive int, stopper *StopCheck) (smoothed float64, stop bool, err error) {
+	stepDur := e.advanceStep(at)
+	if err := e.syncSupervisor(at, step); err != nil {
+		return 0, false, err
+	}
+	raw, updateBytes, err := e.aggregate(step, pActive)
+	if err != nil {
+		return 0, false, err
+	}
+	if e.tr.Enabled() {
+		e.tr.SpanOn(supTrack, trace.CatEngine, "aggregate",
+			at, e.sup.Clock.Now(), trace.Int("step", step))
+	}
+	smoothed = e.recordStep(step, at, raw, updateBytes, pActive, stepDur)
+	stop, e.converged, e.diverged = stopper.Decide(raw, smoothed, at)
+	return smoothed, stop, nil
+}
+
+// aggregate drains the loss queue into e.reports, where reports for
+// later steps wait (async workers run ahead), and averages step's
+// reports in worker-id order (deterministic float summation). Exactly
+// expect workers must report, each once: out-of-range ids and duplicate
+// reports are protocol violations surfaced as errors, never silently
+// folded into the average. Slots are indexed by pool size, not by
+// expect, because after an eviction the live ids have gaps.
+func (e *engine) aggregate(step, expect int) (avgLoss float64, updateBytes int64, err error) {
+	for _, m := range e.cl.Broker.ConsumeAll(&e.sup.Clock, e.lossQueue()) {
 		r, err := decodeLossReport(m)
 		if err != nil {
 			return 0, 0, err
 		}
-		reports = append(reports, r)
+		e.reports = append(e.reports, r)
 	}
-	if len(reports) != expect {
-		return 0, 0, fmt.Errorf("core: supervisor got %d loss reports, want %d", len(reports), expect)
+	n := len(e.workers)
+	if len(e.reported) != n {
+		e.byWorker = make([]lossReport, n)
+		e.reported = make([]bool, n)
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Worker < reports[j].Worker })
-	sum := 0.0
-	for i, r := range reports {
-		// A duplicate sender means a protocol violation — and, because
-		// the sort key would no longer be unique, a nondeterministic
-		// summation order; reject it instead of averaging it in.
-		if i > 0 && reports[i-1].Worker == r.Worker {
-			return 0, 0, fmt.Errorf("core: supervisor: duplicate loss report from worker %d", r.Worker)
+	clear(e.reported)
+	got := 0
+	later := e.reports[:0]
+	for _, r := range e.reports {
+		if int(r.Step) != step {
+			later = append(later, r)
+			continue
 		}
-		sum += r.Loss
-		updateBytes += int64(r.UpdateBytes)
+		id := int(r.Worker)
+		if id >= n {
+			return 0, 0, fmt.Errorf("core: supervisor: loss report for step %d from out-of-range worker %d (pool size %d)",
+				step, id, n)
+		}
+		if e.reported[id] {
+			return 0, 0, fmt.Errorf("core: supervisor: duplicate loss report for step %d from worker %d",
+				step, id)
+		}
+		e.reported[id] = true
+		e.byWorker[id] = r
+		got++
 	}
-	return sum / float64(len(reports)), updateBytes, nil
+	e.reports = later
+	if got != expect {
+		return 0, 0, fmt.Errorf("core: supervisor got %d loss reports for step %d, want %d",
+			got, step, expect)
+	}
+	sum := 0.0
+	for id, r := range e.byWorker {
+		if e.reported[id] {
+			sum += r.Loss
+			updateBytes += int64(r.UpdateBytes)
+		}
+	}
+	return sum / float64(expect), updateBytes, nil
 }
 
 // recordStep smooths the step's raw global loss and appends it to the

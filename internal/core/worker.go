@@ -39,9 +39,6 @@ type Worker struct {
 	pullKeys  []string
 	pullVals  [][]byte
 	announced []exchange.Announcement
-	// limitErr is the async commit phase's per-worker execution-cap
-	// verdict, evaluated in parallel and surfaced in (clock, id) order.
-	limitErr error
 }
 
 // stepState enumerates the per-step state machine every worker runs:
