@@ -95,15 +95,6 @@ func run() error {
 	if *fanout != 0 && *exch != mlless.ExchangeTree {
 		return fmt.Errorf("-tree-fanout only applies to -exchange tree, got -exchange %s", *exch)
 	}
-	if *exch == mlless.ExchangeTree {
-		// The tree needs every worker on the same step.
-		if *sync == "async" {
-			return fmt.Errorf("-exchange tree needs a lock-step schedule; it cannot be combined with -sync async")
-		}
-		if *staleness > 1 {
-			return fmt.Errorf("-exchange tree needs per-step synchronization; it cannot be combined with -staleness %d", *staleness)
-		}
-	}
 
 	cluster := mlless.NewCluster()
 	job, err := buildJob(cluster, *modelName, *data, *batch, *lr, *seed)
