@@ -56,9 +56,10 @@ func TestAsyncCapOneMatchesBSP(t *testing.T) {
 }
 
 func TestAsyncConverges(t *testing.T) {
-	// Pure async (cap > 1) diverges from the BSP update sequence — workers
-	// compute on staler replicas — but must still reach the target loss on
-	// the seeded PMF job, with and without the ISP significance filter.
+	// Async at cap > 1 must reach the target loss on the seeded PMF job,
+	// with and without the ISP significance filter. (Without the filter
+	// it follows BSP's update sequence: every round's cohort is the whole
+	// pool, so no worker runs ahead; DESIGN.md §9.)
 	for _, tc := range []struct {
 		name string
 		sig  float64

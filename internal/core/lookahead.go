@@ -20,7 +20,7 @@ import (
 // worker, executed in two sub-phases (reads, then writes; see
 // async.go), and its members can run in any order or in parallel.
 //
-// Under LockStep the phase boundary itself is the lookahead window:
+// Under lock-step (runLockStep) the phase boundary is the lookahead window:
 // every active worker runs the same step between barriers and pulls
 // only updates published before the phase, so the whole active set is
 // one group and no partitioning is needed.
