@@ -62,8 +62,8 @@ type engine struct {
 	prevBarrier      time.Duration
 	lastStepDur      time.Duration
 
-	// Loss reports drained but not yet aggregated (async workers report
-	// ahead), and aggregate's per-worker scratch.
+	// Loss reports drained for steps not yet aggregated, and
+	// aggregate's per-worker scratch.
 	reports  []lossReport
 	byWorker []lossReport
 	reported []bool

@@ -65,7 +65,8 @@ func (e *engine) reconcile(step int, at time.Duration, pActive int, stopper *Sto
 }
 
 // aggregate drains the loss queue into e.reports, where reports for
-// later steps wait (async workers run ahead), and averages step's
+// later steps wait their turn (the staleness cap lets async workers
+// report ahead), and averages step's
 // reports in worker-id order (deterministic float summation). Exactly
 // expect workers must report, each once: out-of-range ids and duplicate
 // reports are protocol violations surfaced as errors, never silently
