@@ -214,6 +214,10 @@ func TestAggregate(t *testing.T) {
 		// overwriting a slot and averaging in a zero-valued lossReport.
 		{"duplicate", 2, []round{{publish: []lossReport{rep(0, 1, 0.5), rep(0, 1, 0.5)}, step: 1, expect: 2,
 			err: "duplicate loss report for step 1 from worker 0"}}},
+		// The same with a non-zero id: the count matches the full pool
+		// while worker 2's slot is never filled.
+		{"duplicate-worker-1", 3, []round{{publish: []lossReport{rep(0, 1, 0.5), rep(1, 1, 0.5), rep(1, 1, 0.5)}, step: 1, expect: 3,
+			err: "duplicate loss report for step 1 from worker 1"}}},
 		// An id past the pool used to panic on the slot index.
 		{"out-of-range", 2, []round{{publish: []lossReport{rep(0, 1, 0.5), rep(7, 1, 0.5)}, step: 1, expect: 2,
 			err: "out-of-range worker 7 (pool size 2)"}}},
