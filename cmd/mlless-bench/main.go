@@ -6,6 +6,7 @@
 //	mlless-bench -experiment fig4          # one experiment
 //	mlless-bench -experiment all -quick    # whole suite, small scale
 //	mlless-bench -list
+//	mlless-bench -experiment abl-faults -quick -cpuprofile cpu.pprof
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"mlless/internal/experiments"
+	"mlless/internal/hostprof"
 )
 
 func main() {
@@ -26,7 +28,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		exp    = flag.String("experiment", "all", "experiment id or 'all' (see -list)")
 		quick  = flag.Bool("quick", false, "small-scale configuration")
@@ -35,7 +37,13 @@ func run() error {
 		series = flag.Bool("series", false, "with fig6: also print the loss-vs-time series per workload")
 		trDir  = flag.String("trace-dir", "", "dump a Chrome trace-event JSON per MLLess run into this directory")
 	)
+	prof := hostprof.Register(flag.CommandLine)
 	flag.Parse()
+	stopProf, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProf(&err)
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))

@@ -10,6 +10,7 @@
 //	mlless-fleet -tenants 4 -jobs 60 -quota 8 -max-concurrent 16 -events fleet.log
 //	mlless-fleet -tenants 2 -jobs 10 -json fleet.json
 //	mlless-fleet -tenants 4 -jobs 60 -host-par 8 -events fleet.log
+//	mlless-fleet -tenants 3 -jobs 12 -quiet -memprofile mem.pprof
 //
 // Jobs whose virtual windows overlap execute concurrently on -host-par
 // goroutines (0 = GOMAXPROCS); the control-plane event log (-events) is
@@ -27,6 +28,7 @@ import (
 	"mlless/internal/core"
 	"mlless/internal/experiments"
 	"mlless/internal/faas"
+	"mlless/internal/hostprof"
 	"mlless/internal/tenant"
 )
 
@@ -37,7 +39,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		tenants   = flag.Int("tenants", 3, "number of tenants (named t1..tN)")
 		jobs      = flag.Int("jobs", 20, "number of job arrivals in the trace")
@@ -52,7 +54,13 @@ func run() error {
 		jsonOut   = flag.String("json", "", "write the full fleet report as JSON to this file")
 		quiet     = flag.Bool("quiet", false, "suppress the event log on stdout")
 	)
+	prof := hostprof.Register(flag.CommandLine)
 	flag.Parse()
+	stopProf, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProf(&err)
 
 	for _, check := range []struct {
 		name string

@@ -6,6 +6,7 @@
 //	mlless-train -model pmf -dataset ml10m -workers 24 -sync isp -v 0.7 -autotune
 //	mlless-train -model lr -dataset criteo -workers 12 -target 0.58
 //	mlless-train -model pmf -dataset ml10m -system pytorch
+//	mlless-train -dataset ml1m -max-steps 60 -quiet -memprofile mem.pprof -cpuprofile cpu.pprof
 package main
 
 import (
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"mlless"
+	"mlless/internal/hostprof"
 )
 
 func main() {
@@ -24,7 +26,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		modelName = flag.String("model", "pmf", "model: lr | pmf")
 		data      = flag.String("dataset", "ml10m", "dataset: criteo | ml1m | ml10m | ml20m")
@@ -58,7 +60,13 @@ func run() error {
 		faultMQSlow    = flag.Float64("fault-mq-slow", 0, "per-operation broker latency-spike probability")
 	)
 	flag.Float64Var(faultReclaim, "fault-reclaim-prob", 0, "alias for -fault-reclaim")
+	prof := hostprof.Register(flag.CommandLine)
 	flag.Parse()
+	stopProf, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProf(&err)
 
 	for _, check := range []struct {
 		name string

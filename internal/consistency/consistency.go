@@ -150,20 +150,19 @@ func (f *Filter) Threshold(t int) float64 {
 // params: a coordinate beyond it is flushed in the same Add, but first
 // widens the dense residual to reach it, memory proportional to its index.
 //
-// The returned vector is scratch owned by the filter and valid only
-// until the next Add; callers that retain it must Clone. Under a
-// non-zero threshold it is an ascending run (see package sparse); at
-// v = 0 it is a copy of u.
+// The returned vector is valid only until the next Add, and until u
+// changes; callers that retain it must Clone. Under a non-zero
+// threshold it is scratch owned by the filter, an ascending run (see
+// package sparse); at v = 0 it is u itself.
 func (f *Filter) Add(t int, u *sparse.Vector, params sparse.Dense) *sparse.Vector {
-	out := f.out
 	vt := f.Threshold(t)
 	if vt == 0 && f.nlive == 0 {
 		// BSP: everything is significant and nothing is withheld, so the
 		// update passes through and no residual is ever allocated.
-		out.CopyFrom(u)
-		f.flushed += int64(out.Len())
-		return out
+		f.flushed += int64(u.Len())
+		return u
 	}
+	out := f.out
 
 	if len(f.res) < len(params) {
 		f.widen(len(params))

@@ -29,18 +29,22 @@ func stepMallocs(t testing.TB, steps int, spec Spec) float64 {
 }
 
 // TestSteadyStateStepAllocsBounded pins the marginal allocation cost of
-// one lock-step training step (4 workers). The sparse kernels, wire
-// buffers and per-step scratch are allocation-free in the steady state;
-// what remains is per-step key formatting and the broker's copy-on-
-// publish, bounded here so future PRs cannot silently reintroduce
-// per-step churn in the numeric hot path. (At the seed this marginal
-// cost was ~285 allocs/step; the zero-allocation pass brought it under
-// 200, to 156.8. Formatting each pull window's keys once for the pool
-// and the announced set only on error took it to 108.4. Gradients,
-// updates and filter outputs as ascending runs, summed in a pooled
-// dense accumulator, allocate nothing warm and left it there:
+// one lock-step training step (4 workers). The sparse kernels, the
+// exchange's payload buffers and per-step scratch are allocation-free in
+// the steady state; what remains is per-step key formatting and the
+// broker's copy-on-publish, bounded here so future PRs cannot
+// silently reintroduce per-step churn in the numeric hot path. (At the
+// seed this marginal cost was ~285 allocs/step; the zero-allocation
+// pass brought it under 200, to 156.8. Formatting each pull window's
+// keys once for the pool and the announced set only on error took it
+// to 108.4. Gradients, updates and filter outputs as ascending runs,
+// summed in a pooled dense accumulator, allocate nothing warm and left
+// it there:
 // 108.3–108.6 over four runs, against 108.0–108.8 for the code before
-// them on the same host — the spread is pools emptied by GC.)
+// them on the same host — the spread is pools emptied by GC. Stores
+// that keep the payload they are given, instead of copying it on Set,
+// took it to 84.0 in three of three runs, against 104.4–104.6 for the
+// code before them.)
 func TestSteadyStateStepAllocsBounded(t *testing.T) {
 	spec := Spec{}
 	stepMallocs(t, 10, spec) // warm pools, caches and lazy scratch

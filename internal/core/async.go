@@ -175,10 +175,9 @@ func runAsync(e *engine) (*Result, error) {
 			maxDone = st.done
 		}
 	}
+	e.xchgIDs = activeIDs(e.xchgIDs, e.workers)
 	for s := expiredThrough + 1; s <= maxDone; s++ {
-		for _, w := range e.workers {
-			e.cl.Redis.Delete(&e.sup.Clock, e.updKey(s, w.id))
-		}
+		e.xchg.Expire(&e.sup.Clock, s, e.xchgIDs)
 	}
 
 	// Every reconciled step's keys are expired above, so teardown has

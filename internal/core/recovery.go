@@ -8,7 +8,6 @@ import (
 
 	"mlless/internal/faas"
 	"mlless/internal/faults"
-	"mlless/internal/model"
 	"mlless/internal/sparse"
 	"mlless/internal/trace"
 	"mlless/internal/xrand"
@@ -206,12 +205,9 @@ func (e *engine) maybeRelaunch(w *Worker) error {
 	// Checkpoint: model parameters plus optimizer state (≈2x params for
 	// Adam's two moments; charged, not materialized).
 	ckptStart := w.inst.Clock.Now()
-	params := denseOf(w.model)
-	wb := getWireBuf()
-	payload := params.EncodeTo(wb.b[:0])
+	payload := w.model.Params().Encode() // a fresh slice: the store keeps it
 	e.cl.Redis.Set(&w.inst.Clock, e.ckptKey(w.id), payload)
 	payloadLen := len(payload)
-	putWireBuf(wb, payload)
 	w.inst.Clock.Advance(e.cl.Redis.TransferTime(payloadLen)) // optimizer state
 	resumeAt := w.inst.Clock.Now()
 	mem := w.inst.MemoryMiB
@@ -241,9 +237,6 @@ func (e *engine) maybeRelaunch(w *Worker) error {
 	}
 	return nil
 }
-
-// denseOf returns the model's parameter vector.
-func denseOf(m model.Model) sparse.Dense { return m.Params() }
 
 // maybeRelaunchSup does for the supervisor what maybeRelaunch does for
 // workers. Its checkpoint is small: the loss history and tuner state.

@@ -200,10 +200,7 @@ func (e *engine) evictOne(step int, now time.Duration, active []*Worker) error {
 		}
 	}
 	if victim.filter.BaseThreshold() > 0 && !e.job.Spec.NoEvictionMerge {
-		wb := getWireBuf()
-		payload := victim.model.Params().EncodeTo(wb.b[:0])
-		e.cl.Redis.Set(&victim.inst.Clock, e.evictKey(victim.id), payload)
-		putWireBuf(wb, payload)
+		e.cl.Redis.Set(&victim.inst.Clock, e.evictKey(victim.id), victim.model.Params().Encode())
 		for _, w := range active {
 			if w.id != victim.id {
 				w.pendingMerge = e.evictKey(victim.id)

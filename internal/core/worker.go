@@ -31,14 +31,16 @@ type Worker struct {
 	// Per-step scratch, reused across passes so the steady-state loop
 	// allocates nothing (DESIGN.md §10). ctx is the state-machine pass
 	// context; pull carries the lock-step pull half into the exchange
-	// strategy; pullKeys/pullVals back the async pull path. Within a
-	// phase exactly one driver goroutine runs this worker's states (see
-	// driver.go), so the scratch needs no locking.
+	// strategy; pullKeys/pullVals back the async pull path; msg stages
+	// the announcement and the loss report, which the broker copies on
+	// publish. Within a phase exactly one driver goroutine runs this
+	// worker's states (see driver.go), so the scratch needs no locking.
 	ctx       stepCtx
 	pull      exchange.PullCtx
 	pullKeys  []string
 	pullVals  [][]byte
 	announced []exchange.Announcement
+	msg       []byte
 }
 
 // stepState enumerates the per-step state machine every worker runs:
@@ -141,12 +143,11 @@ func (e *engine) stepMerge(w *Worker, c *stepCtx) error {
 	clk := &w.inst.Clock
 	mergeStart := clk.Now()
 	if buf, ok := e.cl.Redis.Get(clk, w.pendingMerge); ok {
-		replica, err := sparse.DecodeDense(buf)
+		n, err := sparse.AverageEncoded(w.model.Params(), buf)
 		if err != nil {
 			return fmt.Errorf("core: worker %d: decode eviction replica: %w", w.id, err)
 		}
-		w.model.Params().Average(replica)
-		e.chargeCompute(w, 2*float64(len(replica)))
+		e.chargeCompute(w, 2*float64(n))
 	}
 	w.pendingMerge = ""
 	if e.tr.Enabled() {
@@ -221,42 +222,34 @@ func (e *engine) stepPublish(w *Worker, c *stepCtx) error {
 		e.tr.SpanOn(workerTrack(w.id), trace.CatEngine, "compute",
 			c.computeStart, publishStart, trace.Int("step", c.step))
 	}
-	// The payload and both control messages stage through one pooled
-	// wire buffer: the exchange medium copies on write and the broker
-	// copies on Publish, so the buffer is reusable the moment each call
-	// returns. The filter owns sig until its next Add, which is after
-	// the pull half — so a collective exchange may retain it as the
-	// worker's own contribution to subtract at pull time.
+	// The payload is the exchange's (read-only here), so the control
+	// messages stage in w.msg. sig stays valid until the next compute
+	// half, so a collective exchange may retain it as the worker's own
+	// contribution to subtract at pull time.
 	var ids []int
 	if e.xchg.Collective() {
 		w.pull.ActiveIDs = activeIDs(w.pull.ActiveIDs, c.active)
 		ids = w.pull.ActiveIDs
 		w.pull.OwnSig = sig
 	}
-	wb := getWireBuf()
-	payload, err := e.xchg.Publish(clk, w.id, c.step, sig, ids, wb.b[:0])
+	payload, err := e.xchg.Publish(clk, w.id, c.step, sig, ids, nil)
 	if err != nil {
-		putWireBuf(wb, payload)
 		return fmt.Errorf("core: worker %d: publish: %w", w.id, err)
 	}
 	payloadLen := len(payload)
 
-	var ann []byte
 	if e.job.Spec.Sync == consistency.Async {
-		ann = asyncAnnounce{Worker: uint32(w.id), Step: uint32(c.step),
-			Bytes: uint32(payloadLen), At: clk.Now()}.appendTo(payload[:0])
+		w.msg = asyncAnnounce{Worker: uint32(w.id), Step: uint32(c.step),
+			Bytes: uint32(payloadLen), At: clk.Now()}.appendTo(w.msg[:0])
 	} else {
-		ann = announce{Worker: uint32(w.id), Step: uint32(c.step), Bytes: uint32(payloadLen)}.appendTo(payload[:0])
+		w.msg = announce{Worker: uint32(w.id), Step: uint32(c.step), Bytes: uint32(payloadLen)}.appendTo(w.msg[:0])
 	}
-	if err := e.cl.Broker.PublishFanout(clk, e.annExchange(), ann); err != nil {
-		putWireBuf(wb, ann)
+	if err := e.cl.Broker.PublishFanout(clk, e.annExchange(), w.msg); err != nil {
 		return fmt.Errorf("core: worker %d: announce: %w", w.id, err)
 	}
-	report := lossReport{Worker: uint32(w.id), Step: uint32(c.step), Loss: c.loss,
-		UpdateBytes: uint32(payloadLen)}.appendTo(ann[:0])
-	err = e.cl.Broker.Publish(clk, e.lossQueue(), report)
-	putWireBuf(wb, report)
-	if err != nil {
+	w.msg = lossReport{Worker: uint32(w.id), Step: uint32(c.step), Loss: c.loss,
+		UpdateBytes: uint32(payloadLen)}.appendTo(w.msg[:0])
+	if err := e.cl.Broker.Publish(clk, e.lossQueue(), w.msg); err != nil {
 		return fmt.Errorf("core: worker %d: loss report: %w", w.id, err)
 	}
 	if e.tr.Enabled() {

@@ -116,9 +116,10 @@ func StageShards(ds *Dataset, store *objstore.Store, clk *vclock.Clock, bucket s
 // block inside its shard, workers re-download batches each iteration
 // exactly as in the paper — while the CPU-side parse, simulator
 // overhead rather than modeled time, happens once per shard via an
-// uncharged peek. Views alias the store's immutable snapshots (Put
-// copies on write), so they stay valid across later writes; callers
-// must treat them as read-only.
+// uncharged peek. Views alias the staged blobs, which nothing writes
+// again once stored (objstore's ownership rule) and which are never
+// expired, so they stay valid across later writes; callers must treat
+// them as read-only.
 //
 // ShardCache is safe for concurrent use.
 type ShardCache struct {

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -164,9 +165,11 @@ type Exchange interface {
 	// namespace — the identity announcements carry.
 	UpdateKey(step, worker int) string
 	// Publish moves a worker's significant update into the exchange
-	// medium and returns the update's canonical encoding, staged in
-	// scratch (the engine's pooled wire buffer), for the announce and
-	// loss-report messages that follow. activeIDs is nil unless
+	// medium and returns the update's canonical encoding. The strategy
+	// owns that buffer, and the medium may hold it until Expire: the
+	// returned payload is read-only to the caller, and valid only until
+	// the step's Expire. scratch is unused; the layer replay of the
+	// benchmark module still passes one. activeIDs is nil unless
 	// Collective.
 	Publish(clk *vclock.Clock, worker, step int, sig *sparse.Vector, activeIDs []int, scratch []byte) ([]byte, error)
 	// Rounds returns how many reduction phases a p-worker pool needs
@@ -222,6 +225,15 @@ func AnnouncedSet(key func(step, worker int) string, announced []Announcement) s
 	}
 	sort.Strings(keys)
 	return "[" + strings.Join(slices.Compact(keys), " ") + "]"
+}
+
+// updateKey formats <ns>/upd/<step>/<worker>, both strategies' update
+// key, allocating only the string itself (fmt boxes its arguments).
+func updateKey(ns string, step, worker int) string {
+	b := append(make([]byte, 0, 64), ns...)
+	b = strconv.AppendInt(append(b, "/upd/"...), int64(step), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(worker), 10)
+	return string(b)
 }
 
 // posOf returns worker's collective rank: its position in the active-id

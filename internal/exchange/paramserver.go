@@ -31,6 +31,18 @@ type ParamServer struct {
 	// run never changes under a replica using it.
 	mu, runMu sync.RWMutex
 	win       pullWindow
+
+	// payloads[w] is worker w's encoded updates. The KV store keeps
+	// each until Expire deletes its key and frees it for w's next
+	// Publish. Only w's Publish and Expire, never concurrent, touch it.
+	payloads [][]payload
+}
+
+// payload is one encoded update and the step it was published at, or 0
+// once expired.
+type payload struct {
+	step int
+	buf  []byte
 }
 
 func newParamServer(env Env) *ParamServer {
@@ -39,6 +51,7 @@ func newParamServer(env Env) *ParamServer {
 		cPublishes: env.Reg.Counter("xchg.publishes"),
 		cPulls:     env.Reg.Counter("xchg.pulls"),
 		minMerge:   mergeMinRuns,
+		payloads:   make([][]payload, env.Workers),
 	}
 }
 
@@ -52,16 +65,22 @@ func (x *ParamServer) Collective() bool { return false }
 // UpdateKey implements Exchange with the engine's historical update-key
 // layout.
 func (x *ParamServer) UpdateKey(step, worker int) string {
-	return fmt.Sprintf("%s/upd/%d/%d", x.env.NS, step, worker)
+	return updateKey(x.env.NS, step, worker)
 }
 
-// Publish implements Exchange: encode into the engine's wire buffer and
-// Set the update key.
-func (x *ParamServer) Publish(clk *vclock.Clock, worker, step int, sig *sparse.Vector, _ []int, scratch []byte) ([]byte, error) {
-	payload := sig.EncodeTo(scratch)
-	x.env.KV.Set(clk, x.UpdateKey(step, worker), payload)
+// Publish implements Exchange: encode into a free buffer of the worker
+// and hand it to the KV store under the update key.
+func (x *ParamServer) Publish(clk *vclock.Clock, worker, step int, sig *sparse.Vector, _ []int, _ []byte) ([]byte, error) {
+	ps := x.payloads[worker]
+	i := slices.IndexFunc(ps, func(p payload) bool { return p.step == 0 })
+	if i < 0 {
+		i, ps = len(ps), append(ps, payload{})
+		x.payloads[worker] = ps
+	}
+	ps[i].step, ps[i].buf = step, sig.EncodeTo(ps[i].buf[:0])
+	x.env.KV.Set(clk, x.UpdateKey(step, worker), ps[i].buf)
 	x.cPublishes.Inc()
-	return payload, nil
+	return ps[i].buf, nil
 }
 
 // Rounds implements Exchange.
@@ -190,10 +209,15 @@ func (x *ParamServer) PullKeys(clk *vclock.Clock, keys []string, vals [][]byte, 
 }
 
 // Expire implements Exchange: delete each worker's update key for the
-// step, in pool order, on the janitor clock.
+// step, in pool order, on the janitor clock, freeing its payload.
 func (x *ParamServer) Expire(clk *vclock.Clock, step int, ids []int) {
 	for _, id := range ids {
 		x.env.KV.Delete(clk, x.UpdateKey(step, id))
+		for i := range x.payloads[id] {
+			if x.payloads[id][i].step == step {
+				x.payloads[id][i].step = 0
+			}
+		}
 	}
 }
 
@@ -255,7 +279,6 @@ func (w *pullWindow) rekey(updateKey func(step, worker int) string, p *PullCtx) 
 			w.keys = append(w.keys, updateKey(s, id))
 		}
 	}
-	clear(w.bufs) // do not pin expired payloads
 }
 
 // peerKeys appends every key outside worker's block to dst.
@@ -295,8 +318,9 @@ func (w *pullWindow) build(kv *kvstore.Store) {
 }
 
 // serves reports whether the run can stand in for p's views: it was
-// built without error, from the very payloads p read. Stored values are
-// immutable, so equal views mean equal bytes.
+// built without error, from the very payloads p read. No payload of the
+// window is rewritten before the window expires, so equal views mean
+// equal bytes.
 func (w *pullWindow) serves(p *PullCtx) bool {
 	if !w.ok {
 		return false

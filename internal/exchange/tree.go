@@ -37,7 +37,9 @@ type TreeReduce struct {
 // steps (and across the worker's container relaunches — the exchange
 // models durable per-rank state) so the steady-state tree step stops
 // allocating once buffers reach their high-water marks. The partial
-// sum stays encoded and folds runs through a dense scratch.
+// sum stays encoded and folds runs through a dense scratch. Only run
+// is ever stored (a member uploads it and folds no more that step), so
+// the fold may always write red.
 type workerState struct {
 	run  []byte             // this rank's encoded partial sum
 	red  []byte             // fold output, swapped with run
@@ -83,18 +85,18 @@ func (x *TreeReduce) Collective() bool { return true }
 // announcements and diagnostics name — even though payload bytes travel
 // through the object-store bucket instead.
 func (x *TreeReduce) UpdateKey(step, worker int) string {
-	return fmt.Sprintf("%s/upd/%d/%d", x.env.NS, step, worker)
+	return updateKey(x.env.NS, step, worker)
 }
 
-// Publish implements Exchange: no storage traffic yet — the encoded
-// update seeds the worker's partial sum, which the fan-in rounds fold
-// upward.
-func (x *TreeReduce) Publish(clk *vclock.Clock, worker, step int, sig *sparse.Vector, ids []int, scratch []byte) ([]byte, error) {
-	payload := sig.EncodeTo(scratch)
+// Publish implements Exchange: no storage traffic yet — the update is
+// encoded straight into the worker's partial sum, which the fan-in
+// rounds store as it stands. The last step's Expire has deleted every
+// object that held run.
+func (x *TreeReduce) Publish(clk *vclock.Clock, worker, step int, sig *sparse.Vector, ids []int, _ []byte) ([]byte, error) {
 	st := x.state(worker)
-	st.run = append(st.run[:0], payload...)
+	st.run = sig.EncodeTo(st.run[:0])
 	x.cPublishes.Inc()
-	return payload, nil
+	return st.run, nil
 }
 
 // Rounds implements Exchange: an upload and a gather phase per tree

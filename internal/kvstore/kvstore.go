@@ -11,8 +11,10 @@
 // only owns the data plane. Store is the one endpoint of the paper's
 // deployment: a single Redis VM.
 //
-// The store is safe for concurrent use. Values are copied at the API
-// boundary so callers can never alias internal storage.
+// The store is safe for concurrent use. Set keeps the caller's slice;
+// Get and MGet return copies. Ownership rule: once bytes are stored,
+// nothing writes them again, except the exchange that published them,
+// and only after its own Expire has deleted the key.
 package kvstore
 
 import (
@@ -82,15 +84,14 @@ func (s *Store) SetFaults(in *faults.Injector) { s.pipe.SetFaults(in) }
 // multiplier). Same concurrency contract as SetFaults.
 func (s *Store) SetTracer(tr *trace.Tracer) { s.pipe.SetTracer(tr) }
 
-// Set stores a copy of val under key and charges the transfer to clk.
+// Set stores val itself (no copy) under key and charges the transfer
+// to clk.
 func (s *Store) Set(clk *vclock.Clock, key string, val []byte) {
 	s.pipe.Charge(clk, "set", key, len(val), s.pipe.TransferTime(len(val)))
-	cp := make([]byte, len(val))
-	copy(cp, val)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data[key] = cp
+	s.data[key] = val
 	s.cSets.Inc()
 	s.cBytesWritten.Add(int64(len(val)))
 }
@@ -166,11 +167,10 @@ func firstKey(keys []string) string {
 }
 
 // MGetView is MGet without the defensive copies: the returned slices
-// alias the store's internal buffers. It is safe because stored values
-// are immutable — Set replaces a key's slice wholesale and never mutates
-// one in place — but callers must treat the views as read-only. It is
-// the hot path for applying peer updates, which are read once and
-// discarded.
+// are the stored values, read-only. A view survives an overwrite or
+// Delete of its key, which replace or drop the slice wholesale, and is
+// valid until its publisher's Expire. It is the hot path for applying
+// peer updates, which are read once, before their step expires.
 func (s *Store) MGetView(clk *vclock.Clock, keys []string) [][]byte {
 	return s.MGetViewInto(clk, keys, nil)
 }

@@ -34,15 +34,16 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
+// TestValueCopiedAtBoundary pins the read side of the ownership rule:
+// Get returns a copy, so a caller mutating it cannot reach the store.
+// (Set keeps the caller's slice; see TestSetKeepsCallerSlice.)
 func TestValueCopiedAtBoundary(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
-	val := []byte("abc")
-	s.Set(&clk, "k", val)
-	val[0] = 'X' // caller mutates after Set
+	s.Set(&clk, "k", []byte("abc"))
 	got, _ := s.Get(&clk, "k")
 	if string(got) != "abc" {
-		t.Fatal("Set aliased caller's buffer")
+		t.Fatalf("Get = %q", got)
 	}
 	got[0] = 'Y' // caller mutates returned buffer
 	again, _ := s.Get(&clk, "k")
@@ -273,24 +274,35 @@ func TestFaultRemovedWithNil(t *testing.T) {
 	}
 }
 
-// --- pooled wire buffers ---
+// --- ownership ---
 
-// TestCopyOnPutProtectsPooledBuffers pins the contract the engine's
-// wire-buffer pool depends on: Set copies at the boundary, so a caller
-// may recycle its encode buffer for a different payload immediately
-// after Set returns without corrupting stored values.
-func TestCopyOnPutProtectsPooledBuffers(t *testing.T) {
+// TestSetKeepsCallerSlice pins the write side of the ownership rule:
+// Set stores the caller's slice itself, not a copy, and a view retained
+// from the store survives an overwrite and a Delete of its key, because
+// both replace or drop the map entry and never write stored bytes.
+func TestSetKeepsCallerSlice(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
 	buf := []byte("step-1-update")
-	s.Set(&clk, "upd/1", buf)
-	// Recycle the buffer for the next publish, as a pool would.
-	buf = append(buf[:0], "step-2-update"...)
-	s.Set(&clk, "upd/2", buf)
-	got1, _ := s.Get(&clk, "upd/1")
-	got2, _ := s.Get(&clk, "upd/2")
-	if string(got1) != "step-1-update" || string(got2) != "step-2-update" {
-		t.Fatalf("pooled reuse corrupted store: %q, %q", got1, got2)
+	s.Set(&clk, "upd", buf)
+	view := s.MGetView(&clk, []string{"upd"})[0]
+	if &view[0] != &buf[0] || len(view) != len(buf) {
+		t.Fatal("Set stored a copy, want the caller's slice")
+	}
+	if peek := s.PeekViewsInto([]string{"upd"}, nil)[0]; &peek[0] != &buf[0] {
+		t.Fatal("PeekViewsInto does not see the caller's slice")
+	}
+
+	s.Set(&clk, "upd", []byte("step-2-update"))
+	if string(view) != "step-1-update" {
+		t.Fatalf("overwrite mutated a retained view: %q", view)
+	}
+	if got := s.MGetView(&clk, []string{"upd"})[0]; string(got) != "step-2-update" {
+		t.Fatalf("after overwrite MGetView = %q", got)
+	}
+	s.Delete(&clk, "upd")
+	if string(view) != "step-1-update" {
+		t.Fatalf("Delete mutated a retained view: %q", view)
 	}
 }
 

@@ -9,6 +9,11 @@
 // pipeline (package substrate); the pipeline is built without a fault
 // domain because the paper's failure modes live on the KV store, the
 // broker and the FaaS control plane, not on COS.
+//
+// Put and PutMulti keep the caller's slices; Get returns a copy. The
+// ownership rule is package kvstore's: once bytes are stored, nothing
+// writes them again, except the exchange that published them, and only
+// after its own Expire has deleted the key.
 package objstore
 
 import (
@@ -111,11 +116,10 @@ func (s *Store) lookup(bucket, key string) ([]byte, bool) {
 // and removes it at teardown.
 func (s *Store) SetTracer(tr *trace.Tracer) { s.pipe.SetTracer(tr) }
 
-// Put stores a copy of val as bucket/key, creating the bucket on demand.
+// Put stores val itself (no copy) as bucket/key, creating the bucket
+// on demand.
 func (s *Store) Put(clk *vclock.Clock, bucket, key string, val []byte) {
 	s.pipe.Charge(clk, "put", bucket+"/"+key, len(val), s.pipe.TransferTime(len(val)))
-	cp := make([]byte, len(val))
-	copy(cp, val)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -124,7 +128,7 @@ func (s *Store) Put(clk *vclock.Clock, bucket, key string, val []byte) {
 		b = make(map[string][]byte)
 		s.buckets[bucket] = b
 	}
-	b[key] = cp
+	b[key] = val
 	s.cPuts.Inc()
 	s.cBytesWritten.Add(int64(len(val)))
 }
@@ -152,9 +156,9 @@ func (s *Store) Get(clk *vclock.Clock, bucket, key string) ([]byte, error) {
 // of the object at bucket/key — an HTTP ranged read: one request that
 // pays the first-byte latency plus the transfer of just the requested
 // range, the access pattern of the columnar shard tier (one batch
-// block per step out of a multi-batch shard). The view is safe to
-// retain: Put copies on write and replaces stored slices wholesale, so
-// a view is an immutable snapshot later writes never mutate. A missing
+// block per step out of a multi-batch shard). The view is read-only;
+// it survives an overwrite or Delete of the object and is valid until
+// its publisher's Expire (staged datasets never expire). A missing
 // object or a range outside it costs one round trip and errors.
 func (s *Store) GetRangeView(clk *vclock.Clock, bucket, key string, off, length int) ([]byte, error) {
 	val, ok := s.lookup(bucket, key)
@@ -177,8 +181,8 @@ func (s *Store) GetRangeView(clk *vclock.Clock, bucket, key string, off, length 
 // PeekView returns a zero-copy view of bucket/key without charging any
 // virtual time: simulator-side access for caches that parse an object
 // once while billing every read through Get/GetRangeView
-// (dataset.ShardCache's parse-once bookkeeping). The view follows the
-// same immutable-snapshot contract as GetRangeView.
+// (dataset.ShardCache's parse-once bookkeeping). The view follows
+// GetRangeView's contract.
 func (s *Store) PeekView(bucket, key string) ([]byte, bool) {
 	return s.lookup(bucket, key)
 }
@@ -209,7 +213,7 @@ func (s *Store) streamTime(n, bytes int) time.Duration {
 	return d
 }
 
-// PutMulti stores copies of vals[i] under bucket/keys[i], issuing the
+// PutMulti stores vals[i] itself under bucket/keys[i], issuing the
 // writes as concurrent streams: every branch pays the first-byte
 // latency once, the streams share the caller's NIC, and the clock
 // advances by the slowest branch — the upload half of a storage-mediated
@@ -243,9 +247,7 @@ func (s *Store) PutMulti(clk *vclock.Clock, bucket string, keys []string, vals [
 		s.buckets[bucket] = b
 	}
 	for i, key := range keys {
-		cp := make([]byte, len(vals[i]))
-		copy(cp, vals[i])
-		b[key] = cp
+		b[key] = vals[i]
 		s.cPuts.Inc()
 		s.cBytesWritten.Add(int64(len(vals[i])))
 	}
@@ -257,9 +259,8 @@ func (s *Store) PutMulti(clk *vclock.Clock, bucket string, keys []string, vals [
 // returns zero-copy views of the stored objects, writing into out
 // (resized, reallocating only when its capacity is short; pass the
 // returned slice back to reuse it). Missing keys yield nil entries and
-// are charged one round trip each. Views are safe to retain: Put copies
-// on write and replaces stored slices wholesale, so a view is an
-// immutable snapshot that later writes or deletes never mutate.
+// are charged one round trip each. Views follow GetRangeView's
+// contract.
 // Charging mirrors PutMulti: each branch pays the first-byte latency,
 // the streams share the caller's NIC, and the clock advances by the
 // slowest branch.

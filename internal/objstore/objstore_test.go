@@ -36,15 +36,16 @@ func TestGetMissingWrapsErrNotFound(t *testing.T) {
 	}
 }
 
+// TestValueCopiedAtBoundary pins the read side of the ownership rule:
+// Get returns a copy. (Put keeps the caller's slice; see
+// TestPutKeepsCallerSlice.)
 func TestValueCopiedAtBoundary(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
-	val := []byte("abc")
-	s.Put(&clk, "b", "k", val)
-	val[0] = 'X'
+	s.Put(&clk, "b", "k", []byte("abc"))
 	got, _ := s.Get(&clk, "b", "k")
 	if string(got) != "abc" {
-		t.Fatal("Put aliased caller buffer")
+		t.Fatalf("Get = %q", got)
 	}
 	got[0] = 'Y'
 	again, _ := s.Get(&clk, "b", "k")
@@ -174,20 +175,41 @@ func TestGetMultiViewIntoReusesAndResets(t *testing.T) {
 	}
 }
 
+// TestPutKeepsCallerSlice pins the write side of the ownership rule:
+// Put and PutMulti store the caller's slices themselves, and every view
+// reader returns them.
+func TestPutKeepsCallerSlice(t *testing.T) {
+	s := fastStore()
+	var clk vclock.Clock
+	one, a, b := []byte{1, 2}, []byte{3}, []byte{4, 5, 6}
+	s.Put(&clk, "x", "one", one)
+	s.PutMulti(&clk, "x", []string{"a", "b"}, [][]byte{a, b})
+	views := s.GetMultiViewInto(&clk, "x", []string{"one", "a", "b"}, nil)
+	for i, want := range [][]byte{one, a, b} {
+		if &views[i][0] != &want[0] || len(views[i]) != len(want) {
+			t.Fatalf("view %d is a copy, want the caller's slice", i)
+		}
+	}
+	if r, err := s.GetRangeView(&clk, "x", "b", 1, 2); err != nil || &r[0] != &b[1] {
+		t.Fatalf("GetRangeView = %v, %v; want a view of the caller's slice", r, err)
+	}
+	if p, ok := s.PeekView("x", "one"); !ok || &p[0] != &one[0] {
+		t.Fatal("PeekView does not see the caller's slice")
+	}
+}
+
+// TestMultiViewsAreImmutableSnapshots pins what a retained view may
+// rely on: overwriting and deleting its key never mutate it, because
+// Put replaces stored slices wholesale and Delete drops them.
 func TestMultiViewsAreImmutableSnapshots(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
-	val := []byte{7}
-	s.PutMulti(&clk, "x", []string{"k"}, [][]byte{val})
-	val[0] = 9 // caller buffer must have been copied at the boundary
+	s.PutMulti(&clk, "x", []string{"k"}, [][]byte{{7}})
 	view := s.GetMultiViewInto(&clk, "x", []string{"k"}, nil)[0]
 	if view[0] != 7 {
-		t.Fatal("PutMulti aliased the caller's buffer")
+		t.Fatalf("view = %v", view)
 	}
 
-	// Overwriting and deleting the key must not mutate the view: Put
-	// replaces stored slices wholesale, so retained views stay valid —
-	// the contract zero-copy exchange buffers rely on.
 	s.Put(&clk, "x", "k", []byte{8})
 	s.Delete(&clk, "x", "k")
 	if view[0] != 7 {

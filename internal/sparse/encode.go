@@ -45,10 +45,10 @@ func (v *Vector) Encode() []byte {
 
 // EncodeTo appends the vector's encoding to buf and returns the
 // extended slice, reallocating only when buf lacks capacity: the
-// zero-allocation publish path (callers keep one wire buffer per worker
-// or draw one from a pool). The appended bytes are identical to
-// Encode's. A run is written as it stands; an indexed vector is sorted
-// first.
+// zero-allocation publish path (the exchanges keep each worker's
+// payload buffers and reuse them once the store lets go). The appended
+// bytes are identical to Encode's. A run is written as it stands; an
+// indexed vector is sorted first.
 func (v *Vector) EncodeTo(buf []byte) []byte {
 	need := v.EncodedSize()
 	buf = ensureCap(buf, need)
@@ -200,21 +200,37 @@ func (d Dense) EncodeTo(buf []byte) []byte {
 	return buf
 }
 
-// DecodeDense parses a vector produced by Dense.Encode.
-func DecodeDense(buf []byte) (Dense, error) {
+// denseEncodedLen validates buf as a dense encoding and returns its
+// element count; op names the caller in the error.
+func denseEncodedLen(buf []byte, op string) (int, error) {
 	if len(buf) < denseHeaderSize {
-		return nil, fmt.Errorf("sparse: decode dense: short buffer (%d bytes)", len(buf))
+		return 0, fmt.Errorf("sparse: %s: short buffer (%d bytes)", op, len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
-	want := DenseEncodedSize(n)
-	if len(buf) != want {
-		return nil, fmt.Errorf("sparse: decode dense: length %d, want %d for %d elements", len(buf), want, n)
+	if want := DenseEncodedSize(n); len(buf) != want {
+		return 0, fmt.Errorf("sparse: %s: length %d, want %d for %d elements", op, len(buf), want, n)
 	}
-	d := make(Dense, n)
+	return n, nil
+}
+
+// AverageEncoded overwrites d with the element-wise mean 0.5·(d[i] +
+// r[i]) of d and the dense vector r encoded in buf (the Dense.Encode
+// layout), reading r straight from its bytes: the one-shot
+// reintegration step survivors perform when a worker leaves under ISP
+// (§4.2, eviction policy). buf must hold exactly len(d) elements. It
+// returns the element count averaged.
+func AverageEncoded(d Dense, buf []byte) (int, error) {
+	n, err := denseEncodedLen(buf, "average encoded")
+	if err != nil {
+		return 0, err
+	}
+	if n != len(d) {
+		return 0, fmt.Errorf("sparse: average encoded: %d elements, want %d", n, len(d))
+	}
 	off := denseHeaderSize
-	for i := 0; i < n; i++ {
-		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+	for i := range d {
+		d[i] = 0.5 * (d[i] + math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
 		off += denseEntrySize
 	}
-	return d, nil
+	return n, nil
 }

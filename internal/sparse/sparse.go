@@ -616,12 +616,3 @@ func (d Dense) ToSparse() *Vector {
 	}
 	return v
 }
-
-// Average overwrites d with the element-wise mean of d and other, the
-// one-shot reintegration step the scale-in scheduler performs when a
-// worker leaves under ISP (§4.2, eviction policy).
-func (d Dense) Average(other Dense) {
-	for i := range d {
-		d[i] = 0.5 * (d[i] + other[i])
-	}
-}

@@ -293,6 +293,60 @@ func TestDecodeDenseErrors(t *testing.T) {
 	}
 }
 
+// TestAverageEncodedMatchesDecodedAverage pins the eviction merge: it
+// averages a replica straight from its encoding, bit-equal to decoding
+// it and calling Average, and rejects the buffers DecodeDense rejects
+// (short, truncated, overlong) and replicas of another width, leaving d
+// untouched.
+func TestAverageEncodedMatchesDecodedAverage(t *testing.T) {
+	r := xrand.New(11)
+	const n = 1000
+	d, rep := NewDense(n), NewDense(n)
+	for i := range d {
+		d[i], rep[i] = r.NormFloat64(), r.NormFloat64()*1e3
+	}
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for k, v := range special {
+		d[k], rep[len(special)+k] = v, v
+	}
+	buf := rep.Encode()
+	decoded, err := DecodeDense(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.Clone()
+	want.Average(decoded)
+	got := d.Clone()
+	if m, err := AverageEncoded(got, buf); err != nil || m != n {
+		t.Fatalf("AverageEncoded = %d, %v; want %d, nil", m, err, n)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("coord %d: %v, Average(DecodeDense) gives %v", i, got[i], want[i])
+		}
+	}
+
+	for name, bad := range map[string][]byte{
+		"short":     buf[:denseHeaderSize-1],
+		"truncated": buf[:len(buf)-2],
+		"long":      append(append([]byte(nil), buf...), 0),
+		"width":     NewDense(n - 1).Encode(),
+	} {
+		dst := d.Clone()
+		if _, err := AverageEncoded(dst, bad); err == nil {
+			t.Fatalf("%s buffer: AverageEncoded succeeded", name)
+		}
+		if _, err := DecodeDense(bad); err == nil && name != "width" {
+			t.Fatalf("%s buffer: DecodeDense succeeded", name)
+		}
+		for i := range dst {
+			if math.Float64bits(dst[i]) != math.Float64bits(d[i]) {
+				t.Fatalf("%s buffer: coord %d changed on error", name, i)
+			}
+		}
+	}
+}
+
 func TestEncodedSizeFor(t *testing.T) {
 	v := New()
 	for i := 0; i < 17; i++ {
