@@ -43,16 +43,15 @@ func mallocs(fn func()) uint64 {
 // under each expiry pattern the engine drives: BSP expires each step
 // after its pull, an SSP window of 3 expires three steps at its sync
 // point, and async at K = 3 expires step s-3 once step s completes. The
-// parameter server encodes into a buffer from the worker's free list
-// and allocates exactly one string per Publish, the update key the KV
-// store maps. The tree encodes into the rank buffer and allocates
-// nothing. Each step publishes different updates, and every parameter-
-// server key still live must keep its own step's bytes until it
-// expires: a buffer reused before its Expire shows up there.
-// Like testing.AllocsPerRun, the test compares truncated means: under
-// churn the KV store's map itself grows now and then (2 allocations
-// over the 2 400 publishes of the async case), which is not the
-// publish path's.
+// parameter server encodes into one of the worker's expired buffers and
+// allocates exactly one string per Publish, the update key the KV store
+// maps. The tree encodes into the rank buffer and allocates nothing.
+// Each step publishes different updates, and every key the parameter
+// server still holds must keep its own step's bytes until it expires:
+// a buffer reused before its Expire shows up there. Like
+// testing.AllocsPerRun, the test compares truncated means: under churn
+// the KV store's map itself grows now and then (2 allocations over the
+// 2 400 publishes of the async case), which is not the publish path's.
 func TestPublishSteadyStateDoesNotAllocate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const p, dim, nnz, warm, steps = 8, 2000, 400, 30, 300
