@@ -314,17 +314,17 @@ func TestCollectivesHandleSparseActiveIDs(t *testing.T) {
 func TestTreeStepAllocsBounded(t *testing.T) {
 	// A steady-state tree step at P = 16 (default fan-out 4: 12 level-0
 	// and 3 level-1 member uploads, 5 leader folds reading 15 uploads,
-	// the root put and 15 root reads) allocates only the request labels
-	// and the key layout. Each of the 16 Puts joins bucket and key into
-	// its request label (1 each) and hands the rank buffer to the store
-	// as it stands; each of the 30 object reads joins a label (1 each);
+	// the root put and 15 root reads) allocates only the key layout:
 	// every key is one formatted string (15 uploads, 15 leader reads,
-	// the root's put, 15 root reads). Publish encodes into the rank
-	// buffer and allocates nothing. Each step reuses step 1's keys, so
-	// the store's map only overwrites. 16 + 30 + 46 = 92; while the
-	// stores copied every Put it was 108, and the Vector fold before
-	// that allocated 144, its accumulators regrowing every step.
-	const p, dim, want = 16, 500, 92
+	// the root's put, 15 root reads). The 16 Puts hand the rank buffers
+	// to the store as they stand, the 30 object reads return the stored
+	// bytes, and an untraced request builds no bucket/key label. Publish
+	// encodes into the rank buffer and allocates nothing. Each step
+	// reuses step 1's keys, so the store's map only overwrites. 46 in
+	// all; while every request joined its label it was 92, while the
+	// stores copied every Put 108, and the Vector fold before that
+	// allocated 144, its accumulators regrowing every step.
+	const p, dim, want = 16, 500, 46
 	if raceEnabled {
 		t.Skip("race instrumentation makes EncodeTo's pooled sort scratch drop puts; the pin holds only uninstrumented")
 	}

@@ -11,13 +11,17 @@
 // only owns the data plane. Store is the one endpoint of the paper's
 // deployment: a single Redis VM.
 //
-// The store is safe for concurrent use. Set keeps the caller's slice;
-// Get and MGet return copies. Ownership rule: once bytes are stored,
-// nothing writes them again, except the exchange that published them,
-// and only after its own Expire has deleted the key.
+// The store is safe for concurrent use. It copies nothing: Set keeps
+// the caller's slice, and every read returns the stored bytes
+// themselves. Ownership rule: once bytes are stored, nothing writes them
+// again, except the exchange that published them, and only after its
+// own Expire has deleted the key. So a read is read-only and valid until
+// its publisher's Expire; an overwrite or Delete of its key replaces or
+// drops the slice wholesale and leaves a retained read intact.
 package kvstore
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -96,16 +100,12 @@ func (s *Store) Set(clk *vclock.Clock, key string, val []byte) {
 	s.cBytesWritten.Add(int64(len(val)))
 }
 
-// Get returns a copy of the value under key. The round trip is charged
-// to clk whether or not the key exists.
+// Get returns the value under key (read-only, see the package
+// comment). The round trip is charged to clk whether or not the key
+// exists.
 func (s *Store) Get(clk *vclock.Clock, key string) ([]byte, bool) {
 	s.mu.Lock()
 	val, ok := s.data[key]
-	var cp []byte
-	if ok {
-		cp = make([]byte, len(val))
-		copy(cp, val)
-	}
 	s.mu.Unlock()
 	s.cGets.Inc()
 
@@ -114,16 +114,15 @@ func (s *Store) Get(clk *vclock.Clock, key string) ([]byte, bool) {
 		s.pipe.Charge(clk, "get", key, 0, s.pipe.RTT())
 		return nil, false
 	}
-	s.cBytesRead.Add(int64(len(cp)))
-	s.pipe.Charge(clk, "get", key, len(cp), s.pipe.TransferTime(len(cp)))
-	return cp, true
+	s.cBytesRead.Add(int64(len(val)))
+	s.pipe.Charge(clk, "get", key, len(val), s.pipe.TransferTime(len(val)))
+	return val, true
 }
 
 // collect reads the values of keys into out, bumping the get/miss/bytes
-// counters, and returns the total bytes returned; views skips the
-// defensive copies. It performs no charging: the caller charges one
-// pipelined transfer.
-func (s *Store) collect(keys []string, out [][]byte, views bool) int {
+// counters, and returns the total bytes returned. It performs no
+// charging: the caller charges one pipelined transfer.
+func (s *Store) collect(keys []string, out [][]byte) int {
 	total := 0
 	s.mu.Lock()
 	for i, key := range keys {
@@ -133,28 +132,12 @@ func (s *Store) collect(keys []string, out [][]byte, views bool) int {
 			s.cMisses.Inc()
 			continue
 		}
-		if views {
-			out[i] = val
-		} else {
-			cp := make([]byte, len(val))
-			copy(cp, val)
-			out[i] = cp
-		}
+		out[i] = val
 		total += len(val)
 		s.cBytesRead.Add(int64(len(val)))
 	}
 	s.mu.Unlock()
 	return total
-}
-
-// MGet fetches several keys in one pipelined request: a single request
-// latency plus the bandwidth cost of all returned values. Missing keys
-// yield nil entries.
-func (s *Store) MGet(clk *vclock.Clock, keys []string) [][]byte {
-	out := make([][]byte, len(keys))
-	total := s.collect(keys, out, false)
-	s.pipe.Charge(clk, "mget", firstKey(keys), total, s.pipe.TransferTime(total))
-	return out
 }
 
 // firstKey labels a batched operation for fault injection; the batch's
@@ -166,24 +149,17 @@ func firstKey(keys []string) string {
 	return keys[0]
 }
 
-// MGetView is MGet without the defensive copies: the returned slices
-// are the stored values, read-only. A view survives an overwrite or
-// Delete of its key, which replace or drop the slice wholesale, and is
-// valid until its publisher's Expire. It is the hot path for applying
-// peer updates, which are read once, before their step expires.
-func (s *Store) MGetView(clk *vclock.Clock, keys []string) [][]byte {
-	return s.MGetViewInto(clk, keys, nil)
-}
-
-// MGetViewInto is MGetView writing into out, the zero-allocation
-// variant for steady-state pull loops: out is resized (reallocating
-// only when its capacity is short) and every entry is reset before the
-// reads, so missing keys yield nil exactly as in MGetView. Charging is
-// identical to MGetView. The returned slice must be passed back on the
-// next call to reuse its capacity.
+// MGetViewInto fetches several keys in one pipelined request, a single
+// request latency plus the bandwidth cost of all returned values, and
+// writes the stored values into out (read-only, like Get's). out is
+// resized, reallocating only when its capacity is short, and every
+// entry is reset before the reads, so missing keys yield nil. Pass the
+// returned slice back on the next call to reuse its capacity: the
+// steady-state pull loops allocate nothing here.
 func (s *Store) MGetViewInto(clk *vclock.Clock, keys []string, out [][]byte) [][]byte {
-	out = resizeViews(out, len(keys))
-	total := s.collect(keys, out, true)
+	out = slices.Grow(out[:0], len(keys))[:len(keys)]
+	clear(out)
+	total := s.collect(keys, out)
 	s.pipe.Charge(clk, "mget", firstKey(keys), total, s.pipe.TransferTime(total))
 	return out
 }
@@ -193,28 +169,14 @@ func (s *Store) MGetViewInto(clk *vclock.Clock, keys []string, out [][]byte) [][
 // for host work shared between callers that each pay for their own
 // charged read (the parameter server decodes a lock-step pull window
 // once for all replicas; each replica still issues its MGetViewInto).
-// Missing keys yield nil; the views follow MGetView's read-only
-// contract.
+// Missing keys yield nil; the views are read-only like every read.
 func (s *Store) PeekViewsInto(keys []string, out [][]byte) [][]byte {
-	out = resizeViews(out, len(keys))
+	out = slices.Grow(out[:0], len(keys))[:len(keys)]
 	s.mu.Lock()
 	for i, key := range keys {
 		out[i] = s.data[key]
 	}
 	s.mu.Unlock()
-	return out
-}
-
-// resizeViews returns out with length n and every entry nil, reusing
-// its backing array when large enough.
-func resizeViews(out [][]byte, n int) [][]byte {
-	if cap(out) < n {
-		return make([][]byte, n)
-	}
-	out = out[:n]
-	for i := range out {
-		out[i] = nil
-	}
 	return out
 }
 

@@ -34,21 +34,38 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
-// TestValueCopiedAtBoundary pins the read side of the ownership rule:
-// Get returns a copy, so a caller mutating it cannot reach the store.
-// (Set keeps the caller's slice; see TestSetKeepsCallerSlice.)
-func TestValueCopiedAtBoundary(t *testing.T) {
+// TestGetReturnsStoredSlice pins the read side of the ownership rule:
+// Get returns the slice Set stored, not a copy, and a value retained
+// from Get survives an overwrite and a Delete of its key, because both
+// replace or drop the map entry and never write stored bytes. (Set
+// keeps the caller's slice; see TestSetKeepsCallerSlice.)
+func TestGetReturnsStoredSlice(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
-	s.Set(&clk, "k", []byte("abc"))
-	got, _ := s.Get(&clk, "k")
-	if string(got) != "abc" {
-		t.Fatalf("Get = %q", got)
+	buf := []byte("abc")
+	s.Set(&clk, "k", buf)
+	got, ok := s.Get(&clk, "k")
+	if !ok || &got[0] != &buf[0] || len(got) != len(buf) {
+		t.Fatalf("Get = %q, %v; want the stored slice itself", got, ok)
 	}
-	got[0] = 'Y' // caller mutates returned buffer
-	again, _ := s.Get(&clk, "k")
-	if string(again) != "abc" {
-		t.Fatal("Get returned aliased internal buffer")
+	s.Set(&clk, "k", []byte("xyz"))
+	if string(got) != "abc" {
+		t.Fatalf("overwrite mutated a retained Get: %q", got)
+	}
+	s.Delete(&clk, "k")
+	if string(got) != "abc" {
+		t.Fatalf("Delete mutated a retained Get: %q", got)
+	}
+}
+
+// TestGetHitDoesNotAllocate pins that a read hands out the stored
+// bytes: a Get hit allocates nothing, whatever the value's size.
+func TestGetHitDoesNotAllocate(t *testing.T) {
+	s := fastStore()
+	var clk vclock.Clock
+	s.Set(&clk, "k", make([]byte, 1<<16))
+	if n := testing.AllocsPerRun(100, func() { s.Get(&clk, "k") }); n != 0 {
+		t.Fatalf("Get hit allocates %v, want 0", n)
 	}
 }
 
@@ -81,13 +98,19 @@ func TestKeysPrefixSorted(t *testing.T) {
 }
 
 func TestMGet(t *testing.T) {
-	s := fastStore()
+	link := netmodel.Link{Latency: time.Millisecond, BandwidthBps: 1e6}
+	s := New(link)
+	var setClk vclock.Clock
+	s.Set(&setClk, "a", make([]byte, 1000))
+	s.Set(&setClk, "c", make([]byte, 3000))
 	var clk vclock.Clock
-	s.Set(&clk, "a", []byte("1"))
-	s.Set(&clk, "c", []byte("3"))
-	got := s.MGet(&clk, []string{"a", "b", "c"})
-	if string(got[0]) != "1" || got[1] != nil || string(got[2]) != "3" {
-		t.Fatalf("MGet = %v", got)
+	got := s.MGetViewInto(&clk, []string{"a", "b", "c"}, nil)
+	if len(got[0]) != 1000 || got[1] != nil || len(got[2]) != 3000 {
+		t.Fatalf("MGetViewInto = %v", got)
+	}
+	// One latency + the 4 KB returned at 1 MB/s; the miss adds nothing.
+	if want := time.Millisecond + 4*time.Millisecond; clk.Now() != want {
+		t.Fatalf("MGetViewInto charged %v, want %v", clk.Now(), want)
 	}
 }
 
@@ -120,11 +143,11 @@ func TestMGetPipelinesLatency(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
-	s.MGet(&clk, keys)
+	s.MGetViewInto(&clk, keys, nil)
 	// One latency + 10 KB at 1 MB/s = 1 ms + 10 ms.
 	want := time.Millisecond + 10*time.Millisecond
 	if clk.Now() != want {
-		t.Fatalf("MGet charged %v, want %v", clk.Now(), want)
+		t.Fatalf("MGetViewInto charged %v, want %v", clk.Now(), want)
 	}
 }
 
@@ -195,28 +218,15 @@ func TestMGetViewSharesBuffers(t *testing.T) {
 	var clk vclock.Clock
 	s.Set(&clk, "a", []byte("abc"))
 	s.Set(&clk, "b", []byte("de"))
-	views := s.MGetView(&clk, []string{"a", "missing", "b"})
+	views := s.MGetViewInto(&clk, []string{"a", "missing", "b"}, nil)
 	if string(views[0]) != "abc" || views[1] != nil || string(views[2]) != "de" {
-		t.Fatalf("MGetView = %q", views)
+		t.Fatalf("MGetViewInto = %q", views)
 	}
 	// Overwriting a key must not disturb a previously returned view
 	// (stored values are immutable; Set replaces wholesale).
 	s.Set(&clk, "a", []byte("xyz"))
 	if string(views[0]) != "abc" {
 		t.Fatal("view mutated by a later Set")
-	}
-}
-
-func TestMGetViewChargesLikeMGet(t *testing.T) {
-	link := netmodel.Link{Latency: time.Millisecond, BandwidthBps: 1e6}
-	s := New(link)
-	var setClk vclock.Clock
-	s.Set(&setClk, "k", make([]byte, 5000))
-	var a, b vclock.Clock
-	s.MGet(&a, []string{"k"})
-	s.MGetView(&b, []string{"k"})
-	if a.Now() != b.Now() {
-		t.Fatalf("charging differs: MGet %v, MGetView %v", a.Now(), b.Now())
 	}
 }
 
@@ -285,7 +295,7 @@ func TestSetKeepsCallerSlice(t *testing.T) {
 	var clk vclock.Clock
 	buf := []byte("step-1-update")
 	s.Set(&clk, "upd", buf)
-	view := s.MGetView(&clk, []string{"upd"})[0]
+	view, _ := s.Get(&clk, "upd")
 	if &view[0] != &buf[0] || len(view) != len(buf) {
 		t.Fatal("Set stored a copy, want the caller's slice")
 	}
@@ -297,8 +307,8 @@ func TestSetKeepsCallerSlice(t *testing.T) {
 	if string(view) != "step-1-update" {
 		t.Fatalf("overwrite mutated a retained view: %q", view)
 	}
-	if got := s.MGetView(&clk, []string{"upd"})[0]; string(got) != "step-2-update" {
-		t.Fatalf("after overwrite MGetView = %q", got)
+	if got := s.MGetViewInto(&clk, []string{"upd"}, nil)[0]; string(got) != "step-2-update" {
+		t.Fatalf("after overwrite MGetViewInto = %q", got)
 	}
 	s.Delete(&clk, "upd")
 	if string(view) != "step-1-update" {
@@ -331,17 +341,19 @@ func TestMGetViewIntoReusesAndResets(t *testing.T) {
 	}
 }
 
-func TestMGetViewIntoChargesLikeMGetView(t *testing.T) {
+// TestMGetViewIntoChargesLikeGet pins that a one-key batched read costs
+// what a Get of that key costs, and that a missing key in the batch adds
+// nothing to it.
+func TestMGetViewIntoChargesLikeGet(t *testing.T) {
 	link := netmodel.Link{Latency: time.Millisecond, BandwidthBps: 1e6}
 	s := New(link)
 	var setClk vclock.Clock
 	s.Set(&setClk, "k", make([]byte, 5000))
 	var a, b vclock.Clock
-	s.MGetView(&a, []string{"k", "missing"})
-	scratch := make([][]byte, 0, 2)
-	s.MGetViewInto(&b, []string{"k", "missing"}, scratch)
+	s.Get(&a, "k")
+	s.MGetViewInto(&b, []string{"k", "missing"}, make([][]byte, 0, 2))
 	if a.Now() != b.Now() {
-		t.Fatalf("charging differs: MGetView %v, MGetViewInto %v", a.Now(), b.Now())
+		t.Fatalf("charging differs: Get %v, MGetViewInto %v", a.Now(), b.Now())
 	}
 }
 
@@ -356,7 +368,7 @@ func TestPeekViewsIntoIsFree(t *testing.T) {
 		t.Fatalf("peek moved the read counters: %d -> %d", before, after)
 	}
 	// The peek returns the very buffers a charged view read returns.
-	view := s.MGetView(&clk, []string{"a", "missing"})
+	view := s.MGetViewInto(&clk, []string{"a", "missing"}, nil)
 	if &peek[0][0] != &view[0][0] || peek[1] != nil {
 		t.Fatalf("peek = %q, want the charged views %q", peek, view)
 	}

@@ -11,9 +11,16 @@
 // The broker is safe for concurrent use; consumption is non-blocking
 // because the simulator's step engine polls at deterministic points
 // instead of parking goroutines.
+//
+// A publish copies msg once, so the publisher may reuse its buffer at
+// once; a fanout enqueues that one copy on every bound queue. Consumed
+// messages are those stored bytes, shared between queues: read-only,
+// like every store read in this simulator (package kvstore states the
+// ownership rule).
 package msgqueue
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -140,8 +147,7 @@ func (b *Broker) Unbind(exchange, queue string) {
 // Publish appends a copy of msg to queue, charging one transfer to clk.
 func (b *Broker) Publish(clk *vclock.Clock, queue string, msg []byte) error {
 	b.pipe.Charge(clk, "publish", queue, len(msg), b.pipe.TransferTime(len(msg)))
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
+	cp := bytes.Clone(msg)
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -154,9 +160,9 @@ func (b *Broker) Publish(clk *vclock.Clock, queue string, msg []byte) error {
 	return nil
 }
 
-// PublishFanout delivers a copy of msg to every queue bound to exchange.
-// A single transfer is charged: the broker VM, not the publisher,
-// performs the replication.
+// PublishFanout delivers msg to every queue bound to exchange: one copy,
+// enqueued on each. A single transfer is charged: the broker VM, not
+// the publisher, performs the replication.
 func (b *Broker) PublishFanout(clk *vclock.Clock, exchange string, msg []byte) error {
 	b.pipe.Charge(clk, "fanout", exchange, len(msg), b.pipe.TransferTime(len(msg)))
 
@@ -166,9 +172,8 @@ func (b *Broker) PublishFanout(clk *vclock.Clock, exchange string, msg []byte) e
 	if !ok {
 		return fmt.Errorf("publish to exchange %s: %w", exchange, ErrNoExchange)
 	}
+	cp := bytes.Clone(msg)
 	for q := range bound {
-		cp := make([]byte, len(msg))
-		copy(cp, msg)
 		b.queues[q] = append(b.queues[q], cp)
 		b.cPublished.Inc()
 		b.cBytesPublished.Add(int64(len(msg)))
@@ -195,11 +200,15 @@ func (b *Broker) Consume(clk *vclock.Clock, queue string) ([]byte, bool) {
 }
 
 // ConsumeAll drains queue, charging a single round trip plus the
-// bandwidth of everything returned (a batched basic.get).
+// bandwidth of everything returned (a batched basic.get). The drained
+// queue restarts with room for as many messages as it just returned, so
+// a queue refilled to the same depth every step does not regrow.
 func (b *Broker) ConsumeAll(clk *vclock.Clock, queue string) [][]byte {
 	b.mu.Lock()
-	msgs := b.queues[queue]
-	b.queues[queue] = nil
+	msgs, ok := b.queues[queue]
+	if ok {
+		b.queues[queue] = make([][]byte, 0, len(msgs))
+	}
 	b.cConsumed.Add(int64(len(msgs)))
 	b.mu.Unlock()
 

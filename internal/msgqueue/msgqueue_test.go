@@ -78,7 +78,11 @@ func TestFanout(t *testing.T) {
 	}
 }
 
-func TestFanoutCopiesPerQueue(t *testing.T) {
+// TestFanoutSharesOneCopy pins the fanout's ownership: every bound
+// queue receives the same single copy of the message, and the publisher
+// reusing its buffer afterwards (as the engine's announcements do)
+// changes no queued message.
+func TestFanoutSharesOneCopy(t *testing.T) {
 	b := fastBroker()
 	b.DeclareFanout("x")
 	b.DeclareQueue("a")
@@ -86,12 +90,48 @@ func TestFanoutCopiesPerQueue(t *testing.T) {
 	_ = b.Bind("x", "a")
 	_ = b.Bind("x", "b")
 	var clk vclock.Clock
-	_ = b.PublishFanout(&clk, "x", []byte("m"))
+	buf := []byte("m1")
+	_ = b.PublishFanout(&clk, "x", buf)
+	copy(buf, "zz")
 	msgA, _ := b.Consume(&clk, "a")
-	msgA[0] = 'Z'
 	msgB, _ := b.Consume(&clk, "b")
-	if string(msgB) != "m" {
-		t.Fatal("fanout queues share one buffer")
+	if string(msgA) != "m1" || string(msgB) != "m1" {
+		t.Fatalf("queued %q and %q, want the bytes as published", msgA, msgB)
+	}
+	if &msgA[0] != &msgB[0] {
+		t.Fatal("fanout queues hold separate copies, want one shared copy")
+	}
+	if &msgA[0] == &buf[0] {
+		t.Fatal("fanout queued the publisher's buffer, want a copy")
+	}
+}
+
+// TestFanoutAllocatesOneCopy pins that a fanout's host cost does not
+// grow with the number of bound queues: one message copy per publish,
+// once a ConsumeAll has sized each queue for the depth it refills to.
+func TestFanoutAllocatesOneCopy(t *testing.T) {
+	const depth = 8
+	for _, p := range []int{1, 4, 32} {
+		b := fastBroker()
+		b.DeclareFanout("x")
+		for i := 0; i < p; i++ {
+			q := fmt.Sprintf("q%d", i)
+			b.DeclareQueue(q)
+			_ = b.Bind("x", q)
+		}
+		var clk vclock.Clock
+		msg := []byte("announcement")
+		for i := 0; i < depth; i++ {
+			_ = b.PublishFanout(&clk, "x", msg)
+		}
+		for i := 0; i < p; i++ {
+			b.ConsumeAll(&clk, fmt.Sprintf("q%d", i))
+		}
+		// AllocsPerRun makes one warm-up call, so depth calls in all.
+		n := testing.AllocsPerRun(depth-1, func() { _ = b.PublishFanout(&clk, "x", msg) })
+		if n != 1 {
+			t.Fatalf("P=%d: PublishFanout allocates %v per publish, want 1", p, n)
+		}
 	}
 }
 
@@ -147,6 +187,17 @@ func TestConsumeAll(t *testing.T) {
 	}
 	if b.Len("q") != 0 {
 		t.Fatal("ConsumeAll left messages")
+	}
+	// The drained queue keeps room for the depth it returned.
+	if got := cap(b.queues["q"]); got != 3 {
+		t.Fatalf("drained queue capacity %d, want 3", got)
+	}
+	// Draining an undeclared queue returns nothing and declares nothing.
+	if msgs := b.ConsumeAll(&clk, "nope"); msgs != nil {
+		t.Fatalf("ConsumeAll(undeclared) = %v", msgs)
+	}
+	if err := b.Publish(&clk, "nope", []byte("m")); !errors.Is(err, ErrNoQueue) {
+		t.Fatalf("publish after draining an undeclared queue: err = %v, want ErrNoQueue", err)
 	}
 }
 

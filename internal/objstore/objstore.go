@@ -10,15 +10,20 @@
 // domain because the paper's failure modes live on the KV store, the
 // broker and the FaaS control plane, not on COS.
 //
-// Put and PutMulti keep the caller's slices; Get returns a copy. The
-// ownership rule is package kvstore's: once bytes are stored, nothing
-// writes them again, except the exchange that published them, and only
-// after its own Expire has deleted the key.
+// The store copies nothing: Put and PutMulti keep the caller's slices,
+// and every read (Get, GetRangeView, GetMultiViewInto, PeekView) returns
+// the stored bytes themselves. The ownership rule is package kvstore's:
+// once bytes are stored, nothing writes them again, except the exchange
+// that published them, and only after its own Expire has deleted the
+// key. So a read is read-only and valid until its publisher's Expire
+// (staged datasets never expire); an overwrite or Delete replaces or
+// drops the slice wholesale and leaves a retained read intact.
 package objstore
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,6 +115,15 @@ func (s *Store) lookup(bucket, key string) ([]byte, bool) {
 	return val, ok
 }
 
+// label names bucket/key in a span. The store draws no faults, so only
+// the tracer reads labels, and an untraced operation builds none.
+func (s *Store) label(bucket, key string) string {
+	if !s.pipe.Enabled() {
+		return ""
+	}
+	return bucket + "/" + key
+}
+
 // SetTracer installs (or, with nil, removes) a tracer recording one
 // span per operation on the calling clock's track. Do not call
 // concurrently with operations; the engine installs it during job setup
@@ -119,7 +133,7 @@ func (s *Store) SetTracer(tr *trace.Tracer) { s.pipe.SetTracer(tr) }
 // Put stores val itself (no copy) as bucket/key, creating the bucket
 // on demand.
 func (s *Store) Put(clk *vclock.Clock, bucket, key string, val []byte) {
-	s.pipe.Charge(clk, "put", bucket+"/"+key, len(val), s.pipe.TransferTime(len(val)))
+	s.pipe.Charge(clk, "put", s.label(bucket, key), len(val), s.pipe.TransferTime(len(val)))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -133,56 +147,49 @@ func (s *Store) Put(clk *vclock.Clock, bucket, key string, val []byte) {
 	s.cBytesWritten.Add(int64(len(val)))
 }
 
-// Get returns a copy of the object at bucket/key.
+// Get returns the object at bucket/key (read-only, see the package
+// comment).
 func (s *Store) Get(clk *vclock.Clock, bucket, key string) ([]byte, error) {
 	val, ok := s.lookup(bucket, key)
-	var cp []byte
-	if ok {
-		cp = make([]byte, len(val))
-		copy(cp, val)
-	}
 	s.cGets.Inc()
 
 	if !ok {
-		s.pipe.ChargeUntraced(clk, "get", bucket+"/"+key, s.pipe.RTT())
+		s.pipe.ChargeUntraced(clk, "get", s.label(bucket, key), s.pipe.RTT())
 		return nil, fmt.Errorf("get %s/%s: %w", bucket, key, ErrNotFound)
 	}
-	s.cBytesRead.Add(int64(len(cp)))
-	s.pipe.Charge(clk, "get", bucket+"/"+key, len(cp), s.pipe.TransferTime(len(cp)))
-	return cp, nil
+	s.cBytesRead.Add(int64(len(val)))
+	s.pipe.Charge(clk, "get", s.label(bucket, key), len(val), s.pipe.TransferTime(len(val)))
+	return val, nil
 }
 
 // GetRangeView returns a zero-copy view of length bytes at offset off
 // of the object at bucket/key — an HTTP ranged read: one request that
 // pays the first-byte latency plus the transfer of just the requested
 // range, the access pattern of the columnar shard tier (one batch
-// block per step out of a multi-batch shard). The view is read-only;
-// it survives an overwrite or Delete of the object and is valid until
-// its publisher's Expire (staged datasets never expire). A missing
-// object or a range outside it costs one round trip and errors.
+// block per step out of a multi-batch shard). A missing object or a
+// range outside it costs one round trip and errors.
 func (s *Store) GetRangeView(clk *vclock.Clock, bucket, key string, off, length int) ([]byte, error) {
 	val, ok := s.lookup(bucket, key)
 	s.cGets.Inc()
 
 	if !ok {
-		s.pipe.ChargeUntraced(clk, "getrange", bucket+"/"+key, s.pipe.RTT())
+		s.pipe.ChargeUntraced(clk, "getrange", s.label(bucket, key), s.pipe.RTT())
 		return nil, fmt.Errorf("getrange %s/%s: %w", bucket, key, ErrNotFound)
 	}
 	if off < 0 || length < 0 || off+length > len(val) {
-		s.pipe.ChargeUntraced(clk, "getrange", bucket+"/"+key, s.pipe.RTT())
+		s.pipe.ChargeUntraced(clk, "getrange", s.label(bucket, key), s.pipe.RTT())
 		return nil, fmt.Errorf("getrange %s/%s: range [%d,%d) outside %d-byte object",
 			bucket, key, off, off+length, len(val))
 	}
 	s.cBytesRead.Add(int64(length))
-	s.pipe.Charge(clk, "getrange", bucket+"/"+key, length, s.pipe.TransferTime(length))
+	s.pipe.Charge(clk, "getrange", s.label(bucket, key), length, s.pipe.TransferTime(length))
 	return val[off : off+length], nil
 }
 
 // PeekView returns a zero-copy view of bucket/key without charging any
 // virtual time: simulator-side access for caches that parse an object
 // once while billing every read through Get/GetRangeView
-// (dataset.ShardCache's parse-once bookkeeping). The view follows
-// GetRangeView's contract.
+// (dataset.ShardCache's parse-once bookkeeping).
 func (s *Store) PeekView(bucket, key string) ([]byte, bool) {
 	return s.lookup(bucket, key)
 }
@@ -223,13 +230,13 @@ func (s *Store) PutMulti(clk *vclock.Clock, bucket string, keys []string, vals [
 		panic(fmt.Sprintf("objstore: PutMulti with %d keys, %d values", len(keys), len(vals)))
 	}
 	if len(keys) == 0 {
-		s.pipe.Charge(clk, "mput", bucket+"/", 0, s.pipe.TransferTime(0))
+		s.pipe.Charge(clk, "mput", s.label(bucket, ""), 0, s.pipe.TransferTime(0))
 		return
 	}
 	start := clk.Now()
 	var max time.Duration
 	for i, key := range keys {
-		label := bucket + "/" + key
+		label := s.label(bucket, key)
 		base := s.streamTime(len(keys), len(vals[i]))
 		cost := s.pipe.Cost("mput", label, start, base)
 		if cost > max {
@@ -259,15 +266,14 @@ func (s *Store) PutMulti(clk *vclock.Clock, bucket string, keys []string, vals [
 // returns zero-copy views of the stored objects, writing into out
 // (resized, reallocating only when its capacity is short; pass the
 // returned slice back to reuse it). Missing keys yield nil entries and
-// are charged one round trip each. Views follow GetRangeView's
-// contract.
+// are charged one round trip each.
 // Charging mirrors PutMulti: each branch pays the first-byte latency,
 // the streams share the caller's NIC, and the clock advances by the
 // slowest branch.
 func (s *Store) GetMultiViewInto(clk *vclock.Clock, bucket string, keys []string, out [][]byte) [][]byte {
-	out = resizeViews(out, len(keys))
+	out = slices.Grow(out[:0], len(keys))[:len(keys)]
 	if len(keys) == 0 {
-		s.pipe.Charge(clk, "mget", bucket+"/", 0, s.pipe.TransferTime(0))
+		s.pipe.Charge(clk, "mget", s.label(bucket, ""), 0, s.pipe.TransferTime(0))
 		return out
 	}
 
@@ -278,7 +284,7 @@ func (s *Store) GetMultiViewInto(clk *vclock.Clock, bucket string, keys []string
 	start := clk.Now()
 	var max time.Duration
 	for i, key := range keys {
-		label := bucket + "/" + key
+		label := s.label(bucket, key)
 		s.cGets.Inc()
 		var base time.Duration
 		if out[i] == nil {
@@ -299,23 +305,10 @@ func (s *Store) GetMultiViewInto(clk *vclock.Clock, bucket string, keys []string
 	return out
 }
 
-// resizeViews returns out with length n and every entry nil, reusing
-// its backing array when large enough.
-func resizeViews(out [][]byte, n int) [][]byte {
-	if cap(out) < n {
-		return make([][]byte, n)
-	}
-	out = out[:n]
-	for i := range out {
-		out[i] = nil
-	}
-	return out
-}
-
 // Size returns the byte size of an object without transferring it
 // (a HEAD request: one round trip).
 func (s *Store) Size(clk *vclock.Clock, bucket, key string) (int, error) {
-	s.pipe.ChargeUntraced(clk, "head", bucket+"/"+key, s.pipe.RTT())
+	s.pipe.ChargeUntraced(clk, "head", s.label(bucket, key), s.pipe.RTT())
 
 	val, ok := s.lookup(bucket, key)
 	if !ok {
@@ -327,7 +320,7 @@ func (s *Store) Size(clk *vclock.Clock, bucket, key string) (int, error) {
 // Delete removes bucket/key. Deleting a missing object is not an error,
 // mirroring S3/COS semantics.
 func (s *Store) Delete(clk *vclock.Clock, bucket, key string) {
-	s.pipe.ChargeUntraced(clk, "del", bucket+"/"+key, s.pipe.RTT())
+	s.pipe.ChargeUntraced(clk, "del", s.label(bucket, key), s.pipe.RTT())
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,7 +330,7 @@ func (s *Store) Delete(clk *vclock.Clock, bucket, key string) {
 
 // List returns the sorted keys in bucket with the given prefix.
 func (s *Store) List(clk *vclock.Clock, bucket, prefix string) []string {
-	s.pipe.ChargeUntraced(clk, "list", bucket+"/"+prefix, s.pipe.RTT())
+	s.pipe.ChargeUntraced(clk, "list", s.label(bucket, prefix), s.pipe.RTT())
 
 	s.cLists.Inc()
 	seen := make(map[string]bool)

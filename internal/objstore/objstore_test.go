@@ -36,21 +36,37 @@ func TestGetMissingWrapsErrNotFound(t *testing.T) {
 	}
 }
 
-// TestValueCopiedAtBoundary pins the read side of the ownership rule:
-// Get returns a copy. (Put keeps the caller's slice; see
-// TestPutKeepsCallerSlice.)
-func TestValueCopiedAtBoundary(t *testing.T) {
+// TestGetReturnsStoredSlice pins the read side of the ownership rule:
+// Get returns the slice Put stored, not a copy, and a value retained
+// from Get survives an overwrite and a Delete of its object. (Put keeps
+// the caller's slice; see TestPutKeepsCallerSlice.)
+func TestGetReturnsStoredSlice(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
-	s.Put(&clk, "b", "k", []byte("abc"))
-	got, _ := s.Get(&clk, "b", "k")
-	if string(got) != "abc" {
-		t.Fatalf("Get = %q", got)
+	buf := []byte("abc")
+	s.Put(&clk, "b", "k", buf)
+	got, err := s.Get(&clk, "b", "k")
+	if err != nil || &got[0] != &buf[0] || len(got) != len(buf) {
+		t.Fatalf("Get = %q, %v; want the stored slice itself", got, err)
 	}
-	got[0] = 'Y'
-	again, _ := s.Get(&clk, "b", "k")
-	if string(again) != "abc" {
-		t.Fatal("Get aliased internal buffer")
+	s.Put(&clk, "b", "k", []byte("xyz"))
+	if string(got) != "abc" {
+		t.Fatalf("overwrite mutated a retained Get: %q", got)
+	}
+	s.Delete(&clk, "b", "k")
+	if string(got) != "abc" {
+		t.Fatalf("Delete mutated a retained Get: %q", got)
+	}
+}
+
+// TestGetHitDoesNotAllocate pins that a read hands out the stored
+// bytes: a Get hit allocates nothing, whatever the object's size.
+func TestGetHitDoesNotAllocate(t *testing.T) {
+	s := fastStore()
+	var clk vclock.Clock
+	s.Put(&clk, "b", "k", make([]byte, 1<<16))
+	if n := testing.AllocsPerRun(100, func() { s.Get(&clk, "b", "k") }); n != 0 {
+		t.Fatalf("Get hit allocates %v, want 0", n)
 	}
 }
 

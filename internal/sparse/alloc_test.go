@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -150,6 +151,30 @@ func TestEncodeToDoesNotAllocate(t *testing.T) {
 		buf = v.EncodeTo(buf[:0])
 	}); n != 0 {
 		t.Fatalf("EncodeTo allocated %v per run", n)
+	}
+}
+
+// TestEncodeToGrowsGeometrically pins the growth rule of a reused
+// payload buffer: encoding 1…4096 ascending entries into one buffer
+// changes its capacity O(log n) times, not once per growing encode.
+// append's growth (×2 while small, tending to ×1.25 past 256 bytes,
+// rounded up to size classes) regrows it 20 times here, where exact
+// sizing regrows on every encode.
+func TestEncodeToGrowsGeometrically(t *testing.T) {
+	const entries = 4096
+	v := New()
+	var buf []byte
+	changes := 0
+	for i := uint32(0); i < entries; i++ {
+		v.Set(i, 1)
+		old := cap(buf)
+		buf = v.EncodeTo(buf[:0])
+		if cap(buf) != old {
+			changes++
+		}
+	}
+	if limit := 2 * bits.Len(entries-1); changes > limit { // 2⌈log₂ 4096⌉ = 24
+		t.Fatalf("encoding 1…%d entries into one buffer regrew it %d times, want ≤ %d", entries, changes, limit)
 	}
 }
 

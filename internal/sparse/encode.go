@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary layout of an encoded sparse vector:
@@ -44,14 +45,15 @@ func (v *Vector) Encode() []byte {
 }
 
 // EncodeTo appends the vector's encoding to buf and returns the
-// extended slice, reallocating only when buf lacks capacity: the
-// zero-allocation publish path (the exchanges keep each worker's
-// payload buffers and reuse them once the store lets go). The appended
-// bytes are identical to Encode's. A run is written as it stands; an
-// indexed vector is sorted first.
+// extended slice: the zero-allocation publish path (the exchanges keep
+// each worker's payload buffers and reuse them once the store lets go).
+// It reallocates only when buf lacks capacity, and then geometrically
+// (slices.Grow), so a buffer reused across growing encodes reallocates
+// O(log n) times. The appended bytes are identical to Encode's. A run
+// is written as it stands; an indexed vector is sorted first.
 func (v *Vector) EncodeTo(buf []byte) []byte {
 	need := v.EncodedSize()
-	buf = ensureCap(buf, need)
+	buf = slices.Grow(buf, need)
 	start := len(buf)
 	buf = buf[:start+need]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(v.idx)))
@@ -64,16 +66,6 @@ func (v *Vector) EncodeTo(buf []byte) []byte {
 	}
 	release(ps)
 	return buf
-}
-
-// ensureCap returns buf with room for at least extra more bytes.
-func ensureCap(buf []byte, extra int) []byte {
-	if cap(buf)-len(buf) >= extra {
-		return buf
-	}
-	nb := make([]byte, len(buf), len(buf)+extra)
-	copy(nb, buf)
-	return nb
 }
 
 // encodedLen validates buf as a sparse encoding and returns its entry
@@ -188,7 +180,7 @@ func (d Dense) Encode() []byte {
 // slice (see Vector.EncodeTo for the reuse contract).
 func (d Dense) EncodeTo(buf []byte) []byte {
 	need := DenseEncodedSize(len(d))
-	buf = ensureCap(buf, need)
+	buf = slices.Grow(buf, need)
 	start := len(buf)
 	buf = buf[:start+need]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(d)))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // FoldScratch is a dense accumulator: a float64 sum per coordinate and
@@ -197,7 +198,7 @@ func (s *FoldScratch) emit(dst []byte) []byte {
 	for _, w := range s.touched {
 		distinct += bits.OnesCount64(w)
 	}
-	dst = ensureCap(dst, sparseHeaderSize+distinct*sparseEntrySize)
+	dst = slices.Grow(dst, sparseHeaderSize+distinct*sparseEntrySize)
 	start := len(dst)
 	off := start + sparseHeaderSize
 	buf := dst[:cap(dst)]
