@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 	"mlless/internal/core"
 	"mlless/internal/cost"
 	"mlless/internal/exchange"
+	"mlless/internal/faas"
 	"mlless/internal/faults"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
@@ -566,4 +568,180 @@ func BenchmarkFleetStripped(b *testing.B) {
 		arrivals += len(cfg.Arrivals)
 	}
 	b.ReportMetric(float64(runs)/float64(arrivals), "executions/arrival")
+}
+
+// eagerTranslate is the outcome translation the decision pass made on
+// every admission before passes read cached outcomes untranslated: shift
+// absolute times by the start-time delta and relabel the namespace, the
+// bill total recomputed in the renamed sort order, exactly as
+// cost.Meter.Report would have summed it for a native run under the
+// target namespace. It is kept as the oracle the pass ledger is pinned
+// against.
+func eagerTranslate(src *outcome, from, to execCtx) *outcome {
+	dt := to.startAt - from.startAt
+	oldID, newID := from.id(), to.id()
+
+	r := *src.res
+	r.ID = newID
+	if len(src.res.History) > 0 {
+		h := make([]core.LossPoint, len(src.res.History))
+		copy(h, src.res.History)
+		for i := range h {
+			h[i].Time += dt
+		}
+		r.History = h
+	}
+	if len(src.res.Removals) > 0 {
+		rms := make([]core.Removal, len(src.res.Removals))
+		copy(rms, src.res.Removals)
+		for i := range rms {
+			rms[i].Time += dt
+		}
+		r.Removals = rms
+	}
+	comps := make([]cost.Component, len(src.res.Cost.Components))
+	copy(comps, src.res.Cost.Components)
+	for i := range comps {
+		comps[i].Name = rename(comps[i].Name, oldID, newID)
+	}
+	sort.Slice(comps, func(i, j int) bool { return comps[i].Name < comps[j].Name })
+	total := 0.0
+	for _, c := range comps {
+		if c.Kind == "memo" {
+			continue
+		}
+		total += c.Dollars
+	}
+	r.Cost = cost.Report{Components: comps, Total: total}
+
+	billed := make([]faas.BilledRun, len(src.billed))
+	copy(billed, src.billed)
+	for i := range billed {
+		billed[i].Name = rename(billed[i].Name, oldID, newID)
+	}
+	return &outcome{res: &r, finalWarm: src.finalWarm, billed: billed, counters: src.counters}
+}
+
+// settledPass drives the case's fleet on a pool of par goroutines until
+// a pass resolves every admission exactly and returns that pass unfolded,
+// with the executor whose cache it resolved from.
+func settledPass(t *testing.T, c fleetCase, par int) (*pass, *executor, []Arrival) {
+	t.Helper()
+	cfg, _ := c.build(t)
+	f, err := newFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := newExecutor(f, par)
+	t.Cleanup(ex.close)
+	arrivals := append([]Arrival(nil), cfg.Arrivals...)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
+	base := f.cl.ReserveJobIDs(len(arrivals))
+	warm0 := f.cl.Platform.WarmPool()
+	for {
+		p := f.runPass(arrivals, base, warm0, ex.resolve)
+		if p.err != nil {
+			t.Fatal(p.err)
+		}
+		if p.exact {
+			return p, ex, arrivals
+		}
+		ex.trim()
+		for _, ctx := range p.ctxs {
+			ex.submit(ctx)
+		}
+		ex.await(p.frontier.key())
+	}
+}
+
+// sameRecord reports whether two job records are equal bit for bit.
+func sameRecord(a, b JobRecord) bool {
+	return a == b && math.Float64bits(a.FunctionDollars) == math.Float64bits(b.FunctionDollars) &&
+		math.Float64bits(a.FinalLoss) == math.Float64bits(b.FinalLoss)
+}
+
+// sameEvent compares the exported fields of two log events.
+func sameEvent(a, b Event) bool {
+	return a.At == b.At && a.Kind == b.Kind && a.Tenant == b.Tenant && a.Job == b.Job && a.Detail == b.Detail
+}
+
+func TestPassLedgerMatchesEagerTranslation(t *testing.T) {
+	// Every record and event of the final pass must be what eagerly
+	// translating each admission's cached execution onto it produces:
+	// instants shifted by the start-time delta, the namespace relabelled,
+	// the function share summed in the renamed order. Records, events and
+	// bills are built here from the translated outcome the way the pass
+	// once built them, independently of how the pass builds them now.
+	for _, c := range goldenCases {
+		for _, par := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/host-par-%d", c.name, par), func(t *testing.T) {
+				p, ex, arrivals := settledPass(t, c, par)
+				byJob := map[string][]Event{}
+				for _, ev := range p.events {
+					if ev.Kind != "arrive" {
+						byJob[ev.Job] = append(byJob[ev.Job], ev)
+					}
+				}
+				for i, ctx := range p.ctxs {
+					e := ex.entries[ctx.key()]
+					tr := eagerTranslate(e.out, e.ctx, ctx)
+					res, arr := tr.res, arrivals[ctx.arrSeq]
+					wait := ctx.startAt - arr.At
+					want := JobRecord{
+						ID: res.ID, Tenant: ctx.tenant, Workload: ctx.workload,
+						ArriveAt: arr.At, AdmitAt: ctx.startAt, CompleteAt: ctx.startAt + res.ExecTime,
+						Wait: wait, Exec: res.ExecTime,
+						Workers: arr.Job.Spec.Workers, Shrunk: len(res.Removals),
+						FunctionTime: functionTime(res), FunctionDollars: functionDollars(res),
+						Converged: res.Converged, FinalLoss: res.FinalLoss, Steps: res.Steps,
+					}
+					if !sameRecord(p.jobs[i], want) {
+						t.Fatalf("admission %d: pass records\n%+v\neager translation gives\n%+v", i, p.jobs[i], want)
+					}
+
+					evs := []Event{{At: ctx.startAt, Kind: "admit", Tenant: ctx.tenant, Job: res.ID,
+						Detail: fmt.Sprintf("workload=%s demand=%d waited=%.3fs", ctx.workload, ctx.demand, wait.Seconds())}}
+					if ctx.give > 0 {
+						evs = append(evs, Event{At: ctx.startAt, Kind: "shrink-request", Tenant: ctx.tenant, Job: res.ID,
+							Detail: fmt.Sprintf("give=%d", ctx.give)})
+					}
+					for _, rm := range res.Removals {
+						evs = append(evs, Event{At: rm.Time, Kind: "scale-in", Tenant: ctx.tenant, Job: res.ID,
+							Detail: fmt.Sprintf("worker=%d left=%d", rm.Worker, rm.WorkersLeft)})
+					}
+					evs = append(evs, Event{At: ctx.startAt + res.ExecTime, Kind: "complete", Tenant: ctx.tenant, Job: res.ID,
+						Detail: fmt.Sprintf("workload=%s steps=%d converged=%v loss=%.6f", ctx.workload, res.Steps, res.Converged, res.FinalLoss)})
+					got := byJob[res.ID]
+					if len(got) != len(evs) {
+						t.Fatalf("admission %d: %d events in the pass, eager translation gives %d", i, len(got), len(evs))
+					}
+					for k := range evs {
+						if !sameEvent(got[k], evs[k]) {
+							t.Fatalf("admission %d event %d: pass logs %q, eager translation gives %q", i, k, got[k], evs[k])
+						}
+					}
+
+					if billed := p.outs[i].billed; !reflect.DeepEqual(billed, tr.billed) {
+						t.Fatalf("admission %d: bill relabels to %v, eager translation gives %v", i, billed, tr.billed)
+					}
+				}
+				var arrives []Event
+				for _, ev := range p.events {
+					if ev.Kind == "arrive" {
+						arrives = append(arrives, ev)
+					}
+				}
+				if len(arrives) != len(arrivals) {
+					t.Fatalf("%d arrive events for %d arrivals", len(arrives), len(arrivals))
+				}
+				for k, a := range arrivals {
+					want := Event{At: a.At, Kind: "arrive", Tenant: a.Tenant, Job: a.Workload,
+						Detail: fmt.Sprintf("demand=%d", a.Job.Spec.Workers+1)}
+					if !sameEvent(arrives[k], want) {
+						t.Fatalf("arrival %d: pass logs %q, want %q", k, arrives[k], want)
+					}
+				}
+			})
+		}
+	}
 }
