@@ -35,17 +35,20 @@
 // most one pass per arrival.
 //
 // Every job memoable admits is keyed without its start time, job
-// number or tenant and translated to wherever the final pass admits it:
-// every virtual duration in such a run is independent of absolute start
-// time, and key or name lengths never enter link charging. So such a
-// job runs speculatively on an idle executor as soon as some pass
-// predicts its (shrink, warm) context, template or not. A template key
-// only adds sharing: every arrival of the template resolves from one
-// canonical execution per context. Fault decisions are pure functions
-// of (seed, operation, key, virtual time) and a tracer records absolute
-// times and names into the caller's buffer, so faulted, traced,
-// auto-tuned and wall-clock-bounded jobs take exact per-admission keys
-// instead and execute once, when certain.
+// number or tenant and serves wherever the final pass admits it: every
+// virtual duration in such a run is independent of absolute start time,
+// and key or name lengths never enter link charging. A pass reads the
+// cached outcome as the execution left it, shifting its eviction
+// instants by the start-time delta; only the fold relabels billing
+// names, and only for the final pass. So such a job runs speculatively
+// on an idle executor as soon as some pass predicts its (shrink, warm)
+// context, template or not. A template key only adds sharing: every
+// arrival of the template resolves from one canonical execution per
+// context. Fault decisions are pure functions of (seed, operation, key,
+// virtual time) and a tracer records absolute times and names into the
+// caller's buffer, so faulted, traced, auto-tuned and
+// wall-clock-bounded jobs take exact per-admission keys instead and
+// execute once, when certain.
 //
 // Why the result is the same at every HostPar value: the final pass
 // replays the control loop purely from cached outcomes, and each outcome
@@ -59,9 +62,9 @@
 // all-exact fixed point is unique: it is the trajectory of executing
 // every admission inline, in order.
 //
-// What the fold writes back: the event log and job records from the
-// final pass; every execution's billed runs
-// (translated names, termination order, admission-ordered) absorbed
+// What the fold writes back: the event log (rendered from the final
+// pass's event fields) and job records; every execution's billed runs
+// (relabelled names, termination order, admission-ordered) absorbed
 // into the shared platform so BillTo and BilledFunctionSeconds cover the
 // fleet; every execution's service counters summed into the shared
 // registry; the final warm-pool ledger. Sandbox-private broker queue
@@ -72,15 +75,14 @@ package tenant
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"mlless/internal/consistency"
 	"mlless/internal/core"
-	"mlless/internal/cost"
 	"mlless/internal/faas"
 	"mlless/internal/kvstore"
 	"mlless/internal/msgqueue"
@@ -97,11 +99,11 @@ type execCtx struct {
 	workload string
 	tmplKey  string
 	startAt  time.Duration
-	give     int  // contention-triggered shrink request (0 = none)
-	warm     int  // warm containers preset from the fleet ledger
-	demand   int  // workers + supervisor
-	certain  bool // true iff every earlier admission resolved exactly
-	job      core.Job
+	give     int       // contention-triggered shrink request (0 = none)
+	warm     int       // warm containers preset from the fleet ledger
+	demand   int       // workers + supervisor
+	certain  bool      // true iff every earlier admission resolved exactly
+	job      *core.Job // the arrival's, shared and never written
 }
 
 // id is the namespace the job runs under.
@@ -110,7 +112,7 @@ func (c execCtx) id() string { return core.JobNamespace(c.tenant, c.num) }
 // stamped returns the arrival's job with the control-plane spec fields
 // filled in for this admission.
 func (c execCtx) stamped() core.Job {
-	job := c.job
+	job := *c.job
 	job.Spec.Tenant = c.tenant
 	job.Spec.StartAt = c.startAt
 	if c.give > 0 {
@@ -133,50 +135,107 @@ func (c execCtx) memoable() bool {
 		c.job.Trace == nil && !c.job.Spec.Faults.Enabled()
 }
 
-// memoID names the job a memoable execution trains: its template when
+// memoKey names the job a memoable execution trains: its template when
 // the arrival carries one (shared by every arrival stamped from it),
-// otherwise the arrival itself. The two namespaces cannot collide — a
-// template ID starts with 't', an arrival ID with 'a'.
-func (c execCtx) memoID() string {
-	if c.tmplKey != "" {
-		return "t\x00" + c.tmplKey
-	}
-	return "a\x00" + strconv.Itoa(c.arrSeq)
+// otherwise the arrival itself. The two cannot collide: a template key
+// is never empty, and an arrival's memo key has an empty template.
+type memoKey struct {
+	tmpl   string
+	arrSeq int
 }
 
-// key identifies the execution's result cache slot: (memoID, give,
+func (c execCtx) memoID() memoKey {
+	if c.tmplKey != "" {
+		return memoKey{tmpl: c.tmplKey}
+	}
+	return memoKey{arrSeq: c.arrSeq}
+}
+
+// execKey identifies an execution's result cache slot: (memoID, give,
 // warm) for memoable jobs — no start time, job number or tenant, so one
 // execution serves the admission wherever the final pass places it —
 // and the full exact context otherwise.
-func (c execCtx) key() string {
-	if c.memoable() {
-		return fmt.Sprintf("m\x00%s\x00g%d w%d", c.memoID(), c.give, c.warm)
-	}
-	return fmt.Sprintf("x\x00%d %d %s %d %d %d", c.arrSeq, c.num, c.tenant, c.startAt, c.give, c.warm)
+type execKey struct {
+	memo       memoKey
+	exact      bool
+	num        int
+	tenant     string
+	startAt    time.Duration
+	give, warm int
 }
 
-// outcome is everything the control plane consumes from one execution.
+func (c execCtx) key() execKey {
+	if c.memoable() {
+		return execKey{memo: c.memoID(), give: c.give, warm: c.warm}
+	}
+	return execKey{memo: memoKey{arrSeq: c.arrSeq}, exact: true,
+		num: c.num, tenant: c.tenant, startAt: c.startAt, give: c.give, warm: c.warm}
+}
+
+// outcome is everything the control plane consumes from one execution,
+// as the execution left it: absolute instants and billing names belong
+// to the context it ran under.
 type outcome struct {
+	ran       execCtx
 	res       *core.Result
 	finalWarm int              // sandbox warm pool after the run
-	billed    []faas.BilledRun // translated into the ctx's namespace
+	billed    []faas.BilledRun // in ran's namespace; the fold relabels them
 	counters  []trace.Metric   // sandbox registry snapshot
+	// The job's billed function time and charges, summed once by
+	// executor.finish: a pass charges them to every admission the
+	// execution serves.
+	funcTime    time.Duration
+	funcDollars float64
 }
 
+// noResult is the zero outcome's result: shared, never written.
+var noResult core.Result
+
 // resolver returns the outcome for an execution context and whether it
-// is exact. A non-nil error aborts the fleet; it is only returned for
-// certain contexts whose execution genuinely failed.
+// is exact. The outcome is untranslated: its ran field is the context
+// it executed under. A non-nil error aborts the fleet; it is only
+// returned for certain contexts whose execution genuinely failed.
 type resolver func(execCtx) (out *outcome, exact bool, err error)
 
-// pass is one replay of the fleet control loop over pure ledgers.
+// Event kinds as a pass records them; eventKinds holds their log names.
+const (
+	evArrive = iota
+	evAdmit
+	evShrink
+	evScaleIn
+	evComplete
+)
+
+var eventKinds = [...]string{"arrive", "admit", "shrink-request", "scale-in", "complete"}
+
+// passEvent is a control-plane event as a pass records it: the kind's
+// fields, not its text. Only the folded pass renders its events.
+type passEvent struct {
+	at   time.Duration
+	kind int
+	seq  int // creation order, tie-break for equal at
+	ref  int // arrival index for evArrive, admission index otherwise
+	// demand (arrive, admit), give (shrink-request), or worker and
+	// workers left (scale-in)
+	a, b int
+}
+
+// pass is one replay of the fleet control loop over pure ledgers. One
+// pass value serves every replay of a fleet: runPass empties its ledgers
+// and keeps their backing arrays.
 type pass struct {
+	// The replay's inputs, the same for every pass of a fleet.
+	arrivals []Arrival // sorted by (At, index)
+	base     int       // first reserved cluster job number
+	warm0    int       // the shared platform's warm pool before the fleet
+
 	exact    bool
 	err      error
-	frontier *execCtx
+	frontier int // index in ctxs of the first inexact admission
 	ctxs     []execCtx
 	outs     []*outcome
 
-	events []Event
+	events []passEvent
 	jobs   []JobRecord
 	served map[string]time.Duration // per-tenant billed function time
 
@@ -184,14 +243,43 @@ type pass struct {
 	totalInUse int
 	warm       int
 	releases   []release
-	waitq      []*waiting
+	waitq      []waiting
 	now        time.Duration
 	seq        int
 }
 
-func (p *pass) event(at time.Duration, kind, tenant, job, detail string) {
-	p.events = append(p.events, Event{At: at, Kind: kind, Tenant: tenant, Job: job, Detail: detail, seq: p.seq})
+func (p *pass) event(at time.Duration, kind, ref, a, b int) {
+	p.events = append(p.events, passEvent{at: at, kind: kind, seq: p.seq, ref: ref, a: a, b: b})
 	p.seq++
+}
+
+// renderEvents renders the pass's event log. The fold calls it once, on
+// the final pass.
+func (p *pass) renderEvents() []Event {
+	evs := make([]Event, len(p.events))
+	for i, e := range p.events {
+		ev := Event{At: e.at, Kind: eventKinds[e.kind], seq: e.seq}
+		if e.kind == evArrive {
+			a := &p.arrivals[e.ref]
+			ev.Tenant, ev.Job = a.Tenant, a.Workload
+			ev.Detail = fmt.Sprintf("demand=%d", e.a)
+		} else {
+			j := &p.jobs[e.ref]
+			ev.Tenant, ev.Job = j.Tenant, j.ID
+			switch e.kind {
+			case evAdmit:
+				ev.Detail = fmt.Sprintf("workload=%s demand=%d waited=%.3fs", j.Workload, e.a, j.Wait.Seconds())
+			case evShrink:
+				ev.Detail = fmt.Sprintf("give=%d", e.a)
+			case evScaleIn:
+				ev.Detail = fmt.Sprintf("worker=%d left=%d", e.a, e.b)
+			case evComplete:
+				ev.Detail = fmt.Sprintf("workload=%s steps=%d converged=%v loss=%.6f", j.Workload, j.Steps, j.Converged, j.FinalLoss)
+			}
+		}
+		evs[i] = ev
+	}
+	return evs
 }
 
 func (p *pass) release(at time.Duration, tenant, job string, n int) {
@@ -207,7 +295,7 @@ func (p *pass) release(at time.Duration, tenant, job string, n int) {
 // eviction releases of one job stay ordered and the instant's net
 // effect is a pure function of fleet state.
 func (p *pass) applyReleases() {
-	sort.SliceStable(p.releases, releaseLess(p.releases))
+	slices.SortStableFunc(p.releases, compareReleases)
 	n := 0
 	for _, r := range p.releases {
 		if r.at > p.now {
@@ -223,10 +311,10 @@ func (p *pass) applyReleases() {
 
 // nextInstant returns the earliest future virtual instant with work to
 // do: the next submission or the next reservation release.
-func (p *pass) nextInstant(arrivals []Arrival, ai int) (time.Duration, bool) {
+func (p *pass) nextInstant(ai int) (time.Duration, bool) {
 	next := time.Duration(-1)
-	if ai < len(arrivals) {
-		next = arrivals[ai].At
+	if ai < len(p.arrivals) {
+		next = p.arrivals[ai].At
 	}
 	for _, r := range p.releases {
 		if next < 0 || r.at < next {
@@ -252,12 +340,13 @@ func (p *pass) fits(f *fleet, w *waiting) bool {
 }
 
 // pickAdmissible removes and returns the fair-share choice among queued
-// jobs that fit right now, or nil. Fairness is min served billed
-// function-time per tenant (the platform's own currency), FIFO within
-// and across equally-served tenants.
-func (p *pass) pickAdmissible(f *fleet) *waiting {
+// jobs that fit right now; false if none does. Fairness is min served
+// billed function-time per tenant (the platform's own currency), FIFO
+// within and across equally-served tenants.
+func (p *pass) pickAdmissible(f *fleet) (waiting, bool) {
 	best := -1
-	for i, w := range p.waitq {
+	for i := range p.waitq {
+		w := &p.waitq[i]
 		if !p.fits(f, w) {
 			continue
 		}
@@ -265,55 +354,70 @@ func (p *pass) pickAdmissible(f *fleet) *waiting {
 			best = i
 			continue
 		}
-		b := p.waitq[best]
+		b := &p.waitq[best]
 		if p.served[w.arr.Tenant] < p.served[b.arr.Tenant] ||
 			(p.served[w.arr.Tenant] == p.served[b.arr.Tenant] && w.seq < b.seq) {
 			best = i
 		}
 	}
 	if best < 0 {
-		return nil
+		return waiting{}, false
 	}
 	w := p.waitq[best]
 	p.waitq = append(p.waitq[:best], p.waitq[best+1:]...)
-	return w
+	return w, true
 }
 
-// runPass replays the fleet once against the resolver. It never touches
-// shared state: everything it produces lives in the returned pass.
-func (f *fleet) runPass(arrivals []Arrival, base, warm0 int, resolve resolver) *pass {
-	p := &pass{
-		exact:  true,
-		warm:   warm0,
-		served: make(map[string]time.Duration, len(f.quota)),
-		inUse:  make(map[string]int, len(f.quota)),
+// newPass fixes the inputs every replay of the fleet shares: the
+// arrivals in (At, index) order, one reserved job number per arrival and
+// the shared platform's warm pool.
+func (f *fleet) newPass() *pass {
+	arrivals := append([]Arrival(nil), f.cfg.Arrivals...)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
+	return &pass{
+		arrivals: arrivals,
+		base:     f.cl.ReserveJobIDs(len(arrivals)),
+		warm0:    f.cl.Platform.WarmPool(),
+		served:   make(map[string]time.Duration, len(f.quota)),
+		inUse:    make(map[string]int, len(f.quota)),
 	}
+}
+
+// runPass replays the fleet once against the resolver, into p's emptied
+// ledgers. It never touches shared state: everything it produces lives
+// in p.
+func (f *fleet) runPass(p *pass, resolve resolver) {
+	p.exact, p.err, p.frontier = true, nil, 0
+	p.ctxs, p.outs, p.events, p.jobs = p.ctxs[:0], p.outs[:0], p.events[:0], p.jobs[:0]
+	p.releases, p.waitq = p.releases[:0], p.waitq[:0]
 	for name := range f.quota {
 		p.served[name] = 0
 	}
+	clear(p.inUse)
+	p.totalInUse, p.warm, p.now, p.seq = 0, p.warm0, 0, 0
 	ai := 0
 	for {
 		// Ingest every submission due by now, then apply due releases,
 		// then admit whatever fits — releases before admissions, so a
 		// slot freed at t is usable at t.
-		for ai < len(arrivals) && arrivals[ai].At <= p.now {
-			a := arrivals[ai]
-			w := &waiting{arr: a, seq: ai, demand: a.Job.Spec.Workers + 1}
-			p.waitq = append(p.waitq, w)
-			p.event(a.At, "arrive", a.Tenant, a.Workload, fmt.Sprintf("demand=%d", w.demand))
+		for ai < len(p.arrivals) && p.arrivals[ai].At <= p.now {
+			a := &p.arrivals[ai]
+			demand := a.Job.Spec.Workers + 1
+			p.waitq = append(p.waitq, waiting{arr: a, seq: ai, demand: demand})
+			p.event(a.At, evArrive, ai, demand, 0)
 			ai++
 		}
 		p.applyReleases()
 		for {
-			w := p.pickAdmissible(f)
-			if w == nil {
+			w, ok := p.pickAdmissible(f)
+			if !ok {
 				break
 			}
-			if !f.admitPass(p, w, base, resolve) {
-				return p
+			if !f.admitPass(p, w, resolve) {
+				return
 			}
 		}
-		next, ok := p.nextInstant(arrivals, ai)
+		next, ok := p.nextInstant(ai)
 		if !ok {
 			if len(p.waitq) > 0 {
 				// Cannot happen after the newFleet demand check, but
@@ -321,7 +425,7 @@ func (f *fleet) runPass(arrivals []Arrival, base, warm0 int, resolve resolver) *
 				p.err = fmt.Errorf("%w: %d jobs stuck in queue at t=%v",
 					ErrNeverFits, len(p.waitq), p.now)
 			}
-			return p
+			return
 		}
 		p.now = next
 	}
@@ -330,7 +434,7 @@ func (f *fleet) runPass(arrivals []Arrival, base, warm0 int, resolve resolver) *
 // admitPass replays one admission at the pass's current instant: its
 // events, its reservation and the releases that drain it. It reports
 // false when the pass must abort.
-func (f *fleet) admitPass(p *pass, w *waiting, base int, resolve resolver) bool {
+func (f *fleet) admitPass(p *pass, w waiting, resolve resolver) bool {
 	spec := w.arr.Job.Spec
 
 	// Contention-triggered scale-in: others are waiting, so ask this
@@ -359,11 +463,12 @@ func (f *fleet) admitPass(p *pass, w *waiting, base int, resolve resolver) bool 
 	if warm > w.demand {
 		warm = w.demand
 	}
+	idx := len(p.ctxs)
 	ctx := execCtx{
-		idx: len(p.ctxs), arrSeq: w.seq, num: base + len(p.ctxs),
+		idx: idx, arrSeq: w.seq, num: p.base + idx,
 		tenant: w.arr.Tenant, workload: w.arr.Workload, tmplKey: w.arr.TemplateKey,
 		startAt: p.now, give: give, warm: warm, demand: w.demand,
-		certain: p.exact, job: w.arr.Job,
+		certain: p.exact, job: &w.arr.Job,
 	}
 	out, exact, err := resolve(ctx)
 	if err != nil {
@@ -372,16 +477,15 @@ func (f *fleet) admitPass(p *pass, w *waiting, base int, resolve resolver) bool 
 	}
 	if !exact && p.exact {
 		p.exact = false
-		c := ctx
-		p.frontier = &c
+		p.frontier = idx
 	}
 
-	res := out.res
-	wait := p.now - w.arr.At
-	p.event(p.now, "admit", ctx.tenant, res.ID,
-		fmt.Sprintf("workload=%s demand=%d waited=%.3fs", ctx.workload, w.demand, wait.Seconds()))
+	// The outcome's eviction instants are absolute in the context it ran
+	// under; dt moves them to this admission's start.
+	res, dt, id := out.res, p.now-out.ran.startAt, p.jobID(ctx)
+	p.event(p.now, evAdmit, idx, w.demand, 0)
 	if give > 0 {
-		p.event(p.now, "shrink-request", ctx.tenant, res.ID, fmt.Sprintf("give=%d", give))
+		p.event(p.now, evShrink, idx, give, 0)
 	}
 	// The job holds its demand over its virtual window [now, complete),
 	// drained early by its scale-in evictions.
@@ -389,28 +493,38 @@ func (f *fleet) admitPass(p *pass, w *waiting, base int, resolve resolver) bool 
 	p.totalInUse += w.demand
 	complete := p.now + res.ExecTime
 	for _, rm := range res.Removals {
-		p.release(rm.Time, ctx.tenant, res.ID, 1)
-		p.event(rm.Time, "scale-in", ctx.tenant, res.ID,
-			fmt.Sprintf("worker=%d left=%d", rm.Worker, rm.WorkersLeft))
+		p.release(rm.Time+dt, ctx.tenant, id, 1)
+		p.event(rm.Time+dt, evScaleIn, idx, rm.Worker, rm.WorkersLeft)
 	}
-	p.release(complete, ctx.tenant, res.ID, w.demand-len(res.Removals))
-	p.event(complete, "complete", ctx.tenant, res.ID,
-		fmt.Sprintf("workload=%s steps=%d converged=%v loss=%.6f", ctx.workload, res.Steps, res.Converged, res.FinalLoss))
+	p.release(complete, ctx.tenant, id, w.demand-len(res.Removals))
+	p.event(complete, evComplete, idx, 0, 0)
 
-	funcSecs := functionTime(res)
-	p.served[ctx.tenant] += funcSecs
+	p.served[ctx.tenant] += out.funcTime
 	p.jobs = append(p.jobs, JobRecord{
-		ID: res.ID, Tenant: ctx.tenant, Workload: ctx.workload,
+		ID: id, Tenant: ctx.tenant, Workload: ctx.workload,
 		ArriveAt: w.arr.At, AdmitAt: p.now, CompleteAt: complete,
-		Wait: wait, Exec: res.ExecTime,
+		Wait: p.now - w.arr.At, Exec: res.ExecTime,
 		Workers: spec.Workers, Shrunk: len(res.Removals),
-		FunctionTime: funcSecs, FunctionDollars: functionDollars(res),
+		FunctionTime: out.funcTime, FunctionDollars: out.funcDollars,
 		Converged: res.Converged, FinalLoss: res.FinalLoss, Steps: res.Steps,
 	})
 	p.warm += out.finalWarm - ctx.warm
 	p.ctxs = append(p.ctxs, ctx)
 	p.outs = append(p.outs, out)
 	return true
+}
+
+// jobID names the admission's namespace. Successive passes mostly agree
+// on which tenant is admitted at each index, and job numbers are fixed
+// per index, so the previous pass's record, still in the reused jobs
+// array, usually holds the string already.
+func (p *pass) jobID(ctx execCtx) string {
+	if ctx.idx < cap(p.jobs) {
+		if prev := p.jobs[:ctx.idx+1][ctx.idx]; prev.Tenant == ctx.tenant {
+			return prev.ID
+		}
+	}
+	return ctx.id()
 }
 
 // hostPar resolves Config.HostPar to the pool width.
@@ -428,39 +542,46 @@ func (f *fleet) run() (*Report, error) {
 	return f.runOn(ex)
 }
 
-// runOn alternates pass and execution until a pass resolves every
-// admission exactly, then folds. Each pass's contexts replace the
-// previous pass's unstarted ones, so the queue only ever holds the
-// latest prediction of the trajectory, frontier first.
+// runOn settles the fleet, then folds its final pass.
 func (f *fleet) runOn(ex *executor) (*Report, error) {
-	arrivals := append([]Arrival(nil), f.cfg.Arrivals...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
-	base := f.cl.ReserveJobIDs(len(arrivals))
-	warm0 := f.cl.Platform.WarmPool()
+	p := f.newPass()
+	if err := f.settle(ex, p); err != nil {
+		return nil, err
+	}
+	f.fold(p)
+	return f.report(), nil
+}
+
+// settle alternates pass and execution until a pass resolves every
+// admission exactly, and leaves that pass in p. Each pass's contexts
+// replace the previous pass's unstarted ones, so the queue only ever
+// holds the latest prediction of the trajectory, frontier first. Every
+// pass reuses p's ledgers: submit copies the contexts it keeps, and only
+// the final pass is folded.
+func (f *fleet) settle(ex *executor, p *pass) error {
 	for {
-		p := f.runPass(arrivals, base, warm0, ex.resolve)
+		f.runPass(p, ex.resolve)
 		if p.err != nil {
-			return nil, p.err
+			return p.err
 		}
 		if p.exact {
-			f.fold(p)
-			return f.report(), nil
+			return nil
 		}
 		ex.trim()
 		for _, ctx := range p.ctxs {
 			ex.submit(ctx)
 		}
-		ex.await(p.frontier.key())
+		ex.await(p.ctxs[p.frontier].key())
 	}
 }
 
-// fold commits the final pass: control-plane log and records, translated
+// fold commits the final pass: control-plane log and records, relabelled
 // bills in admission order, summed service counters, warm-pool ledger.
 func (f *fleet) fold(p *pass) {
-	f.events = p.events
+	f.events = p.renderEvents()
 	f.jobs = p.jobs
-	for _, out := range p.outs {
-		f.cl.Platform.AbsorbBilled(out.billed)
+	for i, out := range p.outs {
+		f.cl.Platform.AbsorbBilled(translateOutcome(out, p.ctxs[i]))
 		for _, m := range out.counters {
 			f.cl.Metrics.Counter(m.Name).Add(m.Value)
 		}
@@ -492,6 +613,7 @@ func (f *fleet) sandboxRun(ctx execCtx) (*outcome, error) {
 		return nil, err
 	}
 	return &outcome{
+		ran:       ctx,
 		res:       res,
 		finalWarm: plat.WarmPool(),
 		billed:    plat.BilledRuns(),
@@ -512,59 +634,24 @@ func rename(name, oldID, newID string) string {
 	return name
 }
 
-// translateOutcome maps a finished execution from one context onto
-// another of the same memo key: shift absolute times by the start-time
-// delta and relabel the namespace. The bill total is recomputed in the
-// renamed sort order, exactly as cost.Meter.Report would have summed it
-// for a native run under the target namespace.
-func translateOutcome(src *outcome, from, to execCtx) *outcome {
-	dt := to.startAt - from.startAt
-	oldID, newID := from.id(), to.id()
-
-	r := *src.res
-	r.ID = newID
-	if len(src.res.History) > 0 {
-		h := make([]core.LossPoint, len(src.res.History))
-		copy(h, src.res.History)
-		for i := range h {
-			h[i].Time += dt
-		}
-		r.History = h
-	}
-	if len(src.res.Removals) > 0 {
-		rms := make([]core.Removal, len(src.res.Removals))
-		copy(rms, src.res.Removals)
-		for i := range rms {
-			rms[i].Time += dt
-		}
-		r.Removals = rms
-	}
-	comps := make([]cost.Component, len(src.res.Cost.Components))
-	copy(comps, src.res.Cost.Components)
-	for i := range comps {
-		comps[i].Name = rename(comps[i].Name, oldID, newID)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i].Name < comps[j].Name })
-	total := 0.0
-	for _, c := range comps {
-		if c.Kind == "memo" {
-			continue
-		}
-		total += c.Dollars
-	}
-	r.Cost = cost.Report{Components: comps, Total: total}
-
-	billed := make([]faas.BilledRun, len(src.billed))
-	copy(billed, src.billed)
+// translateOutcome relabels a finished execution's billed runs from the
+// namespace it ran under into that of the admission it serves. Nothing
+// else is left to translate at fold time: the pass has shifted the
+// eviction instants, and the function share and counters carry no
+// names.
+func translateOutcome(out *outcome, to execCtx) []faas.BilledRun {
+	oldID, newID := out.ran.id(), to.id()
+	billed := make([]faas.BilledRun, len(out.billed))
+	copy(billed, out.billed)
 	for i := range billed {
 		billed[i].Name = rename(billed[i].Name, oldID, newID)
 	}
-	return &outcome{res: &r, finalWarm: src.finalWarm, billed: billed, counters: src.counters}
+	return billed
 }
 
 // entry is one execution's result slot.
 type entry struct {
-	key  string
+	key  execKey
 	ctx  execCtx
 	done chan struct{}
 	out  *outcome
@@ -580,10 +667,10 @@ type executor struct {
 	cond       *sync.Cond
 	queue      []*entry
 	closed     bool
-	entries    map[string]*entry
-	canon      map[string]*entry // memoID -> a finished canonical
-	byWorkload map[string]*entry // Arrival.Workload -> first finished execution
-	started    int               // executions taken off the queue
+	entries    map[execKey]*entry
+	canon      map[memoKey]*entry // memoID -> a finished canonical
+	byWorkload map[string]*entry  // Arrival.Workload -> first finished execution
+	started    int                // executions taken off the queue
 	wg         sync.WaitGroup
 }
 
@@ -593,8 +680,8 @@ type executor struct {
 func newExecutor(f *fleet, par int) *executor {
 	ex := &executor{
 		f:          f,
-		entries:    make(map[string]*entry),
-		canon:      make(map[string]*entry),
+		entries:    make(map[execKey]*entry),
+		canon:      make(map[memoKey]*entry),
 		byWorkload: make(map[string]*entry),
 	}
 	ex.cond = sync.NewCond(&ex.mu)
@@ -631,10 +718,14 @@ func (ex *executor) next() *entry {
 	return e
 }
 
-// finish publishes an execution's result. The first successful
-// execution of each memoID becomes its canonical, and the first of each
-// workload label the fallback estimate for that label's arrivals.
+// finish publishes an execution's result and sums its function share.
+// The first successful execution of each memoID becomes its canonical,
+// and the first of each workload label the fallback estimate for that
+// label's arrivals.
 func (ex *executor) finish(e *entry, out *outcome, err error) {
+	if err == nil {
+		out.funcTime, out.funcDollars = functionTime(out.res), functionDollars(out.res)
+	}
 	ex.mu.Lock()
 	e.out, e.err = out, err
 	if err == nil {
@@ -688,12 +779,12 @@ func (ex *executor) submit(ctx execCtx) {
 
 // await blocks until the execution under key lands. The caller must
 // have submitted it (the frontier context always is).
-func (ex *executor) await(key string) {
+func (ex *executor) await(key execKey) {
 	ex.mu.Lock()
 	e := ex.entries[key]
 	ex.mu.Unlock()
 	if e == nil {
-		panic("tenant: await on an unsubmitted execution key " + key)
+		panic(fmt.Sprintf("tenant: await on an unsubmitted execution key %+v", key))
 	}
 	<-e.done
 }
@@ -712,7 +803,7 @@ func (ex *executor) resolve(ctx execCtx) (*outcome, bool, error) {
 				}
 				return ex.estimate(ctx), false, nil
 			}
-			return translateOutcome(e.out, e.ctx, ctx), true, nil
+			return e.out, true, nil
 		default:
 		}
 	}
@@ -723,12 +814,11 @@ func (ex *executor) resolve(ctx execCtx) (*outcome, bool, error) {
 // so the pass can keep replaying past it. In order of preference: the
 // canonical execution of the same memoID (the same job under another
 // shrink/warm key), the first finished execution of the same workload
-// label, both translated; else the zero outcome, which hands back one
-// warm container per activation of demand, as every finished job does.
-// Estimates only steer which executions run speculatively — the fleet
-// returns nothing until a pass resolves every admission exactly — but
-// the closer they are, the fewer speculative runs the final pass
-// discards.
+// label; else the zero outcome, which hands back one warm container per
+// activation of demand, as every finished job does. Estimates only
+// steer which executions run speculatively — the fleet returns nothing
+// until a pass resolves every admission exactly — but the closer they
+// are, the fewer speculative runs the final pass discards.
 func (ex *executor) estimate(ctx execCtx) *outcome {
 	ex.mu.Lock()
 	e := ex.byWorkload[ctx.workload]
@@ -739,9 +829,9 @@ func (ex *executor) estimate(ctx execCtx) *outcome {
 	}
 	ex.mu.Unlock()
 	if e != nil {
-		return translateOutcome(e.out, e.ctx, ctx)
+		return e.out
 	}
-	return &outcome{res: &core.Result{ID: ctx.id()}, finalWarm: ctx.demand}
+	return &outcome{ran: ctx, res: &noResult, finalWarm: ctx.demand}
 }
 
 // close abandons queued speculative work, waits for in-flight

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -199,25 +200,24 @@ func runReference(t *testing.T, c fleetCase) fleetArtifacts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals := append([]Arrival(nil), cfg.Arrivals...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
 	plat := f.cl.Platform
-	p := f.runPass(arrivals, f.cl.ReserveJobIDs(len(arrivals)), plat.WarmPool(),
-		func(ctx execCtx) (*outcome, bool, error) {
-			before := plat.WarmPool()
-			res, err := core.RunNumbered(f.cl, ctx.stamped(), ctx.num)
-			if err != nil {
-				return nil, false, err
-			}
-			return &outcome{res: res, finalWarm: ctx.warm + plat.WarmPool() - before}, true, nil
-		})
+	p := f.newPass()
+	f.runPass(p, func(ctx execCtx) (*outcome, bool, error) {
+		before := plat.WarmPool()
+		res, err := core.RunNumbered(f.cl, ctx.stamped(), ctx.num)
+		if err != nil {
+			return nil, false, err
+		}
+		return &outcome{ran: ctx, res: res, finalWarm: ctx.warm + plat.WarmPool() - before,
+			funcTime: functionTime(res), funcDollars: functionDollars(res)}, true, nil
+	})
 	if p.err != nil {
 		t.Fatal(p.err)
 	}
 	if p.warm != plat.WarmPool() {
 		t.Fatalf("warm ledger says %d, the platform holds %d", p.warm, plat.WarmPool())
 	}
-	f.events, f.jobs = p.events, p.jobs
+	f.events, f.jobs = p.renderEvents(), p.jobs
 	return collectArtifacts(t, cfg, f.report(), tracers)
 }
 
@@ -377,7 +377,7 @@ func TestReleaseOrderIsStateNotInsertion(t *testing.T) {
 		{at: at - time.Second, tenant: "t9", job: "t9/job9", n: 1, seq: 6},
 		{at: at, tenant: "t1", job: "t1/job2", n: 3, seq: 5},
 	}
-	sort.SliceStable(rs, releaseLess(rs))
+	slices.SortStableFunc(rs, compareReleases)
 	want := []struct {
 		job string
 		seq int
@@ -410,7 +410,7 @@ func keyCtx() execCtx {
 	return execCtx{
 		arrSeq: 3, num: 7, tenant: "t1", workload: "pmf-a",
 		startAt: 2 * time.Second, give: 1, warm: 2, demand: 3,
-		job: core.Job{Spec: core.Spec{Workers: 2, MaxSteps: 10}},
+		job: &core.Job{Spec: core.Spec{Workers: 2, MaxSteps: 10}},
 	}
 }
 
@@ -426,7 +426,7 @@ func TestUntemplatedKeyIsTranslationInvariant(t *testing.T) {
 	moved := c
 	moved.startAt, moved.num, moved.tenant = 9*time.Second, 12, "t3"
 	if moved.key() != c.key() {
-		t.Fatalf("key moved with start, number or tenant: %q vs %q", moved.key(), c.key())
+		t.Fatalf("key moved with start, number or tenant: %+v vs %+v", moved.key(), c.key())
 	}
 	for name, mut := range map[string]func(*execCtx){
 		"arrSeq": func(x *execCtx) { x.arrSeq++ },
@@ -436,15 +436,15 @@ func TestUntemplatedKeyIsTranslationInvariant(t *testing.T) {
 		d := c
 		mut(&d)
 		if d.key() == c.key() {
-			t.Fatalf("a different %s keeps the key %q", name, c.key())
+			t.Fatalf("a different %s keeps the key %+v", name, c.key())
 		}
 	}
 	// No template key, however chosen, names the arrival's slot.
-	for _, tk := range []string{"3", "a", "a\x003", "\x00a\x003", c.memoID(), c.key()} {
+	for _, tk := range []string{"3", "a", "a\x003", "\x00a\x003"} {
 		d := c
 		d.tmplKey = tk
 		if d.key() == c.key() || d.memoID() == c.memoID() {
-			t.Fatalf("template key %q collides with arrival %d's key %q", tk, c.arrSeq, c.key())
+			t.Fatalf("template key %q collides with arrival %d's key %+v", tk, c.arrSeq, c.key())
 		}
 	}
 }
@@ -508,10 +508,10 @@ func TestTrimKeepsOnlyTheLatestPass(t *testing.T) {
 		t.Fatalf("%d of pass A's %d contexts queued", len(ex.queue), len(passA))
 	}
 	done := ex.next()
-	ex.finish(done, &outcome{res: &core.Result{ID: done.ctx.id()}, finalWarm: 3}, nil)
+	ex.finish(done, &outcome{ran: done.ctx, res: &core.Result{ID: done.ctx.id()}, finalWarm: 3}, nil)
 	running := ex.next()
 	if done.key != passA[0].key() || running.key != passA[1].key() {
-		t.Fatalf("executions started out of admission order: %q, %q", done.key, running.key)
+		t.Fatalf("executions started out of admission order: %+v, %+v", done.key, running.key)
 	}
 	dropped := ex.entries[passA[3].key()]
 
@@ -525,12 +525,12 @@ func TestTrimKeepsOnlyTheLatestPass(t *testing.T) {
 	for _, c := range passB {
 		ex.submit(c)
 	}
-	var queued []string
+	var queued []execKey
 	for _, e := range ex.queue {
 		queued = append(queued, e.key)
 	}
-	if want := []string{passB[2].key(), passB[3].key()}; !reflect.DeepEqual(queued, want) {
-		t.Fatalf("queue holds %q, want pass B's unstarted contexts %q", queued, want)
+	if want := []execKey{passB[2].key(), passB[3].key()}; !reflect.DeepEqual(queued, want) {
+		t.Fatalf("queue holds %+v, want pass B's unstarted contexts %+v", queued, want)
 	}
 	if e := ex.entries[passA[3].key()]; e == nil || e == dropped {
 		t.Fatal("a dropped key was not resubmitted as a fresh entry")
@@ -622,36 +622,22 @@ func eagerTranslate(src *outcome, from, to execCtx) *outcome {
 	return &outcome{res: &r, finalWarm: src.finalWarm, billed: billed, counters: src.counters}
 }
 
-// settledPass drives the case's fleet on a pool of par goroutines until
-// a pass resolves every admission exactly and returns that pass unfolded,
-// with the executor whose cache it resolved from.
-func settledPass(t *testing.T, c fleetCase, par int) (*pass, *executor, []Arrival) {
-	t.Helper()
-	cfg, _ := c.build(t)
+// settledPass settles a fleet on a pool of par goroutines and returns
+// its final pass unfolded, with the fleet and the executor whose cache
+// the pass resolves from. The pool is closed when the test ends.
+func settledPass(tb testing.TB, cfg Config, par int) (*fleet, *pass, *executor) {
+	tb.Helper()
 	f, err := newFleet(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ex := newExecutor(f, par)
-	t.Cleanup(ex.close)
-	arrivals := append([]Arrival(nil), cfg.Arrivals...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].At < arrivals[j].At })
-	base := f.cl.ReserveJobIDs(len(arrivals))
-	warm0 := f.cl.Platform.WarmPool()
-	for {
-		p := f.runPass(arrivals, base, warm0, ex.resolve)
-		if p.err != nil {
-			t.Fatal(p.err)
-		}
-		if p.exact {
-			return p, ex, arrivals
-		}
-		ex.trim()
-		for _, ctx := range p.ctxs {
-			ex.submit(ctx)
-		}
-		ex.await(p.frontier.key())
+	tb.Cleanup(ex.close)
+	p := f.newPass()
+	if err := f.settle(ex, p); err != nil {
+		tb.Fatal(err)
 	}
+	return f, p, ex
 }
 
 // sameRecord reports whether two job records are equal bit for bit.
@@ -675,9 +661,11 @@ func TestPassLedgerMatchesEagerTranslation(t *testing.T) {
 	for _, c := range goldenCases {
 		for _, par := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/host-par-%d", c.name, par), func(t *testing.T) {
-				p, ex, arrivals := settledPass(t, c, par)
+				cfg, _ := c.build(t)
+				_, p, ex := settledPass(t, cfg, par)
+				arrivals, events := p.arrivals, p.renderEvents()
 				byJob := map[string][]Event{}
-				for _, ev := range p.events {
+				for _, ev := range events {
 					if ev.Kind != "arrive" {
 						byJob[ev.Job] = append(byJob[ev.Job], ev)
 					}
@@ -721,12 +709,12 @@ func TestPassLedgerMatchesEagerTranslation(t *testing.T) {
 						}
 					}
 
-					if billed := p.outs[i].billed; !reflect.DeepEqual(billed, tr.billed) {
+					if billed := translateOutcome(p.outs[i], ctx); !reflect.DeepEqual(billed, tr.billed) {
 						t.Fatalf("admission %d: bill relabels to %v, eager translation gives %v", i, billed, tr.billed)
 					}
 				}
 				var arrives []Event
-				for _, ev := range p.events {
+				for _, ev := range events {
 					if ev.Kind == "arrive" {
 						arrives = append(arrives, ev)
 					}
@@ -744,4 +732,60 @@ func TestPassLedgerMatchesEagerTranslation(t *testing.T) {
 			})
 		}
 	}
+}
+
+// cachedFleet settles a templated fleet of n arrivals a second apart
+// over the two pmfTemplate workloads (cap 8, three tenants at quota 4;
+// jobs run about a second, so admissions queue for ~0.4 s on average and
+// scale-in requests fire): its final pass, and the executor holding
+// every outcome the pass resolves from, so any further pass over it is
+// all-exact.
+func cachedFleet(tb testing.TB, n int) (*fleet, *pass, *executor) {
+	tb.Helper()
+	cfg, _ := testFleet(tb, 11, 8, 1)
+	mix := []Template{pmfTemplate("pmf-a", 30, 2, 25), pmfTemplate("pmf-b", 30, 3, 30)}
+	arrivals, err := GenerateArrivals(11, []string{"t1", "t2", "t3"}, mix, n, time.Second)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Arrivals = arrivals
+	return settledPass(tb, cfg, 2)
+}
+
+func TestDecisionPassAllocsBounded(t *testing.T) {
+	// A repeat pass over a fully cached fleet (300 admissions, 1044
+	// events) allocates nothing: it refills the previous pass's ledgers
+	// in place, keys the cache with comparable structs, reads each
+	// outcome untranslated, records events as fields and takes every
+	// job's namespace string from the record the previous pass left at
+	// the same index. Rendering the details, one string per event, is
+	// the fold's, once. The pass that translated every outcome and
+	// formatted every key and detail allocated 34.6 per admission on
+	// this fleet (10374 per pass).
+	f, p, ex := cachedFleet(t, 300)
+	allocs := testing.AllocsPerRun(5, func() { f.runPass(p, ex.resolve) })
+	if !p.exact {
+		t.Fatal("a pass over a fully cached fleet is not exact")
+	}
+	if allocs != 0 {
+		t.Fatalf("a cached pass allocated %.0f times over %d admissions and %d events, want 0",
+			allocs, len(p.ctxs), len(p.events))
+	}
+}
+
+// BenchmarkDecisionPass times one decision pass over a fully cached
+// 2000-arrival templated fleet: the control plane's own cost per
+// admission once every outcome is known.
+func BenchmarkDecisionPass(b *testing.B) {
+	f, p, ex := cachedFleet(b, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.runPass(p, ex.resolve)
+	}
+	b.StopTimer()
+	if !p.exact {
+		b.Fatal("a pass over a fully cached fleet is not exact")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.ctxs)), "ns/admission")
 }

@@ -28,6 +28,7 @@
 package tenant
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -67,7 +68,8 @@ type Tenant struct {
 // virtual instant. The Spec fields Tenant, StartAt and Shrink belong to
 // the control plane and must be zero; the fleet fills them in.
 type Arrival struct {
-	// At is the submission's virtual time.
+	// At is the submission's virtual time; it may not be negative
+	// (core.ErrNegativeStart), as no job may start before zero.
 	At time.Duration
 	// Tenant names the submitting tenant.
 	Tenant string
@@ -147,9 +149,9 @@ func (ev Event) String() string {
 
 // waiting is a submitted, not-yet-admitted job.
 type waiting struct {
-	arr    Arrival
-	seq    int // arrival order, FIFO tie-break
-	demand int // workers + supervisor
+	arr    *Arrival // in the pass's sorted schedule
+	seq    int      // arrival order, FIFO tie-break
+	demand int      // workers + supervisor
 }
 
 // release frees n reserved slots of a tenant at a virtual instant —
@@ -209,6 +211,9 @@ func newFleet(cfg Config) (*fleet, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoTenant, a.Tenant)
 		}
+		if a.At < 0 {
+			return nil, fmt.Errorf("tenant: arrival %q/%q at %v: %w", a.Tenant, a.Workload, a.At, core.ErrNegativeStart)
+		}
 		demand := a.Job.Spec.Workers + 1
 		if (q > 0 && demand > q) || (platCap > 0 && demand > platCap) {
 			return nil, fmt.Errorf("%w: tenant %q workload %q needs %d activations (quota %d, cap %d)",
@@ -227,21 +232,19 @@ func newFleet(cfg Config) (*fleet, error) {
 	return &fleet{cfg: cfg, cl: cfg.Cluster, quota: quota}, nil
 }
 
-// releaseLess orders releases by (at, tenant, job, seq) — the
+// compareReleases orders releases by (at, tenant, job, seq) — the
 // documented commit order for reservation returns.
-func releaseLess(rs []release) func(i, j int) bool {
-	return func(i, j int) bool {
-		if rs[i].at != rs[j].at {
-			return rs[i].at < rs[j].at
-		}
-		if rs[i].tenant != rs[j].tenant {
-			return rs[i].tenant < rs[j].tenant
-		}
-		if rs[i].job != rs[j].job {
-			return rs[i].job < rs[j].job
-		}
-		return rs[i].seq < rs[j].seq
+func compareReleases(a, b release) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(a.tenant, b.tenant); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.job, b.job); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // functionTime sums the billed duration of the job's function

@@ -231,6 +231,11 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"demand over quota", Config{Cluster: cl,
 			Tenants:  []Tenant{{Name: "t1", Quota: 2}},
 			Arrivals: []Arrival{mk()}}, ErrNeverFits},
+		// An arrival before zero would be admitted at zero having
+		// waited in an empty queue, inflating slowdown, Jain and p99.
+		{"negative arrival time", Config{Cluster: cl,
+			Tenants:  []Tenant{{Name: "t1"}},
+			Arrivals: []Arrival{{At: -5 * time.Second, Tenant: "t1", Workload: "pmf", Job: tpl.New()}}}, core.ErrNegativeStart},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
