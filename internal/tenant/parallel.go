@@ -188,33 +188,18 @@ type outcome struct {
 	funcDollars float64
 }
 
-// noResult is the zero outcome's result: shared, never written.
-var noResult core.Result
-
 // resolver returns the outcome for an execution context and whether it
 // is exact. The outcome is untranslated: its ran field is the context
 // it executed under. A non-nil error aborts the fleet; it is only
 // returned for certain contexts whose execution genuinely failed.
 type resolver func(execCtx) (out *outcome, exact bool, err error)
 
-// Event kinds as a pass records them; eventKinds holds their log names.
-const (
-	evArrive = iota
-	evAdmit
-	evShrink
-	evScaleIn
-	evComplete
-)
-
-var eventKinds = [...]string{"arrive", "admit", "shrink-request", "scale-in", "complete"}
-
 // passEvent is a control-plane event as a pass records it: the kind's
 // fields, not its text. Only the folded pass renders its events.
 type passEvent struct {
 	at   time.Duration
-	kind int
-	seq  int // creation order, tie-break for equal at
-	ref  int // arrival index for evArrive, admission index otherwise
+	kind string // Event.Kind
+	ref  int    // arrival index for "arrive", admission index otherwise
 	// demand (arrive, admit), give (shrink-request), or worker and
 	// workers left (scale-in)
 	a, b int
@@ -245,12 +230,11 @@ type pass struct {
 	releases   []release
 	waitq      []waiting
 	now        time.Duration
-	seq        int
+	seq        int // releases created so far, their commit tie-break
 }
 
-func (p *pass) event(at time.Duration, kind, ref, a, b int) {
-	p.events = append(p.events, passEvent{at: at, kind: kind, seq: p.seq, ref: ref, a: a, b: b})
-	p.seq++
+func (p *pass) event(at time.Duration, kind string, ref, a, b int) {
+	p.events = append(p.events, passEvent{at: at, kind: kind, ref: ref, a: a, b: b})
 }
 
 // renderEvents renders the pass's event log. The fold calls it once, on
@@ -258,8 +242,8 @@ func (p *pass) event(at time.Duration, kind, ref, a, b int) {
 func (p *pass) renderEvents() []Event {
 	evs := make([]Event, len(p.events))
 	for i, e := range p.events {
-		ev := Event{At: e.at, Kind: eventKinds[e.kind], seq: e.seq}
-		if e.kind == evArrive {
+		ev := Event{At: e.at, Kind: e.kind, seq: i}
+		if e.kind == "arrive" {
 			a := &p.arrivals[e.ref]
 			ev.Tenant, ev.Job = a.Tenant, a.Workload
 			ev.Detail = fmt.Sprintf("demand=%d", e.a)
@@ -267,13 +251,13 @@ func (p *pass) renderEvents() []Event {
 			j := &p.jobs[e.ref]
 			ev.Tenant, ev.Job = j.Tenant, j.ID
 			switch e.kind {
-			case evAdmit:
+			case "admit":
 				ev.Detail = fmt.Sprintf("workload=%s demand=%d waited=%.3fs", j.Workload, e.a, j.Wait.Seconds())
-			case evShrink:
+			case "shrink-request":
 				ev.Detail = fmt.Sprintf("give=%d", e.a)
-			case evScaleIn:
+			case "scale-in":
 				ev.Detail = fmt.Sprintf("worker=%d left=%d", e.a, e.b)
-			case evComplete:
+			case "complete":
 				ev.Detail = fmt.Sprintf("workload=%s steps=%d converged=%v loss=%.6f", j.Workload, j.Steps, j.Converged, j.FinalLoss)
 			}
 		}
@@ -390,9 +374,7 @@ func (f *fleet) runPass(p *pass, resolve resolver) {
 	p.exact, p.err, p.frontier = true, nil, 0
 	p.ctxs, p.outs, p.events, p.jobs = p.ctxs[:0], p.outs[:0], p.events[:0], p.jobs[:0]
 	p.releases, p.waitq = p.releases[:0], p.waitq[:0]
-	for name := range f.quota {
-		p.served[name] = 0
-	}
+	clear(p.served)
 	clear(p.inUse)
 	p.totalInUse, p.warm, p.now, p.seq = 0, p.warm0, 0, 0
 	ai := 0
@@ -404,7 +386,7 @@ func (f *fleet) runPass(p *pass, resolve resolver) {
 			a := &p.arrivals[ai]
 			demand := a.Job.Spec.Workers + 1
 			p.waitq = append(p.waitq, waiting{arr: a, seq: ai, demand: demand})
-			p.event(a.At, evArrive, ai, demand, 0)
+			p.event(a.At, "arrive", ai, demand, 0)
 			ai++
 		}
 		p.applyReleases()
@@ -482,10 +464,10 @@ func (f *fleet) admitPass(p *pass, w waiting, resolve resolver) bool {
 
 	// The outcome's eviction instants are absolute in the context it ran
 	// under; dt moves them to this admission's start.
-	res, dt, id := out.res, p.now-out.ran.startAt, p.jobID(ctx)
-	p.event(p.now, evAdmit, idx, w.demand, 0)
+	res, dt, id := out.res, p.now-out.ran.startAt, ctx.id()
+	p.event(p.now, "admit", idx, w.demand, 0)
 	if give > 0 {
-		p.event(p.now, evShrink, idx, give, 0)
+		p.event(p.now, "shrink-request", idx, give, 0)
 	}
 	// The job holds its demand over its virtual window [now, complete),
 	// drained early by its scale-in evictions.
@@ -494,10 +476,10 @@ func (f *fleet) admitPass(p *pass, w waiting, resolve resolver) bool {
 	complete := p.now + res.ExecTime
 	for _, rm := range res.Removals {
 		p.release(rm.Time+dt, ctx.tenant, id, 1)
-		p.event(rm.Time+dt, evScaleIn, idx, rm.Worker, rm.WorkersLeft)
+		p.event(rm.Time+dt, "scale-in", idx, rm.Worker, rm.WorkersLeft)
 	}
 	p.release(complete, ctx.tenant, id, w.demand-len(res.Removals))
-	p.event(complete, evComplete, idx, 0, 0)
+	p.event(complete, "complete", idx, 0, 0)
 
 	p.served[ctx.tenant] += out.funcTime
 	p.jobs = append(p.jobs, JobRecord{
@@ -512,19 +494,6 @@ func (f *fleet) admitPass(p *pass, w waiting, resolve resolver) bool {
 	p.ctxs = append(p.ctxs, ctx)
 	p.outs = append(p.outs, out)
 	return true
-}
-
-// jobID names the admission's namespace. Successive passes mostly agree
-// on which tenant is admitted at each index, and job numbers are fixed
-// per index, so the previous pass's record, still in the reused jobs
-// array, usually holds the string already.
-func (p *pass) jobID(ctx execCtx) string {
-	if ctx.idx < cap(p.jobs) {
-		if prev := p.jobs[:ctx.idx+1][ctx.idx]; prev.Tenant == ctx.tenant {
-			return prev.ID
-		}
-	}
-	return ctx.id()
 }
 
 // hostPar resolves Config.HostPar to the pool width.
@@ -831,7 +800,7 @@ func (ex *executor) estimate(ctx execCtx) *outcome {
 	if e != nil {
 		return e.out
 	}
-	return &outcome{ran: ctx, res: &noResult, finalWarm: ctx.demand}
+	return &outcome{ran: ctx, res: &core.Result{}, finalWarm: ctx.demand}
 }
 
 // close abandons queued speculative work, waits for in-flight

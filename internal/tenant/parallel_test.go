@@ -754,22 +754,24 @@ func cachedFleet(tb testing.TB, n int) (*fleet, *pass, *executor) {
 
 func TestDecisionPassAllocsBounded(t *testing.T) {
 	// A repeat pass over a fully cached fleet (300 admissions, 1044
-	// events) allocates nothing: it refills the previous pass's ledgers
-	// in place, keys the cache with comparable structs, reads each
-	// outcome untranslated, records events as fields and takes every
-	// job's namespace string from the record the previous pass left at
-	// the same index. Rendering the details, one string per event, is
-	// the fold's, once. The pass that translated every outcome and
-	// formatted every key and detail allocated 34.6 per admission on
-	// this fleet (10374 per pass).
+	// events) refills the previous pass's ledgers in place, keys the
+	// cache with comparable structs, reads each outcome untranslated and
+	// records events as fields. What it allocates is each admission's
+	// namespace string, core.JobNamespace's Sprintf: the string and the
+	// boxed tenant name, plus the boxed job number once numbers pass
+	// 255 — 2·300 + 45 = 645 measured, 2.15 per admission. Rendering
+	// the details, one string per event, is the fold's, once. The pass
+	// that translated every outcome and formatted every key and detail
+	// allocated 34.6 per admission on this fleet (10374 per pass).
+	const perAdmission = 3
 	f, p, ex := cachedFleet(t, 300)
 	allocs := testing.AllocsPerRun(5, func() { f.runPass(p, ex.resolve) })
 	if !p.exact {
 		t.Fatal("a pass over a fully cached fleet is not exact")
 	}
-	if allocs != 0 {
-		t.Fatalf("a cached pass allocated %.0f times over %d admissions and %d events, want 0",
-			allocs, len(p.ctxs), len(p.events))
+	if allocs > perAdmission*float64(len(p.ctxs)) {
+		t.Fatalf("a cached pass allocated %.0f times over %d admissions and %d events, want at most %d per admission",
+			allocs, len(p.ctxs), len(p.events), perAdmission)
 	}
 }
 
