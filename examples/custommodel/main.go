@@ -18,6 +18,7 @@ type linReg struct {
 	dim    int
 	l2     float64
 	params mlless.Dense
+	acc    mlless.FoldScratch // gradient sums, emptied by every emission
 }
 
 var _ mlless.Model = (*linReg)(nil)
@@ -38,7 +39,9 @@ func (m *linReg) residual(b mlless.BatchView, k int) float64 {
 // LossGradientView returns the mean squared error and, from the same
 // residual e of each sample, the averaged gradient of half the MSE (e·x
 // per sample, not 2e·x) with active-coordinate L2, straight off the
-// staged batch. Trainers call it once per step.
+// staged batch. Trainers call it once per step. The samples touch
+// coordinates in any order, so the sums go to a dense accumulator,
+// which emits them as the gradient's ascending run.
 func (m *linReg) LossGradientView(b mlless.BatchView) (float64, *mlless.Vector) {
 	g := new(mlless.Vector)
 	n := b.Len()
@@ -51,10 +54,11 @@ func (m *linReg) LossGradientView(b mlless.BatchView) (float64, *mlless.Vector) 
 		e := m.residual(b, k)
 		sum += e * e
 		b.ForEachPair(k, func(i uint32, val float64) {
-			g.Add(i, inv*(e*val+m.l2*m.params[i]))
+			m.acc.Add(i, inv*(e*val+m.l2*m.params[i]))
 		})
-		g.Add(uint32(m.dim), inv*e)
+		m.acc.Add(uint32(m.dim), inv*e)
 	}
+	m.acc.EmitTo(g, nil)
 	return sum / float64(n), g
 }
 

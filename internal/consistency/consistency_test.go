@@ -465,8 +465,6 @@ func TestFilterMatchesMapReference(t *testing.T) {
 // of the coordinates, all among the 62 % that are ever touched (cold
 // factor rows are not), which at v = 0.7, t = 100 leaves about half the
 // coordinates in the residual and flushes about 15 % of each update.
-// The updates are indexed vectors; asRuns gives the ascending runs the
-// worker step hands the filter.
 func filterWorkload(dim int) (sparse.Dense, []*sparse.Vector) {
 	r := xrand.New(41)
 	params := sparse.NewDense(dim)
@@ -484,48 +482,27 @@ func filterWorkload(dim int) (sparse.Dense, []*sparse.Vector) {
 	return params, updates
 }
 
-// asRuns returns each update's entries as an ascending run.
-func asRuns(updates []*sparse.Vector) []*sparse.Vector {
-	runs := make([]*sparse.Vector, len(updates))
-	for k, u := range updates {
-		runs[k] = sparse.New()
-		u.ForEachSorted(runs[k].Append)
-	}
-	return runs
-}
-
 // TestFilterAddSteadyStateDoesNotAllocate pins Add at zero allocations
 // once the residual, the live bitmap and the output have reached their
-// steady sizes, on ascending runs and on indexed updates. Add reads an
-// indexed update through the pooled pair sort, whose sync.Pool the race
-// detector drains, so that case runs only in uninstrumented builds.
+// steady sizes.
 func TestFilterAddSteadyStateDoesNotAllocate(t *testing.T) {
-	params, indexed := filterWorkload(5000)
-	for _, form := range []struct {
-		name    string
-		updates []*sparse.Vector
-	}{{"indexed", indexed}, {"run", asRuns(indexed)}} {
-		t.Run(form.name, func(t *testing.T) {
-			if form.name == "indexed" && raceEnabled {
-				t.Skip("the race detector drains the pair sort's sync.Pool")
+	params, updates := filterWorkload(5000)
+	t.Run("run", func(t *testing.T) {
+		for _, v := range []float64{0.7, 0} { // ISP, BSP
+			f := NewFilter(v)
+			step := 0
+			add := func() {
+				f.Add(100, updates[step%len(updates)], params)
+				step++
 			}
-			updates := form.updates
-			for _, v := range []float64{0.7, 0} { // ISP, BSP
-				f := NewFilter(v)
-				step := 0
-				add := func() {
-					f.Add(100, updates[step%len(updates)], params)
-					step++
-				}
-				for step < 200 { // residual, live bitmap and out reach their steady sizes
-					add()
-				}
-				if n := testing.AllocsPerRun(50, add); n != 0 {
-					t.Fatalf("v=%v: steady-state Add allocated %v per run", v, n)
-				}
+			for step < 200 { // residual, live bitmap and out reach their steady sizes
+				add()
 			}
-		})
-	}
+			if n := testing.AllocsPerRun(50, add); n != 0 {
+				t.Fatalf("v=%v: steady-state Add allocated %v per run", v, n)
+			}
+		}
+	})
 }
 
 func TestBSPFilterAllocatesNoResidual(t *testing.T) {
@@ -546,7 +523,6 @@ func TestBSPFilterAllocatesNoResidual(t *testing.T) {
 // produces, v = 0.7, residual at its steady state.
 func BenchmarkFilterAdd(b *testing.B) {
 	params, updates := filterWorkload(72000)
-	updates = asRuns(updates)
 	f := NewFilter(0.7)
 	for step := 1; step <= 100; step++ {
 		f.Add(step, updates[step%len(updates)], params)

@@ -103,14 +103,16 @@ type entry struct {
 
 func entriesOf(v *sparse.Vector) []entry {
 	var out []entry
-	v.ForEachSorted(func(i uint32, val float64) { out = append(out, entry{i, val}) })
+	v.ForEach(func(i uint32, val float64) { out = append(out, entry{i, val}) })
 	return out
 }
 
 // TestNormalizeInPlaceTable pins normalisation's semantics on
-// hand-built samples, indexed and as runs: each numeric coordinate f
-// becomes (x−min)/span with an absent x counted as 0, a zero span
-// gives 0, zeros are dropped, and every other entry is kept.
+// hand-built samples, built back to front ("indexed": each Set inserts
+// at the front) and front to back ("run": each Set appends): each
+// numeric coordinate f becomes (x−min)/span with an absent x counted
+// as 0, a zero span gives 0, zeros are dropped, and every other entry
+// is kept.
 func TestNormalizeInPlaceTable(t *testing.T) {
 	// Three numeric features. Feature 0 spans [−4, 4]: sample 1 lacks
 	// it, so it counts as 0 and gains the entry 0.5, and sample 3 sits
@@ -139,7 +141,7 @@ func TestNormalizeInPlaceTable(t *testing.T) {
 		"run": func(es []entry) *sparse.Vector {
 			v := sparse.New()
 			for _, e := range es {
-				v.Append(e.i, e.v)
+				v.Set(e.i, e.v)
 			}
 			return v
 		},

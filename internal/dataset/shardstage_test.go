@@ -8,6 +8,7 @@ import (
 	"mlless/internal/netmodel"
 	"mlless/internal/objstore"
 	"mlless/internal/shard"
+	"mlless/internal/sparse"
 	"mlless/internal/vclock"
 	"mlless/internal/xrand"
 )
@@ -30,6 +31,13 @@ func TestShardManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// rowVector materializes feature sample k of bv as a sparse vector.
+func rowVector(bv shard.BatchView, k int) *sparse.Vector {
+	v := sparse.New()
+	bv.ForEachPair(k, v.Set)
+	return v
+}
+
 // sampleEqual compares a decoded sample against a shard view's sample k.
 func sampleEqual(t *testing.T, s Sample, bv shard.BatchView, k int) {
 	t.Helper()
@@ -46,7 +54,7 @@ func sampleEqual(t *testing.T, s Sample, bv shard.BatchView, k int) {
 	if bv.Label(k) != s.Label {
 		t.Fatalf("sample %d label %v, want %v", k, bv.Label(k), s.Label)
 	}
-	if !bv.Features(k).Equal(s.Features) {
+	if !rowVector(bv, k).Equal(s.Features) {
 		t.Fatalf("sample %d features differ", k)
 	}
 }

@@ -35,7 +35,7 @@ func (m *memSink) flatten(t *testing.T) []Sample {
 		for b := 0; b < sh.NumBatches(); b++ {
 			bv := sh.Batch(b)
 			for k := 0; k < bv.Len(); k++ {
-				out = append(out, Sample{Features: bv.Features(k), Label: bv.Label(k), User: -1, Item: -1})
+				out = append(out, Sample{Features: rowVector(bv, k), Label: bv.Label(k), User: -1, Item: -1})
 			}
 		}
 	}

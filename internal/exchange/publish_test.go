@@ -19,12 +19,10 @@ func pmfUpdates(p, dim, nnz int) []*sparse.Vector {
 	r := xrand.New(29)
 	out := make([]*sparse.Vector, p)
 	for w := range out {
-		idx := sparse.New()
-		for idx.Len() < nnz {
-			idx.Set(uint32(r.Intn(dim)), 0.01*r.NormFloat64())
-		}
 		out[w] = sparse.New()
-		idx.ForEachSorted(out[w].Append)
+		for out[w].Len() < nnz {
+			out[w].Set(uint32(r.Intn(dim)), 0.01*r.NormFloat64())
+		}
 	}
 	return out
 }

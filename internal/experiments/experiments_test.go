@@ -181,7 +181,9 @@ func TestMakeWithBatchKeepsSampleStream(t *testing.T) {
 			}
 			for k := 0; k < v.Len(); k++ {
 				labels = append(labels, v.Label(k))
-				feats = append(feats, v.Features(k))
+				f := sparse.New()
+				v.ForEachPair(k, f.Set)
+				feats = append(feats, f)
 			}
 		}
 		return labels, feats

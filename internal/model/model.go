@@ -45,8 +45,8 @@ type Model interface {
 	// goldens pin that order bit for bit. An empty batch gives a zero
 	// loss and an empty gradient.
 	//
-	// The returned vector is an ascending run with no table behind it
-	// (see package sparse), owned by the model and valid only until the
+	// The returned vector (an ascending run, like every sparse.Vector)
+	// is owned by the model and valid only until the
 	// next LossGradientView or GradientView call on the same instance
 	// (implementations reuse a scratch buffer — gradient accumulation is
 	// the simulator's hottest allocation site). Callers that retain it

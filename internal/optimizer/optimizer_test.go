@@ -260,8 +260,8 @@ func TestWarmupMonotoneDuringRamp(t *testing.T) {
 // --- sparse-state references: the bit-equality oracle for dense state ---
 
 // refMomentum and refAdam are the sparse-state optimizers that dense
-// state replaced: state in sparse.Vector tables, probed per gradient
-// entry, and the update built by one Set per entry. The dense ones must
+// state replaced: state in sparse.Vectors, looked up and set per
+// gradient entry, and the update built by one Set per entry. The dense ones must
 // reproduce them bit for bit.
 type refMomentum struct {
 	lr       Schedule
@@ -274,7 +274,7 @@ func (o *refMomentum) Name() string { return "ref-momentum" }
 
 func (o *refMomentum) Step(t int, grad *sparse.Vector) *sparse.Vector {
 	rate := o.lr.Rate(t)
-	u := sparse.NewWithCapacity(grad.Len())
+	u := sparse.New()
 	grad.ForEach(func(i uint32, g float64) {
 		v := o.mu*o.velocity.Get(i) + g
 		o.velocity.Set(i, v)
@@ -302,7 +302,7 @@ func (o *refAdam) Step(t int, grad *sparse.Vector) *sparse.Vector {
 	rate := o.lr.Rate(t)
 	c1 := 1 - math.Pow(o.beta1, float64(t))
 	c2 := 1 - math.Pow(o.beta2, float64(t))
-	u := sparse.NewWithCapacity(grad.Len())
+	u := sparse.New()
 	grad.ForEach(func(i uint32, g float64) {
 		m := o.beta1*o.moment1.Get(i) + (1-o.beta1)*g
 		v := o.beta2*o.moment2.Get(i) + (1-o.beta2)*g*g
@@ -368,15 +368,15 @@ type entry struct {
 // bits.
 func entries(u *sparse.Vector) []entry {
 	var out []entry
-	u.ForEachSorted(func(i uint32, x float64) { out = append(out, entry{i, math.Float64bits(x)}) })
+	u.ForEach(func(i uint32, x float64) { out = append(out, entry{i, math.Float64bits(x)}) })
 	return out
 }
 
-// asRun returns g's entries as an ascending run, the form the step path
-// hands an optimizer.
+// asRun returns a copy of g built in ascending order, one append per
+// entry, as the step path builds the gradients it hands an optimizer.
 func asRun(g *sparse.Vector) *sparse.Vector {
 	r := sparse.New()
-	g.ForEachSorted(r.Append)
+	g.ForEach(r.Set)
 	return r
 }
 
@@ -453,8 +453,8 @@ func oracleGrad(r *xrand.RNG, s int, ref Optimizer, cancel func(Optimizer, uint3
 
 // TestDenseStateMatchesSparseReference replays seeded gradient sequences
 // through each dense-state optimizer and its sparse-state reference,
-// once as indexed vectors in random insertion order and once as the
-// ascending runs the step path produces. The sequences widen past the
+// once as built by Set and Remove in random order ("indexed") and once
+// as copied in ascending order ("run"). The sequences widen past the
 // state mid-run, bring back coordinates after a long absence, cancel
 // state or update to exact zero (the step's drop path), clone mid-run
 // and let the two copies diverge, and Reset and replay.
@@ -547,36 +547,23 @@ func TestDenseStateMatchesSparseReference(t *testing.T) {
 
 // TestOptimizerStepSteadyStateDoesNotAllocate pins the step path at zero
 // allocations once the update scratch and the dense state have grown to
-// the gradient, on both gradient forms: the ascending run the worker
-// step hands an optimizer, and the indexed vector the baselines' step
-// sums with AddVector. The dense-state optimizers read an indexed
-// gradient through the pooled pair sort, a sort on every step; the race
-// detector drains that sync.Pool, so the indexed case runs only in
-// uninstrumented builds.
+// the gradient.
 func TestOptimizerStepSteadyStateDoesNotAllocate(t *testing.T) {
-	indexed := pmfGrad(xrand.New(41), 1200, 2400, 20, 625)
-	for _, form := range []struct {
-		name string
-		g    *sparse.Vector
-	}{{"indexed", indexed}, {"run", asRun(indexed)}} {
-		t.Run(form.name, func(t *testing.T) {
-			if form.name == "indexed" && raceEnabled {
-				t.Skip("the race detector drains the pair sort's sync.Pool")
+	g := pmfGrad(xrand.New(41), 1200, 2400, 20, 625)
+	t.Run("run", func(t *testing.T) {
+		for _, o := range []Optimizer{
+			NewSGD(Constant(0.1)),
+			NewMomentum(Constant(0.1), 0.9),
+			NewNesterov(Constant(0.1), 0.9),
+			NewAdamDefaults(Constant(0.1)),
+		} {
+			o.Step(1, g)
+			step := 2
+			if n := testing.AllocsPerRun(10, func() { o.Step(step, g); step++ }); n != 0 {
+				t.Errorf("%s: Step allocated %v per run", o.Name(), n)
 			}
-			for _, o := range []Optimizer{
-				NewSGD(Constant(0.1)),
-				NewMomentum(Constant(0.1), 0.9),
-				NewNesterov(Constant(0.1), 0.9),
-				NewAdamDefaults(Constant(0.1)),
-			} {
-				o.Step(1, form.g)
-				step := 2
-				if n := testing.AllocsPerRun(10, func() { o.Step(step, form.g); step++ }); n != 0 {
-					t.Errorf("%s: Step allocated %v per run", o.Name(), n)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // pmfGrad builds a gradient shaped like a PMF mini-batch's: each rating
@@ -613,9 +600,7 @@ func lrGrad(r *xrand.RNG, dim, samples int) *sparse.Vector {
 // BenchmarkOptimizerStep measures one steady-state Step at the two
 // training workloads' shapes: PMF with Nesterov (72 k parameters, 625
 // ratings per batch) and LR with Adam (100 k hashed features, 50 samples
-// per batch). The plain cases feed an indexed gradient, as the
-// baselines' step does; the "-run" cases feed the ascending run the
-// worker step produces.
+// per batch).
 func BenchmarkOptimizerStep(b *testing.B) {
 	pmf := pmfGrad(xrand.New(51), 1200, 2400, 20, 625)
 	lr := lrGrad(xrand.New(52), 100_000, 50)
@@ -626,8 +611,6 @@ func BenchmarkOptimizerStep(b *testing.B) {
 	}{
 		{"nesterov-pmf", NewNesterov(Constant(0.1), 0.9), pmf},
 		{"adam-lr", NewAdamDefaults(Constant(0.002)), lr},
-		{"nesterov-pmf-run", NewNesterov(Constant(0.1), 0.9), asRun(pmf)},
-		{"adam-lr-run", NewAdamDefaults(Constant(0.002)), asRun(lr)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			bc.o.Step(1, bc.g)

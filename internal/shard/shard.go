@@ -295,13 +295,3 @@ func (b BatchView) ForEachPair(k int, fn func(i uint32, val float64)) {
 		fn(binary.LittleEndian.Uint32(p), math.Float64frombits(binary.LittleEndian.Uint64(p[4:])))
 	}
 }
-
-// Features materializes feature sample k as a sparse vector — the
-// compatibility path for code that still wants *sparse.Vector
-// semantics (tests, tooling); the training hot loop uses
-// Dot/ForEachPair instead.
-func (b BatchView) Features(k int) *sparse.Vector {
-	v := sparse.NewWithCapacity(b.RowNNZ(k))
-	b.ForEachPair(k, v.Set)
-	return v
-}

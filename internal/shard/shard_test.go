@@ -32,6 +32,13 @@ func buildFeatureShard(batches, batchSize int) ([]byte, [][]*sparse.Vector, [][]
 	return b.Finish(), vecs, labels
 }
 
+// rowVector materializes feature sample k of b as a sparse vector.
+func rowVector(b BatchView, k int) *sparse.Vector {
+	v := sparse.New()
+	b.ForEachPair(k, v.Set)
+	return v
+}
+
 func TestFeatureShardRoundTrip(t *testing.T) {
 	blob, vecs, labels := buildFeatureShard(4, 9)
 	s, err := Parse(blob)
@@ -60,7 +67,7 @@ func TestFeatureShardRoundTrip(t *testing.T) {
 			if bv.RowNNZ(k) != want.Len() {
 				t.Fatalf("batch %d sample %d nnz %d, want %d", i, k, bv.RowNNZ(k), want.Len())
 			}
-			if !bv.Features(k).Equal(want) {
+			if !rowVector(bv, k).Equal(want) {
 				t.Fatalf("batch %d sample %d features differ", i, k)
 			}
 			// Zero-copy dot must match the sparse kernel bit for bit:
@@ -155,8 +162,8 @@ func TestBatchExtentsTileTheBlob(t *testing.T) {
 }
 
 func TestBuilderDeterministicAcrossVectorLayout(t *testing.T) {
-	// Same logical vector, different insertion order (and hence a
-	// different hash-table layout) must serialize identically.
+	// Same logical vector, built in different insertion orders, must
+	// serialize identically.
 	a, b := sparse.New(), sparse.New()
 	idx := []uint32{400, 3, 77, 12, 900}
 	for _, i := range idx {

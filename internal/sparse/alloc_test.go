@@ -3,7 +3,6 @@ package sparse
 import (
 	"bytes"
 	"math/bits"
-	"runtime"
 	"testing"
 
 	"mlless/internal/xrand"
@@ -44,7 +43,7 @@ func TestDecodeIntoReusesVector(t *testing.T) {
 	if !v.Equal(big) {
 		t.Fatal("DecodeInto mismatch on first decode")
 	}
-	// Decoding a smaller vector into the same table must fully replace
+	// Decoding a smaller vector into the same vector must fully replace
 	// the previous contents.
 	if err := DecodeInto(v, small.Encode()); err != nil {
 		t.Fatal(err)
@@ -118,12 +117,11 @@ func TestEqualShortCircuitsOnFirstMismatch(t *testing.T) {
 
 // --- allocation regression guards ---
 // These pin the steady-state hot ops at zero allocations so future PRs
-// cannot silently reintroduce churn. The pair scratch is pooled, so the
-// first use warms the pool; AllocsPerRun's own warm-up run covers that.
+// cannot silently reintroduce churn.
 
 func TestAddNoGrowDoesNotAllocate(t *testing.T) {
 	r := xrand.New(21)
-	v := NewWithCapacity(2000)
+	v := New() // AllocsPerRun's warm-up run grows it
 	idx := make([]uint32, 1000)
 	for i := range idx {
 		idx[i] = uint32(r.Intn(100000))
@@ -133,7 +131,7 @@ func TestAddNoGrowDoesNotAllocate(t *testing.T) {
 			v.Add(i, 1)
 		}
 		for _, i := range idx {
-			v.Add(i, -1) // cancel so the table never grows
+			v.Add(i, -1) // cancel so the run never outgrows its capacity
 		}
 	}); n != 0 {
 		t.Fatalf("Vector.Add (no grow) allocated %v per run", n)
@@ -141,9 +139,6 @@ func TestAddNoGrowDoesNotAllocate(t *testing.T) {
 }
 
 func TestEncodeToDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation makes the pair pool drop puts; zero-alloc holds only uninstrumented")
-	}
 	r := xrand.New(22)
 	v := randomVector(r, 100000, 1000)
 	buf := v.Encode() // warm buffer at final capacity
@@ -197,7 +192,7 @@ func TestDecodeIntoDoesNotAllocate(t *testing.T) {
 	v := randomVector(r, 100000, 1000)
 	buf := v.Encode()
 	dst := New()
-	if err := DecodeInto(dst, buf); err != nil { // warm the table
+	if err := DecodeInto(dst, buf); err != nil { // grow the entry arrays
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(10, func() {
@@ -205,23 +200,19 @@ func TestDecodeIntoDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("DecodeInto (warm table) allocated %v per run", n)
+		t.Fatalf("DecodeInto (grown arrays) allocated %v per run", n)
 	}
 }
 
 func TestSortedReductionsDoNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation makes the pair pool drop puts; zero-alloc holds only uninstrumented")
-	}
 	r := xrand.New(25)
 	v := randomVector(r, 100000, 1000)
 	d := NewDense(100000)
-	v.Dot(d) // warm the pair pool
 	if n := testing.AllocsPerRun(10, func() {
 		_ = v.Dot(d)
 		_ = v.NormL2()
 		_ = v.NormL1()
-		v.ForEachSorted(func(uint32, float64) {})
+		v.ForEach(func(uint32, float64) {})
 	}); n != 0 {
 		t.Fatalf("sorted reductions allocated %v per run", n)
 	}
@@ -239,33 +230,6 @@ func TestCopyFromDoesNotAllocateWhenSized(t *testing.T) {
 	}
 }
 
-// TestVectorGrowthAllocatesLikeTheTable pins the one growth rule: the
-// entry arrays are allocated in lock-step with the table, at ¾ of its
-// size — 4 + ¾·12 = 13 bytes per slot — never by append's own policy,
-// which would let the simulator's allocation volume drift with the
-// runtime's.
-func TestVectorGrowthAllocatesLikeTheTable(t *testing.T) {
-	const entries = 40000
-	slots := 0 // Σ table sizes a vector passes through on its way to 40 k entries
-	for size := minCapacity; ; size *= 2 {
-		slots += size
-		if size/4*3 >= entries {
-			break
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	v := New()
-	for i := uint32(0); i < entries; i++ {
-		v.Set(i*7, 1)
-	}
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(13*slots) * 105 / 100; got > limit { // 5 %: size-class rounding
-		t.Fatalf("growing to %d entries allocated %d bytes, want ≤ %d (13 B × %d slots)", v.Len(), got, limit, slots)
-	}
-}
-
 // --- hot-op micro-benchmarks (run with -benchmem) ---
 
 func BenchmarkSparseDot(b *testing.B) {
@@ -280,18 +244,6 @@ func BenchmarkSparseDot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = v.Dot(d)
 	}
-}
-
-func BenchmarkSparseForEachSorted(b *testing.B) {
-	r := xrand.New(32)
-	v := randomVector(r, 100000, 1000)
-	sink := 0.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.ForEachSorted(func(_ uint32, val float64) { sink += val })
-	}
-	_ = sink
 }
 
 func BenchmarkEncodeTo(b *testing.B) {

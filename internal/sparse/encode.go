@@ -49,8 +49,7 @@ func (v *Vector) Encode() []byte {
 // each worker's payload buffers and reuse them once the store lets go).
 // It reallocates only when buf lacks capacity, and then geometrically
 // (slices.Grow), so a buffer reused across growing encodes reallocates
-// O(log n) times. The appended bytes are identical to Encode's. A run
-// is written as it stands; an indexed vector is sorted first.
+// O(log n) times. The appended bytes are identical to Encode's.
 func (v *Vector) EncodeTo(buf []byte) []byte {
 	need := v.EncodedSize()
 	buf = slices.Grow(buf, need)
@@ -58,13 +57,12 @@ func (v *Vector) EncodeTo(buf []byte) []byte {
 	buf = buf[:start+need]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(v.idx)))
 	off := start + sparseHeaderSize
-	idx, vals, ps := v.sorted()
-	for k, i := range idx {
+	val := v.val
+	for k, i := range v.idx {
 		binary.LittleEndian.PutUint32(buf[off:], i)
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(vals[k]))
+		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(val[k]))
 		off += sparseEntrySize
 	}
-	release(ps)
 	return buf
 }
 
@@ -90,34 +88,32 @@ func Decode(buf []byte) (*Vector, error) {
 	return v, nil
 }
 
+// entry returns entry k of an encoded sparse vector.
+func entry(buf []byte, k int) (uint32, float64) {
+	e := buf[sparseHeaderSize+k*sparseEntrySize:]
+	return binary.LittleEndian.Uint32(e), math.Float64frombits(binary.LittleEndian.Uint64(e[4:]))
+}
+
 // DecodeInto parses an encoded sparse vector into v, replacing its
-// contents with an indexed vector but reusing its table when large
-// enough — the zero-allocation counterpart of Decode for steady-state
-// loops. Encoded
-// entries are ascending and unique, so the fast path inserts each one
-// directly (a single probe, no duplicate check, no incremental grows);
-// buffers violating that order fall back to Set, which remains
-// correct for any valid encoding.
+// contents but reusing its storage when large enough: the
+// zero-allocation counterpart of Decode for steady-state loops. Encoded
+// entries are ascending and unique, so they are appended while they
+// ascend; an entry that does not (or an exact zero) goes through Set,
+// which remains correct for any valid encoding.
 func DecodeInto(v *Vector, buf []byte) error {
 	n, err := encodedLen(buf, "decode")
 	if err != nil {
 		return err
 	}
-	v.reset(n)
-	off := sparseHeaderSize
-	prev := int64(-1)
+	v.Clear()
 	for k := 0; k < n; k++ {
-		i := binary.LittleEndian.Uint32(buf[off:])
-		val := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-		if int64(i) > prev && val != 0 {
-			v.insert(i, val)
+		i, val := entry(buf, k)
+		if m := len(v.idx); val != 0 && (m == 0 || v.idx[m-1] < i) {
+			v.idx = append(v.idx, i)
+			v.val = append(v.val, val)
 		} else {
 			v.Set(i, val)
 		}
-		if int64(i) > prev {
-			prev = int64(i)
-		}
-		off += sparseEntrySize
 	}
 	return nil
 }
@@ -144,26 +140,80 @@ func AddEncoded(d Dense, buf []byte) (int, error) {
 }
 
 // AddEncodedSparse streams an encoded sparse vector (the Encode layout)
-// into the sparse accumulator v. No exchange calls it: its callers are
-// the benchmark replay's add_encoded_sparse probe and the fold oracles
-// of the tests (vectorFold here, vectorTreeFold in internal/exchange),
-// which FoldScratch.FoldEncoded matches byte for byte. Each
-// coordinate's contributions accumulate in call order, so a fixed fold
-// order yields bit-deterministic sums. It returns the number of entries
-// folded.
+// into the sparse accumulator v, with the sums of one Add per entry in
+// encoding order: each coordinate's contributions accumulate in call
+// order, so a fixed fold order yields bit-deterministic sums. A
+// strictly ascending buffer, which is what Encode writes, is merged into
+// the run in time linear in both; any other falls back to Add. No exchange
+// calls it: its callers are the benchmark replay's add_encoded_sparse
+// probe and the fold oracles of the tests (vectorFold here,
+// vectorTreeFold in internal/exchange), which FoldScratch.FoldEncoded
+// matches byte for byte. It returns the number of entries folded.
 func AddEncodedSparse(v *Vector, buf []byte) (int, error) {
 	n, err := encodedLen(buf, "fold encoded")
 	if err != nil {
 		return 0, err
 	}
-	off := sparseHeaderSize
-	for k := 0; k < n; k++ {
-		i := binary.LittleEndian.Uint32(buf[off:])
-		val := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-		v.Add(i, val)
-		off += sparseEntrySize
+	if !ascending(buf, n) {
+		for k := 0; k < n; k++ {
+			v.Add(entry(buf, k))
+		}
+		return n, nil
 	}
+	v.merge(buf, n)
 	return n, nil
+}
+
+// ascending reports whether the indices of buf's n entries strictly
+// ascend.
+func ascending(buf []byte, n int) bool {
+	for k := 1; k < n; k++ {
+		prev, _ := entry(buf, k-1)
+		if i, _ := entry(buf, k); i <= prev {
+			return false
+		}
+	}
+	return true
+}
+
+// merge adds the n strictly ascending entries of buf into v. It
+// writes back to front into arrays grown by n, so no entry of v is
+// overwritten before it is read, adding a buffer value to v's where an
+// index is in both (x + ±0 is x, as Add's skip of ±0 leaves it). A last
+// pass closes the gap the shared indices leave below the written
+// entries and drops the exact zeros: buffer values of ±0 at new
+// indices, which Add ignores, and sums that cancel, which Add removes.
+func (v *Vector) merge(buf []byte, n int) {
+	m := len(v.idx)
+	idx, val := slices.Grow(v.idx, n)[:m+n], slices.Grow(v.val, n)[:m+n]
+	a, w, zeros := m-1, m+n-1, false
+	for b := n - 1; b >= 0; b-- {
+		i, x := entry(buf, b)
+		for ; a >= 0 && idx[a] > i; a, w = a-1, w-1 {
+			idx[w], val[w] = idx[a], val[a]
+		}
+		if a >= 0 && idx[a] == i {
+			x = val[a] + x
+			a--
+		}
+		zeros = zeros || x == 0
+		idx[w], val[w] = i, x
+		w--
+	}
+	// Entries 0…a never moved; w+1… hold the merged tail.
+	out := a + 1
+	if !zeros {
+		copy(val[out:], val[w+1:])
+		out += copy(idx[out:], idx[w+1:])
+	} else {
+		for k := w + 1; k < m+n; k++ {
+			if val[k] != 0 {
+				idx[out], val[out] = idx[k], val[k]
+				out++
+			}
+		}
+	}
+	v.idx, v.val = idx[:out], val[:out]
 }
 
 // DenseEncodedSize returns the encoded size of a dense vector of length n.

@@ -148,8 +148,8 @@ func (s *FoldScratch) AddRow(base uint32, vals []float64) {
 // touched sums, in ascending coordinate order, and zeroes every touched
 // slot and bit on the way. When finish is non-nil, each non-zero sum
 // is replaced by finish(i, sum) before it is stored, and an exact zero
-// result is dropped; finish must not use s or v. v's table, if any, is
-// released, and its entry arrays are reused when large enough.
+// result is dropped; finish must not use s or v. v's entry arrays are
+// reused when large enough.
 func (s *FoldScratch) EmitTo(v *Vector, finish func(i uint32, sum float64) float64) {
 	distinct := 0
 	for _, w := range s.touched {
@@ -161,7 +161,6 @@ func (s *FoldScratch) EmitTo(v *Vector, finish func(i uint32, sum float64) float
 		v.idx = make([]uint32, 0, distinct+distinct/4)
 		v.val = make([]float64, 0, distinct+distinct/4)
 	}
-	v.tab = nil
 	idx, val := v.idx[:distinct], v.val[:distinct]
 	n := 0
 	for wi, w := range s.touched {

@@ -8,26 +8,20 @@ import (
 )
 
 // FuzzVectorOps decodes a byte string as a sequence of operations on two
-// vectors and runs it against map references. The compact table has two
-// structures that must agree — the entry arrays and the slot index — and
-// swap-remove touches both, so after every operation the contents are
-// compared through every read path and the structural invariant of the
-// vector's state is checked directly: a run must be strictly ascending,
-// an indexed vector's table must index every entry at ¾ capacity. Every
-// Set, Add of a non-zero value or Remove of a non-empty vector must
-// leave it indexed, and no read path may change the state.
+// vectors and runs it against map references. After every operation the
+// contents are compared through every read path and the one invariant
+// of a Vector is checked directly: its entries strictly ascend and none
+// is an exact zero.
 //
 // Encoding: three bytes per operation — op, key, value selector. Bit 7
-// of op swaps which vector is the target. Keys are one byte, so at the
-// minimum table size sixteen of them share every home slot: collisions,
-// long probe chains and chains that wrap around the end of the table
-// come for free. Rewrite reads the key byte as a mask instead: it
-// overwrites the target with a run of the other vector's entries, read
-// with Entries and written with WriteRun, zeroing those whose index
-// mod 8 is a set bit and rescaling the rest, so a drop shortens the run.
-// Run empties the target and appends an ascending burst (starting a
-// run); Append appends one entry, which stays a run only when it lies
-// past the last.
+// of op swaps which vector is the target. Keys are one byte, so edits
+// land before, inside and after a run of a few entries. Rewrite reads
+// the key byte as a mask instead: it overwrites the target with a run of
+// the other vector's entries, read with Entries and written with
+// WriteRun, zeroing those whose index mod 8 is a set bit and rescaling
+// the rest, so a drop shortens the run. Run empties the target and Sets
+// an ascending burst (appends); AddEncoded folds the other vector's
+// encoding into the target through the linear merge.
 
 var fuzzVals = [...]float64{
 	0, math.Copysign(0, -1), // ±0: Set removes, Add is a no-op
@@ -45,11 +39,11 @@ const (
 	fuzzScale
 	fuzzCopyFrom
 	fuzzAddVector
-	fuzzBurst // Set a run of keys: forces growth past ¾
+	fuzzBurst // Set a run of keys: forces growth
 	fuzzDecodeInto
-	fuzzRewrite // WriteRun of the other vector's Entries, mapped
-	fuzzRun     // Clear, then Append an ascending burst: a fresh run
-	fuzzAppend  // Append one entry, ascending or not
+	fuzzRewrite    // WriteRun of the other vector's Entries, mapped
+	fuzzRun        // Clear, then Set an ascending burst
+	fuzzAddEncoded // AddEncodedSparse of the other vector's encoding
 	fuzzClone
 	fuzzEqual
 	fuzzOps
@@ -77,12 +71,6 @@ func (m vecModel) add(k uint32, val float64) {
 }
 
 func FuzzVectorOps(f *testing.F) {
-	// Keys by home slot at the minimum table size, for the seeds below.
-	var home [minCapacity][]byte
-	for k := 0; k < 256; k++ {
-		h := hashKey(uint32(k), minCapacity-1)
-		home[h] = append(home[h], byte(k))
-	}
 	set := func(k byte) []byte { return []byte{fuzzSet, k, 2} }
 	rm := func(k byte) []byte { return []byte{fuzzRemove, k, 0} }
 	seq := func(ops ...[]byte) []byte {
@@ -92,31 +80,29 @@ func FuzzVectorOps(f *testing.F) {
 		}
 		return b
 	}
-	last := home[minCapacity-1]
 	f.Add(seq(set(1), rm(1)))                 // remove the only entry
 	f.Add(seq(set(1), set(2), set(3), rm(3))) // remove the last entry
-	f.Add(seq(set(1), set(2), set(3), rm(1))) // swap-remove: last moves into position 0
-	// Removed entry and its moved replacement share one probe chain, in
-	// both orders (the replacement's slot lies before / after the hole).
-	f.Add(seq(set(home[5][0]), set(home[5][1]), set(home[5][2]), rm(home[5][0])))
-	f.Add(seq(set(home[5][0]), set(home[5][1]), set(home[5][2]), rm(home[5][1])))
-	// A chain that wraps from the last slot to slot 0, removed from the
-	// head, so the backward shift crosses the wrap-around.
-	f.Add(seq(set(last[0]), set(last[1]), set(home[0][0]), set(last[2]), rm(last[0]), rm(last[1])))
+	f.Add(seq(set(1), set(2), set(3), rm(1))) // remove the first entry
+	// Inserts before the first entry and between two, then a removal in
+	// the middle: every edit that shifts the tail.
+	f.Add(seq(set(5), set(9), set(0), set(7), rm(7)))
+	f.Add(seq(set(5), set(9), set(0), set(7), rm(5), set(6)))
+	f.Add(seq(set(200), set(100), set(150), set(120), rm(150), rm(200), rm(100)))
 	f.Add(seq([]byte{fuzzAdd, 7, 2}, []byte{fuzzAdd, 7, 3}))                                    // exact cancellation
 	f.Add(seq([]byte{fuzzBurst, 0, 200}, []byte{fuzzScale, 0, 1}, []byte{fuzzBurst, 100, 255})) // growth
 	f.Add(seq([]byte{fuzzBurst, 3, 40}, []byte{fuzzCopyFrom | 0x80, 0, 0}, []byte{fuzzAddVector, 0, 0},
 		[]byte{fuzzDecodeInto | 0x80, 0, 0}, []byte{fuzzClear, 0, 0}, []byte{fuzzCopyFrom, 0, 0}))
 	f.Add(seq(set(1), set(2), set(3), []byte{fuzzRewrite | 0x80, 0xff, 1}))                // every entry zeroed
 	f.Add(seq(set(1), set(2), set(3), []byte{fuzzRewrite | 0x80, 1 << 3, 1}))              // only the last entry zeroed
-	f.Add(seq(set(1), set(9), []byte{fuzzBurst | 0x80, 2, 30}, []byte{fuzzRewrite, 0, 2})) // indexed onto indexed
-	// Runs: appended, copied, cloned, rewritten with drops, decoded
-	// into, then probed by Set, Add and Remove.
-	f.Add(seq([]byte{fuzzRun, 5, 13}, []byte{fuzzAppend, 200, 3}, []byte{fuzzCopyFrom | 0x80, 0, 0},
+	f.Add(seq(set(1), set(9), []byte{fuzzBurst | 0x80, 2, 30}, []byte{fuzzRewrite, 0, 2})) // rewrite over a longer run
+	// Runs: built, copied, cloned, rewritten with drops, decoded into,
+	// merged into, then edited by Set, Add and Remove.
+	f.Add(seq([]byte{fuzzRun, 5, 13}, []byte{fuzzAddEncoded, 200, 3}, []byte{fuzzCopyFrom | 0x80, 0, 0},
 		[]byte{fuzzEqual, 0, 0}, []byte{fuzzRewrite, 0x55, 1}, []byte{fuzzAdd, 7, 2}))
 	f.Add(seq([]byte{fuzzRun, 0, 40}, []byte{fuzzClone | 0x80, 0, 0}, []byte{fuzzRewrite | 0x80, 0x0f, 2},
 		[]byte{fuzzDecodeInto, 0, 0}, []byte{fuzzRun | 0x80, 9, 7}, []byte{fuzzRemove | 0x80, 9, 0}))
-	f.Add(seq([]byte{fuzzRun, 10, 9}, []byte{fuzzAppend, 3, 4}, []byte{fuzzSet, 50, 0}, []byte{fuzzRun, 1, 0}))
+	f.Add(seq([]byte{fuzzRun, 10, 9}, []byte{fuzzRun | 0x80, 3, 28}, []byte{fuzzScale | 0x80, 0, 0},
+		[]byte{fuzzAddEncoded, 0, 0}, []byte{fuzzSet, 50, 0}, []byte{fuzzRun, 1, 0})) // merge cancels every shared index
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := New(), New()
@@ -130,22 +116,16 @@ func FuzzVectorOps(f *testing.F) {
 			val := fuzzVals[int(sel)%len(fuzzVals)]
 			switch op & 0x7f % fuzzOps {
 			case fuzzSet:
-				probes := val != 0 || v.Len() > 0
 				v.Set(k, val)
 				m.set(k, val)
-				checkIndexed(t, v, probes, "Set")
 			case fuzzAdd:
-				probes := val != 0
 				v.Add(k, val)
 				m.add(k, val)
-				checkIndexed(t, v, probes, "Add")
 			case fuzzRemove:
-				probes := v.Len() > 0
 				if got, want := v.Remove(k), m[k]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("Remove(%d) = %v, want %v", k, got, want)
 				}
 				delete(m, k)
-				checkIndexed(t, v, probes, "Remove")
 			case fuzzClear:
 				v.Clear()
 				clear(m)
@@ -183,21 +163,23 @@ func FuzzVectorOps(f *testing.F) {
 					m.set(i, x) // a value scaled down to zero does not survive the wire
 				}
 			case fuzzRun:
+				// sel picks the count (bits 0–2, plus one) and the stride
+				// (bits 3–4); values cycle through fuzzVals, zeros
+				// included, which Set drops.
 				v.Clear()
 				clear(m)
-				fallthrough
-			case fuzzAppend:
-				// sel picks the count (bits 0–2, plus one for Run) and the
-				// stride (bits 3–4); values cycle through fuzzVals, zeros
-				// included, which Append drops as Set would.
-				count, stride := 1, uint32(sel>>3&3)+1
-				if op&0x7f%fuzzOps == fuzzRun {
-					count = int(sel&7) + 1
-				}
+				count, stride := int(sel&7)+1, uint32(sel>>3&3)+1
 				for n, i := 0, k; n < count; n, i = n+1, i+stride {
 					x := fuzzVals[(int(sel)+n)%len(fuzzVals)]
-					v.Append(i, x)
+					v.Set(i, x)
 					m.set(i, x)
+				}
+			case fuzzAddEncoded:
+				if _, err := AddEncodedSparse(v, w.Encode()); err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range mw {
+					m.add(i, x)
 				}
 			case fuzzClone:
 				*v = *w.Clone()
@@ -234,9 +216,6 @@ func FuzzVectorOps(f *testing.F) {
 				for i, x := range mw {
 					m.set(i, fn(i, x))
 				}
-				if v.tab != nil {
-					t.Fatal("WriteRun left an indexed vector")
-				}
 			}
 			checkAgainstModel(t, v, m)
 			checkAgainstModel(t, w, mw)
@@ -244,26 +223,10 @@ func FuzzVectorOps(f *testing.F) {
 	})
 }
 
-// checkIndexed fails unless an operation that probed the vector left it
-// indexed.
-func checkIndexed(t *testing.T, v *Vector, probed bool, op string) {
-	t.Helper()
-	if probed && v.tab == nil {
-		t.Fatalf("%s probed a run but left it unindexed", op)
-	}
-}
-
 // checkAgainstModel compares v with its reference through Len, Get,
-// ForEach, ForEachSorted, Equal and an encode/decode round trip, checks
-// that none of them changed v's state, then checks the structure.
+// ForEach, Equal and an encode/decode round trip, then checks the run.
 func checkAgainstModel(t *testing.T, v *Vector, m vecModel) {
 	t.Helper()
-	run := v.tab == nil
-	defer func() {
-		if (v.tab == nil) != run {
-			t.Fatalf("a read path changed the state: run %v, now %v", run, v.tab == nil)
-		}
-	}()
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	if v.Len() != len(m) {
 		t.Fatalf("Len = %d, want %d", v.Len(), len(m))
@@ -274,28 +237,16 @@ func checkAgainstModel(t *testing.T, v *Vector, m vecModel) {
 			t.Fatalf("Get(%d) = %v, want %v", k, got, want)
 		}
 	}
-	var seen [keySpace]bool
-	visited := 0
+	prev, visited := int64(-1), 0
 	v.ForEach(func(i uint32, val float64) {
-		if want, ok := m[i]; !ok || seen[i] || !same(val, want) {
-			t.Fatalf("ForEach yielded (%d, %v); reference has %v (present %v), seen before %v", i, val, want, ok, seen[i])
+		if int64(i) <= prev || !same(val, m[i]) {
+			t.Fatalf("ForEach yielded (%d, %v) after index %d; reference has %v", i, val, prev, m[i])
 		}
-		seen[i] = true
+		prev = int64(i)
 		visited++
 	})
 	if visited != len(m) {
 		t.Fatalf("ForEach visited %d entries, want %d", visited, len(m))
-	}
-	prev, sortedN := int64(-1), 0
-	v.ForEachSorted(func(i uint32, val float64) {
-		if int64(i) <= prev || !same(val, m[i]) {
-			t.Fatalf("ForEachSorted yielded (%d, %v) after index %d; reference has %v", i, val, prev, m[i])
-		}
-		prev = int64(i)
-		sortedN++
-	})
-	if sortedN != len(m) {
-		t.Fatalf("ForEachSorted visited %d entries, want %d", sortedN, len(m))
 	}
 	dec, err := Decode(v.EncodeTo(nil))
 	if err != nil {
@@ -316,62 +267,23 @@ func checkAgainstModel(t *testing.T, v *Vector, m vecModel) {
 	if !v.Equal(dec) || !dec.Equal(v) {
 		t.Fatal("Equal: a vector differs from its own round trip")
 	}
-	checkTable(t, v)
-	checkTable(t, dec)
+	checkRun(t, v)
+	checkRun(t, dec)
 }
 
-// checkTable asserts the structural invariant of v's state. A run's
-// entries are strictly ascending and non-zero. For an indexed vector,
-// the entry arrays are sized in lock-step with the table; every
-// non-zero slot points at an entry whose key's probe path, from its home
-// slot, reaches that slot without crossing an empty one; and every entry
-// is pointed at exactly once.
-func checkTable(t *testing.T, v *Vector) {
+// checkRun asserts the invariant of a Vector: parallel entry arrays,
+// indices strictly ascending, no exact zero.
+func checkRun(t *testing.T, v *Vector) {
 	t.Helper()
 	if len(v.idx) != len(v.val) {
 		t.Fatalf("entry arrays of lengths %d and %d", len(v.idx), len(v.val))
 	}
-	if v.tab == nil {
-		for k, i := range v.idx {
-			if k > 0 && v.idx[k-1] >= i {
-				t.Fatalf("run not strictly ascending: %d after %d", i, v.idx[k-1])
-			}
-			if v.val[k] == 0 {
-				t.Fatalf("run stores a zero at %d", i)
-			}
+	for k, i := range v.idx {
+		if k > 0 && v.idx[k-1] >= i {
+			t.Fatalf("run not strictly ascending: %d after %d", i, v.idx[k-1])
 		}
-		return
-	}
-	n := len(v.tab)
-	if n < minCapacity || n&(n-1) != 0 {
-		t.Fatalf("table size %d is not a power of two ≥ %d", n, minCapacity)
-	}
-	if len(v.idx) != len(v.val) || cap(v.idx) != n/4*3 || cap(v.val) != n/4*3 {
-		t.Fatalf("entry arrays len %d/%d cap %d/%d, want equal lengths and cap %d",
-			len(v.idx), len(v.val), cap(v.idx), cap(v.val), n/4*3)
-	}
-	mask := uint32(n - 1)
-	pointed := make([]bool, len(v.idx))
-	for slot, e := range v.tab {
-		if e == 0 {
-			continue
-		}
-		if int(e) > len(v.idx) {
-			t.Fatalf("slot %d points past the entries: %d > %d", slot, e, len(v.idx))
-		}
-		if pointed[e-1] {
-			t.Fatalf("entry %d is pointed at twice", e-1)
-		}
-		pointed[e-1] = true
-		for s := hashKey(v.idx[e-1], mask); s != uint32(slot); s = (s + 1) & mask {
-			if v.tab[s] == 0 {
-				t.Fatalf("key %d at slot %d is unreachable: slot %d on its probe path is empty", v.idx[e-1], slot, s)
-			}
-		}
-	}
-	for p, ok := range pointed {
-		if !ok {
-			t.Fatalf("entry %d (key %d) has no slot", p, v.idx[p])
+		if v.val[k] == 0 {
+			t.Fatalf("run stores a zero at %d", i)
 		}
 	}
 }

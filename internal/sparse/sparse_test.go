@@ -2,9 +2,10 @@ package sparse
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -121,19 +122,19 @@ func TestIndicesSorted(t *testing.T) {
 	r := xrand.New(2)
 	v := randomVector(r, 1000, 100)
 	var idx []uint32
-	v.ForEachSorted(func(i uint32, val float64) {
+	v.ForEach(func(i uint32, val float64) {
 		if v.Get(i) != val {
-			t.Fatalf("ForEachSorted paired %d with %v, Get says %v", i, val, v.Get(i))
+			t.Fatalf("ForEach paired %d with %v, Get says %v", i, val, v.Get(i))
 		}
 		idx = append(idx, i)
 	})
 	for i := 1; i < len(idx); i++ {
 		if idx[i-1] >= idx[i] {
-			t.Fatalf("ForEachSorted not strictly ascending at %d: %v >= %v", i, idx[i-1], idx[i])
+			t.Fatalf("ForEach not strictly ascending at %d: %v >= %v", i, idx[i-1], idx[i])
 		}
 	}
 	if len(idx) != v.Len() {
-		t.Fatalf("ForEachSorted visited %d entries, Len %d", len(idx), v.Len())
+		t.Fatalf("ForEach visited %d entries, Len %d", len(idx), v.Len())
 	}
 }
 
@@ -377,16 +378,16 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// TestHashTableAgainstReferenceModel drives the open-addressing table
-// with a long random op sequence and checks it against a plain map —
-// the backward-shift deletion is the risky part.
-func TestHashTableAgainstReferenceModel(t *testing.T) {
+// TestRunAgainstReferenceModel drives one vector with a long random op
+// sequence and checks it against a plain map: inserts and deletions in
+// the middle of the run shift its tail, which is the risky part.
+func TestRunAgainstReferenceModel(t *testing.T) {
 	r := xrand.New(99)
 	v := New()
 	ref := make(map[uint32]float64)
 	const ops = 200000
 	for op := 0; op < ops; op++ {
-		i := uint32(r.Intn(500)) // small key space forces collisions
+		i := uint32(r.Intn(500)) // small key space: edits land on present entries too
 		switch r.Intn(4) {
 		case 0:
 			val := r.NormFloat64()
@@ -431,28 +432,6 @@ func TestHashTableAgainstReferenceModel(t *testing.T) {
 	})
 	if count != len(ref) {
 		t.Fatalf("final: iterated %d entries, want %d", count, len(ref))
-	}
-}
-
-func TestRadixSortMatchesSort(t *testing.T) {
-	r := xrand.New(101)
-	var ps pairScratch
-	for trial := 0; trial < 50; trial++ {
-		n := r.Intn(3000)
-		a := make([]uint32, n)
-		val := make([]float64, n)
-		for i := range a {
-			a[i] = uint32(r.Uint64())
-			val[i] = float64(a[i]) // the value must travel with its index
-		}
-		b := append([]uint32(nil), a...)
-		ps.sortPairs(a, val)
-		sort.Slice(b, func(x, y int) bool { return b[x] < b[y] })
-		for i := range a {
-			if a[i] != b[i] || val[i] != float64(a[i]) {
-				t.Fatalf("trial %d: mismatch at %d", trial, i)
-			}
-		}
 	}
 }
 
@@ -558,6 +537,83 @@ func TestAddEncodedSparseErrors(t *testing.T) {
 	}
 }
 
+// TestAddEncodedSparseMergeMatchesAdd folds buffers into accumulators
+// through AddEncodedSparse, which merges a strictly ascending buffer and
+// adds any other entry by entry, and through one Add per entry in
+// encoding order: the entries must agree bit for bit. The fixed cases
+// cover exact cancellation, ±0 and NaN values, an empty accumulator,
+// buffers lying before, after and among the accumulator's indices, and
+// buffers that do not ascend; random ones follow.
+func TestAddEncodedSparseMergeMatchesAdd(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	enc := rawEncode
+	acc := []uint32{10, 20, 30, 40}
+	accVals := []float64{1, -2, 3, nan}
+	for _, tc := range []struct {
+		name string
+		idx  []uint32
+		vals []float64
+		buf  []byte
+	}{
+		{"empty buffer", acc, accVals, enc(nil, nil)},
+		{"empty accumulator", nil, nil, enc([]uint32{1, 5, 9}, []float64{1, negZero, 2})},
+		{"before", acc, accVals, enc([]uint32{0, 3, 9}, []float64{0.5, 1, 2})},
+		{"after", acc, accVals, enc([]uint32{41, 50, 1 << 31}, []float64{0.5, 1, 2})},
+		{"interleaved", acc, accVals, enc([]uint32{5, 10, 25, 30, 45}, []float64{1, 2, 3, 4, 5})},
+		{"every sum cancels", acc[:3], accVals[:3], enc([]uint32{10, 20, 30}, []float64{-1, 2, -3})},
+		{"some sums cancel", acc, accVals, enc([]uint32{0, 20, 35, 40}, []float64{7, 2, 8, 1})},
+		{"signed zeros", acc, accVals, enc([]uint32{10, 15, 20, 50}, []float64{0, negZero, negZero, 0})},
+		{"NaN", acc, accVals, enc([]uint32{10, 12, 40}, []float64{nan, nan, 1})},
+		{"not ascending", acc, accVals, enc([]uint32{30, 10, 5, 30}, []float64{-3, 4, 1, 2})},
+		{"repeated index", acc, accVals, enc([]uint32{20, 20, 20}, []float64{1, 1, 0})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := New()
+			for k, i := range tc.idx {
+				v.Set(i, tc.vals[k])
+			}
+			checkMergeMatchesAdd(t, v, tc.buf)
+		})
+	}
+	r := xrand.New(78)
+	for trial := 0; trial < 200; trial++ {
+		v := randomVector(r, 300, r.Intn(80))
+		buf := randomVector(r, 300, r.Intn(80))
+		// Copy some of v's values negated, so their sums cancel.
+		v.ForEach(func(i uint32, x float64) {
+			if r.Intn(3) == 0 {
+				buf.Set(i, -x)
+			}
+		})
+		checkMergeMatchesAdd(t, v, buf.Encode())
+	}
+}
+
+// checkMergeMatchesAdd fails unless AddEncodedSparse(v, buf) leaves the
+// entries a copy of v gets from one Add per entry of buf.
+func checkMergeMatchesAdd(t *testing.T, v *Vector, buf []byte) {
+	t.Helper()
+	want := v.Clone()
+	n := int(binary.LittleEndian.Uint32(buf))
+	for k := 0; k < n; k++ {
+		want.Add(entry(buf, k))
+	}
+	if got, err := AddEncodedSparse(v, buf); err != nil || got != n {
+		t.Fatalf("AddEncodedSparse = %d, %v; want %d, nil", got, err, n)
+	}
+	checkRun(t, v)
+	bits := func(u *Vector) []uint64 {
+		out := make([]uint64, len(u.val))
+		for k, x := range u.val {
+			out[k] = math.Float64bits(x)
+		}
+		return out
+	}
+	if !slices.Equal(v.idx, want.idx) || !slices.Equal(bits(v), bits(want)) {
+		t.Fatalf("merged %v (bits %x), per-entry Add %v (bits %x)", v.idx, bits(v), want.idx, bits(want))
+	}
+}
+
 func TestVectorString(t *testing.T) {
 	v := New()
 	for i := 0; i < 12; i++ {
@@ -602,9 +658,7 @@ func TestEqualNegativeCases(t *testing.T) {
 
 // TestRunReadersShareOneRun calls the read-only methods concurrently on
 // one shared run (mini-batch vectors are shared this way): under the
-// race detector this proves none of them writes to the vector — Get
-// binary-searches instead of building the index. The run must still be
-// unindexed afterwards.
+// race detector this proves none of them writes to the vector.
 func TestRunReadersShareOneRun(t *testing.T) {
 	r := xrand.New(17)
 	d := NewDense(5000)
@@ -612,12 +666,9 @@ func TestRunReadersShareOneRun(t *testing.T) {
 	for i := range d {
 		if r.Intn(3) == 0 {
 			d[i] = r.NormFloat64()
-			run.Append(uint32(i), d[i])
-			twin.Append(uint32(i), d[i])
+			run.Set(uint32(i), d[i])
+			twin.Set(uint32(i), d[i])
 		}
-	}
-	if run.tab != nil {
-		t.Fatal("Append built an index")
 	}
 	want := run.Encode()
 	var wg sync.WaitGroup
@@ -642,9 +693,9 @@ func TestRunReadersShareOneRun(t *testing.T) {
 					return
 				}
 				prev := int64(-1)
-				run.ForEachSorted(func(i uint32, _ float64) {
+				run.ForEach(func(i uint32, _ float64) {
 					if int64(i) <= prev {
-						errs <- "ForEachSorted out of order"
+						errs <- "ForEach out of order"
 					}
 					prev = int64(i)
 				})
@@ -656,8 +707,5 @@ func TestRunReadersShareOneRun(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-	if run.tab != nil {
-		t.Fatal("a read-only method indexed the run")
 	}
 }

@@ -151,8 +151,15 @@ type (
 	StepDecay = optimizer.StepDecay
 	// Warmup linearly ramps the rate before delegating to a schedule.
 	Warmup = optimizer.Warmup
-	// Vector is a sparse float64 vector (gradients, updates).
+	// Vector is a sparse float64 vector (gradients, updates): an
+	// ascending run of (index, value) entries. Set and Add append past
+	// the last index; building a vector out of order costs one shift
+	// per entry, so sum a gradient in a FoldScratch instead.
 	Vector = sparse.Vector
+	// FoldScratch is a dense accumulator: Add sums values per
+	// coordinate in any order, and EmitTo writes the non-zero sums to a
+	// Vector in ascending order, exactly the sums Vector.Add would hold.
+	FoldScratch = sparse.FoldScratch
 	// Dense is a dense float64 vector (model parameters).
 	Dense = sparse.Dense
 )
