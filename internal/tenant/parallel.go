@@ -222,9 +222,9 @@ type pass struct {
 
 	events []passEvent
 	jobs   []JobRecord
-	served map[string]time.Duration // per-tenant billed function time
+	served []time.Duration // billed function time, by tenant number
 
-	inUse      map[string]int
+	inUse      []int // reserved slots, by tenant number
 	totalInUse int
 	warm       int
 	releases   []release
@@ -266,7 +266,7 @@ func (p *pass) renderEvents() []Event {
 	return evs
 }
 
-func (p *pass) release(at time.Duration, tenant, job string, n int) {
+func (p *pass) release(at time.Duration, tenant int, job string, n int) {
 	if n <= 0 {
 		return
 	}
@@ -314,7 +314,7 @@ func (p *pass) nextInstant(ai int) (time.Duration, bool) {
 // fits reports whether demand slots for the tenant are free under both
 // the tenant quota and the platform cap, reservations included.
 func (p *pass) fits(f *fleet, w *waiting) bool {
-	if q := f.quota[w.arr.Tenant]; q > 0 && p.inUse[w.arr.Tenant]+w.demand > q {
+	if q := f.quota[w.tenant]; q > 0 && p.inUse[w.tenant]+w.demand > q {
 		return false
 	}
 	if cap := f.cl.Platform.Config().MaxConcurrent; cap > 0 && p.totalInUse+w.demand > cap {
@@ -339,8 +339,8 @@ func (p *pass) pickAdmissible(f *fleet) (waiting, bool) {
 			continue
 		}
 		b := &p.waitq[best]
-		if p.served[w.arr.Tenant] < p.served[b.arr.Tenant] ||
-			(p.served[w.arr.Tenant] == p.served[b.arr.Tenant] && w.seq < b.seq) {
+		if p.served[w.tenant] < p.served[b.tenant] ||
+			(p.served[w.tenant] == p.served[b.tenant] && w.seq < b.seq) {
 			best = i
 		}
 	}
@@ -362,8 +362,8 @@ func (f *fleet) newPass() *pass {
 		arrivals: arrivals,
 		base:     f.cl.ReserveJobIDs(len(arrivals)),
 		warm0:    f.cl.Platform.WarmPool(),
-		served:   make(map[string]time.Duration, len(f.quota)),
-		inUse:    make(map[string]int, len(f.quota)),
+		served:   make([]time.Duration, len(f.quota)),
+		inUse:    make([]int, len(f.quota)),
 	}
 }
 
@@ -385,7 +385,7 @@ func (f *fleet) runPass(p *pass, resolve resolver) {
 		for ai < len(p.arrivals) && p.arrivals[ai].At <= p.now {
 			a := &p.arrivals[ai]
 			demand := a.Job.Spec.Workers + 1
-			p.waitq = append(p.waitq, waiting{arr: a, seq: ai, demand: demand})
+			p.waitq = append(p.waitq, waiting{arr: a, tenant: f.number[a.Tenant], seq: ai, demand: demand})
 			p.event(a.At, "arrive", ai, demand, 0)
 			ai++
 		}
@@ -471,17 +471,17 @@ func (f *fleet) admitPass(p *pass, w waiting, resolve resolver) bool {
 	}
 	// The job holds its demand over its virtual window [now, complete),
 	// drained early by its scale-in evictions.
-	p.inUse[ctx.tenant] += w.demand
+	p.inUse[w.tenant] += w.demand
 	p.totalInUse += w.demand
 	complete := p.now + res.ExecTime
 	for _, rm := range res.Removals {
-		p.release(rm.Time+dt, ctx.tenant, id, 1)
+		p.release(rm.Time+dt, w.tenant, id, 1)
 		p.event(rm.Time+dt, "scale-in", idx, rm.Worker, rm.WorkersLeft)
 	}
-	p.release(complete, ctx.tenant, id, w.demand-len(res.Removals))
+	p.release(complete, w.tenant, id, w.demand-len(res.Removals))
 	p.event(complete, "complete", idx, 0, 0)
 
-	p.served[ctx.tenant] += out.funcTime
+	p.served[w.tenant] += out.funcTime
 	p.jobs = append(p.jobs, JobRecord{
 		ID: id, Tenant: ctx.tenant, Workload: ctx.workload,
 		ArriveAt: w.arr.At, AdmitAt: p.now, CompleteAt: complete,
@@ -563,9 +563,9 @@ func (f *fleet) fold(p *pass) {
 func (f *fleet) sandboxRun(ctx execCtx) (*outcome, error) {
 	reg := trace.NewRegistry()
 	plat := faas.NewPlatformWithRegistry(f.cl.Platform.Config(), reg)
-	for name, q := range f.quota {
-		if q > 0 {
-			plat.SetQuota(name, q)
+	for _, t := range f.cfg.Tenants {
+		if t.Quota > 0 {
+			plat.SetQuota(t.Name, t.Quota)
 		}
 	}
 	plat.SetWarmPool(ctx.warm)

@@ -368,14 +368,14 @@ func TestReleaseOrderIsStateNotInsertion(t *testing.T) {
 	// Releases due at one instant must commit in (tenant, job, seq)
 	// order however they were inserted — the documented total order that
 	// keeps same-instant free/re-acquire resolution a pure function of
-	// fleet state.
+	// fleet state. Tenants t1, t2 and t9 are numbers 0, 1 and 2.
 	at := 3 * time.Second
 	rs := []release{
-		{at: at, tenant: "t2", job: "t2/job5", n: 1, seq: 9},
-		{at: at, tenant: "t1", job: "t1/job7", n: 2, seq: 8},
-		{at: at, tenant: "t1", job: "t1/job2", n: 1, seq: 7},
-		{at: at - time.Second, tenant: "t9", job: "t9/job9", n: 1, seq: 6},
-		{at: at, tenant: "t1", job: "t1/job2", n: 3, seq: 5},
+		{at: at, tenant: 1, job: "t2/job5", n: 1, seq: 9},
+		{at: at, tenant: 0, job: "t1/job7", n: 2, seq: 8},
+		{at: at, tenant: 0, job: "t1/job2", n: 1, seq: 7},
+		{at: at - time.Second, tenant: 2, job: "t9/job9", n: 1, seq: 6},
+		{at: at, tenant: 0, job: "t1/job2", n: 3, seq: 5},
 	}
 	slices.SortStableFunc(rs, compareReleases)
 	want := []struct {
@@ -734,17 +734,18 @@ func TestPassLedgerMatchesEagerTranslation(t *testing.T) {
 	}
 }
 
-// cachedFleet settles a templated fleet of n arrivals a second apart
-// over the two pmfTemplate workloads (cap 8, three tenants at quota 4;
-// jobs run about a second, so admissions queue for ~0.4 s on average and
-// scale-in requests fire): its final pass, and the executor holding
-// every outcome the pass resolves from, so any further pass over it is
-// all-exact.
-func cachedFleet(tb testing.TB, n int) (*fleet, *pass, *executor) {
+// cachedFleet settles a templated fleet of n arrivals spaced apart
+// over the two pmfTemplate workloads (cap 8, three tenants at quota 4):
+// its final pass, and the executor holding every outcome the pass
+// resolves from, so any further pass over it is all-exact. Jobs run
+// about a second, so at a second apart admissions queue for ~0.4 s on
+// average and scale-in requests fire; at 200 ms apart the queue grows
+// hundreds deep.
+func cachedFleet(tb testing.TB, n int, spacing time.Duration) (*fleet, *pass, *executor) {
 	tb.Helper()
 	cfg, _ := testFleet(tb, 11, 8, 1)
 	mix := []Template{pmfTemplate("pmf-a", 30, 2, 25), pmfTemplate("pmf-b", 30, 3, 30)}
-	arrivals, err := GenerateArrivals(11, []string{"t1", "t2", "t3"}, mix, n, time.Second)
+	arrivals, err := GenerateArrivals(11, []string{"t1", "t2", "t3"}, mix, n, spacing)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -764,7 +765,7 @@ func TestDecisionPassAllocsBounded(t *testing.T) {
 	// that translated every outcome and formatted every key and detail
 	// allocated 34.6 per admission on this fleet (10374 per pass).
 	const perAdmission = 3
-	f, p, ex := cachedFleet(t, 300)
+	f, p, ex := cachedFleet(t, 300, time.Second)
 	allocs := testing.AllocsPerRun(5, func() { f.runPass(p, ex.resolve) })
 	if !p.exact {
 		t.Fatal("a pass over a fully cached fleet is not exact")
@@ -777,17 +778,26 @@ func TestDecisionPassAllocsBounded(t *testing.T) {
 
 // BenchmarkDecisionPass times one decision pass over a fully cached
 // 2000-arrival templated fleet: the control plane's own cost per
-// admission once every outcome is known.
+// admission once every outcome is known. Arrivals come a second apart
+// ("spaced", short queues) or 200 ms apart ("contended", where every
+// admission attempt scans a queue hundreds deep).
 func BenchmarkDecisionPass(b *testing.B) {
-	f, p, ex := cachedFleet(b, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.runPass(p, ex.resolve)
+	for _, tc := range []struct {
+		name    string
+		spacing time.Duration
+	}{{"spaced", time.Second}, {"contended", 200 * time.Millisecond}} {
+		b.Run(tc.name, func(b *testing.B) {
+			f, p, ex := cachedFleet(b, 2000, tc.spacing)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.runPass(p, ex.resolve)
+			}
+			b.StopTimer()
+			if !p.exact {
+				b.Fatal("a pass over a fully cached fleet is not exact")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.ctxs)), "ns/admission")
+		})
 	}
-	b.StopTimer()
-	if !p.exact {
-		b.Fatal("a pass over a fully cached fleet is not exact")
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.ctxs)), "ns/admission")
 }

@@ -31,6 +31,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mlless/internal/core"
@@ -150,19 +151,22 @@ func (ev Event) String() string {
 // waiting is a submitted, not-yet-admitted job.
 type waiting struct {
 	arr    *Arrival // in the pass's sorted schedule
+	tenant int      // the arrival's tenant number
 	seq    int      // arrival order, FIFO tie-break
 	demand int      // workers + supervisor
 }
 
-// release frees n reserved slots of a tenant at a virtual instant —
-// either a scale-in eviction (n=1) or a job completion. job is the
-// releasing job's namespace ID: releases due at the same instant are
-// applied in (tenant, job, seq) order, a total order over fleet state
-// rather than insertion history, so a slot freed and re-acquired at one
-// instant resolves identically however the schedule was produced.
+// release frees n reserved slots of a tenant, by number, at a virtual
+// instant — either a scale-in eviction (n=1) or a job completion. job
+// is the releasing job's namespace ID: releases due at the same instant
+// are applied in (tenant, job, seq) order, a total order over fleet
+// state rather than insertion history, so a slot freed and re-acquired
+// at one instant resolves identically however the schedule was
+// produced. Tenant numbers follow name order, so the order is the
+// names'.
 type release struct {
 	at     time.Duration
-	tenant string
+	tenant int
 	job    string
 	n      int
 	seq    int
@@ -179,10 +183,13 @@ func Run(cfg Config) (*Report, error) {
 	return f.run()
 }
 
+// fleet numbers its tenants 0…n−1 in ascending name order, once, so
+// that a pass keeps its per-tenant ledgers in slices indexed by number.
 type fleet struct {
 	cfg    Config
 	cl     *core.Cluster
-	quota  map[string]int
+	number map[string]int // tenant number by name
+	quota  []int          // by tenant number; 0 = no tenant cap
 	events []Event
 	jobs   []JobRecord
 }
@@ -224,12 +231,19 @@ func newFleet(cfg Config) (*fleet, error) {
 				a.Tenant, a.Workload)
 		}
 	}
+	names := make([]string, 0, len(quota))
 	for name, q := range quota {
 		if q > 0 {
 			cfg.Cluster.Platform.SetQuota(name, q)
 		}
+		names = append(names, name)
 	}
-	return &fleet{cfg: cfg, cl: cfg.Cluster, quota: quota}, nil
+	slices.Sort(names)
+	f := &fleet{cfg: cfg, cl: cfg.Cluster, number: make(map[string]int, len(names)), quota: make([]int, len(names))}
+	for k, name := range names {
+		f.number[name], f.quota[k] = k, quota[name]
+	}
+	return f, nil
 }
 
 // compareReleases orders releases by (at, tenant, job, seq) — the
