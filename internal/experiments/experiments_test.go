@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,12 +44,23 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current quick suite")
+
+// quickGolden holds every quick-mode table, as Table.String prints it
+// with the host-dependent cells masked, in registry order.
+var quickGolden = filepath.Join("testdata", "quick.golden")
+
 // TestAllExperimentsQuick executes the whole suite in quick mode: every
-// runner must return a non-empty, well-formed table.
+// runner must return a non-empty, well-formed table, equal to its
+// section of testdata/quick.golden. Everything but the masked cells is
+// virtual time, dollars and losses, so any difference is a behaviour
+// change; only a deliberate one justifies -update.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still runs full training jobs")
 	}
+	want := readGolden(t)
+	got := map[string]string{}
 	for _, entry := range Registry() {
 		entry := entry
 		t.Run(entry.ID, func(t *testing.T) {
@@ -68,8 +82,81 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !strings.Contains(table.String(), table.ID) {
 				t.Fatal("String() must include the experiment id")
 			}
+			got[entry.ID] = maskHost(table).String()
+			if !*update && got[entry.ID] != want[entry.ID] {
+				t.Errorf("quick table differs from %s\n--- got:\n%s--- want:\n%s", quickGolden, got[entry.ID], want[entry.ID])
+			}
 		})
 	}
+	if *update {
+		var sb strings.Builder
+		for _, id := range IDs() {
+			text, ok := got[id]
+			if !ok {
+				text = want[id]
+			}
+			sb.WriteString(text)
+		}
+		if err := os.WriteFile(quickGolden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readGolden splits testdata/quick.golden into one section per
+// experiment, keyed by the ID on its "== id: title ==" line.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(quickGolden)
+	if err != nil {
+		if *update && os.IsNotExist(err) {
+			return map[string]string{}
+		}
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	var id string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if strings.HasPrefix(line, "== ") {
+			id, _, _ = strings.Cut(strings.TrimPrefix(line, "== "), ":")
+		}
+		sections[id] += line
+	}
+	return sections
+}
+
+// maskHost replaces the cells a quick run takes from the host rather
+// than from the simulation with "*": abl-dataset's stream rows time and
+// size the generator on the host (wall-time, peak-heap-MiB) and run it
+// at GOMAXPROCS (par), and abl-tenancy's host-parallelism note times
+// the fleet at each host width.
+func maskHost(t Table) Table {
+	switch t.ID {
+	case "abl-dataset":
+		rows := make([][]string, len(t.Rows))
+		for i, row := range t.Rows {
+			rows[i] = append([]string(nil), row...)
+			if row[0] != "stream" {
+				continue
+			}
+			for c, h := range t.Header {
+				if h == "par" || h == "wall-time" || h == "peak-heap-MiB" {
+					rows[i][c] = "*"
+				}
+			}
+		}
+		t.Rows = rows
+	case "abl-tenancy":
+		notes := make([]string, len(t.Notes))
+		for i, n := range t.Notes {
+			if strings.HasPrefix(n, "host-parallelism sweep") {
+				n = "host-parallelism sweep: *"
+			}
+			notes[i] = n
+		}
+		t.Notes = notes
+	}
+	return t
 }
 
 // TestFig2aSpeedDecreasesWithWorkers checks the paper's O(P) shape.
