@@ -66,9 +66,6 @@ func Run(cos *objstore.Store, job core.Job, c Charge) (*core.Result, error) {
 	if spec.MaxSteps <= 0 {
 		spec.MaxSteps = 5000
 	}
-	if spec.LossAlpha <= 0 {
-		spec.LossAlpha = 0.25
-	}
 
 	p := spec.Workers
 	mdl := job.Model.Clone()
@@ -83,8 +80,7 @@ func Run(cos *objstore.Store, job core.Job, c Charge) (*core.Result, error) {
 	}
 	params := mdl.NumParams()
 	c.Start(Env{P: p, Params: params, DenseBytes: sparse.DenseEncodedSize(params), Trace: job.Trace})
-	smoother := fit.NewEWMA(spec.LossAlpha)
-	stop := core.NewStopCheck(spec)
+	smoother := fit.NewEWMA(core.LossAlpha)
 
 	res := &core.Result{}
 	var clk vclock.Clock // the run clock: steps are sequential rounds
@@ -134,7 +130,7 @@ func Run(cos *objstore.Store, job core.Job, c Charge) (*core.Result, error) {
 		res.Steps, res.FinalLoss = step, smoothed
 		res.TotalUpdateBytes += updateBytes
 		var halt bool
-		if halt, res.Converged, res.Diverged = stop.Decide(raw, smoothed, now); halt {
+		if halt, res.Converged, res.Diverged = core.StopCheck(spec.TargetLoss, raw, smoothed); halt {
 			break
 		}
 	}

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"mlless/internal/baseline"
-	"mlless/internal/baseline/pywren"
-	"mlless/internal/baseline/serverful"
 	"mlless/internal/consistency"
 	"mlless/internal/core"
 	"mlless/internal/cost"
@@ -90,44 +88,4 @@ func TestReferenceMatchesMLLess(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestPatienceStopsPlateau mirrors core's test of the same name for the
-// shared loop: a plateaued single-worker run with Patience set stops as
-// converged, at the very step MLLess stops, in every system.
-func TestPatienceStopsPlateau(t *testing.T) {
-	const maxSteps = 2000
-	systems := []struct {
-		name  string
-		train func(*core.Cluster, core.Job) (*core.Result, error)
-	}{
-		{"reference", reference},
-		{"pytorch", func(cl *core.Cluster, job core.Job) (*core.Result, error) {
-			return serverful.Train(cl.COS, job, serverful.DefaultConfig())
-		}},
-		{"pywren", func(cl *core.Cluster, job core.Job) (*core.Result, error) {
-			return pywren.Train(cl.Platform, cl.COS, job, pywren.DefaultConfig())
-		}},
-	}
-	run := func(train func(*core.Cluster, core.Job) (*core.Result, error)) *core.Result {
-		cl, job := stageJob(t, true)
-		job.Spec.MaxSteps = maxSteps
-		job.Spec.Patience = 30
-		res, err := train(cl, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(core.Run)
-	if want.Steps >= maxSteps || !want.Converged {
-		t.Fatalf("MLLess: patience did not stop the run (%d steps, converged %v)", want.Steps, want.Converged)
-	}
-	for _, sys := range systems {
-		if got := run(sys.train); got.Steps != want.Steps || !got.Converged {
-			t.Errorf("%s stopped after %d steps (converged %v), MLLess after %d",
-				sys.name, got.Steps, got.Converged, want.Steps)
-		}
-	}
-	t.Logf("patience stopped every system after %d steps", want.Steps)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"mlless/internal/core"
 	"mlless/internal/dataset"
@@ -170,19 +169,5 @@ func TestValidation(t *testing.T) {
 	bad.Spec.Data = "batch"
 	if _, err := Train(platform, cos, bad, DefaultConfig()); !errors.Is(err, core.ErrUnknownData) {
 		t.Fatalf("removed data tier: got %v, want ErrUnknownData", err)
-	}
-}
-
-func TestMaxWallClock(t *testing.T) {
-	platform, cos, job := stageLR(t)
-	job.Spec.TargetLoss = 0
-	job.Spec.MaxSteps = 100000
-	job.Spec.MaxWallClock = 5 * time.Second
-	res, err := Train(platform, cos, job, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExecTime > 15*time.Second {
-		t.Fatalf("ran to %v despite 5s cap", res.ExecTime)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"mlless/internal/core"
 	"mlless/internal/dataset"
@@ -175,19 +174,5 @@ func TestValidation(t *testing.T) {
 	bad.Spec.Data = "batch"
 	if _, err := Train(cos, bad, DefaultConfig()); !errors.Is(err, core.ErrUnknownData) {
 		t.Fatalf("removed data tier: got %v, want ErrUnknownData", err)
-	}
-}
-
-func TestMaxWallClock(t *testing.T) {
-	cos, job := stagePMF(t)
-	job.Spec.TargetLoss = 0
-	job.Spec.MaxSteps = 100000
-	job.Spec.MaxWallClock = 3 * time.Second
-	res, err := Train(cos, job, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExecTime > 6*time.Second {
-		t.Fatalf("ran to %v despite 3s cap", res.ExecTime)
 	}
 }

@@ -65,7 +65,6 @@ func runAsync(e *engine) (*Result, error) {
 			states[i].avail[j] = make(map[int]asyncAnnounce)
 		}
 	}
-	stopper := NewStopCheck(spec)
 	aggregated := 0     // highest step the supervisor has reconciled
 	expiredThrough := 0 // highest step whose update keys have been expired
 	var group []*Worker // reused across rounds
@@ -144,7 +143,7 @@ func runAsync(e *engine) (*Result, error) {
 				delete(ws.pubAt, s)
 			}
 			var err error
-			if _, stop, err = e.reconcile(s, at, n, stopper); err != nil {
+			if _, stop, err = e.reconcile(s, at, n); err != nil {
 				return nil, err
 			}
 			aggregated = s

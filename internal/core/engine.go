@@ -99,7 +99,7 @@ func run(cl *Cluster, job Job, id string) (*Result, error) {
 		cl:       cl,
 		job:      job,
 		id:       id,
-		smoother: fit.NewEWMA(job.Spec.LossAlpha),
+		smoother: fit.NewEWMA(LossAlpha),
 		tr:       job.Trace,
 		drv:      job.drv,
 	}
@@ -248,7 +248,7 @@ func (e *engine) setup() error {
 		if cfg.MinWorkers <= 0 {
 			cfg.MinWorkers = spec.Workers / 4
 		}
-		e.tuner = sched.New(cfg)
+		e.tuner = sched.New(cfg, spec.StartAt)
 		if e.tr.Enabled() {
 			e.tuner.SetTracer(e.tr, supTrack)
 		}

@@ -81,12 +81,6 @@ type Spec struct {
 	// MemoryMiB sizes the worker functions (default 2048, the largest
 	// IBM Cloud Functions offers, as in §6.1).
 	MemoryMiB int
-	// LossAlpha is the EWMA factor for the global loss stream
-	// (default 0.25).
-	LossAlpha float64
-	// MaxWallClock aborts the job once the virtual clock passes it
-	// (0 = unlimited); Fig 6/7 use it to bound non-converging systems.
-	MaxWallClock time.Duration
 	// Staleness enables the SSP extension the paper mentions as "easy
 	// enough to integrate" (§3.1): workers synchronize (pull peer
 	// updates and barrier) every Staleness steps instead of every step,
@@ -104,10 +98,6 @@ type Spec struct {
 	// worker's replica (§4.2, eviction policy) — an ablation: the
 	// residual updates the worker was withholding are then lost.
 	NoEvictionMerge bool
-	// Patience stops the job when the smoothed loss has not improved
-	// for this many consecutive steps (0 disables) — a convergence
-	// criterion for jobs without a known target loss.
-	Patience int
 	// Exchange selects the gradient-exchange strategy (see
 	// internal/exchange): "ps" (the default) is the paper's KV-mediated
 	// parameter server; "tree" is a storage collective that reduces
@@ -172,9 +162,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.MemoryMiB <= 0 {
 		s.MemoryMiB = 2048
-	}
-	if s.LossAlpha <= 0 {
-		s.LossAlpha = 0.25
 	}
 	if s.Staleness < 1 {
 		s.Staleness = 1

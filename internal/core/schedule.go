@@ -22,7 +22,6 @@ import (
 func runLockStep(e *engine) (*Result, error) {
 	spec := e.job.Spec
 	lastSync := 0
-	stopper := NewStopCheck(spec)
 
 	for step := 1; step <= spec.MaxSteps; step++ {
 		active := e.active()
@@ -125,7 +124,7 @@ func runLockStep(e *engine) (*Result, error) {
 				return nil, err
 			}
 		}
-		smoothed, stop, err := e.reconcile(step, barrier, pActive, stopper)
+		smoothed, stop, err := e.reconcile(step, barrier, pActive)
 		if err != nil {
 			return nil, err
 		}

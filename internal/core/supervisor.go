@@ -46,7 +46,7 @@ func (e *engine) syncSupervisor(at time.Duration, step int) error {
 // reports, records the step and applies the stop criteria. It returns
 // the smoothed loss and whether the run stops; the stop's verdict lands
 // in e.converged and e.diverged.
-func (e *engine) reconcile(step int, at time.Duration, pActive int, stopper *StopCheck) (smoothed float64, stop bool, err error) {
+func (e *engine) reconcile(step int, at time.Duration, pActive int) (smoothed float64, stop bool, err error) {
 	stepDur := e.advanceStep(at)
 	if err := e.syncSupervisor(at, step); err != nil {
 		return 0, false, err
@@ -60,7 +60,7 @@ func (e *engine) reconcile(step int, at time.Duration, pActive int, stopper *Sto
 			at, e.sup.Clock.Now(), trace.Int("step", step))
 	}
 	smoothed = e.recordStep(step, at, raw, updateBytes, pActive, stepDur)
-	stop, e.converged, e.diverged = stopper.Decide(raw, smoothed, at)
+	stop, e.converged, e.diverged = StopCheck(e.job.Spec.TargetLoss, raw, smoothed)
 	return smoothed, stop, nil
 }
 
@@ -148,43 +148,21 @@ func (e *engine) advanceStep(at time.Duration) time.Duration {
 	return stepDur
 }
 
-// StopCheck evaluates the engine's stop criteria step by step: a
-// non-finite raw loss, Spec.TargetLoss, Spec.MaxWallClock and
-// Spec.Patience. The baseline trainers share it, so every system stops
-// where MLLess would.
-type StopCheck struct {
-	spec          Spec
-	bestLoss      float64
-	sinceImproved int
-}
+// LossAlpha is the EWMA factor of the smoothed global loss stream that
+// the stop criteria and the auto-tuner read. The baseline trainers share
+// it, so every system smooths the same way.
+const LossAlpha = 0.25
 
-// NewStopCheck returns the stop rule for spec.
-func NewStopCheck(spec Spec) *StopCheck {
-	return &StopCheck{spec: spec, bestLoss: math.Inf(1)}
-}
-
-// Decide returns whether the run must stop after this step, and whether
-// it stops as converged or diverged.
-func (s *StopCheck) Decide(raw, smoothed float64, at time.Duration) (stop, converged, diverged bool) {
+// StopCheck applies the engine's stop criteria to one step: a
+// non-finite raw loss diverges the run, and a smoothed loss at target
+// (Spec.TargetLoss; 0 disables it) converges it. The baseline trainers share it, so
+// every system stops where MLLess would.
+func StopCheck(target, raw, smoothed float64) (stop, converged, diverged bool) {
 	if math.IsNaN(raw) || math.IsInf(raw, 0) {
 		return true, false, true
 	}
-	if s.spec.TargetLoss > 0 && smoothed <= s.spec.TargetLoss {
+	if target > 0 && smoothed <= target {
 		return true, true, false
-	}
-	if s.spec.MaxWallClock > 0 && at >= s.spec.MaxWallClock {
-		return true, false, false
-	}
-	if s.spec.Patience > 0 {
-		// Only meaningful progress resets the counter: at least 0.1%
-		// relative improvement over the best loss seen.
-		const minRelImprovement = 1e-3
-		if smoothed < s.bestLoss*(1-minRelImprovement) {
-			s.bestLoss = smoothed
-			s.sinceImproved = 0
-		} else if s.sinceImproved++; s.sinceImproved >= s.spec.Patience {
-			return true, true, false
-		}
 	}
 	return false, false, false
 }

@@ -50,7 +50,7 @@ func pullTestEngine(t *testing.T, workers int) (*Cluster, *engine) {
 		cl:       cl,
 		job:      job,
 		id:       cl.nextJobID(""),
-		smoother: fit.NewEWMA(job.Spec.LossAlpha),
+		smoother: fit.NewEWMA(LossAlpha),
 	}
 	if err := e.setup(); err != nil {
 		t.Fatal(err)

@@ -128,9 +128,11 @@ type Tuner struct {
 	pendingShrink int
 }
 
-// New returns a tuner for a job that starts with initialWorkers workers.
-func New(cfg Config) *Tuner {
-	return &Tuner{cfg: cfg.withDefaults()}
+// New returns a tuner for a job launched at virtual time start. Its
+// first scheduling epoch closes one Epoch after start, so the tuner's
+// decisions depend on the job's own timeline, never on when it began.
+func New(cfg Config, start time.Duration) *Tuner {
+	return &Tuner{cfg: cfg.withDefaults(), lastEpochAt: start}
 }
 
 // Config returns the effective (defaulted) configuration.

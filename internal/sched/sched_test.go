@@ -43,7 +43,7 @@ func feed(t *Tuner, steps int, dur time.Duration, floor float64, noise float64, 
 }
 
 func TestNoRemovalBeforeKnee(t *testing.T) {
-	tuner := New(Config{Epoch: time.Second})
+	tuner := New(Config{Epoch: time.Second}, 0)
 	r := xrand.New(1)
 	observe := observer(tuner)
 	now := time.Duration(0)
@@ -62,7 +62,7 @@ func TestNoRemovalBeforeKnee(t *testing.T) {
 }
 
 func TestFirstRemovalAtKnee(t *testing.T) {
-	tuner := New(Config{Epoch: time.Second})
+	tuner := New(Config{Epoch: time.Second}, 0)
 	removals := feed(tuner, 400, time.Second, 0.5, 0, 2)
 	if len(removals) == 0 {
 		t.Fatal("auto-tuner never removed a worker")
@@ -82,7 +82,7 @@ func TestFirstRemovalAtKnee(t *testing.T) {
 func TestContinuedRemovalsWhenFlat(t *testing.T) {
 	// A flat post-knee curve matches the reference projection, so s_Δ ≈ 0
 	// < S and the tuner should keep scaling in across epochs.
-	tuner := New(Config{Epoch: time.Second, S: 0.05})
+	tuner := New(Config{Epoch: time.Second, S: 0.05}, 0)
 	removals := feed(tuner, 600, time.Second, 0.5, 0, 3)
 	if len(removals) < 3 {
 		t.Fatalf("expected repeated scale-in on a flat curve, got removals at %v", removals)
@@ -90,21 +90,21 @@ func TestContinuedRemovalsWhenFlat(t *testing.T) {
 }
 
 func TestEpochGating(t *testing.T) {
-	tuner := New(Config{Epoch: 20 * time.Second})
+	tuner := New(Config{Epoch: 20 * time.Second}, 0)
 	// Decisions between epochs must be epoch-pending regardless of data.
 	tuner.Observe(1, 1.0, time.Second)
 	d := tuner.Decide(5*time.Second, 1, 24)
 	if d.Reason == "" {
 		t.Fatal("missing reason")
 	}
-	// First call at t=5s triggers (lastEpochAt starts at 0 — 5s < 20s).
+	// The gate opens one epoch after the job's start (0 here): 5s < 20s.
 	if d.Remove {
 		t.Fatal("removal before first epoch elapsed")
 	}
 }
 
 func TestMinWorkersFloor(t *testing.T) {
-	tuner := New(Config{Epoch: time.Second, MinWorkers: 23})
+	tuner := New(Config{Epoch: time.Second, MinWorkers: 23}, 0)
 	r := xrand.New(4)
 	observe := observer(tuner)
 	now := time.Duration(0)
@@ -132,7 +132,7 @@ func TestNoRemovalWhenDegradationHigh(t *testing.T) {
 	// After the first (knee) removal, make the observed loss curve jump
 	// far above the reference projection: s_Δ must exceed S and block
 	// further removals.
-	tuner := New(Config{Epoch: time.Second, S: 0.02})
+	tuner := New(Config{Epoch: time.Second, S: 0.02}, 0)
 	r := xrand.New(5)
 	observe := observer(tuner)
 	now := time.Duration(0)
@@ -161,7 +161,7 @@ func TestNoRemovalWhenDegradationHigh(t *testing.T) {
 }
 
 func TestDecisionLogPopulated(t *testing.T) {
-	tuner := New(Config{Epoch: time.Second})
+	tuner := New(Config{Epoch: time.Second}, 0)
 	feed(tuner, 300, time.Second, 0.5, 0, 6)
 	if len(tuner.Decisions()) == 0 {
 		t.Fatal("no decisions logged")
@@ -178,7 +178,7 @@ func TestDecisionLogPopulated(t *testing.T) {
 // TestObservePassesLossThrough pins that the tuner stores the loss it is
 // given: smoothing is the engine's, done once.
 func TestObservePassesLossThrough(t *testing.T) {
-	tuner := New(Config{})
+	tuner := New(Config{}, 0)
 	tuner.Observe(1, 10, time.Second)
 	tuner.Observe(2, 0, time.Second)
 	if got := tuner.SmoothedLosses(); len(got) != 2 || got[0] != 10 || got[1] != 0 {
@@ -203,7 +203,7 @@ func TestFasterStepsExtendHorizonSteps(t *testing.T) {
 	// With d_p < d_P the current curve is evaluated more steps ahead —
 	// verify indirectly: a post-removal curve identical to the reference
 	// but with faster steps yields s_Δ ≤ 0 (throughput strictly better).
-	tuner := New(Config{Epoch: time.Second, S: 0.05})
+	tuner := New(Config{Epoch: time.Second, S: 0.05}, 0)
 	r := xrand.New(7)
 	observe := observer(tuner)
 	now := time.Duration(0)
@@ -272,7 +272,7 @@ func feedShrink(t *Tuner, n, steps int, dur time.Duration, workers int) (removal
 }
 
 func TestShrinkWaitsForKnee(t *testing.T) {
-	tuner := New(Config{})
+	tuner := New(Config{}, 0)
 	removals, reasons := feedShrink(tuner, 2, 400, time.Second, 24)
 	if len(removals) != 2 {
 		t.Fatalf("shrink removals = %v, want 2 honored", removals)
@@ -299,7 +299,7 @@ func TestShrinkWaitsForKnee(t *testing.T) {
 }
 
 func TestShrinkRespectsMinWorkersFloor(t *testing.T) {
-	tuner := New(Config{MinWorkers: 8})
+	tuner := New(Config{MinWorkers: 8}, 0)
 	// Ask for far more than the pool can give: the floor must stop the
 	// shrink and drop the unsatisfiable remainder.
 	removals, _ := feedShrink(tuner, 100, 400, time.Second, 10)
@@ -321,7 +321,7 @@ func TestShrinkRespectsMinWorkersFloor(t *testing.T) {
 }
 
 func TestShrinkNoPendingIsNoOp(t *testing.T) {
-	tuner := New(Config{})
+	tuner := New(Config{}, 0)
 	d := tuner.DecideShrink(time.Second, 1, 24)
 	if d.Remove || d.Reason != "no-shrink-pending" {
 		t.Fatalf("decision = %+v", d)
@@ -338,7 +338,7 @@ func TestShrinkNoPendingIsNoOp(t *testing.T) {
 // the same seeded curve and request schedule decide identically.
 func TestShrinkDeterministicAcrossRuns(t *testing.T) {
 	run := func() ([]int, []string) {
-		tuner := New(Config{MinWorkers: 4})
+		tuner := New(Config{MinWorkers: 4}, 0)
 		return feedShrink(tuner, 3, 300, 750*time.Millisecond, 16)
 	}
 	r1, reasons1 := run()
@@ -366,7 +366,7 @@ func TestShrinkDeterministicAcrossRuns(t *testing.T) {
 // removals do (via NotifyRemoval in the driver above), and that the
 // auto-tune decision path still works after shrink removals.
 func TestShrinkThenAutoTuneStillDecides(t *testing.T) {
-	tuner := New(Config{Epoch: time.Second, MinWorkers: 4})
+	tuner := New(Config{Epoch: time.Second, MinWorkers: 4}, 0)
 	removals, _ := feedShrink(tuner, 1, 200, time.Second, 24)
 	if len(removals) != 1 {
 		t.Fatalf("shrink removals = %v", removals)

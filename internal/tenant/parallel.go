@@ -124,15 +124,13 @@ func (c execCtx) stamped() core.Job {
 // memoable reports whether the outcome is a pure function of
 // (memoID, give, warm) alone — i.e. translation across start times,
 // tenants and job numbers is exact. That is a property of the job, not
-// of its template: the auto-tuner's epoch gate and the wall-clock stop
-// criterion compare absolute virtual times, fault draws are keyed on
-// operation names and absolute times, and a tracer's events carry both —
-// any of those pins the outcome to its admission. Nothing else in a job
-// can, because newFleet rejects arrivals that set the control-plane
-// fields (Tenant, StartAt, Shrink).
+// of its template: fault draws are keyed on operation names and
+// absolute times, and a tracer's events carry both, so either pins the
+// outcome to its admission. Nothing else in a job can: the auto-tuner
+// counts its epochs from the job's own start, and newFleet rejects
+// arrivals that set the control-plane fields (Tenant, StartAt, Shrink).
 func (c execCtx) memoable() bool {
-	return !c.job.Spec.AutoTune && c.job.Spec.MaxWallClock == 0 &&
-		c.job.Trace == nil && !c.job.Spec.Faults.Enabled()
+	return c.job.Trace == nil && !c.job.Spec.Faults.Enabled()
 }
 
 // memoKey names the job a memoable execution trains: its template when

@@ -21,6 +21,7 @@ import (
 	"mlless/internal/exchange"
 	"mlless/internal/faas"
 	"mlless/internal/faults"
+	"mlless/internal/sched"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
 )
@@ -42,9 +43,12 @@ type fleetCase struct {
 	// collective jobs that still memoize and translate.
 	tree bool
 	// hostile makes every job traced, fault-injected and tree-exchanged:
-	// two memoable exclusions and a collective at once, with faults
+	// both memoable exclusions and a collective at once, with faults
 	// firing.
 	hostile bool
+	// autotune runs every job under the scale-in tuner, with an epoch
+	// short enough to decide inside a test job's few virtual seconds.
+	autotune bool
 }
 
 // goldenCases have their artifacts committed under testdata/. The files
@@ -92,6 +96,10 @@ func (c fleetCase) build(t testing.TB) (cfg Config, tracers []*trace.Tracer) {
 		}
 		if c.hostile {
 			arrivals[i].Job.Spec.Faults = hostileFaults(c.seed)
+		}
+		if c.autotune {
+			arrivals[i].Job.Spec.AutoTune = true
+			arrivals[i].Job.Spec.Sched = sched.Config{Epoch: 200 * time.Millisecond}
 		}
 	}
 	cfg.Arrivals = arrivals
@@ -267,6 +275,7 @@ func TestFleetMatchesInlineReference(t *testing.T) {
 		{name: "seed-11-stripped-contended", seed: 11, cap: 4, jobs: 8, strip: true},
 		{name: "seed-23-stripped-contended", seed: 23, cap: 5, jobs: 8, strip: true},
 		{name: "seed-7-hostile", seed: 7, cap: 6, jobs: 7, hostile: true},
+		{name: "seed-7-autotune", seed: 7, cap: 8, jobs: 9, autotune: true},
 		treeCase,
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -450,14 +459,12 @@ func TestUntemplatedKeyIsTranslationInvariant(t *testing.T) {
 }
 
 func TestExcludedJobsKeepExactKeys(t *testing.T) {
-	// Traced, faulted, auto-tuned and wall-clock-bounded jobs read
-	// absolute virtual time or names: they keep exact keys, templated or
-	// not, and submit refuses them until certain.
+	// Traced and faulted jobs read absolute virtual time or names: they
+	// keep exact keys, templated or not, and submit refuses them until
+	// certain.
 	for name, mut := range map[string]func(*execCtx){
-		"traced":       func(x *execCtx) { x.job.Trace = trace.New() },
-		"faulted":      func(x *execCtx) { x.job.Spec.Faults = hostileFaults(1) },
-		"autotune":     func(x *execCtx) { x.job.Spec.AutoTune = true },
-		"maxwallclock": func(x *execCtx) { x.job.Spec.MaxWallClock = time.Minute },
+		"traced":  func(x *execCtx) { x.job.Trace = trace.New() },
+		"faulted": func(x *execCtx) { x.job.Spec.Faults = hostileFaults(1) },
 	} {
 		for _, tk := range []string{"", "pmf-a"} {
 			c := keyCtx()

@@ -22,9 +22,8 @@
 // outcomes, so the report, event log and bills are byte-identical at
 // every parallelism level (see parallel.go). Every job whose outcome
 // translates across start times runs ahead speculatively, templated or
-// not; traced, fault-injected, auto-tuned and wall-clock-bounded jobs
-// run in the same sandboxes but only once their admission is certain
-// (execCtx.memoable).
+// not; traced and fault-injected jobs run in the same sandboxes but only
+// once their admission is certain (execCtx.memoable).
 package tenant
 
 import (
