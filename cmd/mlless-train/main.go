@@ -245,7 +245,7 @@ func buildJob(cluster *mlless.Cluster, modelName, data string, batch int, lr flo
 		var cfg mlless.MovieLensConfig
 		switch data {
 		case "ml1m":
-			cfg = mlless.MovieLensConfig{Users: 1200, Items: 2400, Ratings: 120_000, Rank: 20, NoiseStd: 0.7, SignalStd: 0.8}
+			cfg = mlless.MovieLens1MScale()
 		case "ml10m":
 			cfg = mlless.MovieLens10MScale()
 		case "ml20m":

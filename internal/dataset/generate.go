@@ -309,6 +309,21 @@ type MovieLensConfig struct {
 	Seed uint64
 }
 
+// MovieLens1MScale is the small MovieLens-shaped job that Fig 2's
+// training-speed and curve-fitting studies and the CLI smoke runs use:
+// 1 200 users, 2 400 items, 120 000 ratings (≈50 per movie), rank 20.
+func MovieLens1MScale() MovieLensConfig {
+	return MovieLensConfig{
+		Users:     1_200,
+		Items:     2_400,
+		Ratings:   120_000,
+		Rank:      20,
+		NoiseStd:  0.70,
+		SignalStd: 0.80,
+		Seed:      5,
+	}
+}
+
 // MovieLens10MScale returns a generator shaped like MovieLens-10M
 // scaled to run on one machine. The scaling preserves the statistics
 // the experiments depend on: ≈125 ratings per movie (ML-10M has ≈140),

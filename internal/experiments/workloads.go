@@ -223,11 +223,7 @@ func PMF20M(quick bool) *Workload {
 // PMF1M is the MovieLens-1M-scale job Fig 2 uses for its training-speed
 // and curve-fitting micro-studies.
 func PMF1M(quick bool) *Workload {
-	cfg := dataset.MovieLensConfig{
-		Users: 1_200, Items: 2_400, Ratings: 120_000,
-		Rank: 20, NoiseStd: 0.70, SignalStd: 0.80, Seed: 5,
-	}
-	return pmfWorkload("PMF-ML1M", cfg, 625, quick)
+	return pmfWorkload("PMF-ML1M", dataset.MovieLens1MScale(), 625, quick)
 }
 
 func pmfWorkload(name string, cfg dataset.MovieLensConfig, batch int, quick bool) *Workload {

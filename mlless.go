@@ -300,6 +300,9 @@ func NewAdam(lr Schedule) Optimizer { return optimizer.NewAdamDefaults(lr) }
 // DefaultCriteoConfig returns the Criteo-shaped generator settings.
 func DefaultCriteoConfig() CriteoConfig { return dataset.DefaultCriteoConfig() }
 
+// MovieLens1MScale returns the MovieLens-1M-shaped generator settings.
+func MovieLens1MScale() MovieLensConfig { return dataset.MovieLens1MScale() }
+
 // MovieLens10MScale returns the MovieLens-10M-shaped generator settings.
 func MovieLens10MScale() MovieLensConfig { return dataset.MovieLens10MScale() }
 
