@@ -57,7 +57,7 @@ func AblDataset(opts Options) (Table, error) {
 		res.ExecTime.Round(time.Millisecond).String(),
 		"-",
 		fmt.Sprintf("%d", res.Steps),
-		meanFetch(res.StepPhases).Round(time.Microsecond).String(),
+		meanPhase(res.StepPhases, func(p core.StepPhase) time.Duration { return p.Fetch }).Round(time.Microsecond).String(),
 		"-",
 		fmt.Sprintf("%.6f", res.FinalLoss),
 	})
@@ -111,18 +111,6 @@ func AblDataset(opts Options) (Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// meanFetch averages the traced per-step fetch phase.
-func meanFetch(phases []core.StepPhase) time.Duration {
-	if len(phases) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, p := range phases {
-		total += p.Fetch
-	}
-	return total / time.Duration(len(phases))
 }
 
 // trackPeakHeap samples runtime.HeapAlloc on a background goroutine

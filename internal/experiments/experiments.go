@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"mlless/internal/core"
@@ -23,16 +22,11 @@ import (
 
 // Table is a printable experiment result.
 type Table struct {
-	// ID is the experiment identifier ("fig4", "table3", ...).
-	ID string
-	// Title describes the experiment.
-	Title string
-	// Header names the columns.
-	Header []string
-	// Rows holds formatted cells.
-	Rows [][]string
-	// Notes carry caveats (calibration, substitutions).
-	Notes []string
+	ID     string     // the experiment identifier ("fig4", "table3", ...)
+	Title  string     // what the experiment shows
+	Header []string   // the column names
+	Rows   [][]string // formatted cells
+	Notes  []string   // caveats (calibration, substitutions)
 }
 
 // String renders the table with aligned columns.
@@ -40,33 +34,28 @@ func (t Table) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s ==\n", t.ID, t.Title)
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], len(c))
 			}
 		}
 	}
 	line := func(cells []string) {
 		for i, c := range cells {
+			w := 0
 			if i < len(widths) {
-				fmt.Fprintf(&sb, "%-*s  ", widths[i], c)
-			} else {
-				sb.WriteString(c + "  ")
+				w = widths[i]
 			}
+			fmt.Fprintf(&sb, "%-*s  ", w, c)
 		}
 		sb.WriteString("\n")
 	}
-	line(t.Header)
+	rule := make([]string, len(widths))
 	for i, w := range widths {
-		widths[i] = w
-		sb.WriteString(strings.Repeat("-", w) + "  ")
+		rule[i] = strings.Repeat("-", w)
 	}
-	sb.WriteString("\n")
-	for _, row := range t.Rows {
+	for _, row := range append([][]string{t.Header, rule}, t.Rows...) {
 		line(row)
 	}
 	for _, n := range t.Notes {
@@ -79,30 +68,22 @@ func (t Table) String() string {
 // plotting tools.
 func (t Table) CSV() string {
 	var sb strings.Builder
-	w := csv.NewWriter(&sb)
 	// Writes to a strings.Builder cannot fail.
-	_ = w.Write(t.Header)
-	for _, row := range t.Rows {
-		_ = w.Write(row)
-	}
-	w.Flush()
+	_ = csv.NewWriter(&sb).WriteAll(append([][]string{t.Header}, t.Rows...))
 	return sb.String()
 }
 
 // Options tunes experiment scale.
 type Options struct {
 	// Quick shrinks datasets, worker counts and sweeps so the whole
-	// suite runs in seconds (used by `go test -bench` and CI); the full
+	// suite runs in seconds, each table pinned by a test; the full
 	// configuration reproduces the paper's settings at simulator scale.
 	Quick bool
 	// TraceDir, when non-empty, dumps a Chrome trace-event JSON file per
 	// MLLess training run into this directory (created on demand), named
-	// after the experiment point ("fig4-pmf-1m-p12-v0.7.trace.json").
+	// after the experiment point: the experiment ID and the row's key
+	// cells ("fig4-PMF-ML10M-12-0.7.trace.json").
 	TraceDir string
-	// ArtifactDir is where experiments that emit BENCH_*.json artifacts
-	// write them; empty means the working directory (what mlless-bench
-	// and CI rely on — tests point it at a scratch directory instead).
-	ArtifactDir string
 }
 
 // runJob executes one MLLess training run for an experiment point,
@@ -142,15 +123,15 @@ func dumpTrace(dir, label string, tr *trace.Tracer) error {
 // Runner executes one experiment.
 type Runner func(Options) (Table, error)
 
-// Registry maps experiment IDs to runners, in evaluation-section order.
-func Registry() []struct {
+// Entry is one registered experiment.
+type Entry struct {
 	ID  string
 	Run Runner
-} {
-	return []struct {
-		ID  string
-		Run Runner
-	}{
+}
+
+// Registry maps experiment IDs to runners, in evaluation-section order.
+func Registry() []Entry {
+	return []Entry{
 		{"fig2a", Fig2a},
 		{"fig2b", Fig2b},
 		{"fig2c", Fig2c},
@@ -201,13 +182,3 @@ func IDs() []string {
 
 // fmtF renders a float compactly.
 func fmtF(v float64) string { return fmt.Sprintf("%.4g", v) }
-
-// sortedKeys returns map keys in ascending order (generic over ints).
-func sortedKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -64,7 +64,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	for _, entry := range Registry() {
 		entry := entry
 		t.Run(entry.ID, func(t *testing.T) {
-			table, err := entry.Run(Options{Quick: true, ArtifactDir: t.TempDir()})
+			table, err := entry.Run(Options{Quick: true})
 			if err != nil {
 				t.Fatal(err)
 			}

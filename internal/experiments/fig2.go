@@ -23,12 +23,8 @@ func fig2Run(opts Options, workers, steps int) (*core.Result, error) {
 // the number of workers varies. The paper observes speed decreasing
 // roughly linearly with workers because per-step communication is O(p).
 func Fig2a(opts Options) (Table, error) {
-	workerCounts := []int{4, 8, 12, 16, 20, 24}
-	steps := 40
-	if opts.Quick {
-		workerCounts = []int{4, 12, 24}
-		steps = 15
-	}
+	workerCounts := pick(opts, []int{4, 8, 12, 16, 20, 24}, []int{4, 12, 24})
+	steps := pick(opts, 40, 15)
 	t := Table{
 		ID:     "fig2a",
 		Title:  "Training speed vs number of workers (PMF, MovieLens-1M scale)",
@@ -43,13 +39,9 @@ func Fig2a(opts Options) (Table, error) {
 		if len(res.History) < 2 {
 			return Table{}, fmt.Errorf("fig2a (P=%d): too few steps", p)
 		}
-		span := res.History[len(res.History)-1].Time - res.History[0].Time
-		rate := float64(len(res.History)-1) / span.Seconds()
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p),
-			fmt.Sprintf("%.3f", rate),
-			(span / time.Duration(len(res.History)-1)).Round(time.Millisecond).String(),
-		})
+		n, span := len(res.History)-1, res.History[len(res.History)-1].Time-res.History[0].Time
+		t.Rows = append(t.Rows, []string{fmt.Sprint(p), fmt.Sprintf("%.3f", float64(n)/span.Seconds()),
+			(span / time.Duration(n)).Round(time.Millisecond).String()})
 	}
 	t.Notes = append(t.Notes, "speed decreases with P: per-step pull traffic is O(P) through Redis (paper Fig 2a)")
 	return t, nil

@@ -7,9 +7,7 @@ import (
 
 	"mlless/internal/baseline/pywren"
 	"mlless/internal/baseline/serverful"
-	"mlless/internal/consistency"
 	"mlless/internal/core"
-	"mlless/internal/sched"
 )
 
 // systemNames in presentation order, as in Fig 6's legend.
@@ -30,23 +28,17 @@ var (
 // runSystem executes one system on one workload until the deep
 // ("prudent") convergence threshold, memoizing the result.
 func runSystem(opts Options, wl *Workload, system string, workers int) (*core.Result, error) {
-	quick := opts.Quick
 	key := runKey{wl.Name, system, workers}
 	runMu.Lock()
-	if res, ok := runCache[key]; ok {
-		runMu.Unlock()
+	res, ok := runCache[key]
+	runMu.Unlock()
+	if ok {
 		return res, nil
 	}
-	runMu.Unlock()
 
 	cl, job := wl.Make(workers)
-	job.Spec.TargetLoss = wl.PrudentLoss
-	job.Spec.MaxSteps = 4000
-	if quick {
-		job.Spec.MaxSteps = 800
-	}
-
-	var res *core.Result
+	job.Spec.TargetLoss, job.Spec.MaxSteps = wl.PrudentLoss, pick(opts, 4000, 800)
+	label := fmt.Sprintf("fig6-%s-%s-p%d", wl.Name, system, workers)
 	var err error
 	switch system {
 	case "pytorch":
@@ -54,22 +46,11 @@ func runSystem(opts Options, wl *Workload, system string, workers int) (*core.Re
 	case "pywren-ibm":
 		res, err = pywren.Train(cl.Platform, cl.COS, job, pywren.DefaultConfig())
 	case "mlless":
-		job.Spec.Sync = consistency.BSP
-		res, err = runJob(opts, cl, job, fmt.Sprintf("fig6-%s-%s-p%d", wl.Name, system, workers))
-	case "mlless+isp":
-		job.Spec.Sync = consistency.ISP
-		job.Spec.Significance = wl.V
-		res, err = runJob(opts, cl, job, fmt.Sprintf("fig6-%s-%s-p%d", wl.Name, system, workers))
-	case "mlless+all":
-		job.Spec.Sync = consistency.ISP
-		job.Spec.Significance = wl.V
-		job.Spec.AutoTune = true
-		// Epoch scaled to the ~10x shorter simulated jobs (see Fig 5).
-		job.Spec.Sched = sched.Config{Epoch: 5 * time.Second}
-		if quick {
-			job.Spec.Sched = sched.Config{Epoch: 2 * time.Second}
-		}
-		res, err = runJob(opts, cl, job, fmt.Sprintf("fig6-%s-%s-p%d", wl.Name, system, workers))
+		res, err = runJob(opts, cl, job, label)
+	case "mlless+isp", "mlless+all":
+		isp(&job.Spec, wl)
+		job.Spec.AutoTune, job.Spec.Sched = system == "mlless+all", schedConfig(opts)
+		res, err = runJob(opts, cl, job, label)
 	default:
 		return nil, fmt.Errorf("experiments: unknown system %q", system)
 	}
@@ -92,15 +73,12 @@ func Fig6Workloads(opts Options) ([]*Workload, int) {
 	return []*Workload{LRCriteo(false), PMF10M(false), PMF20M(false)}, 24
 }
 
-// fig6Workloads is the internal alias.
-func fig6Workloads(opts Options) ([]*Workload, int) { return Fig6Workloads(opts) }
-
 // Fig6 reproduces Fig 6: loss-vs-time comparison of PyTorch, PyWren-IBM
 // and the three MLLess variants. The paper's headline: MLLess reaches
 // the prudent loss ≈14.5-15.7x faster than PyTorch on the PMF jobs, and
 // PyWren-IBM is "very inefficient in all jobs".
 func Fig6(opts Options) (Table, error) {
-	workloads, workers := fig6Workloads(opts)
+	workloads, workers := Fig6Workloads(opts)
 	t := Table{
 		ID:    "fig6",
 		Title: "Loss vs time: PyTorch vs PyWren-IBM vs MLLess variants",
@@ -112,45 +90,40 @@ func Fig6(opts Options) (Table, error) {
 		},
 	}
 	for _, wl := range workloads {
-		var pytorchPrudent time.Duration
+		var base time.Duration // PyTorch's time to the prudent loss
 		for _, system := range systemNames {
 			res, err := runSystem(opts, wl, system, workers)
 			if err != nil {
 				return Table{}, fmt.Errorf("fig6 (%s/%s): %w", wl.Name, system, err)
 			}
-			target, targetOK := res.TimeToLoss(wl.TargetLoss)
-			prudent, prudentOK := res.TimeToLoss(wl.PrudentLoss)
-			if system == "pytorch" && prudentOK {
-				pytorchPrudent = prudent
-			}
+			prudent, ok := res.TimeToLoss(wl.PrudentLoss)
 			speedup := "-"
-			if system != "pytorch" && prudentOK && pytorchPrudent > 0 {
-				speedup = fmt.Sprintf("%.2fx", pytorchPrudent.Seconds()/prudent.Seconds())
+			if system == "pytorch" && ok {
+				base = prudent
+			} else if system != "pytorch" && ok && base > 0 {
+				speedup = fmt.Sprintf("%.2fx", base.Seconds()/prudent.Seconds())
 			}
-			fmtTime := func(d time.Duration, ok bool) string {
-				if !ok {
-					return "n/a"
-				}
-				return d.Round(time.Millisecond).String()
-			}
-			t.Rows = append(t.Rows, []string{
-				wl.Name, system,
-				fmtTime(target, targetOK),
-				fmtTime(prudent, prudentOK),
-				speedup,
-				fmt.Sprintf("%d", res.Steps),
-				fmt.Sprintf("%.4f", res.FinalLoss),
-			})
+			t.Rows = append(t.Rows, []string{wl.Name, system, timeTo(res, wl.TargetLoss), timeTo(res, wl.PrudentLoss),
+				speedup, columns["steps"](res, res), columns["final-loss"](res, res)})
 		}
 	}
 	return t, nil
+}
+
+// timeTo formats the virtual time at which r's smoothed loss first
+// reached target, or "n/a".
+func timeTo(r *core.Result, target float64) string {
+	if t, ok := r.TimeToLoss(target); ok {
+		return t.Round(time.Millisecond).String()
+	}
+	return "n/a"
 }
 
 // Fig6Series returns the loss-vs-time trace of every system for one
 // workload, sampled at n evenly spaced virtual times — the raw series
 // behind Fig 6, for plotting.
 func Fig6Series(opts Options, wl *Workload, n int) (Table, error) {
-	_, workers := fig6Workloads(opts)
+	_, workers := Fig6Workloads(opts)
 	results := make(map[string]*core.Result, len(systemNames))
 	var longest time.Duration
 	for _, system := range systemNames {
@@ -159,9 +132,7 @@ func Fig6Series(opts Options, wl *Workload, n int) (Table, error) {
 			return Table{}, fmt.Errorf("fig6 series (%s/%s): %w", wl.Name, system, err)
 		}
 		results[system] = res
-		if res.ExecTime > longest {
-			longest = res.ExecTime
-		}
+		longest = max(longest, res.ExecTime)
 	}
 	t := Table{
 		ID:     "fig6-series",

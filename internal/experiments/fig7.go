@@ -14,11 +14,8 @@ import (
 // the best cost-performance trade-off in all applications, even for the
 // tiny budget of 9 cents".
 func Fig7(opts Options) (Table, error) {
-	workloads, workers := fig6Workloads(opts)
-	fractions := []float64{0.05, 0.15, 0.5, 1.0}
-	if opts.Quick {
-		fractions = []float64{0.15, 1.0}
-	}
+	workloads, workers := Fig6Workloads(opts)
+	fractions := pick(opts, []float64{0.05, 0.15, 0.5, 1.0}, []float64{0.15, 1.0})
 	t := Table{
 		ID:     "fig7",
 		Title:  "Loss attainable under fixed budgets (and max affordable runtime)",
@@ -46,16 +43,9 @@ func Fig7(opts Options) (Table, error) {
 				}
 				// Average spending rate in $/s; affordable runtime under
 				// the budget (capped at the run's actual length).
-				rate := 0.0
-				if res.ExecTime > 0 {
-					rate = res.Cost.Total / res.ExecTime.Seconds()
-				}
 				affordable := res.ExecTime
-				if rate > 0 {
-					afford := time.Duration(budget / rate * float64(time.Second))
-					if afford < affordable {
-						affordable = afford
-					}
+				if rate := res.Cost.Total / res.ExecTime.Seconds(); res.ExecTime > 0 && rate > 0 {
+					affordable = min(affordable, time.Duration(budget/rate*float64(time.Second)))
 				}
 				loss, _ := res.LossAtTime(affordable)
 				costPrudent := "-"

@@ -50,43 +50,3 @@ func Table2(Options) (Table, error) {
 		},
 	}, nil
 }
-
-// Table3 reproduces Table 3: execution time of LR on Criteo with the
-// global batch held constant while workers vary — the paper's evidence
-// that LR's poor scaling is statistical, not a system bottleneck
-// (execution time stays roughly flat from 12 to 48 workers).
-func Table3(opts Options) (Table, error) {
-	wl := LRCriteo(opts.Quick)
-	base := wl.BatchSize * 12 // the constant global batch P·B
-	configs := []struct{ p, b int }{
-		{12, base / 12},
-		{24, base / 24},
-		{48, base / 48},
-	}
-	if opts.Quick {
-		configs = configs[:2]
-	}
-	t := Table{
-		ID:     "table3",
-		Title:  "LR/Criteo execution time with constant global batch (paper Table 3)",
-		Header: []string{"workers", "B", "exec-time", "steps", "converged"},
-		Notes: []string{
-			fmt.Sprintf("global batch fixed at %d samples; paper: 437.1s / 395.3s / 426.3s for 12/24/48 workers", base),
-		},
-	}
-	for _, cfgRow := range configs {
-		cl, job := makeWithBatch(wl, cfgRow.p, cfgRow.b)
-		res, err := runJob(opts, cl, job, fmt.Sprintf("table3-p%d-b%d", cfgRow.p, cfgRow.b))
-		if err != nil {
-			return Table{}, fmt.Errorf("table3 (P=%d): %w", cfgRow.p, err)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", cfgRow.p),
-			fmt.Sprintf("%d", cfgRow.b),
-			res.ExecTime.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", res.Steps),
-			fmt.Sprintf("%v", res.Converged),
-		})
-	}
-	return t, nil
-}

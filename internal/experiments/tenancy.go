@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -20,8 +17,7 @@ import (
 // quotas inside a deliberately tight platform cap. The experiment
 // reports aggregate throughput, Jain's fairness index over per-tenant
 // mean slowdowns, and tail job-completion latency, and checks the
-// platform's bill splits exactly across tenants. Results are written to
-// BENCH_tenancy.json in the working directory.
+// platform's bill splits exactly across tenants.
 //
 // Quick runs a 12-job trace; the full trace is 60 jobs (the ISSUE's
 // >= 50). Both are pure functions of the seed: the control-plane event
@@ -33,7 +29,6 @@ import (
 // deliverable, and the event log is byte-compared across widths so the
 // sweep doubles as a determinism check.
 func AblTenancy(opts Options) (Table, error) {
-	start := time.Now()
 	jobs := 60
 	if opts.Quick {
 		jobs = 12
@@ -123,10 +118,6 @@ func AblTenancy(opts Options) (Table, error) {
 			tr.MaxWait.Round(time.Millisecond).String(),
 		})
 	}
-
-	if err := writeTenancyBench(opts.ArtifactDir, rep, jobs, platCap, seed, meanGap, time.Since(start), pars, walls); err != nil {
-		return Table{}, fmt.Errorf("abl-tenancy: %w", err)
-	}
 	return t, nil
 }
 
@@ -156,13 +147,6 @@ func ZooTemplates(cl *core.Cluster, maxSteps int) []tenant.Template {
 	return mix
 }
 
-// benchSection is one column-oriented block of a BENCH_*.json artifact.
-type benchSection struct {
-	Columns []string        `json:"columns"`
-	Points  [][]interface{} `json:"points"`
-	Notes   []string        `json:"notes,omitempty"`
-}
-
 // hostParNote summarizes the host-parallelism sweep for the table.
 func hostParNote(pars []int, walls []time.Duration) string {
 	var b strings.Builder
@@ -182,91 +166,3 @@ func speedup(walls []time.Duration, i int) float64 {
 	}
 	return float64(walls[0]) / float64(walls[i])
 }
-
-// writeTenancyBench emits BENCH_tenancy.json into dir (the working
-// directory when empty), mirroring the repo's other BENCH artifacts.
-func writeTenancyBench(dir string, rep *tenant.Report, jobs, platCap int, seed uint64, meanGap, wall time.Duration, pars []int, walls []time.Duration) error {
-	doc := struct {
-		Description string `json:"description"`
-		Host        struct {
-			OS    string `json:"os"`
-			Arch  string `json:"arch"`
-			Cores int    `json:"cores"`
-			Wall  string `json:"regeneration_wall_clock"`
-		} `json:"host"`
-		Fleet    benchSection `json:"fleet"`
-		Tenants  benchSection `json:"tenants"`
-		HostPar  benchSection `json:"host_parallelism"`
-		Headline string       `json:"headline"`
-	}{}
-	doc.Description = fmt.Sprintf("Multi-tenant control plane (DESIGN.md §14): mlless-bench -experiment abl-tenancy. "+
-		"A seeded synthetic trace of %d job arrivals (exponential inter-arrivals, mean %v, seed %d) over the "+
-		"LR/SVM/PMF workload zoo is admitted onto one shared substrate capped at %d concurrent activations, "+
-		"under per-tenant quotas, fair-share admission and contention-triggered post-knee scale-in. "+
-		"All times are virtual (simulated) and the control-plane event log is byte-identical across same-seed runs.",
-		jobs, meanGap, seed, platCap)
-	doc.Host.OS = runtime.GOOS
-	doc.Host.Arch = runtime.GOARCH
-	doc.Host.Cores = runtime.NumCPU()
-	doc.Host.Wall = wall.Round(100 * time.Millisecond).String()
-
-	doc.Fleet = benchSection{
-		Columns: []string{"jobs", "makespan", "throughput_jobs_per_h", "jain_fairness", "p50_latency", "p99_latency", "scale_ins", "platform_function_time", "platform_function_usd"},
-		Points: [][]interface{}{{
-			len(rep.Jobs),
-			rep.Makespan.Round(time.Millisecond).String(),
-			round2(rep.ThroughputPerHour),
-			round4(rep.Jain),
-			rep.P50Latency.Round(time.Millisecond).String(),
-			rep.P99Latency.Round(time.Millisecond).String(),
-			rep.ScaleIns,
-			rep.FunctionTime.Round(time.Millisecond).String(),
-			round6(rep.FunctionDollars),
-		}},
-		Notes: []string{
-			"jain_fairness is Jain's index over per-tenant mean slowdowns ((wait+exec)/exec): 1.0 = every tenant slowed equally",
-			"scale_ins counts workers jobs handed back after contention-triggered shrink requests (honored post-knee, above the MinWorkers floor)",
-		},
-	}
-	doc.Tenants = benchSection{
-		Columns: []string{"tenant", "jobs", "function_time", "function_usd", "mean_slowdown", "max_wait"},
-		Notes: []string{
-			"function_time sums exactly to the platform's billed function seconds — the per-tenant billing split has no orphaned or double-counted GB-seconds (the experiment errors out otherwise)",
-		},
-	}
-	for _, tr := range rep.Tenants {
-		doc.Tenants.Points = append(doc.Tenants.Points, []interface{}{
-			tr.Name, tr.Jobs,
-			tr.FunctionTime.Round(time.Millisecond).String(),
-			round6(tr.FunctionDollars),
-			round4(tr.MeanSlowdown),
-			tr.MaxWait.Round(time.Millisecond).String(),
-		})
-	}
-	doc.HostPar = benchSection{
-		Columns: []string{"host_par", "wall_clock", "speedup_vs_1"},
-		Notes: []string{
-			"each width re-runs the identical seeded trace with Config.HostPar goroutines executing overlapping virtual windows; the control-plane event log is byte-compared across widths before the point is recorded",
-			"speedup saturates at min(host cores, mean virtual overlap of the trace); single-core hosts record ~1.0x by construction",
-		},
-	}
-	for i, par := range pars {
-		doc.HostPar.Points = append(doc.HostPar.Points, []interface{}{
-			par, walls[i].Round(time.Millisecond).String(), round2(speedup(walls, i)),
-		})
-	}
-	doc.Headline = fmt.Sprintf("%d jobs from %d tenants share one simulated substrate under a %d-activation cap: "+
-		"fair-share admission holds Jain fairness at %.4f over mean slowdowns with p99 completion latency %v, "+
-		"%d workers are handed back under contention, and the platform bill splits across tenants to the exact GB-second.",
-		len(rep.Jobs), len(rep.Tenants), platCap, rep.Jain, rep.P99Latency.Round(time.Millisecond), rep.ScaleIns)
-
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_tenancy.json"), append(buf, '\n'), 0o644)
-}
-
-func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }
-func round4(x float64) float64 { return float64(int(x*10000+0.5)) / 10000 }
-func round6(x float64) float64 { return float64(int(x*1e6+0.5)) / 1e6 }

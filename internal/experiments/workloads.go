@@ -18,8 +18,6 @@ import (
 type Workload struct {
 	// Name identifies the job ("LR-Criteo", "PMF-ML10M", "PMF-ML20M").
 	Name string
-	// Paper describes the corresponding Table-1 row.
-	Paper string
 	// BatchSize is the per-worker mini-batch size B.
 	BatchSize int
 	// TargetLoss is the convergence threshold of Fig 4/5 (the paper
@@ -32,21 +30,13 @@ type Workload struct {
 	// comparison (v = 0.7, §6.2).
 	V float64
 
-	quick      bool
 	newModel   func() model.Model
 	newOpt     func() optimizer.Optimizer
 	generate   func() *dataset.Dataset
 	stageOnce  sync.Once
-	staged     []stagedObject
+	staged     *objstore.Store // the encoded shards, under bucket "staged"
 	numBatch   int
 	ratingMean float64
-}
-
-// stagedObject is one staged shard blob (or the manifest) under its
-// object key, kept so every Make re-Puts bytes instead of re-encoding.
-type stagedObject struct {
-	key  string
-	blob []byte
 }
 
 // stageSeed fixes the staging shuffle: identical across every system
@@ -71,27 +61,24 @@ func cached(key string, build func() *Workload) *Workload {
 	return w
 }
 
-// stage shuffles and encodes the workload's shards once, into a scratch
-// store, and keeps the staged objects for fast re-staging.
+// stage shuffles and encodes the workload's shards once, into a store
+// of its own, so every Make re-Puts bytes instead of re-encoding.
 func (w *Workload) stage() {
 	w.stageOnce.Do(func() {
 		ds := w.generate()
 		w.ratingMean = ds.RatingMean
-		scratch := objstore.New(netmodel.Link{})
+		w.staged = objstore.New(netmodel.Link{})
 		var clk vclock.Clock
-		w.numBatch = dataset.StageShards(ds, scratch, &clk, "scratch", w.BatchSize, 0, stageSeed)
-		for _, key := range scratch.List(&clk, "scratch", "") {
-			blob, _ := scratch.PeekView("scratch", key)
-			w.staged = append(w.staged, stagedObject{key, blob})
-		}
+		w.numBatch = dataset.StageShards(ds, w.staged, &clk, "staged", w.BatchSize, 0, stageSeed)
 	})
 }
 
 // restage uploads the staged objects into the workload's bucket on cl.
 func (w *Workload) restage(cl *core.Cluster) {
 	var clk vclock.Clock
-	for _, o := range w.staged {
-		cl.COS.Put(&clk, w.Name, o.key, o.blob)
+	for _, key := range w.staged.List(&clk, "staged", "") {
+		blob, _ := w.staged.PeekView("staged", key)
+		cl.COS.Put(&clk, w.Name, key, blob)
 	}
 }
 
@@ -118,13 +105,17 @@ func (w *Workload) Make(workers int) (*core.Cluster, core.Job) {
 	return cl, w.job(workers, w.numBatch, w.BatchSize)
 }
 
-// makeWithBatch stages the workload at a different per-worker batch
-// size — Table 3's constant-global-batch sweep requires B to shrink as
-// P grows. The staging shuffle is Perm(n, seed), independent of B, so
-// the sample stream is the one Make trains on, only cut differently.
-// The dataset is regenerated (the generators are deterministic) rather
-// than retained: only this sweep needs it after staging.
+// makeWithBatch is Make at another per-worker batch size (0 keeps the
+// workload's) — Table 3's constant-global-batch sweep requires B to
+// shrink as P grows. The staging shuffle is Perm(n, seed), independent
+// of B, so the sample stream is the one Make trains on, only cut
+// differently. The dataset is regenerated (the generators are
+// deterministic) rather than retained: only this sweep needs it after
+// staging.
 func makeWithBatch(w *Workload, workers, batch int) (*core.Cluster, core.Job) {
+	if batch == 0 {
+		return w.Make(workers)
+	}
 	w.stage() // records ratingMean for the model prototype
 	cl := core.NewCluster()
 	var clk vclock.Clock
@@ -136,39 +127,9 @@ func makeWithBatch(w *Workload, workers, batch int) (*core.Cluster, core.Job) {
 // Criteo-shaped data, Adam, B = 6250 (quick: a 10x smaller dataset with
 // B scaled to keep the same steps-per-epoch).
 func LRCriteo(quick bool) *Workload {
-	key := "LR-Criteo"
-	if quick {
-		key += "-quick"
-	}
-	return cached(key, func() *Workload {
-		cfg := dataset.DefaultCriteoConfig()
-		cfg.Samples = 120_000
-		batch := 1250
-		if quick {
-			cfg.Samples = 12_000
-			cfg.HashDim = 20_000
-			batch = 125
-		}
-		dim := cfg.HashDim + cfg.NumericFeatures
-		return &Workload{
-			Name:        key,
-			Paper:       "LR on Criteo, Adam, B=6250 (Table 1)",
-			BatchSize:   batch,
-			TargetLoss:  0.58,
-			PrudentLoss: 0.555,
-			V:           0.7,
-			quick:       quick,
-			newModel:    func() model.Model { return model.NewLogReg(dim, 1e-4) },
-			newOpt:      func() optimizer.Optimizer { return optimizer.NewAdamDefaults(optimizer.Constant(0.002)) },
-			generate: func() *dataset.Dataset {
-				ds := dataset.GenerateCriteo(cfg)
-				// Min-max normalize in place (the staged form the paper
-				// prepares with PyWren-IBM map-reduce, §3.2).
-				dataset.NormalizeInPlace(ds, cfg.NumericFeatures)
-				return ds
-			},
-		}
-	})
+	return criteoWorkload("LR-Criteo", quick, 0.58, 0.555,
+		func(dim int) model.Model { return model.NewLogReg(dim, 1e-4) },
+		func() optimizer.Optimizer { return optimizer.NewAdamDefaults(optimizer.Constant(0.002)) })
 }
 
 // SVMCriteo is a sparse linear SVM over the same Criteo-shaped data as
@@ -176,7 +137,17 @@ func LRCriteo(quick bool) *Workload {
 // many ML algorithms"), trained by subgradient descent on the hinge
 // loss with Nesterov momentum.
 func SVMCriteo(quick bool) *Workload {
-	key := "SVM-Criteo"
+	return criteoWorkload("SVM-Criteo", quick, 0.64, 0.60,
+		func(dim int) model.Model { return model.NewSVM(dim, 1e-4) },
+		func() optimizer.Optimizer { return optimizer.NewNesterov(optimizer.Constant(0.3), 0.9) })
+}
+
+// criteoWorkload is a linear model over Criteo-shaped data, min-max
+// normalized in place (the staged form the paper prepares with
+// PyWren-IBM map-reduce, §3.2). newModel receives the feature dimension.
+func criteoWorkload(name string, quick bool, target, prudent float64,
+	newModel func(dim int) model.Model, newOpt func() optimizer.Optimizer) *Workload {
+	key := name
 	if quick {
 		key += "-quick"
 	}
@@ -185,21 +156,17 @@ func SVMCriteo(quick bool) *Workload {
 		cfg.Samples = 120_000
 		batch := 1250
 		if quick {
-			cfg.Samples = 12_000
-			cfg.HashDim = 20_000
-			batch = 125
+			cfg.Samples, cfg.HashDim, batch = 12_000, 20_000, 125
 		}
 		dim := cfg.HashDim + cfg.NumericFeatures
 		return &Workload{
 			Name:        key,
-			Paper:       "linear SVM on Criteo-shaped data (zoo extension; hinge loss)",
 			BatchSize:   batch,
-			TargetLoss:  0.64,
-			PrudentLoss: 0.60,
+			TargetLoss:  target,
+			PrudentLoss: prudent,
 			V:           0.7,
-			quick:       quick,
-			newModel:    func() model.Model { return model.NewSVM(dim, 1e-4) },
-			newOpt:      func() optimizer.Optimizer { return optimizer.NewNesterov(optimizer.Constant(0.3), 0.9) },
+			newModel:    func() model.Model { return newModel(dim) },
+			newOpt:      newOpt,
 			generate: func() *dataset.Dataset {
 				ds := dataset.GenerateCriteo(cfg)
 				dataset.NormalizeInPlace(ds, cfg.NumericFeatures)
@@ -242,12 +209,10 @@ func pmfWorkload(name string, cfg dataset.MovieLensConfig, batch int, quick bool
 		lr := 20.0 * float64(batch) / 625.0
 		w := &Workload{
 			Name:        key,
-			Paper:       "PMF, SGD+Nesterov momentum, r=20 (Table 1)",
 			BatchSize:   batch,
 			TargetLoss:  0.82,
 			PrudentLoss: 0.745,
 			V:           0.7,
-			quick:       quick,
 			newOpt:      func() optimizer.Optimizer { return optimizer.NewNesterov(optimizer.Constant(lr), 0.9) },
 			generate:    func() *dataset.Dataset { return dataset.GenerateMovieLens(cfg) },
 		}
