@@ -21,9 +21,6 @@ import (
 // ablWorkload picks the PMF job ablations run on.
 func ablWorkload(opts Options) (*Workload, int) { return PMF10M(opts.Quick), pick(opts, 12, 8) }
 
-// ablSteps bounds the ablation runs that may not reach the target loss.
-func ablSteps(opts Options) int { return pick(opts, 2000, 600) }
-
 // AblFilter compares the paper's accumulate-and-flush significance
 // filter against (a) dropping insignificant updates and (b) a constant
 // (non-decaying) threshold, at the same v.
@@ -32,7 +29,7 @@ func AblFilter(opts Options) (Table, error) {
 	var points []point
 	for _, variant := range []consistency.Variant{consistency.Accumulate, consistency.Drop, consistency.NoDecay} {
 		points = append(points, point{key: []string{variant.String()}, wl: wl, workers: workers,
-			edit: func(s *core.Spec) { isp(s, wl); s.FilterVariant, s.MaxSteps = variant, ablSteps(opts) }})
+			edit: func(s *core.Spec) { isp(s, wl); s.FilterVariant, s.MaxSteps = variant, pick(opts, 2000, 600) }})
 	}
 	return sweep(opts, Table{
 		ID:     "abl-filter",
@@ -170,7 +167,7 @@ func AblSSP(opts Options) (Table, error) {
 	var points []point
 	for _, k := range pick(opts, []int{1, 2, 4, 8}, []int{1, 4}) {
 		points = append(points, point{key: []string{fmt.Sprint(k)}, wl: wl, workers: workers,
-			edit: func(s *core.Spec) { isp(s, wl); s.Staleness, s.MaxSteps = k, ablSteps(opts) }})
+			edit: func(s *core.Spec) { isp(s, wl); s.Staleness, s.MaxSteps = k, pick(opts, 2000, 600) }})
 	}
 	return sweep(opts, Table{
 		ID:     "abl-ssp",
@@ -194,11 +191,13 @@ func AblFaults(opts Options) (Table, error) {
 	for _, rate := range []float64{0, 0.02, 0.05, 0.10, 0.25} {
 		points = append(points, point{key: []string{fmt.Sprintf("%.2f", rate)}, wl: wl, workers: workers, edit: func(s *core.Spec) {
 			s.MaxSteps = pick(opts, 1200, 400)
-			// The short mean lifetime lands reclamations inside the run's
-			// virtual duration (quick runs finish in ~20 virtual seconds).
-			s.Faults = faults.Spec{Seed: 7, InvokeFailProb: rate, StragglerProb: rate, ReclaimProb: rate,
-				ReclaimMeanLife: 8 * time.Second,
-				KVFailProb:      rate / 10, KVSlowProb: rate / 10, MQFailProb: rate / 10, MQSlowProb: rate / 10}
+			s.Faults = faults.Spec{
+				Seed:           7,
+				InvokeFailProb: rate, StragglerProb: rate, ReclaimProb: rate,
+				ReclaimMeanLife: 8 * time.Second, // short enough to land inside a ~20 s quick run
+				KVFailProb:      rate / 10, KVSlowProb: rate / 10,
+				MQFailProb: rate / 10, MQSlowProb: rate / 10,
+			}
 		}})
 	}
 	return sweep(opts, Table{
@@ -246,7 +245,7 @@ func AblAsync(opts Options) (Table, error) {
 		}
 		points = append(points, point{key: []string{row.name}, wl: wl, workers: workers, edit: func(s *core.Spec) {
 			s.Sync, s.Significance, s.Staleness = row.sync, row.v, row.cap
-			s.Faults, s.MaxSteps = row.fs, ablSteps(opts)
+			s.Faults, s.MaxSteps = row.fs, pick(opts, 2000, 600)
 		}})
 	}
 	return sweep(opts, Table{

@@ -39,7 +39,8 @@ func Fig2a(opts Options) (Table, error) {
 		if len(res.History) < 2 {
 			return Table{}, fmt.Errorf("fig2a (P=%d): too few steps", p)
 		}
-		n, span := len(res.History)-1, res.History[len(res.History)-1].Time-res.History[0].Time
+		n := len(res.History) - 1
+		span := res.History[n].Time - res.History[0].Time
 		t.Rows = append(t.Rows, []string{fmt.Sprint(p), fmt.Sprintf("%.3f", float64(n)/span.Seconds()),
 			(span / time.Duration(n)).Round(time.Millisecond).String()})
 	}

@@ -50,13 +50,18 @@ var (
 	workloadCache = map[string]*Workload{}
 )
 
-func cached(key string, build func() *Workload) *Workload {
+// cached builds the workload name ("-quick" appended in quick mode) once.
+func cached(name string, quick bool, build func(key string) *Workload) *Workload {
+	key := name
+	if quick {
+		key += "-quick"
+	}
 	workloadMu.Lock()
 	defer workloadMu.Unlock()
 	if w, ok := workloadCache[key]; ok {
 		return w
 	}
-	w := build()
+	w := build(key)
 	workloadCache[key] = w
 	return w
 }
@@ -147,11 +152,7 @@ func SVMCriteo(quick bool) *Workload {
 // PyWren-IBM map-reduce, §3.2). newModel receives the feature dimension.
 func criteoWorkload(name string, quick bool, target, prudent float64,
 	newModel func(dim int) model.Model, newOpt func() optimizer.Optimizer) *Workload {
-	key := name
-	if quick {
-		key += "-quick"
-	}
-	return cached(key, func() *Workload {
+	return cached(name, quick, func(key string) *Workload {
 		cfg := dataset.DefaultCriteoConfig()
 		cfg.Samples = 120_000
 		batch := 1250
@@ -194,15 +195,13 @@ func PMF1M(quick bool) *Workload {
 }
 
 func pmfWorkload(name string, cfg dataset.MovieLensConfig, batch int, quick bool) *Workload {
-	key := name
 	if quick {
-		key += "-quick"
 		cfg.Users /= 4
 		cfg.Items /= 4
 		cfg.Ratings /= 4
 		batch /= 4
 	}
-	return cached(key, func() *Workload {
+	return cached(name, quick, func(key string) *Workload {
 		// The per-sample step size is what convergence depends on; with
 		// batch-averaged gradients the rate must scale with B (η/B
 		// constant: η = 20 at the B = 625 reference).
