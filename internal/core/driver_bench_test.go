@@ -9,7 +9,7 @@ import (
 // benchmarkDriver measures full async training runs at cluster scale
 // under one driver. Dataset generation and staging happen outside the
 // timer; the measured region is the simulation itself, which is what
-// the seq/par comparison in BENCH_driver.json prices.
+// the seq/par comparison prices.
 func benchmarkDriver(b *testing.B, drv driver, workers, steps int) {
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -155,8 +155,8 @@ const LossAlpha = 0.25
 
 // StopCheck applies the engine's stop criteria to one step: a
 // non-finite raw loss diverges the run, and a smoothed loss at target
-// (Spec.TargetLoss; 0 disables it) converges it. The baseline trainers share it, so
-// every system stops where MLLess would.
+// (Spec.TargetLoss; 0 disables it) converges it. The baseline trainers
+// share it, so every system stops where MLLess would.
 func StopCheck(target, raw, smoothed float64) (stop, converged, diverged bool) {
 	if math.IsNaN(raw) || math.IsInf(raw, 0) {
 		return true, false, true

@@ -44,11 +44,11 @@
 // on an idle executor as soon as some pass predicts its (shrink, warm)
 // context, template or not. A template key only adds sharing: every
 // arrival of the template resolves from one canonical execution per
-// context. Fault decisions are pure functions of (seed, operation, key,
-// virtual time) and a tracer records absolute times and names into the
-// caller's buffer, so faulted, traced, auto-tuned and
-// wall-clock-bounded jobs take exact per-admission keys instead and
-// execute once, when certain.
+// context. The auto-tuner counts its epochs from the job's start, so
+// tuned jobs memoize too. Fault decisions are pure functions of (seed,
+// operation, key, virtual time) and a tracer records absolute times and
+// names into the caller's buffer, so faulted and traced jobs take exact
+// per-admission keys instead and execute once, when certain.
 //
 // Why the result is the same at every HostPar value: the final pass
 // replays the control loop purely from cached outcomes, and each outcome
