@@ -198,7 +198,8 @@ func (e *engine) asyncPull(w *Worker, st *asyncState, c *stepCtx) error {
 	clk := &w.inst.Clock
 	segStart := clk.Now()
 
-	msgs := e.cl.Broker.ConsumeAll(clk, e.annQueue(w.id))
+	msgs := e.cl.Broker.ConsumeAllSwap(clk, e.annQueue(w.id), w.drained)
+	w.drained = msgs
 	for _, m := range msgs {
 		ann, err := decodeAsyncAnnounce(m)
 		if err != nil {

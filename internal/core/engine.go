@@ -62,8 +62,10 @@ type engine struct {
 	prevBarrier      time.Duration
 	lastStepDur      time.Duration
 
-	// Loss reports drained for steps not yet aggregated, and
-	// aggregate's per-worker scratch.
+	// The last loss-queue drain, handed back to the broker by the next;
+	// loss reports drained for steps not yet aggregated, and aggregate's
+	// per-worker scratch.
+	lossMsgs [][]byte
 	reports  []lossReport
 	byWorker []lossReport
 	reported []bool

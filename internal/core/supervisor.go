@@ -73,7 +73,8 @@ func (e *engine) reconcile(step int, at time.Duration, pActive int) (smoothed fl
 // folded into the average. Slots are indexed by pool size, not by
 // expect, because after an eviction the live ids have gaps.
 func (e *engine) aggregate(step, expect int) (avgLoss float64, updateBytes int64, err error) {
-	for _, m := range e.cl.Broker.ConsumeAll(&e.sup.Clock, e.lossQueue()) {
+	e.lossMsgs = e.cl.Broker.ConsumeAllSwap(&e.sup.Clock, e.lossQueue(), e.lossMsgs)
+	for _, m := range e.lossMsgs {
 		r, err := decodeLossReport(m)
 		if err != nil {
 			return 0, 0, err

@@ -31,15 +31,17 @@ type Worker struct {
 	// Per-step scratch, reused across passes so the steady-state loop
 	// allocates nothing (DESIGN.md §10). ctx is the state-machine pass
 	// context; pull carries the lock-step pull half into the exchange
-	// strategy; pullKeys/pullVals back the async pull path; msg stages
-	// the announcement and the loss report, which the broker copies on
-	// publish. Within a phase exactly one driver goroutine runs this
+	// strategy; pullKeys/pullVals back the async pull path; drained is
+	// the last announcement drain, handed back to the broker by the next;
+	// msg stages the announcement and the loss report, which the broker
+	// copies on publish. Within a phase exactly one driver goroutine runs this
 	// worker's states (see driver.go), so the scratch needs no locking.
 	ctx       stepCtx
 	pull      exchange.PullCtx
 	pullKeys  []string
 	pullVals  [][]byte
 	announced []exchange.Announcement
+	drained   [][]byte
 	msg       []byte
 }
 
@@ -273,7 +275,8 @@ func (e *engine) stepPull(w *Worker, c *stepCtx) error {
 	// Drain availability announcements; they identify exactly which keys
 	// the peers have published this window.
 	announced := w.announced[:0]
-	msgs := e.cl.Broker.ConsumeAll(clk, e.annQueue(w.id))
+	msgs := e.cl.Broker.ConsumeAllSwap(clk, e.annQueue(w.id), w.drained)
+	w.drained = msgs
 	for _, m := range msgs {
 		a, err := decodeAnnounce(m)
 		if err != nil {

@@ -1,13 +1,13 @@
 package exchange
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 
 	"mlless/internal/cost"
-	"mlless/internal/kvstore"
 	"mlless/internal/sparse"
 	"mlless/internal/trace"
 	"mlless/internal/vclock"
@@ -25,12 +25,11 @@ type ParamServer struct {
 	cPublishes, cPulls *trace.Counter
 	minMerge           int // the crossover, mergeMinRuns outside tests
 
-	// mu guards win's identity and keys, runMu its run. Keying a new
-	// window takes both exclusively, mu first; building the run takes
-	// runMu alone, and replicas walk the run holding runMu shared, so a
-	// run never changes under a replica using it.
-	mu, runMu sync.RWMutex
-	win       pullWindow
+	// mu guards win. Keying a new window takes it exclusively; replicas
+	// copy its keys, build its run and walk it holding mu shared, so a
+	// window never changes under a replica using it.
+	mu  sync.RWMutex
+	win pullWindow
 
 	// payloads[w] is worker w's encoded updates. The KV store keeps
 	// each until Expire deletes its key and frees it for w's next
@@ -101,11 +100,12 @@ const mergeMinRuns = 16
 
 // Pull implements Exchange: batch-read the window's peer update keys in
 // pool order, then apply them. Every replica pays its own charged read;
-// the host work of decoding is shared. Above the crossover the first
-// replica to get there merges the window's payloads into one
-// coordinate-sorted run and every replica walks it, skipping its own
-// entries; the run keeps each coordinate's payloads in key order, so
-// the sums are bit-identical to applying the payloads one by one.
+// the host work of decoding is shared. Above the crossover the window's
+// payloads are merged into one coordinate-sorted run, built chunk by
+// chunk by the replicas that walk it, and every replica walks it,
+// skipping its own entries; the run keeps each coordinate's payloads
+// in key order, so the sums are bit-identical to applying the payloads
+// one by one. A replica whose views are not the run's applies them.
 func (x *ParamServer) Pull(p *PullCtx) (int, error) {
 	x.peerKeys(p)
 	p.Vals = x.env.KV.MGetViewInto(p.Clock, p.Keys, p.Vals)
@@ -114,11 +114,16 @@ func (x *ParamServer) Pull(p *PullCtx) (int, error) {
 			return 0, fmt.Errorf("missing peer update %s (announced: %s)", p.Keys[i], AnnouncedSet(x.UpdateKey, p.Announced))
 		}
 	}
-	var applied int
-	if len(p.Vals) >= x.minMerge && x.rlockRun(p) {
-		applied = x.win.apply(p.Params, p.Worker)
-		x.runMu.RUnlock()
-	} else {
+	applied := -1
+	if len(p.Vals) >= x.minMerge {
+		x.mu.RLock()
+		if w := &x.win; w.serves(p) {
+			w.run.Build()
+			applied = w.apply(p.Params, p.Worker)
+		}
+		x.mu.RUnlock()
+	}
+	if applied < 0 {
 		var err error
 		if applied, err = addEach(p.Params, p.Vals); err != nil {
 			return 0, err
@@ -129,7 +134,8 @@ func (x *ParamServer) Pull(p *PullCtx) (int, error) {
 }
 
 // addEach applies encoded payloads to d one after another: the pull
-// below the crossover and the async pull.
+// below the crossover, the async pull, and a replica the merged run
+// does not serve.
 func addEach(d sparse.Dense, bufs [][]byte) (int, error) {
 	applied := 0
 	for _, buf := range bufs {
@@ -155,40 +161,10 @@ func (x *ParamServer) peerKeys(p *PullCtx) {
 	x.mu.RUnlock()
 	x.mu.Lock()
 	if !w.is(p) {
-		x.runMu.Lock()
-		w.rekey(x.UpdateKey, p)
-		x.runMu.Unlock()
+		x.rekey(p)
 	}
 	p.Keys = w.peerKeys(p.Keys[:0], p.Worker)
 	x.mu.Unlock()
-}
-
-// rlockRun read-locks the run and reports whether it serves p: built
-// for p's window from exactly the payloads p.Vals holds. The first
-// caller builds it. A replica never waits for a build in progress: it
-// applies its own views meanwhile, so a build on one core does not idle
-// the others. On false the lock is not held and p applies its views.
-func (x *ParamServer) rlockRun(p *PullCtx) bool {
-	w := &x.win
-	if !x.runMu.TryRLock() {
-		return false
-	}
-	if !w.built && w.is(p) {
-		x.runMu.RUnlock()
-		if !x.runMu.TryLock() {
-			return false
-		}
-		if !w.built && w.is(p) {
-			w.build(x.env.KV)
-		}
-		x.runMu.Unlock()
-		x.runMu.RLock()
-	}
-	if w.built && w.is(p) && w.serves(p) {
-		return true
-	}
-	x.runMu.RUnlock()
-	return false
 }
 
 // PullKeys implements Exchange: the async schedule's pull, over an
@@ -225,9 +201,7 @@ func (x *ParamServer) Expire(clk *vclock.Clock, step int, ids []int) {
 // tier is job-shared, and expiry already cleaned the namespace.
 func (x *ParamServer) Teardown() {
 	x.mu.Lock()
-	x.runMu.Lock()
 	x.win = pullWindow{}
-	x.runMu.Unlock()
 	x.mu.Unlock()
 }
 
@@ -237,10 +211,10 @@ func (x *ParamServer) BillInto(*cost.Meter) {}
 
 // pullWindow is the lock-step pull window (FromStep, Step] over
 // ActiveIDs that every replica of one sync point shares: its update
-// keys, formatted once, and above the crossover the merged run of its
-// payloads, built once. One window is live at a time; its buffers are
-// reused by the next. The zero window is the empty window (0, 0] over
-// no ids, which has no keys to format.
+// keys, formatted once, and the merged run of its payloads, which the
+// replicas that walk it build together. One window is live at a time;
+// its buffers are reused by the next. The zero window is the empty
+// window (0, 0] over no ids, which has no keys to format.
 type pullWindow struct {
 	from, step int
 	ids        []int
@@ -250,15 +224,19 @@ type pullWindow struct {
 	keys []string
 	span int
 
-	// built is set once the run exists; ok once every payload decoded
-	// into it. bufs are the payloads it was built from (nil for a key
-	// missing at the time, whose block contributes nothing), and
-	// counts[i] is ids[i]'s entry count, out-of-range indices included.
-	built, ok bool
-	bufs      [][]byte
-	counts    []int
-	total     int
-	run       sparse.MergedRun
+	// ok is set once the run is ready to build: every payload decoded
+	// and ascended. dim is the model size of the replica that keyed the
+	// window, which the run spans. bufs are the payloads it is built
+	// from (nil for a key missing at the time, whose block contributes
+	// nothing) and srcs their owners; counts[i] is ids[i]'s entry count,
+	// indices past the model included.
+	ok     bool
+	dim    int
+	bufs   [][]byte
+	srcs   []uint32
+	counts []int
+	total  int
+	run    sparse.MergedRun
 }
 
 // is reports whether the window is p's, comparing ids by value.
@@ -266,18 +244,39 @@ func (w *pullWindow) is(p *PullCtx) bool {
 	return w.from == p.FromStep && w.step == p.Step && slices.Equal(w.ids, p.ActiveIDs)
 }
 
-// rekey makes the window p's and formats its keys; the run is rebuilt
-// on demand.
-func (w *pullWindow) rekey(updateKey func(step, worker int) string, p *PullCtx) {
-	w.built, w.ok = false, false
-	w.from, w.step = p.FromStep, p.Step
+// rekey makes the window p's and formats its keys. Above the crossover
+// it also peeks the window's payloads (uncharged: each replica pays for
+// its own read) and readies the run for the replicas to build.
+func (x *ParamServer) rekey(p *PullCtx) {
+	w := &x.win
+	w.from, w.step, w.ok = p.FromStep, p.Step, false
 	w.ids = append(w.ids[:0], p.ActiveIDs...)
 	w.span = max(p.Step-p.FromStep, 0)
-	w.keys = w.keys[:0]
+	w.keys, w.srcs = w.keys[:0], w.srcs[:0]
 	for _, id := range w.ids {
 		for s := p.FromStep + 1; s <= p.Step; s++ {
-			w.keys = append(w.keys, updateKey(s, id))
+			w.keys = append(w.keys, x.UpdateKey(s, id))
+			w.srcs = append(w.srcs, uint32(id))
 		}
+	}
+	if len(w.keys)-w.span < x.minMerge {
+		return
+	}
+	w.bufs = x.env.KV.PeekViewsInto(w.keys, w.bufs)
+	w.dim = len(p.Params)
+	if w.ok = w.run.Reset(w.dim, w.srcs, w.bufs); !w.ok {
+		return // a malformed or unordered payload: replicas apply their views
+	}
+	w.counts = slices.Grow(w.counts[:0], len(w.ids))[:len(w.ids)]
+	clear(w.counts)
+	w.total = 0
+	for i := range w.ids {
+		for _, buf := range w.bufs[i*w.span : (i+1)*w.span] {
+			if buf != nil {
+				w.counts[i] += int(binary.LittleEndian.Uint32(buf))
+			}
+		}
+		w.total += w.counts[i]
 	}
 }
 
@@ -291,38 +290,13 @@ func (w *pullWindow) peerKeys(dst []string, worker int) []string {
 	return dst
 }
 
-// build peeks the window's payloads (uncharged: each replica pays for
-// its own read) and merges them into the run in key order.
-func (w *pullWindow) build(kv *kvstore.Store) {
-	w.built, w.ok = true, false
-	w.bufs = kv.PeekViewsInto(w.keys, w.bufs)
-	w.counts = slices.Grow(w.counts[:0], len(w.ids))[:len(w.ids)]
-	clear(w.counts)
-	w.total = 0
-	w.run.Reset(w.bufs)
-	for i, id := range w.ids {
-		for _, buf := range w.bufs[i*w.span : (i+1)*w.span] {
-			if buf == nil {
-				continue
-			}
-			n, err := w.run.Append(uint32(id), buf)
-			if err != nil {
-				return // a malformed payload: replicas apply their views and report it
-			}
-			w.counts[i] += n
-		}
-		w.total += w.counts[i]
-	}
-	w.run.Sort()
-	w.ok = true
-}
-
 // serves reports whether the run can stand in for p's views: it was
-// built without error, from the very payloads p read. No payload of the
-// window is rewritten before the window expires, so equal views mean
-// equal bytes.
+// readied without error for p's window and model size, from the very
+// payloads p read.
+// No payload of the window is rewritten before the window expires, so
+// equal views mean equal bytes.
 func (w *pullWindow) serves(p *PullCtx) bool {
-	if !w.ok {
+	if !w.ok || !w.is(p) || len(p.Params) != w.dim {
 		return false
 	}
 	j := 0

@@ -2,9 +2,12 @@ package exchange
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,13 +30,35 @@ func encodeRaw(idx []uint32, vals []float64) []byte {
 // indices fall past a dim-sized replica, some values are ±0, and one
 // draw in eight is empty.
 func hostileUpdate(rng *rand.Rand, dim int) []byte {
+	return drawUpdate(rng, dim, func(int) bool { return rng.Intn(3) == 0 })
+}
+
+// chunkSpan is the coordinate span of one chunk of sparse.MergedRun.
+const chunkSpan = 1 << 11
+
+// edgeUpdate is hostileUpdate over a model of many run chunks: indices
+// crowd both sides of every chunk edge (k·2^11 − 1 and k·2^11) and are
+// sparse in between.
+func edgeUpdate(rng *rand.Rand, dim int) []byte {
+	return drawUpdate(rng, dim, func(i int) bool {
+		if off := i % chunkSpan; off < 2 || off >= chunkSpan-2 {
+			return rng.Intn(2) == 0
+		}
+		return rng.Intn(40) == 0
+	})
+}
+
+// drawUpdate draws an ascending payload over [0, dim+8) holding the
+// indices keep picks, one in ten valued +0 and one in ten −0; one draw
+// in eight is empty.
+func drawUpdate(rng *rand.Rand, dim int, keep func(i int) bool) []byte {
 	if rng.Intn(8) == 0 {
 		return encodeRaw(nil, nil)
 	}
 	var idx []uint32
 	var vals []float64
 	for i := 0; i < dim+8; i++ {
-		if rng.Intn(3) != 0 {
+		if !keep(i) {
 			continue
 		}
 		v := rng.NormFloat64()
@@ -102,24 +127,40 @@ func sameBits(a, b sparse.Dense) int {
 }
 
 func TestParamServerPullMatchesPerRun(t *testing.T) {
+	// A one-chunk model: minMerge 1 sends every window through the merged
+	// run, so each P is checked on both sides of the crossover.
 	const dim, steps = 61, 6
-	// minMerge 1 sends every window through the merged run, so each P is
-	// checked on both sides of the crossover.
 	for _, p := range []int{1, 2, 3, 8, 64} {
 		for _, minMerge := range []int{mergeMinRuns, 1} {
 			for _, sparseIDs := range []bool{false, true} {
 				for _, concurrent := range []bool{false, true} {
 					name := fmt.Sprintf("P=%d/minMerge=%d/evicted=%v/concurrent=%v", p, minMerge, sparseIDs, concurrent)
 					t.Run(name, func(t *testing.T) {
-						checkPullMatchesPerRun(t, p, minMerge, dim, steps, sparseIDs, concurrent)
+						checkPullMatchesPerRun(t, p, minMerge, dim, steps, sparseIDs, concurrent, hostileUpdate)
 					})
 				}
 			}
 		}
 	}
+	// A model of 20 chunks and a bit, every window merged: indices on
+	// both sides of every chunk edge and past the model, and, with the
+	// pulls concurrent, replicas that arrive while others build chunks.
+	// Run it under -cpu 1,2,4 to vary how the builds overlap.
+	for _, p := range []int{2, 16} {
+		for _, concurrent := range []bool{false, true} {
+			t.Run(fmt.Sprintf("chunked/P=%d/concurrent=%v", p, concurrent), func(t *testing.T) {
+				checkPullMatchesPerRun(t, p, 1, 20*chunkSpan+100, steps, false, concurrent, edgeUpdate)
+			})
+		}
+	}
 }
 
-func checkPullMatchesPerRun(t *testing.T, p, minMerge, dim, steps int, sparseIDs, concurrent bool) {
+// checkPullMatchesPerRun publishes steps windows of draw's updates and
+// checks each replica's pull against the per-run oracle, window by
+// window, and that a window at or above minMerge peer payloads was
+// merged unless one of its payloads does not ascend.
+func checkPullMatchesPerRun(t *testing.T, p, minMerge, dim, steps int, sparseIDs, concurrent bool,
+	draw func(*rand.Rand, int) []byte) {
 	x := newParamServer(testEnv(3*p, dim, 0))
 	x.minMerge = minMerge
 	rng := rand.New(rand.NewSource(int64(p)))
@@ -133,14 +174,14 @@ func checkPullMatchesPerRun(t *testing.T, p, minMerge, dim, steps int, sparseIDs
 	var clk vclock.Clock
 	for s := 1; s <= steps; s++ {
 		for _, id := range ids {
-			x.env.KV.Set(&clk, x.UpdateKey(s, id), hostileUpdate(rng, dim))
+			x.env.KV.Set(&clk, x.UpdateKey(s, id), draw(rng, dim))
 		}
 	}
 	pcs := make([]*PullCtx, p)
 	for i, id := range ids {
 		pcs[i] = &PullCtx{Worker: id, Clock: new(vclock.Clock), ActiveIDs: ids, Params: make(sparse.Dense, dim)}
 	}
-	check := func(what string, from, step int) {
+	check := func(what string, from, step int, ordered bool) {
 		t.Helper()
 		wants, wantN := make([]sparse.Dense, p), make([]int, p)
 		for i, pc := range pcs {
@@ -163,15 +204,25 @@ func checkPullMatchesPerRun(t *testing.T, p, minMerge, dim, steps int, sparseIDs
 					math.Float64bits(pc.Params[d]), math.Float64bits(wants[i][d]))
 			}
 		}
+		if merge := (p-1)*(step-from) >= minMerge; merge && x.win.ok != ordered {
+			t.Fatalf("%s: window merged = %v, want %v", what, x.win.ok, ordered)
+		}
 	}
-	check("BSP step 1", 0, 1)
-	check("BSP step 2", 1, 2)
-	check("SSP window (2,5]", 2, 5)
+	check("BSP step 1", 0, 1, true)
+	check("BSP step 2", 1, 2, true)
+	check("SSP window (2,5]", 2, 5, true)
 	// A payload replaced under a key already merged: the stale run must
 	// not serve the replicas that read the new bytes.
-	x.env.KV.Set(&clk, x.UpdateKey(5, ids[0]), hostileUpdate(rng, dim))
-	check("SSP window after republish", 2, 5)
-	check("BSP step 6", 5, 6)
+	x.env.KV.Set(&clk, x.UpdateKey(5, ids[0]), draw(rng, dim))
+	check("SSP window after republish", 2, 5, true)
+	check("BSP step 6", 5, 6, true)
+	// A payload whose indices do not ascend leaves the window unmerged:
+	// every replica applies its views.
+	for _, id := range ids {
+		x.env.KV.Set(&clk, x.UpdateKey(7, id), draw(rng, dim))
+	}
+	x.env.KV.Set(&clk, x.UpdateKey(7, ids[p-1]), encodeRaw([]uint32{uint32(dim - 1), 0}, []float64{1, 2}))
+	check("BSP step 7, a payload out of order", 6, 7, false)
 }
 
 func TestParamServerPullMissingPeerKey(t *testing.T) {
@@ -215,25 +266,44 @@ func TestParamServerPullMissingPeerKey(t *testing.T) {
 }
 
 func TestParamServerPullSteadyStateDoesNotAllocate(t *testing.T) {
-	// Once the window is keyed (and, above the crossover, merged), a
-	// replica's pull allocates nothing, on either side of the crossover.
+	// Once the window is keyed (and, above the crossover, merged, at
+	// P = 64 by concurrent pulls), a replica's pull allocates nothing, on
+	// either side of the crossover. A sync point on a second window of the
+	// same size allocates only the window's update keys: the run, its
+	// chunk bounds and every replica's scratch are reused.
+	const dim = 5*chunkSpan + 7
 	for _, p := range []int{4, 64} {
-		x := newParamServer(testEnv(p, 200, 0))
+		x := newParamServer(testEnv(p, dim, 0))
 		rng := rand.New(rand.NewSource(5))
 		ids := make([]int, p)
 		var clk vclock.Clock
-		for i := range ids {
-			ids[i] = i
-			x.env.KV.Set(&clk, x.UpdateKey(1, i), hostileUpdate(rng, 200))
+		for s := 1; s <= 2; s++ {
+			for i := range ids {
+				ids[i] = i
+				x.env.KV.Set(&clk, x.UpdateKey(s, i), edgeUpdate(rng, dim))
+			}
 		}
 		pcs := make([]*PullCtx, p)
 		for i := range pcs {
-			pcs[i] = &PullCtx{Worker: i, Clock: new(vclock.Clock), FromStep: 0, Step: 1, ActiveIDs: ids,
-				Params: make(sparse.Dense, 200)}
+			pcs[i] = &PullCtx{Worker: i, Clock: new(vclock.Clock), ActiveIDs: ids, Params: make(sparse.Dense, dim)}
 		}
-		if _, errs := pullAll(x, pcs, false); errs[0] != nil {
-			t.Fatal(errs[0])
+		syncPoint := func(step int, concurrent bool) {
+			for _, pc := range pcs {
+				pc.FromStep, pc.Step = step-1, step
+			}
+			if concurrent {
+				if _, errs := pullAll(x, pcs, true); errors.Join(errs...) != nil {
+					t.Fatal(errors.Join(errs...))
+				}
+				return
+			}
+			for _, pc := range pcs {
+				if _, err := x.Pull(pc); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		syncPoint(1, p == 64)
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := x.Pull(pcs[1]); err != nil {
 				t.Fatal(err)
@@ -241,6 +311,15 @@ func TestParamServerPullSteadyStateDoesNotAllocate(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("P=%d: steady-state pull allocates %.1f per call", p, allocs)
+		}
+		syncPoint(2, false)
+		step := 2
+		allocs = testing.AllocsPerRun(10, func() {
+			step = 3 - step
+			syncPoint(step, false)
+		})
+		if allocs != float64(p) {
+			t.Fatalf("P=%d: a sync point on a fresh window allocates %.1f, want its %d update keys", p, allocs, p)
 		}
 	}
 }
@@ -261,18 +340,21 @@ func criteoUpdates(rng *rand.Rand, p, dim, nnz int) []*sparse.Vector {
 	return out
 }
 
-// BenchmarkParamServerPull times one lock-step sync point, every
-// replica's pull run in turn on one goroutine, for the merged run and
-// for the per-payload loop. Iterations alternate between two published
-// windows, so each one keys and (merged) builds its window afresh.
+// BenchmarkParamServerPull times one lock-step sync point for the
+// merged run and for the per-payload loop: every replica's pull run in
+// turn on one goroutine, and (…/concurrent) the replicas shared out
+// over GOMAXPROCS goroutines, the parallel driver's shape, where
+// replicas build the run together. Iterations alternate between two
+// published windows, so each one keys and (merged) builds its window
+// afresh.
 func BenchmarkParamServerPull(b *testing.B) {
 	const dim, nnz = 100_014, 939
-	for _, p := range []int{2, 4, 8, 24, 64} {
-		for _, kernel := range []string{"merged", "per-run"} {
+	for _, p := range []int{2, 4, 8, 16, 24, 64} {
+		for _, kernel := range []string{"merged", "per-run", "merged/concurrent", "per-run/concurrent"} {
 			b.Run(fmt.Sprintf("P=%d/%s", p, kernel), func(b *testing.B) {
 				x := newParamServer(testEnv(p, dim, 0))
 				x.minMerge = 1
-				if kernel == "per-run" {
+				if strings.HasPrefix(kernel, "per-run") {
 					x.minMerge = math.MaxInt
 				}
 				rng := rand.New(rand.NewSource(1))
@@ -288,15 +370,27 @@ func BenchmarkParamServerPull(b *testing.B) {
 				for i := range pcs {
 					pcs[i] = &PullCtx{Worker: i, Clock: new(vclock.Clock), ActiveIDs: ids, Params: make(sparse.Dense, dim)}
 				}
+				g := 1
+				if strings.HasSuffix(kernel, "concurrent") {
+					g = runtime.GOMAXPROCS(0)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					for _, pc := range pcs {
-						pc.FromStep, pc.Step = n%2, n%2+1
-						if _, err := x.Pull(pc); err != nil {
-							b.Fatal(err)
-						}
+					var wg sync.WaitGroup
+					for k := 0; k < g; k++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for _, pc := range pcs[k*p/g : (k+1)*p/g] {
+								pc.FromStep, pc.Step = n%2, n%2+1
+								if _, err := x.Pull(pc); err != nil {
+									b.Error(err)
+								}
+							}
+						}()
 					}
+					wg.Wait()
 				}
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*p), "us/worker-step")
 			})

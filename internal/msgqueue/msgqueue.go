@@ -17,6 +17,13 @@
 // messages are those stored bytes, shared between queues: read-only,
 // like every store read in this simulator (package kvstore states the
 // ownership rule).
+//
+// A drain hands the drainer the queue's slice of messages. A drainer
+// that drains the same queue step after step hands its previous slice
+// back to ConsumeAllSwap, which empties it and makes it the queue's next
+// backing: from then on the broker owns that array, and the drainer must
+// not read it (nor any slice sharing it) again. Two arrays alternate, so
+// a queue refilled to the same depth every step allocates nothing.
 package msgqueue
 
 import (
@@ -204,10 +211,22 @@ func (b *Broker) Consume(clk *vclock.Clock, queue string) ([]byte, bool) {
 // queue restarts with room for as many messages as it just returned, so
 // a queue refilled to the same depth every step does not regrow.
 func (b *Broker) ConsumeAll(clk *vclock.Clock, queue string) [][]byte {
+	return b.ConsumeAllSwap(clk, queue, nil)
+}
+
+// ConsumeAllSwap is ConsumeAll that restarts the drained queue on spare,
+// the slice this drainer's previous drain returned, emptied (see the
+// package comment for who owns what); a nil spare is ConsumeAll's fresh
+// slice. The charge and the counters are ConsumeAll's.
+func (b *Broker) ConsumeAllSwap(clk *vclock.Clock, queue string, spare [][]byte) [][]byte {
+	clear(spare)
 	b.mu.Lock()
 	msgs, ok := b.queues[queue]
 	if ok {
-		b.queues[queue] = make([][]byte, 0, len(msgs))
+		if spare == nil {
+			spare = make([][]byte, 0, len(msgs))
+		}
+		b.queues[queue] = spare[:0]
 	}
 	b.cConsumed.Add(int64(len(msgs)))
 	b.mu.Unlock()

@@ -201,6 +201,41 @@ func TestConsumeAll(t *testing.T) {
 	}
 }
 
+func TestConsumeAllSwapReusesTwoArrays(t *testing.T) {
+	// A drainer handing back its previous drain alternates between two
+	// arrays: after the first two drains of a queue refilled to the same
+	// depth, a refill and drain allocate only the message copies, and
+	// every drain returns its own step's messages in order.
+	b := fastBroker()
+	b.DeclareQueue("q")
+	var clk vclock.Clock
+	var msgs [][]byte
+	step := byte(0)
+	refillAndDrain := func() {
+		step++
+		for i := byte(0); i < 5; i++ {
+			_ = b.Publish(&clk, "q", []byte{step, i})
+		}
+		msgs = b.ConsumeAllSwap(&clk, "q", msgs)
+		if len(msgs) != 5 {
+			t.Fatalf("step %d: drained %d messages, want 5", step, len(msgs))
+		}
+		for i, m := range msgs {
+			if m[0] != step || m[1] != byte(i) {
+				t.Fatalf("step %d: message %d = %v", step, i, m)
+			}
+		}
+	}
+	refillAndDrain()
+	refillAndDrain()
+	if n := testing.AllocsPerRun(10, refillAndDrain); n != 5 {
+		t.Fatalf("a refill and drain allocates %v, want the 5 message copies", n)
+	}
+	if got := b.Registry().Counter("mq.consumed").Load(); got != int64(5*step) {
+		t.Fatalf("mq.consumed = %d, want %d", got, 5*step)
+	}
+}
+
 func TestClockCharging(t *testing.T) {
 	link := netmodel.Link{Latency: time.Millisecond, BandwidthBps: 1e6}
 	b := New(link)

@@ -3,9 +3,13 @@ package sparse
 import (
 	"encoding/binary"
 	"math"
-	"math/bits"
-	"sort"
+	"sync"
+	"sync/atomic"
 )
+
+// chunkBits is log2 of the coordinates one chunk of a MergedRun spans:
+// a chunk's counting pass keeps 2^11 counters (8 KB) on the stack.
+const chunkBits = 11
 
 // MergedRun is a set of encoded sparse vectors merged into one run of
 // (index, source, value) entries sorted by index: the shared form of a
@@ -14,27 +18,45 @@ import (
 // walks the dense replica P−1 times in scattered order; walking one
 // sorted run visits each coordinate once, in ascending order.
 //
-// Bit-equality with a loop of AddEncoded rests on order alone. Sort is
-// stable, so entries sharing an index keep the order they were
-// appended in: vector by vector, and encoding order within one. A
-// replica that walks the run and adds every entry not tagged with its
-// own source therefore performs each coordinate's additions in the
-// same sequence as AddEncoded over the same vectors in append order,
-// and float addition sees identical operands in identical order.
+// The run is built in chunks of 2^11 coordinates by whoever needs it.
+// Reset finds, in one pass over each payload's indices, where every
+// chunk's slice of that payload starts, and so where every chunk lands
+// in the run; Build then claims unbuilt chunks from an atomic counter,
+// fills each with one stable counting pass over its payload slices in
+// payload order, and waits for the chunks other callers claimed.
 //
-// The walk runs in four lanes: Sort splits the sorted run at three
-// coordinate boundaries into quarters, and AddExcept walks the quarters
-// interleaved, one entry of each per turn. Every coordinate's entries
-// lie in one lane, in run order, so each coordinate still sees the same
-// additions in the same sequence; but a hot coordinate's back-to-back
-// d[i] += v chain, each addition waiting on the one before through
-// memory, now overlaps with three independent chains.
+// Bit-equality with a loop of AddEncoded rests on order alone. Chunks
+// partition the coordinates, and the counting pass is stable, so the
+// entries sharing an index keep the order of their payloads. A replica
+// that walks the run and adds every entry not tagged with its own
+// source therefore performs each coordinate's additions in the same
+// sequence as AddEncoded over the same vectors in payload order, and
+// float addition sees identical operands in identical order.
+//
+// The walk runs in four lanes: the builder of the chunk holding a
+// quarter point of the run moves it forward to the next change of
+// coordinate, a lane cut, and AddExcept walks the lanes interleaved,
+// one entry of each per turn. Every coordinate's entries lie in one
+// lane, in run order, so each coordinate still sees the same additions
+// in the same sequence; but a hot coordinate's back-to-back d[i] += v
+// chain, each addition waiting on the one before through memory, now
+// overlaps with three independent chains.
 type MergedRun struct {
-	ents, swap []runEntry
-	max        uint32
-	// cut[k] is the first entry of lane k+1: a quarter point moved
-	// forward to the next change of coordinate.
-	cut [3]int
+	ents   []runEntry
+	bufs   [][]byte
+	srcs   []uint32
+	chunks int
+	// bounds[j*(chunks+1)+c] is payload j's first entry at or past
+	// coordinate c<<chunkBits; starts[c] is chunk c's first entry in
+	// the run, starts[chunks] the run's length.
+	bounds, starts []int
+	// cut[k] is the first entry of lane k+1.
+	cut  [3]int
+	next atomic.Int64
+	// done counts the chunks built; landed is signalled with the last.
+	mu     sync.Mutex
+	done   int
+	landed sync.Cond
 }
 
 type runEntry struct {
@@ -42,99 +64,140 @@ type runEntry struct {
 	val      float64
 }
 
-// Reset empties the run and reserves room for the entries of bufs, the
-// payloads about to be appended, with a quarter's headroom: a run
-// reused window after window regrows only when a window outgrows every
-// earlier one by that margin, never entry by entry.
-func (r *MergedRun) Reset(bufs [][]byte) {
-	n := 0
-	for _, buf := range bufs {
-		if len(buf) >= sparseHeaderSize {
-			n += min(int(binary.LittleEndian.Uint32(buf)), (len(buf)-sparseHeaderSize)/sparseEntrySize)
+// Reset readies the run for the payloads bufs (the Encode layout; a nil
+// buffer is an empty payload), tagged srcs, over the coordinates
+// [0, dim): indices past dim stay out, as AddEncoded ignores them. It
+// reports false, leaving nothing to build, if a payload is malformed or
+// its indices below dim do not strictly ascend. The run borrows bufs
+// and srcs until the next Reset. Reset must not overlap Build or
+// AddExcept on the same run.
+func (r *MergedRun) Reset(dim int, srcs []uint32, bufs [][]byte) bool {
+	r.chunks, r.bufs, r.srcs, r.done = 0, bufs, srcs, 0
+	r.next.Store(0)
+	r.landed.L = &r.mu
+	chunks := (dim + 1<<chunkBits - 1) >> chunkBits
+	r.bounds = grow(r.bounds, len(bufs)*(chunks+1))
+	r.starts = grow(r.starts, chunks+1)
+	clear(r.starts)
+	for j, buf := range bufs {
+		n := 0
+		if buf != nil {
+			var err error
+			if n, err = encodedLen(buf, "merge encoded"); err != nil {
+				return false
+			}
+		}
+		b := r.bounds[j*(chunks+1) : (j+1)*(chunks+1)]
+		c, k, prev := 0, 0, -1
+		for ; k < n; k++ {
+			i := int(binary.LittleEndian.Uint32(buf[sparseHeaderSize+k*sparseEntrySize:]))
+			if i >= dim {
+				break
+			}
+			if i <= prev {
+				return false
+			}
+			for ; c <= i>>chunkBits; c++ {
+				b[c] = k
+			}
+			prev = i
+		}
+		for ; c <= chunks; c++ {
+			b[c] = k
+		}
+		for c, at := range b {
+			r.starts[c] += at
 		}
 	}
-	if cap(r.ents) < n {
-		r.ents = make([]runEntry, 0, n+n/4)
+	total := r.starts[chunks]
+	if total > cap(r.ents) {
+		r.ents = make([]runEntry, max(total, 2*cap(r.ents)))
 	}
-	r.ents = r.ents[:0]
-	r.max = 0
+	r.ents, r.cut = r.ents[:total], [3]int{}
+	r.chunks = chunks
+	return true
 }
 
-// Append decodes buf (the Encode layout) onto the run, tagging every
-// entry with src, and returns the entry count. Exact zeros and indices
-// beyond any replica stay in: the walk decides what it adds.
-func (r *MergedRun) Append(src uint32, buf []byte) (int, error) {
-	n, err := encodedLen(buf, "merge encoded")
-	if err != nil {
-		return 0, err
+// grow returns s resized to n, reallocated only when n outgrows it.
+func grow(s []int, n int) []int {
+	if n > cap(s) {
+		return make([]int, n, max(n, 2*cap(s)))
 	}
-	off := sparseHeaderSize
-	for k := 0; k < n; k++ {
-		i := binary.LittleEndian.Uint32(buf[off:])
-		r.ents = append(r.ents, runEntry{idx: i, src: src,
-			val: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))})
-		r.max = max(r.max, i)
-		off += sparseEntrySize
-	}
-	return n, nil
+	return s[:n]
 }
 
-// Sort orders the run by index, stably: an LSD radix sort over the
-// run's reusable swap buffer, with as few passes of up to 11 bits as
-// the largest index needs (two for a 100k-coordinate model).
-func (r *MergedRun) Sort() {
-	r.radixSort()
-	prev := 0
+// Build builds chunks until none is left unclaimed, then waits until
+// every chunk has landed. Any number of goroutines may call it at once
+// after Reset; each returns once the run is whole.
+func (r *MergedRun) Build() {
+	for {
+		c := int(r.next.Add(1) - 1)
+		if c >= r.chunks {
+			break
+		}
+		r.buildChunk(c)
+	}
+	r.mu.Lock()
+	for r.done < r.chunks {
+		r.landed.Wait()
+	}
+	r.mu.Unlock()
+}
+
+// buildChunk counts chunk c's entries per coordinate, scatters them
+// into the run's chunk c, payload by payload, sets the lane cuts that
+// fall in it and lands it.
+func (r *MergedRun) buildChunk(c int) {
+	var at [1 << chunkBits]int32
+	base := uint32(c) << chunkBits
+	for j := range r.bufs {
+		for e := r.slice(j, c); len(e) >= sparseEntrySize; e = e[sparseEntrySize:] {
+			at[binary.LittleEndian.Uint32(e)-base]++
+		}
+	}
+	sum := int32(r.starts[c])
+	for b, n := range at {
+		at[b], sum = sum, sum+n
+	}
+	for j, src := range r.srcs {
+		for e := r.slice(j, c); len(e) >= sparseEntrySize; e = e[sparseEntrySize:] {
+			i := binary.LittleEndian.Uint32(e)
+			p := &at[i-base]
+			r.ents[*p] = runEntry{idx: i, src: src, val: math.Float64frombits(binary.LittleEndian.Uint64(e[4:]))}
+			*p++
+		}
+	}
+	lo, hi := r.starts[c], r.starts[c+1]
 	for k := range r.cut {
-		c := max(prev, (k+1)*len(r.ents)/4)
-		for c > 0 && c < len(r.ents) && r.ents[c].idx == r.ents[c-1].idx {
-			c++
+		if q := (k + 1) * len(r.ents) / 4; lo <= q && q < hi {
+			for q > lo && q < hi && r.ents[q].idx == r.ents[q-1].idx {
+				q++
+			}
+			r.cut[k] = q
 		}
-		r.cut[k], prev = c, c
 	}
+	r.mu.Lock()
+	if r.done++; r.done == r.chunks {
+		r.landed.Broadcast()
+	}
+	r.mu.Unlock()
 }
 
-// radixSort is Sort's ordering step.
-func (r *MergedRun) radixSort() {
-	width := bits.Len32(r.max)
-	if width == 0 || len(r.ents) < 2 {
-		return
+// slice returns payload j's entries in chunk c.
+func (r *MergedRun) slice(j, c int) []byte {
+	b := r.bounds[j*(r.chunks+1)+c:]
+	if b[0] == b[1] {
+		return nil // also a nil payload's
 	}
-	passes := (width + 10) / 11
-	digit := uint((width + passes - 1) / passes)
-	mask := uint32(1)<<digit - 1
-	if cap(r.swap) < len(r.ents) {
-		r.swap = make([]runEntry, cap(r.ents))
-	}
-	src, dst := r.ents, r.swap[:len(r.ents)]
-	var counts [1 << 11]int
-	for shift := uint(0); shift < uint(width); shift += digit {
-		clear(counts[:mask+1])
-		for _, e := range src {
-			counts[e.idx>>shift&mask]++
-		}
-		sum := 0
-		for b, c := range counts[:mask+1] {
-			counts[b] = sum
-			sum += c
-		}
-		for _, e := range src {
-			b := e.idx >> shift & mask
-			dst[counts[b]] = e
-			counts[b]++
-		}
-		src, dst = dst, src
-	}
-	r.ents, r.swap = src, dst
+	return r.bufs[j][sparseHeaderSize+b[0]*sparseEntrySize : sparseHeaderSize+b[1]*sparseEntrySize]
 }
 
-// AddExcept adds every entry of the sorted run whose source is not own
-// to d, in run order per coordinate, and ignores indices outside d (as
-// AddEncoded does). Call it only after Sort.
+// AddExcept adds every entry of the built run whose source is not own
+// to d, in run order per coordinate. d must span the run's dim
+// coordinates. Call it only after Build.
 func (r *MergedRun) AddExcept(d Dense, own uint32) {
-	end := sort.Search(len(r.ents), func(k int) bool { return int(r.ents[k].idx) >= len(d) })
-	c0, c1, c2 := min(r.cut[0], end), min(r.cut[1], end), min(r.cut[2], end)
-	l0, l1, l2, l3 := r.ents[:c0], r.ents[c0:c1], r.ents[c1:c2], r.ents[c2:end]
+	c0, c1, c2 := r.cut[0], r.cut[1], r.cut[2]
+	l0, l1, l2, l3 := r.ents[:c0], r.ents[c0:c1], r.ents[c1:c2], r.ents[c2:]
 	n := min(len(l0), len(l1), len(l2), len(l3))
 	tails := [...][]runEntry{l0[n:], l1[n:], l2[n:], l3[n:]}
 	l0, l1, l2, l3 = l0[:n], l1[:n], l2[:n], l3[:n]

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
 // rawEncode writes the wire layout for arbitrary entries, including the
@@ -19,32 +22,54 @@ func rawEncode(idx []uint32, vals []float64) []byte {
 }
 
 func TestMergedRunMatchesAddEncoded(t *testing.T) {
-	// Index spans from one radix pass up to three (full uint32), payloads
-	// in any order with repeats: walking the merged run must give every
-	// source the bits a loop of AddEncoded over the other payloads gives.
+	// One chunk, several, and a dim on a chunk edge; index spans up to
+	// the full uint32. Payloads ascend, so coordinates collide across
+	// payloads but never within one: walking the merged run must give
+	// every source the bits a loop of AddEncoded over the other payloads
+	// gives. One payload in eight is disordered below dim, and the run
+	// must refuse the window.
 	rng := rand.New(rand.NewSource(3))
-	const dim = 300
-	for _, span := range []uint32{2, dim, 1 << 15, 1 << 27, math.MaxUint32} {
-		for trial := 0; trial < 20; trial++ {
-			bufs := make([][]byte, 1+rng.Intn(9))
-			srcs := make([]uint32, len(bufs))
-			for k := range bufs {
-				n := rng.Intn(40)
-				idx, vals := make([]uint32, n), make([]float64, n)
-				for e := range idx {
-					// Mostly in range, so coordinates collide across payloads.
-					idx[e] = uint32(rng.Intn(dim + 10))
-					if rng.Intn(4) == 0 {
-						idx[e] = uint32(rng.Int63n(int64(span) + 1))
+	for _, dim := range []int{300, 3<<chunkBits + 5, 4 << chunkBits} {
+		for _, span := range []uint32{2, uint32(dim), 1 << 15, 1 << 27, math.MaxUint32} {
+			for trial := 0; trial < 20; trial++ {
+				bufs := make([][]byte, 1+rng.Intn(9))
+				srcs := make([]uint32, len(bufs))
+				ordered := true
+				for k := range bufs {
+					set := map[uint32]bool{}
+					for e := rng.Intn(40 + dim/50); e > 0; e-- {
+						i := uint32(rng.Intn(dim + 10))
+						if rng.Intn(4) == 0 {
+							i = uint32(rng.Int63n(int64(span) + 1))
+						}
+						set[i] = true
 					}
-					vals[e] = rng.NormFloat64()
-					if rng.Intn(8) == 0 {
-						vals[e] = math.Copysign(0, -1)
+					idx := make([]uint32, 0, len(set))
+					for i := range set {
+						idx = append(idx, i)
 					}
+					slices.Sort(idx)
+					if len(idx) > 1 && int(idx[1]) < dim && rng.Intn(8) == 0 {
+						idx[0], idx[1] = idx[1], idx[0]
+						ordered = false
+					}
+					vals := make([]float64, len(idx))
+					for e := range vals {
+						vals[e] = rng.NormFloat64()
+						if rng.Intn(8) == 0 {
+							vals[e] = math.Copysign(0, -1)
+						}
+					}
+					bufs[k], srcs[k] = rawEncode(idx, vals), uint32(rng.Intn(4))
 				}
-				bufs[k], srcs[k] = rawEncode(idx, vals), uint32(rng.Intn(4))
+				if !ordered {
+					if new(MergedRun).Reset(dim, srcs, bufs) {
+						t.Fatalf("dim %d: a disordered payload was accepted", dim)
+					}
+					continue
+				}
+				checkMergedRun(t, rng, dim, bufs, srcs)
 			}
-			checkMergedRun(t, rng, dim, bufs, srcs)
 		}
 	}
 
@@ -61,6 +86,7 @@ func TestMergedRunMatchesAddEncoded(t *testing.T) {
 		}
 		return bufs, srcs
 	}
+	const dim = 300
 	t.Run("shorter than four", func(t *testing.T) {
 		for n := 0; n < 4; n++ {
 			rows := make([][]uint32, n)
@@ -79,31 +105,24 @@ func TestMergedRunMatchesAddEncoded(t *testing.T) {
 			rows[k] = []uint32{5, 150}
 		}
 		rows[3] = []uint32{150}
-		rows[7] = []uint32{1, 5, 2, 150, 299}
+		rows[7] = []uint32{1, 2, 5, 150, 299}
 		bufs, srcs := payloads(rows...)
 		checkMergedRun(t, rng, dim, bufs, srcs)
 	})
 	t.Run("chains straddle every quarter", func(t *testing.T) {
-		// Nine sources hold coordinates 10, 20, …, 90 once each and
-		// 15, 45 and 75 twice each, shuffled: 135 entries whose quarter
-		// points 33, 67 and 101 fall inside the chains of 20, 45 and 75.
+		// Nine sources hold coordinates 10, 20, …, 90 each: 81 entries in
+		// chains of nine, whose quarter points 20, 40 and 60 fall inside
+		// the chains of 30, 50 and 70.
 		rows := make([][]uint32, 9)
 		for k := range rows {
 			for c := uint32(10); c <= 90; c += 10 {
 				rows[k] = append(rows[k], c)
 			}
-			rows[k] = append(rows[k], 15, 15, 45, 45, 75, 75)
-			rng.Shuffle(len(rows[k]), func(a, b int) { rows[k][a], rows[k][b] = rows[k][b], rows[k][a] })
 		}
 		bufs, srcs := payloads(rows...)
 		var probe MergedRun
-		probe.Reset(bufs)
-		for k, buf := range bufs {
-			if _, err := probe.Append(srcs[k], buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		probe.Sort()
+		probe.Reset(dim, srcs, bufs)
+		probe.Build()
 		for q := 1; q < 4; q++ {
 			if at := q * len(probe.ents) / 4; probe.ents[at-1].idx != probe.ents[at].idx {
 				t.Fatalf("quarter point %d does not split a chain: the case lost its point", at)
@@ -112,17 +131,19 @@ func TestMergedRunMatchesAddEncoded(t *testing.T) {
 		checkMergedRun(t, rng, dim, bufs, srcs)
 	})
 	t.Run("indices past the replica", func(t *testing.T) {
-		// The len(d) cut falls in the first, second, third and last lane.
+		// The dim cut falls in the first, second, third and last chunk.
+		const dim = 3<<chunkBits + 100
 		for _, inRange := range []int{2, 9, 17, 30} {
 			rows := make([][]uint32, 8)
 			for k := range rows {
 				for e := 0; e < 4; e++ {
 					c := uint32(dim + 5*e + k) // past every replica
 					if k*4+e < inRange {
-						c = uint32(10*e + k)
+						c = uint32(e<<chunkBits + 10*e + k)
 					}
 					rows[k] = append(rows[k], c)
 				}
+				slices.Sort(rows[k])
 			}
 			bufs, srcs := payloads(rows...)
 			checkMergedRun(t, rng, dim, bufs, srcs)
@@ -130,20 +151,18 @@ func TestMergedRunMatchesAddEncoded(t *testing.T) {
 	})
 }
 
-// checkMergedRun merges bufs (tagged with srcs), checks that no lane cut
-// splits a coordinate's chain, then for every source and one more, walks the run into a random replica of dim coordinates
+// checkMergedRun merges bufs (tagged with srcs) over dim coordinates,
+// checks that no lane cut splits a coordinate's chain, then for every source
+// and one more, walks the run into a random replica of dim coordinates
 // and compares it bit for bit with a loop of AddEncoded over the other
 // payloads in order.
 func checkMergedRun(t *testing.T, rng *rand.Rand, dim int, bufs [][]byte, srcs []uint32) {
 	t.Helper()
 	r := new(MergedRun)
-	r.Reset(bufs)
-	for k, buf := range bufs {
-		if n, err := r.Append(srcs[k], buf); err != nil || n != (len(buf)-4)/12 {
-			t.Fatalf("Append = %d, %v", n, err)
-		}
+	if !r.Reset(dim, srcs, bufs) {
+		t.Fatal("Reset refused ascending payloads")
 	}
-	r.Sort()
+	r.Build()
 	for k, c := range r.cut {
 		if c < 0 || c > len(r.ents) || k > 0 && c < r.cut[k-1] {
 			t.Fatalf("lane cuts %v over %d entries", r.cut, len(r.ents))
@@ -176,13 +195,130 @@ func checkMergedRun(t *testing.T, rng *rand.Rand, dim int, bufs [][]byte, srcs [
 }
 
 func TestMergedRunRejectsMalformed(t *testing.T) {
+	one := rawEncode([]uint32{1}, []float64{1})
+	for name, buf := range map[string][]byte{
+		"short":     {1, 0},
+		"truncated": one[:10],
+		"repeated":  rawEncode([]uint32{1, 1}, []float64{1, 2}),
+		"descends":  rawEncode([]uint32{4, 3}, []float64{1, 2}),
+	} {
+		var r MergedRun
+		if r.Reset(10, []uint32{0, 1}, [][]byte{one, buf}) {
+			t.Fatalf("%s payload accepted", name)
+		}
+		r.Build() // nothing to build: returns at once
+	}
+}
+
+func TestMergedRunConcurrentBuild(t *testing.T) {
+	// Goroutines that arrive while chunks are being built claim the rest
+	// and wait for the others; each walks a whole run. The race detector
+	// checks the claim and the wait.
+	const p, dim = 16, 9<<chunkBits + 7
+	bufs, srcs := zipfPayloads(rand.New(rand.NewSource(4)), p, dim, 3000)
+	want := make([]Dense, p)
+	for own := range want {
+		want[own] = make(Dense, dim)
+		for k, buf := range bufs {
+			if k != own {
+				AddEncoded(want[own], buf)
+			}
+		}
+	}
 	var r MergedRun
-	if _, err := r.Append(0, []byte{1, 0}); err == nil {
-		t.Fatal("short buffer accepted")
+	for round := 0; round < 3; round++ {
+		if !r.Reset(dim, srcs, bufs) {
+			t.Fatal("Reset refused ascending payloads")
+		}
+		var wg sync.WaitGroup
+		for own := range want {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d := make(Dense, dim)
+				r.Build()
+				r.AddExcept(d, uint32(own))
+				for i := range d {
+					if math.Float64bits(d[i]) != math.Float64bits(want[own][i]) {
+						t.Errorf("round %d own %d coord %d differs", round, own, i)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	if _, err := r.Append(0, rawEncode([]uint32{1}, []float64{1})[:10]); err == nil {
-		t.Fatal("truncated buffer accepted")
+}
+
+func TestMergedRunBuildWaitsForClaimedChunks(t *testing.T) {
+	// A caller that finds every chunk claimed blocks until the last one
+	// lands, and then sees the whole run.
+	const p, dim = 4, 3 << chunkBits
+	bufs, srcs := zipfPayloads(rand.New(rand.NewSource(8)), p, dim, 500)
+	var r MergedRun
+	if !r.Reset(dim, srcs, bufs) {
+		t.Fatal("Reset refused ascending payloads")
 	}
+	r.next.Add(1) // chunk 0, claimed by a builder that has not finished
+	whole := make(chan struct{})
+	go func() { r.Build(); close(whole) }()
+	select {
+	case <-whole:
+		t.Fatal("Build returned before the claimed chunk landed")
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.buildChunk(0)
+	<-whole
+	want := make(Dense, dim)
+	for _, buf := range bufs[1:] {
+		AddEncoded(want, buf)
+	}
+	d := make(Dense, dim)
+	r.AddExcept(d, 0)
+	if !slices.Equal(d, want) {
+		t.Fatal("the run built by two callers differs from AddEncoded")
+	}
+}
+
+func TestMergedRunSecondWindowDoesNotAllocate(t *testing.T) {
+	// A run reused for a window no larger than one it has held readies,
+	// builds and walks it without allocating.
+	const p, dim = 24, 20 << chunkBits
+	rng := rand.New(rand.NewSource(6))
+	a, srcs := zipfPayloads(rng, p, dim, 900)
+	b, _ := zipfPayloads(rng, p, dim, 900)
+	var r MergedRun
+	d := make(Dense, dim)
+	n := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		bufs := a
+		if n++; n%2 == 0 {
+			bufs = b
+		}
+		if !r.Reset(dim, srcs, bufs) {
+			t.Fatal("Reset refused ascending payloads")
+		}
+		r.Build()
+		r.AddExcept(d, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("a second window allocates %.1f per build", allocs)
+	}
+}
+
+// zipfPayloads encodes p Zipf-skewed updates of nnz coordinates over
+// dim, each its own source.
+func zipfPayloads(rng *rand.Rand, p, dim, nnz int) ([][]byte, []uint32) {
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(dim-1))
+	bufs, srcs := make([][]byte, p), make([]uint32, p)
+	for w := range bufs {
+		v := New()
+		for v.Len() < nnz {
+			v.Set(uint32(zipf.Uint64()), rng.NormFloat64()*1e-3)
+		}
+		bufs[w], srcs[w] = v.Encode(), uint32(w)
+	}
+	return bufs, srcs
 }
 
 // BenchmarkMergedRunAddExcept walks one replica's share of a merged
@@ -190,28 +326,28 @@ func TestMergedRunRejectsMalformed(t *testing.T) {
 // Zipf-skewed coordinates over 100 014, about 60 k entries.
 func BenchmarkMergedRunAddExcept(b *testing.B) {
 	const p, dim, nnz = 64, 100_014, 939
-	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.1, 1, dim-1)
-	bufs := make([][]byte, p)
-	for w := range bufs {
-		v := New()
-		for v.Len() < nnz {
-			v.Set(uint32(zipf.Uint64()), rng.NormFloat64()*1e-3)
-		}
-		bufs[w] = v.Encode()
-	}
+	bufs, srcs := zipfPayloads(rand.New(rand.NewSource(1)), p, dim, nnz)
 	var r MergedRun
-	r.Reset(bufs)
-	for w, buf := range bufs {
-		if _, err := r.Append(uint32(w), buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	r.Sort()
+	r.Reset(dim, srcs, bufs)
+	r.Build()
 	d := make(Dense, dim)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		r.AddExcept(d, uint32(n%p))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(r.ents)), "ns/entry")
+}
+
+// BenchmarkMergedRunBuild readies and builds that window on one
+// goroutine.
+func BenchmarkMergedRunBuild(b *testing.B) {
+	const p, dim, nnz = 64, 100_014, 939
+	bufs, srcs := zipfPayloads(rand.New(rand.NewSource(1)), p, dim, nnz)
+	var r MergedRun
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		r.Reset(dim, srcs, bufs)
+		r.Build()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(r.ents)), "ns/entry")
 }

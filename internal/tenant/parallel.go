@@ -226,7 +226,8 @@ type pass struct {
 	totalInUse int
 	warm       int
 	releases   []release
-	waitq      []waiting
+	waitq      []bucket // kept across passes, emptied by runPass
+	queued     int      // jobs in waitq
 	now        time.Duration
 	seq        int // releases created so far, their commit tie-break
 }
@@ -321,32 +322,57 @@ func (p *pass) fits(f *fleet, w *waiting) bool {
 	return true
 }
 
+// bucket queues the waiting jobs of one tenant and demand in arrival
+// order, jobs[head:]. Its jobs all fit or none does, and its head comes
+// first among them in the fair-share order.
+type bucket struct {
+	tenant, demand, head int
+	jobs                 []waiting
+}
+
+// enqueue queues w at the back of its bucket.
+func (p *pass) enqueue(w waiting) {
+	i := 0
+	for i < len(p.waitq) && (p.waitq[i].tenant != w.tenant || p.waitq[i].demand != w.demand) {
+		i++
+	}
+	if i == len(p.waitq) {
+		p.waitq = append(p.waitq, bucket{tenant: w.tenant, demand: w.demand})
+	}
+	p.waitq[i].jobs = append(p.waitq[i].jobs, w)
+	p.queued++
+}
+
 // pickAdmissible removes and returns the fair-share choice among queued
 // jobs that fit right now; false if none does. Fairness is min served
 // billed function-time per tenant (the platform's own currency), FIFO
-// within and across equally-served tenants.
+// within and across equally-served tenants. Only bucket heads compete:
+// the choice is the one a scan of every queued job would make.
 func (p *pass) pickAdmissible(f *fleet) (waiting, bool) {
-	best := -1
+	var best *bucket
 	for i := range p.waitq {
-		w := &p.waitq[i]
-		if !p.fits(f, w) {
+		b := &p.waitq[i]
+		if b.head == len(b.jobs) || !p.fits(f, &b.jobs[b.head]) {
 			continue
 		}
-		if best < 0 {
-			best = i
+		if best == nil {
+			best = b
 			continue
 		}
-		b := &p.waitq[best]
-		if p.served[w.tenant] < p.served[b.tenant] ||
-			(p.served[w.tenant] == p.served[b.tenant] && w.seq < b.seq) {
-			best = i
+		w, bw := &b.jobs[b.head], &best.jobs[best.head]
+		if p.served[w.tenant] < p.served[bw.tenant] ||
+			(p.served[w.tenant] == p.served[bw.tenant] && w.seq < bw.seq) {
+			best = b
 		}
 	}
-	if best < 0 {
+	if best == nil {
 		return waiting{}, false
 	}
-	w := p.waitq[best]
-	p.waitq = append(p.waitq[:best], p.waitq[best+1:]...)
+	w := best.jobs[best.head]
+	if best.head++; best.head == len(best.jobs) {
+		best.head, best.jobs = 0, best.jobs[:0]
+	}
+	p.queued--
 	return w, true
 }
 
@@ -371,7 +397,10 @@ func (f *fleet) newPass() *pass {
 func (f *fleet) runPass(p *pass, resolve resolver) {
 	p.exact, p.err, p.frontier = true, nil, 0
 	p.ctxs, p.outs, p.events, p.jobs = p.ctxs[:0], p.outs[:0], p.events[:0], p.jobs[:0]
-	p.releases, p.waitq = p.releases[:0], p.waitq[:0]
+	p.releases, p.queued = p.releases[:0], 0
+	for i := range p.waitq {
+		p.waitq[i].head, p.waitq[i].jobs = 0, p.waitq[i].jobs[:0]
+	}
 	clear(p.served)
 	clear(p.inUse)
 	p.totalInUse, p.warm, p.now, p.seq = 0, p.warm0, 0, 0
@@ -383,7 +412,7 @@ func (f *fleet) runPass(p *pass, resolve resolver) {
 		for ai < len(p.arrivals) && p.arrivals[ai].At <= p.now {
 			a := &p.arrivals[ai]
 			demand := a.Job.Spec.Workers + 1
-			p.waitq = append(p.waitq, waiting{arr: a, tenant: f.number[a.Tenant], seq: ai, demand: demand})
+			p.enqueue(waiting{arr: a, tenant: f.number[a.Tenant], seq: ai, demand: demand})
 			p.event(a.At, "arrive", ai, demand, 0)
 			ai++
 		}
@@ -399,11 +428,11 @@ func (f *fleet) runPass(p *pass, resolve resolver) {
 		}
 		next, ok := p.nextInstant(ai)
 		if !ok {
-			if len(p.waitq) > 0 {
+			if p.queued > 0 {
 				// Cannot happen after the newFleet demand check, but
 				// guard against it rather than spin forever.
 				p.err = fmt.Errorf("%w: %d jobs stuck in queue at t=%v",
-					ErrNeverFits, len(p.waitq), p.now)
+					ErrNeverFits, p.queued, p.now)
 			}
 			return
 		}
@@ -424,7 +453,7 @@ func (f *fleet) admitPass(p *pass, w waiting, resolve resolver) bool {
 	// bounded by the queue depth and the tuner's MinWorkers floor
 	// (Sched.MinWorkers, or the engine's own Workers/4 default).
 	give := 0
-	if !f.cfg.NoScaleIn && len(p.waitq) > 0 && spec.Sync != consistency.Async {
+	if !f.cfg.NoScaleIn && p.queued > 0 && spec.Sync != consistency.Async {
 		floor := spec.Sched.MinWorkers
 		if floor <= 0 {
 			floor = spec.Workers / 4
@@ -433,8 +462,8 @@ func (f *fleet) admitPass(p *pass, w waiting, resolve resolver) bool {
 			}
 		}
 		if g := spec.Workers - floor; g > 0 {
-			if g > len(p.waitq) {
-				g = len(p.waitq)
+			if g > p.queued {
+				g = p.queued
 			}
 			give = g
 		}
