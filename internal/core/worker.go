@@ -34,8 +34,9 @@ type Worker struct {
 	// strategy; pullKeys/pullVals back the async pull path; drained is
 	// the last announcement drain, handed back to the broker by the next;
 	// msg stages the announcement and the loss report, which the broker
-	// copies on publish. Within a phase exactly one driver goroutine runs this
-	// worker's states (see driver.go), so the scratch needs no locking.
+	// copies on publish. Within a phase exactly one driver goroutine runs
+	// this worker's states (see driver.go), so the scratch needs no
+	// locking.
 	ctx       stepCtx
 	pull      exchange.PullCtx
 	pullKeys  []string
