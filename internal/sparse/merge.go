@@ -68,9 +68,9 @@ type runEntry struct {
 // buffer is an empty payload), tagged srcs, over the coordinates
 // [0, dim): indices past dim stay out, as AddEncoded ignores them. It
 // reports false, leaving nothing to build, if a payload is malformed or
-// its indices below dim do not strictly ascend. The run borrows bufs
-// and srcs until the next Reset. Reset must not overlap Build or
-// AddExcept on the same run.
+// its indices do not strictly ascend. The run borrows bufs and srcs
+// until the next Reset. Reset must not overlap Build or AddExcept on
+// the same run.
 func (r *MergedRun) Reset(dim int, srcs []uint32, bufs [][]byte) bool {
 	r.chunks, r.bufs, r.srcs, r.done = 0, bufs, srcs, 0
 	r.next.Store(0)
@@ -87,23 +87,25 @@ func (r *MergedRun) Reset(dim int, srcs []uint32, bufs [][]byte) bool {
 				return false
 			}
 		}
+		// Every index is checked, those past dim too: one that
+		// descends back below dim would be added by AddEncoded.
 		b := r.bounds[j*(chunks+1) : (j+1)*(chunks+1)]
-		c, k, prev := 0, 0, -1
-		for ; k < n; k++ {
+		c, below, prev := 0, 0, -1
+		for k := range n {
 			i := int(binary.LittleEndian.Uint32(buf[sparseHeaderSize+k*sparseEntrySize:]))
-			if i >= dim {
-				break
-			}
 			if i <= prev {
 				return false
 			}
-			for ; c <= i>>chunkBits; c++ {
-				b[c] = k
-			}
 			prev = i
+			if i < dim {
+				for ; c <= i>>chunkBits; c++ {
+					b[c] = k
+				}
+				below = k + 1
+			}
 		}
 		for ; c <= chunks; c++ {
-			b[c] = k
+			b[c] = below
 		}
 		for c, at := range b {
 			r.starts[c] += at

@@ -201,6 +201,9 @@ func TestMergedRunRejectsMalformed(t *testing.T) {
 		"truncated": one[:10],
 		"repeated":  rawEncode([]uint32{1, 1}, []float64{1, 2}),
 		"descends":  rawEncode([]uint32{4, 3}, []float64{1, 2}),
+		// AddEncoded would add 7 and skip 12; the run must not serve
+		// the window and drop 7 with the indices past dim.
+		"descends past dim": rawEncode([]uint32{5, 12, 7}, []float64{1, 2, 3}),
 	} {
 		var r MergedRun
 		if r.Reset(10, []uint32{0, 1}, [][]byte{one, buf}) {
