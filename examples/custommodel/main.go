@@ -82,13 +82,11 @@ func (m *linReg) Clone() mlless.Model {
 	return &linReg{dim: m.dim, l2: m.l2, params: m.params.Clone()}
 }
 
-// GradientWork: a dot and an axpy over ~8 non-zeros per sample.
+// GradientWork is the model's one cost method: the flops of a gradient
+// evaluation, here a dot and an axpy over ~8 non-zeros per sample. The
+// trainers turn it into virtual compute time.
 func (m *linReg) GradientWork(batchSize int) float64 {
 	return float64(batchSize) * 8 * 4
-}
-
-func (m *linReg) DenseGradientWork(batchSize int) float64 {
-	return m.GradientWork(batchSize)*4 + 2*float64(m.NumParams())
 }
 
 func main() {

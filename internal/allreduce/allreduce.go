@@ -4,16 +4,12 @@
 // FaaS platforms cannot run these optimal HPC topologies at all because
 // functions cannot open connections to each other (§2) — which is
 // exactly why MLLess pays the indirect-communication tax instead.
-//
-// Besides the timing models, the package implements the actual dense
-// reduction so baseline training produces real, bit-deterministic math.
 package allreduce
 
 import (
 	"time"
 
 	"mlless/internal/netmodel"
-	"mlless/internal/sparse"
 )
 
 // ReduceTime is the shared kernel of every reduction timing model in
@@ -68,37 +64,4 @@ func TreeLevels(p, fanout int) int {
 		levels++
 	}
 	return levels
-}
-
-// TreeTime returns the wall-clock estimate of a tree reduce-broadcast of
-// n bytes across p participants: TreeLevels fan-in rounds where each
-// leader serially drains fanout−1 full buffers, plus one broadcast
-// round. It is the closed-form counterpart of the TreeReduce exchange
-// strategy's charged path, built from the same ReduceTime kernel the
-// serverful baseline models use.
-func TreeTime(link netmodel.Link, p, fanout, n int) time.Duration {
-	if p <= 1 || n <= 0 {
-		return 0
-	}
-	if fanout < 2 {
-		fanout = 2
-	}
-	return ReduceTime(link, (fanout-1)*TreeLevels(p, fanout)+1, n)
-}
-
-// MeanDense overwrites dst with the element-wise mean of the gradient
-// buffers (dst must be one of them or equal length). This is the real
-// math an all-reduce-with-average performs in data-parallel SGD.
-func MeanDense(dst sparse.Dense, buffers []sparse.Dense) {
-	if len(buffers) == 0 {
-		return
-	}
-	inv := 1 / float64(len(buffers))
-	for i := range dst {
-		sum := 0.0
-		for _, b := range buffers {
-			sum += b[i]
-		}
-		dst[i] = sum * inv
-	}
 }

@@ -1,12 +1,10 @@
 package allreduce
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"mlless/internal/netmodel"
-	"mlless/internal/sparse"
 )
 
 func TestRingTimeDegenerate(t *testing.T) {
@@ -79,49 +77,5 @@ func TestTreeLevels(t *testing.T) {
 		if got := TreeLevels(c.p, c.fanout); got != c.want {
 			t.Fatalf("TreeLevels(%d, %d) = %d, want %d", c.p, c.fanout, got, c.want)
 		}
-	}
-}
-
-func TestTreeTimeBetweenRingAndNaive(t *testing.T) {
-	// Tree fan-in beats the serial gather-through-root for moderate p
-	// but cannot beat the bandwidth-optimal ring at scale.
-	link := netmodel.VMPeerLink()
-	for _, p := range []int{8, 24} {
-		tree := TreeTime(link, p, 4, 10<<20)
-		if naive := NaiveTime(link, p, 10<<20); tree >= naive {
-			t.Fatalf("p=%d: tree %v not faster than naive %v", p, tree, naive)
-		}
-		if ring := RingTime(link, p, 10<<20); tree <= ring {
-			t.Fatalf("p=%d: tree %v not slower than ring %v", p, tree, ring)
-		}
-	}
-	if TreeTime(link, 1, 4, 1<<20) != 0 {
-		t.Fatal("single participant must be free")
-	}
-}
-
-func TestMeanDense(t *testing.T) {
-	a := sparse.Dense{1, 2, 3}
-	b := sparse.Dense{3, 2, 1}
-	dst := make(sparse.Dense, 3)
-	MeanDense(dst, []sparse.Dense{a, b})
-	want := sparse.Dense{2, 2, 2}
-	for i := range want {
-		if math.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Fatalf("MeanDense = %v", dst)
-		}
-	}
-	MeanDense(dst, nil) // must not panic or change dst
-	if dst[0] != 2 {
-		t.Fatal("empty reduce changed dst")
-	}
-}
-
-func TestMeanDenseInPlace(t *testing.T) {
-	a := sparse.Dense{4, 0}
-	b := sparse.Dense{0, 4}
-	MeanDense(a, []sparse.Dense{a, b})
-	if a[0] != 2 || a[1] != 2 {
-		t.Fatalf("in-place MeanDense = %v", a)
 	}
 }

@@ -87,7 +87,7 @@ func Run(cos *objstore.Store, job core.Job, c Charge) (*core.Result, error) {
 
 	// Worker gradients are summed per coordinate, in worker order, in a
 	// dense scratch and emitted as the ascending run an optimizer step
-	// reads without sorting; the sums are those of Vector.AddVector.
+	// reads without sorting.
 	var acc sparse.FoldScratch
 	gradSum := sparse.New()
 	for step := 1; step <= spec.MaxSteps; step++ {

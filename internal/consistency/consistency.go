@@ -113,12 +113,6 @@ type Filter struct {
 	flushed int64
 }
 
-// NewFilter returns the paper's filter with base significance threshold
-// v ≥ 0. v = 0 makes every update significant (BSP behaviour).
-func NewFilter(v float64) *Filter {
-	return NewFilterVariant(v, Accumulate)
-}
-
 // NewFilterVariant returns a filter of the given design (for the
 // ablation benches).
 func NewFilterVariant(v float64, variant Variant) *Filter {
@@ -266,51 +260,14 @@ type ResidualView struct{ f *Filter }
 // Len reports the number of withheld coordinates.
 func (r ResidualView) Len() int { return r.f.nlive }
 
-// Get returns the withheld update at coordinate i (0 when none).
-func (r ResidualView) Get(i uint32) float64 {
-	if int(i) < len(r.f.res) {
-		return r.f.res[i]
-	}
-	return 0
-}
-
-// ForEach calls fn for every withheld coordinate, in ascending order.
-func (r ResidualView) ForEach(fn func(i uint32, delta float64)) {
-	for wi, w := range r.f.live {
-		for ; w != 0; w &= w - 1 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			fn(uint32(i), r.f.res[i])
-		}
-	}
-}
-
 // Residual exposes the accumulated non-significant updates δ. The
 // scale-in eviction protocol needs it: a leaving worker's local replica
 // already contains these updates, which is why its model is stored and
 // averaged into the survivors (§4.2, eviction policy).
 func (f *Filter) Residual() ResidualView { return ResidualView{f} }
 
-// PendingL1 returns the taxicab mass of the residual, a measure of how
-// much state the filter is currently withholding (summed in ascending
-// coordinate order, so it is deterministic).
-func (f *Filter) PendingL1() float64 {
-	sum := 0.0
-	for _, delta := range f.res {
-		sum += math.Abs(delta)
-	}
-	return sum
-}
-
 // FlushedEntries returns the cumulative count of broadcast coordinates.
 func (f *Filter) FlushedEntries() int64 { return f.flushed }
-
-// Reset clears the residual and statistics, keeping the storage.
-func (f *Filter) Reset() {
-	clear(f.res)
-	clear(f.live)
-	f.nlive = 0
-	f.flushed = 0
-}
 
 // BaseThreshold returns the configured v.
 func (f *Filter) BaseThreshold() float64 { return f.v }

@@ -17,6 +17,14 @@ func vec(entries map[uint32]float64) *sparse.Vector {
 	return v
 }
 
+// withheld returns the filter's residual at coordinate i (0 when none).
+func withheld(f *Filter, i uint32) float64 {
+	if int(i) < len(f.res) {
+		return f.res[i]
+	}
+	return 0
+}
+
 func TestModeString(t *testing.T) {
 	if BSP.String() != "bsp" || ISP.String() != "isp" || Mode(0).String() != "unknown" {
 		t.Fatal("Mode.String wrong")
@@ -24,7 +32,7 @@ func TestModeString(t *testing.T) {
 }
 
 func TestZeroThresholdFlushesEverything(t *testing.T) {
-	f := NewFilter(0)
+	f := NewFilterVariant(0, Accumulate)
 	params := sparse.Dense{100, 100, 100}
 	u := vec(map[uint32]float64{0: 1e-9, 2: -1e-9})
 	out := f.Add(1, u, params)
@@ -42,7 +50,7 @@ func TestISPReducesToBSPCorollary(t *testing.T) {
 	// assert the flushed streams are identical to the raw ones at every
 	// step.
 	r := xrand.New(1)
-	f := NewFilter(0)
+	f := NewFilterVariant(0, Accumulate)
 	params := sparse.NewDense(50)
 	for t0 := 1; t0 <= 100; t0++ {
 		u := sparse.New()
@@ -58,25 +66,25 @@ func TestISPReducesToBSPCorollary(t *testing.T) {
 }
 
 func TestSmallUpdatesAccumulate(t *testing.T) {
-	f := NewFilter(0.5)
+	f := NewFilterVariant(0.5, Accumulate)
 	params := sparse.Dense{1000}
 	// Relative change 1e-3 << v_1 = 0.5: withheld.
 	out := f.Add(1, vec(map[uint32]float64{0: 1}), params)
 	if out.Len() != 0 {
 		t.Fatalf("insignificant update flushed: %v", out)
 	}
-	if f.Residual().Get(0) != 1 {
+	if withheld(f, 0) != 1 {
 		t.Fatal("residual not accumulated")
 	}
 	// Second identical update: still below threshold, residual = 2.
 	out = f.Add(2, vec(map[uint32]float64{0: 1}), params)
-	if out.Len() != 0 || f.Residual().Get(0) != 2 {
-		t.Fatalf("residual = %v", f.Residual().Get(0))
+	if out.Len() != 0 || withheld(f, 0) != 2 {
+		t.Fatalf("residual = %v", withheld(f, 0))
 	}
 }
 
 func TestAccumulatedUpdateEventuallySignificant(t *testing.T) {
-	f := NewFilter(0.5)
+	f := NewFilterVariant(0.5, Accumulate)
 	params := sparse.Dense{10}
 	var flushedAt int
 	for step := 1; step <= 20; step++ {
@@ -99,7 +107,7 @@ func TestAccumulatedUpdateEventuallySignificant(t *testing.T) {
 }
 
 func TestThresholdDecaysAsInvSqrt(t *testing.T) {
-	f := NewFilter(0.7)
+	f := NewFilterVariant(0.7, Accumulate)
 	if f.Threshold(1) != 0.7 {
 		t.Fatalf("v_1 = %v", f.Threshold(1))
 	}
@@ -114,19 +122,19 @@ func TestThresholdDecaysAsInvSqrt(t *testing.T) {
 func TestDecayMakesLateUpdatesFlow(t *testing.T) {
 	// An update of fixed relative size 0.1 is insignificant at step 1
 	// (v=0.7) but significant at step 100 (v_100 = 0.07).
-	f := NewFilter(0.7)
+	f := NewFilterVariant(0.7, Accumulate)
 	params := sparse.Dense{10}
 	if out := f.Add(1, vec(map[uint32]float64{0: 1}), params); out.Len() != 0 {
 		t.Fatal("relative 0.1 flushed at step 1")
 	}
-	f2 := NewFilter(0.7)
+	f2 := NewFilterVariant(0.7, Accumulate)
 	if out := f2.Add(100, vec(map[uint32]float64{0: 1}), params); out.Len() != 1 {
 		t.Fatal("relative 0.1 withheld at step 100")
 	}
 }
 
 func TestZeroParamTreatedAsSignificant(t *testing.T) {
-	f := NewFilter(0.7)
+	f := NewFilterVariant(0.7, Accumulate)
 	params := sparse.Dense{0, 5}
 	out := f.Add(1, vec(map[uint32]float64{0: 1e-12}), params)
 	if out.Get(0) != 1e-12 {
@@ -135,7 +143,7 @@ func TestZeroParamTreatedAsSignificant(t *testing.T) {
 }
 
 func TestOutOfRangeIndexTreatedAsZeroParam(t *testing.T) {
-	f := NewFilter(0.7)
+	f := NewFilterVariant(0.7, Accumulate)
 	params := sparse.Dense{5}
 	out := f.Add(1, vec(map[uint32]float64{10: 0.5}), params)
 	if out.Get(10) != 0.5 {
@@ -144,15 +152,15 @@ func TestOutOfRangeIndexTreatedAsZeroParam(t *testing.T) {
 }
 
 func TestMixedSignificance(t *testing.T) {
-	f := NewFilter(0.5)
+	f := NewFilterVariant(0.5, Accumulate)
 	params := sparse.Dense{1, 1000}
 	u := vec(map[uint32]float64{0: 1, 1: 1}) // relative 1.0 and 0.001
 	out := f.Add(1, u, params)
 	if out.Get(0) != 1 || out.Get(1) != 0 {
 		t.Fatalf("mixed filter: %v", out)
 	}
-	if f.Residual().Get(1) != 1 || f.Residual().Get(0) != 0 {
-		t.Fatalf("residual: %v", f.Residual())
+	if withheld(f, 1) != 1 || withheld(f, 0) != 0 {
+		t.Fatalf("residual: %v", f.res)
 	}
 }
 
@@ -163,7 +171,7 @@ func TestBoundedDivergenceInvariant(t *testing.T) {
 	// every step, for every residual coordinate i,
 	// |δ_i / x_i| ≤ v_t' for the threshold at its last Add.
 	r := xrand.New(7)
-	f := NewFilter(0.7)
+	f := NewFilterVariant(0.7, Accumulate)
 	params := sparse.NewDense(30)
 	for i := range params {
 		params[i] = 1 + r.Float64()
@@ -177,12 +185,12 @@ func TestBoundedDivergenceInvariant(t *testing.T) {
 		// Apply both flushed and raw: local view always has everything.
 		params.AddSparse(out)
 		vt := f.Threshold(step)
-		f.Residual().ForEach(func(i uint32, delta float64) {
+		for i, delta := range f.res {
 			if params[i] != 0 && math.Abs(delta/params[i]) > vt {
 				t.Fatalf("step %d: residual coord %d violates bound: |%v/%v| > %v",
 					step, i, delta, params[i], vt)
 			}
-		})
+		}
 	}
 }
 
@@ -192,48 +200,35 @@ func TestFlushedPlusResidualEqualsTotal(t *testing.T) {
 	r := xrand.New(9)
 	if err := quick.Check(func(seed uint64) bool {
 		rr := xrand.New(seed ^ r.Uint64())
-		f := NewFilter(rr.Float64())
+		f := NewFilterVariant(rr.Float64(), Accumulate)
 		params := sparse.NewDense(20)
 		for i := range params {
 			params[i] = rr.NormFloat64() * 10
 		}
-		total := sparse.New()
-		flushed := sparse.New()
+		total := sparse.NewDense(20)
+		flushed := sparse.NewDense(20)
 		for step := 1; step <= 50; step++ {
 			u := sparse.New()
 			for k := 0; k < 3; k++ {
 				u.Set(uint32(rr.Intn(20)), rr.NormFloat64())
 			}
-			total.AddVector(u)
-			flushed.AddVector(f.Add(step, u, params))
+			total.AddSparse(u)
+			flushed.AddSparse(f.Add(step, u, params))
 		}
-		recon := flushed.Clone()
-		f.Residual().ForEach(recon.Add)
-		diff := recon.Clone()
-		diff.AddScaledVector(total, -1)
-		return diff.NormL1() < 1e-9
+		diff := 0.0
+		for i := range total {
+			diff += math.Abs(flushed[i] + withheld(f, uint32(i)) - total[i])
+		}
+		return diff < 1e-9
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestNegativeThresholdClamped(t *testing.T) {
-	f := NewFilter(-1)
+	f := NewFilterVariant(-1, Accumulate)
 	if f.BaseThreshold() != 0 {
 		t.Fatal("negative v not clamped")
-	}
-}
-
-func TestReset(t *testing.T) {
-	f := NewFilter(0.9)
-	params := sparse.Dense{100}
-	f.Add(1, vec(map[uint32]float64{0: 1}), params)
-	if f.PendingL1() == 0 {
-		t.Fatal("setup failed: nothing pending")
-	}
-	f.Reset()
-	if f.PendingL1() != 0 || f.FlushedEntries() != 0 {
-		t.Fatal("Reset incomplete")
 	}
 }
 
@@ -242,7 +237,7 @@ func TestCompressionGrowsWithThreshold(t *testing.T) {
 	// stream — the mechanism behind Fig 4's monotone speedup.
 	run := func(v float64) int64 {
 		r := xrand.New(33)
-		f := NewFilter(v)
+		f := NewFilterVariant(v, Accumulate)
 		params := sparse.NewDense(100)
 		for i := range params {
 			params[i] = 1
@@ -422,7 +417,7 @@ func TestFilterMatchesMapReference(t *testing.T) {
 					p = allZero // everything is significant: the residual empties, then refills
 				}
 				got, want := f.Add(step, u, p), ref.add(f.Threshold(step), u, p)
-				if string(got.Encode()) != string(want.Encode()) {
+				if string(got.EncodeTo(nil)) != string(want.EncodeTo(nil)) {
 					t.Fatalf("%v v=%v step %d: flushed %v, reference %v", variant, v, step, got, want)
 				}
 				if f.FlushedEntries() != ref.flushed {
@@ -432,19 +427,10 @@ func TestFilterMatchesMapReference(t *testing.T) {
 				if res.Len() != len(ref.residual) {
 					t.Fatalf("%v v=%v step %d: residual holds %d, reference %d", variant, v, step, res.Len(), len(ref.residual))
 				}
-				visited := 0
-				res.ForEach(func(i uint32, delta float64) {
-					visited++
-					if want, ok := ref.residual[i]; !ok || math.Float64bits(delta) != math.Float64bits(want) {
-						t.Fatalf("%v v=%v step %d: residual[%d] = %v, reference %v (present %v)", variant, v, step, i, delta, want, ok)
-					}
-				})
-				if visited != res.Len() {
-					t.Fatalf("%v v=%v step %d: ForEach visited %d of %d", variant, v, step, visited, res.Len())
-				}
 				for i := uint32(0); i < dim+beyond+1; i++ {
-					if res.Get(i) != ref.residual[i] {
-						t.Fatalf("%v v=%v step %d: Get(%d) = %v, reference %v", variant, v, step, i, res.Get(i), ref.residual[i])
+					got, want := withheld(f, i), ref.residual[i]
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v v=%v step %d: residual[%d] = %v, reference %v", variant, v, step, i, got, want)
 					}
 				}
 				checkLive(t, f)
@@ -489,7 +475,7 @@ func TestFilterAddSteadyStateDoesNotAllocate(t *testing.T) {
 	params, updates := filterWorkload(5000)
 	t.Run("run", func(t *testing.T) {
 		for _, v := range []float64{0.7, 0} { // ISP, BSP
-			f := NewFilter(v)
+			f := NewFilterVariant(v, Accumulate)
 			step := 0
 			add := func() {
 				f.Add(100, updates[step%len(updates)], params)
@@ -507,7 +493,7 @@ func TestFilterAddSteadyStateDoesNotAllocate(t *testing.T) {
 
 func TestBSPFilterAllocatesNoResidual(t *testing.T) {
 	params, updates := filterWorkload(5000)
-	f := NewFilter(0)
+	f := NewFilterVariant(0, Accumulate)
 	for step, u := range updates {
 		if out := f.Add(step+1, u, params); !out.Equal(u) {
 			t.Fatalf("step %d: v=0 filter altered the update", step+1)
@@ -523,7 +509,7 @@ func TestBSPFilterAllocatesNoResidual(t *testing.T) {
 // produces, v = 0.7, residual at its steady state.
 func BenchmarkFilterAdd(b *testing.B) {
 	params, updates := filterWorkload(72000)
-	f := NewFilter(0.7)
+	f := NewFilterVariant(0.7, Accumulate)
 	for step := 1; step <= 100; step++ {
 		f.Add(step, updates[step%len(updates)], params)
 	}

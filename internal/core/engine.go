@@ -174,6 +174,7 @@ func (e *engine) setup() error {
 		Reg:     e.cl.Metrics,
 		NS:      e.id,
 		Bucket:  "xchg-" + e.id,
+		Dim:     e.job.Model.NumParams(),
 		Workers: spec.Workers,
 		Fanout:  spec.TreeFanout,
 		Charge: func(_ *vclock.Clock, worker int, flops float64) {
@@ -299,8 +300,8 @@ func activeIDs(dst []int, ws []*Worker) []int {
 
 // endInstance terminates (or, if its container already died, reclaims)
 // an instance, billing it into the job meter. All engine billing flows
-// through TerminateInto/Reclaim, so the runs are marked claimed and a
-// caller combining Run with Platform.BillTo cannot double-count them.
+// through TerminateInto/Reclaim, so the platform's bill marks every
+// run claimed.
 func (e *engine) endInstance(inst *faas.Instance) error {
 	if dead(inst) {
 		return e.cl.Platform.Reclaim(inst, &e.meter)

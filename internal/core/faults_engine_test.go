@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mlless/internal/consistency"
-	"mlless/internal/cost"
 	"mlless/internal/faas"
 	"mlless/internal/faults"
 	"mlless/internal/sched"
@@ -199,10 +198,9 @@ func TestOverLimitSurfacedWhenStepCannotFit(t *testing.T) {
 	}
 }
 
-func TestBillToAfterRunAddsNothing(t *testing.T) {
+func TestRunClaimsEveryBilledRun(t *testing.T) {
 	// The engine bills every invocation through TerminateInto/Reclaim, so
-	// a caller combining Run with Platform.BillTo must not double-count
-	// GB-seconds.
+	// every run on the platform's bill is claimed by the job's meter.
 	cl, job := testLRJob(t, 3, Spec{MaxSteps: 20})
 	res, err := Run(cl, job)
 	if err != nil {
@@ -211,10 +209,14 @@ func TestBillToAfterRunAddsNothing(t *testing.T) {
 	if res.Cost.Total <= 0 {
 		t.Fatal("run billed nothing")
 	}
-	var m cost.Meter
-	cl.Platform.BillTo(&m)
-	if rep := m.Report(); rep.Total != 0 || len(rep.Components) != 0 {
-		t.Fatalf("BillTo re-billed claimed runs: %+v", rep)
+	runs := cl.Platform.BilledRuns()
+	if len(runs) == 0 {
+		t.Fatal("platform billed no runs")
+	}
+	for _, run := range runs {
+		if !run.Claimed {
+			t.Fatalf("run %s left unclaimed by the job meter", run.Name)
+		}
 	}
 }
 

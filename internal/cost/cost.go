@@ -119,20 +119,6 @@ func (m *Meter) add(c Component) {
 	m.components = append(m.components, c)
 }
 
-// Total returns the summed charge so far.
-func (m *Meter) Total() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := 0.0
-	for _, c := range m.components {
-		if c.Kind == "memo" {
-			continue
-		}
-		total += c.Dollars
-	}
-	return total
-}
-
 // Report returns the components sorted by name plus the total.
 func (m *Meter) Report() Report {
 	m.mu.Lock()

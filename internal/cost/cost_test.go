@@ -70,8 +70,8 @@ func TestMeterAccumulates(t *testing.T) {
 	m.AddFunction("worker-1", 100*time.Second, 2)
 	m.AddVM("redis", PriceM12x16PerHour, time.Hour)
 	want := 2*3.4e-5*100 + 0.17
-	if math.Abs(m.Total()-want) > 1e-9 {
-		t.Fatalf("Total = %v, want %v", m.Total(), want)
+	if math.Abs(m.Report().Total-want) > 1e-9 {
+		t.Fatalf("Total = %v, want %v", m.Report().Total, want)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestReportSortedAndTotaled(t *testing.T) {
 	if len(r.Components) != 2 || r.Components[0].Name != "a-fn" {
 		t.Fatalf("report order: %+v", r.Components)
 	}
-	if math.Abs(r.Total-m.Total()) > 1e-12 {
+	if math.Abs(r.Total-(r.Components[0].Dollars+r.Components[1].Dollars)) > 1e-12 {
 		t.Fatal("report total mismatch")
 	}
 	s := r.String()
@@ -94,7 +94,7 @@ func TestReportSortedAndTotaled(t *testing.T) {
 
 func TestMeterZeroValueUsable(t *testing.T) {
 	var m Meter
-	if m.Total() != 0 {
+	if m.Report().Total != 0 {
 		t.Fatal("fresh meter non-zero")
 	}
 	if len(m.Report().Components) != 0 {
@@ -116,8 +116,8 @@ func TestMeterConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	want := 3.4e-5 * 1600
-	if math.Abs(m.Total()-want) > 1e-9 {
-		t.Fatalf("Total = %v, want %v", m.Total(), want)
+	if math.Abs(m.Report().Total-want) > 1e-9 {
+		t.Fatalf("Total = %v, want %v", m.Report().Total, want)
 	}
 }
 
@@ -139,10 +139,10 @@ func TestMLLessVsPyTorchHeadlineShape(t *testing.T) {
 		pytorch.AddVM("vm", PriceB14x8PerHour, 1800*time.Second)
 	}
 
-	if mlless.Total() >= pytorch.Total() {
-		t.Fatalf("MLLess %v not cheaper than PyTorch %v", mlless.Total(), pytorch.Total())
+	if mlless.Report().Total >= pytorch.Report().Total {
+		t.Fatalf("MLLess %v not cheaper than PyTorch %v", mlless.Report().Total, pytorch.Report().Total)
 	}
-	ratio := pytorch.Total() / mlless.Total()
+	ratio := pytorch.Report().Total / mlless.Report().Total
 	if ratio < 4 || ratio > 9 {
 		t.Fatalf("cost ratio %v outside the paper's ~6.3x neighborhood", ratio)
 	}

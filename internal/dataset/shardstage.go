@@ -126,7 +126,6 @@ type ShardCache struct {
 	store           *objstore.Store
 	bucket          string
 	numBatches      int
-	batchSize       int
 	batchesPerShard int
 
 	mu     sync.Mutex
@@ -140,7 +139,7 @@ func OpenShardCache(store *objstore.Store, clk *vclock.Clock, bucket string) (*S
 	if err != nil {
 		return nil, fmt.Errorf("dataset: open shard cache: %w", err)
 	}
-	numBatches, batchSize, batchesPerShard, err := DecodeShardManifest(buf)
+	numBatches, _, batchesPerShard, err := DecodeShardManifest(buf)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: open shard cache: %w", err)
 	}
@@ -148,7 +147,6 @@ func OpenShardCache(store *objstore.Store, clk *vclock.Clock, bucket string) (*S
 		store:           store,
 		bucket:          bucket,
 		numBatches:      numBatches,
-		batchSize:       batchSize,
 		batchesPerShard: batchesPerShard,
 		shards:          make(map[int]*shard.Shard),
 	}, nil
@@ -156,9 +154,6 @@ func OpenShardCache(store *objstore.Store, clk *vclock.Clock, bucket string) (*S
 
 // NumBatches returns the staged batch count from the manifest.
 func (c *ShardCache) NumBatches() int { return c.numBatches }
-
-// BatchSize returns the staged batch size from the manifest.
-func (c *ShardCache) BatchSize() int { return c.batchSize }
 
 // Fetch charges the ranged read of batch i's block to clk and returns
 // its zero-copy view.

@@ -31,7 +31,7 @@
 //
 // Charging: KV and object-store traffic is charged through the shared
 // substrate pipelines (per-stream bandwidth, NIC sharing, max-of-
-// branches fan-out — see objstore.PutMulti). Reduction arithmetic is
+// branches fan-out — see objstore.GetMultiViewInto). Reduction arithmetic is
 // charged through Env.Charge at 2 effective flops per folded
 // coordinate, mirroring the engine's apply-side constant. The tree's
 // request traffic is billed per object-store request class (BillInto),
@@ -106,8 +106,9 @@ type Env struct {
 	// Bucket is the job-private object-store bucket for the tree's
 	// traffic; Teardown drops it.
 	Bucket string
-	// Dim is the model's parameter count. No strategy reads it; only
-	// benchmark/replay.go still sets it.
+	// Dim is the model's parameter count, at least 1: the length of
+	// every replica a pulled update is applied to. New refuses an Env
+	// without it.
 	Dim int
 	// Workers is the initial pool size (per-worker state allocation).
 	Workers int
@@ -154,8 +155,6 @@ type PullCtx struct {
 // produce bit-identical arithmetic and byte-identical traces, whichever
 // driver (seq or par) runs the phases.
 type Exchange interface {
-	// Name returns the strategy kind.
-	Name() string
 	// Collective reports whether the strategy needs reduction rounds
 	// between the publish and pull halves of a step. The engine keeps
 	// the historical parameter-server code path byte-identical by gating
@@ -201,6 +200,9 @@ type Exchange interface {
 func New(kind string, env Env) (Exchange, error) {
 	if err := Validate(kind, env.Fanout); err != nil {
 		return nil, err
+	}
+	if env.Dim < 1 {
+		return nil, fmt.Errorf("exchange: model dimension %d, want at least 1", env.Dim)
 	}
 	if kind == KindParamServer {
 		return newParamServer(env), nil

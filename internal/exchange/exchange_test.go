@@ -35,6 +35,24 @@ func testEnv(workers, dim, fanout int) Env {
 	}
 }
 
+// TestNewRefusesMissingDim pins that an exchange is never built without
+// the model's parameter count, the replica length the pulls apply to.
+func TestNewRefusesMissingDim(t *testing.T) {
+	for _, kind := range []string{KindParamServer, KindTree} {
+		for _, dim := range []int{0, -1} {
+			if x, err := New(kind, testEnv(2, dim, 0)); err == nil {
+				x.Teardown()
+				t.Fatalf("%s: New accepted Dim %d", kind, dim)
+			}
+		}
+		x, err := New(kind, testEnv(2, 1, 0))
+		if err != nil {
+			t.Fatalf("%s: New refused Dim 1: %v", kind, err)
+		}
+		x.Teardown()
+	}
+}
+
 func TestValidate(t *testing.T) {
 	for _, kind := range []string{KindParamServer, KindTree} {
 		if err := Validate(kind, 0); err != nil {
@@ -480,7 +498,7 @@ func TestCollectiveBilling(t *testing.T) {
 	var psm cost.Meter
 	ps, _ := New(KindParamServer, testEnv(2, 10, 0))
 	ps.BillInto(&psm)
-	if psm.Total() != 0 {
+	if psm.Report().Total != 0 {
 		t.Fatal("parameter server billed requests")
 	}
 }

@@ -54,9 +54,6 @@ func newParamServer(env Env) *ParamServer {
 	}
 }
 
-// Name implements Exchange.
-func (x *ParamServer) Name() string { return KindParamServer }
-
 // Collective implements Exchange: the parameter server needs no
 // reduction rounds, and the engine keeps its step loop untouched.
 func (x *ParamServer) Collective() bool { return false }

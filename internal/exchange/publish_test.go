@@ -58,7 +58,7 @@ func TestPublishSteadyStateDoesNotAllocate(t *testing.T) {
 	ids := make([]int, p)
 	for i := range ids {
 		ids[i] = i
-		wire[i] = sigs[i].Encode()
+		wire[i] = sigs[i].EncodeTo(nil)
 	}
 	for _, tc := range []struct {
 		name, kind string
@@ -169,7 +169,7 @@ func BenchmarkPublish(b *testing.B) {
 					b.StartTimer()
 				}
 			}
-			b.SetBytes(int64(sparse.EncodedSizeFor(nnz)))
+			b.SetBytes(int64(sigs[0].EncodedSize()))
 		})
 	}
 }

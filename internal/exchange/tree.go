@@ -17,9 +17,7 @@ import (
 // partial sums and the group leader folds them, level by level, until
 // rank 0 holds the total and republishes it once. Request traffic is
 // O(P) per step at the price of O(log P) serial storage round trips.
-// The closed-form counterpart of its charged path is
-// allreduce.TreeTime, built from the same ReduceTime kernel as the
-// serverful baseline's models. The KV tier stays out of the data path
+// The KV tier stays out of the data path
 // entirely: updates move through the object store, whose requests are
 // billed per call rather than through a provisioned VM.
 type TreeReduce struct {
@@ -73,9 +71,6 @@ func (x *TreeReduce) state(worker int) *workerState {
 	}
 	return x.ws[worker]
 }
-
-// Name implements Exchange.
-func (x *TreeReduce) Name() string { return KindTree }
 
 // Collective implements Exchange.
 func (x *TreeReduce) Collective() bool { return true }

@@ -113,8 +113,7 @@ type billedRun struct {
 	duration time.Duration
 	memGiB   float64
 	// claimed marks runs already metered by the caller (TerminateInto /
-	// Reclaim); BillTo skips them so the two billing paths never
-	// double-count GB-seconds.
+	// Reclaim).
 	claimed bool
 }
 
@@ -293,23 +292,15 @@ func (p *Platform) SetQuota(ns string, max int) {
 	p.quota[ns] = max
 }
 
-// Quota returns the namespace's activation cap (0 = uncapped).
-func (p *Platform) Quota(ns string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.quota[ns]
-}
-
-// Terminate ends an invocation, records its elapsed time for BillTo, and
-// returns the container to the warm pool. Terminating twice is an error.
+// Terminate ends an invocation, records its elapsed time on the
+// platform's bill (BilledRuns), and returns the container to the warm
+// pool. Terminating twice is an error.
 func (p *Platform) Terminate(inst *Instance) error {
 	return p.end(inst, nil, true)
 }
 
-// TerminateInto is Terminate billing the run directly into m. The run is
-// marked claimed, so a later BillTo will not meter it again: a caller
-// combining core.Run (which bills through the meter) with BillTo cannot
-// double-count GB-seconds.
+// TerminateInto is Terminate billing the run directly into m. The bill
+// marks the run claimed.
 func (p *Platform) TerminateInto(inst *Instance, m *cost.Meter) error {
 	return p.end(inst, m, true)
 }
@@ -380,20 +371,6 @@ func (p *Platform) Running() int {
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
 
-// BillTo adds every terminated invocation to the meter, skipping runs
-// already metered through TerminateInto or Reclaim. Live instances are
-// not billed; terminate them first.
-func (p *Platform) BillTo(m *cost.Meter) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, run := range p.billed {
-		if run.claimed {
-			continue
-		}
-		m.AddFunction(run.name, run.duration, run.memGiB)
-	}
-}
-
 // BilledFunctionSeconds sums the billed execution time of all terminated
 // invocations, weighted by nothing (plain seconds).
 func (p *Platform) BilledFunctionSeconds() time.Duration {
@@ -428,8 +405,8 @@ func (p *Platform) SetWarmPool(n int) {
 }
 
 // BilledRun is one terminated invocation on the platform's bill, in
-// termination order. Claimed runs were already metered by their caller
-// (TerminateInto / Reclaim); BillTo skips them.
+// termination order. Claimed runs were metered by their caller
+// (TerminateInto / Reclaim).
 type BilledRun struct {
 	Name     string
 	Duration time.Duration
@@ -451,7 +428,7 @@ func (p *Platform) BilledRuns() []BilledRun {
 // AbsorbBilled appends runs to the platform's bill, preserving their
 // order and claimed marks. The fleet scheduler folds a forked
 // platform's bill (with job labels relocated to their final namespace)
-// into the shared platform so BillTo and BilledFunctionSeconds see
+// into the shared platform so BilledRuns and BilledFunctionSeconds see
 // exactly what a host-serial run would have recorded.
 func (p *Platform) AbsorbBilled(runs []BilledRun) {
 	p.mu.Lock()
@@ -471,11 +448,6 @@ func (inst *Instance) CPUShare() float64 {
 	}
 	return share
 }
-
-// Threads reports the usable degree of thread parallelism inside the
-// function: always 1 on this platform regardless of memory, which is the
-// observation of Fig 3 (no worthwhile intra-worker data parallelism).
-func (inst *Instance) Threads() int { return 1 }
 
 // Elapsed returns how long the invocation has executed (virtual).
 func (inst *Instance) Elapsed() time.Duration {

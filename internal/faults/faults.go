@@ -172,14 +172,6 @@ func New(spec Spec) *Injector {
 	return &Injector{spec: spec.withDefaults()}
 }
 
-// Spec returns the injector's effective (defaulted) spec.
-func (in *Injector) Spec() Spec {
-	if in == nil {
-		return Spec{}
-	}
-	return in.spec
-}
-
 // Metrics returns a snapshot of the injected-fault counters.
 func (in *Injector) Metrics() Metrics {
 	if in == nil {

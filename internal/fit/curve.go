@@ -7,8 +7,6 @@ import (
 // Curve is a parametric learning-curve family with non-negative
 // coefficients.
 type Curve interface {
-	// Name identifies the family.
-	Name() string
 	// NumParams is the number of coefficients θ.
 	NumParams() int
 	// Eval computes the curve value at step t for coefficients theta.
@@ -28,9 +26,6 @@ const denomFloor = 1e-9
 type ReferenceCurve struct{}
 
 var _ Curve = ReferenceCurve{}
-
-// Name implements Curve.
-func (ReferenceCurve) Name() string { return "reference" }
 
 // NumParams implements Curve.
 func (ReferenceCurve) NumParams() int { return 4 }
@@ -66,9 +61,6 @@ func (ReferenceCurve) InitialGuess(ts, ys []float64) []float64 {
 type SlowCurve struct{}
 
 var _ Curve = SlowCurve{}
-
-// Name implements Curve.
-func (SlowCurve) Name() string { return "slow" }
 
 // NumParams implements Curve.
 func (SlowCurve) NumParams() int { return 4 }

@@ -1,7 +1,6 @@
 // Package fit provides the numerical machinery of the scale-in
 // auto-tuner (§4.2): an exponentially weighted moving average filter for
-// de-noising loss streams, a non-negative least squares solver
-// (Lawson–Hanson), a projected Levenberg–Marquardt nonlinear
+// de-noising loss streams, a projected Levenberg–Marquardt nonlinear
 // least-squares fitter, and the paper's two learning-curve families
 // (Eq. 2 and Eq. 3). The paper used SciPy's curve_fit with non-negative
 // coefficients; this package re-implements that functionality on the
@@ -35,23 +34,4 @@ func (e *EWMA) Update(x float64) float64 {
 	}
 	e.value = e.alpha*x + (1-e.alpha)*e.value
 	return e.value
-}
-
-// Value returns the current smoothed value (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Reset clears the filter state.
-func (e *EWMA) Reset() {
-	e.value = 0
-	e.started = false
-}
-
-// Smooth applies the filter to a whole series, returning a new slice.
-func Smooth(alpha float64, xs []float64) []float64 {
-	e := NewEWMA(alpha)
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = e.Update(x)
-	}
-	return out
 }

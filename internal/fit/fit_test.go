@@ -3,7 +3,6 @@ package fit
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"mlless/internal/xrand"
 )
@@ -20,9 +19,6 @@ func TestEWMASmooths(t *testing.T) {
 	e.Update(0)
 	if got := e.Update(10); got != 5 {
 		t.Fatalf("Update = %v, want 5", got)
-	}
-	if e.Value() != 5 {
-		t.Fatalf("Value = %v", e.Value())
 	}
 }
 
@@ -56,24 +52,12 @@ func TestEWMADampensOutlier(t *testing.T) {
 	}
 }
 
-func TestEWMAReset(t *testing.T) {
-	e := NewEWMA(0.3)
-	e.Update(5)
-	e.Reset()
-	if e.Value() != 0 {
-		t.Fatal("Reset did not clear value")
-	}
-	if got := e.Update(7); got != 7 {
-		t.Fatal("Reset did not clear started flag")
-	}
-}
-
 func TestSmoothSeries(t *testing.T) {
-	out := Smooth(0.5, []float64{0, 10, 10})
+	e := NewEWMA(0.5)
 	want := []float64{0, 5, 7.5}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Fatalf("Smooth = %v", out)
+	for i, x := range []float64{0, 10, 10} {
+		if got := e.Update(x); math.Abs(got-want[i]) > 1e-12 {
+			t.Fatalf("step %d: smoothed %v, want %v", i, got, want[i])
 		}
 	}
 }
@@ -94,85 +78,6 @@ func TestSolveLinearSingular(t *testing.T) {
 	m := [][]float64{{1, 2}, {2, 4}}
 	if _, err := solveLinear(m, []float64{1, 2}); err == nil {
 		t.Fatal("singular system solved")
-	}
-}
-
-func TestNNLSMatchesUnconstrained(t *testing.T) {
-	// Least-squares solution of this system is strictly positive, so
-	// NNLS must reproduce it.
-	a := [][]float64{{1, 0}, {0, 1}, {1, 1}}
-	b := []float64{1, 2, 3.1}
-	x, err := NNLS(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Normal equations: x = (AᵀA)⁻¹Aᵀb.
-	want, err := solveLS(a, b, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-8 {
-			t.Fatalf("NNLS = %v, unconstrained = %v", x, want)
-		}
-	}
-}
-
-func TestNNLSClampsNegative(t *testing.T) {
-	// Fit y = c to increasing data with a negative-trend column: the
-	// coefficient that wants to be negative must be zeroed.
-	a := [][]float64{{1, -1}, {1, -2}, {1, -3}}
-	b := []float64{1, 2, 3}
-	x, err := NNLS(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range x {
-		if v < 0 {
-			t.Fatalf("x[%d] = %v < 0", i, v)
-		}
-	}
-	// Column 1 has coefficient 0 ⇒ best constant fit is mean(b) = 2.
-	if x[1] != 0 || math.Abs(x[0]-2) > 1e-8 {
-		t.Fatalf("x = %v, want [2 0]", x)
-	}
-}
-
-func TestNNLSAlwaysNonNegativeProperty(t *testing.T) {
-	r := xrand.New(1)
-	if err := quick.Check(func(seed uint64) bool {
-		rr := xrand.New(seed ^ r.Uint64())
-		m, n := 5+rr.Intn(10), 1+rr.Intn(4)
-		a := make([][]float64, m)
-		b := make([]float64, m)
-		for i := range a {
-			a[i] = make([]float64, n)
-			for j := range a[i] {
-				a[i][j] = rr.NormFloat64()
-			}
-			b[i] = rr.NormFloat64()
-		}
-		x, err := NNLS(a, b)
-		if err != nil {
-			return true // convergence failure is allowed, negativity is not
-		}
-		for _, v := range x {
-			if v < 0 {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNNLSDimensionMismatch(t *testing.T) {
-	if _, err := NNLS([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-	if _, err := NNLS(nil, nil); err == nil {
-		t.Fatal("empty system accepted")
 	}
 }
 
@@ -232,7 +137,11 @@ func TestFitToleratesNoise(t *testing.T) {
 	truth := []float64{0.05, 1.58, 0.58, 0.49}
 	c := ReferenceCurve{}
 	ts, raw := genCurve(c, truth, 150, 0.005, 4)
-	ys := Smooth(0.3, raw)
+	ys := make([]float64, len(raw))
+	e := NewEWMA(0.3)
+	for i, y := range raw {
+		ys[i] = e.Update(y)
+	}
 	fitted, err := FitCurve(c, ts, ys, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +199,7 @@ func TestCurveDenominatorFloor(t *testing.T) {
 	for _, c := range []Curve{ReferenceCurve{}, SlowCurve{}} {
 		v := c.Eval([]float64{0, 0, 0, 0}, 10)
 		if math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Fatalf("%s: non-finite at zero theta", c.Name())
+			t.Fatalf("%T: non-finite at zero theta", c)
 		}
 	}
 }
@@ -312,45 +221,5 @@ func BenchmarkFitReferenceCurve(b *testing.B) {
 		if _, err := FitCurve(c, ts, ys, FitOptions{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestCurveNames(t *testing.T) {
-	if (ReferenceCurve{}).Name() != "reference" || (SlowCurve{}).Name() != "slow" {
-		t.Fatal("curve names wrong")
-	}
-}
-
-func TestNNLSWideAndDegenerate(t *testing.T) {
-	// All-zero target: x = 0 satisfies KKT immediately.
-	a := [][]float64{{1, 2}, {3, 4}}
-	x, err := NNLS(a, []float64{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatalf("zero target gave x = %v", x)
-		}
-	}
-	// Duplicate columns: the active-set solver must not loop forever.
-	dup := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	if x, err := NNLS(dup, []float64{1, 1, 1}); err == nil {
-		for _, v := range x {
-			if v < 0 {
-				t.Fatalf("negative coefficient: %v", x)
-			}
-		}
-	}
-}
-
-func TestNNLSSingleColumn(t *testing.T) {
-	a := [][]float64{{1}, {2}, {3}}
-	x, err := NNLS(a, []float64{2, 4, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-9 {
-		t.Fatalf("x = %v, want [2]", x)
 	}
 }

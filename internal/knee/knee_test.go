@@ -75,7 +75,11 @@ func TestSlopeThresholdFlatCurve(t *testing.T) {
 
 func TestSlopeThresholdWithNoiseAndSmoothing(t *testing.T) {
 	raw := lossCurve(300, 60, 0.01, 3)
-	ys := fit.Smooth(0.2, raw)
+	ys := make([]float64, len(raw))
+	e := fit.NewEWMA(0.2)
+	for i, y := range raw {
+		ys[i] = e.Update(y)
+	}
 	idx, ok := (SlopeThreshold{}).Detect(ys)
 	if !ok {
 		t.Fatal("no knee found in smoothed noisy curve")
@@ -145,5 +149,71 @@ func TestDetectorsAgreeOnCleanCurve(t *testing.T) {
 	// They need not match exactly, but must agree on the region.
 	if math.Abs(float64(a-b)) > 100 {
 		t.Fatalf("detectors wildly disagree: slope=%d kneedle=%d", a, b)
+	}
+}
+
+// hostileCurves returns loss histories no training run should produce
+// but a diverging or stalled one can: non-finite values, plateaus,
+// rising and negative losses, all zeros, and every length from 0 to 5.
+func hostileCurves() map[string][]float64 {
+	nan, inf := math.NaN(), math.Inf(1)
+	curves := map[string][]float64{
+		"nan":        {1, 0.8, nan, 0.5, 0.4, 0.35, 0.3},
+		"inf":        {1, 0.8, 0.6, inf, 0.4, 0.35, 0.3},
+		"all nan":    {nan, nan, nan, nan, nan, nan},
+		"plateau":    {0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5},
+		"rising":     {0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8},
+		"negative":   {-0.1, -0.5, -0.8, -0.9, -0.95, -0.97, -0.98},
+		"all zero":   {0, 0, 0, 0, 0, 0, 0, 0},
+		"knee":       lossCurve(120, 30, 0, 1),
+		"noisy knee": lossCurve(120, 30, 0.02, 2),
+	}
+	for n := 0; n <= 5; n++ {
+		curves["length "+string(rune('0'+n))] = lossCurve(120, 30, 0, 3)[:n]
+	}
+	return curves
+}
+
+// TestHostileCurves pins how the tuner's numerics meet bad input: the
+// curve fits (both families) and both knee detectors never panic, a fit
+// either errs or returns finite coefficients, and a knee lies inside
+// the curve. On finite curves the detectors find the same knee after
+// y ↦ 3y + 7, which changes neither the shape nor the scale-free slope.
+func TestHostileCurves(t *testing.T) {
+	detectors := map[string]Detector{"slope": SlopeThreshold{}, "kneedle": Kneedle{}}
+	for name, ys := range hostileCurves() {
+		ts := make([]float64, len(ys))
+		for i := range ts {
+			ts[i] = float64(i + 1)
+		}
+		for _, c := range []fit.Curve{fit.ReferenceCurve{}, fit.SlowCurve{}} {
+			f, err := fit.FitCurve(c, ts, ys, fit.FitOptions{})
+			if err != nil {
+				continue
+			}
+			for k, th := range f.Theta {
+				if math.IsNaN(th) || math.IsInf(th, 0) {
+					t.Errorf("%s, %T: θ%d = %v with no error", name, c, k, th)
+				}
+			}
+		}
+		finite := true
+		scaled := make([]float64, len(ys))
+		for i, y := range ys {
+			finite = finite && !math.IsNaN(y) && !math.IsInf(y, 0)
+			scaled[i] = 3*y + 7
+		}
+		for dname, d := range detectors {
+			idx, ok := d.Detect(ys)
+			if ok && (idx < 0 || idx >= len(ys)) {
+				t.Errorf("%s, %s: knee %d outside %d points", name, dname, idx, len(ys))
+			}
+			if !finite {
+				continue
+			}
+			if sidx, sok := d.Detect(scaled); sidx != idx || sok != ok {
+				t.Errorf("%s, %s: knee (%d, %v), after 3y+7 (%d, %v)", name, dname, idx, ok, sidx, sok)
+			}
+		}
 	}
 }

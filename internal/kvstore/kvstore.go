@@ -22,8 +22,6 @@ package kvstore
 
 import (
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -190,37 +188,12 @@ func (s *Store) Delete(clk *vclock.Clock, key string) {
 	s.cDeletes.Inc()
 }
 
-// Keys returns the sorted keys with the given prefix. It charges one
-// round trip (key lists are tiny compared to values) and stays off the
-// trace timeline: the scan happens server-side.
-func (s *Store) Keys(clk *vclock.Clock, prefix string) []string {
-	s.pipe.ChargeUntraced(clk, "keys", prefix, s.pipe.RTT())
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for k := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the number of stored keys without charging time (it is a
 // harness-side observability call, not a data-path operation).
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.data)
-}
-
-// Flush removes all keys (job teardown between experiment runs).
-func (s *Store) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = make(map[string][]byte)
 }
 
 // Link returns the network link used by the store, so callers can

@@ -79,24 +79,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestKeysPrefixSorted(t *testing.T) {
-	s := fastStore()
-	var clk vclock.Clock
-	for _, k := range []string{"u/3", "u/1", "v/9", "u/2"} {
-		s.Set(&clk, k, []byte("x"))
-	}
-	got := s.Keys(&clk, "u/")
-	want := []string{"u/1", "u/2", "u/3"}
-	if len(got) != len(want) {
-		t.Fatalf("Keys = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Keys = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMGet(t *testing.T) {
 	link := netmodel.Link{Latency: time.Millisecond, BandwidthBps: 1e6}
 	s := New(link)
@@ -176,16 +158,6 @@ func TestMetrics(t *testing.T) {
 	}
 	if load("kv.bytes_written") != 5 || load("kv.bytes_read") != 5 {
 		t.Fatalf("byte counters: written=%d read=%d", load("kv.bytes_written"), load("kv.bytes_read"))
-	}
-}
-
-func TestFlush(t *testing.T) {
-	s := fastStore()
-	var clk vclock.Clock
-	s.Set(&clk, "a", []byte("x"))
-	s.Flush()
-	if s.Len() != 0 {
-		t.Fatal("Flush left keys")
 	}
 }
 

@@ -49,7 +49,7 @@ func refRegularize(g *sparse.Vector, l2 float64, params sparse.Dense, dim int) {
 			reg.Add(i, l2*params[i])
 		}
 	})
-	g.AddVector(reg)
+	reg.ForEach(g.Add)
 }
 
 func refLogRegGradient(m *LogReg, b shard.BatchView) *sparse.Vector {

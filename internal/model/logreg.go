@@ -35,9 +35,6 @@ func (m *LogReg) NumParams() int { return len(m.params) }
 // Params implements Model.
 func (m *LogReg) Params() sparse.Dense { return m.params }
 
-// Dim returns the input feature dimension (excluding the bias).
-func (m *LogReg) Dim() int { return m.dim }
-
 // score computes wᵀx + b for sample k of the view.
 func (m *LogReg) score(b shard.BatchView, k int) float64 {
 	return b.Dot(k, m.params) + m.params[m.dim]
@@ -132,15 +129,4 @@ const lrAvgNNZ = 39
 // active coordinates per sample (~4 flops per non-zero).
 func (m *LogReg) GradientWork(batchSize int) float64 {
 	return float64(batchSize) * lrAvgNNZ * 4
-}
-
-// DenseGradientWork implements Model: a dense framework materializes the
-// full weight row per sample for the dot/axpy pair. In practice
-// vectorized dense kernels skip most of that via batched GEMM, so we
-// charge a batched-dense estimate: one pass over the full parameter
-// vector per batch (optimizer + gradient densification) plus the sparse
-// sample work with a constant framework overhead.
-func (m *LogReg) DenseGradientWork(batchSize int) float64 {
-	const frameworkOverhead = 4
-	return m.GradientWork(batchSize)*frameworkOverhead + 2*float64(m.NumParams())
 }

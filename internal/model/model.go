@@ -6,10 +6,9 @@
 // optimizers and the communication layer all share.
 //
 // Every model also reports the floating-point work of a gradient step
-// (GradientWork), which is the simulator's unit of compute time: the
-// MLLess workers run the sparse version of this work on a single vCPU,
-// while the serverful baseline runs a framework-style dense variant on
-// multicore VMs (see internal/baseline).
+// (GradientWork), its one cost method and the simulator's unit of
+// compute time: MLLess workers and both baselines charge that same work,
+// each through its own compute model (see internal/baseline).
 package model
 
 import (
@@ -70,11 +69,6 @@ type Model interface {
 	// model's sparse representation. Trainers charge a loss-and-gradient
 	// step 1.5 times this, whether or not the host fuses the two.
 	GradientWork(batchSize int) float64
-	// DenseGradientWork estimates the flops of the same evaluation in a
-	// dense framework representation (how PyTorch treats these models on
-	// CPU, §6.2: "PyTorch's speed is affected by the high sparsity of
-	// the datasets").
-	DenseGradientWork(batchSize int) float64
 }
 
 // ViewModel is the name Model's view methods had while a []Sample twin

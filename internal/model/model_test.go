@@ -97,11 +97,11 @@ func TestLogRegRegularizationAddsToGradient(t *testing.T) {
 	gp := plain.GradientView(bv)
 	gr := reg.GradientView(bv)
 	diff := gr.Clone()
-	diff.AddScaledVector(gp, -1)
+	gp.ForEach(func(i uint32, x float64) { diff.Add(i, -x) })
 	// diff must equal 0.5*w on the touched non-bias coords.
 	ok := false
 	diff.ForEach(func(i uint32, val float64) {
-		if int(i) == plain.Dim() {
+		if int(i) == plain.dim {
 			return
 		}
 		if math.Abs(val-0.5*plain.Params()[i]) > 1e-9 {
@@ -278,14 +278,14 @@ func TestPMFCloneIndependence(t *testing.T) {
 func TestWorkEstimatesPositiveAndOrdered(t *testing.T) {
 	lr := NewLogReg(100013, 0)
 	pmf := NewPMF(2160, 14400, 20, 3.5, 0.01, 1)
-	for _, m := range []Model{lr, pmf} {
-		sw := m.GradientWork(1000)
-		dw := m.DenseGradientWork(1000)
-		if sw <= 0 || dw <= 0 {
-			t.Fatalf("%s: non-positive work", m.Name())
+	svm := NewSVM(100013, 0)
+	for _, m := range []Model{lr, pmf, svm} {
+		small, large := m.GradientWork(1000), m.GradientWork(2000)
+		if small <= 0 {
+			t.Fatalf("%s: non-positive work %v", m.Name(), small)
 		}
-		if dw <= sw {
-			t.Fatalf("%s: dense work %v not greater than sparse %v", m.Name(), dw, sw)
+		if large <= small {
+			t.Fatalf("%s: work for 2000 samples %v not greater than for 1000 %v", m.Name(), large, small)
 		}
 	}
 }
@@ -309,9 +309,6 @@ func TestPMFParamLayout(t *testing.T) {
 	}
 	if m.userOff(2) != 4 || m.itemOff(0) != 6 || m.itemOff(4) != 14 {
 		t.Fatal("flat layout offsets wrong")
-	}
-	if m.Rank() != 2 {
-		t.Fatal("Rank wrong")
 	}
 }
 
@@ -391,11 +388,8 @@ func TestModelNamesAndDims(t *testing.T) {
 	if lr.Name() != "lr" || pmf.Name() != "pmf" || svm.Name() != "svm" {
 		t.Fatal("model names wrong")
 	}
-	if svm.NumParams() != 11 || svm.Dim() != 10 {
-		t.Fatalf("svm dims: %d params, %d dim", svm.NumParams(), svm.Dim())
-	}
-	if sw, dw := svm.GradientWork(100), svm.DenseGradientWork(100); sw <= 0 || dw <= sw {
-		t.Fatalf("svm work estimates: %v, %v", sw, dw)
+	if lr.NumParams() != 11 || svm.NumParams() != 11 || pmf.NumParams() != (2+3)*4 {
+		t.Fatalf("params: lr %d, svm %d, pmf %d", lr.NumParams(), svm.NumParams(), pmf.NumParams())
 	}
 }
 

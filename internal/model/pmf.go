@@ -53,9 +53,6 @@ func (m *PMF) NumParams() int { return len(m.params) }
 // Params implements Model.
 func (m *PMF) Params() sparse.Dense { return m.params }
 
-// Rank returns the latent dimension.
-func (m *PMF) Rank() int { return m.rank }
-
 // userOff and itemOff locate factor blocks in the flat vector.
 func (m *PMF) userOff(u int) int { return u * m.rank }
 func (m *PMF) itemOff(i int) int { return (m.users + i) * m.rank }
@@ -150,14 +147,4 @@ func (m *PMF) Clone() Model {
 // two factor-row updates).
 func (m *PMF) GradientWork(batchSize int) float64 {
 	return float64(batchSize) * 6 * float64(m.rank)
-}
-
-// DenseGradientWork implements Model: a dense framework builds and
-// scatters full embedding-matrix gradients; we charge the sparse work
-// with a framework overhead plus a pass over all parameters (dense
-// gradient materialization + optimizer step), which is what makes
-// PyTorch slow on highly sparse MovieLens data (§6.2).
-func (m *PMF) DenseGradientWork(batchSize int) float64 {
-	const frameworkOverhead = 4
-	return m.GradientWork(batchSize)*frameworkOverhead + 2*float64(m.NumParams())
 }

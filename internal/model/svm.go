@@ -37,9 +37,6 @@ func (m *SVM) NumParams() int { return len(m.params) }
 // Params implements Model.
 func (m *SVM) Params() sparse.Dense { return m.params }
 
-// Dim returns the input feature dimension (excluding the bias).
-func (m *SVM) Dim() int { return m.dim }
-
 // margin returns the ±1 label and the score wᵀx + b of sample k.
 func (m *SVM) margin(b shard.BatchView, k int) (y, wx float64) {
 	y = -1.0
@@ -116,10 +113,4 @@ func (m *SVM) Clone() Model {
 // active coordinates per sample.
 func (m *SVM) GradientWork(batchSize int) float64 {
 	return float64(batchSize) * lrAvgNNZ * 4
-}
-
-// DenseGradientWork implements Model (see LogReg.DenseGradientWork).
-func (m *SVM) DenseGradientWork(batchSize int) float64 {
-	const frameworkOverhead = 4
-	return m.GradientWork(batchSize)*frameworkOverhead + 2*float64(m.NumParams())
 }

@@ -188,24 +188,6 @@ func (b *Broker) PublishFanout(clk *vclock.Clock, exchange string, msg []byte) e
 	return nil
 }
 
-// Consume pops the oldest message from queue. It returns false when the
-// queue is empty or undeclared. One round trip is charged either way.
-func (b *Broker) Consume(clk *vclock.Clock, queue string) ([]byte, bool) {
-	b.mu.Lock()
-	msgs := b.queues[queue]
-	var msg []byte
-	ok := len(msgs) > 0
-	if ok {
-		msg = msgs[0]
-		b.queues[queue] = msgs[1:]
-		b.cConsumed.Inc()
-	}
-	b.mu.Unlock()
-
-	b.pipe.Charge(clk, "consume", queue, len(msg), b.pipe.TransferTime(len(msg)))
-	return msg, ok
-}
-
 // ConsumeAll drains queue, charging a single round trip plus the
 // bandwidth of everything returned (a batched basic.get). The drained
 // queue restarts with room for as many messages as it just returned, so

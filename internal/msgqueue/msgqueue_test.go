@@ -23,14 +23,17 @@ func TestPublishConsumeFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		msg, ok := b.Consume(&clk, "q")
-		if !ok || msg[0] != byte(i) {
-			t.Fatalf("Consume %d = %v, %v", i, msg, ok)
+	msgs := b.ConsumeAll(&clk, "q")
+	if len(msgs) != 5 {
+		t.Fatalf("ConsumeAll returned %d messages, want 5", len(msgs))
+	}
+	for i, msg := range msgs {
+		if msg[0] != byte(i) {
+			t.Fatalf("message %d = %v", i, msg)
 		}
 	}
-	if _, ok := b.Consume(&clk, "q"); ok {
-		t.Fatal("empty queue yielded a message")
+	if msgs := b.ConsumeAll(&clk, "q"); len(msgs) != 0 {
+		t.Fatalf("drained queue yielded %d messages", len(msgs))
 	}
 }
 
@@ -71,9 +74,8 @@ func TestFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"w0", "w1"} {
-		msg, ok := b.Consume(&clk, q)
-		if !ok || string(msg) != "u" {
-			t.Fatalf("queue %s: %q, %v", q, msg, ok)
+		if msgs := b.ConsumeAll(&clk, q); len(msgs) != 1 || string(msgs[0]) != "u" {
+			t.Fatalf("queue %s: %q", q, msgs)
 		}
 	}
 }
@@ -93,8 +95,8 @@ func TestFanoutSharesOneCopy(t *testing.T) {
 	buf := []byte("m1")
 	_ = b.PublishFanout(&clk, "x", buf)
 	copy(buf, "zz")
-	msgA, _ := b.Consume(&clk, "a")
-	msgB, _ := b.Consume(&clk, "b")
+	msgA := b.ConsumeAll(&clk, "a")[0]
+	msgB := b.ConsumeAll(&clk, "b")[0]
 	if string(msgA) != "m1" || string(msgB) != "m1" {
 		t.Fatalf("queued %q and %q, want the bytes as published", msgA, msgB)
 	}
@@ -253,7 +255,7 @@ func TestMetrics(t *testing.T) {
 	b.DeclareQueue("q")
 	var clk vclock.Clock
 	_ = b.Publish(&clk, "q", []byte("abc"))
-	b.Consume(&clk, "q")
+	b.ConsumeAll(&clk, "q")
 	reg := b.Registry()
 	if pub, con, bts := reg.Counter("mq.published").Load(), reg.Counter("mq.consumed").Load(), reg.Counter("mq.bytes_published").Load(); pub != 1 || con != 1 || bts != 3 {
 		t.Fatalf("published=%d consumed=%d bytes=%d", pub, con, bts)
@@ -308,8 +310,8 @@ func TestFaultSlowPublishMultipliesCharge(t *testing.T) {
 		t.Fatalf("MQSlowOps = %d, want 1", m.MQSlowOps)
 	}
 	// The message is delivered despite the spike.
-	if got, ok := faulty.Consume(&b, "q"); !ok || len(got) != len(msg) {
-		t.Fatalf("Consume after spike = %d bytes, %v", len(got), ok)
+	if got := faulty.ConsumeAll(&b, "q"); len(got) != 1 || len(got[0]) != len(msg) {
+		t.Fatalf("ConsumeAll after spike = %d messages", len(got))
 	}
 }
 

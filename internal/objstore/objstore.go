@@ -10,7 +10,7 @@
 // domain because the paper's failure modes live on the KV store, the
 // broker and the FaaS control plane, not on COS.
 //
-// The store copies nothing: Put and PutMulti keep the caller's slices,
+// The store copies nothing: Put keeps the caller's slice,
 // and every read (Get, GetRangeView, GetMultiViewInto, PeekView) returns
 // the stored bytes themselves. The ownership rule is package kvstore's:
 // once bytes are stored, nothing writes them again, except the exchange
@@ -220,56 +220,13 @@ func (s *Store) streamTime(n, bytes int) time.Duration {
 	return d
 }
 
-// PutMulti stores vals[i] itself under bucket/keys[i], issuing the
-// writes as concurrent streams: every branch pays the first-byte
-// latency once, the streams share the caller's NIC, and the clock
-// advances by the slowest branch — the upload half of a storage-mediated
-// collective. keys and vals must have equal length.
-func (s *Store) PutMulti(clk *vclock.Clock, bucket string, keys []string, vals [][]byte) {
-	if len(keys) != len(vals) {
-		panic(fmt.Sprintf("objstore: PutMulti with %d keys, %d values", len(keys), len(vals)))
-	}
-	if len(keys) == 0 {
-		s.pipe.Charge(clk, "mput", s.label(bucket, ""), 0, s.pipe.TransferTime(0))
-		return
-	}
-	start := clk.Now()
-	var max time.Duration
-	for i, key := range keys {
-		label := s.label(bucket, key)
-		base := s.streamTime(len(keys), len(vals[i]))
-		cost := s.pipe.Cost("mput", label, start, base)
-		if cost > max {
-			max = cost
-		}
-		if s.pipe.Enabled() {
-			s.pipe.TraceRange(clk, "mput", label, start, start+cost, base, len(vals[i]))
-		}
-	}
-
-	s.mu.Lock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		b = make(map[string][]byte)
-		s.buckets[bucket] = b
-	}
-	for i, key := range keys {
-		b[key] = vals[i]
-		s.cPuts.Inc()
-		s.cBytesWritten.Add(int64(len(vals[i])))
-	}
-	s.mu.Unlock()
-	clk.Advance(max)
-}
-
 // GetMultiViewInto reads bucket/keys[i] as concurrent streams and
 // returns zero-copy views of the stored objects, writing into out
 // (resized, reallocating only when its capacity is short; pass the
 // returned slice back to reuse it). Missing keys yield nil entries and
-// are charged one round trip each.
-// Charging mirrors PutMulti: each branch pays the first-byte latency,
-// the streams share the caller's NIC, and the clock advances by the
-// slowest branch.
+// are charged one round trip each. Each branch pays the first-byte
+// latency, the streams share the caller's NIC, and the clock advances by
+// the slowest branch.
 func (s *Store) GetMultiViewInto(clk *vclock.Clock, bucket string, keys []string, out [][]byte) [][]byte {
 	out = slices.Grow(out[:0], len(keys))[:len(keys)]
 	if len(keys) == 0 {
@@ -303,18 +260,6 @@ func (s *Store) GetMultiViewInto(clk *vclock.Clock, bucket string, keys []string
 	}
 	clk.Advance(max)
 	return out
-}
-
-// Size returns the byte size of an object without transferring it
-// (a HEAD request: one round trip).
-func (s *Store) Size(clk *vclock.Clock, bucket, key string) (int, error) {
-	s.pipe.ChargeUntraced(clk, "head", s.label(bucket, key), s.pipe.RTT())
-
-	val, ok := s.lookup(bucket, key)
-	if !ok {
-		return 0, fmt.Errorf("head %s/%s: %w", bucket, key, ErrNotFound)
-	}
-	return len(val), nil
 }
 
 // Delete removes bucket/key. Deleting a missing object is not an error,
@@ -357,6 +302,3 @@ func (s *Store) DeleteBucket(bucket string) {
 	defer s.mu.Unlock()
 	delete(s.buckets, bucket)
 }
-
-// Link returns the store's network link for time estimation.
-func (s *Store) Link() netmodel.Link { return s.pipe.Link() }

@@ -70,19 +70,6 @@ func TestGetHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestSize(t *testing.T) {
-	s := fastStore()
-	var clk vclock.Clock
-	s.Put(&clk, "b", "k", make([]byte, 123))
-	n, err := s.Size(&clk, "b", "k")
-	if err != nil || n != 123 {
-		t.Fatalf("Size = %d, %v", n, err)
-	}
-	if _, err := s.Size(&clk, "b", "missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Size missing err = %v", err)
-	}
-}
-
 func TestDeleteIdempotent(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
@@ -153,20 +140,12 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-func TestPutMultiGetMulti(t *testing.T) {
-	s := fastStore()
-	var clk vclock.Clock
-	s.PutMulti(&clk, "x", []string{"a", "b"}, [][]byte{[]byte("va"), []byte("vb")})
-	out := s.GetMultiViewInto(&clk, "x", []string{"a", "missing", "b"}, nil)
-	if string(out[0]) != "va" || out[1] != nil || string(out[2]) != "vb" {
-		t.Fatalf("views = %q", out)
-	}
-}
-
 func TestGetMultiViewIntoReusesAndResets(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
-	s.PutMulti(&clk, "x", []string{"a", "b", "c"}, [][]byte{{1}, {2}, {3}})
+	for i, key := range []string{"a", "b", "c"} {
+		s.Put(&clk, "x", key, []byte{byte(i + 1)})
+	}
 
 	out := s.GetMultiViewInto(&clk, "x", []string{"a", "b", "c"}, nil)
 	if len(out) != 3 || out[0][0] != 1 || out[1][0] != 2 || out[2][0] != 3 {
@@ -192,14 +171,15 @@ func TestGetMultiViewIntoReusesAndResets(t *testing.T) {
 }
 
 // TestPutKeepsCallerSlice pins the write side of the ownership rule:
-// Put and PutMulti store the caller's slices themselves, and every view
+// Put stores the caller's slices themselves, and every view
 // reader returns them.
 func TestPutKeepsCallerSlice(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
 	one, a, b := []byte{1, 2}, []byte{3}, []byte{4, 5, 6}
 	s.Put(&clk, "x", "one", one)
-	s.PutMulti(&clk, "x", []string{"a", "b"}, [][]byte{a, b})
+	s.Put(&clk, "x", "a", a)
+	s.Put(&clk, "x", "b", b)
 	views := s.GetMultiViewInto(&clk, "x", []string{"one", "a", "b"}, nil)
 	for i, want := range [][]byte{one, a, b} {
 		if &views[i][0] != &want[0] || len(views[i]) != len(want) {
@@ -220,7 +200,7 @@ func TestPutKeepsCallerSlice(t *testing.T) {
 func TestMultiViewsAreImmutableSnapshots(t *testing.T) {
 	s := fastStore()
 	var clk vclock.Clock
-	s.PutMulti(&clk, "x", []string{"k"}, [][]byte{{7}})
+	s.Put(&clk, "x", "k", []byte{7})
 	view := s.GetMultiViewInto(&clk, "x", []string{"k"}, nil)[0]
 	if view[0] != 7 {
 		t.Fatalf("view = %v", view)
@@ -237,16 +217,12 @@ func TestMultiCharging(t *testing.T) {
 	link := netmodel.Link{Latency: 10 * time.Millisecond, BandwidthBps: 1e6}
 	s := New(link)
 	var clk vclock.Clock
-	vals := [][]byte{make([]byte, 1e6), make([]byte, 5e5)}
-	s.PutMulti(&clk, "b", []string{"big", "small"}, vals)
+	s.Put(&clk, "b", "big", make([]byte, 1e6))
+	s.Put(&clk, "b", "small", make([]byte, 5e5))
 	// Two streams of a 1 MB/s link fit inside the NIC line rate, so
 	// each keeps its full per-stream bandwidth; the slowest branch
 	// (1 MB at 1 MB/s, plus first-byte latency) sets the elapsed time.
 	want := 10*time.Millisecond + time.Second
-	if clk.Now() != want {
-		t.Fatalf("PutMulti charged %v, want %v", clk.Now(), want)
-	}
-
 	var getClk vclock.Clock
 	s.GetMultiViewInto(&getClk, "b", []string{"big", "small"}, nil)
 	if getClk.Now() != want {
@@ -264,15 +240,15 @@ func TestMultiCharging(t *testing.T) {
 	// Many concurrent streams split the NIC: 4 streams of a link faster
 	// than NIC/4 are clamped to NIC/4 each.
 	fat := New(netmodel.Link{Latency: time.Millisecond, BandwidthBps: netmodel.GbpsNIC})
-	var fatClk vclock.Clock
-	quarter := make([][]byte, 4)
-	for i := range quarter {
-		quarter[i] = make([]byte, 1e6)
+	keys := []string{"0", "1", "2", "3"}
+	for _, key := range keys {
+		fat.Put(&clk, "b", key, make([]byte, 1e6))
 	}
-	fat.PutMulti(&fatClk, "b", []string{"0", "1", "2", "3"}, quarter)
+	var fatClk vclock.Clock
+	fat.GetMultiViewInto(&fatClk, "b", keys, nil)
 	wantFat := time.Millisecond + time.Duration(1e6/(netmodel.GbpsNIC/4)*float64(time.Second))
 	if fatClk.Now() != wantFat {
-		t.Fatalf("4-stream PutMulti charged %v, want %v", fatClk.Now(), wantFat)
+		t.Fatalf("4-stream GetMultiViewInto charged %v, want %v", fatClk.Now(), wantFat)
 	}
 }
 

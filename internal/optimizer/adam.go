@@ -81,6 +81,3 @@ func (o *Adam) Clone() Optimizer {
 		st: slices.Clone(o.st),
 	}
 }
-
-// Reset implements Optimizer.
-func (o *Adam) Reset() { clear(o.st) }

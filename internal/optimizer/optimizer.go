@@ -28,13 +28,11 @@ type Optimizer interface {
 	// Step converts the gradient of step t (1-based) into the update
 	// u_t = −η_t·direction, mutating internal state. The returned
 	// vector is scratch owned by the optimizer and valid only until
-	// the next Step; callers that retain it must Clone. Clone and
-	// Reset never share scratch.
+	// the next Step; callers that retain it must Clone. Clones never
+	// share scratch.
 	Step(t int, grad *sparse.Vector) *sparse.Vector
 	// Clone returns an independent copy including optimizer state.
 	Clone() Optimizer
-	// Reset clears optimizer state (momentum buffers, moments).
-	Reset()
 }
 
 // Schedule is a learning-rate schedule over 1-based steps.

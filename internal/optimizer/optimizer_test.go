@@ -152,24 +152,6 @@ func TestCloneIsolatesState(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	for _, mk := range []func() Optimizer{
-		func() Optimizer { return NewMomentum(Constant(1), 0.9) },
-		func() Optimizer { return NewNesterov(Constant(1), 0.9) },
-		func() Optimizer { return NewAdamDefaults(Constant(0.1)) },
-	} {
-		o := mk()
-		g := grad(map[uint32]float64{0: 1})
-		first := o.Step(1, g).Get(0)
-		o.Step(2, g)
-		o.Reset()
-		again := o.Step(1, g).Get(0)
-		if math.Abs(first-again) > 1e-12 {
-			t.Fatalf("%s: Reset did not restore initial behaviour (%v vs %v)", o.Name(), first, again)
-		}
-	}
-}
-
 func TestNames(t *testing.T) {
 	names := map[string]Optimizer{
 		"sgd":      NewSGD(Constant(1)),
@@ -288,7 +270,6 @@ func (o *refMomentum) Step(t int, grad *sparse.Vector) *sparse.Vector {
 }
 
 func (o *refMomentum) Clone() Optimizer { c := *o; c.velocity = o.velocity.Clone(); return &c }
-func (o *refMomentum) Reset()           { o.velocity = sparse.New() }
 
 type refAdam struct {
 	lr                Schedule
@@ -318,7 +299,6 @@ func (o *refAdam) Clone() Optimizer {
 	c.moment1, c.moment2 = o.moment1.Clone(), o.moment2.Clone()
 	return &c
 }
-func (o *refAdam) Reset() { o.moment1, o.moment2 = sparse.New(), sparse.New() }
 
 // stalls is a constant learning rate that is zero on every 13th step:
 // there every update value is an exact zero and the step drops them all.
@@ -457,7 +437,7 @@ func oracleGrad(r *xrand.RNG, s int, ref Optimizer, cancel func(Optimizer, uint3
 // as copied in ascending order ("run"). The sequences widen past the
 // state mid-run, bring back coordinates after a long absence, cancel
 // state or update to exact zero (the step's drop path), clone mid-run
-// and let the two copies diverge, and Reset and replay.
+// and let the two copies diverge, and replay on fresh optimizers.
 func TestDenseStateMatchesSparseReference(t *testing.T) {
 	vel := func(o Optimizer, i uint32) float64 { return o.(*refMomentum).velocity.Get(i) }
 	cases := []struct {
@@ -530,10 +510,9 @@ func TestDenseStateMatchesSparseReference(t *testing.T) {
 					if tc.drops && cancelled == 0 {
 						t.Fatal("no update entry cancelled to zero: the drop path went unexercised")
 					}
-					// Reset, then replay the first 20 gradients: the run must
+					// Fresh optimizers replaying the first 20 gradients must
 					// repeat the original updates bit for bit.
-					p.dense.Reset()
-					p.ref.Reset()
+					p = &oraclePair{dense: tc.dense(), ref: tc.ref()}
 					for s := 1; s <= 20; s++ {
 						if got := p.step(t, s, grads[s-1]); !slices.Equal(got, first[s-1]) {
 							t.Fatalf("replay step %d: update %v, first run %v", s, got, first[s-1])

@@ -30,9 +30,6 @@ func (o *SGD) Step(t int, grad *sparse.Vector) *sparse.Vector {
 // Clone implements Optimizer.
 func (o *SGD) Clone() Optimizer { return &SGD{lr: o.lr} }
 
-// Reset implements Optimizer. SGD is stateless.
-func (o *SGD) Reset() {}
-
 // Momentum is SGD with heavy-ball momentum:
 //
 //	v ← μ·v + g;  u = −η_t·v
@@ -88,9 +85,6 @@ func (o *Momentum) Clone() Optimizer {
 	return &Momentum{lr: o.lr, mu: o.mu, vel: slices.Clone(o.vel)}
 }
 
-// Reset implements Optimizer.
-func (o *Momentum) Reset() { clear(o.vel) }
-
 // Nesterov is SGD with Nesterov momentum (the PMF optimizer of Table 1):
 //
 //	v ← μ·v + g;  u = −η_t·(g + μ·v)
@@ -141,6 +135,3 @@ func (o *Nesterov) Step(t int, grad *sparse.Vector) *sparse.Vector {
 func (o *Nesterov) Clone() Optimizer {
 	return &Nesterov{lr: o.lr, mu: o.mu, vel: slices.Clone(o.vel)}
 }
-
-// Reset implements Optimizer.
-func (o *Nesterov) Reset() { clear(o.vel) }

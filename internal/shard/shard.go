@@ -66,9 +66,6 @@ type Shard struct {
 // NumBatches returns the number of batch blocks in the shard.
 func (s *Shard) NumBatches() int { return len(s.views) }
 
-// IsRating reports whether the shard holds rating batches.
-func (s *Shard) IsRating() bool { return s.rating }
-
 // Batch returns the zero-copy view of batch i.
 func (s *Shard) Batch(i int) BatchView { return s.views[i] }
 
@@ -249,20 +246,9 @@ func (b BatchView) row(k int) (lo, hi int) {
 		int(binary.LittleEndian.Uint32(b.offs[(k+1)*4:]))
 }
 
-// RowNNZ returns the non-zero count of feature sample k.
-func (b BatchView) RowNNZ(k int) int {
-	lo, hi := b.row(k)
-	return hi - lo
-}
-
-// NNZ returns the total pair count of the batch.
-func (b BatchView) NNZ() int { return len(b.pairs) / pairSize }
-
 // Dot returns the inner product of feature sample k with a dense
-// vector, accumulated in ascending index order — the same order (and
-// therefore the same float result, bit for bit) as
-// sparse.Vector.Dot on the decoded sample. Indices outside d are
-// ignored, matching sparse.Vector.Dot.
+// vector, accumulated in ascending index order, the order of the
+// decoded sample's entries. Indices outside d are ignored.
 func (b BatchView) Dot(k int, d sparse.Dense) float64 {
 	lo, hi := b.row(k)
 	sum := 0.0

@@ -45,8 +45,8 @@ func TestFeatureShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if s.IsRating() || s.NumBatches() != 4 {
-		t.Fatalf("parsed shard: rating=%v batches=%d", s.IsRating(), s.NumBatches())
+	if s.rating || s.NumBatches() != 4 {
+		t.Fatalf("parsed shard: rating=%v batches=%d", s.rating, s.NumBatches())
 	}
 	dim := 500
 	d := sparse.NewDense(dim)
@@ -64,15 +64,20 @@ func TestFeatureShardRoundTrip(t *testing.T) {
 				t.Fatalf("batch %d sample %d label %v, want %v", i, k, got, labels[i][k])
 			}
 			want := vecs[i][k]
-			if bv.RowNNZ(k) != want.Len() {
-				t.Fatalf("batch %d sample %d nnz %d, want %d", i, k, bv.RowNNZ(k), want.Len())
-			}
 			if !rowVector(bv, k).Equal(want) {
 				t.Fatalf("batch %d sample %d features differ", i, k)
 			}
-			// Zero-copy dot must match the sparse kernel bit for bit:
-			// both accumulate in ascending index order.
-			if got, exp := bv.Dot(k, d), want.Dot(d); got != exp {
+			// Zero-copy dot must match an ascending walk of the
+			// sample's entries bit for bit.
+			exp := 0.0
+			want.Entries(func(idx []uint32, val []float64) {
+				for j, c := range idx {
+					if int(c) < len(d) {
+						exp += val[j] * d[c]
+					}
+				}
+			})
+			if got := bv.Dot(k, d); got != exp {
 				t.Fatalf("batch %d sample %d dot %v, want %v", i, k, got, exp)
 			}
 		}
@@ -114,8 +119,8 @@ func TestRatingShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if !s.IsRating() || s.NumBatches() != 3 {
-		t.Fatalf("parsed shard: rating=%v batches=%d", s.IsRating(), s.NumBatches())
+	if !s.rating || s.NumBatches() != 3 {
+		t.Fatalf("parsed shard: rating=%v batches=%d", s.rating, s.NumBatches())
 	}
 	for i, batch := range want {
 		bv := s.Batch(i)
@@ -151,7 +156,7 @@ func TestBatchExtentsTileTheBlob(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseBatch extent %d: %v", i, err)
 		}
-		if bv.Len() != s.Batch(i).Len() || bv.NNZ() != s.Batch(i).NNZ() {
+		if bv.Len() != s.Batch(i).Len() || len(bv.pairs) != len(s.Batch(i).pairs) {
 			t.Fatalf("batch %d ranged reparse mismatch", i)
 		}
 		prev = off + n

@@ -10,13 +10,14 @@ import (
 
 // --- correctness of the zero-allocation APIs ---
 
-func TestEncodeToMatchesEncode(t *testing.T) {
+func TestEncodeToMatchesLayout(t *testing.T) {
 	r := xrand.New(11)
 	for _, nnz := range []int{0, 1, 7, 100, 1000} {
 		v := randomVector(r, 100000, nnz)
-		want := v.Encode()
+		var want []byte
+		v.Entries(func(idx []uint32, val []float64) { want = rawEncode(idx, val) })
 		if got := v.EncodeTo(nil); !bytes.Equal(got, want) {
-			t.Fatalf("nnz=%d: EncodeTo(nil) differs from Encode", nnz)
+			t.Fatalf("nnz=%d: EncodeTo(nil) differs from the documented layout", nnz)
 		}
 		// Appending onto a prefix leaves the prefix intact.
 		prefix := []byte("hdr")
@@ -29,43 +30,6 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 		if got := v.EncodeTo(buf); !bytes.Equal(got, want) {
 			t.Fatalf("nnz=%d: EncodeTo(reused) differs", nnz)
 		}
-	}
-}
-
-func TestDecodeIntoReusesVector(t *testing.T) {
-	r := xrand.New(12)
-	big := randomVector(r, 100000, 500)
-	small := randomVector(r, 100000, 20)
-	v := New()
-	if err := DecodeInto(v, big.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Equal(big) {
-		t.Fatal("DecodeInto mismatch on first decode")
-	}
-	// Decoding a smaller vector into the same vector must fully replace
-	// the previous contents.
-	if err := DecodeInto(v, small.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Equal(small) {
-		t.Fatal("DecodeInto left stale entries behind")
-	}
-	if err := DecodeInto(v, New().Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 0 {
-		t.Fatal("DecodeInto of empty vector left entries")
-	}
-}
-
-func TestDecodeIntoErrors(t *testing.T) {
-	v := New()
-	if err := DecodeInto(v, []byte{1, 2}); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-	if err := DecodeInto(v, append(New().Encode(), 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
 	}
 }
 
@@ -141,7 +105,7 @@ func TestAddNoGrowDoesNotAllocate(t *testing.T) {
 func TestEncodeToDoesNotAllocate(t *testing.T) {
 	r := xrand.New(22)
 	v := randomVector(r, 100000, 1000)
-	buf := v.Encode() // warm buffer at final capacity
+	buf := v.EncodeTo(nil) // warm buffer at final capacity
 	if n := testing.AllocsPerRun(10, func() {
 		buf = v.EncodeTo(buf[:0])
 	}); n != 0 {
@@ -176,7 +140,7 @@ func TestEncodeToGrowsGeometrically(t *testing.T) {
 func TestAddEncodedDoesNotAllocate(t *testing.T) {
 	r := xrand.New(23)
 	v := randomVector(r, 100000, 1000)
-	buf := v.Encode()
+	buf := v.EncodeTo(nil)
 	d := NewDense(100000)
 	if n := testing.AllocsPerRun(10, func() {
 		if _, err := AddEncoded(d, buf); err != nil {
@@ -184,37 +148,6 @@ func TestAddEncodedDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("AddEncoded allocated %v per run", n)
-	}
-}
-
-func TestDecodeIntoDoesNotAllocate(t *testing.T) {
-	r := xrand.New(24)
-	v := randomVector(r, 100000, 1000)
-	buf := v.Encode()
-	dst := New()
-	if err := DecodeInto(dst, buf); err != nil { // grow the entry arrays
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		if err := DecodeInto(dst, buf); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("DecodeInto (grown arrays) allocated %v per run", n)
-	}
-}
-
-func TestSortedReductionsDoNotAllocate(t *testing.T) {
-	r := xrand.New(25)
-	v := randomVector(r, 100000, 1000)
-	d := NewDense(100000)
-	if n := testing.AllocsPerRun(10, func() {
-		_ = v.Dot(d)
-		_ = v.NormL2()
-		_ = v.NormL1()
-		v.ForEach(func(uint32, float64) {})
-	}); n != 0 {
-		t.Fatalf("sorted reductions allocated %v per run", n)
 	}
 }
 
@@ -232,24 +165,10 @@ func TestCopyFromDoesNotAllocateWhenSized(t *testing.T) {
 
 // --- hot-op micro-benchmarks (run with -benchmem) ---
 
-func BenchmarkSparseDot(b *testing.B) {
-	r := xrand.New(31)
-	v := randomVector(r, 100000, 1000)
-	d := NewDense(100000)
-	for i := range d {
-		d[i] = r.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.Dot(d)
-	}
-}
-
 func BenchmarkEncodeTo(b *testing.B) {
 	r := xrand.New(33)
 	v := randomVector(r, 100000, 1000)
-	buf := v.Encode()
+	buf := v.EncodeTo(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -257,24 +176,10 @@ func BenchmarkEncodeTo(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeInto(b *testing.B) {
-	r := xrand.New(34)
-	v := randomVector(r, 100000, 1000)
-	buf := v.Encode()
-	dst := New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeInto(dst, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAddEncoded(b *testing.B) {
 	r := xrand.New(35)
 	v := randomVector(r, 100000, 1000)
-	buf := v.Encode()
+	buf := v.EncodeTo(nil)
 	d := NewDense(100000)
 	b.ReportAllocs()
 	b.ResetTimer()

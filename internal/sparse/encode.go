@@ -28,20 +28,9 @@ const (
 	denseEntrySize   = 8
 )
 
-// EncodedSize returns the number of bytes Encode will produce.
+// EncodedSize returns the number of bytes EncodeTo appends.
 func (v *Vector) EncodedSize() int {
 	return sparseHeaderSize + sparseEntrySize*v.Len()
-}
-
-// EncodedSizeFor returns the encoded size of a sparse vector with nnz
-// non-zero entries without materializing one.
-func EncodedSizeFor(nnz int) int {
-	return sparseHeaderSize + sparseEntrySize*nnz
-}
-
-// Encode serializes the vector with ascending indices (deterministic).
-func (v *Vector) Encode() []byte {
-	return v.EncodeTo(make([]byte, 0, v.EncodedSize()))
 }
 
 // EncodeTo appends the vector's encoding to buf and returns the
@@ -49,7 +38,7 @@ func (v *Vector) Encode() []byte {
 // each worker's payload buffers and reuse them once the store lets go).
 // It reallocates only when buf lacks capacity, and then geometrically
 // (slices.Grow), so a buffer reused across growing encodes reallocates
-// O(log n) times. The appended bytes are identical to Encode's.
+// O(log n) times.
 func (v *Vector) EncodeTo(buf []byte) []byte {
 	need := v.EncodedSize()
 	buf = slices.Grow(buf, need)
@@ -79,46 +68,13 @@ func encodedLen(buf []byte, op string) (int, error) {
 	return n, nil
 }
 
-// Decode parses a vector produced by Encode.
-func Decode(buf []byte) (*Vector, error) {
-	v := New()
-	if err := DecodeInto(v, buf); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // entry returns entry k of an encoded sparse vector.
 func entry(buf []byte, k int) (uint32, float64) {
 	e := buf[sparseHeaderSize+k*sparseEntrySize:]
 	return binary.LittleEndian.Uint32(e), math.Float64frombits(binary.LittleEndian.Uint64(e[4:]))
 }
 
-// DecodeInto parses an encoded sparse vector into v, replacing its
-// contents but reusing its storage when large enough: the
-// zero-allocation counterpart of Decode for steady-state loops. Encoded
-// entries are ascending and unique, so they are appended while they
-// ascend; an entry that does not (or an exact zero) goes through Set,
-// which remains correct for any valid encoding.
-func DecodeInto(v *Vector, buf []byte) error {
-	n, err := encodedLen(buf, "decode")
-	if err != nil {
-		return err
-	}
-	v.Clear()
-	for k := 0; k < n; k++ {
-		i, val := entry(buf, k)
-		if m := len(v.idx); val != 0 && (m == 0 || v.idx[m-1] < i) {
-			v.idx = append(v.idx, i)
-			v.val = append(v.val, val)
-		} else {
-			v.Set(i, val)
-		}
-	}
-	return nil
-}
-
-// AddEncoded streams an encoded sparse vector (the Encode layout)
+// AddEncoded streams an encoded sparse vector (the EncodeTo layout)
 // directly into the dense accumulator d without materializing a map:
 // the hot path for applying peer updates. Indices outside d are ignored,
 // matching Dense.AddSparse. It returns the number of entries applied.
@@ -139,11 +95,11 @@ func AddEncoded(d Dense, buf []byte) (int, error) {
 	return n, nil
 }
 
-// AddEncodedSparse streams an encoded sparse vector (the Encode layout)
+// AddEncodedSparse streams an encoded sparse vector (the EncodeTo layout)
 // into the sparse accumulator v, with the sums of one Add per entry in
 // encoding order: each coordinate's contributions accumulate in call
 // order, so a fixed fold order yields bit-deterministic sums. A
-// strictly ascending buffer, which is what Encode writes, is merged into
+// strictly ascending buffer, which is what EncodeTo writes, is merged into
 // the run in time linear in both; any other falls back to Add. No exchange
 // calls it: its callers are the benchmark replay's add_encoded_sparse
 // probe and the fold oracles of the tests (vectorFold here,

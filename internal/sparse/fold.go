@@ -24,7 +24,7 @@ type FoldScratch struct {
 }
 
 // FoldEncoded appends to dst the encoding of acc plus every run in
-// runs (all in the Encode layout) and returns the extended slice with
+// runs (all in the EncodeTo layout) and returns the extended slice with
 // the number of entries folded from runs — acc's own entries are not
 // counted, as AddEncodedSparse counts only the buffer it folds into a
 // Vector. Every input is validated before any is read, so an error
@@ -63,7 +63,7 @@ func (s *FoldScratch) FoldEncoded(dst, acc []byte, runs [][]byte) ([]byte, int, 
 	}
 	// The last entry of an ascending run is its largest index: sizing
 	// for it up front keeps the add loop's grow check cold for every
-	// encoding Encode produces.
+	// encoding EncodeTo produces.
 	s.reserve(hi)
 	s.add(acc, n)
 	for _, run := range runs {

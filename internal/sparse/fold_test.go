@@ -28,7 +28,7 @@ func vectorFold(t testing.TB, acc []byte, runs [][]byte) ([]byte, int) {
 		}
 		folded += n
 	}
-	return v.Encode(), folded
+	return v.EncodeTo(nil), folded
 }
 
 // checkFold folds acc and runs through s after a non-empty prefix in
@@ -86,14 +86,14 @@ func TestFoldEncodedReusesScratch(t *testing.T) {
 	// over the first's coordinates again must not either.
 	r := xrand.New(41)
 	var s FoldScratch
-	lo := [][]byte{randomVector(r, 500, 200).Encode(), randomVector(r, 500, 200).Encode()}
+	lo := [][]byte{randomVector(r, 500, 200).EncodeTo(nil), randomVector(r, 500, 200).EncodeTo(nil)}
 	hi := make([][]byte, 3)
 	for k := range hi {
 		v := New()
 		for e := 0; e < 150; e++ {
 			v.Set(uint32(1000+r.Intn(3000)), r.NormFloat64())
 		}
-		hi[k] = v.Encode()
+		hi[k] = v.EncodeTo(nil)
 	}
 	// Emission leaves every slot and bitmap word zero: the invariant
 	// that lets a fold skip clearing.
@@ -147,7 +147,7 @@ func TestFoldEncodedDoesNotAllocate(t *testing.T) {
 	r := xrand.New(42)
 	runs := make([][]byte, 4)
 	for k := range runs {
-		runs[k] = randomVector(r, 72000, 1500).Encode()
+		runs[k] = randomVector(r, 72000, 1500).EncodeTo(nil)
 	}
 	var s FoldScratch
 	dst, _, err := s.FoldEncoded(nil, runs[0], runs[1:]) // warm scratch and dst
@@ -211,7 +211,7 @@ func FuzzFoldEncoded(f *testing.F) {
 				finish = func(i uint32, x float64) float64 { return x + fuzzVals[i%uint32(len(fuzzVals))] }
 			}
 			s.EmitTo(emitted, finish)
-			oracle, err := Decode(want)
+			oracle, err := decode(want)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func FuzzFoldEncoded(f *testing.F) {
 				oracle = finished
 			}
 			checkRun(t, emitted)
-			if g, w := emitted.Encode(), oracle.Encode(); !bytes.Equal(g, w) {
+			if g, w := emitted.EncodeTo(nil), oracle.EncodeTo(nil); !bytes.Equal(g, w) {
 				t.Fatalf("pass %d: EmitTo = %x, Vector fold = %x", pass, g, w)
 			}
 			for i, j := 0, len(runs)-1; i < j; i, j = i+1, j-1 {
@@ -253,7 +253,7 @@ func BenchmarkFoldEncoded(b *testing.B) {
 		runs := make([][]byte, shape.runs)
 		entries := 0
 		for k := range runs {
-			runs[k] = randomVector(r, dim, shape.nnz).Encode()
+			runs[k] = randomVector(r, dim, shape.nnz).EncodeTo(nil)
 			entries += (len(runs[k]) - sparseHeaderSize) / sparseEntrySize
 		}
 		perEntry := func(b *testing.B) {
@@ -317,7 +317,7 @@ func TestAddRowMatchesAdd(t *testing.T) {
 		got, want := New(), New()
 		rows.EmitTo(got, nil)
 		entries.EmitTo(want, nil)
-		if g, w := got.Encode(), want.Encode(); !bytes.Equal(g, w) {
+		if g, w := got.EncodeTo(nil), want.EncodeTo(nil); !bytes.Equal(g, w) {
 			t.Fatalf("trial %d: AddRow emitted %v, Add %v", trial, got, want)
 		}
 	}

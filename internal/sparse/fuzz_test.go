@@ -38,9 +38,7 @@ const (
 	fuzzClear
 	fuzzScale
 	fuzzCopyFrom
-	fuzzAddVector
-	fuzzBurst // Set a run of keys: forces growth
-	fuzzDecodeInto
+	fuzzBurst      // Set a run of keys: forces growth
 	fuzzRewrite    // WriteRun of the other vector's Entries, mapped
 	fuzzRun        // Clear, then Set an ascending burst
 	fuzzAddEncoded // AddEncodedSparse of the other vector's encoding
@@ -90,17 +88,17 @@ func FuzzVectorOps(f *testing.F) {
 	f.Add(seq(set(200), set(100), set(150), set(120), rm(150), rm(200), rm(100)))
 	f.Add(seq([]byte{fuzzAdd, 7, 2}, []byte{fuzzAdd, 7, 3}))                                    // exact cancellation
 	f.Add(seq([]byte{fuzzBurst, 0, 200}, []byte{fuzzScale, 0, 1}, []byte{fuzzBurst, 100, 255})) // growth
-	f.Add(seq([]byte{fuzzBurst, 3, 40}, []byte{fuzzCopyFrom | 0x80, 0, 0}, []byte{fuzzAddVector, 0, 0},
-		[]byte{fuzzDecodeInto | 0x80, 0, 0}, []byte{fuzzClear, 0, 0}, []byte{fuzzCopyFrom, 0, 0}))
+	f.Add(seq([]byte{fuzzBurst, 3, 40}, []byte{fuzzCopyFrom | 0x80, 0, 0}, []byte{fuzzAddEncoded, 0, 0},
+		[]byte{fuzzClone | 0x80, 0, 0}, []byte{fuzzClear, 0, 0}, []byte{fuzzCopyFrom, 0, 0}))
 	f.Add(seq(set(1), set(2), set(3), []byte{fuzzRewrite | 0x80, 0xff, 1}))                // every entry zeroed
 	f.Add(seq(set(1), set(2), set(3), []byte{fuzzRewrite | 0x80, 1 << 3, 1}))              // only the last entry zeroed
 	f.Add(seq(set(1), set(9), []byte{fuzzBurst | 0x80, 2, 30}, []byte{fuzzRewrite, 0, 2})) // rewrite over a longer run
-	// Runs: built, copied, cloned, rewritten with drops, decoded into,
-	// merged into, then edited by Set, Add and Remove.
+	// Runs: built, copied, cloned, rewritten with drops, merged into,
+	// then edited by Set, Add and Remove.
 	f.Add(seq([]byte{fuzzRun, 5, 13}, []byte{fuzzAddEncoded, 200, 3}, []byte{fuzzCopyFrom | 0x80, 0, 0},
 		[]byte{fuzzEqual, 0, 0}, []byte{fuzzRewrite, 0x55, 1}, []byte{fuzzAdd, 7, 2}))
 	f.Add(seq([]byte{fuzzRun, 0, 40}, []byte{fuzzClone | 0x80, 0, 0}, []byte{fuzzRewrite | 0x80, 0x0f, 2},
-		[]byte{fuzzDecodeInto, 0, 0}, []byte{fuzzRun | 0x80, 9, 7}, []byte{fuzzRemove | 0x80, 9, 0}))
+		[]byte{fuzzCopyFrom, 0, 0}, []byte{fuzzRun | 0x80, 9, 7}, []byte{fuzzRemove | 0x80, 9, 0}))
 	f.Add(seq([]byte{fuzzRun, 10, 9}, []byte{fuzzRun | 0x80, 3, 28}, []byte{fuzzScale | 0x80, 0, 0},
 		[]byte{fuzzAddEncoded, 0, 0}, []byte{fuzzSet, 50, 0}, []byte{fuzzRun, 1, 0})) // merge cancels every shared index
 
@@ -144,23 +142,10 @@ func FuzzVectorOps(f *testing.F) {
 				for i, x := range mw {
 					m[i] = x
 				}
-			case fuzzAddVector:
-				v.AddVector(w)
-				for i, x := range mw {
-					m.add(i, x)
-				}
 			case fuzzBurst:
 				for i := k; i < k+uint32(sel); i++ {
 					v.Set(i, float64(i)+0.5)
 					m[i] = float64(i) + 0.5
-				}
-			case fuzzDecodeInto:
-				if err := DecodeInto(v, w.Encode()); err != nil {
-					t.Fatal(err)
-				}
-				clear(m)
-				for i, x := range mw {
-					m.set(i, x) // a value scaled down to zero does not survive the wire
 				}
 			case fuzzRun:
 				// sel picks the count (bits 0–2, plus one) and the stride
@@ -175,7 +160,7 @@ func FuzzVectorOps(f *testing.F) {
 					m.set(i, x)
 				}
 			case fuzzAddEncoded:
-				if _, err := AddEncodedSparse(v, w.Encode()); err != nil {
+				if _, err := AddEncodedSparse(v, w.EncodeTo(nil)); err != nil {
 					t.Fatal(err)
 				}
 				for i, x := range mw {
@@ -248,7 +233,7 @@ func checkAgainstModel(t *testing.T, v *Vector, m vecModel) {
 	if visited != len(m) {
 		t.Fatalf("ForEach visited %d entries, want %d", visited, len(m))
 	}
-	dec, err := Decode(v.EncodeTo(nil))
+	dec, err := decode(v.EncodeTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type runEntry struct {
 	val      float64
 }
 
-// Reset readies the run for the payloads bufs (the Encode layout; a nil
+// Reset readies the run for the payloads bufs (the EncodeTo layout; a nil
 // buffer is an empty payload), tagged srcs, over the coordinates
 // [0, dim): indices past dim stay out, as AddEncoded ignores them. It
 // reports false, leaving nothing to build, if a payload is malformed or

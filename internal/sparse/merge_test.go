@@ -11,7 +11,7 @@ import (
 )
 
 // rawEncode writes the wire layout for arbitrary entries, including the
-// unsorted and duplicate indices Encode never produces.
+// unsorted and duplicate indices EncodeTo never produces.
 func rawEncode(idx []uint32, vals []float64) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(idx)))
 	for k, i := range idx {
@@ -319,7 +319,7 @@ func zipfPayloads(rng *rand.Rand, p, dim, nnz int) ([][]byte, []uint32) {
 		for v.Len() < nnz {
 			v.Set(uint32(zipf.Uint64()), rng.NormFloat64()*1e-3)
 		}
-		bufs[w], srcs[w] = v.Encode(), uint32(w)
+		bufs[w], srcs[w] = v.EncodeTo(nil), uint32(w)
 	}
 	return bufs, srcs
 }

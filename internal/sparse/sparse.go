@@ -20,7 +20,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -116,24 +115,6 @@ func (v *Vector) removeAt(k int) {
 	v.val = slices.Delete(v.val, k, k+1)
 }
 
-// AddVector accumulates other into v (v += other). other must not be v.
-func (v *Vector) AddVector(other *Vector) {
-	for k, i := range other.idx {
-		v.Add(i, other.val[k])
-	}
-}
-
-// AddScaledVector accumulates s*other into v (v += s*other). other must
-// not be v.
-func (v *Vector) AddScaledVector(other *Vector, s float64) {
-	if s == 0 {
-		return
-	}
-	for k, i := range other.idx {
-		v.Add(i, s*other.val[k])
-	}
-}
-
 // Scale multiplies every entry by s. Scaling by 0 clears the vector.
 func (v *Vector) Scale(s float64) {
 	if s == 0 {
@@ -185,38 +166,6 @@ func (v *Vector) ForEach(fn func(i uint32, val float64)) {
 	}
 }
 
-// Dot returns the inner product with a dense vector, accumulated in
-// ascending index order so results are run-to-run deterministic (the
-// §6.1 sanity check depends on bit-identical losses across systems).
-// Entries of v whose index falls outside d are ignored.
-func (v *Vector) Dot(d Dense) float64 {
-	sum, val := 0.0, v.val
-	for k, i := range v.idx {
-		if int(i) < len(d) {
-			sum += val[k] * d[i]
-		}
-	}
-	return sum
-}
-
-// NormL2 returns the Euclidean norm of the vector (deterministic order).
-func (v *Vector) NormL2() float64 {
-	sum := 0.0
-	for _, val := range v.val {
-		sum += val * val
-	}
-	return math.Sqrt(sum)
-}
-
-// NormL1 returns the taxicab norm of the vector (deterministic order).
-func (v *Vector) NormL1() float64 {
-	sum := 0.0
-	for _, val := range v.val {
-		sum += math.Abs(val)
-	}
-	return sum
-}
-
 // Equal reports whether two sparse vectors hold identical entries. It
 // short-circuits on the first mismatch.
 func (v *Vector) Equal(other *Vector) bool {
@@ -253,7 +202,7 @@ func (d Dense) Clone() Dense {
 }
 
 // AddSparse accumulates a sparse vector into d (d += v), in entry
-// order. Indices outside d are ignored, matching Vector.Dot.
+// order. Indices outside d are ignored.
 func (d Dense) AddSparse(v *Vector) {
 	for k, i := range v.idx {
 		if int(i) < len(d) {
@@ -269,56 +218,4 @@ func (d Dense) AddScaledSparse(v *Vector, s float64) {
 			d[i] += s * v.val[k]
 		}
 	}
-}
-
-// Axpy computes d += s*x for dense x. The vectors must be equal length.
-func (d Dense) Axpy(x Dense, s float64) {
-	for i := range d {
-		d[i] += s * x[i]
-	}
-}
-
-// Dot returns the inner product with another dense vector of equal length.
-func (d Dense) Dot(x Dense) float64 {
-	sum := 0.0
-	for i := range d {
-		sum += d[i] * x[i]
-	}
-	return sum
-}
-
-// NormL2 returns the Euclidean norm.
-func (d Dense) NormL2() float64 {
-	sum := 0.0
-	for _, v := range d {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// Scale multiplies every element by s.
-func (d Dense) Scale(s float64) {
-	for i := range d {
-		d[i] *= s
-	}
-}
-
-// Fill sets every element to val.
-func (d Dense) Fill(val float64) {
-	for i := range d {
-		d[i] = val
-	}
-}
-
-// ToSparse converts the dense vector to a sparse one holding its
-// non-zero entries, appended in ascending order.
-func (d Dense) ToSparse() *Vector {
-	v := New()
-	for i, val := range d {
-		if val != 0 {
-			v.idx = append(v.idx, uint32(i))
-			v.val = append(v.val, val)
-		}
-	}
-	return v
 }

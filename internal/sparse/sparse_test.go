@@ -14,6 +14,16 @@ import (
 	"mlless/internal/xrand"
 )
 
+// decode reads an encoded vector back: AddEncodedSparse into an empty
+// vector keeps exactly the encoding's entries.
+func decode(buf []byte) (*Vector, error) {
+	v := New()
+	if _, err := AddEncodedSparse(v, buf); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 func randomVector(r *xrand.RNG, maxIdx, nnz int) *Vector {
 	v := New()
 	for i := 0; i < nnz; i++ {
@@ -61,39 +71,6 @@ func TestAddCancellationRemovesEntry(t *testing.T) {
 	}
 }
 
-func TestAddVectorCommutative(t *testing.T) {
-	r := xrand.New(1)
-	if err := quick.Check(func(seed uint64) bool {
-		rr := xrand.New(seed ^ r.Uint64())
-		a := randomVector(rr, 50, 20)
-		b := randomVector(rr, 50, 20)
-		ab := a.Clone()
-		ab.AddVector(b)
-		ba := b.Clone()
-		ba.AddVector(a)
-		return ab.Equal(ba)
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAddScaledVector(t *testing.T) {
-	a := New()
-	a.Set(1, 1)
-	b := New()
-	b.Set(1, 2)
-	b.Set(3, 4)
-	a.AddScaledVector(b, 0.5)
-	if a.Get(1) != 2 || a.Get(3) != 2 {
-		t.Fatalf("AddScaledVector result: %v", a)
-	}
-	before := a.Clone()
-	a.AddScaledVector(b, 0)
-	if !a.Equal(before) {
-		t.Fatal("AddScaledVector with s=0 mutated the vector")
-	}
-}
-
 func TestScale(t *testing.T) {
 	v := New()
 	v.Set(0, 2)
@@ -138,52 +115,6 @@ func TestIndicesSorted(t *testing.T) {
 	}
 }
 
-func TestDotAgainstDense(t *testing.T) {
-	d := Dense{1, 2, 3, 4}
-	v := New()
-	v.Set(0, 2)
-	v.Set(3, -1)
-	v.Set(10, 100) // out of range: ignored
-	if got := v.Dot(d); got != 2*1+(-1)*4 {
-		t.Fatalf("Dot = %v", got)
-	}
-}
-
-func TestNorms(t *testing.T) {
-	v := New()
-	v.Set(0, 3)
-	v.Set(1, -4)
-	if got := v.NormL2(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("NormL2 = %v", got)
-	}
-	if got := v.NormL1(); math.Abs(got-7) > 1e-12 {
-		t.Fatalf("NormL1 = %v", got)
-	}
-}
-
-func TestDenseOps(t *testing.T) {
-	d := Dense{1, 2, 3}
-	x := Dense{1, 1, 1}
-	d.Axpy(x, 2)
-	want := Dense{3, 4, 5}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Axpy: %v", d)
-		}
-	}
-	if got := d.Dot(x); got != 12 {
-		t.Fatalf("Dot = %v", got)
-	}
-	d.Scale(0.5)
-	if d[2] != 2.5 {
-		t.Fatalf("Scale: %v", d)
-	}
-	d.Fill(1)
-	if d[0] != 1 || d[1] != 1 || d[2] != 1 {
-		t.Fatalf("Fill: %v", d)
-	}
-}
-
 func TestDenseAddSparse(t *testing.T) {
 	d := NewDense(4)
 	v := New()
@@ -208,31 +139,16 @@ func TestDenseAverage(t *testing.T) {
 	}
 }
 
-func TestToSparseRoundTrip(t *testing.T) {
-	d := Dense{0, 1.5, 0, -3}
-	v := d.ToSparse()
-	if v.Len() != 2 || v.Get(1) != 1.5 || v.Get(3) != -3 {
-		t.Fatalf("ToSparse: %v", v)
-	}
-	back := NewDense(4)
-	back.AddSparse(v)
-	for i := range d {
-		if back[i] != d[i] {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := xrand.New(3)
 	if err := quick.Check(func(seed uint64) bool {
 		rr := xrand.New(seed ^ r.Uint64())
 		v := randomVector(rr, 1<<20, rr.Intn(200))
-		buf := v.Encode()
+		buf := v.EncodeTo(nil)
 		if len(buf) != v.EncodedSize() {
 			return false
 		}
-		got, err := Decode(buf)
+		got, err := decode(buf)
 		if err != nil {
 			return false
 		}
@@ -245,24 +161,27 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeDeterministic(t *testing.T) {
 	r := xrand.New(4)
 	v := randomVector(r, 1000, 50)
-	a, b := v.Encode(), v.Encode()
+	a, b := v.EncodeTo(nil), v.EncodeTo(nil)
 	if string(a) != string(b) {
-		t.Fatal("Encode is not deterministic")
+		t.Fatal("EncodeTo is not deterministic")
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("Decode(nil) succeeded")
+	if _, err := decode(nil); err == nil {
+		t.Fatal("decoding nil succeeded")
 	}
-	if _, err := Decode([]byte{1, 0, 0, 0}); err == nil {
-		t.Fatal("Decode with truncated payload succeeded")
+	if _, err := decode([]byte{1, 0, 0, 0}); err == nil {
+		t.Fatal("decoding a truncated payload succeeded")
 	}
 	v := New()
 	v.Set(1, 1)
-	buf := v.Encode()
-	if _, err := Decode(buf[:len(buf)-1]); err == nil {
-		t.Fatal("Decode with short payload succeeded")
+	buf := v.EncodeTo(nil)
+	if _, err := decode(buf[:len(buf)-1]); err == nil {
+		t.Fatal("decoding a short payload succeeded")
+	}
+	if _, err := decode(append(buf, 0)); err == nil {
+		t.Fatal("decoding a payload with trailing bytes succeeded")
 	}
 }
 
@@ -348,36 +267,6 @@ func TestAverageEncodedMatchesDecodedAverage(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeFor(t *testing.T) {
-	v := New()
-	for i := 0; i < 17; i++ {
-		v.Set(uint32(i), 1)
-	}
-	if EncodedSizeFor(17) != v.EncodedSize() {
-		t.Fatalf("EncodedSizeFor(17)=%d, EncodedSize=%d", EncodedSizeFor(17), v.EncodedSize())
-	}
-}
-
-func BenchmarkAddVector(b *testing.B) {
-	r := xrand.New(5)
-	x := randomVector(r, 100000, 1000)
-	y := randomVector(r, 100000, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := x.Clone()
-		c.AddVector(y)
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	r := xrand.New(6)
-	v := randomVector(r, 100000, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.Encode()
-	}
-}
-
 // TestRunAgainstReferenceModel drives one vector with a long random op
 // sequence and checks it against a plain map: inserts and deletions in
 // the middle of the run shift its tail, which is the risky part.
@@ -451,10 +340,10 @@ func TestAddEncodedMatchesDecodeApply(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rr := xrand.New(seed ^ r.Uint64())
 		v := randomVector(rr, 100, rr.Intn(40))
-		buf := v.Encode()
+		buf := v.EncodeTo(nil)
 
 		viaDecode := NewDense(100)
-		dec, err := Decode(buf)
+		dec, err := decode(buf)
 		if err != nil {
 			return false
 		}
@@ -481,7 +370,7 @@ func TestAddEncodedIgnoresOutOfRange(t *testing.T) {
 	v.Set(2, 1.5)
 	v.Set(50, -1)
 	d := NewDense(10)
-	n, err := AddEncoded(d, v.Encode())
+	n, err := AddEncoded(d, v.EncodeTo(nil))
 	if err != nil || n != 2 {
 		t.Fatalf("AddEncoded = %d, %v", n, err)
 	}
@@ -497,12 +386,14 @@ func TestAddEncodedErrors(t *testing.T) {
 	}
 	v := New()
 	v.Set(1, 1)
-	buf := v.Encode()
+	buf := v.EncodeTo(nil)
 	if _, err := AddEncoded(d, buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated buffer accepted")
 	}
 }
 
+// TestAddEncodedSparseMatchesAddVector folds one encoded vector into
+// another and compares it with adding the vector entry by entry.
 func TestAddEncodedSparseMatchesAddVector(t *testing.T) {
 	r := xrand.New(77)
 	if err := quick.Check(func(seed uint64) bool {
@@ -511,10 +402,10 @@ func TestAddEncodedSparseMatchesAddVector(t *testing.T) {
 		contrib := randomVector(rr, 100, rr.Intn(30))
 
 		viaVector := acc.Clone()
-		viaVector.AddVector(contrib)
+		contrib.ForEach(viaVector.Add)
 
 		direct := acc.Clone()
-		n, err := AddEncodedSparse(direct, contrib.Encode())
+		n, err := AddEncodedSparse(direct, contrib.EncodeTo(nil))
 		if err != nil || n != contrib.Len() {
 			return false
 		}
@@ -531,7 +422,7 @@ func TestAddEncodedSparseErrors(t *testing.T) {
 	}
 	v := New()
 	v.Set(1, 1)
-	buf := v.Encode()
+	buf := v.EncodeTo(nil)
 	if _, err := AddEncodedSparse(acc, buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated buffer accepted")
 	}
@@ -585,7 +476,7 @@ func TestAddEncodedSparseMergeMatchesAdd(t *testing.T) {
 				buf.Set(i, -x)
 			}
 		})
-		checkMergeMatchesAdd(t, v, buf.Encode())
+		checkMergeMatchesAdd(t, v, buf.EncodeTo(nil))
 	}
 }
 
@@ -628,15 +519,12 @@ func TestVectorString(t *testing.T) {
 	}
 }
 
-func TestDenseCloneAndNorm(t *testing.T) {
+func TestDenseCloneIndependence(t *testing.T) {
 	d := Dense{3, 4}
 	c := d.Clone()
 	c[0] = 99
 	if d[0] != 3 {
 		t.Fatal("Dense.Clone aliases")
-	}
-	if math.Abs(d.NormL2()-5) > 1e-12 {
-		t.Fatalf("Dense.NormL2 = %v", d.NormL2())
 	}
 }
 
@@ -670,7 +558,7 @@ func TestRunReadersShareOneRun(t *testing.T) {
 			twin.Set(uint32(i), d[i])
 		}
 	}
-	want := run.Encode()
+	want := run.EncodeTo(nil)
 	var wg sync.WaitGroup
 	errs := make(chan string, 4*8)
 	for g := 0; g < 4; g++ {
@@ -699,7 +587,6 @@ func TestRunReadersShareOneRun(t *testing.T) {
 					}
 					prev = int64(i)
 				})
-				_ = run.Dot(d) + run.NormL2() + run.NormL1()
 			}
 		}(g)
 	}

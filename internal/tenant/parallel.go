@@ -65,7 +65,7 @@
 // What the fold writes back: the event log (rendered from the final
 // pass's event fields) and job records; every execution's billed runs
 // (relabelled names, termination order, admission-ordered) absorbed
-// into the shared platform so BillTo and BilledFunctionSeconds cover the
+// into the shared platform so BilledRuns and BilledFunctionSeconds cover the
 // fleet; every execution's service counters summed into the shared
 // registry; the final warm-pool ledger. Sandbox-private broker queue
 // declarations and empty per-job substrate state are not replicated — a

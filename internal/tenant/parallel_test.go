@@ -127,8 +127,6 @@ func collectArtifacts(t *testing.T, cfg Config, rep *Report, tracers []*trace.Tr
 	if err := rep.WriteEvents(&log); err != nil {
 		t.Fatal(err)
 	}
-	var orphans cost.Meter
-	cfg.Cluster.Platform.BillTo(&orphans)
 	snap := cfg.Cluster.Metrics.Snapshot()
 	sort.Slice(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name })
 	a := fleetArtifacts{
@@ -136,7 +134,7 @@ func collectArtifacts(t *testing.T, cfg Config, rep *Report, tracers []*trace.Tr
 		Report:         *rep,
 		PlatformBilled: cfg.Cluster.Platform.BilledFunctionSeconds(),
 		WarmPool:       cfg.Cluster.Platform.WarmPool(),
-		UnclaimedRuns:  len(orphans.Report().Components),
+		UnclaimedRuns:  unclaimedRuns(cfg.Cluster.Platform),
 		Counters:       snap,
 	}
 	a.Report.Events = nil // the log carries them
@@ -355,9 +353,7 @@ func TestFleetLeavesSharedSubstratesClean(t *testing.T) {
 	if billed := cl.Platform.BilledFunctionSeconds(); perTenant != billed {
 		t.Fatalf("tenant bills sum to %v, platform metered %v", perTenant, billed)
 	}
-	var orphans cost.Meter
-	cl.Platform.BillTo(&orphans)
-	if n := len(orphans.Report().Components); n != 0 {
+	if n := unclaimedRuns(cl.Platform); n != 0 {
 		t.Fatalf("%d function runs were never claimed by a job meter", n)
 	}
 	if cl.Platform.Running() != 0 {

@@ -70,9 +70,6 @@ func Str(key, val string) Arg { return Arg{Key: key, kind: argStr, s: val} }
 // Int annotates an event with an integer value.
 func Int(key string, val int) Arg { return Arg{Key: key, kind: argInt, i: int64(val)} }
 
-// I64 annotates an event with an int64 value.
-func I64(key string, val int64) Arg { return Arg{Key: key, kind: argInt, i: val} }
-
 // Float annotates an event with a float value.
 func Float(key string, val float64) Arg { return Arg{Key: key, kind: argFloat, f: val} }
 

@@ -46,10 +46,6 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	}
 }
 
-// Reset rewinds the clock to zero. Only test code and job setup should
-// call it.
-func (c *Clock) Reset() { c.now = 0 }
-
 // Barrier synchronizes a set of clocks at a BSP boundary: every clock is
 // advanced to the maximum of the set, and that time is returned. An empty
 // set returns zero. Callers must hold ownership of every clock in the

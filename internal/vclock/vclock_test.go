@@ -87,12 +87,3 @@ func TestMaxDoesNotMutate(t *testing.T) {
 		t.Fatal("Max mutated a clock")
 	}
 }
-
-func TestReset(t *testing.T) {
-	var c Clock
-	c.Advance(time.Minute)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset left %v", c.Now())
-	}
-}

@@ -28,13 +28,6 @@ func New(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Split returns a new generator whose stream is statistically independent
-// of r's. It advances r by one step. Split is how subsystems (workers,
-// dataset shards) obtain private streams from a single experiment seed.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0x9e3779b97f4a7c15)
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -51,11 +44,6 @@ func (r *RNG) Intn(n int) int {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -101,14 +89,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes a slice in place through the swap callback.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Zipf samples ranks in [0, n) with probability proportional to

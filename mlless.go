@@ -137,7 +137,9 @@ type (
 	// implement it to train custom models on MLLess. Trainers call
 	// LossGradientView, the loss and gradient of a BatchView from one
 	// pass; LossView and GradientView return each half alone, for
-	// callers that time the two apart.
+	// callers that time the two apart. GradientWork, the flops of one
+	// gradient evaluation, is the one cost method: every trainer turns
+	// it into virtual compute time.
 	Model = model.Model
 	// Optimizer turns mini-batch gradients into parameter updates.
 	Optimizer = optimizer.Optimizer
